@@ -24,7 +24,6 @@ func fatal(msg string, args ...any) {
 func main() {
 	connect := flag.String("connect", "127.0.0.1:7033", "vendor address")
 	machineName := flag.String("machine", "ubt-ms4", "Table 2 machine configuration to impersonate (or 'list')")
-	seedCache := flag.Bool("seed-cache", true, "prime the chunk cache from installed files, so version upgrades transfer only changed chunks")
 	reconnect := flag.Bool("reconnect", true, "redial the vendor with backoff when the control channel drops, preserving identity and chunk cache; the agent exits once redials stop succeeding")
 	reconnectAttempts := flag.Int("reconnect-attempts", 5, "consecutive failed redials before concluding the vendor is gone")
 	peerListen := flag.String("peer-listen", "", "address to serve the chunk cache to peer agents on (e.g. 127.0.0.1:0; empty = peer serving disabled); the bound address is advertised to the vendor, which hints this agent to later waves once its wave gates")
@@ -76,7 +75,6 @@ func main() {
 
 	m := scenario.BuildMySQLMachine(*found)
 	agent := transport.NewAgent(m)
-	agent.SeedCache = *seedCache
 	if *peerListen != "" {
 		addr, err := agent.ServePeers(*peerListen)
 		if err != nil {

@@ -29,7 +29,6 @@ func main() {
 	parsers := flag.String("parsers", "full", "parser coverage: full (vendor parsers) or mirage (Mirage-supplied only)")
 	diameter := flag.Int("d", 3, "QT diameter for content-fingerprinted resources")
 	discard := flag.String("discard", "", "comma-separated item-key prefixes the vendor discards")
-	naiveQT := flag.Bool("naive-qt", false, "run phase 2 over raw machines instead of weighted distinct profiles (reference path, for timing comparisons)")
 	plan := flag.String("plan", "", "also print the staged wave schedule the clusters would deploy under: balanced, frontloading, nostaging, random or adaptive")
 	logOpts := logx.Flags(flag.CommandLine)
 	flag.Parse()
@@ -60,7 +59,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	cfg := cluster.Config{Diameter: *diameter, NaiveQT: *naiveQT}
+	cfg := cluster.Config{Diameter: *diameter}
 	if *discard != "" {
 		cfg.DiscardPrefixes = strings.Split(*discard, ",")
 	}

@@ -1,6 +1,6 @@
 // mirage-repro regenerates every table and figure of the paper's
-// evaluation in one run and reports whether each matches the published
-// result. It is the executable companion to EXPERIMENTS.md.
+// evaluation in one run, reports whether each matches the published
+// result, and exits non-zero if any does not.
 //
 // Usage:
 //
@@ -172,8 +172,9 @@ func runFig11() {
 	nsS := simulator.NoStaging(p, scenario.PaperDeployment(scenario.ProblemsLast))
 	nsI := simulator.NoStaging(p, scenario.WithMisplaced(scenario.PaperDeployment(scenario.ProblemsLast), true))
 
-	check(first.Overhead == sound.Overhead+1, "overhead grows by exactly one machine (got %d vs %d)",
-		first.Overhead, sound.Overhead)
+	check(first.Overhead == sound.Overhead+1 && last.Overhead == sound.Overhead+1,
+		"overhead grows by exactly one machine, misplaced first or last (got %d and %d vs %d)",
+		first.Overhead, last.Overhead, sound.Overhead)
 	medS, medF, medL := median(sound), median(first), median(last)
 	check(medF > medS+p.FixTime/2, "misplaced in first cluster delays the median (%.0f vs %.0f)", medF, medS)
 	check(medL <= medS+p.FixTime/2, "misplaced in last cluster barely matters (%.0f vs %.0f)", medL, medS)

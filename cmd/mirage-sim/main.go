@@ -35,6 +35,11 @@ func main() {
 		os.Exit(2)
 	}
 
+	if *clusters < 5 || *clusters > *machines {
+		fmt.Fprintf(os.Stderr, "-clusters must be between 5 (the scenario has three problem groups) and -machines; got %d\n", *clusters)
+		os.Exit(2)
+	}
+
 	p := simulator.DefaultParams()
 	build := func(placement scenario.Placement) []simulator.ClusterSpec {
 		specs := scenario.Deployment(*machines, *clusters, *prevalent, placement)

@@ -123,9 +123,6 @@ func main() {
 	diameter := flag.Int("d", 3, "QT clustering diameter")
 	parallel := flag.Int("parallel", deploy.DefaultParallelism, "worker-pool size for node testing within a wave")
 	profilePar := flag.Int("profile-parallel", 0, "concurrent agent fingerprint RPCs while profiling the fleet (0 = default)")
-	inline := flag.Bool("inline", false, "legacy distribution: ship the full upgrade payload inline in every test/integrate frame instead of content-addressed chunk manifests")
-	jsonChunks := flag.Bool("json-chunks", false, "legacy chunk encoding: push missed chunks base64-encoded inside JSON frames instead of the binary chunk framing")
-	noPeers := flag.Bool("no-peers", false, "disable peer swarming: every missed chunk is pushed by the vendor even when gated agents could serve it")
 	showPlan := flag.Bool("plan", false, "print the staged wave schedule before deploying")
 	urrFile := flag.String("urr", "", "save the report repository to this file after deployment")
 	journal := flag.String("journal", "", "write-ahead deployment journal file for the one-shot rollout: every state transition is persisted, making the deployment durable and resumable")
@@ -166,9 +163,6 @@ func main() {
 		fatal("listen failed", "err", err)
 	}
 	defer srv.Close()
-	srv.InlinePayloads = *inline
-	srv.JSONChunks = *jsonChunks
-	srv.DisablePeers = *noPeers
 	// One registry and tracer per vendor process: the transport books RPC
 	// latency into it, the orchestrator threads it (and per-rollout
 	// traces) through every rollout, and GET /metrics renders it.
@@ -445,12 +439,8 @@ func main() {
 	for _, name := range out.Quarantined {
 		slog.Warn("member quarantined (unreachable through retries)", "node", name)
 	}
-	mode := "chunked"
-	if *inline {
-		mode = "inline"
-	}
-	fmt.Printf("transfer mode=%s frames=%d bytes=%d chunk_bytes=%d chunk_hits=%d chunk_misses=%d\n",
-		mode, out.Transfer.Frames, out.Transfer.Bytes, out.Transfer.ChunkBytes,
+	fmt.Printf("transfer frames=%d bytes=%d chunk_bytes=%d chunk_hits=%d chunk_misses=%d\n",
+		out.Transfer.Frames, out.Transfer.Bytes, out.Transfer.ChunkBytes,
 		out.Transfer.ChunkHits, out.Transfer.ChunkMisses)
 	fmt.Printf("peer tier peer_bytes=%d peer_hits=%d vendor_fallbacks=%d\n",
 		out.Transfer.PeerBytes, out.Transfer.PeerHits, out.Transfer.VendorFallbacks)

@@ -17,8 +17,7 @@
 // manifests in place of inline payloads, persistent agent-side chunk
 // caches seeded from installed files, and batched fetches of only the
 // missing chunks — pushed as binary chunk frames (raw bytes behind a
-// JSON header; the -json-chunks flag restores the legacy base64
-// encoding) and, once a rollout's early waves gate, served mostly
+// JSON header) and, once a rollout's early waves gate, served mostly
 // peer-to-peer: agents opt in with -peer-listen, the vendor hints gated
 // peers that hold the missing addresses, and every peer-fetched chunk
 // self-verifies against its content digest before the vendor uplink is
@@ -41,7 +40,7 @@
 // member records between durable gate syncs, and the admin mux serves
 // /healthz, Prometheus /metrics and optional pprof. transport.SimFleet
 // (mirage-agent -sim N) runs thousands of protocol-faithful simulated
-// agents per process for BenchmarkScale's 10k–100k rollout tiers.
+// agents per process; bench/ drives its 10k-member rollouts over them.
 // Fleets stay live after profiling (internal/fleetwatch): agents started
 // with -watch re-fingerprint on an interval and push profile deltas, the
 // vendor's drift monitor folds each one into the cluster snapshot
@@ -59,7 +58,7 @@
 // paper's evaluation scenarios are reconstructed in internal/scenario
 // and internal/survey. ARCHITECTURE.md diagrams the six shared layers.
 //
-// The benchmarks in bench_test.go regenerate every table and figure of the
-// paper's evaluation; see EXPERIMENTS.md for the comparison against the
-// published results.
+// cmd/mirage-repro regenerates every table and figure of the paper's
+// evaluation and exits non-zero when one departs from the published
+// result; bench/ (see bench/README.md) is the one performance benchmark.
 package repro

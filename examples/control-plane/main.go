@@ -81,8 +81,7 @@ func main() {
 	// grouped into three clusters of deployment. Chunks travel as binary
 	// frames on the control channel; a production fleet would additionally
 	// start each agent with -peer-listen so later waves pull chunk misses
-	// from already-gated peers (and -json-chunks on the vendor restores the
-	// legacy base64 encoding for old agents).
+	// from already-gated peers.
 	srv, err := transport.Listen("127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/benchjson"
 	"repro/internal/staging"
 	"repro/internal/transport"
 )
@@ -144,46 +143,5 @@ func TestChaosFaultFreeBaseline(t *testing.T) {
 	}
 	if len(res.Stranded) != 0 {
 		t.Fatalf("stranded members: %v", res.Stranded)
-	}
-}
-
-// BenchmarkChaos times one full chaos rollout (pipe transport, curable
-// 3-cluster fleet, storm plan) per iteration.
-func BenchmarkChaos(b *testing.B) {
-	var last *Result
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		res, err := Run(context.Background(), Options{
-			Fleet:  ConvergeFleet(2),
-			Faults: stormPlan("php-0"),
-			Gate: staging.GatePolicy{
-				Enabled: true, BaselineFailureRate: 0,
-				MaxExcessRate: 0.1, MinSamples: 3,
-			},
-			Fix:          true,
-			AutoRollback: true,
-			Journal:      filepath.Join(b.TempDir(), "journal.jsonl"),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Stranded) != 0 {
-			b.Fatalf("stranded members: %v", res.Stranded)
-		}
-		last = res
-	}
-	elapsed := time.Since(start)
-	b.ReportMetric(float64(last.FaultsInjected), "faults/run")
-	if _, err := benchjson.WriteEnv("MIRAGE_BENCH_CHAOS_JSON", []benchjson.Result{{
-		Name: "BenchmarkChaos", N: len(last.Machines),
-		Labels: map[string]string{"terminal": last.Terminal},
-		Metrics: map[string]float64{
-			"clusters":        float64(last.Clusters),
-			"faults_injected": float64(last.FaultsInjected),
-			"stranded":        float64(len(last.Stranded)),
-			"ms_per_run":      float64(elapsed.Milliseconds()) / float64(b.N),
-		},
-	}}); err != nil {
-		b.Fatal(err)
 	}
 }

@@ -77,14 +77,6 @@ type Config struct {
 	// have different application sets with overlapping resources. It
 	// defaults to true in Run; set DisableAppSetSplit to turn it off.
 	DisableAppSetSplit bool
-	// NaiveQT disables the multiplicity-aware collapse of identical
-	// machine profiles before phase 2, running the QT variation over raw
-	// machines instead of weighted distinct profiles. The two paths
-	// produce identical clusterings (the weighted path is an exact
-	// optimization, asserted by the equivalence property test); the naive
-	// path is kept as the reference implementation for cross-checking and
-	// as the pre-refactor baseline in benchmarks.
-	NaiveQT bool
 }
 
 // Run clusters the machines deterministically and returns clusters sorted
@@ -107,18 +99,14 @@ func Run(cfg Config, machines []MachineFingerprint) []*Cluster {
 	// Phase 1: original clusters = identical parsed diffs.
 	originals := phase1(ms)
 
-	// Phase 2: QT diameter clustering inside each original cluster. The
-	// default path collapses machines with identical (content, app-set)
-	// profiles — parsed diffs are already identical within an original
-	// cluster — into one weighted candidate each, so the cubic QT phase
-	// scales with distinct profiles rather than fleet size.
-	qt := qtCluster
-	if cfg.NaiveQT {
-		qt = qtClusterNaive
-	}
+	// Phase 2: QT diameter clustering inside each original cluster.
+	// Machines with identical (content, app-set) profiles — parsed diffs
+	// are already identical within an original cluster — collapse into one
+	// weighted candidate each, so the cubic QT phase scales with distinct
+	// profiles rather than fleet size.
 	var groups [][]MachineFingerprint
 	for _, orig := range originals {
-		groups = append(groups, qt(orig, cfg.Diameter)...)
+		groups = append(groups, qtCluster(orig, cfg.Diameter)...)
 	}
 
 	// Final split by application set.
@@ -236,11 +224,12 @@ func collapse(ms []MachineFingerprint) []*qtCandidate {
 // collapsed into one weighted candidate first, so the cubic greedy search
 // runs over distinct profiles only; candidate sizes, growth sums and
 // average-distance tie-breaks are all weighted by multiplicity, which
-// makes the result exactly the clustering qtClusterNaive computes over
-// the raw machines (duplicates are at distance zero from their original,
-// so naive greedy growth always absorbs a member's duplicates before any
-// strictly more distant machine, and a duplicate of a member can never
-// violate the diameter bound).
+// makes the result exactly the clustering the naive reference
+// (qtClusterNaive, weighted_test.go) computes over the raw machines:
+// duplicates are at distance zero from their original, so naive greedy
+// growth always absorbs a member's duplicates before any strictly more
+// distant machine, and a duplicate of a member can never violate the
+// diameter bound.
 func qtCluster(ms []MachineFingerprint, diameter int) [][]MachineFingerprint {
 	if len(ms) <= 1 {
 		if len(ms) == 0 {
@@ -300,9 +289,12 @@ func qtCluster(ms []MachineFingerprint, diameter int) [][]MachineFingerprint {
 	return result
 }
 
-// growFromWeighted mirrors growFrom over distinct candidates: distance
-// sums weight each member by its multiplicity, reproducing the sums naive
-// greedy growth sees once a member's duplicates have all joined.
+// growFromWeighted grows a candidate cluster from seed, greedily adding
+// whichever remaining candidate keeps the diameter within bound and
+// minimizes the sum of distances to current members (ties broken by index
+// order, which is name order). Sums weight each member by its
+// multiplicity, reproducing what naive greedy growth over raw machines
+// sees once a member's duplicates have all joined.
 func growFromWeighted(seed int, remaining []int, dist [][]int, cands []*qtCandidate, diameter int) []int {
 	cluster := []int{seed}
 	in := map[int]bool{seed: true}
@@ -347,8 +339,8 @@ func weightOf(cluster []int, cands []*qtCandidate) int {
 
 // avgDistWeighted is the average pairwise machine distance of a candidate
 // cluster: pairs inside one collapsed candidate are at distance zero but
-// still count toward the pair total, so the value equals avgDist over the
-// expanded machines exactly.
+// still count toward the pair total, so the value equals the plain
+// average over the expanded machines exactly.
 func avgDistWeighted(cluster []int, dist [][]int, cands []*qtCandidate) float64 {
 	w := weightOf(cluster, cands)
 	if w < 2 {
@@ -361,120 +353,6 @@ func avgDistWeighted(cluster []int, dist [][]int, cands []*qtCandidate) float64 
 		}
 	}
 	return float64(sum) / float64(w*(w-1)/2)
-}
-
-// qtClusterNaive subdivides one original cluster with the diameter-bounded
-// QT variation over raw machines: repeatedly grow a candidate cluster
-// around every remaining machine by greedily adding the machine that
-// minimizes the average pairwise distance while keeping the diameter
-// within d; keep the largest candidate; remove its members; repeat.
-// Deterministic: candidates are seeded and grown in name order, ties
-// broken by name. Reference implementation for qtCluster (Config.NaiveQT).
-func qtClusterNaive(ms []MachineFingerprint, diameter int) [][]MachineFingerprint {
-	if len(ms) <= 1 {
-		if len(ms) == 0 {
-			return nil
-		}
-		return [][]MachineFingerprint{ms}
-	}
-
-	// Precompute pairwise distances.
-	dist := make([][]int, len(ms))
-	for i := range ms {
-		dist[i] = make([]int, len(ms))
-		for j := range ms {
-			if j < i {
-				dist[i][j] = dist[j][i]
-			} else if j > i {
-				dist[i][j] = resource.ManhattanDistance(ms[i].ContentDiff, ms[j].ContentDiff)
-			}
-		}
-	}
-
-	remaining := make([]int, len(ms))
-	for i := range remaining {
-		remaining[i] = i
-	}
-
-	var result [][]MachineFingerprint
-	for len(remaining) > 0 {
-		best := growFrom(remaining[0], remaining, dist, diameter)
-		for _, seed := range remaining[1:] {
-			cand := growFrom(seed, remaining, dist, diameter)
-			if len(cand) > len(best) ||
-				(len(cand) == len(best) && avgDist(cand, dist) < avgDist(best, dist)) {
-				best = cand
-			}
-		}
-		members := make([]MachineFingerprint, 0, len(best))
-		inBest := make(map[int]bool, len(best))
-		for _, idx := range best {
-			inBest[idx] = true
-			members = append(members, ms[idx])
-		}
-		sort.Slice(members, func(i, j int) bool { return members[i].Name < members[j].Name })
-		result = append(result, members)
-
-		var next []int
-		for _, idx := range remaining {
-			if !inBest[idx] {
-				next = append(next, idx)
-			}
-		}
-		remaining = next
-	}
-	return result
-}
-
-// growFrom grows a candidate cluster from seed, greedily adding whichever
-// remaining machine keeps the diameter within bound and minimizes the sum
-// of distances to current members (ties broken by index order, which is
-// name order).
-func growFrom(seed int, remaining []int, dist [][]int, diameter int) []int {
-	cluster := []int{seed}
-	in := map[int]bool{seed: true}
-	for {
-		bestIdx, bestSum := -1, 0
-		for _, cand := range remaining {
-			if in[cand] {
-				continue
-			}
-			ok, sum := true, 0
-			for _, member := range cluster {
-				d := dist[cand][member]
-				if d > diameter {
-					ok = false
-					break
-				}
-				sum += d
-			}
-			if !ok {
-				continue
-			}
-			if bestIdx == -1 || sum < bestSum {
-				bestIdx, bestSum = cand, sum
-			}
-		}
-		if bestIdx == -1 {
-			return cluster
-		}
-		cluster = append(cluster, bestIdx)
-		in[bestIdx] = true
-	}
-}
-
-func avgDist(cluster []int, dist [][]int) float64 {
-	if len(cluster) < 2 {
-		return 0
-	}
-	sum, n := 0, 0
-	for i := 0; i < len(cluster); i++ {
-		for j := i + 1; j < len(cluster); j++ {
-			sum += dist[cluster[i]][cluster[j]]
-			n++
-		}
-	}
-	return float64(sum) / float64(n)
 }
 
 // splitByAppSet partitions a group by application-set key, preserving name

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
-	"repro/internal/benchjson"
 	"repro/internal/cluster"
 	"repro/internal/deploy"
 	"repro/internal/pkgmgr"
@@ -379,100 +377,5 @@ func TestMonitorParityWithRun(t *testing.T) {
 	if len(full) > len(v.Clusters) {
 		t.Fatalf("incremental view merged MORE aggressively than Run: %d vs %d clusters",
 			len(v.Clusters), len(full))
-	}
-}
-
-// syntheticFleet builds n machines in 100 parsed groups × 5 content bands:
-// 500 distinct profiles, so both the full run and the incremental fold have
-// real clustering work to do.
-func syntheticFleet(n int) []cluster.MachineFingerprint {
-	out := make([]cluster.MachineFingerprint, n)
-	for i := range out {
-		g := i % 100
-		band := (i / 100) % 5
-		parsed := resource.NewSet(4)
-		for p := 0; p <= g%3; p++ {
-			parsed.Add(resource.NewParsed(uint64(g), "pkg", fmt.Sprintf("lib%d", g), fmt.Sprintf("v%d", p)))
-		}
-		content := resource.NewSet(8)
-		for c := 0; c < 6; c++ {
-			content.Add(resource.NewContent(fmt.Sprintf("data%d.bin", band*10+c), uint64(g*1000+band)))
-		}
-		out[i] = cluster.MachineFingerprint{
-			Name:        fmt.Sprintf("m%05d", i),
-			ParsedDiff:  parsed,
-			ContentDiff: content,
-			AppSet:      "app",
-		}
-	}
-	return out
-}
-
-// BenchmarkDrift measures one incremental delta fold against a from-scratch
-// 10k-machine re-clustering and asserts the fold is ≥50x cheaper. Results
-// land in BENCH_drift.json when MIRAGE_BENCH_DRIFT_JSON is set.
-func BenchmarkDrift(b *testing.B) {
-	const fleet = 10_000
-	cfg := cluster.Config{Diameter: 4}
-	machines := syntheticFleet(fleet)
-
-	const fullRuns = 3
-	t0 := time.Now()
-	for i := 0; i < fullRuns; i++ {
-		cluster.Run(cfg, machines)
-	}
-	fullPer := time.Since(t0) / fullRuns
-
-	mon := NewMonitor(cluster.BuildSnapshot(cfg, machines), nil)
-	cur := make(map[string]*resource.Set, fleet)
-	for _, mf := range machines {
-		cur[mf.Name] = union(mf)
-	}
-	lastChurn := make(map[string]resource.Item, fleet)
-
-	rng := rand.New(rand.NewSource(42))
-	fold := func(i int) {
-		name := machines[rng.Intn(fleet)].Name
-		set := cur[name]
-		var removed []resource.Item
-		if old, ok := lastChurn[name]; ok {
-			set.Remove(old)
-			removed = append(removed, old)
-		}
-		next := resource.NewContent("churn.bin", uint64(1_000_000+i))
-		set.Add(next)
-		lastChurn[name] = next
-		if _, err := mon.ApplyDelta(name, "app", []resource.Item{next}, removed, set.Signature(), false); err != nil {
-			b.Fatal(err)
-		}
-	}
-	// The snapshot's incremental index builds lazily on the first fold;
-	// that is launch-time cost, so pay it outside the timed region.
-	fold(0)
-	b.ResetTimer()
-	start := time.Now()
-	for i := 1; i <= b.N; i++ {
-		fold(i)
-	}
-	incPer := time.Since(start) / time.Duration(b.N)
-	b.StopTimer()
-
-	speedup := float64(fullPer) / float64(incPer)
-	b.ReportMetric(speedup, "x_speedup")
-	b.ReportMetric(float64(incPer.Nanoseconds()), "ns/fold")
-	if speedup < 50 {
-		b.Fatalf("incremental fold only %.1fx cheaper than full re-run (%v vs %v), want ≥50x",
-			speedup, incPer, fullPer)
-	}
-	if _, err := benchjson.WriteEnv("MIRAGE_BENCH_DRIFT_JSON", []benchjson.Result{{
-		Name: "BenchmarkDrift", N: fleet,
-		Metrics: map[string]float64{
-			"full_run_ms":   float64(fullPer.Microseconds()) / 1000,
-			"fold_us":       float64(incPer.Nanoseconds()) / 1000,
-			"x_speedup":     speedup,
-			"folds_sampled": float64(b.N),
-		},
-	}}); err != nil {
-		b.Fatal(err)
 	}
 }

@@ -294,6 +294,10 @@ func TestImperfectClusteringOverheadPlusOne(t *testing.T) {
 	if imp.Overhead != sound.Overhead+1 {
 		t.Fatalf("imperfect overhead = %d, want %d", imp.Overhead, sound.Overhead+1)
 	}
+	// ... wherever in the order the misplaced machine sits.
+	if last := Balanced(p, misplacedScenario(false)); last.Overhead != sound.Overhead+1 {
+		t.Fatalf("imperfect overhead, misplaced last = %d, want %d", last.Overhead, sound.Overhead+1)
+	}
 	// NoStaging is merely one machine worse.
 	nsSound := NoStaging(p, testScenario(20, 5000, 3, true))
 	nsImp := NoStaging(p, misplacedScenario(true))

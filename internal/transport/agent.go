@@ -3,6 +3,7 @@ package transport
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"sort"
@@ -34,11 +35,6 @@ type Agent struct {
 	// wave. Several agents may share one cache (machines on a common LAN
 	// segment); Cache is safe for that.
 	Cache *distrib.Cache
-	// SeedCache controls whether the agent primes Cache by chunking its
-	// currently installed files before resolving a manifest. Seeding is
-	// what makes a version N→N+1 push a content-defined delta; disable it
-	// only to measure the unseeded transfer cost.
-	SeedCache bool
 
 	// PeerAddr is the advertised address of the agent's peer chunk
 	// server, set by ServePeers (empty: this agent does not serve peers).
@@ -80,7 +76,6 @@ func NewAgent(m *machine.Machine) *Agent {
 		Store:      vmtest.NewStore(),
 		Identifier: &envid.Identifier{},
 		Cache:      distrib.NewCache(),
-		SeedCache:  true,
 		local:      make(map[string][]string),
 		vendorRefs: make(map[string][]string),
 		watch:      make(map[string]*watchState),
@@ -146,11 +141,11 @@ func (a *Agent) serve(conn net.Conn) error {
 			}
 		}
 		var resp Frame
-		if req.Op == OpFetchChunks && len(req.ChunkMeta) > 0 {
-			// Binary chunk push: the raw body follows the header on this
-			// very stream, so it must be consumed here, in frame order,
-			// before the next request can be read.
-			resp = a.handleFetchBinary(fc, req.ChunkMeta)
+		if req.Op == OpFetchChunks {
+			// Chunk push: the raw body follows the header on this very
+			// stream, so it must be consumed here, in frame order, before
+			// the next request can be read.
+			resp = a.handleFetchChunks(fc, req.ChunkMeta)
 		} else {
 			resp = a.handle(req)
 		}
@@ -284,11 +279,6 @@ func (a *Agent) handle(req Frame) Frame {
 			return errFrame("integrate payload missing")
 		}
 		return a.handleIntegrate(*req.Integrate)
-	case OpFetchChunks:
-		if req.FetchChunks == nil {
-			return errFrame("fetch_chunks payload missing")
-		}
-		return a.handleFetchChunks(*req.FetchChunks)
 	case OpPeerFetch:
 		if req.PeerFetch == nil {
 			return errFrame("peer_fetch payload missing")
@@ -324,44 +314,33 @@ func (a *Agent) handleRecord(req RecordReq) Frame {
 	return Frame{OK: true, Status: rec.Trace.ExitStatus()}
 }
 
-// resolveUpgrade produces the full upgrade from a test/integrate request.
-// Inline requests decode directly. Manifest requests resolve against the
-// chunk cache: the agent first seeds the cache from its installed files
-// (so the unchanged bulk of a version upgrade is already local), then
-// either assembles the upgrade entirely from cache or returns the missing
-// chunk set for the vendor to push.
-func (a *Agent) resolveUpgrade(up *WireUpgrade, man *WireManifest) (*pkgmgr.Upgrade, []uint64, error) {
-	if man != nil {
-		if a.SeedCache {
-			a.Cache.SeedMachine(a.M)
-		}
-		if need := a.Cache.Missing(man); len(need) > 0 {
-			return nil, need, nil
-		}
-		u, err := a.Cache.Assemble(man)
-		return u, nil, err
+// resolveUpgrade produces the full upgrade from a test/integrate
+// request's manifest, resolving it against the chunk cache: the agent
+// first seeds the cache from its installed files (so the unchanged bulk of
+// a version upgrade is already local), then either assembles the upgrade
+// entirely from cache or returns the missing chunk set for the vendor to
+// push.
+func (a *Agent) resolveUpgrade(man *WireManifest) (*pkgmgr.Upgrade, []uint64, error) {
+	if man == nil {
+		return nil, nil, errors.New("manifest missing")
 	}
-	if up != nil {
-		return UpgradeFromWire(*up), nil, nil
+	a.Cache.SeedMachine(a.M)
+	if need := a.Cache.Missing(man); len(need) > 0 {
+		return nil, need, nil
 	}
-	return nil, nil, fmt.Errorf("neither upgrade nor manifest present")
+	u, err := a.Cache.Assemble(man)
+	return u, nil, err
 }
 
-func (a *Agent) handleFetchChunks(req FetchChunksReq) Frame {
-	for _, ch := range req.Chunks {
-		if err := a.Cache.Add(ch.Hash, ch.Data); err != nil {
-			return errFrame(err.Error())
-		}
+// handleFetchChunks consumes a chunk push: the raw body announced by meta
+// is streamed through a pooled buffer into the cache, each chunk verified
+// against its content address by Cache.Add. The body is fully consumed
+// even when a chunk is rejected, keeping the control channel's framing
+// intact; the error travels back in the reply.
+func (a *Agent) handleFetchChunks(fc *frameConn, meta []distrib.ChunkRef) Frame {
+	if len(meta) == 0 {
+		return errFrame("fetch_chunks chunk_meta missing")
 	}
-	return Frame{OK: true}
-}
-
-// handleFetchBinary consumes a binary chunk push: the raw body announced
-// by meta is streamed through a pooled buffer into the cache, each chunk
-// verified against its content address by Cache.Add. The body is fully
-// consumed even when a chunk is rejected, keeping the control channel's
-// framing intact; the error travels back in the reply.
-func (a *Agent) handleFetchBinary(fc *frameConn, meta []distrib.ChunkRef) Frame {
 	if err := fc.ReadChunkBody(meta, a.Cache.Add); err != nil {
 		return errFrame(err.Error())
 	}
@@ -397,7 +376,7 @@ func (a *Agent) handleFingerprint(raw json.RawMessage) Frame {
 }
 
 func (a *Agent) handleTest(req TestReq) Frame {
-	up, need, err := a.resolveUpgrade(req.Upgrade, req.Manifest)
+	up, need, err := a.resolveUpgrade(req.Manifest)
 	if err != nil {
 		return errFrame(err.Error())
 	}
@@ -424,7 +403,7 @@ func (a *Agent) handleTest(req TestReq) Frame {
 }
 
 func (a *Agent) handleIntegrate(req IntegrateReq) Frame {
-	up, need, err := a.resolveUpgrade(req.Upgrade, req.Manifest)
+	up, need, err := a.resolveUpgrade(req.Manifest)
 	if err != nil {
 		return errFrame(err.Error())
 	}

@@ -1,8 +1,8 @@
 package transport
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -233,35 +233,5 @@ func TestConcurrentPushesSharedCache(t *testing.T) {
 	// payload; the rest ride it. Every chunk appears in the cache once.
 	if cs := shared.Stats(); cs.Hits == 0 {
 		t.Fatalf("shared cache saw no hits: %+v", cs)
-	}
-}
-
-// TestInlineFallback keeps the legacy wire format working: full payloads
-// in every frame, no chunk machinery involved.
-func TestInlineFallback(t *testing.T) {
-	m := userMachine("inline-node", false)
-	s, _ := startFleet(t, m)
-	s.InlinePayloads = true
-
-	up := mysql5Wire()
-	rep, err := s.Node("inline-node").TestUpgrade(context.Background(), up)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Success {
-		t.Fatalf("inline test failed: %+v", rep)
-	}
-	if err := s.Node("inline-node").Integrate(context.Background(), up); err != nil {
-		t.Fatal(err)
-	}
-	if ref, _ := m.Package("mysql"); ref.Version != "5.0.22" {
-		t.Fatalf("machine at %s", ref.Version)
-	}
-	st, _ := s.AgentStats("inline-node")
-	if st.ChunkBytesSent != 0 || st.ChunkHits != 0 || st.ChunkMisses != 0 {
-		t.Fatalf("inline mode used the chunk path: %+v", st)
-	}
-	if st.BytesSent == 0 || st.FramesSent == 0 {
-		t.Fatalf("inline stats not counted: %+v", st)
 	}
 }

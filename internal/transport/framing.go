@@ -3,6 +3,7 @@ package transport
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -15,6 +16,18 @@ import (
 // the cap exists so a corrupt or hostile header cannot make a reader
 // allocate or stream gigabytes.
 const maxWireChunk = 1 << 26 // 64MB
+
+// maxHeaderLine bounds one frame's JSON header line. No header carries
+// payload — chunk bytes ride behind it as a raw body — so headers are
+// small: the longest the tier-1 suite produces is 2.1 KB and the longest
+// of the five bench workloads 5.5 KB (the manifest of swarm-cold's
+// 528 KiB upgrade). The cap is what keeps a peer that never sends a
+// newline from growing the reader's line buffer without limit.
+const maxHeaderLine = 1 << 20 // 1MB
+
+// ErrFrameTooLarge reports a frame header longer than maxHeaderLine. The
+// stream cannot be resynchronized after it; callers drop the connection.
+var ErrFrameTooLarge = errors.New("transport: frame header too large")
 
 // chunkBufPool recycles the scratch buffers the binary chunk read path
 // fills from the socket. Every consumer of chunk bytes copies what it
@@ -53,11 +66,15 @@ func newFrameConn(br *bufio.Reader, bw *bufio.Writer) *frameConn {
 // the json.Decoder the wire format grew up with: a Decoder reads ahead
 // into its own buffer, which would swallow the raw chunk body following a
 // binary header; reading exactly one line keeps the stream positioned at
-// the body's first byte.
+// the body's first byte. A header that outgrows maxHeaderLine is refused
+// with ErrFrameTooLarge before the line buffer grows past the cap.
 func (fc *frameConn) ReadFrame(f *Frame) error {
 	fc.line = fc.line[:0]
 	for {
 		part, err := fc.br.ReadSlice('\n')
+		if len(fc.line)+len(part) > maxHeaderLine {
+			return ErrFrameTooLarge
+		}
 		fc.line = append(fc.line, part...)
 		if err == nil {
 			break

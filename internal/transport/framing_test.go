@@ -1,27 +1,30 @@
 package transport
 
 import (
-	"context"
+	"bufio"
 	"bytes"
+	"context"
+	"errors"
+	"net"
 	"testing"
+	"time"
 
 	"repro/internal/apps"
 	"repro/internal/machine"
 	"repro/internal/pkgmgr"
 )
 
-// Tests for the binary chunk framing: chunk payload must cross the wire
-// byte-for-byte (no base64 expansion), the legacy JSON encoding must keep
-// working behind Server.JSONChunks, and both must deliver bit-identical
-// files.
-
-// pushBigUpgrade deploys a fresh large payload to one agent and returns
-// the connection's transfer stats and the machine.
-func pushBigUpgrade(t *testing.T, jsonChunks bool, size int) (Stats, *machine.Machine) {
-	t.Helper()
+// TestBinaryFramingZeroExpansion asserts the wire property of the chunk
+// frame: chunk payload crosses byte-for-byte. A fresh payload the agent
+// holds nothing of is pushed once, so the chunk bytes the vendor booked
+// equal the payload, and everything else the connection carried — the
+// manifest in the three test/integrate frames and the one ChunkMeta list —
+// is a few dozen bytes per chunk reference. Any encoding of the body
+// (base64 costs a third of the payload) cannot hide under that bound.
+func TestBinaryFramingZeroExpansion(t *testing.T) {
+	const size = 256 * 1024
 	m := userMachine("frame-node", false)
 	s, _ := startFleet(t, m)
-	s.JSONChunks = jsonChunks
 
 	up := &pkgmgr.Upgrade{
 		ID: "mysql-frame-5",
@@ -43,51 +46,78 @@ func pushBigUpgrade(t *testing.T, jsonChunks bool, size int) (Stats, *machine.Ma
 	if f := m.ReadFile(apps.MySQLExec); f == nil || !bytes.Equal(f.Data, bigData(11, size)) {
 		t.Fatal("delivered file differs from the vendor's")
 	}
+
 	st, ok := s.AgentStats("frame-node")
 	if !ok {
 		t.Fatal("no stats for registered agent")
 	}
-	return st, m
-}
-
-// TestBinaryFramingZeroExpansion asserts the headline wire property: with
-// the binary chunk frame, total bytes on the wire exceed the raw chunk
-// payload only by header overhead — nothing close to base64's 4/3. The
-// legacy JSON mode pays that expansion, which is the control making the
-// assertion meaningful.
-func TestBinaryFramingZeroExpansion(t *testing.T) {
-	const size = 256 * 1024
-
-	binSt, _ := pushBigUpgrade(t, false, size)
-	if binSt.ChunkBytesSent < size {
-		t.Fatalf("binary push moved %d chunk bytes for a %d payload — test is vacuous", binSt.ChunkBytesSent, size)
+	if st.ChunkBytesSent != size {
+		t.Fatalf("pushed %d chunk bytes for a %d-byte payload, want exactly the payload", st.ChunkBytesSent, size)
 	}
-	// Headers: a ChunkMeta entry and two manifest sends per push, tens of
-	// bytes per chunk against ~4KB chunks. An eighth of the payload is a
-	// generous ceiling that base64 (+33%) cannot hide under.
-	binOverhead := binSt.BytesSent - binSt.ChunkBytesSent
-	if binOverhead > binSt.ChunkBytesSent/8 {
-		t.Fatalf("binary framing overhead = %d bytes on %d chunk bytes, want < 1/8",
-			binOverhead, binSt.ChunkBytesSent)
-	}
-
-	jsonSt, _ := pushBigUpgrade(t, true, size)
-	jsonOverhead := jsonSt.BytesSent - jsonSt.ChunkBytesSent
-	if jsonOverhead < jsonSt.ChunkBytesSent/4 {
-		t.Fatalf("json control moved %d overhead bytes on %d chunk bytes — base64 expansion missing, control broken",
-			jsonOverhead, jsonSt.ChunkBytesSent)
+	// One chunk reference is {"h":<≤20 digits>,"n":<≤5 digits>}, at most
+	// 40 bytes with its comma; it appears in three manifests and one
+	// ChunkMeta. 1 KiB covers the rest of those four frames.
+	refs := int64(s.ChunkStore().Manifest(up).ChunkCount())
+	if headers := st.BytesSent - st.ChunkBytesSent; headers > 4*40*refs+1024 {
+		t.Fatalf("%d bytes on the wire beside %d chunk bytes (%d chunk refs): the body did not cross raw",
+			headers, st.ChunkBytesSent, refs)
 	}
 }
 
-// TestJSONChunksCompat keeps the legacy chunk encoding deployable
-// end-to-end (the -json-chunks flag): correctness is identical, only the
-// wire expansion differs.
-func TestJSONChunksCompat(t *testing.T) {
-	st, m := pushBigUpgrade(t, true, 64*1024)
-	if st.ChunkBytesSent == 0 || st.ChunkMisses == 0 {
-		t.Fatalf("stats = %+v, want chunk traffic", st)
+// TestHeaderLineIsBounded streams newline-free bytes at each endpoint
+// that reads frames off a connection it did not choose — the server's
+// accept path and an agent's serve loop — and asserts the peer is cut off
+// after the reader took at most the cap plus one bufio buffer, instead of
+// buffering whatever arrives. net.Pipe is synchronous, so the bytes the
+// writer got rid of are exactly the bytes the endpoint read.
+func TestHeaderLineIsBounded(t *testing.T) {
+	flood := func(t *testing.T, conn net.Conn) {
+		t.Helper()
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		junk := bytes.Repeat([]byte{'x'}, 1000)
+		written := 0
+		for written < 4*maxHeaderLine {
+			n, err := conn.Write(junk)
+			written += n
+			if err != nil {
+				break
+			}
+		}
+		if written < maxHeaderLine || written > maxHeaderLine+4096 {
+			t.Fatalf("endpoint read %d newline-free bytes before hanging up, want within one 4096-byte buffer above the %d cap",
+				written, maxHeaderLine)
+		}
 	}
-	if ref, _ := m.Package("mysql"); ref.Version != "5.0.22" {
-		t.Fatalf("machine at %s", ref.Version)
-	}
+
+	t.Run("frameConn", func(t *testing.T) {
+		fc := newFrameConn(bufio.NewReader(bytes.NewReader(make([]byte, 2*maxHeaderLine))), nil)
+		var f Frame
+		if err := fc.ReadFrame(&f); !errors.Is(err, ErrFrameTooLarge) {
+			t.Fatalf("ReadFrame = %v, want ErrFrameTooLarge", err)
+		}
+		if len(fc.line) > maxHeaderLine {
+			t.Fatalf("buffered %d header bytes, past the %d cap", len(fc.line), maxHeaderLine)
+		}
+	})
+	t.Run("server accept path", func(t *testing.T) {
+		s, err := Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		client, srvEnd := net.Pipe()
+		if err := s.ServeConn(srvEnd); err != nil {
+			t.Fatal(err)
+		}
+		flood(t, client)
+	})
+	t.Run("Agent.serve", func(t *testing.T) {
+		vendor, agentEnd := net.Pipe()
+		go NewAgent(userMachine("flooded", false)).ServeConn(agentEnd)
+		if _, err := bufio.NewReader(vendor).ReadBytes('\n'); err != nil { // the registration frame
+			t.Fatal(err)
+		}
+		flood(t, vendor)
+	})
 }

@@ -58,8 +58,8 @@ type Stats struct {
 
 	// Peer tier counters. The vendor never sees peer traffic on its own
 	// sockets; these book what agents report back after each directed
-	// peer fetch, which is what lets BenchmarkSwarm assert vendor egress
-	// stays ~flat while total bytes moved grows with the fleet.
+	// peer fetch, which is what lets the swarm-cold workload check vendor
+	// egress stays ~flat while total bytes moved grows with the fleet.
 	PeerBytesIn     int64 // chunk bytes this/these agent(s) pulled from peers
 	PeerBytesOut    int64 // chunk bytes this/these agent(s) served to peers
 	PeerChunkHits   int64 // chunks the peer tier satisfied
@@ -236,10 +236,6 @@ func (ac *agentConn) exchange(ctx context.Context, req Frame, body []distrib.Chu
 			ac.bookFault()
 			if body != nil {
 				body = corruptChunks(body)
-			} else if req.FetchChunks != nil {
-				fr := *req.FetchChunks
-				fr.Chunks = corruptChunks(fr.Chunks)
-				req.FetchChunks = &fr
 			}
 		case FaultReset:
 			ac.bookFault()
@@ -366,26 +362,6 @@ type Server struct {
 	// any setting.
 	ProfileParallelism int
 
-	// InlinePayloads restores the legacy wire format: test and integrate
-	// requests carry the complete upgrade (all file data, base64 inside
-	// JSON) in every frame. The default is content-addressed chunked
-	// distribution, where frames carry a manifest and only cache-missed
-	// chunk bytes ever cross the wire.
-	InlinePayloads bool
-
-	// JSONChunks restores the legacy chunk-push encoding: OpFetchChunks
-	// frames carry chunk bytes base64-encoded inside the JSON body. The
-	// default is the binary chunk frame — a JSON header listing per-chunk
-	// address+length followed by the raw bytes — which moves chunk
-	// payload with zero encode expansion and no per-chunk allocation.
-	JSONChunks bool
-
-	// DisablePeers turns off peer hinting: every missed chunk is pushed
-	// by the vendor, as before the peer tier existed. Agents that do not
-	// run a peer server are simply never hinted, so this switch matters
-	// only for measurement (BenchmarkSwarm's O(fleet) baseline).
-	DisablePeers bool
-
 	// Faults, when set, injects deterministic chaos on every vendor-side
 	// call: drops, delays, corrupt chunk payloads, resets, and scheduled
 	// agent crashes per the injector's FaultPlan. Set it before deploying;
@@ -439,7 +415,7 @@ const DefaultMaxPending = 1024
 // ListenOpts tunes the control-plane scaling knobs fixed at listen time.
 type ListenOpts struct {
 	// Shards is the agent-registry shard count; <= 0 selects
-	// DefaultShards (GOMAXPROCS-derived, rounded to a power of two).
+	// the default (GOMAXPROCS-derived, rounded to a power of two).
 	Shards int
 	// MaxPending bounds in-flight registration handshakes; <= 0 selects
 	// DefaultMaxPending.
@@ -556,12 +532,9 @@ func (s *Server) AddPeerSource(name, addr string, addrs []uint64) {
 }
 
 // peerHintsFor returns up to MaxPeerHints peer addresses likely to hold
-// some of need, best coverage first; nil when hinting is off or no
-// eligible peer covers anything.
+// some of need, best coverage first; nil when no eligible peer covers
+// anything.
 func (s *Server) peerHintsFor(requester string, need []uint64) []string {
-	if s.DisablePeers {
-		return nil
-	}
 	s.peerMu.Lock()
 	defer s.peerMu.Unlock()
 	return s.peers.hints(requester, need)
@@ -1021,37 +994,26 @@ func (s *Server) Node(name string) *RemoteNode {
 // Name implements deploy.Node.
 func (r *RemoteNode) Name() string { return r.name }
 
-// upgradeFrame builds the test/integrate request frame for the chosen
-// distribution mode.
-func upgradeFrame(op string, up *WireUpgrade, man *WireManifest) Frame {
-	req := Frame{Op: op}
-	switch op {
-	case OpTest:
-		req.Test = &TestReq{Upgrade: up, Manifest: man}
-	case OpIntegrate:
-		req.Integrate = &IntegrateReq{Upgrade: up, Manifest: man}
+// upgradeFrame builds the test/integrate request frame carrying man.
+func upgradeFrame(op string, man *WireManifest) Frame {
+	if op == OpTest {
+		return Frame{Op: op, Test: &TestReq{Manifest: man}}
 	}
-	return req
+	return Frame{Op: op, Integrate: &IntegrateReq{Manifest: man}}
 }
 
-// pushUpgrade performs one test or integrate RPC on the agent. In inline
-// mode the complete upgrade travels in the frame. In chunked mode the
-// frame carries only the manifest; if the agent reports missing chunks,
-// the peer tier is tried first (a directed OpPeerFetch against hinted
-// gated peers), the remainder is pushed with OpFetchChunks — a binary
-// chunk frame by default, base64-in-JSON under s.JSONChunks — and the
-// request is re-issued; the manifest is small, so the retry costs a few
-// hundred bytes, never a payload re-send. A manifest that resolves
-// completely marks its addresses held by the agent in the chunk-location
-// index, feeding future peer hints.
+// pushUpgrade performs one test or integrate RPC on the agent. The frame
+// carries only the manifest; if the agent reports missing chunks, the
+// peer tier is tried first (a directed OpPeerFetch against hinted gated
+// peers), the remainder is pushed with OpFetchChunks as a binary chunk
+// frame, and the request is re-issued; the manifest is small, so the
+// retry costs a few hundred bytes, never a payload re-send. A manifest
+// that resolves completely marks its addresses held by the agent in the
+// chunk-location index, feeding future peer hints.
 func (s *Server) pushUpgrade(ctx context.Context, name, op string, up *pkgmgr.Upgrade) (Frame, error) {
 	ac, err := s.agent(name)
 	if err != nil {
 		return Frame{}, err
-	}
-	if s.InlinePayloads {
-		w := UpgradeToWire(up)
-		return ac.call(ctx, upgradeFrame(op, &w, nil), s.Timeout)
 	}
 	man := s.dist.Manifest(up)
 	first := true
@@ -1063,7 +1025,7 @@ func (s *Server) pushUpgrade(ctx context.Context, name, op string, up *pkgmgr.Up
 		attempts = 8
 	}
 	for attempt := 0; attempt < attempts; attempt++ {
-		resp, err := ac.call(ctx, upgradeFrame(op, nil, man), s.Timeout)
+		resp, err := ac.call(ctx, upgradeFrame(op, man), s.Timeout)
 		if err != nil {
 			return Frame{}, err
 		}
@@ -1131,13 +1093,7 @@ func (s *Server) pushUpgrade(ctx context.Context, name, op string, up *pkgmgr.Up
 			ac.stats.fallbacks.Add(int64(len(chunks)))
 			ac.total.fallbacks.Add(int64(len(chunks)))
 		}
-		var perr error
-		if s.JSONChunks {
-			_, perr = ac.call(ctx, Frame{Op: OpFetchChunks, FetchChunks: &FetchChunksReq{Chunks: chunks}}, s.Timeout)
-		} else {
-			_, perr = ac.callBody(ctx, Frame{Op: OpFetchChunks, ChunkMeta: chunkMeta(chunks)}, chunks, s.Timeout)
-		}
-		if perr != nil {
+		if _, perr := ac.callBody(ctx, Frame{Op: OpFetchChunks, ChunkMeta: chunkMeta(chunks)}, chunks, s.Timeout); perr != nil {
 			// An agent-reported rejection means corrupt bytes in flight
 			// (the content address caught them) on an intact channel: spend
 			// an attempt re-issuing the manifest, which re-pushes cleanly.

@@ -41,12 +41,10 @@ func fnv1a(name string) uint64 {
 	return h
 }
 
-// DefaultShards derives the default shard count from GOMAXPROCS: enough
-// shards that concurrently running goroutines rarely collide (4x, rounded
-// up to a power of two so the shard pick is a mask), bounded so a small
-// fleet on a big box doesn't pay for hundreds of empty maps.
-func DefaultShards() int { return normalizeShards(0) }
-
+// normalizeShards rounds n up to a power of two (the shard pick is a mask),
+// bounded so a small fleet on a big box doesn't pay for hundreds of empty
+// maps. n <= 0 selects the default: 4x GOMAXPROCS, enough shards that
+// concurrently running goroutines rarely collide.
 func normalizeShards(n int) int {
 	if n <= 0 {
 		n = 4 * runtime.GOMAXPROCS(0)
@@ -100,7 +98,8 @@ type Registry[V any] struct {
 }
 
 // NewRegistry builds a registry with the given shard count; shards <= 0
-// selects DefaultShards. The count is rounded up to a power of two.
+// selects the GOMAXPROCS-derived default. The count is rounded up to a
+// power of two.
 func NewRegistry[V any](shards int) *Registry[V] {
 	n := normalizeShards(shards)
 	r := &Registry[V]{

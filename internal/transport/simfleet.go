@@ -15,7 +15,7 @@ import (
 // SimFleet is the scale harness: thousands of protocol-faithful simulated
 // agents in one process. Each sim agent speaks the real wire protocol on
 // a real connection — registration handshake, manifest negotiation,
-// NeedChunks, binary and JSON chunk bodies — but replaces the expensive
+// NeedChunks, binary chunk bodies — but replaces the expensive
 // agent internals with the cheapest possible stand-ins: validation is a
 // canned successful report instead of a vmtest run, integration is a
 // counter bump instead of a package-manager transaction, and every agent
@@ -258,10 +258,7 @@ func (f *SimFleet) serve(name string, conn net.Conn) {
 				dieAfter = true
 			}
 		}
-		resp, err := f.handle(name, fc, &req)
-		if err != nil {
-			return // the stream is desynchronized; die like a real agent
-		}
+		resp := f.handle(name, fc, &req)
 		if dieAfter {
 			return
 		}
@@ -275,71 +272,45 @@ func (f *SimFleet) serve(name string, conn net.Conn) {
 	}
 }
 
-// resolve performs the manifest-or-inline negotiation for a test or
-// integrate request: report what the shared cache is missing, or accept.
-func (f *SimFleet) resolve(up *WireUpgrade, man *WireManifest) (id string, need []uint64) {
-	if man != nil {
-		if miss := f.cache.Missing(man); len(miss) > 0 {
-			return man.ID, miss
-		}
-		return man.ID, nil
-	}
-	if up != nil {
-		return up.ID, nil
-	}
-	return "", nil
-}
-
 // handle answers one vendor RPC with the cheapest protocol-correct
-// response. An error return means the connection must die (unreadable
-// binary body).
-func (f *SimFleet) handle(name string, fc *frameConn, req *Frame) (Frame, error) {
+// response.
+func (f *SimFleet) handle(name string, fc *frameConn, req *Frame) Frame {
 	switch req.Op {
 	case OpPing:
-		return Frame{OK: true}, nil
+		return Frame{OK: true}
 	case OpTest:
-		if req.Test == nil {
-			return Frame{Err: "sim: test without payload"}, nil
+		if req.Test == nil || req.Test.Manifest == nil {
+			return Frame{Err: "sim: test without manifest"}
 		}
-		id, need := f.resolve(req.Test.Upgrade, req.Test.Manifest)
-		if len(need) > 0 {
-			return Frame{OK: true, NeedChunks: need}, nil
+		if need := f.cache.Missing(req.Test.Manifest); len(need) > 0 {
+			return Frame{OK: true, NeedChunks: need}
 		}
 		f.tested.Add(1)
 		return Frame{OK: true, Report: &report.Report{
-			UpgradeID: id, Machine: name, Success: true,
-		}}, nil
+			UpgradeID: req.Test.Manifest.ID, Machine: name, Success: true,
+		}}
 	case OpIntegrate:
-		if req.Integrate == nil {
-			return Frame{Err: "sim: integrate without payload"}, nil
+		if req.Integrate == nil || req.Integrate.Manifest == nil {
+			return Frame{Err: "sim: integrate without manifest"}
 		}
-		_, need := f.resolve(req.Integrate.Upgrade, req.Integrate.Manifest)
-		if len(need) > 0 {
-			return Frame{OK: true, NeedChunks: need}, nil
+		if need := f.cache.Missing(req.Integrate.Manifest); len(need) > 0 {
+			return Frame{OK: true, NeedChunks: need}
 		}
 		f.integrated.Add(1)
-		return Frame{OK: true}, nil
+		return Frame{OK: true}
 	case OpFetchChunks:
-		if len(req.ChunkMeta) > 0 {
-			// Binary body: the bytes follow the header on the stream and
-			// MUST be consumed even on a bad chunk. A digest rejection
-			// leaves the drained stream intact, so — like the real agent —
-			// it travels back in the reply rather than killing the session
-			// (if the error was I/O, the write below fails and the session
-			// ends anyway).
-			if err := fc.ReadChunkBody(req.ChunkMeta, f.cache.Add); err != nil {
-				return Frame{Err: err.Error()}, nil
-			}
-			return Frame{OK: true}, nil
+		if len(req.ChunkMeta) == 0 {
+			return Frame{Err: "sim: fetch_chunks without chunk_meta"}
 		}
-		if req.FetchChunks != nil {
-			for _, ch := range req.FetchChunks.Chunks {
-				if err := f.cache.Add(ch.Hash, ch.Data); err != nil {
-					return Frame{Err: err.Error()}, nil
-				}
-			}
+		// The body's bytes follow the header on the stream and MUST be
+		// consumed even on a bad chunk. A digest rejection leaves the
+		// drained stream intact, so — like the real agent — it travels
+		// back in the reply rather than killing the session (if the error
+		// was I/O, the reply's write fails and the session ends anyway).
+		if err := fc.ReadChunkBody(req.ChunkMeta, f.cache.Add); err != nil {
+			return Frame{Err: err.Error()}
 		}
-		return Frame{OK: true}, nil
+		return Frame{OK: true}
 	case OpPeerFetch:
 		// Sim agents run no peer servers; decline everything and let the
 		// vendor fall back to its own push.
@@ -347,14 +318,14 @@ func (f *SimFleet) handle(name string, fc *frameConn, req *Frame) (Frame, error)
 		if req.PeerFetch != nil {
 			need = req.PeerFetch.Addrs
 		}
-		return Frame{OK: true, NeedChunks: need}, nil
+		return Frame{OK: true, NeedChunks: need}
 	case OpFingerprint:
-		return Frame{OK: true, AppSet: "sim"}, nil
+		return Frame{OK: true, AppSet: "sim"}
 	case OpIdentify:
-		return Frame{OK: true}, nil
+		return Frame{OK: true}
 	case OpRecord:
-		return Frame{OK: true, Status: "recorded"}, nil
+		return Frame{OK: true, Status: "recorded"}
 	default:
-		return Frame{Err: "sim: unsupported op " + req.Op}, nil
+		return Frame{Err: "sim: unsupported op " + req.Op}
 	}
 }

@@ -88,23 +88,6 @@ func TestWireItemsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWireUpgradeRoundTrip(t *testing.T) {
-	up := mysql5Wire()
-	up.Urgent = true
-	up.Pkg.Dependencies = []pkgmgr.Dependency{{Name: "libc", MinVersion: "2.4"}}
-	up.Migrations = []pkgmgr.FileEdit{{Path: "/x", Append: []byte("y")}}
-	back := UpgradeFromWire(UpgradeToWire(up))
-	if back.ID != up.ID || back.Pkg.Version != "5.0.22" || !back.Urgent || back.Replaces != "4.1.22" {
-		t.Fatalf("round trip = %+v", back)
-	}
-	if len(back.Pkg.Files) != 2 || back.Pkg.Files[0].Version != "5.0.22" {
-		t.Fatalf("files = %+v", back.Pkg.Files)
-	}
-	if len(back.Pkg.Dependencies) != 1 || len(back.Migrations) != 1 {
-		t.Fatal("deps/migrations lost")
-	}
-}
-
 func TestBuildRegistry(t *testing.T) {
 	reg, err := BuildRegistry(MirageRegistryConfig())
 	if err != nil {

@@ -16,8 +16,6 @@ import (
 	"encoding/json"
 
 	"repro/internal/distrib"
-	"repro/internal/machine"
-	"repro/internal/pkgmgr"
 	"repro/internal/report"
 	"repro/internal/resource"
 )
@@ -40,15 +38,13 @@ type Frame struct {
 	Fingerprint json.RawMessage  `json:"fingerprint,omitempty"`
 	Test        *TestReq         `json:"test,omitempty"`
 	Integrate   *IntegrateReq    `json:"integrate,omitempty"`
-	FetchChunks *FetchChunksReq  `json:"fetch_chunks,omitempty"`
 	PeerFetch   *PeerFetchReq    `json:"peer_fetch,omitempty"`
 	Delta       *ProfileDeltaReq `json:"delta,omitempty"`
 
 	// ChunkMeta announces a binary chunk body: immediately after this
 	// frame's newline follow the raw bytes of each listed chunk, in
 	// order, ref.Size bytes each — no base64, no per-chunk framing. Used
-	// by OpFetchChunks pushes (unless Server.JSONChunks restores the
-	// legacy inline format) and by every OpPeerGet response.
+	// by every OpFetchChunks push and every OpPeerGet response.
 	ChunkMeta []distrib.ChunkRef `json:"chunk_meta,omitempty"`
 
 	// Response payloads.
@@ -156,27 +152,17 @@ type FingerprintReq struct {
 // verbatim — the distribution layer owns the format.
 type WireManifest = distrib.Manifest
 
-// TestReq asks the agent to validate the upgrade in isolation. Exactly one
-// of Upgrade (legacy inline payload, Server.InlinePayloads) and Manifest
-// (content-addressed chunked distribution, the default) is set.
+// TestReq asks the agent to validate the upgrade in isolation. The
+// upgrade travels as its manifest; chunks the agent lacks follow in an
+// OpFetchChunks push.
 type TestReq struct {
-	Upgrade  *WireUpgrade  `json:"upgrade,omitempty"`
 	Manifest *WireManifest `json:"manifest,omitempty"`
 }
 
-// IntegrateReq asks the agent to apply the validated upgrade, with the
-// same inline/manifest choice as TestReq.
+// IntegrateReq asks the agent to apply the validated upgrade, named by
+// manifest like TestReq.
 type IntegrateReq struct {
-	Upgrade  *WireUpgrade  `json:"upgrade,omitempty"`
 	Manifest *WireManifest `json:"manifest,omitempty"`
-}
-
-// FetchChunksReq carries the chunk bytes for a reported missing set in
-// the legacy JSON format (base64 bodies inside the frame). The default
-// transport ships the same content as a binary chunk frame (ChunkMeta +
-// raw bytes); Server.JSONChunks restores this form.
-type FetchChunksReq struct {
-	Chunks []distrib.Chunk `json:"chunks"`
 }
 
 // PeerFetchReq directs an agent to pull chunk addresses from peers, in
@@ -262,69 +248,4 @@ type RegistryRule struct {
 // RegistryConfig is the serialized parser registry.
 type RegistryConfig struct {
 	Rules []RegistryRule `json:"rules"`
-}
-
-// WireFile is a serialized machine file.
-type WireFile struct {
-	Path    string `json:"path"`
-	Type    int    `json:"type"`
-	Version string `json:"version,omitempty"`
-	Data    []byte `json:"data"`
-}
-
-func fileToWire(f *machine.File) WireFile {
-	return WireFile{Path: f.Path, Type: int(f.Type), Version: f.Version, Data: f.Data}
-}
-
-func fileFromWire(w WireFile) *machine.File {
-	return &machine.File{Path: w.Path, Type: machine.FileType(w.Type), Version: w.Version,
-		Data: append([]byte(nil), w.Data...)}
-}
-
-// WireUpgrade is a serialized pkgmgr.Upgrade, self-contained: the package
-// files travel with it (the "download").
-type WireUpgrade struct {
-	ID         string            `json:"id"`
-	Name       string            `json:"name"`
-	Version    string            `json:"version"`
-	Replaces   string            `json:"replaces,omitempty"`
-	Urgent     bool              `json:"urgent,omitempty"`
-	Files      []WireFile        `json:"files"`
-	Deps       []WireDependency  `json:"deps,omitempty"`
-	Migrations []pkgmgr.FileEdit `json:"migrations,omitempty"`
-}
-
-// WireDependency is a serialized package dependency.
-type WireDependency struct {
-	Name       string `json:"name"`
-	MinVersion string `json:"min_version,omitempty"`
-}
-
-// UpgradeToWire serializes an upgrade.
-func UpgradeToWire(up *pkgmgr.Upgrade) WireUpgrade {
-	w := WireUpgrade{
-		ID: up.ID, Name: up.Pkg.Name, Version: up.Pkg.Version,
-		Replaces: up.Replaces, Urgent: up.Urgent, Migrations: up.Migrations,
-	}
-	for _, f := range up.Pkg.Files {
-		w.Files = append(w.Files, fileToWire(f))
-	}
-	for _, d := range up.Pkg.Dependencies {
-		w.Deps = append(w.Deps, WireDependency{Name: d.Name, MinVersion: d.MinVersion})
-	}
-	return w
-}
-
-// UpgradeFromWire rebuilds an upgrade.
-func UpgradeFromWire(w WireUpgrade) *pkgmgr.Upgrade {
-	pkg := &pkgmgr.Package{Name: w.Name, Version: w.Version}
-	for _, f := range w.Files {
-		pkg.Files = append(pkg.Files, fileFromWire(f))
-	}
-	for _, d := range w.Deps {
-		pkg.Dependencies = append(pkg.Dependencies, pkgmgr.Dependency{Name: d.Name, MinVersion: d.MinVersion})
-	}
-	return &pkgmgr.Upgrade{
-		ID: w.ID, Pkg: pkg, Replaces: w.Replaces, Urgent: w.Urgent, Migrations: w.Migrations,
-	}
 }
