@@ -336,7 +336,6 @@ func main() {
 	api := &orchestrator.API{
 		Orch: orch, Launch: launch, Base: ctx,
 		EnablePprof: *pprofFlag,
-		Metrics:     []orchestrator.MetricsFunc{transportMetrics(srv)},
 		FleetDrift: func() (any, error) {
 			m := getMonitor()
 			if m == nil {
@@ -464,42 +463,6 @@ func main() {
 	if out.Abandoned {
 		fmt.Printf("rollout %s abandoned: the upgrade could not be fixed\n", h.ID())
 		os.Exit(exitRollout)
-	}
-}
-
-// transportMetrics exposes the transport tier on GET /metrics: registry
-// occupancy per shard plus the cumulative transfer and peer-tier
-// counters. It lives here rather than in either package because the
-// transport must not import the orchestrator (or vice versa) — the
-// binary that owns both is the right place to bridge them.
-func transportMetrics(srv *transport.Server) orchestrator.MetricsFunc {
-	counter := func(name, help string, v int64) orchestrator.Metric {
-		return orchestrator.Metric{Name: name, Help: help, Type: "counter", Value: float64(v)}
-	}
-	return func() []orchestrator.Metric {
-		sizes := srv.ShardSizes()
-		ms := make([]orchestrator.Metric, 0, len(sizes)+9)
-		ms = append(ms, orchestrator.Metric{Name: "mirage_registry_agents_total",
-			Help: "Registered agents.", Type: "gauge", Value: float64(srv.AgentCount())})
-		for i, n := range sizes {
-			ms = append(ms, orchestrator.Metric{Name: "mirage_registry_agents",
-				Help: "Registered agents per registry shard.", Type: "gauge",
-				Labels: [][2]string{{"shard", strconv.Itoa(i)}}, Value: float64(n)})
-		}
-		t := srv.TransferSnapshot()
-		ms = append(ms,
-			counter("mirage_transfer_frames_total", "Request frames sent to agents.", t.Frames),
-			counter("mirage_transfer_bytes_total", "Total bytes on the wire.", t.Bytes),
-			counter("mirage_transfer_chunk_bytes_total", "Content-addressed chunk payload bytes.", t.ChunkBytes),
-			counter("mirage_transfer_chunk_hits_total", "Manifest chunks agents already held.", t.ChunkHits),
-			counter("mirage_transfer_chunk_misses_total", "Manifest chunks that had to be transferred.", t.ChunkMisses),
-			counter("mirage_peer_bytes_total", "Chunk bytes served agent-to-agent.", t.PeerBytes),
-			counter("mirage_peer_hits_total", "Chunks served by the peer tier.", t.PeerHits),
-			counter("mirage_peer_fallbacks_total", "Chunks the peer tier missed and the vendor pushed.", t.VendorFallbacks),
-			counter("mirage_rollback_chunks_total", "Manifest chunks resolved while restoring members to the baseline.", t.ChunksRolledBack),
-			counter("mirage_faults_injected_total", "Transport faults fired by the chaos injector.", t.FaultsInjected),
-		)
-		return ms
 	}
 }
 

@@ -38,9 +38,11 @@
 // control bounds concurrent rollouts with a FIFO queue and 429s beyond
 // it (-max-rollouts, -max-queued), the deployment journal group-commits
 // member records between durable gate syncs, and the admin mux serves
-// /healthz, Prometheus /metrics and optional pprof. transport.SimFleet
-// (mirage-agent -sim N) runs thousands of protocol-faithful simulated
-// agents per process; bench/ drives its 10k-member rollouts over them.
+// /healthz, optional pprof and Prometheus /metrics — one
+// telemetry.Registry that transport and orchestrator both count on.
+// transport.SimFleet (mirage-agent -sim N) runs thousands of
+// protocol-faithful simulated agents per process; bench/ drives its
+// 10k-member rollouts over them.
 // Fleets stay live after profiling (internal/fleetwatch): agents started
 // with -watch re-fingerprint on an interval and push profile deltas, the
 // vendor's drift monitor folds each one into the cluster snapshot

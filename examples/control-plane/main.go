@@ -120,22 +120,25 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 	orch := orchestrator.New(dir)
-	// One telemetry registry and tracer for the whole control plane: the
-	// transport books per-op RPC latency into the registry, every rollout
-	// records a span trace, and GET /metrics / GET /rollouts/{id}/trace
-	// serve both — exactly how mirage-vendor wires them.
+	// One telemetry registry and tracer for the whole control plane, as
+	// in mirage-vendor: the transport counts transfers, registered agents
+	// and per-op RPC latency on the registry, the orchestrator its rollout
+	// and worker-budget gauges, every rollout records a span trace, and
+	// GET /metrics / GET /rollouts/{id}/trace serve both. Sharing the
+	// registry is all the wiring /metrics needs.
 	telem := telemetry.NewRegistry()
 	srv.Telemetry = telem
 	orch.Telemetry = telem
 	orch.Tracer = &telemetry.Tracer{}
 	// Production sizing knobs (all exposed as mirage-vendor flags): the
 	// agent registry shards with -shards (default 4x GOMAXPROCS — matters
-	// from ~10k agents up); orch.Budget = deploy.NewBudget(n) is
-	// -worker-budget, one vendor-wide cap on in-flight member RPCs shared
-	// by every rollout; orch.MaxActive/MaxQueued are
-	// -max-rollouts/-max-queued — beyond them POST /rollouts returns 429
-	// with a Retry-After header. Unset here: a six-agent walkthrough
-	// needs none of them.
+	// from ~10k agents up); orch.Budget is -worker-budget, one
+	// vendor-wide cap on in-flight member RPCs shared by every rollout;
+	// orch.MaxActive/MaxQueued are -max-rollouts/-max-queued — beyond
+	// them POST /rollouts returns 429 with a Retry-After header. A
+	// six-agent walkthrough needs none of them; the budget is set so its
+	// occupancy gauges show on /metrics.
+	orch.Budget = deploy.NewBudget(16)
 	// rbClusters is filled in act 7: the fleet the rollback walkthrough
 	// runs over. The launcher routes armed requests to it.
 	var rbClusters []*deploy.Cluster
@@ -373,8 +376,9 @@ func main() {
 		st4.Members["c1-oth"].Drifted)
 
 	// 9. Observability: the same admin mux serves liveness, Prometheus
-	// metrics (the scalar families plus the telemetry registry's latency
-	// histograms) and each rollout's span trace — raw JSON or Chrome
+	// metrics (every family on the shared registry: the transport's and
+	// orchestrator's counters and gauges, the latency histograms) and
+	// each rollout's span trace — raw JSON or Chrome
 	// trace-event format that loads straight into Perfetto. With
 	// MIRAGE_METRICS_OUT / MIRAGE_TRACE_OUT set the scrapes are saved to
 	// files; CI runs this program exactly that way and asserts on them.
@@ -395,12 +399,28 @@ func main() {
 	}
 	health := fetch("/healthz")
 	metrics := fetch("/metrics")
-	for _, fam := range []string{
-		"mirage_rpc_latency_seconds", "mirage_member_duration_seconds",
-		"mirage_budget_wait_seconds", "mirage_journal_fsync_seconds",
+	for typ, fams := range map[string][]string{
+		"histogram": {
+			"mirage_rpc_latency_seconds", "mirage_member_duration_seconds",
+			"mirage_budget_wait_seconds", "mirage_journal_fsync_seconds",
+		},
+		"gauge": {
+			"mirage_rollouts_active", "mirage_rollouts_queued", "mirage_rollouts",
+			"mirage_worker_budget_cap", "mirage_worker_budget_in_flight", "mirage_worker_budget_high_water",
+			"mirage_registry_agents_total", "mirage_registry_agents",
+		},
+		"counter": {
+			"mirage_transfer_frames_total", "mirage_transfer_bytes_total",
+			"mirage_transfer_chunk_bytes_total", "mirage_transfer_chunk_hits_total",
+			"mirage_transfer_chunk_misses_total", "mirage_peer_bytes_total",
+			"mirage_peer_hits_total", "mirage_peer_fallbacks_total",
+			"mirage_rollback_chunks_total", "mirage_faults_injected_total",
+		},
 	} {
-		if !strings.Contains(string(metrics), "# TYPE "+fam+" histogram") {
-			log.Fatalf("/metrics is missing histogram family %s", fam)
+		for _, fam := range fams {
+			if !strings.Contains(string(metrics), "# TYPE "+fam+" "+typ+"\n") {
+				log.Fatalf("/metrics is missing %s family %s", typ, fam)
+			}
 		}
 	}
 	var snap telemetry.TraceSnapshot

@@ -1,155 +1,59 @@
 package orchestrator
 
 import (
-	"fmt"
 	"net/http"
-	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/telemetry"
 )
 
-// Metric is one sample in Prometheus text exposition format. The control
-// plane hand-writes the format (it is three lines per family) rather than
-// pulling in a client library; everything the vendor exports here is a
-// gauge or a monotonic counter — latency distributions live in
-// telemetry.Registry, whose histogram families render after these.
-type Metric struct {
-	// Name is the metric family name, e.g. "mirage_registry_agents".
-	Name string
-	// Help is the one-line # HELP text (first sample of a family wins).
-	Help string
-	// Type is "gauge" or "counter" (default gauge).
-	Type string
-	// Labels are rendered in the given order, e.g. {{"shard","3"}}.
-	Labels [][2]string
-	// Value is the sample value.
-	Value float64
-}
-
-// MetricsFunc contributes metrics to one GET /metrics scrape. Each call
-// must return a fresh snapshot; funcs run on the request goroutine.
-type MetricsFunc func() []Metric
-
-// ownMetrics is the orchestrator's built-in contribution: rollout
-// lifecycle gauges and, when a worker budget is installed, its occupancy.
-func (a *API) ownMetrics() []Metric {
-	ms := []Metric{
-		{Name: "mirage_rollouts_active", Help: "Rollouts currently holding an execution slot.", Value: float64(a.Orch.Active())},
-		{Name: "mirage_rollouts_queued", Help: "Rollouts waiting in the admission queue.", Value: float64(a.Orch.Queued())},
-	}
-	states := make(map[State]int)
-	for _, st := range a.Orch.Statuses() {
-		states[st.State]++
-	}
-	names := make([]string, 0, len(states))
-	for s := range states {
-		names = append(names, string(s))
-	}
-	sort.Strings(names)
-	for _, s := range names {
-		ms = append(ms, Metric{
-			Name: "mirage_rollouts", Help: "Rollouts by lifecycle state.",
-			Labels: [][2]string{{"state", s}}, Value: float64(states[State(s)]),
-		})
-	}
-	if b := a.Orch.Budget; b != nil {
-		ms = append(ms,
-			Metric{Name: "mirage_worker_budget_cap", Help: "Global worker budget size (concurrent member RPCs).", Value: float64(b.Cap())},
-			Metric{Name: "mirage_worker_budget_in_flight", Help: "Member RPCs currently holding a budget slot.", Value: float64(b.InFlight())},
-			Metric{Name: "mirage_worker_budget_high_water", Help: "Maximum concurrently held budget slots observed.", Value: float64(b.HighWater())},
-		)
-	}
-	return ms
-}
-
-// sampleLabels renders a sample's label block ({} elided when empty)
-// with Prometheus escaping.
-func sampleLabels(labels [][2]string) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, kv := range labels {
-		if i > 0 {
-			b.WriteByte(',')
+// registry returns the registry the orchestrator counts on — Telemetry,
+// made a private one when none was assigned — and on first use registers
+// the rollout lifecycle gauges and, when a worker budget is installed,
+// its occupancy. Not done in New: callers assign Telemetry and Budget
+// after it.
+func (o *Orchestrator) registry() *telemetry.Registry {
+	o.telemOnce.Do(func() {
+		if o.Telemetry == nil {
+			o.Telemetry = telemetry.NewRegistry()
 		}
-		b.WriteString(kv[0])
-		b.WriteString(`="`)
-		b.WriteString(telemetry.EscapeLabel(kv[1]))
-		b.WriteString(`"`)
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
-// renderMetrics writes samples in Prometheus text format. Samples are
-// grouped by family with HELP and TYPE rendered once each (the first
-// sample carrying them wins, however the families were interleaved on
-// input), and sorted by family name then label block, so consecutive
-// scrapes of identical state are byte-identical regardless of the order
-// MetricsFuncs produced them in.
-func renderMetrics(w *strings.Builder, ms []Metric) {
-	help := make(map[string]string, len(ms))
-	typ := make(map[string]string, len(ms))
-	type sample struct {
-		name, labels string
-		value        float64
-	}
-	samples := make([]sample, 0, len(ms))
-	for _, m := range ms {
-		if _, ok := help[m.Name]; !ok && m.Help != "" {
-			help[m.Name] = m.Help
+		gauge := func(name, help string, v func() float64) {
+			o.Telemetry.Gauge(name, help, "", func(emit func(string, float64)) { emit("", v()) })
 		}
-		if _, ok := typ[m.Name]; !ok && m.Type != "" {
-			typ[m.Name] = m.Type
+		gauge("mirage_rollouts_active", "Rollouts currently holding an execution slot.",
+			func() float64 { return float64(o.Active()) })
+		gauge("mirage_rollouts_queued", "Rollouts waiting in the admission queue.",
+			func() float64 { return float64(o.Queued()) })
+		o.Telemetry.Gauge("mirage_rollouts", "Rollouts by lifecycle state.", "state",
+			func(emit func(string, float64)) {
+				states := make(map[State]int)
+				for _, h := range o.List() {
+					states[h.state()]++
+				}
+				for s, n := range states {
+					emit(string(s), float64(n))
+				}
+			})
+		if b := o.Budget; b != nil {
+			gauge("mirage_worker_budget_cap", "Global worker budget size (concurrent member RPCs).",
+				func() float64 { return float64(b.Cap()) })
+			gauge("mirage_worker_budget_in_flight", "Member RPCs currently holding a budget slot.",
+				func() float64 { return float64(b.InFlight()) })
+			gauge("mirage_worker_budget_high_water", "Maximum concurrently held budget slots observed.",
+				func() float64 { return float64(b.HighWater()) })
 		}
-		samples = append(samples, sample{m.Name, sampleLabels(m.Labels), m.Value})
-	}
-	sort.SliceStable(samples, func(i, j int) bool {
-		if samples[i].name != samples[j].name {
-			return samples[i].name < samples[j].name
-		}
-		return samples[i].labels < samples[j].labels
 	})
-	seen := make(map[string]bool, len(ms))
-	for _, s := range samples {
-		if !seen[s.name] {
-			seen[s.name] = true
-			if h := help[s.name]; h != "" {
-				fmt.Fprintf(w, "# HELP %s %s\n", s.name, h)
-			}
-			t := typ[s.name]
-			if t == "" {
-				t = "gauge"
-			}
-			fmt.Fprintf(w, "# TYPE %s %s\n", s.name, t)
-		}
-		fmt.Fprintf(w, "%s%s %s\n", s.name, s.labels, strconv.FormatFloat(s.value, 'g', -1, 64))
-	}
+	return o.Telemetry
 }
 
 func (a *API) metrics(w http.ResponseWriter, _ *http.Request) {
-	ms := a.ownMetrics()
-	for _, f := range a.Metrics {
-		ms = append(ms, f()...)
-	}
-	var b strings.Builder
-	renderMetrics(&b, ms)
-	// Histogram families (RPC latency, member durations, budget wait,
-	// fsync latency, ...) render after the scalar samples.
-	a.Orch.Telemetry.WritePrometheus(&b)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	w.Write([]byte(b.String())) //nolint:errcheck — client gone is client's problem
+	a.Orch.registry().WritePrometheus(w)
 }
 
 func (a *API) healthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":   "ok",
-		"rollouts": len(a.Orch.Statuses()),
+		"rollouts": len(a.Orch.List()),
 		"active":   a.Orch.Active(),
 		"queued":   a.Orch.Queued(),
 	})

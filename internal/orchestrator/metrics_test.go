@@ -3,32 +3,33 @@ package orchestrator
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/deploy"
 	"repro/internal/telemetry"
+	"repro/internal/transport"
 )
 
 func TestHealthzAndMetrics(t *testing.T) {
 	orch := New(t.TempDir())
 	orch.Budget = deploy.NewBudget(16)
+	// Whatever else shares the registry — here a stand-in for the
+	// transport server's shard gauge — is served with no further wiring.
+	orch.Telemetry = telemetry.NewRegistry()
+	orch.Telemetry.Gauge("mirage_registry_agents", "Registered agents per shard.", "shard",
+		func(emit func(string, float64)) { emit("0", 3); emit("1", 4) })
 	api := &API{
 		Orch: orch,
 		Launch: func(req StartRequest) (Spec, error) {
 			return Spec{Policy: deploy.PolicyBalanced, Upgrade: upgrade("v1"), Clusters: fleet("met", 1, nil)}, nil
 		},
-		Metrics: []MetricsFunc{func() []Metric {
-			return []Metric{
-				{Name: "mirage_registry_agents", Help: "Registered agents per shard.", Type: "gauge",
-					Labels: [][2]string{{"shard", "0"}}, Value: 3},
-				{Name: "mirage_registry_agents",
-					Labels: [][2]string{{"shard", "1"}}, Value: 4},
-			}
-		}},
 	}
 	ts := httptest.NewServer(api.Handler())
 	t.Cleanup(ts.Close)
@@ -168,75 +169,187 @@ func TestTraceEndpoint(t *testing.T) {
 	}
 }
 
-// TestRenderMetricsEscaping drives label values through the Prometheus
-// escaping rules: backslash, double quote and newline must render as
-// \\, \" and \n inside the label block.
-func TestRenderMetricsEscaping(t *testing.T) {
-	var b strings.Builder
-	renderMetrics(&b, []Metric{
-		{Name: "m_esc", Help: "Escaping.", Labels: [][2]string{{"v", `back\slash`}}, Value: 1},
-		{Name: "m_esc", Labels: [][2]string{{"v", `quo"te`}}, Value: 2},
-		{Name: "m_esc", Labels: [][2]string{{"v", "new\nline"}}, Value: 3},
+// scrape is one GET /metrics served in-process.
+func scrape(t *testing.T, h http.Handler) string {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if rec.Code != http.StatusOK {
+		t.Errorf("GET /metrics = %d", rec.Code)
+	}
+	return rec.Body.String()
+}
+
+// TestMetricsFamilies pins the /metrics surface and scrapes it under
+// load. A transport server and a budgeted orchestrator share one
+// registry and nothing else; while a journaled rollout over real TCP is
+// held mid-plan and new agents register, a loop scrapes /metrics — the
+// gauge collectors reach into the orchestrator's and each handle's locks
+// and into the sharded agent registry from the scraping goroutine, which
+// must neither race nor deadlock (CI runs this under -race). The final
+// scrape must list exactly these families — the scalar ones the two
+// packages count themselves, and every histogram/counter family a
+// rollout feeds — with each transfer counter equal to the
+// TransferSnapshot field it mirrors.
+func TestMetricsFamilies(t *testing.T) {
+	s, _ := startTCPFleet(t, tcpNames("fam", 2)...)
+	reg := telemetry.NewRegistry()
+	s.Telemetry = reg
+	orch := New(t.TempDir())
+	orch.Budget = deploy.NewBudget(8)
+	orch.Telemetry = reg
+	handler := (&API{Orch: orch}).Handler()
+
+	hold := &holdNode{
+		inner:   s.Node("fam-c1-rep"),
+		started: make(chan struct{}),
+		release: make(chan struct{}),
+	}
+	h, err := orch.Start(context.Background(), Spec{
+		Policy:    deploy.PolicyBalanced,
+		Upgrade:   tcpUpgrade(),
+		Clusters:  tcpClusters(s, "fam", 2, map[string]deploy.Node{"fam-c1-rep": hold}),
+		Configure: func(ctl *deploy.Controller) { ctl.Transfer = s.TransferSnapshot },
 	})
-	text := b.String()
-	for _, want := range []string{
-		`m_esc{v="back\\slash"} 1`,
-		`m_esc{v="quo\"te"} 2`,
-		`m_esc{v="new\nline"} 3`,
+	if err != nil {
+		t.Fatal(err)
+	}
+	const minScrapes, late = 25, 16
+	stop, overlapped, scraped := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for n := 1; ; n++ {
+			scrape(t, handler)
+			if n == minScrapes {
+				close(overlapped)
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	// Cluster 0 is done and cluster 1 held while the scraper runs and the
+	// agent registry grows.
+	<-hold.started
+	for i := 0; i < late; i++ {
+		go transport.NewAgent(tcpMachine(fmt.Sprintf("fam-late-%d", i))).Run(s.Addr()) //nolint:errcheck — ends with server close
+	}
+	select {
+	case <-overlapped:
+	case <-time.After(30 * time.Second):
+		t.Fatal("scraper made no progress while the rollout was held: deadlock")
+	}
+	close(hold.release)
+	if out, err := h.Wait(context.Background()); err != nil || out.Integrated() != 4 {
+		t.Fatalf("rollout: %v, outcome %+v", err, out)
+	}
+	if got := s.WaitForAgents(4+late, 10*time.Second); got != 4+late {
+		t.Fatalf("only %d/%d agents registered", got, 4+late)
+	}
+	close(stop)
+	<-scraped
+
+	text := scrape(t, handler)
+	var types []string
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, "# TYPE ") {
+			types = append(types, line)
+		}
+	}
+	want := []string{
+		"# TYPE mirage_admission_wait_seconds histogram",
+		"# TYPE mirage_budget_wait_seconds histogram",
+		"# TYPE mirage_fault_delay_seconds histogram",
+		"# TYPE mirage_faults_injected_total counter",
+		"# TYPE mirage_journal_batch_records histogram",
+		"# TYPE mirage_journal_fsync_seconds histogram",
+		"# TYPE mirage_member_duration_seconds histogram",
+		"# TYPE mirage_peer_bytes_total counter",
+		"# TYPE mirage_peer_fallbacks_total counter",
+		"# TYPE mirage_peer_hits_total counter",
+		"# TYPE mirage_registry_agents gauge",
+		"# TYPE mirage_registry_agents_total gauge",
+		"# TYPE mirage_rollback_chunks_total counter",
+		"# TYPE mirage_rollouts gauge",
+		"# TYPE mirage_rollouts_active gauge",
+		"# TYPE mirage_rollouts_queued gauge",
+		"# TYPE mirage_rpc_frame_bytes histogram",
+		"# TYPE mirage_rpc_latency_seconds histogram",
+		"# TYPE mirage_stage_barrier_seconds histogram",
+		"# TYPE mirage_transfer_bytes_total counter",
+		"# TYPE mirage_transfer_chunk_bytes_total counter",
+		"# TYPE mirage_transfer_chunk_hits_total counter",
+		"# TYPE mirage_transfer_chunk_misses_total counter",
+		"# TYPE mirage_transfer_frames_total counter",
+		"# TYPE mirage_transient_retries_total counter",
+		"# TYPE mirage_worker_budget_cap gauge",
+		"# TYPE mirage_worker_budget_high_water gauge",
+		"# TYPE mirage_worker_budget_in_flight gauge",
+	}
+	if !slices.Equal(types, want) { // rendered in name order, so no sorting here
+		t.Fatalf("families:\n%s\nwant:\n%s", strings.Join(types, "\n"), strings.Join(want, "\n"))
+	}
+	tr := s.TransferSnapshot()
+	if tr.Frames == 0 || tr.ChunkBytes == 0 {
+		t.Fatalf("transfer = %+v, want traffic — the comparison below is vacuous", tr)
+	}
+	for name, v := range map[string]int64{
+		"mirage_transfer_frames_total":       tr.Frames,
+		"mirage_transfer_bytes_total":        tr.Bytes,
+		"mirage_transfer_chunk_bytes_total":  tr.ChunkBytes,
+		"mirage_transfer_chunk_hits_total":   tr.ChunkHits,
+		"mirage_transfer_chunk_misses_total": tr.ChunkMisses,
+		"mirage_peer_bytes_total":            tr.PeerBytes,
+		"mirage_peer_hits_total":             tr.PeerHits,
+		"mirage_peer_fallbacks_total":        tr.VendorFallbacks,
+		"mirage_rollback_chunks_total":       tr.ChunksRolledBack,
+		"mirage_faults_injected_total":       tr.FaultsInjected,
+		"mirage_registry_agents_total":       4 + late,
+		"mirage_rollouts_active":             0,
+		`mirage_rollouts{state="succeeded"}`: 1,
+		"mirage_worker_budget_cap":           8,
 	} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("missing %q in:\n%s", want, text)
+		if line := fmt.Sprintf("\n%s %d\n", name, v); !strings.Contains(text, line) {
+			t.Errorf("scrape has no line %q", line)
 		}
 	}
-	if strings.Contains(text, "\nline\"} 3") {
-		t.Fatalf("raw newline leaked into a label value:\n%s", text)
+	if t.Failed() {
+		t.Log(text)
 	}
 }
 
-// TestRenderMetricsGrouping interleaves two families and checks each
-// family's samples render contiguously under a single HELP/TYPE header,
-// with the first sample's Help/Type winning and empty Type defaulting
-// to gauge.
-func TestRenderMetricsGrouping(t *testing.T) {
-	var b strings.Builder
-	renderMetrics(&b, []Metric{
-		{Name: "m_bbb", Help: "B family.", Type: "counter", Labels: [][2]string{{"k", "1"}}, Value: 1},
-		{Name: "m_aaa", Help: "A family.", Value: 10},
-		{Name: "m_bbb", Help: "ignored duplicate help", Labels: [][2]string{{"k", "0"}}, Value: 2},
-	})
-	want := "# HELP m_aaa A family.\n" +
-		"# TYPE m_aaa gauge\n" +
-		"m_aaa 10\n" +
-		"# HELP m_bbb B family.\n" +
-		"# TYPE m_bbb counter\n" +
-		`m_bbb{k="0"} 2` + "\n" +
-		`m_bbb{k="1"} 1` + "\n"
-	if b.String() != want {
-		t.Fatalf("got:\n%s\nwant:\n%s", b.String(), want)
+// TestMetricsScrapeCostIgnoresMembers: counting rollouts by state must
+// not copy their member maps. After a 2,000-member rollout, one /metrics
+// or /healthz request stays far below one allocation per member.
+func TestMetricsScrapeCostIgnoresMembers(t *testing.T) {
+	const members = 2000
+	big := &deploy.Cluster{ID: "big", Distance: 1,
+		Representatives: []deploy.Node{&okNode{name: "big-rep"}}}
+	for i := 1; i < members; i++ {
+		big.Others = append(big.Others, &okNode{name: fmt.Sprintf("big-%d", i)})
 	}
-}
-
-// TestRenderMetricsDeterministic renders the same samples in shuffled
-// input orders and requires byte-identical output — the property that
-// makes consecutive scrapes of identical state diffable.
-func TestRenderMetricsDeterministic(t *testing.T) {
-	ms := []Metric{
-		{Name: "m_z", Help: "Z.", Value: 1},
-		{Name: "m_a", Help: "A.", Labels: [][2]string{{"s", "x"}}, Value: 2},
-		{Name: "m_a", Labels: [][2]string{{"s", "b"}}, Value: 3},
-		{Name: "m_k", Help: "K.", Type: "counter", Value: 4},
+	orch := New("")
+	h, err := orch.Start(context.Background(), Spec{
+		Policy: deploy.PolicyBalanced, Upgrade: upgrade("v1"), Clusters: []*deploy.Cluster{big}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	var first string
-	for i := 0; i < len(ms); i++ {
-		shuffled := append(append([]Metric{}, ms[i:]...), ms[:i]...)
-		var b strings.Builder
-		renderMetrics(&b, shuffled)
-		if i == 0 {
-			first = b.String()
-			continue
-		}
-		if b.String() != first {
-			t.Fatalf("rotation %d rendered differently:\n%s\nvs:\n%s", i, b.String(), first)
+	if out, err := h.Wait(context.Background()); err != nil || out.Integrated() != members {
+		t.Fatalf("rollout: %v, outcome %+v", err, out)
+	}
+	handler := (&API{Orch: orch}).Handler()
+	for _, path := range []string{"/metrics", "/healthz"} {
+		req := httptest.NewRequest("GET", path, nil)
+		allocs := testing.AllocsPerRun(10, func() {
+			rec := httptest.NewRecorder()
+			handler.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				t.Errorf("GET %s = %d", path, rec.Code)
+			}
+		})
+		if allocs >= 500 {
+			t.Errorf("GET %s after a %d-member rollout: %.0f allocations, want < 500", path, members, allocs)
 		}
 	}
 }

@@ -205,16 +205,19 @@ type Orchestrator struct {
 	// MaxActive is 0.
 	MaxQueued int
 
-	// Telemetry, when set, is the vendor-wide registry of latency
-	// histograms. The orchestrator records admission-queue wait and stage
-	// barrier hold time into it and installs it on every controller and
-	// journal it starts (the same registry mirage-vendor hands the
-	// transport server), so GET /metrics exposes one coherent set of
-	// histogram families. Nil disables histogram instrumentation.
+	// Telemetry is the vendor-wide metrics registry (the same one
+	// mirage-vendor hands the transport server) and what GET /metrics
+	// renders. The orchestrator registers its rollout and worker-budget
+	// gauges on it, records admission-queue wait and stage barrier hold
+	// time into it and installs it on every controller and journal it
+	// starts. Left nil, the first Start or scrape fills in a private
+	// registry; set it, and Budget, before then (see registry).
 	Telemetry *telemetry.Registry
 	// Tracer, when set, records each rollout as a span tree served by
 	// GET /rollouts/{id}/trace. Nil disables span tracing.
 	Tracer *telemetry.Tracer
+
+	telemOnce sync.Once
 
 	mu       sync.Mutex
 	seq      int
@@ -283,7 +286,7 @@ func (o *Orchestrator) Start(ctx context.Context, spec Spec) (*Handle, error) {
 	// Like the budget, telemetry is the orchestrator's to install: one
 	// registry across every rollout, so member-duration and budget-wait
 	// families aggregate fleet-wide.
-	ctl.Telemetry = o.Telemetry
+	ctl.Telemetry = o.registry()
 
 	o.mu.Lock()
 	o.seq++
@@ -375,7 +378,7 @@ func (o *Orchestrator) Active() int {
 	}
 	n := 0
 	for _, h := range o.rollouts {
-		if !h.Status().State.Terminal() {
+		if !h.state().Terminal() {
 			n++
 		}
 	}
@@ -473,14 +476,9 @@ func (h *Handle) ID() string { return h.id }
 // its admission grant; aborting while queued terminates it without ever
 // occupying a slot (or touching its journal).
 func (h *Handle) run(ctx context.Context, ctl *deploy.Controller, spec Spec, journal string) {
-	var trace *telemetry.Trace
-	var root telemetry.SpanID
-	var reg *telemetry.Registry
-	if h.orch != nil {
-		reg = h.orch.Telemetry
-		trace = h.orch.Tracer.Start(h.id)
-		root = trace.Begin(0, "rollout", h.id, "")
-	}
+	reg := h.orch.registry()
+	trace := h.orch.Tracer.Start(h.id)
+	root := trace.Begin(0, "rollout", h.id, "")
 	enqueued := time.Now()
 	if h.admit != nil {
 		wait := trace.Begin(root, "admission-wait", "", "")
@@ -598,11 +596,9 @@ func (h *Handle) signalLocked() {
 // the stage-barrier histogram and, when the rollout is traced, recorded
 // as a gate-wait span (zero-width for barriers crossed without pausing).
 func (h *Handle) gate(ctx context.Context, stage int) error {
-	if h.orch != nil {
-		defer h.orch.Telemetry.Histogram("mirage_stage_barrier_seconds",
-			"Time rollouts spent holding at stage barriers.", "", 1e-9).
-			With("").Time()()
-	}
+	defer h.orch.registry().Histogram("mirage_stage_barrier_seconds",
+		"Time rollouts spent holding at stage barriers.", "", 1e-9).
+		With("").Time()()
 	_, end := telemetry.StartSpan(ctx, "gate-wait", fmt.Sprintf("stage %d", stage), "")
 	defer func() { end(nil) }()
 	for {
@@ -691,6 +687,14 @@ func (h *Handle) Wait(ctx context.Context) (*deploy.Outcome, error) {
 // Done returns a channel closed when the rollout reaches a terminal
 // state.
 func (h *Handle) Done() <-chan struct{} { return h.done }
+
+// state returns the lifecycle state alone — what gauges and health checks
+// count by — without Status's per-member copy.
+func (h *Handle) state() State {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.status.State
+}
 
 // Status returns a point-in-time snapshot.
 func (h *Handle) Status() Status {

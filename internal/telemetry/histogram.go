@@ -1,10 +1,12 @@
-// Package telemetry is Mirage's operational observability layer: an
-// allocation-free atomic histogram type rendered as Prometheus histogram
-// families, a bounded-ring span tracer that records each rollout as a
-// span tree (exported as JSON and as Chrome trace-event format), and the
-// Registry that threads both from the orchestrator and the transport
-// server down through the deployment controller — one registry per
-// vendor process, no per-callsite globals, zero external dependencies.
+// Package telemetry is Mirage's operational observability layer: the
+// Registry, which is the one place the vendor counts anything —
+// allocation-free atomic histograms, counters, and gauges evaluated at
+// scrape time — and the one renderer of Prometheus /metrics; and a
+// bounded-ring span tracer that records each rollout as a span tree
+// (exported as JSON and as Chrome trace-event format). One registry per
+// vendor process, shared by the transport server and the orchestrator and
+// threaded down through the deployment controller; no per-callsite
+// globals, zero external dependencies.
 //
 // Not to be confused with internal/trace, which models the paper's §3.3
 // syscall traces (what an upgrade does to a user machine). This package
@@ -14,8 +16,7 @@
 //
 // Every type in this package is nil-safe: a nil *Registry, *Family,
 // *Histogram, *Tracer or *Trace turns every method into a no-op, so
-// instrumented code calls unconditionally and pays nothing when
-// telemetry is not wired.
+// instrumented code calls unconditionally.
 package telemetry
 
 import (

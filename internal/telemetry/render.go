@@ -1,35 +1,28 @@
 package telemetry
 
 import (
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
-	"strings"
 )
 
-// EscapeLabel escapes a label value per the Prometheus text exposition
-// format: backslash, double-quote and newline. (strconv.Quote is close
-// but emits Go escapes like \t that Prometheus parsers reject.)
-func EscapeLabel(s string) string {
-	if !strings.ContainsAny(s, "\\\"\n") {
-		return s
-	}
-	var b strings.Builder
-	b.Grow(len(s) + 8)
-	for _, r := range s {
-		switch r {
+// appendEscaped appends a label value escaped per the Prometheus text
+// exposition format: backslash, double-quote and newline. (strconv.Quote
+// is close but emits Go escapes like \t that Prometheus parsers reject.)
+func appendEscaped(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
 		case '\\':
-			b.WriteString(`\\`)
+			b = append(b, `\\`...)
 		case '"':
-			b.WriteString(`\"`)
+			b = append(b, `\"`...)
 		case '\n':
-			b.WriteString(`\n`)
+			b = append(b, `\n`...)
 		default:
-			b.WriteRune(r)
+			b = append(b, c)
 		}
 	}
-	return b.String()
+	return b
 }
 
 // formatBound renders a bucket's upper bound in the exposition unit.
@@ -42,61 +35,81 @@ func formatBound(bound int64, scale float64) string {
 
 // WritePrometheus renders every family in the registry in the Prometheus
 // text exposition format: histogram families as cumulative `_bucket`
-// samples with `le` bounds plus `_sum` and `_count`, counter families as
-// plain samples. Families render sorted by name and label values sorted
-// within a family, so consecutive scrapes of the same state are
-// byte-identical.
+// samples with `le` bounds plus `_sum` and `_count`, counter and gauge
+// families as plain samples. Families render in one pass sorted by name,
+// label values sorted within a family, so consecutive scrapes of the
+// same state are byte-identical whatever the registration order. Each
+// family is one Write; rendering stops at the first write error.
 func (r *Registry) WritePrometheus(w io.Writer) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	hists := make([]*Family, 0, len(r.hists))
-	for _, f := range r.hists {
-		hists = append(hists, f)
+	names := make([]string, 0, len(r.fams))
+	for name := range r.fams {
+		names = append(names, name)
 	}
-	counters := make([]*CounterFamily, 0, len(r.counters))
-	for _, f := range r.counters {
-		counters = append(counters, f)
+	sort.Strings(names)
+	fams := make([]family, len(names))
+	for i, name := range names {
+		fams[i] = r.fams[name]
 	}
 	r.mu.Unlock()
-
-	sort.Slice(hists, func(i, j int) bool { return hists[i].name < hists[j].name })
-	sort.Slice(counters, func(i, j int) bool { return counters[i].name < counters[j].name })
-	for _, f := range hists {
-		f.write(w)
-	}
-	for _, f := range counters {
-		f.write(w)
-	}
-}
-
-func (f *Family) write(w io.Writer) {
-	if f.help != "" {
-		fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help)
-	}
-	fmt.Fprintf(w, "# TYPE %s histogram\n", f.name)
-	if f.labelKey == "" {
-		f.writeOne(w, "", f.single.Snapshot())
-		return
-	}
-	f.mu.RLock()
-	values := make([]string, 0, len(f.hs))
-	for v := range f.hs {
-		values = append(values, v)
-	}
-	f.mu.RUnlock()
-	sort.Strings(values)
-	for _, v := range values {
-		f.writeOne(w, v, f.With(v).Snapshot())
+	// Gauge collectors reach into their owners' locks, so families render
+	// with the registry unlocked.
+	var buf []byte
+	for _, f := range fams {
+		buf = f.appendText(buf[:0])
+		if _, err := w.Write(buf); err != nil {
+			return
+		}
 	}
 }
 
-// writeOne emits the cumulative bucket series for one label value.
+// appendHeader appends a family's HELP and TYPE lines.
+func appendHeader(b []byte, name, help, typ string) []byte {
+	if help != "" {
+		b = append(append(append(append(b, "# HELP "...), name...), ' '), help...)
+		b = append(b, '\n')
+	}
+	b = append(append(append(append(b, "# TYPE "...), name...), ' '), typ...)
+	return append(b, '\n')
+}
+
+// appendSeries appends one sample up to its value: name+suffix, the
+// label block {labelKey="labelValue",le="le"} with whichever of the two
+// labels is set (none: no block), and the separating space.
+func appendSeries(b []byte, name, suffix, labelKey, labelValue, le string) []byte {
+	b = append(append(b, name...), suffix...)
+	if labelKey != "" || le != "" {
+		b = append(b, '{')
+		if labelKey != "" {
+			b = append(appendEscaped(append(append(b, labelKey...), `="`...), labelValue), '"')
+			if le != "" {
+				b = append(b, ',')
+			}
+		}
+		if le != "" {
+			b = append(append(append(b, `le="`...), le...), '"')
+		}
+		b = append(b, '}')
+	}
+	return append(b, ' ')
+}
+
+func (f *Family) appendText(b []byte) []byte {
+	b = appendHeader(b, f.name, f.help, "histogram")
+	for _, v := range f.labelValues() {
+		b = f.appendOne(b, v, f.with(v).Snapshot())
+	}
+	return b
+}
+
+// appendOne appends the cumulative bucket series for one label value.
 // Empty buckets below the first and above the last observation are
 // elided (legal: buckets are cumulative and +Inf always closes the
 // series), keeping 40-bucket families compact on the wire.
-func (f *Family) writeOne(w io.Writer, value string, s HistSnapshot) {
+func (f *Family) appendOne(b []byte, value string, s HistSnapshot) []byte {
 	lo, hi := -1, -1
 	for i, c := range s.Counts {
 		if c != 0 {
@@ -106,54 +119,50 @@ func (f *Family) writeOne(w io.Writer, value string, s HistSnapshot) {
 			hi = i
 		}
 	}
-	labels := func(extra string) string {
-		var parts []string
-		if f.labelKey != "" {
-			parts = append(parts, f.labelKey+`="`+EscapeLabel(value)+`"`)
-		}
-		if extra != "" {
-			parts = append(parts, extra)
-		}
-		if len(parts) == 0 {
-			return ""
-		}
-		return "{" + strings.Join(parts, ",") + "}"
-	}
 	cum := int64(0)
 	if lo >= 0 {
 		for i := lo; i <= hi; i++ {
 			cum += s.Counts[i]
-			fmt.Fprintf(w, "%s_bucket%s %d\n", f.name,
-				labels(fmt.Sprintf("le=%q", formatBound(1<<uint(i), f.scale))), cum)
+			b = appendSeries(b, f.name, "_bucket", f.labelKey, value, formatBound(1<<uint(i), f.scale))
+			b = append(strconv.AppendInt(b, cum, 10), '\n')
 		}
 	}
-	fmt.Fprintf(w, "%s_bucket%s %d\n", f.name, labels(`le="+Inf"`), cum+s.Inf)
+	b = appendSeries(b, f.name, "_bucket", f.labelKey, value, "+Inf")
+	b = append(strconv.AppendInt(b, cum+s.Inf, 10), '\n')
+	b = appendSeries(b, f.name, "_sum", f.labelKey, value, "")
 	if f.scale == 1 {
-		fmt.Fprintf(w, "%s_sum%s %d\n", f.name, labels(""), s.Sum)
+		b = strconv.AppendInt(b, s.Sum, 10)
 	} else {
-		fmt.Fprintf(w, "%s_sum%s %s\n", f.name, labels(""),
-			strconv.FormatFloat(float64(s.Sum)*f.scale, 'g', -1, 64))
+		b = strconv.AppendFloat(b, float64(s.Sum)*f.scale, 'g', -1, 64)
 	}
-	fmt.Fprintf(w, "%s_count%s %d\n", f.name, labels(""), s.Count)
+	b = append(b, '\n')
+	b = appendSeries(b, f.name, "_count", f.labelKey, value, "")
+	return append(strconv.AppendInt(b, s.Count, 10), '\n')
 }
 
-func (f *CounterFamily) write(w io.Writer) {
-	if f.help != "" {
-		fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help)
+func (f *CounterFamily) appendText(b []byte) []byte {
+	b = appendHeader(b, f.name, f.help, "counter")
+	for _, v := range f.labelValues() {
+		b = appendSeries(b, f.name, "", f.labelKey, v, "")
+		b = append(strconv.AppendInt(b, f.with(v).Value(), 10), '\n')
 	}
-	fmt.Fprintf(w, "# TYPE %s counter\n", f.name)
-	if f.labelKey == "" {
-		fmt.Fprintf(w, "%s %d\n", f.name, f.single.Value())
-		return
+	return b
+}
+
+func (f *gaugeFamily) appendText(b []byte) []byte {
+	b = appendHeader(b, f.name, f.help, "gauge")
+	type sample struct {
+		label string
+		v     float64
 	}
-	f.mu.RLock()
-	values := make([]string, 0, len(f.cs))
-	for v := range f.cs {
-		values = append(values, v)
+	var samples []sample
+	f.collect(func(labelValue string, v float64) {
+		samples = append(samples, sample{labelValue, v})
+	})
+	sort.Slice(samples, func(i, j int) bool { return samples[i].label < samples[j].label })
+	for _, s := range samples {
+		b = appendSeries(b, f.name, "", f.labelKey, s.label, "")
+		b = append(strconv.AppendFloat(b, s.v, 'g', -1, 64), '\n')
 	}
-	f.mu.RUnlock()
-	sort.Strings(values)
-	for _, v := range values {
-		fmt.Fprintf(w, "%s{%s=\"%s\"} %d\n", f.name, f.labelKey, EscapeLabel(v), f.With(v).Value())
-	}
+	return b
 }

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -68,6 +69,8 @@ func TestNilSafety(t *testing.T) {
 	f.With("a").Observe(2)
 	f.With("a").Time()()
 	r.Counter("y", "", "").With("").Inc()
+	r.Gauge("z", "", "", func(emit func(string, float64)) { emit("", 1) })
+	r.WritePrometheus(nil)
 	var tr *Tracer
 	trace := tr.Start("r1")
 	id := trace.Begin(0, "rollout", "r1", "")
@@ -78,17 +81,44 @@ func TestNilSafety(t *testing.T) {
 }
 
 func TestRegistryRender(t *testing.T) {
-	r := NewRegistry()
-	lat := r.Histogram("mirage_rpc_latency_seconds", "RPC latency by op.", "op", 1e-9)
-	lat.Observe("test", int64(2*time.Millisecond))
-	lat.Observe("test", int64(5*time.Millisecond))
-	lat.Observe("integrate", int64(100*time.Microsecond))
-	r.Histogram("mirage_budget_wait_seconds", "Budget wait.", "", 1e-9).With("").Observe(0)
-	r.Counter("mirage_transient_retries_total", "Transient retries.", "op").With("test").Add(3)
-
-	var b strings.Builder
-	r.WritePrometheus(&b)
-	out := b.String()
+	// Each step registers and feeds one family; the render may not depend
+	// on the order they ran in.
+	steps := []func(r *Registry){
+		func(r *Registry) {
+			lat := r.Histogram("mirage_rpc_latency_seconds", "RPC latency by op.", "op", 1e-9)
+			lat.Observe("test", int64(2*time.Millisecond))
+			lat.Observe("test", int64(5*time.Millisecond))
+			lat.Observe("integrate", int64(100*time.Microsecond))
+		},
+		func(r *Registry) {
+			r.Histogram("mirage_budget_wait_seconds", "Budget wait.", "", 1e-9).With("").Observe(0)
+		},
+		func(r *Registry) {
+			r.Counter("mirage_transient_retries_total", "Transient retries.", "op").With("test").Add(3)
+		},
+		func(r *Registry) {
+			r.Gauge("mirage_registry_agents", "Registered agents per registry shard.", "shard",
+				func(emit func(string, float64)) { emit("1", 4); emit("0", 3) })
+		},
+		func(r *Registry) {
+			r.Gauge("mirage_rollouts_active", "Rollouts holding a slot.", "",
+				func(emit func(string, float64)) { emit("", 2) })
+		},
+	}
+	build := func(rotation int) *Registry {
+		r := NewRegistry()
+		for i := range steps {
+			steps[(i+rotation)%len(steps)](r)
+		}
+		return r
+	}
+	render := func(r *Registry) string {
+		var b strings.Builder
+		r.WritePrometheus(&b)
+		return b.String()
+	}
+	r := build(0)
+	out := render(r)
 	for _, want := range []string{
 		"# TYPE mirage_rpc_latency_seconds histogram",
 		"# TYPE mirage_budget_wait_seconds histogram",
@@ -98,32 +128,70 @@ func TestRegistryRender(t *testing.T) {
 		`mirage_rpc_latency_seconds_count{op="integrate"} 1`,
 		`mirage_budget_wait_seconds_count 1`,
 		`mirage_transient_retries_total{op="test"} 3`,
+		// A gauge family is one HELP, one TYPE, then its samples sorted
+		// by label value, however the collector emitted them.
+		"# HELP mirage_registry_agents Registered agents per registry shard.\n" +
+			"# TYPE mirage_registry_agents gauge\n" +
+			`mirage_registry_agents{shard="0"} 3` + "\n" +
+			`mirage_registry_agents{shard="1"} 4` + "\n",
+		"# TYPE mirage_rollouts_active gauge\nmirage_rollouts_active 2\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}
+	}
+	if n := strings.Count(out, "# HELP mirage_registry_agents"); n != 1 {
+		t.Fatalf("HELP for mirage_registry_agents rendered %d times, want 1", n)
 	}
 	// Cumulative buckets: 2ms lands at le=2^21ns, 5ms at 2^23 — the
 	// final finite bucket of op=test must equal the full count.
 	if !strings.Contains(out, `mirage_rpc_latency_seconds_bucket{op="test",le="0.008388608"} 2`) {
 		t.Fatalf("cumulative bucket missing:\n%s", out)
 	}
-	// Deterministic across scrapes.
-	var b2 strings.Builder
-	r.WritePrometheus(&b2)
-	if out != b2.String() {
+	// One name-sorted pass over every kind of family.
+	var types []string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "# TYPE ") {
+			types = append(types, line)
+		}
+	}
+	if len(types) != len(steps) || !sort.StringsAreSorted(types) {
+		t.Fatalf("families not rendered once each in name order: %q", types)
+	}
+	// Deterministic across scrapes and across registration orders.
+	if out != render(r) {
 		t.Fatal("two scrapes of identical state rendered differently")
+	}
+	for rotation := 1; rotation < len(steps); rotation++ {
+		if got := render(build(rotation)); got != out {
+			t.Fatalf("registration order %d rendered differently:\n%s\nvs:\n%s", rotation, got, out)
+		}
 	}
 }
 
 func TestRenderLabelEscaping(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("weird", "", "k").With("a\\b\"c\nd").Inc()
+	r.Gauge("m_esc", "Escaping.", "v", func(emit func(string, float64)) {
+		emit(`back\slash`, 1)
+		emit(`quo"te`, 2)
+		emit("new\nline", 3)
+	})
 	var b strings.Builder
 	r.WritePrometheus(&b)
-	want := `weird{k="a\\b\"c\nd"} 1`
-	if !strings.Contains(b.String(), want) {
-		t.Fatalf("escaping: got %q, want substring %q", b.String(), want)
+	text := b.String()
+	for _, want := range []string{
+		`weird{k="a\\b\"c\nd"} 1`,
+		`m_esc{v="back\\slash"} 1`,
+		`m_esc{v="quo\"te"} 2`,
+		`m_esc{v="new\nline"} 3`,
+	} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("escaping: got %q, want substring %q", text, want)
+		}
+	}
+	if strings.Contains(text, "\nline\"} 3") {
+		t.Fatalf("raw newline leaked into a label value:\n%s", text)
 	}
 }
 

@@ -106,22 +106,15 @@ func TestIntegrateAfterTestTransfersNoChunkBytes(t *testing.T) {
 	if !rep.Success {
 		t.Fatalf("test failed: %+v", rep)
 	}
-	after, ok := s.AgentStats("cache-node")
-	if !ok {
-		t.Fatal("no stats for registered agent")
-	}
+	after := s.TransferSnapshot()
 
 	if err := s.Node("cache-node").Integrate(context.Background(), up); err != nil {
 		t.Fatal(err)
 	}
-	final, _ := s.AgentStats("cache-node")
-	delta := final
-	delta.ChunkBytesSent -= after.ChunkBytesSent
-	delta.ChunkMisses -= after.ChunkMisses
-	delta.ChunkHits -= after.ChunkHits
-	if delta.ChunkBytesSent != 0 || delta.ChunkMisses != 0 {
+	delta := s.TransferSnapshot().Sub(after)
+	if delta.ChunkBytes != 0 || delta.ChunkMisses != 0 {
 		t.Fatalf("integrate-after-test moved %d chunk bytes (%d misses), want zero",
-			delta.ChunkBytesSent, delta.ChunkMisses)
+			delta.ChunkBytes, delta.ChunkMisses)
 	}
 	if delta.ChunkHits == 0 {
 		t.Fatal("integrate resolved no chunks from cache")
@@ -165,13 +158,13 @@ func TestVersionUpgradeTransfersOnlyChangedChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, _ := s.AgentStats("delta-node")
-	if st.ChunkBytesSent == 0 {
+	st := s.TransferSnapshot()
+	if st.ChunkBytes == 0 {
 		t.Fatal("delta transferred nothing — test is vacuous")
 	}
-	if st.ChunkBytesSent > size/4 {
+	if st.ChunkBytes > size/4 {
 		t.Fatalf("version delta moved %d of %d payload bytes — CDC dedup not working",
-			st.ChunkBytesSent, size)
+			st.ChunkBytes, size)
 	}
 	if f := m.ReadFile(apps.MySQLExec); f == nil || !bytes.Equal(f.Data, v2) {
 		t.Fatal("reassembled file differs from the vendor's")

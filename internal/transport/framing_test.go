@@ -47,20 +47,17 @@ func TestBinaryFramingZeroExpansion(t *testing.T) {
 		t.Fatal("delivered file differs from the vendor's")
 	}
 
-	st, ok := s.AgentStats("frame-node")
-	if !ok {
-		t.Fatal("no stats for registered agent")
-	}
-	if st.ChunkBytesSent != size {
-		t.Fatalf("pushed %d chunk bytes for a %d-byte payload, want exactly the payload", st.ChunkBytesSent, size)
+	st := s.TransferSnapshot()
+	if st.ChunkBytes != size {
+		t.Fatalf("pushed %d chunk bytes for a %d-byte payload, want exactly the payload", st.ChunkBytes, size)
 	}
 	// One chunk reference is {"h":<≤20 digits>,"n":<≤5 digits>}, at most
 	// 40 bytes with its comma; it appears in three manifests and one
 	// ChunkMeta. 1 KiB covers the rest of those four frames.
 	refs := int64(s.ChunkStore().Manifest(up).ChunkCount())
-	if headers := st.BytesSent - st.ChunkBytesSent; headers > 4*40*refs+1024 {
+	if headers := st.Bytes - st.ChunkBytes; headers > 4*40*refs+1024 {
 		t.Fatalf("%d bytes on the wire beside %d chunk bytes (%d chunk refs): the body did not cross raw",
-			headers, st.ChunkBytesSent, refs)
+			headers, st.ChunkBytes, refs)
 	}
 }
 

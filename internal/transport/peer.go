@@ -154,10 +154,6 @@ func (a *Agent) handlePeerFetch(req PeerFetchReq) Frame {
 			delete(remaining, addr)
 		}
 		if n > 0 {
-			if res.Served == nil {
-				res.Served = make(map[string]int64)
-			}
-			res.Served[peer] += n
 			res.Bytes += n
 			res.Chunks += len(got)
 		}
@@ -298,14 +294,4 @@ func (pi *peerIndex) markHeld(name string, refs []uint64) {
 	for _, a := range refs {
 		set[a] = true
 	}
-}
-
-// nameByAddr resolves an advertised peer address back to its agent.
-func (pi *peerIndex) nameByAddr(addr string) (string, bool) {
-	for name, a := range pi.addrs {
-		if a == addr {
-			return name, true
-		}
-	}
-	return "", false
 }

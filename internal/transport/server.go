@@ -7,7 +7,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,66 +48,18 @@ var ErrAgentReplaced = fmt.Errorf("agent connection replaced: %w", deploy.ErrTra
 // the deployment controller halts the plan instead.
 var ErrServerClosed = errors.New("transport: server closed")
 
-// Stats is a snapshot of the vendor-side transfer counters, kept per
-// connection and aggregated per server. It is what makes the distribution
-// layer's savings measurable instead of anecdotal.
-type Stats struct {
-	FramesSent     int64 // request frames written
-	BytesSent      int64 // total bytes written to agent sockets
-	ChunkBytesSent int64 // bytes of chunk payload the vendor itself pushed
-	ChunkHits      int64 // manifest chunks the agent already held
-	ChunkMisses    int64 // manifest chunks that had to be transferred
-
-	// Peer tier counters. The vendor never sees peer traffic on its own
-	// sockets; these book what agents report back after each directed
-	// peer fetch, which is what lets the swarm-cold workload check vendor
-	// egress stays ~flat while total bytes moved grows with the fleet.
-	PeerBytesIn     int64 // chunk bytes this/these agent(s) pulled from peers
-	PeerBytesOut    int64 // chunk bytes this/these agent(s) served to peers
-	PeerChunkHits   int64 // chunks the peer tier satisfied
-	VendorFallbacks int64 // chunks pushed by the vendor after peers missed them
-
-	// Robustness counters: manifest chunks resolved while restoring
-	// members to the baseline version (rollback mode, see SetRollbackMode)
-	// and faults the vendor-side injector fired on this/these channel(s).
-	ChunksRolledBack int64
-	FaultsInjected   int64
-}
-
-// statsCounters is the mutable (atomic) form behind Stats snapshots.
-type statsCounters struct {
-	frames, bytes, chunkBytes, hits, misses atomic.Int64
-	peerIn, peerOut, peerHits, fallbacks    atomic.Int64
-	rolledBack, faults                      atomic.Int64
-}
-
-func (c *statsCounters) snapshot() Stats {
-	return Stats{
-		FramesSent:       c.frames.Load(),
-		BytesSent:        c.bytes.Load(),
-		ChunkBytesSent:   c.chunkBytes.Load(),
-		ChunkHits:        c.hits.Load(),
-		ChunkMisses:      c.misses.Load(),
-		PeerBytesIn:      c.peerIn.Load(),
-		PeerBytesOut:     c.peerOut.Load(),
-		PeerChunkHits:    c.peerHits.Load(),
-		VendorFallbacks:  c.fallbacks.Load(),
-		ChunksRolledBack: c.rolledBack.Load(),
-		FaultsInjected:   c.faults.Load(),
-	}
-}
-
-// countingWriter counts every byte written to the socket into the
-// connection's and the server's counters.
+// countingWriter counts every byte written to one agent socket: into
+// the server-wide counter, and into n for callBody's per-RPC delta.
 type countingWriter struct {
-	w           io.Writer
-	conn, total *statsCounters
+	w   io.Writer
+	srv *Server
+	n   int64 // bytes written on this connection; guarded by agentConn.mu
 }
 
 func (cw *countingWriter) Write(p []byte) (int, error) {
 	n, err := cw.w.Write(p)
-	cw.conn.bytes.Add(int64(n))
-	cw.total.bytes.Add(int64(n))
+	cw.n += int64(n)
+	cw.srv.metrics().bytes.Add(int64(n))
 	return n, err
 }
 
@@ -120,9 +74,7 @@ type agentConn struct {
 	// which is what lets a binary chunk body ride behind a JSON header.
 	bw *bufio.Writer
 	fc *frameConn
-
-	stats *statsCounters // this connection's counters
-	total *statsCounters // the server-wide counters
+	cw *countingWriter
 
 	// replaced is set (before the socket is closed) when a new
 	// registration under the same name supersedes this channel, so an
@@ -188,29 +140,70 @@ func (ac *agentConn) callBody(ctx context.Context, req Frame, body []distrib.Chu
 		span = tr.Begin(parent, "rpc", req.Op, ac.name)
 	}
 	t0 := time.Now()
-	bytes0 := ac.stats.bytes.Load()
+	bytes0 := ac.cw.n
 	resp, err := ac.exchange(ctx, req, body, timeout)
 	// ac.mu serializes RPCs on this channel, so the connection byte
-	// counter's delta across the exchange is exactly this call's writes
+	// count's delta across the exchange is exactly this call's writes
 	// (JSON header plus any binary chunk body).
-	sent := ac.stats.bytes.Load() - bytes0
-	lat, by := ac.srv.rpcHists()
-	lat.With(req.Op).ObserveSince(t0)
-	by.With(req.Op).Observe(sent)
+	sent := ac.cw.n - bytes0
+	m := ac.srv.metrics()
+	m.rpcLatency.With(req.Op).ObserveSince(t0)
+	m.rpcBytes.With(req.Op).Observe(sent)
 	tr.EndBytes(span, sent, err)
 	return resp, err
 }
 
-// rpcHists returns the cached RPC latency and frame-byte families
-// (nil families when no registry is wired — every method no-ops).
-func (s *Server) rpcHists() (*telemetry.Family, *telemetry.Family) {
+// serverMetrics are the server's handles on its telemetry registry: the
+// RPC histograms and the transfer counters TransferSnapshot reads back.
+type serverMetrics struct {
+	rpcLatency, rpcBytes, faultDelay *telemetry.Family
+
+	frames, bytes, chunkBytes, hits, misses *telemetry.Counter
+	peerBytes, peerHits, fallbacks          *telemetry.Counter
+	rolledBack, faults                      *telemetry.Counter
+}
+
+// metrics binds the server's families on first use — not in ListenWith,
+// because callers assign Telemetry after it — and on a private registry
+// when none was assigned, so transfer counting never depends on wiring.
+func (s *Server) metrics() *serverMetrics {
 	s.telemOnce.Do(func() {
-		s.rpcLatency = s.Telemetry.Histogram("mirage_rpc_latency_seconds",
-			"Vendor-to-agent RPC latency by op, faults and deadline waits included.", "op", 1e-9)
-		s.rpcBytes = s.Telemetry.Histogram("mirage_rpc_frame_bytes",
-			"Bytes written to the agent socket per RPC by op (frame header plus chunk body).", "op", 1)
+		reg := s.Telemetry
+		if reg == nil {
+			reg = telemetry.NewRegistry()
+		}
+		counter := func(name, help string) *telemetry.Counter {
+			return reg.Counter(name, help, "").With("")
+		}
+		s.m = serverMetrics{
+			rpcLatency: reg.Histogram("mirage_rpc_latency_seconds",
+				"Vendor-to-agent RPC latency by op, faults and deadline waits included.", "op", 1e-9),
+			rpcBytes: reg.Histogram("mirage_rpc_frame_bytes",
+				"Bytes written to the agent socket per RPC by op (frame header plus chunk body).", "op", 1),
+			faultDelay: reg.Histogram("mirage_fault_delay_seconds",
+				"Injected fault delay absorbed by agent RPCs.", "", 1e-9),
+
+			frames:     counter("mirage_transfer_frames_total", "Request frames sent to agents."),
+			bytes:      counter("mirage_transfer_bytes_total", "Total bytes on the wire."),
+			chunkBytes: counter("mirage_transfer_chunk_bytes_total", "Content-addressed chunk payload bytes."),
+			hits:       counter("mirage_transfer_chunk_hits_total", "Manifest chunks agents already held."),
+			misses:     counter("mirage_transfer_chunk_misses_total", "Manifest chunks that had to be transferred."),
+			peerBytes:  counter("mirage_peer_bytes_total", "Chunk bytes served agent-to-agent."),
+			peerHits:   counter("mirage_peer_hits_total", "Chunks served by the peer tier."),
+			fallbacks:  counter("mirage_peer_fallbacks_total", "Chunks the peer tier missed and the vendor pushed."),
+			rolledBack: counter("mirage_rollback_chunks_total", "Manifest chunks resolved while restoring members to the baseline."),
+			faults:     counter("mirage_faults_injected_total", "Transport faults fired by the chaos injector."),
+		}
+		reg.Gauge("mirage_registry_agents_total", "Registered agents.", "",
+			func(emit func(string, float64)) { emit("", float64(s.registry.Len())) })
+		reg.Gauge("mirage_registry_agents", "Registered agents per registry shard.", "shard",
+			func(emit func(string, float64)) {
+				for i, n := range s.registry.ShardSizes() {
+					emit(strconv.Itoa(i), float64(n))
+				}
+			})
 	})
-	return s.rpcLatency, s.rpcBytes
+	return &s.m
 }
 
 // exchange performs the locked wire exchange behind callBody.
@@ -221,24 +214,24 @@ func (ac *agentConn) exchange(ctx context.Context, req Frame, body []distrib.Chu
 	// request the vendor never sees acknowledged); corrupt damages chunk
 	// payload in a copy — content addressing rejects it downstream.
 	resetAfter := false
+	m := ac.srv.metrics()
 	if fi := ac.srv.Faults; fi != nil {
-		switch fi.Next(ac.name, req.Op) {
+		fault := fi.Next(ac.name, req.Op)
+		if fault != FaultNone {
+			m.faults.Inc()
+		}
+		switch fault {
 		case FaultDrop, FaultCrash:
-			ac.bookFault()
 			return Frame{}, ac.fail(ctx, req.Op, errFaultInjected)
 		case FaultDelay:
-			ac.bookFault()
 			d := fi.DelayBy()
 			time.Sleep(d)
-			ac.srv.Telemetry.Histogram("mirage_fault_delay_seconds",
-				"Injected fault delay absorbed by agent RPCs.", "", 1e-9).With("").Observe(int64(d))
+			m.faultDelay.With("").Observe(int64(d))
 		case FaultCorrupt:
-			ac.bookFault()
 			if body != nil {
 				body = corruptChunks(body)
 			}
 		case FaultReset:
-			ac.bookFault()
 			resetAfter = true
 		}
 	}
@@ -278,8 +271,7 @@ func (ac *agentConn) exchange(ctx context.Context, req Frame, body []distrib.Chu
 	if err := ac.bw.Flush(); err != nil {
 		return Frame{}, ac.fail(ctx, "sending "+req.Op, err)
 	}
-	ac.stats.frames.Add(1)
-	ac.total.frames.Add(1)
+	m.frames.Inc()
 	if resetAfter {
 		return Frame{}, ac.fail(ctx, req.Op, errFaultInjected)
 	}
@@ -311,20 +303,6 @@ var errFaultInjected = errors.New("injected fault")
 type agentError struct{ name, msg string }
 
 func (e *agentError) Error() string { return "transport: agent " + e.name + ": " + e.msg }
-
-// bookFault counts one injected fault on this channel and server-wide.
-func (ac *agentConn) bookFault() {
-	ac.stats.faults.Add(1)
-	ac.total.faults.Add(1)
-}
-
-// addChunkAccounting books one manifest negotiation's hit/miss split.
-func (ac *agentConn) addChunkAccounting(hits, misses int64) {
-	ac.stats.hits.Add(hits)
-	ac.total.hits.Add(hits)
-	ac.stats.misses.Add(misses)
-	ac.total.misses.Add(misses)
-}
 
 // Server is the vendor-side endpoint agents register with.
 type Server struct {
@@ -376,18 +354,17 @@ type Server struct {
 	// serving starts.
 	OnProfileDelta func(req *ProfileDeltaReq) (resync bool, err error)
 
-	// Telemetry, when set, receives per-op RPC latency and frame-byte
-	// histograms plus injected-delay accounting (nil is a no-op). RPC
-	// spans additionally land in whatever rollout trace rides the call's
-	// context, independent of this registry. Set it before serving
-	// starts: the RPC path caches its family handles on first use.
+	// Telemetry is the registry the server counts on: per-op RPC latency
+	// and frame-byte histograms, injected-delay accounting, the transfer
+	// counters behind TransferSnapshot and the agent-registry gauges. Nil
+	// selects a private registry nobody scrapes. RPC spans additionally
+	// land in whatever rollout trace rides the call's context, independent
+	// of this registry. Set it before the first RPC: the handles are bound
+	// once, on first use (see metrics).
 	Telemetry *telemetry.Registry
 
-	// telemOnce caches the RPC hot-path histogram families so each call
-	// skips the registry's by-name lookup (a global mutex).
-	telemOnce  sync.Once
-	rpcLatency *telemetry.Family
-	rpcBytes   *telemetry.Family
+	telemOnce sync.Once
+	m         serverMetrics
 
 	// rollbackMode marks that pushes currently restore members to the
 	// baseline version (Controller.Rollback is driving the fleet), so
@@ -402,10 +379,6 @@ type Server struct {
 	// it accumulates across upgrades, so a corrected re-release shares
 	// every chunk with the version it fixes.
 	dist *distrib.Store
-
-	// stats aggregates transfer counters across all agent connections,
-	// surviving reconnects and replacements.
-	stats statsCounters
 }
 
 // DefaultMaxPending bounds concurrent registration handshakes per accept
@@ -457,44 +430,23 @@ func ListenWith(addr string, opts ListenOpts) (*Server, error) {
 // ChunkStore returns the vendor-side chunk store.
 func (s *Server) ChunkStore() *distrib.Store { return s.dist }
 
-// Stats returns the server-wide transfer counters, aggregated across all
-// agent connections past and present.
-func (s *Server) Stats() Stats { return s.stats.snapshot() }
-
-// AgentStats returns the transfer counters of the named agent's current
-// connection.
-func (s *Server) AgentStats(name string) (Stats, bool) {
-	ac, ok := s.registry.Get(name)
-	if !ok {
-		return Stats{}, false
-	}
-	return ac.stats.snapshot(), true
-}
-
-// AgentCount returns the number of currently registered agents without
-// materializing their names.
-func (s *Server) AgentCount() int { return s.registry.Len() }
-
-// ShardSizes returns the registry's per-shard agent counts — the /metrics
-// feed for registry balance and size.
-func (s *Server) ShardSizes() []int { return s.registry.ShardSizes() }
-
-// TransferSnapshot exposes the server-wide counters in the deployment
+// TransferSnapshot reads the server-wide transfer counters — cumulative
+// across all agent connections past and present — in the deployment
 // controller's vocabulary, so Controller.Transfer can record per-rollout
 // deltas in the Outcome.
 func (s *Server) TransferSnapshot() deploy.TransferStats {
-	st := s.Stats()
+	m := s.metrics()
 	return deploy.TransferStats{
-		Frames:           st.FramesSent,
-		Bytes:            st.BytesSent,
-		ChunkBytes:       st.ChunkBytesSent,
-		ChunkHits:        st.ChunkHits,
-		ChunkMisses:      st.ChunkMisses,
-		PeerBytes:        st.PeerBytesOut,
-		PeerHits:         st.PeerChunkHits,
-		VendorFallbacks:  st.VendorFallbacks,
-		ChunksRolledBack: st.ChunksRolledBack,
-		FaultsInjected:   st.FaultsInjected,
+		Frames:           m.frames.Value(),
+		Bytes:            m.bytes.Value(),
+		ChunkBytes:       m.chunkBytes.Value(),
+		ChunkHits:        m.hits.Value(),
+		ChunkMisses:      m.misses.Value(),
+		PeerBytes:        m.peerBytes.Value(),
+		PeerHits:         m.peerHits.Value(),
+		VendorFallbacks:  m.fallbacks.Value(),
+		ChunksRolledBack: m.rolledBack.Value(),
+		FaultsInjected:   m.faults.Value(),
 	}
 }
 
@@ -565,30 +517,23 @@ func (s *Server) markPeerHeld(name string, man *WireManifest) {
 	s.peers.markHeld(name, manifestAddrs(man))
 }
 
-// creditPeerResult books one OpPeerFetch round into the transfer
-// counters: the fetching agent's peer-in bytes and chunk hits, and each
-// serving agent's peer-out bytes (resolved from the reported peer
-// address; an unresolvable server — an AddPeerSource fake, or an agent
-// that re-registered meanwhile — still counts toward the server totals).
-func (s *Server) creditPeerResult(ac *agentConn, res *PeerResult) {
+// creditPeerResult books what an agent reports its peers served it in
+// one OpPeerFetch round for asked chunks. The numbers are the agent's
+// word, so they are bounded by what the vendor asked for before they
+// reach a counter; an impossible report books nothing (the content
+// address, not this number, is what protects the payload).
+func (s *Server) creditPeerResult(ac *agentConn, asked int, res *PeerResult) {
 	if res == nil || res.Bytes == 0 {
 		return
 	}
-	ac.stats.peerIn.Add(res.Bytes)
-	ac.total.peerIn.Add(res.Bytes)
-	ac.stats.peerHits.Add(int64(res.Chunks))
-	ac.total.peerHits.Add(int64(res.Chunks))
-	for addr, n := range res.Served {
-		s.peerMu.Lock()
-		name, ok := s.peers.nameByAddr(addr)
-		s.peerMu.Unlock()
-		if ok {
-			if server, live := s.registry.Get(name); live {
-				server.stats.peerOut.Add(n)
-			}
-		}
-		s.stats.peerOut.Add(n)
+	if res.Chunks < 0 || res.Chunks > asked || res.Bytes < 0 || res.Bytes > int64(res.Chunks)*maxWireChunk {
+		slog.Warn("ignoring impossible peer fetch report", "agent", ac.name,
+			"asked", asked, "chunks", res.Chunks, "bytes", res.Bytes)
+		return
 	}
+	m := s.metrics()
+	m.peerBytes.Add(res.Bytes)
+	m.peerHits.Add(int64(res.Chunks))
 }
 
 // Addr returns the server's listen address.
@@ -750,13 +695,12 @@ func (s *Server) register(conn net.Conn) {
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
-	st := &statsCounters{}
-	bw := bufio.NewWriter(&countingWriter{w: conn, conn: st, total: &s.stats})
+	cw := &countingWriter{w: conn, srv: s}
+	bw := bufio.NewWriter(cw)
 	fc.bw = bw
 	ac := &agentConn{
 		name: hello.Register.Machine, conn: conn, srv: s,
-		bw: bw, fc: fc,
-		stats: st, total: &s.stats,
+		bw: bw, fc: fc, cw: cw,
 	}
 	if hello.Register.Peer != "" {
 		s.peerMu.Lock()
@@ -1016,6 +960,7 @@ func (s *Server) pushUpgrade(ctx context.Context, name, op string, up *pkgmgr.Up
 		return Frame{}, err
 	}
 	man := s.dist.Manifest(up)
+	m := s.metrics()
 	first := true
 	attempts := 3
 	if s.Faults != nil {
@@ -1048,15 +993,14 @@ func (s *Server) pushUpgrade(ctx context.Context, name, op string, up *pkgmgr.Up
 					}
 				}
 			}
-			ac.addChunkAccounting(int64(man.ChunkCount())-miss, miss)
+			m.hits.Add(int64(man.ChunkCount()) - miss)
+			m.misses.Add(miss)
 			first = false
 		}
 		if len(resp.NeedChunks) == 0 {
 			s.markPeerHeld(name, man)
 			if s.rollbackMode.Load() {
-				n := int64(man.ChunkCount())
-				ac.stats.rolledBack.Add(n)
-				ac.total.rolledBack.Add(n)
+				m.rolledBack.Add(int64(man.ChunkCount()))
 			}
 			return resp, nil
 		}
@@ -1068,7 +1012,7 @@ func (s *Server) pushUpgrade(ctx context.Context, name, op string, up *pkgmgr.Up
 			if err != nil {
 				return Frame{}, err
 			}
-			s.creditPeerResult(ac, presp.Peer)
+			s.creditPeerResult(ac, len(need), presp.Peer)
 			need = presp.NeedChunks
 			hinted = true
 		}
@@ -1085,13 +1029,11 @@ func (s *Server) pushUpgrade(ctx context.Context, name, op string, up *pkgmgr.Up
 		for _, ch := range chunks {
 			n += int64(len(ch.Data))
 		}
-		ac.stats.chunkBytes.Add(n)
-		ac.total.chunkBytes.Add(n)
+		m.chunkBytes.Add(n)
 		if hinted {
 			// These chunks were offered to the peer tier and came back:
 			// vendor fallback, the swarm's miss counter.
-			ac.stats.fallbacks.Add(int64(len(chunks)))
-			ac.total.fallbacks.Add(int64(len(chunks)))
+			m.fallbacks.Add(int64(len(chunks)))
 		}
 		if _, perr := ac.callBody(ctx, Frame{Op: OpFetchChunks, ChunkMeta: chunkMeta(chunks)}, chunks, s.Timeout); perr != nil {
 			// An agent-reported rejection means corrupt bytes in flight

@@ -3,7 +3,10 @@ package transport
 import (
 	"bufio"
 	"context"
+	"encoding/json"
+	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,6 +15,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/pkgmgr"
 	"repro/internal/report"
+	"repro/internal/telemetry"
 )
 
 // Tests for the peer chunk-serving tier: staged rollouts where later
@@ -188,11 +192,11 @@ func TestCorruptPeerFallsBackToVendor(t *testing.T) {
 	if !rep.Success {
 		t.Fatalf("test failed: %+v", rep)
 	}
-	st, _ := s.AgentStats("corrupt-target")
+	st := s.TransferSnapshot()
 	if st.VendorFallbacks == 0 {
 		t.Fatalf("stats = %+v, want vendor fallbacks after corrupt peer", st)
 	}
-	if st.PeerBytesIn != 0 || st.PeerChunkHits != 0 {
+	if st.PeerBytes != 0 || st.PeerHits != 0 {
 		t.Fatalf("stats = %+v: corrupt chunks were credited as peer traffic", st)
 	}
 }
@@ -229,13 +233,13 @@ func TestPeerDiesMidFetch(t *testing.T) {
 	if !rep.Success {
 		t.Fatalf("test failed: %+v", rep)
 	}
-	st, _ := s.AgentStats("dying-target")
+	st := s.TransferSnapshot()
 	if st.VendorFallbacks == 0 {
 		t.Fatalf("stats = %+v, want vendor fallbacks after dead peer", st)
 	}
 	// The one complete chunk that verified before the death is kept — the
 	// whole point of per-chunk digests — and counted.
-	if st.PeerChunkHits != 1 {
+	if st.PeerHits != 1 {
 		t.Fatalf("stats = %+v, want exactly the one pre-death chunk credited", st)
 	}
 }
@@ -264,12 +268,108 @@ func TestUnreachablePeerFallsBack(t *testing.T) {
 	if !rep.Success {
 		t.Fatalf("test failed: %+v", rep)
 	}
-	st, _ := s.AgentStats("refused-target")
-	if st.VendorFallbacks == 0 || st.PeerBytesIn != 0 {
+	st := s.TransferSnapshot()
+	if st.VendorFallbacks == 0 || st.PeerBytes != 0 {
 		t.Fatalf("stats = %+v, want pure vendor fallback", st)
 	}
 	if ref, _ := m.Package("mysql"); ref.Version != "4.1.22" {
 		t.Fatalf("test mutated the machine: %s", ref.Version)
+	}
+}
+
+// TestImpossiblePeerReportBooksNothing plays an agent by hand on a
+// net.Pipe and answers the vendor's peer_fetch with numbers the request
+// itself rules out: negative bytes, more chunks than were asked for. The
+// report is the agent's word, so none of it may reach a counter — a
+// Prometheus counter must never decrease — and the push must converge
+// through the vendor fallback as if the peer tier had served nothing.
+func TestImpossiblePeerReportBooksNothing(t *testing.T) {
+	lies := map[string]func(asked int) string{
+		"negative bytes":         func(int) string { return `{"bytes":-1000000000000,"chunks":1}` },
+		"more chunks than asked": func(asked int) string { return fmt.Sprintf(`{"bytes":4096,"chunks":%d}`, asked+1) },
+	}
+	for name, lie := range lies {
+		t.Run(name, func(t *testing.T) {
+			s, err := Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { s.Close() })
+			s.Telemetry = telemetry.NewRegistry()
+			up := bigUpgrade(7, 64*1024)
+			// A hint must exist for the vendor to ask at all; nobody dials it.
+			s.AddPeerSource("hinted", "127.0.0.1:1", upgradeAddrs(s, up))
+
+			vendorEnd, agentEnd := net.Pipe()
+			if err := s.ServeConn(vendorEnd); err != nil {
+				t.Fatal(err)
+			}
+			go playLyingAgent(agentEnd, lie)
+			if !s.WaitForAgent("liar", 5*time.Second) {
+				t.Fatal("hand-played agent did not register")
+			}
+
+			rep, err := s.Node("liar").TestUpgrade(context.Background(), up)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Success {
+				t.Fatalf("test failed: %+v", rep)
+			}
+			if st := s.TransferSnapshot(); st.PeerBytes != 0 || st.PeerHits != 0 ||
+				st.VendorFallbacks == 0 || st.ChunkBytes != 64*1024 {
+				t.Fatalf("stats = %+v, want no peer traffic booked and the whole payload pushed as vendor fallback", st)
+			}
+			var b strings.Builder
+			s.Telemetry.WritePrometheus(&b)
+			for _, want := range []string{"mirage_peer_bytes_total 0\n", "mirage_peer_hits_total 0\n"} {
+				if !strings.Contains(b.String(), want) {
+					t.Fatalf("scrape missing %q:\n%s", want, b.String())
+				}
+			}
+		})
+	}
+}
+
+// playLyingAgent is the agent side of a control channel played by hand:
+// it registers as "liar", claims to hold no chunk until one fetch_chunks
+// push arrived, and answers every peer_fetch with the JSON lie(asked) as
+// its peer result and the full request still missing.
+func playLyingAgent(conn net.Conn, lie func(asked int) string) {
+	defer conn.Close()
+	bw := bufio.NewWriter(conn)
+	fc := newFrameConn(bufio.NewReader(conn), bw)
+	out := Frame{Op: OpRegister, Register: &RegisterReq{Machine: "liar"}}
+	pushed := false
+	for {
+		if fc.WriteFrame(out) != nil || bw.Flush() != nil {
+			return
+		}
+		var req Frame
+		if fc.ReadFrame(&req) != nil {
+			return
+		}
+		out = Frame{ID: req.ID, OK: true}
+		switch req.Op {
+		case OpTest:
+			if pushed {
+				out.Report = &report.Report{Machine: "liar", Success: true}
+			} else {
+				out.NeedChunks = manifestAddrs(req.Test.Manifest)
+			}
+		case OpPeerFetch:
+			out.NeedChunks = req.PeerFetch.Addrs
+			// Through the decoder, as a real reply arrives: it is the
+			// wire form, not the Go type, that admits these values.
+			if json.Unmarshal([]byte(lie(len(out.NeedChunks))), &out.Peer) != nil {
+				return
+			}
+		case OpFetchChunks:
+			if fc.ReadChunkBody(req.ChunkMeta, func(uint64, []byte) error { return nil }) != nil {
+				return
+			}
+			pushed = true
+		}
 	}
 }
 

@@ -179,9 +179,6 @@ type PeerResult struct {
 	// Chunks and Bytes total what the peer tier delivered.
 	Chunks int   `json:"chunks,omitempty"`
 	Bytes  int64 `json:"bytes,omitempty"`
-	// Served maps peer address to the chunk bytes it served, so the
-	// vendor can credit the serving agent's egress counters.
-	Served map[string]int64 `json:"served,omitempty"`
 	// Failed lists peers dropped mid-fetch: dead, unreachable, or
 	// serving bytes whose digest did not match the requested address.
 	Failed []string `json:"failed,omitempty"`
