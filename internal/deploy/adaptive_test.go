@@ -122,16 +122,57 @@ func bigFleet(nClusters, nodesPer int, bad map[string]map[string]string) []*Clus
 	return clusters
 }
 
+// eventKey is what of an event must not depend on the pool size.
+type eventKey struct {
+	Type      EventType
+	Stage     int
+	Node      string
+	UpgradeID string
+}
+
+// checkWaveShape asserts the per-wave event shape: a run of tested
+// records in member order, then one integrated record for each member of
+// that run that passed, in the same order — so no member's integration is
+// recorded before its own verdict, or out of member order.
+func checkWaveShape(t *testing.T, evs []Event) {
+	t.Helper()
+	var passed []string
+	for i := 0; i < len(evs); {
+		switch evs[i].Type {
+		case EventTested:
+			passed = passed[:0]
+			for ; i < len(evs) && evs[i].Type == EventTested; i++ {
+				if evs[i].Success {
+					passed = append(passed, evs[i].Node)
+				}
+			}
+		case EventIntegrated:
+			var got []string
+			for ; i < len(evs) && evs[i].Type == EventIntegrated; i++ {
+				got = append(got, evs[i].Node)
+			}
+			if !reflect.DeepEqual(got, passed) {
+				t.Fatalf("integrated %v after a wave whose passing members were %v", got, passed)
+			}
+			passed = passed[:0]
+		default:
+			i++
+		}
+	}
+}
+
 func TestWorkerPoolMatchesSerialOutcome(t *testing.T) {
 	bad := map[string]map[string]string{
 		"c02-n00": {"v1": "crash"}, // a representative
 		"c01-n03": {"v1": "crash"}, // a misplaced non-representative
 		"c03-n05": {"v1": "crash"},
 	}
-	run := func(parallelism int, policy Policy) ([]string, *Outcome) {
+	run := func(parallelism int, policy Policy) ([]string, []eventKey, *Outcome) {
 		urr := report.New()
 		ctl := NewController(urr, fixerChain(t, map[string]string{"v1": "v2"}))
 		ctl.Parallelism = parallelism
+		obs := &captureObs{}
+		ctl.Observer = obs
 		out, err := ctl.Deploy(context.Background(), policy, up("v1"), bigFleet(4, 8, bad))
 		if err != nil {
 			t.Fatal(err)
@@ -140,14 +181,23 @@ func TestWorkerPoolMatchesSerialOutcome(t *testing.T) {
 		for _, id := range []string{"v1", "v2"} {
 			seq = append(seq, depositOrder(urr, id)...)
 		}
-		return seq, out
+		checkWaveShape(t, obs.events)
+		keys := make([]eventKey, len(obs.events))
+		for i, ev := range obs.events {
+			keys[i] = eventKey{ev.Type, ev.Stage, ev.Node, ev.UpgradeID}
+		}
+		return seq, keys, out
 	}
 	for _, policy := range []Policy{PolicyBalanced, PolicyFrontLoading, PolicyNoStaging, PolicyAdaptive} {
-		serialSeq, serialOut := run(1, policy)
-		poolSeq, poolOut := run(8, policy)
+		serialSeq, serialEvents, serialOut := run(1, policy)
+		poolSeq, poolEvents, poolOut := run(8, policy)
 		if !reflect.DeepEqual(serialSeq, poolSeq) {
 			t.Fatalf("%v: deposit sequence diverged between pool sizes:\nserial %v\npool   %v",
 				policy, serialSeq, poolSeq)
+		}
+		if !reflect.DeepEqual(serialEvents, poolEvents) {
+			t.Fatalf("%v: observer sequence diverged between pool sizes:\nserial %v\npool   %v",
+				policy, serialEvents, poolEvents)
 		}
 		if serialOut.Overhead != poolOut.Overhead || serialOut.Rounds != poolOut.Rounds ||
 			serialOut.Integrated() != poolOut.Integrated() || serialOut.FinalID != poolOut.FinalID {

@@ -56,37 +56,44 @@ func TestBudgetBlocksAtCap(t *testing.T) {
 	}
 }
 
-// meteredNode counts how many validations/integrations run concurrently
-// across ALL instances, recording the maximum ever observed.
-type meteredNode struct {
-	name               string
-	inFlight, maxSeen  *atomic.Int64
-	tested, integrated *atomic.Int64
-}
+// peak tracks how many callers are inside at once and the most ever seen.
+type peak struct{ cur, max atomic.Int64 }
 
-func (n *meteredNode) enter() {
-	cur := n.inFlight.Add(1)
+func (p *peak) enter() {
+	cur := p.cur.Add(1)
 	for {
-		max := n.maxSeen.Load()
-		if cur <= max || n.maxSeen.CompareAndSwap(max, cur) {
+		max := p.max.Load()
+		if cur <= max || p.max.CompareAndSwap(max, cur) {
 			return
 		}
 	}
 }
 
+func (p *peak) leave() { p.cur.Add(-1) }
+
+// meteredNode counts how many member RPCs — and, separately, how many
+// integrations — run concurrently across ALL instances.
+type meteredNode struct {
+	name               string
+	rpcs, integrating  *peak
+	tested, integrated *atomic.Int64
+}
+
 func (n *meteredNode) Name() string { return n.name }
 
 func (n *meteredNode) TestUpgrade(_ context.Context, up *pkgmgr.Upgrade) (*report.Report, error) {
-	n.enter()
-	defer n.inFlight.Add(-1)
+	n.rpcs.enter()
+	defer n.rpcs.leave()
 	time.Sleep(time.Millisecond)
 	n.tested.Add(1)
 	return &report.Report{UpgradeID: up.ID, Machine: n.name, Success: true}, nil
 }
 
 func (n *meteredNode) Integrate(context.Context, *pkgmgr.Upgrade) error {
-	n.enter()
-	defer n.inFlight.Add(-1)
+	n.rpcs.enter()
+	defer n.rpcs.leave()
+	n.integrating.enter()
+	defer n.integrating.leave()
 	time.Sleep(time.Millisecond)
 	n.integrated.Add(1)
 	return nil
@@ -94,15 +101,17 @@ func (n *meteredNode) Integrate(context.Context, *pkgmgr.Upgrade) error {
 
 // TestDeployRespectsBudget runs a wide wave through a controller whose
 // pool is far wider than the worker budget and asserts the nodes never
-// observe more concurrent RPCs than the budget allows.
+// observe more concurrent RPCs than the budget allows — tests and
+// integrations alike, now that both run on the pool.
 func TestDeployRespectsBudget(t *testing.T) {
-	var inFlight, maxSeen, tested, integrated atomic.Int64
+	var rpcs, integrating peak
+	var tested, integrated atomic.Int64
 	const members = 32
 	budget := NewBudget(3)
 	cl := &Cluster{ID: "budget-c0", Distance: 1}
 	for i := 0; i < members; i++ {
 		n := &meteredNode{name: fmt.Sprintf("budget-%02d", i),
-			inFlight: &inFlight, maxSeen: &maxSeen, tested: &tested, integrated: &integrated}
+			rpcs: &rpcs, integrating: &integrating, tested: &tested, integrated: &integrated}
 		if i == 0 {
 			cl.Representatives = append(cl.Representatives, n)
 		} else {
@@ -120,8 +129,12 @@ func TestDeployRespectsBudget(t *testing.T) {
 	if out.Integrated() != members {
 		t.Fatalf("integrated %d/%d", out.Integrated(), members)
 	}
-	if got := maxSeen.Load(); got > 3 {
+	if got := rpcs.max.Load(); got > 3 {
 		t.Fatalf("nodes observed %d concurrent RPCs, budget allows 3", got)
+	}
+	// Integrations overlap (they share the pool) and the cap binds them.
+	if got := integrating.max.Load(); got < 2 || got > 3 {
+		t.Fatalf("nodes observed %d concurrent integrations, want 2..3 (pooled, budget 3)", got)
 	}
 	if got := budget.HighWater(); got > 3 {
 		t.Fatalf("budget high water = %d, cap 3", got)

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -181,6 +183,150 @@ func TestObserverWriteFailureHaltsPlan(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "recording state transition") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// gatedNode passes validation at once; its Integrate announces itself and
+// then blocks until the test releases it.
+type gatedNode struct {
+	name     string
+	started  chan<- string
+	release  chan struct{}
+	late     *atomic.Bool // set once the failing OnEvent is about to return
+	tooLate  *atomic.Int64
+	finished atomic.Bool
+}
+
+func (n *gatedNode) Name() string { return n.name }
+
+func (n *gatedNode) TestUpgrade(_ context.Context, up *pkgmgr.Upgrade) (*report.Report, error) {
+	return &report.Report{UpgradeID: up.ID, Machine: n.name, Success: true}, nil
+}
+
+func (n *gatedNode) Integrate(context.Context, *pkgmgr.Upgrade) error {
+	if n.late.Load() {
+		n.tooLate.Add(1)
+	}
+	n.started <- n.name
+	<-n.release
+	n.finished.Store(true)
+	return nil
+}
+
+// failingJournal records integrations until the k-th, which it refuses.
+type failingJournal struct {
+	k        int
+	recorded []string
+	late     *atomic.Bool
+	failed   chan struct{}
+}
+
+func (j *failingJournal) OnEvent(ev Event) error {
+	if ev.Type != EventIntegrated {
+		return nil
+	}
+	if len(j.recorded) == j.k-1 {
+		j.late.Store(true)
+		close(j.failed)
+		return errors.New("journal disk full")
+	}
+	j.recorded = append(j.recorded, ev.Node)
+	return nil
+}
+
+// TestIntegrateWindowUnderFailingJournal pins the unjournaled-integration
+// window. Integrations run Parallelism wide, so a journal that dies can
+// leave more than one of them unrecorded — but never more than
+// Parallelism: the pool does not run ahead of the bookkeeping by more
+// than its width, and starts nothing once the observer has failed. One
+// wave of 12, pool of 4, the third integrated record refused:
+// members 0–1 are recorded; 2 (whose record was refused), 3 (finished
+// out of order, not yet booked) and 4–5 (in flight) integrated
+// unrecorded; 6–11 were never touched and stay on version N.
+func TestIntegrateWindowUnderFailingJournal(t *testing.T) {
+	const members, width, k = 12, 4, 3
+	started := make(chan string, members)
+	var late atomic.Bool
+	var tooLate atomic.Int64
+	nodes := make([]*gatedNode, members)
+	cl := &Cluster{ID: "w", Distance: 1}
+	for i := range nodes {
+		nodes[i] = &gatedNode{name: fmt.Sprintf("w-%02d", i), started: started,
+			release: make(chan struct{}), late: &late, tooLate: &tooLate}
+		if i == 0 {
+			cl.Representatives = append(cl.Representatives, nodes[i])
+		} else {
+			cl.Others = append(cl.Others, nodes[i])
+		}
+	}
+	journal := &failingJournal{k: k, late: &late, failed: make(chan struct{})}
+	ctl := NewController(report.New(), nil)
+	ctl.Parallelism = width
+	ctl.Observer = journal
+
+	type result struct {
+		out *Outcome
+		err error
+	}
+	deployed := make(chan result, 1)
+	go func() {
+		out, err := ctl.Deploy(context.Background(), PolicyNoStaging, up("v1"), []*Cluster{cl})
+		deployed <- result{out, err}
+	}()
+	awaitStarts := func(n int) {
+		t.Helper()
+		for ; n > 0; n-- {
+			select {
+			case <-started:
+			case <-time.After(5 * time.Second):
+				t.Fatal("an expected integrate never started")
+			}
+		}
+	}
+	awaitStarts(width)      // 0–3 in flight, the window is full
+	close(nodes[0].release) // 0 recorded, 4 starts
+	awaitStarts(1)
+	close(nodes[1].release) // 1 recorded, 5 starts
+	awaitStarts(1)
+	close(nodes[3].release) // 3 finishes out of order: held until 2 is booked
+	close(nodes[2].release) // 2's record is refused; the journal is dead
+	select {
+	case <-journal.failed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the journal never saw the record it was to refuse")
+	}
+	close(nodes[4].release)
+	close(nodes[5].release)
+	res := <-deployed
+	if res.err == nil || !strings.Contains(res.err.Error(), "recording state transition") {
+		t.Fatalf("err = %v, want the journal failure", res.err)
+	}
+	if got := tooLate.Load(); got != 0 {
+		t.Fatalf("%d integrations started after the failing OnEvent returned", got)
+	}
+	if got := len(started); got != 0 {
+		t.Fatalf("%d more integrations started than the window allows", got)
+	}
+	if got, want := journal.recorded, []string{"w-00", "w-01"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("recorded = %v, want %v", got, want)
+	}
+	unrecorded := 0
+	for i, n := range nodes {
+		done := n.finished.Load()
+		if done && i >= k-1 {
+			unrecorded++
+		}
+		if i >= k-1+width && done {
+			t.Fatalf("%s integrated although the journal had already died", n.name)
+		}
+		// The outcome tells the truth either way: what integrated is on
+		// N+1, recorded or not, and what did not is still on N.
+		if got := res.out.Nodes[n.name].UpgradeID; (got != "") != done {
+			t.Fatalf("%s: outcome says %q, node integrated = %v", n.name, got, done)
+		}
+	}
+	if unrecorded != width {
+		t.Fatalf("%d integrations went unrecorded, want exactly the pool width %d", unrecorded, width)
 	}
 }
 

@@ -54,7 +54,10 @@ type Node interface {
 	// it is done and return ctx.Err() (possibly wrapped).
 	TestUpgrade(ctx context.Context, up *pkgmgr.Upgrade) (*report.Report, error)
 	// Integrate applies the upgrade to the production system. Called only
-	// after the node's own validation succeeded, never concurrently.
+	// after the node's own validation succeeded; like TestUpgrade it runs
+	// concurrently on different nodes, never twice at once on one. A vendor
+	// that lost the reply or crashed before journaling it calls Integrate
+	// again with the same upgrade, so repeating it must be harmless.
 	Integrate(ctx context.Context, up *pkgmgr.Upgrade) error
 }
 
@@ -324,17 +327,20 @@ type Controller struct {
 	MaxRounds int
 	// Seed drives the PolicyRandomStaging shuffle, for reproducibility.
 	Seed uint64
-	// Parallelism bounds how many nodes of a wave test concurrently
-	// (<= 1 means serial). Outcomes and URR contents are identical at any
-	// pool size: reports are deposited and nodes integrated in
-	// deterministic wave order after the pool drains.
+	// Parallelism is the width of the worker pool a wave's member RPCs
+	// run on — first every test, then every passing member's integrate
+	// (below 2 is a pool of one). URR contents, the event sequence and the
+	// outcome are identical at any width: verdicts are booked in member
+	// order once the tests have drained, integrations in member order as
+	// they complete. It is also the most integrations a failing journal
+	// can leave unrecorded (see integrateMembers).
 	Parallelism int
 	// Budget, when set, is the vendor-wide cap on concurrently in-flight
 	// member RPCs shared by every rollout (the orchestrator owns one and
 	// installs it on each controller it starts). A slot is acquired per
 	// test/integrate attempt and released before any retry backoff.
 	// Determinism is unaffected: the budget only throttles when attempts
-	// run, and outcomes are booked in member order after the pool drains.
+	// run, and outcomes are booked in member order.
 	Budget *Budget
 	// Transfer, when set, reports the transport's cumulative transfer
 	// counters (e.g. transport.Server.TransferSnapshot). Deploy snapshots
@@ -634,7 +640,9 @@ type waveRunner struct {
 	stage, skipStages int
 	// halted is set when the observer can no longer record transitions:
 	// from that moment no new side effect (integration, quarantine) may
-	// be performed, or a crash-resume would not know it happened.
+	// be started, or a crash-resume would not know it happened, and the
+	// observer is offered nothing further. Integrations already on the
+	// pool finish and show in the outcome only.
 	halted bool
 	err    error
 }
@@ -718,7 +726,7 @@ func (r *waveRunner) gate(stage int) bool {
 // the transition halts the plan: a journal the rollout has outrun is no
 // longer a journal.
 func (r *waveRunner) emit(ev Event) {
-	if r.ctl.Observer == nil {
+	if r.ctl.Observer == nil || r.halted {
 		return
 	}
 	if err := r.ctl.Observer.OnEvent(ev); err != nil {
@@ -939,15 +947,13 @@ func (r *waveRunner) canaryConverge(stage int, all []member) {
 			for _, m := range failed {
 				failedNow[m.node.Name()] = true
 			}
+			var promote []member
 			for _, m := range r.alive(ms) {
-				if failedNow[m.node.Name()] {
-					continue // tolerated failure: stays on version N
-				}
-				r.integrateMember(stage, m)
-				if r.err != nil || r.halted || r.checkAbort(stage) {
-					return
+				if !failedNow[m.node.Name()] { // a tolerated failure stays on version N
+					promote = append(promote, m)
 				}
 			}
+			r.integrateMembers(stage, promote)
 			return
 		}
 	}
@@ -1030,65 +1036,90 @@ func (r *waveRunner) quarantine(stage int, m member, reason string) {
 		Cluster: m.cluster, UpgradeID: r.up.ID, Reason: reason})
 }
 
+// runPool runs work(i) for every i in [0,n) on a pool of Parallelism
+// goroutines (one when Parallelism is below 2, never more than n) and
+// calls done(i) on the calling goroutine, in index order, as soon as i and
+// everything before it has finished. The calling goroutine is the
+// dispatcher: it hands out indices in order, keeps at most window of them
+// started but not yet passed to done, and asks proceed before each one —
+// once that says no, nothing further starts, while what already started
+// still finishes and is still passed to done. done and proceed therefore
+// share state without synchronisation.
+func (r *waveRunner) runPool(n, window int, work func(i int), done func(i int), proceed func() bool) {
+	workers := min(max(r.ctl.Parallelism, 1), n)
+	feed := make(chan int)
+	// One slot per worker: it parks a result and takes its next index
+	// while the dispatcher is still booking an earlier one.
+	results := make(chan int, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range feed {
+				work(i)
+				results <- i
+			}
+		}()
+	}
+	finished := make([]bool, n)
+	next, passed := 0, 0 // [passed, next) are started and not yet passed to done
+	for {
+		var to chan<- int
+		if next < n && next-passed < window && proceed() {
+			to = feed
+		}
+		if to == nil && passed == next {
+			break // nothing in flight, nothing more to start
+		}
+		select {
+		case to <- next:
+			next++
+		case i := <-results:
+			finished[i] = true
+			for ; passed < next && finished[passed]; passed++ {
+				done(passed)
+			}
+		}
+	}
+	close(feed)
+	wg.Wait()
+}
+
 // testMembers validates the current upgrade on every member. Node tests
 // run concurrently on the worker pool bounded by Controller.Parallelism,
-// each with its own transient-retry budget; reports are then deposited
-// and passing nodes integrated strictly in member order, so URR contents
-// and the outcome are identical at any pool size. Members whose retries
-// exhaust are quarantined; non-transient errors halt the plan. It returns
-// the members that failed validation and how many verdicts were booked.
-// With integrate false (canary gating) passing members are left on their
-// current version — the gate decides promotion later.
+// each with its own transient-retry budget; once the pool has drained,
+// reports are deposited and verdicts booked strictly in member order, and
+// then the passing members integrate on the same pool (integrateMembers)
+// — so URR contents, the event sequence and the outcome are identical at
+// any pool size. Members whose retries exhaust are quarantined;
+// non-transient errors halt the plan. It returns the members that failed
+// validation and how many verdicts were booked. With integrate false
+// (canary gating) passing members are left on their current version — the
+// gate decides promotion later.
 func (r *waveRunner) testMembers(stage int, ms []member, integrate bool) (failed []member, tested int) {
 	reports := make([]*report.Report, len(ms))
 	errs := make([]error, len(ms))
-	workers := r.ctl.Parallelism
-	if workers > len(ms) {
-		workers = len(ms)
-	}
 	sctx := r.spanCtx // read once, before any worker goroutine exists
-	if sctx == nil {
-		sctx = r.ctx
-	}
-	if workers <= 1 {
-		for i, m := range ms {
-			if r.ctx.Err() != nil {
-				break // abort: start no further member test
-			}
-			reports[i], errs[i] = r.testWithRetry(sctx, m.node)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					if r.ctx.Err() != nil {
-						continue // abort: drain without starting new tests
-					}
-					reports[i], errs[i] = r.testWithRetry(sctx, ms[i].node)
-				}
-			}()
-		}
-		for i := range ms {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
+	r.runPool(len(ms), len(ms),
+		func(i int) { reports[i], errs[i] = r.testWithRetry(sctx, ms[i].node) },
+		func(int) {},
+		func() bool { return r.ctx.Err() == nil }) // abort: start no further member test
 
 	// Even when a node errors, every report the pool already produced is
 	// deposited and booked in member order — evidence of validation work
 	// performed on real machines must not be discarded. Transient errors
 	// that survived their retry budget quarantine the member; the first
 	// non-transient error (in member order) halts the plan after this
-	// accounting pass. A journal failure is different: it stops the pass
+	// wave. A journal failure is different: it stops the pass
 	// immediately, because side effects the journal cannot record must
 	// not happen. So does an abort: once the abandoned record is down,
 	// nothing may be journaled after it — reports produced in the abort
 	// window are deliberately dropped.
+	var passed []member
+	if integrate {
+		passed = make([]member, 0, len(ms))
+	}
 	for i, m := range ms {
 		if r.halted || r.checkAbort(stage) {
 			break
@@ -1128,9 +1159,10 @@ func (r *waveRunner) testMembers(stage int, ms []member, integrate bool) (failed
 			continue
 		}
 		if integrate {
-			r.integrateMember(stage, m)
+			passed = append(passed, m)
 		}
 	}
+	r.integrateMembers(stage, passed)
 	return failed, tested
 }
 
@@ -1159,41 +1191,74 @@ func (ctl *Controller) notifyFinal(ctx context.Context, final *pkgmgr.Upgrade, c
 	return r.err
 }
 
-// integrateMember applies the validated upgrade on the node, retrying
-// transient errors on the same bounded backoff as testing — a member that
-// validated successfully but lost its connection before integrating gets
-// the same chance to come back. FinalID advances here — when a version
+// integrateMembers applies the validated upgrade on every member, on the
+// same Parallelism- and Budget-bounded pool as testing, and books each
+// result — EventIntegrated, or quarantine for a member that stayed
+// unreachable through its retries — on the runner goroutine in member
+// order as completions arrive. FinalID advances here — when a version
 // actually reaches a node — so that on abandonment the outcome names the
 // last version that deployed, never a fix that no node integrated.
-func (r *waveRunner) integrateMember(stage int, m member) {
-	sctx, end := telemetry.StartSpan(r.spanCtx, "integrate", m.node.Name(), m.node.Name())
+//
+// Integration is the one side effect a journal must not lose, so the
+// pool never runs ahead of the bookkeeping by more than its own width: at
+// most Parallelism members are integrating or integrated-but-unbooked at
+// any moment, and no integration starts once the observer has failed, the
+// context is cancelled, or a member's integrate returned a non-transient
+// error. That bounds what a dying journal can leave unrecorded to
+// Parallelism members; a resumed rollout re-tests and re-integrates
+// exactly those, which is why agents acknowledge a repeated integrate of
+// the manifest they applied last without applying it again.
+func (r *waveRunner) integrateMembers(stage int, ms []member) {
+	if len(ms) == 0 {
+		return
+	}
+	errs := make([]error, len(ms))
+	sctx := r.spanCtx // read once, before any worker goroutine exists
+	broken := false   // an integrate failed for good; its error is booked in member order
+	r.runPool(len(ms), max(r.ctl.Parallelism, 1),
+		func(i int) { errs[i] = r.integrateWithRetry(sctx, ms[i].node) },
+		func(i int) {
+			m, err := ms[i], errs[i]
+			switch {
+			case err == nil:
+				r.out.Nodes[m.node.Name()].UpgradeID = r.up.ID
+				r.out.FinalID = r.up.ID
+				r.emit(Event{Type: EventIntegrated, Stage: stage, Node: m.node.Name(),
+					Cluster: m.cluster, UpgradeID: r.up.ID})
+			case IsTransient(err):
+				r.quarantine(stage, m, err.Error())
+			case r.ctx.Err() != nil:
+				// The abort surfacing as this member's error; checkAbort
+				// journals it below, after everything that did integrate.
+			default:
+				broken = true
+				if r.err == nil {
+					r.err = fmt.Errorf("deploy: integrating %s on %s: %w", r.up.ID, m.node.Name(), err)
+				}
+			}
+		},
+		func() bool { return !r.halted && !broken && r.ctx.Err() == nil })
+	r.checkAbort(stage)
+}
+
+// integrateWithRetry applies the validated upgrade on one node, retrying
+// transient errors on the same bounded backoff as testing — a member that
+// validated successfully but lost its connection before integrating gets
+// the same chance to come back. ctx carries the enclosing wave span, as
+// for testWithRetry.
+func (r *waveRunner) integrateWithRetry(ctx context.Context, n Node) error {
+	sctx, end := telemetry.StartSpan(ctx, "integrate", n.Name(), n.Name())
 	endTimer := r.ctl.memberHist().With("integrate").Time()
-	err := r.ctl.retryTransient(sctx, m.node.Name(), func(ctx context.Context) error {
+	err := r.ctl.retryTransient(sctx, n.Name(), func(ctx context.Context) error {
 		t0 := time.Now()
 		if err := r.ctl.Budget.Acquire(ctx); err != nil {
 			return err
 		}
 		r.ctl.budgetHist().With("integrate").ObserveSince(t0)
 		defer r.ctl.Budget.Release()
-		return m.node.Integrate(ctx, r.up)
+		return n.Integrate(ctx, r.up)
 	})
 	endTimer()
 	end(err)
-	if err != nil {
-		if IsTransient(err) {
-			r.quarantine(stage, m, err.Error())
-			return
-		}
-		if r.checkAbort(stage) {
-			return
-		}
-		if r.err == nil {
-			r.err = fmt.Errorf("deploy: integrating %s on %s: %w", r.up.ID, m.node.Name(), err)
-		}
-		return
-	}
-	r.out.Nodes[m.node.Name()].UpgradeID = r.up.ID
-	r.out.FinalID = r.up.ID
-	r.emit(Event{Type: EventIntegrated, Stage: stage, Node: m.node.Name(),
-		Cluster: m.cluster, UpgradeID: r.up.ID})
+	return err
 }

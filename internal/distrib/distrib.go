@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/fingerprint"
 	"repro/internal/machine"
@@ -60,6 +61,12 @@ type Manifest struct {
 	Files      []FileManifest      `json:"files"`
 	Deps       []pkgmgr.Dependency `json:"deps,omitempty"`
 	Migrations []pkgmgr.FileEdit   `json:"migrations,omitempty"`
+
+	// addrs is the distinct address list, which every push of the
+	// manifest needs and Store.Manifest derives once. Unexported, so it
+	// does not travel; a manifest decoded off the wire derives it on
+	// demand.
+	addrs []uint64
 }
 
 // ChunkCount returns the number of chunk references across all files
@@ -70,6 +77,30 @@ func (m *Manifest) ChunkCount() int {
 		n += len(f.Chunks)
 	}
 	return n
+}
+
+// Addrs returns the manifest's distinct chunk addresses in order of first
+// appearance. The slice is shared by every holder of a store-built
+// manifest and must not be modified.
+func (m *Manifest) Addrs() []uint64 {
+	if m.addrs != nil {
+		return m.addrs
+	}
+	return distinctAddrs(m.Files)
+}
+
+func distinctAddrs(files []FileManifest) []uint64 {
+	seen := make(map[uint64]bool)
+	out := make([]uint64, 0, len(files))
+	for _, f := range files {
+		for _, ref := range f.Chunks {
+			if !seen[ref.Hash] {
+				seen[ref.Hash] = true
+				out = append(out, ref.Hash)
+			}
+		}
+	}
+	return out
 }
 
 // PayloadBytes returns the total file bytes the manifest describes — what
@@ -98,6 +129,81 @@ type Store struct {
 	chunks    map[uint64][]byte
 	bytes     int64
 	manifests map[uint64]*Manifest // by upgrade content signature
+
+	// memo answers a repeat Manifest call for the same upgrade value
+	// without hashing its payload. Entries are immutable once published
+	// and read lock-free, so the pool workers of a rollout — every one of
+	// them resolving the same upgrade for each member — neither serialise
+	// on mu nor wait out another upgrade's cold chunking. Writers hold mu;
+	// memoNext is the slot the next new entry overwrites.
+	memo     [memoSlots]atomic.Pointer[memoEntry]
+	memoNext int
+}
+
+// memoSlots is how many upgrade values the identity memo remembers: the
+// versions in flight across a vendor's concurrent rollouts (original,
+// fixes, rollback baseline). More than that merely re-sign.
+const memoSlots = 8
+
+// memoEntry identifies one upgrade value by what is cheap to compare and
+// changes whenever a caller builds or re-points anything: the value and
+// its package by address, the ID, and per file the payload slice's base
+// and length.
+type memoEntry struct {
+	up         *pkgmgr.Upgrade
+	id         string
+	pkg        *pkgmgr.Package
+	files      []payloadIdent
+	migrations int
+	man        *Manifest
+}
+
+type payloadIdent struct {
+	base *byte
+	n    int
+}
+
+func identOf(data []byte) payloadIdent {
+	if len(data) == 0 {
+		return payloadIdent{}
+	}
+	return payloadIdent{&data[0], len(data)}
+}
+
+func (e *memoEntry) matches(up *pkgmgr.Upgrade) bool {
+	if e.up != up || e.id != up.ID || e.pkg != up.Pkg ||
+		e.migrations != len(up.Migrations) || len(e.files) != len(up.Pkg.Files) {
+		return false
+	}
+	for i, f := range up.Pkg.Files {
+		if e.files[i] != identOf(f.Data) {
+			return false
+		}
+	}
+	return true
+}
+
+// remembered returns the memoized manifest for exactly this upgrade
+// value, or nil.
+func (s *Store) remembered(up *pkgmgr.Upgrade) *Manifest {
+	for i := range s.memo {
+		if e := s.memo[i].Load(); e != nil && e.matches(up) {
+			return e.man
+		}
+	}
+	return nil
+}
+
+// remember publishes up → m, overwriting the oldest slot. Callers hold
+// s.mu and have checked that no entry matches up.
+func (s *Store) remember(up *pkgmgr.Upgrade, m *Manifest) {
+	e := &memoEntry{up: up, id: up.ID, pkg: up.Pkg, migrations: len(up.Migrations), man: m,
+		files: make([]payloadIdent, len(up.Pkg.Files))}
+	for i, f := range up.Pkg.Files {
+		e.files[i] = identOf(f.Data)
+	}
+	s.memo[s.memoNext].Store(e)
+	s.memoNext = (s.memoNext + 1) % memoSlots
 }
 
 // NewStore returns an empty store using the default LBFS chunking
@@ -114,8 +220,9 @@ func NewStore() *Store {
 // metadata, migrations, and full file contents. Manifests are cached
 // under this signature rather than the upgrade ID, so an upgrade whose
 // bytes changed under a reused ID (a careless Fixer, say) re-chunks
-// instead of silently distributing the stale content. One whole-content
-// hash pass per push is cheap next to chunking, which stays amortized.
+// instead of silently distributing the stale content. It reads every
+// payload byte — 43 µs for 64 KiB, 350 µs for 528 KiB — which is why
+// Store.Manifest pays it once per upgrade value, not once per push.
 func upgradeSignature(up *pkgmgr.Upgrade) uint64 {
 	hashBool := func(b bool) uint64 {
 		if b {
@@ -158,13 +265,39 @@ func (s *Store) put(addr uint64, data []byte) {
 // signature, so pushing one upgrade to a thousand machines chunks it
 // once — and a changed upgrade is never served a stale manifest, even
 // under a reused ID.
+//
+// A thousand pushes do not sign it a thousand times either: a repeat call
+// with the same upgrade value is answered from the identity memo, without
+// reading file bytes or taking the store's lock. The contract is the one
+// a rollout's concurrent pool workers already require — an upgrade handed
+// to Manifest is read-only from then on. A new value, a changed ID, a
+// re-pointed package, a file added or dropped, a payload slice replaced
+// or resized all miss the memo and are signed in full; what the memo
+// cannot see is an edit that keeps every one of those identities, namely
+// bytes overwritten inside an unchanged Data slice or metadata fields
+// edited in place.
 func (s *Store) Manifest(up *pkgmgr.Upgrade) *Manifest {
+	if m := s.remembered(up); m != nil {
+		return m
+	}
 	sig := upgradeSignature(up)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if m, ok := s.manifests[sig]; ok {
-		return m
+	m, ok := s.manifests[sig]
+	if !ok {
+		m = s.chunk(up)
+		s.manifests[sig] = m
 	}
+	// Re-checked under mu: of several workers missing at once, one
+	// publishes.
+	if s.remembered(up) == nil {
+		s.remember(up, m)
+	}
+	return m
+}
+
+// chunk builds up's manifest, storing every chunk. Callers hold s.mu.
+func (s *Store) chunk(up *pkgmgr.Upgrade) *Manifest {
 	m := &Manifest{
 		ID: up.ID, Name: up.Pkg.Name, Version: up.Pkg.Version,
 		Replaces: up.Replaces, Urgent: up.Urgent,
@@ -179,7 +312,7 @@ func (s *Store) Manifest(up *pkgmgr.Upgrade) *Manifest {
 		}
 		m.Files = append(m.Files, fm)
 	}
-	s.manifests[sig] = m
+	m.addrs = distinctAddrs(m.Files)
 	return m
 }
 

@@ -267,3 +267,149 @@ func TestCacheChunksServesWhatItHolds(t *testing.T) {
 		t.Fatalf("empty request served %d chunks", len(out))
 	}
 }
+
+// reproduces reports whether man, resolved through a fresh cache against
+// store, assembles to exactly up's files.
+func reproduces(t *testing.T, store *Store, man *Manifest, up *pkgmgr.Upgrade) bool {
+	t.Helper()
+	cache := NewCache()
+	chunks, err := store.Chunks(cache.Missing(man))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ch := range chunks {
+		if err := cache.Add(ch.Hash, ch.Data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	back, err := cache.Assemble(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.ID != up.ID || len(back.Pkg.Files) != len(up.Pkg.Files) {
+		return false
+	}
+	for i, f := range back.Pkg.Files {
+		if f.Path != up.Pkg.Files[i].Path || !bytes.Equal(f.Data, up.Pkg.Files[i].Data) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestManifestMemoSeesEveryIdentityChange: a repeat call with the same
+// upgrade value is answered from the identity memo — same manifest, no
+// allocation, no payload read — and every change the memo's contract
+// names (a payload slice replaced, a file added, the ID changed), made
+// through the very same *Upgrade, is signed afresh and gets the manifest
+// of the content it now has.
+func TestManifestMemoSeesEveryIdentityChange(t *testing.T) {
+	store := NewStore()
+	up := upgrade("app-2.0",
+		&machine.File{Path: "/bin/app", Type: machine.TypeExecutable, Version: "2.0", Data: payload(21, 60_000)})
+	first := store.Manifest(up)
+	if store.Manifest(up) != first {
+		t.Fatal("repeat call returned a different manifest")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { store.Manifest(up) }); allocs != 0 {
+		t.Fatalf("a memo hit allocates %v times, want 0", allocs)
+	}
+
+	prev := first
+	step := func(what string, change func()) {
+		t.Helper()
+		change()
+		man := store.Manifest(up)
+		if man == prev {
+			t.Fatalf("%s: served the previous manifest", what)
+		}
+		if !reproduces(t, store, man, up) {
+			t.Fatalf("%s: manifest does not reproduce the upgrade as it now is", what)
+		}
+		if store.Manifest(up) != man {
+			t.Fatalf("%s: the re-signed upgrade was not memoized", what)
+		}
+		prev = man
+	}
+	step("payload slice replaced", func() { up.Pkg.Files[0].Data = payload(22, 60_000) })
+	step("file added", func() {
+		up.Pkg.Files = append(up.Pkg.Files,
+			&machine.File{Path: "/lib/libapp.so", Type: machine.TypeSharedLib, Version: "2", Data: payload(23, 20_000)})
+	})
+	step("ID changed", func() { up.ID = "app-2.0b" })
+
+	// Content decides, not the memo: a new value with the first content
+	// under the first ID gets the first manifest back.
+	again := upgrade("app-2.0",
+		&machine.File{Path: "/bin/app", Type: machine.TypeExecutable, Version: "2.0", Data: payload(21, 60_000)})
+	if store.Manifest(again) != first {
+		t.Fatal("identical content under a new value re-chunked")
+	}
+}
+
+// TestManifestMemoOverflow: more live upgrades than the memo has slots,
+// visited round-robin so every visit finds its entry evicted — each call
+// must still return the manifest of the upgrade it was handed.
+func TestManifestMemoOverflow(t *testing.T) {
+	store := NewStore()
+	ups := make([]*pkgmgr.Upgrade, memoSlots+3)
+	for i := range ups {
+		ups[i] = upgrade(fmt.Sprintf("app-2.0-%d", i),
+			&machine.File{Path: "/bin/app", Type: machine.TypeExecutable, Version: "2.0", Data: payload(byte(30+i), 20_000)})
+	}
+	mans := make([]*Manifest, len(ups))
+	for round := 0; round < 3; round++ {
+		for i, up := range ups {
+			man := store.Manifest(up)
+			if round == 0 {
+				mans[i] = man
+				if !reproduces(t, store, man, up) {
+					t.Fatalf("upgrade %d: manifest does not reproduce it", i)
+				}
+			} else if man != mans[i] {
+				t.Fatalf("round %d: upgrade %d got another upgrade's manifest", round, i)
+			}
+		}
+	}
+}
+
+// TestManifestConcurrentColdAndHot is the pool-worker picture under the
+// race detector: 8 goroutines resolving 2 upgrades, first cold (all of
+// them miss at once) and then hot (all of them hit the memo lock-free).
+func TestManifestConcurrentColdAndHot(t *testing.T) {
+	store := NewStore()
+	ups := []*pkgmgr.Upgrade{
+		upgrade("app-2.0", &machine.File{Path: "/bin/app", Type: machine.TypeExecutable, Version: "2.0", Data: payload(41, 80_000)}),
+		upgrade("app-2.1", &machine.File{Path: "/bin/app", Type: machine.TypeExecutable, Version: "2.1", Data: payload(42, 80_000)}),
+	}
+	var got [8][2]*Manifest
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for pass := 0; pass < 50; pass++ {
+				for u, up := range ups {
+					man := store.Manifest(up)
+					if got[g][u] == nil {
+						got[g][u] = man
+					} else if got[g][u] != man {
+						t.Errorf("goroutine %d: upgrade %d changed manifest between calls", g, u)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for u, up := range ups {
+		for g := range got {
+			if got[g][u] != got[0][u] {
+				t.Fatalf("upgrade %d: goroutines disagree on its manifest", u)
+			}
+		}
+		if !reproduces(t, store, got[0][u], up) {
+			t.Fatalf("upgrade %d: manifest does not reproduce it", u)
+		}
+	}
+}

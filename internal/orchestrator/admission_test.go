@@ -229,4 +229,11 @@ func TestHTTPAdmission429(t *testing.T) {
 	if resp := post(); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("POST /rollouts after drain = %d, want 201", resp.StatusCode)
 	}
+	// Let the admitted rollout finish: it journals into the test's
+	// TempDir, which cannot be removed from under it.
+	for _, h := range orch.List() {
+		if _, err := h.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

@@ -213,8 +213,9 @@ func TestInterruptedRolloutResumesWithoutRepeatingWork(t *testing.T) {
 	up := testUpgrade("v1")
 
 	// Run 1: the vendor dies seven state transitions in — after the near
-	// representative's stage gated and one of the two near others
-	// integrated.
+	// representative's stage gated and both near others' verdicts were
+	// recorded, with their integrations on the pool and none of them
+	// journaled yet.
 	ctl1 := deploy.NewController(report.New(), nil)
 	plan := ctl1.PlanFor(deploy.PolicyBalanced, clusters)
 	j, err := Create(path)
@@ -255,16 +256,20 @@ func TestInterruptedRolloutResumesWithoutRepeatingWork(t *testing.T) {
 	}
 
 	// Members the journal records as done were not re-tested or
-	// re-integrated; every member integrated exactly once overall. (A
-	// member whose validation outran the dying journal — ran but was never
-	// recorded — legitimately re-tests: unrecorded work is lost work.)
+	// re-integrated. Work that outran the dying journal — ran but was
+	// never recorded — is lost work and is legitimately repeated: such a
+	// member re-tests, and a member whose integration was on the pool when
+	// the journal died (at most Parallelism of them) integrates a second
+	// time. That repeat is the window deploy's integrateMembers documents;
+	// it is harmless because agents acknowledge a repeated integrate of
+	// the manifest they applied last without applying it again.
 	for name, n := range nodes {
 		tests, ints := n.totals()
 		if preIntegrated[name] && (tests != 1 || ints != 1) {
 			t.Fatalf("%s was journaled done but saw %d tests / %d integrations across both runs, want 1/1", name, tests, ints)
 		}
-		if ints != 1 {
-			t.Fatalf("%s integrated %d times across both runs, want exactly 1", name, ints)
+		if ints < 1 || ints > 2 {
+			t.Fatalf("%s integrated %d times across both runs, want 1 (or 2 if it was in flight at the crash)", name, ints)
 		}
 	}
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -64,6 +65,12 @@ type Agent struct {
 	// from its own.
 	watchMu sync.Mutex
 	watch   map[string]*watchState
+
+	// applied is the manifest of the last successful integration. A vendor
+	// that lost the reply (reset channel, crash between RPC and journal)
+	// repeats the integrate; answering the repeat from here keeps it from
+	// applying non-idempotent migrations (FileEdit.Append) a second time.
+	applied *WireManifest
 
 	peerLn                          net.Listener
 	peerReqs, peerChunks, peerBytes atomic.Int64
@@ -403,6 +410,9 @@ func (a *Agent) handleTest(req TestReq) Frame {
 }
 
 func (a *Agent) handleIntegrate(req IntegrateReq) Frame {
+	if a.applied != nil && reflect.DeepEqual(a.applied, req.Manifest) {
+		return Frame{OK: true} // already applied: acknowledge the repeat
+	}
 	up, need, err := a.resolveUpgrade(req.Manifest)
 	if err != nil {
 		return errFrame(err.Error())
@@ -414,6 +424,7 @@ func (a *Agent) handleIntegrate(req IntegrateReq) Frame {
 	if _, err := mgr.Apply(up); err != nil {
 		return errFrame(err.Error())
 	}
+	a.applied = req.Manifest
 	return Frame{OK: true}
 }
 

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"context"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -226,5 +227,65 @@ func TestConcurrentPushesSharedCache(t *testing.T) {
 	// payload; the rest ride it. Every chunk appears in the cache once.
 	if cs := shared.Stats(); cs.Hits == 0 {
 		t.Fatalf("shared cache saw no hits: %+v", cs)
+	}
+}
+
+// TestRepeatedIntegrateAppliesOnce: a vendor that lost an integrate's
+// reply (reset channel, crash before the journal record) sends it again.
+// The agent acknowledges the repeat of the manifest it applied last
+// without running the package manager, so a FileEdit.Append migration
+// lands once — while a different manifest under the same ID, and a
+// re-deploy after a rollback, still apply.
+func TestRepeatedIntegrateAppliesOnce(t *testing.T) {
+	const cnf, note = "/home/user/.my.cnf", "# migrated-for-5\n"
+	m := userMachine("idem", false)
+	m.WriteFile(&machine.File{Path: cnf, Type: machine.TypeConfig, Data: []byte("[client]\n")})
+	s, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	vendorEnd, agentEnd := net.Pipe()
+	if err := s.ServeConn(vendorEnd); err != nil {
+		t.Fatal(err)
+	}
+	go NewAgent(m).ServeConn(agentEnd)
+	if !s.WaitForAgent("idem", 5*time.Second) {
+		t.Fatal("agent never registered")
+	}
+	node, ctx := s.Node("idem"), context.Background()
+	integrate := func(up *pkgmgr.Upgrade, wantNotes int, what string) {
+		t.Helper()
+		if err := node.Integrate(ctx, up); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if got := bytes.Count(m.ReadFile(cnf).Data, []byte(note)); got != wantNotes {
+			t.Fatalf("%s: migration text present %d times, want %d", what, got, wantNotes)
+		}
+	}
+
+	up := mysql5Wire()
+	up.Migrations = []pkgmgr.FileEdit{{Path: cnf, Append: []byte(note)}}
+	integrate(up, 1, "first integrate")
+	integrate(up, 1, "repeated integrate")
+
+	// Same ID, different content: not a repeat.
+	changed := mysql5Wire()
+	changed.Pkg.Files[1] = lib(apps.LibMySQLPath, "5.0", "rebuilt")
+	changed.Migrations = up.Migrations
+	integrate(changed, 2, "changed manifest under the same ID")
+
+	// Back to the baseline and forward again: the re-deploy is not a
+	// repeat of the last integration either.
+	baseline := &pkgmgr.Upgrade{
+		ID: "mysql-4.1.22",
+		Pkg: &pkgmgr.Package{Name: "mysql", Version: "4.1.22", Files: []*machine.File{
+			exe(apps.MySQLExec, "4.1.22"), lib(apps.LibMySQLPath, "4.1", ""),
+		}},
+	}
+	integrate(baseline, 2, "rollback")
+	integrate(changed, 3, "re-deploy after rollback")
+	if ref, _ := m.Package("mysql"); ref.Version != "5.0.22" {
+		t.Fatalf("machine ended at %s", ref.Version)
 	}
 }

@@ -219,12 +219,14 @@ func (a *Agent) fetchFromPeer(peerAddr string, addrs []uint64) (got []uint64, n 
 }
 
 // peerIndex is the vendor-side chunk-location index: which agents hold
-// which chunk addresses, which advertise a peer port, and which are
-// cleared to serve (their waves gated). It is fed by transfer bookkeeping
-// — a manifest that resolved marks its addresses held — so no extra RPC
-// ever maintains it.
+// which chunk addresses and which are cleared to serve (their waves
+// gated). It is fed by transfer bookkeeping — a manifest that resolved
+// marks its addresses held — so no extra RPC ever maintains it. Where an
+// agent serves from is not kept here but on its registered channel
+// (agentConn.peer), so held and eligible survive a disconnect — the agent
+// serves again once it redials — while its address does not.
 type peerIndex struct {
-	addrs    map[string]string          // agent name → advertised peer address
+	addrs    map[string]string          // AddPeerSource name → address; never a registered agent's
 	held     map[string]map[uint64]bool // agent name → chunk addresses known held
 	eligible map[string]bool            // names cleared to serve (gated waves)
 }
@@ -238,8 +240,10 @@ func newPeerIndex() *peerIndex {
 }
 
 // hints returns up to MaxPeerHints peer addresses for need, best coverage
-// first (ties broken by name for determinism), excluding requester.
-func (pi *peerIndex) hints(requester string, need []uint64) []string {
+// first (ties broken by name for determinism), excluding requester. live
+// resolves a currently registered agent to the peer address its channel
+// advertised ("" when it is gone or serves none).
+func (pi *peerIndex) hints(requester string, need []uint64, live func(name string) string) []string {
 	type cand struct {
 		name  string
 		addr  string
@@ -248,10 +252,6 @@ func (pi *peerIndex) hints(requester string, need []uint64) []string {
 	var cands []cand
 	for name := range pi.eligible {
 		if name == requester {
-			continue
-		}
-		addr := pi.addrs[name]
-		if addr == "" {
 			continue
 		}
 		held := pi.held[name]
@@ -264,7 +264,14 @@ func (pi *peerIndex) hints(requester string, need []uint64) []string {
 				cover++
 			}
 		}
-		if cover > 0 {
+		if cover == 0 {
+			continue
+		}
+		addr := pi.addrs[name]
+		if addr == "" {
+			addr = live(name)
+		}
+		if addr != "" {
 			cands = append(cands, cand{name, addr, cover})
 		}
 	}

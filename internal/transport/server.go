@@ -66,6 +66,12 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 // agentConn is the vendor-side handle on one connected agent.
 type agentConn struct {
 	name string
+	// peer is the peer chunk-server address the agent advertised when it
+	// registered this channel ("" if it serves none). Living on the channel
+	// is what keeps hints honest: a dropped agent has no channel and so no
+	// address, and a redial replaces it with whatever the new registration
+	// says.
+	peer string
 	conn net.Conn
 	srv  *Server
 	// bw buffers frame writes so one frame is one buffered write burst
@@ -489,22 +495,12 @@ func (s *Server) AddPeerSource(name, addr string, addrs []uint64) {
 func (s *Server) peerHintsFor(requester string, need []uint64) []string {
 	s.peerMu.Lock()
 	defer s.peerMu.Unlock()
-	return s.peers.hints(requester, need)
-}
-
-// manifestAddrs flattens a manifest to its distinct chunk addresses.
-func manifestAddrs(man *WireManifest) []uint64 {
-	seen := make(map[uint64]bool)
-	out := make([]uint64, 0, len(man.Files))
-	for _, f := range man.Files {
-		for _, ref := range f.Chunks {
-			if !seen[ref.Hash] {
-				seen[ref.Hash] = true
-				out = append(out, ref.Hash)
-			}
+	return s.peers.hints(requester, need, func(name string) string {
+		if ac, ok := s.registry.Get(name); ok {
+			return ac.peer
 		}
-	}
-	return out
+		return ""
+	})
 }
 
 // markPeerHeld records that name resolved man completely — every address
@@ -514,7 +510,7 @@ func manifestAddrs(man *WireManifest) []uint64 {
 func (s *Server) markPeerHeld(name string, man *WireManifest) {
 	s.peerMu.Lock()
 	defer s.peerMu.Unlock()
-	s.peers.markHeld(name, manifestAddrs(man))
+	s.peers.markHeld(name, man.Addrs())
 }
 
 // creditPeerResult books what an agent reports its peers served it in
@@ -699,13 +695,8 @@ func (s *Server) register(conn net.Conn) {
 	bw := bufio.NewWriter(cw)
 	fc.bw = bw
 	ac := &agentConn{
-		name: hello.Register.Machine, conn: conn, srv: s,
+		name: hello.Register.Machine, peer: hello.Register.Peer, conn: conn, srv: s,
 		bw: bw, fc: fc, cw: cw,
-	}
-	if hello.Register.Peer != "" {
-		s.peerMu.Lock()
-		s.peers.addrs[ac.name] = hello.Register.Peer
-		s.peerMu.Unlock()
 	}
 	s.mu.Lock()
 	delete(s.pending, conn)
@@ -981,15 +972,17 @@ func (s *Server) pushUpgrade(ctx context.Context, name, op string, up *pkgmgr.Up
 			// misses per manifest *reference*: an address the agent lacks
 			// that appears twice is two missed lookups, not one miss and
 			// one phantom hit.
-			needed := make(map[uint64]bool, len(resp.NeedChunks))
-			for _, a := range resp.NeedChunks {
-				needed[a] = true
-			}
 			var miss int64
-			for _, f := range man.Files {
-				for _, ref := range f.Chunks {
-					if needed[ref.Hash] {
-						miss++
+			if len(resp.NeedChunks) > 0 {
+				needed := make(map[uint64]bool, len(resp.NeedChunks))
+				for _, a := range resp.NeedChunks {
+					needed[a] = true
+				}
+				for _, f := range man.Files {
+					for _, ref := range f.Chunks {
+						if needed[ref.Hash] {
+							miss++
+						}
 					}
 				}
 			}

@@ -155,7 +155,7 @@ func fakePeer(t *testing.T, serve func(fc *frameConn, bw *bufio.Writer, req Fram
 // upgradeAddrs resolves the distinct chunk addresses of up in the
 // server's store, as a fake peer's advertised holdings.
 func upgradeAddrs(s *Server, up *pkgmgr.Upgrade) []uint64 {
-	return manifestAddrs(s.ChunkStore().Manifest(up))
+	return s.ChunkStore().Manifest(up).Addrs()
 }
 
 // TestCorruptPeerFallsBackToVendor: a hinted peer serves bytes whose
@@ -355,7 +355,7 @@ func playLyingAgent(conn net.Conn, lie func(asked int) string) {
 			if pushed {
 				out.Report = &report.Report{Machine: "liar", Success: true}
 			} else {
-				out.NeedChunks = manifestAddrs(req.Test.Manifest)
+				out.NeedChunks = req.Test.Manifest.Addrs()
 			}
 		case OpPeerFetch:
 			out.NeedChunks = req.PeerFetch.Addrs
@@ -378,16 +378,19 @@ func playLyingAgent(conn net.Conn, lie func(asked int) string) {
 func TestPeerIndexHints(t *testing.T) {
 	pi := newPeerIndex()
 	for _, n := range []string{"a", "b", "c", "d", "e"} {
-		pi.addrs[n] = n + ":1"
 		pi.eligible[n] = true
 	}
+	// a and b are hand-registered sources; the rest resolve through their
+	// live channel.
+	pi.addrs["a"], pi.addrs["b"] = "a:1", "b:1"
+	live := func(name string) string { return name + ":1" }
 	pi.markHeld("a", []uint64{1, 2, 3})
 	pi.markHeld("b", []uint64{1, 2})
 	pi.markHeld("c", []uint64{1})
 	pi.markHeld("d", []uint64{1})
 	pi.markHeld("e", []uint64{9})
 
-	got := pi.hints("z", []uint64{1, 2, 3})
+	got := pi.hints("z", []uint64{1, 2, 3}, live)
 	want := []string{"a:1", "b:1", "c:1"} // e covers nothing, d loses the tie-break cut
 	if len(got) != len(want) {
 		t.Fatalf("hints = %v, want %v", got, want)
@@ -398,16 +401,97 @@ func TestPeerIndexHints(t *testing.T) {
 		}
 	}
 	// The requester never appears in its own hints.
-	for _, h := range pi.hints("a", []uint64{1, 2, 3}) {
+	for _, h := range pi.hints("a", []uint64{1, 2, 3}, live) {
 		if h == "a:1" {
 			t.Fatal("requester hinted to itself")
 		}
 	}
 	// Ineligible agents are invisible no matter their coverage.
 	delete(pi.eligible, "a")
-	for _, h := range pi.hints("z", []uint64{1, 2, 3}) {
+	for _, h := range pi.hints("z", []uint64{1, 2, 3}, live) {
 		if h == "a:1" {
 			t.Fatal("ineligible agent hinted")
 		}
 	}
+}
+
+// TestPeerIndexForgetsDeadAgent: an agent's peer address lives and dies
+// with its registered channel. A gated, chunk-holding agent is hinted;
+// once the vendor has dropped it, requesters are no longer sent to dial
+// it; when it redials it serves again — held and eligible were kept —
+// and a redial that advertises no peer server is not hinted. A superseded
+// channel's late death leaves its successor's address alone, and
+// hand-registered sources (AddPeerSource) are untouched throughout.
+func TestPeerIndexForgetsDeadAgent(t *testing.T) {
+	s, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	agent := NewAgent(userMachine("pf-server", false))
+	if _, err := agent.ServePeers("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(agent.ClosePeers)
+
+	// session registers the agent on a fresh pipe and returns its end of
+	// it plus the vendor's new channel.
+	session := func(prev *agentConn) (net.Conn, *agentConn) {
+		t.Helper()
+		vendorEnd, agentEnd := net.Pipe()
+		if err := s.ServeConn(vendorEnd); err != nil {
+			t.Fatal(err)
+		}
+		go agent.ServeConn(agentEnd)
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if ac, ok := s.registry.Get("pf-server"); ok && ac != prev {
+				return agentEnd, ac
+			}
+		}
+		t.Fatal("agent never (re-)registered")
+		return nil, nil
+	}
+	need := []uint64{11, 12, 13}
+	hinted := func(want ...string) {
+		t.Helper()
+		got := s.peerHintsFor("pf-requester", need)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("hints = %v, want %v", got, want)
+		}
+	}
+
+	s.AddPeerSource("mirror", "mirror:1", need[:1])
+	conn, first := session(nil)
+	s.MarkPeerEligible([]string{"pf-server"})
+	s.peerMu.Lock()
+	s.peers.markHeld("pf-server", need)
+	s.peerMu.Unlock()
+	hinted(agent.PeerAddr, "mirror:1")
+
+	// The agent dies; the vendor finds out on its next call.
+	conn.Close()
+	if err := s.Ping(context.Background(), "pf-server"); err == nil {
+		t.Fatal("ping of a dead agent succeeded")
+	}
+	hinted("mirror:1")
+
+	// It redials: hinted again, nothing had to be re-learned.
+	_, second := session(first)
+	hinted(agent.PeerAddr, "mirror:1")
+
+	// A third session supersedes the second; the second's death throes
+	// arrive late and must not take the successor's address with them.
+	_, third := session(second)
+	second.fail(context.Background(), "ping", errFaultInjected) //nolint:errcheck — only the side effect matters
+	hinted(agent.PeerAddr, "mirror:1")
+
+	// Administrative drop forgets it too; so does a redial that no longer
+	// serves peers.
+	if !s.DropAgent("pf-server") {
+		t.Fatal("DropAgent found no channel")
+	}
+	hinted("mirror:1")
+	agent.PeerAddr = ""
+	session(third)
+	hinted("mirror:1")
 }
