@@ -6,9 +6,8 @@
 // (internal/fingerprint, internal/parser), the identification heuristic
 // (internal/envid), the two-phase clustering algorithm (internal/cluster),
 // the fleet-profiling pipeline (internal/profile) that collects machine
-// profiles concurrently and assembles clusters of deployment for local
-// and remote fleets alike, and the unified staging engine
-// (internal/staging) that computes one
+// profiles concurrently and assembles clusters of deployment, and the
+// unified staging engine (internal/staging) that computes one
 // wave-schedule Plan per deployment policy and drives it through two
 // executors — the event-driven simulator (internal/simulator) and the live
 // deployment controller over real networked machines (internal/deploy,
@@ -54,11 +53,18 @@
 // /fleet/refresh expose the versioned view; mirage-ctl drift/refresh
 // drive them).
 //
-// The top-level vendor API is internal/core: ClusterFleet profiles and
-// clusters a fleet, StartDeployment launches a rollout handle, and
-// StageDeployment is the synchronous wrapper over the same path. The
+// The top-level vendor API is internal/core, the one assembly of those
+// layers that mirage-vendor, the chaos harness and the examples all
+// construct: New builds server, orchestrator, budget and shared
+// telemetry and installs the profile-delta bridge, Enroll and Profile
+// sign a fleet up and cluster it for a core.App, Spec finishes a rollout
+// spec with the controller hooks, and API is the admin surface. The
 // paper's evaluation scenarios are reconstructed in internal/scenario
 // and internal/survey. ARCHITECTURE.md diagrams the six shared layers.
+// Not reproduced: the paper's §3.5 privacy-preserving clustering — one
+// deterministic hash of a machine's diff is linkable and
+// dictionary-attackable, and the vendor sees item-level diffs in
+// OpProfileDelta anyway (ARCHITECTURE.md, "Live fleets").
 //
 // cmd/mirage-repro regenerates every table and figure of the paper's
 // evaluation and exits non-zero when one departs from the published

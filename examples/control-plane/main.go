@@ -1,8 +1,8 @@
 // Control-plane walkthrough: Mirage's rollout lifecycle driven entirely
 // through the HTTP admin API, the way an operator (or mirage-ctl) does.
 //
-// The program builds a networked fleet (vendor transport server + six TCP
-// agents), mounts the orchestrator's HTTP control plane, and then — as a
+// The program builds a networked fleet (the vendor assembly + six TCP
+// agents), mounts the vendor's HTTP control plane, and then — as a
 // pure HTTP client — starts a journaled staged rollout, watches its event
 // stream by long-poll, pauses it at a stage barrier, inspects the half
 // deployed fleet, resumes it, waits for convergence, and finally starts a
@@ -32,68 +32,57 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/apps"
+	"repro/internal/core"
 	"repro/internal/deploy"
 	"repro/internal/machine"
 	"repro/internal/orchestrator"
-	"repro/internal/pkgmgr"
 	"repro/internal/rollout"
-	"repro/internal/staging"
+	"repro/internal/scenario"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
 
-func userMachine(name string) *machine.Machine {
-	m := machine.New(name)
-	m.SetEnv("HOME", "/home/user")
-	m.WriteFile(&machine.File{Path: apps.MySQLExec, Type: machine.TypeExecutable,
-		Data: []byte("mysqld 4.1.22"), Version: "4.1.22"})
-	m.InstallPackage(machine.PackageRef{Name: "mysql", Version: "4.1.22"}, []string{apps.MySQLExec})
-	return m
-}
-
-func mysql5() *pkgmgr.Upgrade {
-	return &pkgmgr.Upgrade{
-		ID: "mysql-5.0.22",
-		Pkg: &pkgmgr.Package{Name: "mysql", Version: "5.0.22", Files: []*machine.File{
-			{Path: apps.MySQLExec, Type: machine.TypeExecutable, Data: []byte("mysqld 5.0.22"), Version: "5.0.22"},
-		}},
-		Replaces: "4.1.22",
-	}
-}
-
-// mysql4 is the baseline artifact a rollback restores: version N kept
-// in the vendor's release store for exactly this purpose.
-func mysql4() *pkgmgr.Upgrade {
-	return &pkgmgr.Upgrade{
-		ID: "mysql-4.1.22",
-		Pkg: &pkgmgr.Package{Name: "mysql", Version: "4.1.22", Files: []*machine.File{
-			{Path: apps.MySQLExec, Type: machine.TypeExecutable, Data: []byte("mysqld 4.1.22"), Version: "4.1.22"},
-		}},
-		Replaces: "5.0.22",
-	}
-}
-
 func main() {
 	ctx := context.Background()
 
-	// 1. A networked fleet: vendor server, six agents over loopback TCP,
-	// grouped into three clusters of deployment. Chunks travel as binary
-	// frames on the control channel; a production fleet would additionally
-	// start each agent with -peer-listen so later waves pull chunk misses
-	// from already-gated peers.
-	srv, err := transport.Listen("127.0.0.1:0")
+	// 1. The vendor, assembled exactly as mirage-vendor assembles it: the
+	// transport server agents register with, an orchestrator journaling
+	// one file per rollout, and one telemetry registry and tracer shared by
+	// both — the transport counts transfers, registered agents and per-op
+	// RPC latency on it, the orchestrator its rollout and worker-budget
+	// gauges, every rollout records a span trace, and GET /metrics /
+	// GET /rollouts/{id}/trace serve both. The options are mirage-vendor's
+	// sizing flags: the agent registry shards with -shards (default 4x
+	// GOMAXPROCS — matters from ~10k agents up); WorkerBudget is
+	// -worker-budget, one vendor-wide cap on in-flight member RPCs shared
+	// by every rollout; MaxActive/MaxQueued are -max-rollouts/-max-queued —
+	// beyond them POST /rollouts returns 429 with a Retry-After header. A
+	// six-agent walkthrough needs none of them; the budget is set so its
+	// occupancy gauges show on /metrics.
+	dir, err := os.MkdirTemp("", "mirage-control-plane")
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer srv.Close()
+	defer os.RemoveAll(dir)
+	v, err := core.New(core.Options{Listen: "127.0.0.1:0", JournalDir: dir, WorkerBudget: 16})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer v.Close()
+	srv := v.Server
+
+	// 2. A networked fleet: six agents over loopback TCP, grouped into
+	// three clusters of deployment. Chunks travel as binary frames on the
+	// control channel; a production fleet would additionally start each
+	// agent with -peer-listen so later waves pull chunk misses from
+	// already-gated peers.
 	machines := map[string]*machine.Machine{}
 	var names []string
 	for c := 0; c < 3; c++ {
 		for _, role := range []string{"rep", "oth"} {
 			name := fmt.Sprintf("c%d-%s", c, role)
 			names = append(names, name)
-			machines[name] = userMachine(name)
+			machines[name] = scenario.BuildMySQLMachine(scenario.MySQLMachineSpec{Name: name, Distro: "ubt"})
 			go transport.NewAgent(machines[name]).Run(srv.Addr())
 		}
 	}
@@ -112,67 +101,20 @@ func main() {
 		return cs
 	}
 
-	// 2. The control plane: an orchestrator journaling one file per
-	// rollout, exposed over HTTP exactly as mirage-vendor -serve mounts it.
-	dir, err := os.MkdirTemp("", "mirage-control-plane")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
-	orch := orchestrator.New(dir)
-	// One telemetry registry and tracer for the whole control plane, as
-	// in mirage-vendor: the transport counts transfers, registered agents
-	// and per-op RPC latency on the registry, the orchestrator its rollout
-	// and worker-budget gauges, every rollout records a span trace, and
-	// GET /metrics / GET /rollouts/{id}/trace serve both. Sharing the
-	// registry is all the wiring /metrics needs.
-	telem := telemetry.NewRegistry()
-	srv.Telemetry = telem
-	orch.Telemetry = telem
-	orch.Tracer = &telemetry.Tracer{}
-	// Production sizing knobs (all exposed as mirage-vendor flags): the
-	// agent registry shards with -shards (default 4x GOMAXPROCS — matters
-	// from ~10k agents up); orch.Budget is -worker-budget, one
-	// vendor-wide cap on in-flight member RPCs shared by every rollout;
-	// orch.MaxActive/MaxQueued are -max-rollouts/-max-queued — beyond
-	// them POST /rollouts returns 429 with a Retry-After header. A
-	// six-agent walkthrough needs none of them; the budget is set so its
-	// occupancy gauges show on /metrics.
-	orch.Budget = deploy.NewBudget(16)
-	// rbClusters is filled in act 7: the fleet the rollback walkthrough
-	// runs over. The launcher routes armed requests to it.
+	// The control plane, mounted exactly as mirage-vendor -serve mounts it:
+	// the vendor's API finishes every spec the launcher returns with the
+	// controller hooks a rollout needs (transfer counters, peer
+	// eligibility, rollback mode). rbClusters is filled in act 7: the
+	// fleet the rollback walkthrough runs over. The launcher routes armed
+	// requests to it.
 	var rbClusters []*deploy.Cluster
-	api := &orchestrator.API{
-		Orch: orch,
-		Launch: func(req orchestrator.StartRequest) (orchestrator.Spec, error) {
-			policy := deploy.PolicyBalanced
-			if req.Policy != "" {
-				if p, ok := staging.ParsePolicy(req.Policy); ok {
-					policy = p
-				}
-			}
-			if req.AutoRollback {
-				return orchestrator.Spec{
-					Policy:       policy,
-					Upgrade:      mysql5(),
-					Clusters:     rbClusters,
-					Baseline:     mysql4(),
-					AutoRollback: true,
-					Gate:         req.GatePolicy(),
-					Journal:      req.Journal,
-					Resume:       req.Resume,
-				}, nil
-			}
-			return orchestrator.Spec{
-				Policy:   policy,
-				Upgrade:  mysql5(),
-				Clusters: clusters(),
-				Drift:    req.DriftPolicy(),
-				Journal:  req.Journal,
-				Resume:   req.Resume,
-			}, nil
-		},
-	}
+	api := v.API(ctx, func(req orchestrator.StartRequest) (orchestrator.Spec, error) {
+		spec := orchestrator.Spec{Policy: deploy.PolicyBalanced, Upgrade: scenario.MySQLUpgrade(), Clusters: clusters()}
+		if req.AutoRollback {
+			spec.Clusters, spec.Baseline = rbClusters, scenario.MySQLBaseline()
+		}
+		return req.Overlay(spec)
+	})
 	web := httptest.NewServer(api.Handler())
 	defer web.Close()
 	fmt.Printf("control plane on %s\n", web.URL)
@@ -234,6 +176,11 @@ func main() {
 	}
 	fmt.Printf("rollout %s: %s, %d/%d integrated, final=%s\n",
 		st.ID, st.State, st.Integrated, len(st.Members), st.FinalID)
+	if st.Transfer == nil || st.Transfer.Frames == 0 {
+		log.Fatalf("rollout %s status carries no transfer accounting: %+v", st.ID, st.Transfer)
+	}
+	fmt.Printf("rollout %s moved %d frames, %d bytes (%d chunk bytes)\n",
+		st.ID, st.Transfer.Frames, st.Transfer.Bytes, st.Transfer.ChunkBytes)
 
 	// 6. The orchestrator multiplexes: a second rollout (urgent path,
 	// NoStaging) runs through the same fleet while we watch the list.
@@ -268,11 +215,7 @@ func main() {
 		for _, role := range []string{"rep", "oth"} {
 			name := fmt.Sprintf("rb-c%d-%s", c, role)
 			rbNames = append(rbNames, name)
-			m := userMachine(name)
-			if c == 1 {
-				m.WriteFile(&machine.File{Path: "/home/user/.my.cnf", Type: machine.TypeConfig,
-					Data: []byte("[mysqld]\nold-passwords\nset-variable = key_buffer=16M\n")})
-			}
+			m := scenario.BuildMySQLMachine(scenario.MySQLMachineSpec{Name: name, Distro: "ubt", UserCnf: c == 1})
 			machines[name] = m
 			go transport.NewAgent(m).Run(srv.Addr())
 		}
@@ -284,13 +227,8 @@ func main() {
 	// Enroll mysql usage on the new fleet: validation only exercises the
 	// applications a machine's usage store has recorded, so without this
 	// every sandboxed test would be vacuously green.
-	for _, name := range rbNames {
-		if _, err := srv.Identify(ctx, name, "mysql", [][]string{{"SELECT 1"}}); err != nil {
-			log.Fatal(err)
-		}
-		if _, err := srv.Record(ctx, name, "mysql", []string{"SELECT 1"}); err != nil {
-			log.Fatal(err)
-		}
+	if err := v.Enroll(ctx, "mysql", [][]string{{"SELECT 1"}}, rbNames); err != nil {
+		log.Fatal(err)
 	}
 	for c := 0; c < 2; c++ {
 		rbClusters = append(rbClusters, &deploy.Cluster{
@@ -340,7 +278,7 @@ func main() {
 		}); err != nil {
 			log.Fatal(err)
 		}
-		orch.NotifyDrift(orchestrator.DriftEvent{
+		v.Orch.NotifyDrift(orchestrator.DriftEvent{
 			Machine: "c1-oth", To: "somewhere-new", Class: "drifted", Version: 1,
 		})
 		for st4.DriftHold == "" && !st4.State.Terminal() {

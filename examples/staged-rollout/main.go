@@ -17,9 +17,10 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/deploy"
 	"repro/internal/machine"
-	"repro/internal/parser"
+	"repro/internal/orchestrator"
 	"repro/internal/pkgmgr"
 	"repro/internal/report"
 	"repro/internal/scenario"
@@ -28,11 +29,12 @@ import (
 
 func main() {
 	ctx := context.Background()
-	srv, err := transport.Listen("127.0.0.1:0")
+	v, err := core.New(core.Options{Listen: "127.0.0.1:0"})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer srv.Close()
+	defer v.Close()
+	srv := v.Server
 	fmt.Printf("vendor listening on %s\n", srv.Addr())
 
 	// Launch eight agents: plain Ubuntu boxes, PHP 4 machines, a legacy
@@ -45,11 +47,15 @@ func main() {
 	}
 	specs := scenario.MySQLTable2()
 	machines := make(map[string]*machine.Machine)
+	var php []string
 	for _, name := range fleet {
 		for i := range specs {
 			if specs[i].Name == name {
 				m := scenario.BuildMySQLMachine(specs[i])
 				machines[name] = m
+				if specs[i].PHP4 {
+					php = append(php, name)
+				}
 				go func() {
 					if err := transport.NewAgent(m).Run(srv.Addr()); err != nil {
 						log.Printf("agent %s: %v", m.Name, err)
@@ -63,58 +69,53 @@ func main() {
 	}
 	fmt.Printf("%d agents registered: %v\n\n", len(fleet), srv.Agents())
 
-	// Remote identification and baseline tracing.
-	for _, name := range srv.Agents() {
-		if _, err := srv.Identify(ctx, name, "mysql", [][]string{{"SELECT 1"}, {"SELECT 2"}}); err != nil {
-			log.Fatal(err)
-		}
-		if _, err := srv.Record(ctx, name, "mysql", []string{"SELECT 1"}); err != nil {
-			log.Fatal(err)
-		}
-		if _, ok := machines[name].Package("php"); ok {
-			if _, err := srv.Identify(ctx, name, "php", [][]string{nil}); err != nil {
-				log.Fatal(err)
-			}
-			if _, err := srv.Record(ctx, name, "php", nil); err != nil {
-				log.Fatal(err)
-			}
-		}
+	// Remote identification and baseline tracing, then fingerprint the
+	// fleet over the wire and cluster it.
+	if err := v.Enroll(ctx, "mysql", [][]string{{"SELECT 1"}, {"SELECT 2"}}, srv.Agents()); err != nil {
+		log.Fatal(err)
 	}
-
-	// Fingerprint the fleet over the wire and cluster it.
-	regCfg := transport.MirageRegistryConfig()
-	reg, err := transport.BuildRegistry(regCfg)
+	if err := v.Enroll(ctx, "php", [][]string{nil}, php); err != nil {
+		log.Fatal(err)
+	}
+	rc, err := v.Profile(ctx, core.App{
+		Name: "mysql", Refs: scenario.MySQLResourceRefs(),
+		Registry: transport.MirageRegistryConfig(), Reference: scenario.MySQLVendorReference(),
+	}, cluster.Config{Diameter: 3})
 	if err != nil {
 		log.Fatal(err)
 	}
-	refs := scenario.MySQLResourceRefs()
-	vendorItems := parser.NewFingerprinter(reg).Fingerprint(scenario.MySQLVendorReference(), refs)
-	rc, err := srv.ClusterRemote(ctx, "mysql", refs, regCfg, vendorItems, cluster.Config{Diameter: 3}, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	dcs := rc.Deploy
 	fmt.Printf("clustered into %d clusters:\n", len(rc.Clusters))
 	for _, c := range rc.Clusters {
 		fmt.Printf("  distance %2d: %v\n", c.Distance, c.Machines)
 	}
 	fmt.Println()
 
-	// Stage the deployment with the Balanced protocol.
-	urr := report.New()
-	ctl := deploy.NewController(urr, func(up *pkgmgr.Upgrade, failures []*report.Report) (*pkgmgr.Upgrade, bool) {
-		fmt.Printf("vendor: debugging %d failure report(s):\n", len(failures))
-		for _, g := range urr.GroupFailures(up.ID) {
-			fmt.Printf("  %s (clusters %v, %d report(s))\n", g.Signature, g.Clusters, len(g.Reports))
-		}
-		return fixedUpgrade(), true
-	})
-	out, err := ctl.Deploy(ctx, deploy.PolicyBalanced, mysql5(), dcs)
+	// Stage the deployment with the Balanced protocol, as a rollout on the
+	// vendor's orchestrator.
+	h, err := v.Orch.Start(ctx, v.Spec(orchestrator.Spec{
+		Policy:   deploy.PolicyBalanced,
+		Upgrade:  scenario.MySQLUpgrade(),
+		Clusters: rc.Deploy,
+		Fix: func(up *pkgmgr.Upgrade, failures []*report.Report) (*pkgmgr.Upgrade, bool) {
+			fmt.Printf("vendor: debugging %d failure report(s):\n", len(failures))
+			for _, g := range v.URR.GroupFailures(up.ID) {
+				fmt.Printf("  %s (clusters %v, %d report(s))\n", g.Signature, g.Clusters, len(g.Reports))
+			}
+			return scenario.MySQLFix(up, failures)
+		},
+	}))
+	if err != nil {
+		log.Fatal(err)
+	}
+	out, err := h.Wait(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\noutcome: %d/%d integrated, overhead %d machine(s), %d debug round(s)\n",
 		out.Integrated(), len(out.Nodes), out.Overhead, out.Rounds)
+	if out.Integrated() != len(fleet) {
+		log.Fatalf("rollout did not converge: %+v", out)
+	}
 
 	// Verify on the real machines behind the agents.
 	fmt.Println("\npost-deployment state:")
@@ -128,26 +129,4 @@ func main() {
 		}
 		fmt.Printf("  %-22s mysql=%s (%s) php=%s\n", name, ref.Version, my, php)
 	}
-}
-
-func mysql5() *pkgmgr.Upgrade {
-	return &pkgmgr.Upgrade{
-		ID: "mysql-5.0.22",
-		Pkg: &pkgmgr.Package{Name: "mysql", Version: "5.0.22", Files: []*machine.File{
-			{Path: apps.MySQLExec, Type: machine.TypeExecutable, Data: []byte("mysqld 5.0.22"), Version: "5.0.22"},
-			{Path: apps.LibMySQLPath, Type: machine.TypeSharedLib, Data: []byte("libmysqlclient 5.0"), Version: "5.0"},
-		}},
-		Replaces: "4.1.22",
-	}
-}
-
-func fixedUpgrade() *pkgmgr.Upgrade {
-	up := mysql5()
-	up.ID = "mysql-5.0.22b"
-	up.Pkg.Files[1] = &machine.File{Path: apps.LibMySQLPath, Type: machine.TypeSharedLib,
-		Data: []byte("libmysqlclient 5.0 php4-compat"), Version: "5.0"}
-	up.Migrations = []pkgmgr.FileEdit{
-		{Path: "/home/user/.my.cnf", Append: []byte("# migrated-for-5\n")},
-	}
-	return up
 }

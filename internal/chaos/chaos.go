@@ -1,8 +1,9 @@
 // Package chaos is the end-to-end robustness harness: it stands up a
 // small clustered fleet of real simulated machines behind real transport
 // agents (TCP or in-process pipes), arms a seeded transport.FaultPlan,
-// and drives a journaled staged rollout through rollout.Engine — canary
-// gate, Fixer debug loop, automatic rollback and all. A chaos run must
+// and drives a journaled staged rollout through the vendor assembly's
+// orchestrator, the production path — canary gate, Fixer debug loop,
+// automatic rollback and all. A chaos run must
 // end in one of the journal's terminal states with zero members
 // stranded, and because the fault plan is seeded, a failing run replays
 // exactly.
@@ -16,18 +17,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/apps"
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/deploy"
 	"repro/internal/machine"
-	"repro/internal/parser"
-	"repro/internal/pkgmgr"
-	"repro/internal/report"
+	"repro/internal/orchestrator"
 	"repro/internal/rollout"
 	"repro/internal/scenario"
 	"repro/internal/staging"
@@ -115,61 +114,6 @@ const (
 	UpgradeVersion  = "5.0.22"
 )
 
-// Baseline returns the version-N artifact a rollback restores: the
-// MySQL 4.1.22 the whole fleet runs before the experiment. Its chunks
-// are exactly what the agents' self-seeded caches already hold.
-func Baseline() *pkgmgr.Upgrade {
-	return &pkgmgr.Upgrade{
-		ID: "mysql-" + BaselineVersion,
-		Pkg: &pkgmgr.Package{Name: "mysql", Version: BaselineVersion, Files: []*machine.File{
-			{Path: apps.MySQLExec, Type: machine.TypeExecutable,
-				Data: []byte("mysqld " + BaselineVersion), Version: BaselineVersion},
-			{Path: apps.LibMySQLPath, Type: machine.TypeSharedLib,
-				Data: []byte("libmysqlclient 4.1"), Version: "4.1"},
-		}},
-		Replaces: UpgradeVersion,
-	}
-}
-
-// Upgrade returns the MySQL 4->5 artifact under test — the one whose
-// client library genuinely breaks PHP 4 dependents.
-func Upgrade() *pkgmgr.Upgrade {
-	return &pkgmgr.Upgrade{
-		ID: "mysql-" + UpgradeVersion,
-		Pkg: &pkgmgr.Package{Name: "mysql", Version: UpgradeVersion, Files: []*machine.File{
-			{Path: apps.MySQLExec, Type: machine.TypeExecutable,
-				Data: []byte("mysqld " + UpgradeVersion), Version: UpgradeVersion},
-			{Path: apps.LibMySQLPath, Type: machine.TypeSharedLib,
-				Data: []byte("libmysqlclient 5.0"), Version: "5.0"},
-		}},
-		Replaces: BaselineVersion,
-	}
-}
-
-// Fixed returns the corrected build the Fixer releases: same server,
-// client library rebuilt with php4 compatibility.
-func Fixed() *pkgmgr.Upgrade {
-	up := Upgrade()
-	up.ID = "mysql-" + UpgradeVersion + "b"
-	up.Pkg.Files[1] = &machine.File{Path: apps.LibMySQLPath, Type: machine.TypeSharedLib,
-		Data: []byte("libmysqlclient 5.0 php4-compat"), Version: "5.0"}
-	return up
-}
-
-// Rebuild maps journaled upgrade IDs back to artifacts — the harness's
-// release store, for crash-resume and rollback.
-func Rebuild(id string) (*pkgmgr.Upgrade, bool) {
-	switch id {
-	case Baseline().ID:
-		return Baseline(), true
-	case Upgrade().ID:
-		return Upgrade(), true
-	case Fixed().ID:
-		return Fixed(), true
-	}
-	return nil, false
-}
-
 // ConvergeFleet is a 3-cluster profile whose failures the Fixer can
 // cure: plain Ubuntu, Ubuntu+php4, and Fedora+php4+apache machines (per
 // of each). The php4 clusters genuinely fail the raw upgrade and pass
@@ -232,47 +176,55 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 		machines[i] = scenario.BuildMySQLMachine(sp)
 	}
 
-	srv, err := transport.Listen("127.0.0.1:0")
+	v, err := core.New(core.Options{Listen: "127.0.0.1:0"})
 	if err != nil {
 		return nil, err
 	}
+	srv := v.Server
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	defer wg.Wait()      // after the conns die, collect the agent goroutines
-	defer srv.Close()    // tears down every registered conn, ending sessions
-	defer close(stop)    // stops reconnect loops from coming back
+	defer wg.Wait()   // after the conns die, collect the agent goroutines
+	defer v.Close()   // tears down every registered conn, ending sessions
+	defer close(stop) // stops reconnect loops from coming back
 	for _, m := range machines {
 		a := transport.NewAgent(m)
 		wg.Add(1)
-		if opts.TCP {
-			go func() {
-				defer wg.Done()
+		go func() {
+			defer wg.Done()
+			if opts.TCP {
 				a.RunWithReconnect(srv.Addr(), transport.ReconnectConfig{ //nolint:errcheck
 					BaseDelay: 2 * time.Millisecond, Stop: stop,
 				})
-			}()
-		} else {
-			go func() {
-				defer wg.Done()
-				servePipes(srv, a, stop)
-			}()
-		}
+			} else {
+				a.ServePipes(srv, stop)
+			}
+		}()
 	}
 	if got := srv.WaitForAgents(len(machines), 10*time.Second); got != len(machines) {
 		return nil, fmt.Errorf("chaos: only %d/%d agents registered", got, len(machines))
 	}
 
-	if err := enroll(ctx, srv, machines); err != nil {
-		return nil, err
+	// The clean sign-up phase: every machine enrolls the applications it
+	// has installed, then the fleet is profiled.
+	for _, app := range []string{"mysql", "php", "apache"} {
+		var names []string
+		for _, m := range machines {
+			if _, ok := m.Package(app); ok {
+				names = append(names, m.Name)
+			}
+		}
+		workloads := [][]string{nil}
+		if app == "mysql" {
+			workloads = [][]string{{"SELECT 1"}}
+		}
+		if err := v.Enroll(ctx, app, workloads, names); err != nil {
+			return nil, fmt.Errorf("chaos: %w", err)
+		}
 	}
-	refs := scenario.MySQLResourceRefs()
-	regCfg := transport.MirageRegistryConfig()
-	reg, err := transport.BuildRegistry(regCfg)
-	if err != nil {
-		return nil, err
-	}
-	vendorItems := parser.NewFingerprinter(reg).Fingerprint(scenario.MySQLVendorReference(), refs)
-	rc, err := srv.ClusterRemote(ctx, "mysql", refs, regCfg, vendorItems, cluster.Config{Diameter: 3}, 1)
+	rc, err := v.Profile(ctx, core.App{
+		Name: "mysql", Refs: scenario.MySQLResourceRefs(),
+		Registry: transport.MirageRegistryConfig(), Reference: scenario.MySQLVendorReference(),
+	}, cluster.Config{Diameter: 3})
 	if err != nil {
 		return nil, err
 	}
@@ -280,39 +232,33 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	// Enrollment is done — the storm begins.
 	srv.Faults = transport.NewFaultInjector(opts.Faults)
 
-	fixed := Fixed()
-	var fixer deploy.Fixer
+	spec := orchestrator.Spec{
+		Policy:   policy,
+		Upgrade:  scenario.MySQLUpgrade(),
+		Clusters: rc.Deploy,
+		Gate:     opts.Gate,
+		Journal:  opts.Journal,
+		Rebuild:  scenario.MySQLRelease,
+		Baseline: scenario.MySQLBaseline(), AutoRollback: opts.AutoRollback,
+		Configure: func(ctl *deploy.Controller) {
+			ctl.TransientRetries = opts.Retries
+			if ctl.TransientRetries == 0 {
+				ctl.TransientRetries = 8
+			}
+			ctl.RetryBackoff = opts.Backoff
+			if ctl.RetryBackoff <= 0 {
+				ctl.RetryBackoff = 2 * time.Millisecond
+			}
+		},
+	}
 	if opts.Fix {
-		fixer = func(up *pkgmgr.Upgrade, fails []*report.Report) (*pkgmgr.Upgrade, bool) {
-			return fixed, true
-		}
-	} else {
-		fixer = func(up *pkgmgr.Upgrade, fails []*report.Report) (*pkgmgr.Upgrade, bool) {
-			return nil, false
-		}
+		spec.Fix = scenario.MySQLFix
 	}
-	ctl := deploy.NewController(report.New(), fixer)
-	ctl.Transfer = srv.TransferSnapshot
-	ctl.Gate = opts.Gate
-	ctl.RollbackMode = srv.SetRollbackMode
-	ctl.GatedMembers = srv.MarkPeerEligible
-	ctl.TransientRetries = opts.Retries
-	if ctl.TransientRetries == 0 {
-		ctl.TransientRetries = 8
+	h, err := v.Orch.Start(ctx, v.Spec(spec))
+	if err != nil {
+		return nil, fmt.Errorf("chaos: rollout: %w", err)
 	}
-	ctl.RetryBackoff = opts.Backoff
-	if ctl.RetryBackoff <= 0 {
-		ctl.RetryBackoff = 2 * time.Millisecond
-	}
-
-	eng := &rollout.Engine{
-		Controller:   ctl,
-		Path:         opts.Journal,
-		Baseline:     Baseline(),
-		AutoRollback: opts.AutoRollback,
-		Rebuild:      Rebuild,
-	}
-	out, err := eng.Deploy(ctx, policy, Upgrade(), rc.Deploy)
+	out, err := h.Wait(context.Background())
 	if err != nil {
 		return nil, fmt.Errorf("chaos: rollout: %w", err)
 	}
@@ -328,58 +274,8 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 		FaultsInjected: srv.Faults.Injected(),
 		Machines:       machines,
 	}
-	res.Stranded = stranded(machines, out, Baseline().ID)
+	res.Stranded = stranded(machines, out, scenario.MySQLBaseline().ID)
 	return res, nil
-}
-
-// enroll identifies and records baseline traces for every app on every
-// machine — the clean sign-up phase before faults are armed.
-func enroll(ctx context.Context, srv *transport.Server, machines []*machine.Machine) error {
-	inputs := map[string][][]string{
-		"mysql":  {{"SELECT 1"}},
-		"php":    {nil},
-		"apache": {nil},
-	}
-	for _, m := range machines {
-		for _, app := range []string{"mysql", "php", "apache"} {
-			if app != "mysql" {
-				if _, ok := m.Package(app); !ok {
-					continue
-				}
-			}
-			if _, err := srv.Identify(ctx, m.Name, app, inputs[app]); err != nil {
-				return fmt.Errorf("chaos: identify %s/%s: %w", m.Name, app, err)
-			}
-			if _, err := srv.Record(ctx, m.Name, app, inputs[app][0]); err != nil {
-				return fmt.Errorf("chaos: record %s/%s: %w", m.Name, app, err)
-			}
-		}
-	}
-	return nil
-}
-
-// servePipes is the pipe-transport agent lifecycle: inject a net.Pipe
-// session into the server, serve it until it dies (faults kill
-// sessions), and re-pipe — the in-process twin of RunWithReconnect.
-func servePipes(srv *transport.Server, a *transport.Agent, stop <-chan struct{}) {
-	for {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		client, srvEnd := net.Pipe()
-		if err := srv.ServeConn(srvEnd); err != nil {
-			client.Close()
-			return
-		}
-		a.ServeConn(client) //nolint:errcheck — session end, not failure
-		select {
-		case <-stop:
-			return
-		case <-time.After(2 * time.Millisecond): // pace the re-pipe like a redial
-		}
-	}
 }
 
 // TerminalOf reads the journal and names its terminal state ("" if the

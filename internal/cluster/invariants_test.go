@@ -77,7 +77,7 @@ func TestRunInvariantsRandomFleets(t *testing.T) {
 				trial, len(again), len(clusters))
 		}
 		for i := range clusters {
-			if keyOf(clusters[i].Machines) != keyOf(again[i].Machines) {
+			if fmt.Sprint(clusters[i].Machines) != fmt.Sprint(again[i].Machines) {
 				t.Fatalf("trial %d: cluster %d differs after shuffle", trial, i)
 			}
 		}

@@ -1,388 +1,280 @@
-// Package core is Mirage's top-level API: it wires the deployment,
-// user-machine testing and reporting subsystems into the integrated
-// upgrade development cycle of the paper (Figure 4).
+// Package core assembles the networked vendor: the paper's one vendor
+// role — enrol a fleet, fingerprint and cluster it (§3.2), stage the
+// upgrade and debug what comes back (§4.3) — wired once from the layers
+// that implement it. A Vendor owns the transport server agents register
+// with, the rollout orchestrator with its worker budget, the telemetry
+// registry and tracer they share, the report repository, and (once the
+// fleet is profiled) the live drift monitor, together with the hooks that
+// tie them: the profile-delta bridge from agents to rollout gating and
+// the controller hooks every rollout needs.
 //
-// A Vendor owns the reference machine, the package repository, the parser
-// registry and the Upgrade Report Repository. UserMachine wraps one
-// managed machine with its trace store and validator and implements
-// deploy.Node. A Fleet is the set of user machines; Vendor.ClusterFleet
-// fingerprints every machine, diffs against the reference, runs the
-// two-phase clustering algorithm, and produces the clusters of deployment
-// that Vendor.StageDeployment then drives with a chosen protocol.
+// The assembly is application-agnostic: callers describe the managed
+// application with an App and supply the upgrade artifacts and debugging
+// loop in each rollout's orchestrator.Spec. cmd/mirage-vendor, the chaos
+// harness and the examples all construct this type; none wires the layers
+// by hand.
 package core
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
-	"sort"
-	"sync"
+	"log/slog"
+	"sync/atomic"
 
 	"repro/internal/apps"
 	"repro/internal/cluster"
 	"repro/internal/deploy"
-	"repro/internal/envid"
+	"repro/internal/fleetwatch"
 	"repro/internal/machine"
 	"repro/internal/orchestrator"
 	"repro/internal/parser"
-	"repro/internal/pkgmgr"
 	"repro/internal/profile"
 	"repro/internal/report"
 	"repro/internal/resource"
-	"repro/internal/staging"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
-	"repro/internal/vmtest"
+	"repro/internal/transport"
 )
 
-// Vendor is the upgrade producer: reference environment, package
-// repository, parsers, resource identification and the report repository.
+// Options are the vendor's deployment settings; each mirrors a
+// mirage-vendor flag.
+type Options struct {
+	Listen       string // -listen: address agents register at
+	Shards       int    // -shards: agent-registry shard count (0 = from GOMAXPROCS)
+	JournalDir   string // -journal-dir: per-rollout journals ("" = unjournaled by default)
+	WorkerBudget int    // -worker-budget: in-flight member RPCs across all rollouts (0 = unlimited)
+	MaxActive    int    // -max-rollouts: concurrently executing rollouts (0 = unbounded)
+	MaxQueued    int    // -max-queued: rollouts waiting for an execution slot
+}
+
+// App describes the application whose fleet the vendor profiles: the
+// environmental resource references to fingerprint, the parser registry
+// (in its wire form, since agents build it too) and the reference machine
+// every user machine is diffed against.
+type App struct {
+	Name      string
+	Refs      []string
+	Registry  transport.RegistryConfig
+	Reference *machine.Machine
+}
+
+// referenceItems fingerprints the reference machine — the item list sent
+// to every agent for comparison.
+func (a App) referenceItems() (*resource.Set, error) {
+	reg, err := transport.BuildRegistry(a.Registry)
+	if err != nil {
+		return nil, fmt.Errorf("core: building parser registry: %w", err)
+	}
+	return parser.NewFingerprinter(reg).Fingerprint(a.Reference, a.Refs), nil
+}
+
+// Vendor is one assembled networked vendor.
 type Vendor struct {
-	Reference  *machine.Machine
-	Repo       *pkgmgr.Repository
-	Registry   *parser.Registry
-	Identifier *envid.Identifier
-	URR        *report.URR
+	Server *transport.Server
+	Orch   *orchestrator.Orchestrator
+	URR    *report.URR
 
-	// Resources caches the identified environmental resource references
-	// per application name.
-	Resources map[string][]string
-
-	// ProfileParallelism bounds how many machines ClusterFleet profiles
-	// concurrently (0 means profile.DefaultParallelism, 1 means serial).
-	// The clustering result is identical at any setting.
-	ProfileParallelism int
-
-	// Transfer, when set, is installed on the deployment controller so
-	// StageDeployment records the rollout's wire traffic in the Outcome.
-	// Local in-process fleets move no bytes; a vendor driving a networked
-	// fleet plugs in transport.Server.TransferSnapshot here.
-	Transfer func() deploy.TransferStats
-
-	// JournalPath, when set, makes StageDeployment a durable rollout: it
-	// routes through the rollout engine, journaling every state
-	// transition to this file. ResumeJournal resumes the rollout the file
-	// records (hash-checked against the freshly built plan) instead of
-	// starting over, and RebuildUpgrade — the vendor's release store —
-	// maps journaled upgrade IDs back to artifacts when the interrupted
-	// run had already released fixes.
-	JournalPath    string
-	ResumeJournal  bool
-	RebuildUpgrade func(upgradeID string) (*pkgmgr.Upgrade, bool)
+	// fleet is published by Profile; the delta bridge, the controller
+	// hooks and the admin API read it from other goroutines.
+	fleet atomic.Pointer[profiledFleet]
 }
 
-// NewVendor returns a vendor around the given reference machine, with the
-// Mirage-supplied parser registry and an empty repository and URR.
-func NewVendor(reference *machine.Machine) *Vendor {
-	return &Vendor{
-		Reference:  reference,
-		Repo:       pkgmgr.NewRepository(),
-		Registry:   parser.MirageRegistry().Clone(),
-		Identifier: &envid.Identifier{},
-		URR:        report.New(),
-		Resources:  make(map[string][]string),
+// profiledFleet is what Profile leaves behind: the live monitor plus what
+// a full re-fingerprint needs.
+type profiledFleet struct {
+	app         App
+	vendorItems *resource.Set
+	monitor     *fleetwatch.Monitor
+}
+
+// New listens for agents and builds the control plane around the server:
+// one telemetry registry and tracer shared by transport and orchestrator,
+// the vendor-wide worker budget, and the profile-delta bridge — installed
+// before the first agent can push, so an early delta gets a clean "not
+// yet" error instead of a race.
+func New(opts Options) (*Vendor, error) {
+	srv, err := transport.ListenWith(opts.Listen, transport.ListenOpts{Shards: opts.Shards})
+	if err != nil {
+		return nil, err
 	}
+	orch := orchestrator.New(opts.JournalDir)
+	orch.Budget = deploy.NewBudget(opts.WorkerBudget)
+	orch.MaxActive = opts.MaxActive
+	orch.MaxQueued = opts.MaxQueued
+	orch.Telemetry = telemetry.NewRegistry()
+	orch.Tracer = &telemetry.Tracer{}
+	srv.Telemetry = orch.Telemetry
+	v := &Vendor{Server: srv, Orch: orch, URR: report.New()}
+	srv.OnProfileDelta = v.onProfileDelta
+	return v, nil
 }
 
-// IdentifyResources traces the application on the reference machine under
-// each workload and runs the identification heuristic (plus any vendor
-// rules installed on v.Identifier). The result is cached and used for
-// fleet fingerprinting and dependence tracking.
-func (v *Vendor) IdentifyResources(app apps.App, workloads [][]string) *envid.Result {
-	traces := make([]*trace.Trace, 0, len(workloads))
-	for _, w := range workloads {
-		traces = append(traces, app.Run(v.Reference, w))
+// Close shuts the transport server down; every agent session ends with it.
+func (v *Vendor) Close() error { return v.Server.Close() }
+
+// Monitor returns the live drift monitor, nil until Profile has run.
+func (v *Vendor) Monitor() *fleetwatch.Monitor {
+	if f := v.fleet.Load(); f != nil {
+		return f.monitor
 	}
-	res := v.Identifier.Identify(v.Reference, traces, app.Name())
-	v.Resources[app.Name()] = res.Resources
-	return res
+	return nil
 }
 
-// ReferenceFingerprint produces the vendor's item list for the identified
-// resources of app — the list sent to every user machine for comparison.
-func (v *Vendor) ReferenceFingerprint(app string) *resource.Set {
-	fp := parser.NewFingerprinter(v.Registry)
-	return fp.Fingerprint(v.Reference, v.Resources[app])
-}
+var errNotProfiled = errors.New("fleet not profiled yet")
 
-// UserMachine is one managed machine: production state, trace store,
-// validator. It implements deploy.Node.
-//
-// Identification runs on user machines as well as at the vendor (the paper
-// instruments both): vendor-identified resources miss files whose location
-// is machine-dependent, such as configuration under $HOME, and miss
-// applications only the user has installed. Local results are kept per
-// application and merged with the vendor's for fingerprinting and
-// dependence tracking.
-type UserMachine struct {
-	M     *machine.Machine
-	Store *vmtest.Store
-
-	vendor *Vendor
-	local  map[string][]string // locally identified resources per app
-}
-
-// NewUserMachine wraps m as a Mirage-managed machine of vendor v.
-func NewUserMachine(v *Vendor, m *machine.Machine) *UserMachine {
-	return &UserMachine{M: m, Store: vmtest.NewStore(), vendor: v, local: make(map[string][]string)}
-}
-
-// Name implements deploy.Node.
-func (u *UserMachine) Name() string { return u.M.Name }
-
-// RecordBaseline traces one run of the application on the production
-// machine, storing it for later upgrade validation.
-func (u *UserMachine) RecordBaseline(app apps.App, inputs []string) vmtest.Recording {
-	return u.Store.Record(app, u.M, inputs)
-}
-
-// IdentifyLocal runs the identification heuristic on this machine's own
-// traces of app, using the vendor's rule set, and caches the result.
-func (u *UserMachine) IdentifyLocal(app apps.App, workloads [][]string) *envid.Result {
-	traces := make([]*trace.Trace, 0, len(workloads))
-	for _, w := range workloads {
-		traces = append(traces, app.Run(u.M, w))
+// Enroll has each named agent identify app's environmental resources under
+// the workloads and record a baseline trace of the first one — the usage
+// store later validations replay.
+func (v *Vendor) Enroll(ctx context.Context, app string, workloads [][]string, agents []string) error {
+	for _, name := range agents {
+		if _, err := v.Server.Identify(ctx, name, app, workloads); err != nil {
+			return fmt.Errorf("core: identify %s on %s: %w", app, name, err)
+		}
+		if _, err := v.Server.Record(ctx, name, app, workloads[0]); err != nil {
+			return fmt.Errorf("core: record %s on %s: %w", app, name, err)
+		}
 	}
-	res := u.vendor.Identifier.Identify(u.M, traces, app.Name())
-	u.local[app.Name()] = res.Resources
-	return res
+	return nil
 }
 
-// resourcesFor merges the vendor-identified and locally identified
-// resource references for app, deduplicated and sorted.
-func (u *UserMachine) resourcesFor(app string) []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, refs := range [][]string{u.vendor.Resources[app], u.local[app]} {
-		for _, r := range refs {
-			if !seen[r] {
-				seen[r] = true
-				out = append(out, r)
+// Profile fingerprints every registered agent against app's reference,
+// clusters the fleet (one representative per cluster) and starts the live
+// drift monitor on the result, representatives marked. From here on
+// agents' profile deltas fold into the monitor and reach running rollouts.
+func (v *Vendor) Profile(ctx context.Context, app App, cfg cluster.Config) (*transport.RemoteClustering, error) {
+	items, err := app.referenceItems()
+	if err != nil {
+		return nil, err
+	}
+	rc, err := v.Server.ClusterRemote(ctx, app.Name, app.Refs, app.Registry, items, cfg, 1)
+	if err != nil {
+		return nil, err
+	}
+	m := fleetwatch.NewMonitor(cluster.NewSnapshot(cfg, profile.Fingerprints(rc.Profiles), rc.Clusters), v.Orch.Telemetry)
+	m.SetRepresentatives(rc.Deploy)
+	v.fleet.Store(&profiledFleet{app: app, vendorItems: items, monitor: m})
+	return rc, nil
+}
+
+// onProfileDelta is the delta bridge (transport.Server.OnProfileDelta): a
+// watch-mode agent's push folds into the monitor; a push the monitor
+// cannot fold asks the agent for its full profile; a fold that moved the
+// machine reaches every running rollout as a drift event.
+func (v *Vendor) onProfileDelta(req *transport.ProfileDeltaReq) (resync bool, err error) {
+	m := v.Monitor()
+	if m == nil {
+		return false, errNotProfiled
+	}
+	if b, err := json.Marshal(req); err == nil {
+		m.ObserveDeltaBytes(len(b), req.Full)
+	}
+	ev, err := m.ApplyDelta(req.Machine, req.AppSet,
+		transport.ItemsFromWire(req.Added).Items(),
+		transport.ItemsFromWire(req.Removed).Items(), req.Sig, req.Full)
+	if err != nil {
+		var rs *fleetwatch.ErrResync
+		if errors.As(err, &rs) {
+			return true, nil
+		}
+		return false, err
+	}
+	if ev.Class != fleetwatch.ClassStable {
+		slog.Info("fleet drift", "machine", ev.Machine, "class", string(ev.Class),
+			"from", ev.From, "to", ev.To, "view", ev.Version)
+		v.Orch.NotifyDrift(orchestrator.DriftEvent{
+			Machine: ev.Machine, Cluster: ev.From, To: ev.To,
+			Class: string(ev.Class), Version: ev.Version,
+		})
+	}
+	return false, nil
+}
+
+// Spec finishes a rollout spec with what only the assembly knows. The
+// controller books the server's transfer counters and rollback mode; each
+// gated wave's members become peer chunk servers for the waves that
+// follow, and the drift monitor treats their clusters as rep-invalidated
+// on any member change — one hook feeding both the swarm tier and drift
+// classification. Forgetting GatedMembers silently disables the peer
+// tier and forgetting RollbackMode misbooks rolled-back chunks, which is
+// why no caller installs them by hand. The spec's own Configure still
+// runs, after the hooks; its URR defaults to the vendor's and its Restage
+// to the monitor's current fleet view.
+func (v *Vendor) Spec(spec orchestrator.Spec) orchestrator.Spec {
+	configure := spec.Configure
+	spec.Configure = func(ctl *deploy.Controller) {
+		ctl.Transfer = v.Server.TransferSnapshot
+		ctl.GatedMembers = func(names []string) {
+			v.Server.MarkPeerEligible(names)
+			if m := v.Monitor(); m != nil {
+				m.MarkGated(names)
 			}
 		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// allResources returns the dependence map for this machine: every
-// application known to the vendor or identified locally, with its merged
-// resource references.
-func (u *UserMachine) allResources() map[string][]string {
-	names := make(map[string]bool)
-	for a := range u.vendor.Resources {
-		names[a] = true
-	}
-	for a := range u.local {
-		names[a] = true
-	}
-	out := make(map[string][]string, len(names))
-	for a := range names {
-		out[a] = u.resourcesFor(a)
-	}
-	return out
-}
-
-// Fingerprint computes this machine's item set over the merged vendor and
-// local resource references for app.
-func (u *UserMachine) Fingerprint(app string) *resource.Set {
-	fp := parser.NewFingerprinter(u.vendor.Registry)
-	return fp.Fingerprint(u.M, u.resourcesFor(app))
-}
-
-// Profile implements profile.Source: the machine's diff profile against
-// the vendor reference set for app, computed in-process. Safe to call
-// concurrently across different machines (profile.Collect does), since it
-// only reads the vendor's registry and resource caches.
-func (u *UserMachine) Profile(_ context.Context, app string, vendor *resource.Set) (profile.Machine, error) {
-	return profile.New(u.Name(), u.Fingerprint(app), vendor, u.M.AppSetKey()), nil
-}
-
-// TestUpgrade implements deploy.Node: validate the upgrade in an isolated
-// snapshot, returning the report (with a report image attached on failure).
-// Local validation is all in-process, so the context is only honoured
-// between operations, not within one.
-func (u *UserMachine) TestUpgrade(_ context.Context, up *pkgmgr.Upgrade) (*report.Report, error) {
-	val := vmtest.NewValidator(u.M, u.vendor.Repo, u.Store)
-	val.ResourcesByApp = u.allResources()
-	rep, err := val.Validate(up)
-	if err != nil {
-		return nil, err
-	}
-	out := &report.Report{
-		UpgradeID: up.ID,
-		Machine:   u.M.Name,
-		Success:   rep.OK(),
-	}
-	for _, verdict := range rep.Verdicts {
-		if !verdict.OK {
-			out.FailedApps = append(out.FailedApps, verdict.App)
-			out.Reasons = append(out.Reasons, verdict.Reason)
+		ctl.RollbackMode = v.Server.SetRollbackMode
+		if configure != nil {
+			configure(ctl)
 		}
 	}
-	if !out.Success {
-		out.Image = report.CaptureImage(rep.Sandbox)
+	if spec.URR == nil {
+		spec.URR = v.URR
 	}
-	return out, nil
-}
-
-// Integrate implements deploy.Node: apply the upgrade to the production
-// system (validation already succeeded in the sandbox).
-func (u *UserMachine) Integrate(_ context.Context, up *pkgmgr.Upgrade) error {
-	mgr := pkgmgr.NewManager(u.M, u.vendor.Repo)
-	_, err := mgr.Apply(up)
-	return err
-}
-
-// Fleet is the set of machines Mirage manages for a vendor.
-type Fleet struct {
-	Machines []*UserMachine
-
-	// mu guards the name index: Lookup may be called concurrently (the
-	// old linear scan was read-only; the index is not).
-	mu sync.Mutex
-	// byName indexes Machines for Lookup; indexed records the machine
-	// count at build time. The index is rebuilt whenever the count
-	// changed, a hit's name no longer matches (rename), or the name is
-	// absent (append, rename, miss) — so hits are O(1) and a miss costs
-	// one rebuild, the price of the old linear scan. The one mutation a
-	// rebuild-on-miss cannot see: an entry of Machines swapped for a
-	// different machine of the same name keeps resolving to the removed
-	// machine until some other rebuild happens.
-	byName  map[string]*UserMachine
-	indexed int
-}
-
-// NewFleet wraps raw machines into user machines of vendor v.
-func NewFleet(v *Vendor, machines ...*machine.Machine) *Fleet {
-	f := &Fleet{}
-	for _, m := range machines {
-		f.Machines = append(f.Machines, NewUserMachine(v, m))
-	}
-	return f
-}
-
-// Lookup returns the user machine with the given name, or nil.
-func (f *Fleet) Lookup(name string) *UserMachine {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	u := f.byName[name]
-	if f.indexed != len(f.Machines) || u == nil || u.M.Name != name {
-		f.byName = make(map[string]*UserMachine, len(f.Machines))
-		for _, m := range f.Machines {
-			f.byName[m.M.Name] = m
+	if spec.Restage == nil {
+		spec.Restage = func() ([]*deploy.Cluster, error) {
+			m := v.Monitor()
+			if m == nil {
+				return nil, errNotProfiled
+			}
+			return m.DeployClusters(1, func(name string) deploy.Node { return v.Server.Node(name) })
 		}
-		f.indexed = len(f.Machines)
-		u = f.byName[name]
 	}
-	return u
+	return spec
 }
 
-// Clustering is the result of clustering a fleet for one application.
-type Clustering struct {
-	App      string
-	Clusters []*cluster.Cluster
-	// Deploy is the same clustering expressed as clusters of deployment
-	// with representatives chosen (RepsPerCluster machines per cluster).
-	Deploy []*deploy.Cluster
-}
-
-// ClusterFleet profiles every machine of the fleet against the vendor
-// reference for app — concurrently, on the shared profile pipeline — runs
-// the two-phase clustering algorithm with cfg, and selects repsPerCluster
-// representatives per cluster (at least one). The remote clustering path
-// (transport.Server.ClusterRemote) routes through the identical
-// Collect → cluster.Run → Assemble pipeline, so local and networked
-// fleets with the same fingerprints produce the same clusters.
-func (v *Vendor) ClusterFleet(ctx context.Context, f *Fleet, app string, cfg cluster.Config, repsPerCluster int) (*Clustering, error) {
-	if _, ok := v.Resources[app]; !ok {
-		return nil, fmt.Errorf("core: no identified resources for application %q", app)
-	}
-	vendorSet := v.ReferenceFingerprint(app)
-
-	sources := make([]profile.Source, len(f.Machines))
-	for i, u := range f.Machines {
-		sources[i] = u
-	}
-	profiles, err := profile.Collect(ctx, sources, app, vendorSet, v.ProfileParallelism)
-	if err != nil {
-		return nil, err
-	}
-	clusters := cluster.Run(cfg, profile.Fingerprints(profiles))
-
-	dcs, err := profile.Assemble(clusters, repsPerCluster, func(name string) deploy.Node {
-		if u := f.Lookup(name); u != nil {
-			return u
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Clustering{App: app, Clusters: clusters, Deploy: dcs}, nil
-}
-
-// DeploymentSpec builds the orchestrator spec StageDeployment and
-// StartDeployment submit: the vendor's URR, transfer counters, journal
-// configuration and release store, over the clustering's clusters of
-// deployment.
-func (v *Vendor) DeploymentSpec(policy deploy.Policy, up *pkgmgr.Upgrade, cl *Clustering, fix deploy.Fixer) orchestrator.Spec {
-	return orchestrator.Spec{
-		Policy:   policy,
-		Upgrade:  up,
-		Clusters: cl.Deploy,
-		Fix:      fix,
-		URR:      v.URR,
-		Journal:  v.JournalPath,
-		Resume:   v.ResumeJournal,
-		Rebuild:  v.RebuildUpgrade,
-		Configure: func(ctl *deploy.Controller) {
-			ctl.Transfer = v.Transfer
+// API returns the HTTP admin surface over the vendor's orchestrator:
+// rollouts started over HTTP get launch's spec, finished by Spec, and run
+// under base; GET /fleet/drift serves the monitor's view and POST
+// /fleet/refresh re-fingerprints every registered agent into a fresh one
+// (drift flags reset — the new view is ground truth, not a delta).
+func (v *Vendor) API(base context.Context, launch orchestrator.Launcher) *orchestrator.API {
+	return &orchestrator.API{
+		Orch: v.Orch,
+		Base: base,
+		Launch: func(req orchestrator.StartRequest) (orchestrator.Spec, error) {
+			spec, err := launch(req)
+			if err != nil {
+				return spec, err
+			}
+			return v.Spec(spec), nil
+		},
+		FleetDrift: func() (any, error) {
+			m := v.Monitor()
+			if m == nil {
+				return nil, errNotProfiled
+			}
+			return m.View(), nil
+		},
+		FleetRefresh: func() (any, error) {
+			f := v.fleet.Load()
+			if f == nil {
+				return nil, errNotProfiled
+			}
+			fps, err := v.Server.FingerprintAll(base, f.app.Name, f.app.Refs, f.app.Registry, f.vendorItems)
+			if err != nil {
+				return nil, err
+			}
+			view := f.monitor.Refresh(fps)
+			slog.Info("fleet refreshed", "view", view.Version, "machines", view.Machines, "clusters", len(view.Clusters))
+			return view, nil
 		},
 	}
 }
 
-// StartDeployment launches the upgrade across the clustered fleet as a
-// rollout on orch and returns its handle — the cancellable, observable,
-// pausable form of StageDeployment. Multiple deployments may run
-// concurrently on one orchestrator, each with its own journal.
-func (v *Vendor) StartDeployment(ctx context.Context, orch *orchestrator.Orchestrator, policy deploy.Policy, up *pkgmgr.Upgrade, cl *Clustering, fix deploy.Fixer) (*orchestrator.Handle, error) {
-	return orch.Start(ctx, v.DeploymentSpec(policy, up, cl, fix))
-}
-
-// StageDeployment runs the upgrade across the clustered fleet under the
-// given policy, debugging failures with fix. The wave schedule comes from
-// the shared staging planner, so it is exactly the schedule the simulator
-// predicts for this fleet; within each wave, nodes validate the upgrade
-// concurrently on the controller's worker pool.
-//
-// StageDeployment is the synchronous convenience form: it submits the
-// rollout to a private orchestrator and waits for the handle — one code
-// path whether a deployment is driven by a blocking call or by the
-// control-plane API. Cancelling ctx aborts the rollout (journaled as
-// abandoned) and returns the partial outcome with ctx's error.
-func (v *Vendor) StageDeployment(ctx context.Context, policy deploy.Policy, up *pkgmgr.Upgrade, cl *Clustering, fix deploy.Fixer) (*deploy.Outcome, error) {
-	h, err := v.StartDeployment(ctx, orchestrator.New(""), policy, up, cl, fix)
-	if err != nil {
-		return nil, err
-	}
-	// The rollout's own context is ctx: Wait on Background so a cancelled
-	// deployment still hands back its partial outcome instead of a bare
-	// ctx.Err().
-	return h.Wait(context.Background())
-}
-
-// DeploymentPlan returns the wave schedule StageDeployment would execute
-// for the clustering — useful for dry-run inspection and for
-// cross-checking a live rollout against its simulation. StageDeployment
-// constructs its controller with the default shuffle seed, so the plan
-// here is built with the same seed to keep the preview exact.
-func (v *Vendor) DeploymentPlan(policy deploy.Policy, cl *Clustering) *staging.Plan {
-	return staging.BuildPlan(policy, deploy.Refs(cl.Deploy), 0)
-}
-
-// Reproduce materializes the report image of a failed report into a local
-// machine and re-runs the failed application on it, returning the trace —
-// the vendor-side debugging loop the reporting subsystem enables.
-func (v *Vendor) Reproduce(r *report.Report) (*trace.Trace, error) {
+// Reproduce is the vendor's half of the reporting subsystem: it
+// materializes the machine image a failed validation reported into a
+// local machine and re-runs the application that failed there, returning
+// the trace — the failure, reproduced on the vendor's bench.
+func Reproduce(r *report.Report) (*trace.Trace, error) {
 	if r.Image == nil {
 		return nil, fmt.Errorf("core: report %d has no image", r.ID)
 	}
@@ -393,6 +285,5 @@ func (v *Vendor) Reproduce(r *report.Report) (*trace.Trace, error) {
 	if model == nil {
 		return nil, fmt.Errorf("core: no model for application %q", r.FailedApps[0])
 	}
-	m := r.Image.Materialize()
-	return model.Run(m, nil), nil
+	return model.Run(r.Image.Materialize(), nil), nil
 }

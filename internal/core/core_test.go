@@ -2,152 +2,147 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/apps"
 	"repro/internal/cluster"
 	"repro/internal/deploy"
 	"repro/internal/machine"
-	"repro/internal/parser"
-	"repro/internal/pkgmgr"
+	"repro/internal/orchestrator"
 	"repro/internal/report"
+	"repro/internal/rollout"
+	"repro/internal/scenario"
+	"repro/internal/transport"
 )
 
-func lib(path, version, marker string) *machine.File {
-	return &machine.File{Path: path, Type: machine.TypeSharedLib,
-		Data: []byte(path + " " + version + " " + marker), Version: version}
+// The assembly's own suite: every test drives a fleet of real agents (on
+// in-process pipes) through the one Vendor — enrolment, profiling, a
+// rollout finished by Spec — so what it checks is the wiring callers no
+// longer write by hand.
+
+// startVendor assembles a vendor and attaches one agent per machine.
+func startVendor(t *testing.T, machines ...*machine.Machine) *Vendor {
+	v, _ := startFleet(t, machines...)
+	return v
 }
 
-func exe(path, version string) *machine.File {
-	return &machine.File{Path: path, Type: machine.TypeExecutable,
-		Data: []byte(path + " " + version), Version: version}
-}
-
-func cfg(path, data string) *machine.File {
-	return &machine.File{Path: path, Type: machine.TypeConfig, Data: []byte(data)}
-}
-
-// buildReference builds a vendor reference machine: mysql 4.1.22, no PHP,
-// no user config.
-func buildReference() *machine.Machine {
-	m := machine.New("vendor-reference")
-	m.SetEnv("HOME", "/root")
-	m.WriteFile(lib("/lib/libc.so", "2.4", ""))
-	m.WriteFile(exe(apps.MySQLExec, "4.1.22"))
-	m.WriteFile(lib(apps.LibMySQLPath, "4.1", ""))
-	m.WriteFile(cfg("/etc/mysql/my.cnf", "[mysqld]\nport=3306\n"))
-	m.WriteFile(&machine.File{Path: "/usr/share/mysql/errmsg.txt", Type: machine.TypeText, Data: []byte("errors")})
-	m.WriteFile(&machine.File{Path: "/var/lib/mysql/users.frm", Type: machine.TypeBinary, Data: []byte("table")})
-	m.InstallPackage(machine.PackageRef{Name: "mysql", Version: "4.1.22"},
-		[]string{apps.MySQLExec, apps.LibMySQLPath, "/etc/mysql/my.cnf"})
-	return m
-}
-
-// userMachineVariant builds a user machine derived from the reference.
-// kind: "plain", "php4" (PHP problem on MySQL upgrade) or "userconfig"
-// (my.cnf problem).
-func userMachineVariant(name, kind string) *machine.Machine {
-	m := buildReference()
-	m.Name = name
-	m.SetEnv("HOME", "/home/user")
-	switch kind {
-	case "php4":
-		m.WriteFile(exe(apps.PHPExec, "4.4.6"))
-		m.InstallPackage(machine.PackageRef{Name: "php", Version: "4.4.6"}, []string{apps.PHPExec})
-	case "userconfig":
-		m.WriteFile(cfg("/home/user/.my.cnf", "[client]\nlegacy=1\n"))
-	}
-	return m
-}
-
-// mysql5Upgrade returns the problematic upgrade: new server plus a client
-// library without the php4 compatibility symbols.
-func mysql5Upgrade() *pkgmgr.Upgrade {
-	return &pkgmgr.Upgrade{
-		ID: "mysql-5.0.22",
-		Pkg: &pkgmgr.Package{
-			Name: "mysql", Version: "5.0.22",
-			Files: []*machine.File{
-				exe(apps.MySQLExec, "5.0.22"),
-				lib(apps.LibMySQLPath, "5.0", ""),
-				cfg("/etc/mysql/my.cnf", "[mysqld]\nport=3306\n"),
-			},
-		},
-		Replaces: "4.1.22",
-	}
-}
-
-// mysql5Fixed is the corrected upgrade the vendor produces after debugging:
-// the client library keeps the old symbols and a migration rewrites legacy
-// user configuration files.
-func mysql5Fixed() *pkgmgr.Upgrade {
-	up := mysql5Upgrade()
-	up.ID = "mysql-5.0.22b"
-	up.Pkg.Files[1] = lib(apps.LibMySQLPath, "5.0", "php4-compat")
-	up.Migrations = []pkgmgr.FileEdit{
-		{Path: "/home/user/.my.cnf", Append: []byte("# migrated-for-5\n")},
-	}
-	return up
-}
-
-func setupVendorAndFleet(t *testing.T) (*Vendor, *Fleet) {
+// startFleet is startVendor for tests that also drive the agents.
+func startFleet(t *testing.T, machines ...*machine.Machine) (*Vendor, map[string]*transport.Agent) {
 	t.Helper()
-	v := NewVendor(buildReference())
-	v.Repo.Add(mysql5Upgrade().Pkg)
-	// The vendor provides a parser for MySQL's configuration files and the
-	// one rule Table 1 requires (include the /var database directory).
-	v.Registry.RegisterPath("/etc/mysql/my.cnf", parser.ConfigParser{})
-	v.Registry.RegisterGlob("/home/*/.my.cnf", parser.ConfigParser{})
-	v.IdentifyResources(apps.MySQL{}, [][]string{{"SELECT 1"}, {"SELECT 2"}})
+	v, err := New(Options{Listen: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	t.Cleanup(func() {
+		close(stop)
+		v.Close()
+	})
+	agents := make(map[string]*transport.Agent, len(machines))
+	for _, m := range machines {
+		agents[m.Name] = transport.NewAgent(m)
+		go agents[m.Name].ServePipes(v.Server, stop)
+	}
+	if got := v.Server.WaitForAgents(len(machines), 5*time.Second); got != len(machines) {
+		t.Fatalf("only %d/%d agents registered", got, len(machines))
+	}
+	return v, agents
+}
 
-	fleet := NewFleet(v,
-		userMachineVariant("u-plain-1", "plain"),
-		userMachineVariant("u-plain-2", "plain"),
-		userMachineVariant("u-php4-1", "php4"),
-		userMachineVariant("u-php4-2", "php4"),
-		userMachineVariant("u-usercfg-1", "userconfig"),
-	)
-	for _, u := range fleet.Machines {
-		u.IdentifyLocal(apps.MySQL{}, [][]string{{"SELECT 1"}, {"SELECT 2"}})
-		u.RecordBaseline(apps.MySQL{}, []string{"SELECT 1"})
-		if _, ok := u.M.Package("php"); ok {
-			u.IdentifyLocal(apps.PHP{}, [][]string{nil, nil})
-			u.RecordBaseline(apps.PHP{}, nil)
+// mysqlApp is the MySQL experiment with the vendor's my.cnf parsers (the
+// Figure 6 setup), so a legacy user configuration is a parsed difference.
+func mysqlApp() App {
+	reg := transport.MirageRegistryConfig()
+	reg.Rules = append(reg.Rules,
+		transport.RegistryRule{Match: "path", Pattern: "/etc/mysql/my.cnf", Parser: "config"},
+		transport.RegistryRule{Match: "path", Pattern: "/home/user/.my.cnf", Parser: "config"})
+	return App{Name: "mysql", Refs: scenario.MySQLResourceRefs(), Registry: reg,
+		Reference: scenario.MySQLVendorReference()}
+}
+
+// mysqlFleet enrols two plain machines, two with PHP 4 (broken by the
+// upgrade's client library) and one with a legacy ~/.my.cnf (crashes the
+// new server).
+func mysqlFleet(t *testing.T) (*Vendor, []*machine.Machine) {
+	t.Helper()
+	var machines []*machine.Machine
+	var names, php []string
+	for _, spec := range []scenario.MySQLMachineSpec{
+		{Name: "u-plain-1", Distro: "ubt"}, {Name: "u-plain-2", Distro: "ubt"},
+		{Name: "u-php4-1", Distro: "ubt", PHP4: true}, {Name: "u-php4-2", Distro: "ubt", PHP4: true},
+		{Name: "u-usercfg-1", Distro: "ubt", UserCnf: true},
+	} {
+		machines, names = append(machines, scenario.BuildMySQLMachine(spec)), append(names, spec.Name)
+		if spec.PHP4 {
+			php = append(php, spec.Name)
 		}
 	}
-	return v, fleet
+	v := startVendor(t, machines...)
+	ctx := context.Background()
+	if err := v.Enroll(ctx, "mysql", [][]string{{"SELECT 1"}, {"SELECT 2"}}, names); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Enroll(ctx, "php", [][]string{nil, nil}, php); err != nil {
+		t.Fatal(err)
+	}
+	return v, machines
+}
+
+func profileMySQL(t *testing.T, v *Vendor) *transport.RemoteClustering {
+	t.Helper()
+	rc, err := v.Profile(context.Background(), mysqlApp(), cluster.Config{Diameter: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rc
+}
+
+// deployMySQL runs the MySQL 4->5 rollout described by spec (policy, fixer,
+// journal…) to its end, over the freshly profiled fleet unless spec names
+// its clusters.
+func deployMySQL(t *testing.T, v *Vendor, spec orchestrator.Spec) (*deploy.Outcome, error) {
+	t.Helper()
+	if spec.Upgrade == nil {
+		spec.Upgrade = scenario.MySQLUpgrade()
+	}
+	if spec.Clusters == nil {
+		spec.Clusters = profileMySQL(t, v).Deploy
+	}
+	h, err := v.Orch.Start(context.Background(), v.Spec(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h.Wait(context.Background())
 }
 
 func TestIdentifyResourcesOnReference(t *testing.T) {
-	v := NewVendor(buildReference())
-	res := v.IdentifyResources(apps.MySQL{}, [][]string{{"SELECT 1"}, {"SELECT 2"}})
-	joined := strings.Join(res.Resources, " ")
+	ref := scenario.BuildMySQLMachine(scenario.MySQLMachineSpec{Name: "reference", Distro: "ubt", EtcCnf: "[mysqld]\nport = 3306\n"})
+	v := startVendor(t, ref)
+	res, err := v.Server.Identify(context.Background(), "reference", "mysql", [][]string{{"SELECT 1"}, {"SELECT 2"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	joined := strings.Join(res, " ")
 	for _, want := range []string{"/lib/libc.so", apps.MySQLExec, "/etc/mysql/my.cnf", "env:HOME"} {
 		if !strings.Contains(joined, want) {
-			t.Errorf("resources missing %q: %v", want, res.Resources)
+			t.Errorf("resources missing %q: %v", want, res)
 		}
 	}
 	// The database directory is excluded by default (/var).
 	if strings.Contains(joined, "/var/lib/mysql") {
-		t.Errorf("database directory classified: %v", res.Resources)
-	}
-	if v.Resources["mysql"] == nil {
-		t.Fatal("resources not cached")
+		t.Errorf("database directory classified: %v", res)
 	}
 }
 
 func TestClusterFleetSeparatesBehaviours(t *testing.T) {
-	v, fleet := setupVendorAndFleet(t)
-	cl, err := v.ClusterFleet(context.Background(), fleet, "mysql", cluster.Config{Diameter: 3}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The php4 pair and the usercfg machine must not share clusters with
-	// plain machines: their environments differ (installed app set /
-	// user config file).
+	v, _ := mysqlFleet(t)
+	rc := profileMySQL(t, v)
 	byMachine := make(map[string]int)
-	for i, c := range cl.Clusters {
+	for i, c := range rc.Clusters {
 		for _, m := range c.Machines {
 			byMachine[m] = i
 		}
@@ -164,84 +159,114 @@ func TestClusterFleetSeparatesBehaviours(t *testing.T) {
 	if byMachine["u-usercfg-1"] == byMachine["u-plain-1"] {
 		t.Fatal("userconfig machine clustered with plain machines")
 	}
-	// Ground-truth soundness for the MySQL 5 upgrade.
-	behavior := cluster.Behavior{
+	q := cluster.Evaluate(rc.Clusters, cluster.Behavior{
 		"u-plain-1": "", "u-plain-2": "",
 		"u-php4-1": "php-crash", "u-php4-2": "php-crash",
 		"u-usercfg-1": "mycnf-crash",
-	}
-	q := cluster.Evaluate(cl.Clusters, behavior)
+	})
 	if !q.Sound() {
 		t.Fatalf("clustering not sound: %+v", q)
+	}
+	// Profiling is what starts the live fleet view.
+	if view := v.Monitor().View(); view.Machines != 5 || len(view.Clusters) != len(rc.Clusters) {
+		t.Fatalf("monitor view = %+v, want the profiled fleet", view)
+	}
+}
+
+func TestClusterFleetUnknownApp(t *testing.T) {
+	v := startVendor(t, scenario.BuildMySQLMachine(scenario.MySQLMachineSpec{Name: "u", Distro: "ubt"}))
+	err := v.Enroll(context.Background(), "unknown", [][]string{nil}, []string{"u"})
+	if err == nil || !strings.Contains(err.Error(), "unknown application") {
+		t.Fatalf("enrolling an unknown application = %v", err)
+	}
+	bad := mysqlApp()
+	bad.Registry.Rules = append(bad.Registry.Rules, transport.RegistryRule{Match: "path", Pattern: "/x", Parser: "nope"})
+	if _, err := v.Profile(context.Background(), bad, cluster.Config{Diameter: 3}); err == nil {
+		t.Fatal("no error for a registry naming an unknown parser")
+	}
+	if v.Monitor() != nil {
+		t.Fatal("a failed Profile published a monitor")
+	}
+}
+
+func TestRepsPerCluster(t *testing.T) {
+	v, machines := mysqlFleet(t)
+	members := 0
+	for _, dc := range profileMySQL(t, v).Deploy {
+		if len(dc.Representatives) != 1 {
+			t.Fatalf("cluster %s has %d representatives, want 1", dc.ID, len(dc.Representatives))
+		}
+		members += dc.Size()
+	}
+	if members != len(machines) {
+		t.Fatalf("clusters of deployment hold %d members, fleet has %d", members, len(machines))
+	}
+}
+
+func TestClusterFleetIdenticalAtAnyProfileParallelism(t *testing.T) {
+	v, _ := mysqlFleet(t)
+	want := ""
+	for _, par := range []int{1, 2, 16} {
+		v.Server.ProfileParallelism = par
+		rc := profileMySQL(t, v)
+		got := fmt.Sprint(rc.Clusters)
+		for _, dc := range rc.Deploy {
+			got += fmt.Sprintf(" %s:%s+%d", dc.ID, dc.Representatives[0].Name(), len(dc.Others))
+		}
+		if want == "" {
+			want = got
+		} else if got != want {
+			t.Fatalf("parallelism %d: %s\nwant %s", par, got, want)
+		}
 	}
 }
 
 func TestStagedDeploymentEndToEnd(t *testing.T) {
-	v, fleet := setupVendorAndFleet(t)
-	cl, err := v.ClusterFleet(context.Background(), fleet, "mysql", cluster.Config{Diameter: 3}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	fixCount := 0
-	fix := func(up *pkgmgr.Upgrade, failures []*report.Report) (*pkgmgr.Upgrade, bool) {
-		fixCount++
-		if fixCount > 2 {
-			return nil, false
-		}
-		fixed := mysql5Fixed()
-		v.Repo.Add(fixed.Pkg)
-		return fixed, true
-	}
-
-	out, err := v.StageDeployment(context.Background(), deploy.PolicyBalanced, mysql5Upgrade(), cl, fix)
+	v, machines := mysqlFleet(t)
+	out, err := deployMySQL(t, v, orchestrator.Spec{Policy: deploy.PolicyBalanced, Fix: scenario.MySQLFix})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Abandoned {
 		t.Fatalf("deployment abandoned; URR failures: %v", v.URR.GroupFailures("mysql-5.0.22"))
 	}
-	if got := out.Integrated(); got != len(fleet.Machines) {
-		t.Fatalf("integrated = %d, want %d", got, len(fleet.Machines))
+	if got := out.Integrated(); got != len(machines) {
+		t.Fatalf("integrated = %d, want %d", got, len(machines))
 	}
-	// Staging must keep overhead at the number of distinct problems hit by
+	// Staging keeps overhead at the number of distinct problems hit by
 	// representatives (php crash and my.cnf crash: at most one rep each).
-	if out.Overhead > 2 {
-		t.Fatalf("overhead = %d, want <= 2", out.Overhead)
+	if out.Overhead == 0 || out.Overhead > 2 {
+		t.Fatalf("overhead = %d, want 1 or 2", out.Overhead)
 	}
-	// Every machine now runs some 5.0.22 variant in production.
-	for _, u := range fleet.Machines {
-		ref, _ := u.M.Package("mysql")
-		if ref.Version != "5.0.22" {
-			t.Fatalf("%s runs mysql %s", u.Name(), ref.Version)
-		}
+	// The Spec finisher is what books the wire traffic.
+	if out.Transfer.Frames == 0 || out.Transfer.ChunkBytes == 0 {
+		t.Fatalf("outcome carries no transfer accounting: %+v", out.Transfer)
 	}
-	// And the applications actually work post-upgrade.
-	for _, u := range fleet.Machines {
-		if tr := (apps.MySQL{}).Run(u.M, []string{"SELECT 1"}); tr.ExitStatus() != "ok" {
-			t.Fatalf("%s: mysql broken after deployment: %s", u.Name(), tr.ExitStatus())
+	for _, m := range machines {
+		if ref, _ := m.Package("mysql"); ref.Version != "5.0.22" {
+			t.Fatalf("%s runs mysql %s", m.Name, ref.Version)
 		}
-		if _, ok := u.M.Package("php"); ok {
-			if tr := (apps.PHP{}).Run(u.M, nil); tr.ExitStatus() != "ok" {
-				t.Fatalf("%s: php broken after deployment", u.Name())
+		if tr := (apps.MySQL{}).Run(m, []string{"SELECT 1"}); tr.ExitStatus() != "ok" {
+			t.Fatalf("%s: mysql broken after deployment: %s", m.Name, tr.ExitStatus())
+		}
+		if _, ok := m.Package("php"); ok {
+			if tr := (apps.PHP{}).Run(m, nil); tr.ExitStatus() != "ok" {
+				t.Fatalf("%s: php broken after deployment", m.Name)
 			}
+		}
+	}
+	// Every gated member was handed to the monitor (Spec's GatedMembers
+	// hook), so the live view shows every cluster gated.
+	for _, c := range v.Monitor().View().Clusters {
+		if !c.Gated {
+			t.Fatalf("cluster %s finished the rollout ungated in the fleet view", c.Name)
 		}
 	}
 }
 
 func TestStagedDeploymentProtectsNonRepresentatives(t *testing.T) {
-	v, fleet := setupVendorAndFleet(t)
-	cl, err := v.ClusterFleet(context.Background(), fleet, "mysql", cluster.Config{Diameter: 3}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fix := func(up *pkgmgr.Upgrade, failures []*report.Report) (*pkgmgr.Upgrade, bool) {
-		fixed := mysql5Fixed()
-		v.Repo.Add(fixed.Pkg)
-		return fixed, true
-	}
-	out, err := v.StageDeployment(context.Background(), deploy.PolicyBalanced, mysql5Upgrade(), cl, fix)
-	if err != nil {
+	v, _ := mysqlFleet(t)
+	if _, err := deployMySQL(t, v, orchestrator.Spec{Fix: scenario.MySQLFix}); err != nil {
 		t.Fatal(err)
 	}
 	// u-php4-2 is the non-representative of the php4 cluster: it must
@@ -251,21 +276,111 @@ func TestStagedDeploymentProtectsNonRepresentatives(t *testing.T) {
 			t.Fatal("non-representative tested the faulty upgrade")
 		}
 	}
-	_ = out
 }
 
-func TestReproduceFromReportImage(t *testing.T) {
-	v, fleet := setupVendorAndFleet(t)
-	u := fleet.Lookup("u-php4-1")
-	rep, err := u.TestUpgrade(context.Background(), mysql5Upgrade())
+func TestNotifyFinalConvergesVersions(t *testing.T) {
+	v, _ := mysqlFleet(t)
+	out, err := deployMySQL(t, v, orchestrator.Spec{Fix: scenario.MySQLFix})
+	if err != nil || out.Abandoned {
+		t.Fatalf("outcome %+v, err %v", out, err)
+	}
+	// Every node converged on the SAME final upgrade ID, including the
+	// ones that integrated the original version before the fix existed.
+	for name, st := range out.Nodes {
+		if st.UpgradeID != out.FinalID {
+			t.Fatalf("%s finished on %q, final is %q", name, st.UpgradeID, out.FinalID)
+		}
+	}
+}
+
+func TestUrgentUpgradeBypassesStagingAtCoreLevel(t *testing.T) {
+	v, machines := mysqlFleet(t)
+	up := scenario.MySQLFixed("mysql-5.0.22-urgent")
+	up.Urgent = true
+	out, err := deployMySQL(t, v, orchestrator.Spec{Policy: deploy.PolicyBalanced, Upgrade: up})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Success {
-		t.Fatal("php4 machine passed faulty upgrade")
+	if out.Policy != deploy.PolicyNoStaging {
+		t.Fatalf("urgent upgrade used %v", out.Policy)
 	}
-	v.URR.Deposit(rep)
-	tr, err := v.Reproduce(rep)
+	if out.Integrated() != len(machines) {
+		t.Fatalf("integrated = %d", out.Integrated())
+	}
+}
+
+func TestAbandonedDeploymentLeavesProductionIntact(t *testing.T) {
+	v, machines := mysqlFleet(t)
+	out, err := deployMySQL(t, v, orchestrator.Spec{}) // the vendor cannot fix anything
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Abandoned {
+		t.Fatal("not abandoned")
+	}
+	// Machines whose cluster never passed keep running 4.1.22 untouched —
+	// validation happened only in sandboxes.
+	for _, m := range machines {
+		ref, _ := m.Package("mysql")
+		if out.Nodes[m.Name].UpgradeID == "" && ref.Version != "4.1.22" {
+			t.Fatalf("%s modified despite never passing validation: %s", m.Name, ref.Version)
+		}
+		if tr := (apps.MySQL{}).Run(m, []string{"SELECT 1"}); tr.ExitStatus() != "ok" {
+			t.Fatalf("%s broken after abandoned deployment", m.Name)
+		}
+	}
+}
+
+// TestJournaledStageDeployment: a spec naming a journal runs as a durable
+// rollout, and resuming the sealed journal through the release store is
+// refused rather than silently re-run.
+func TestJournaledStageDeployment(t *testing.T) {
+	v, machines := mysqlFleet(t)
+	spec := orchestrator.Spec{Fix: scenario.MySQLFix, Rebuild: scenario.MySQLRelease,
+		Clusters: profileMySQL(t, v).Deploy, Journal: filepath.Join(t.TempDir(), "deploy.journal")}
+	out, err := deployMySQL(t, v, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Integrated() != len(machines) || out.Abandoned {
+		t.Fatalf("outcome = %+v", out)
+	}
+	recs, err := rollout.Load(spec.Journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) < 3 || recs[0].Type != rollout.RecPlan || recs[len(recs)-1].Type != rollout.RecComplete {
+		t.Fatalf("journal shape wrong: %d records, head %s, tail %s",
+			len(recs), recs[0].Type, recs[len(recs)-1].Type)
+	}
+	spec.Resume = true
+	if _, err := deployMySQL(t, v, spec); err == nil || !strings.Contains(err.Error(), "sealed") {
+		t.Fatalf("resume of a sealed journal = %v, want sealed-journal refusal", err)
+	}
+	if again, err := rollout.Load(spec.Journal); err != nil || len(again) != len(recs) {
+		t.Fatalf("refused resume still appended records: %d -> %d (%v)", len(recs), len(again), err)
+	}
+}
+
+// faultyReports has every machine validate the faulty upgrade directly (no
+// staging) and deposits the reports.
+func faultyReports(t *testing.T, v *Vendor, machines []*machine.Machine) {
+	t.Helper()
+	for _, m := range machines {
+		rep, err := v.Server.Node(m.Name).TestUpgrade(context.Background(), scenario.MySQLUpgrade())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep.Cluster = "all"
+		v.URR.Deposit(rep)
+	}
+}
+
+func TestReproduceFromReportImage(t *testing.T) {
+	v, machines := mysqlFleet(t)
+	faultyReports(t, v, machines[2:3]) // u-php4-1
+	rep := v.URR.Failures("mysql-5.0.22")[0]
+	tr, err := Reproduce(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,40 +390,27 @@ func TestReproduceFromReportImage(t *testing.T) {
 }
 
 func TestReproduceErrors(t *testing.T) {
-	v := NewVendor(buildReference())
-	if _, err := v.Reproduce(&report.Report{}); err == nil {
+	if _, err := Reproduce(&report.Report{}); err == nil {
 		t.Fatal("no error for image-less report")
 	}
 }
 
-func TestClusterFleetUnknownApp(t *testing.T) {
-	v := NewVendor(buildReference())
-	fleet := NewFleet(v, userMachineVariant("u", "plain"))
-	if _, err := v.ClusterFleet(context.Background(), fleet, "unknown", cluster.Config{Diameter: 3}, 1); err == nil {
-		t.Fatal("no error for unidentified application")
+func TestURRGroupsFailuresAcrossFleet(t *testing.T) {
+	v, machines := mysqlFleet(t)
+	faultyReports(t, v, machines)
+	// The URR must collapse the failures into exactly two failure modes,
+	// and each group's representative report reproduces.
+	groups := v.URR.GroupFailures("mysql-5.0.22")
+	if len(groups) != 2 {
+		t.Fatalf("failure modes = %d, want 2 (php crash, my.cnf crash)", len(groups))
 	}
-}
-
-func TestFleetLookup(t *testing.T) {
-	v := NewVendor(buildReference())
-	fleet := NewFleet(v, userMachineVariant("a", "plain"))
-	if fleet.Lookup("a") == nil || fleet.Lookup("b") != nil {
-		t.Fatal("Lookup broken")
-	}
-}
-
-func TestRepsPerCluster(t *testing.T) {
-	v, fleet := setupVendorAndFleet(t)
-	cl, err := v.ClusterFleet(context.Background(), fleet, "mysql", cluster.Config{Diameter: 3}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, dc := range cl.Deploy {
-		if dc.Size() >= 2 && len(dc.Representatives) != 2 {
-			t.Fatalf("cluster %s has %d reps", dc.ID, len(dc.Representatives))
+	for _, g := range groups {
+		tr, err := Reproduce(g.Representative)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if dc.Size() == 1 && len(dc.Representatives) != 1 {
-			t.Fatalf("singleton cluster %s has %d reps", dc.ID, len(dc.Representatives))
+		if tr.ExitStatus() != "crash" {
+			t.Fatalf("group %q did not reproduce", g.Signature)
 		}
 	}
 }

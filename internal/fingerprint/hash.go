@@ -27,9 +27,7 @@ func FormatHash(h uint64) string {
 
 // CombineHashes folds an ordered sequence of hashes into one digest. Order
 // matters: CombineHashes(a, b) != CombineHashes(b, a) in general. It is
-// used to summarise multi-chunk fingerprints and to derive the single
-// cryptographic cluster hash discussed in the paper's privacy extension
-// (§3.5, "Deployment").
+// used to summarise multi-chunk fingerprints.
 func CombineHashes(hashes ...uint64) uint64 {
 	buf := make([]byte, 8*len(hashes))
 	for i, h := range hashes {

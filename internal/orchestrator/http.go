@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -63,6 +64,27 @@ func (r StartRequest) DriftPolicy() DriftPolicy {
 		MaxDriftedPerCluster: r.DriftMax,
 		Action:               DriftAction(r.DriftAction),
 	}
+}
+
+// Overlay applies the request's choices onto base, the spec a vendor
+// starts when the request chooses nothing: a named policy and an armed
+// gate replace the base's, auto-rollback can be switched on but not off,
+// and journal, resume and drift policy are the request's alone.
+func (r StartRequest) Overlay(base Spec) (Spec, error) {
+	if r.Policy != "" {
+		p, ok := staging.ParsePolicy(r.Policy)
+		if !ok {
+			return Spec{}, fmt.Errorf("unknown policy %q", r.Policy)
+		}
+		base.Policy = p
+	}
+	if r.GateMinSamples > 0 {
+		base.Gate = r.GatePolicy()
+	}
+	base.Journal, base.Resume = r.Journal, r.Resume
+	base.AutoRollback = base.AutoRollback || r.AutoRollback
+	base.Drift = r.DriftPolicy()
+	return base, nil
 }
 
 // Launcher maps an admin start request to a full rollout Spec — the hook

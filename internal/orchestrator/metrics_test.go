@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/deploy"
+	"repro/internal/scenario"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
@@ -206,7 +207,7 @@ func TestMetricsFamilies(t *testing.T) {
 	}
 	h, err := orch.Start(context.Background(), Spec{
 		Policy:    deploy.PolicyBalanced,
-		Upgrade:   tcpUpgrade(),
+		Upgrade:   scenario.MySQLUpgrade(),
 		Clusters:  tcpClusters(s, "fam", 2, map[string]deploy.Node{"fam-c1-rep": hold}),
 		Configure: func(ctl *deploy.Controller) { ctl.Transfer = s.TransferSnapshot },
 	})

@@ -11,9 +11,9 @@
 // The HTTP admin surface over this API lives in this package too
 // (API/Handler, long-poll events), together with the Go client that
 // cmd/mirage-ctl wraps, so the wire vocabulary — status and event JSON —
-// is defined exactly once. core.Vendor.StageDeployment is a thin
-// synchronous wrapper over Start+Wait, which is what keeps the one-shot
-// API and the control plane from drifting apart.
+// is defined exactly once. A one-shot deployment is Start+Wait on the
+// same orchestrator (mirage-vendor without -serve), which is what keeps
+// the one-shot path and the control plane from drifting apart.
 package orchestrator
 
 import (

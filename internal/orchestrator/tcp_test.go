@@ -8,12 +8,12 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/apps"
 	"repro/internal/deploy"
 	"repro/internal/machine"
 	"repro/internal/pkgmgr"
 	"repro/internal/report"
 	"repro/internal/rollout"
+	"repro/internal/scenario"
 	"repro/internal/transport"
 )
 
@@ -21,25 +21,7 @@ import (
 // TCP agents, journaled rollouts — pause and abort exercised mid-wave.
 
 func tcpMachine(name string) *machine.Machine {
-	m := machine.New(name)
-	m.SetEnv("HOME", "/home/user")
-	m.WriteFile(&machine.File{Path: "/lib/libc.so", Type: machine.TypeSharedLib, Data: []byte("libc 2.4"), Version: "2.4"})
-	m.WriteFile(&machine.File{Path: apps.MySQLExec, Type: machine.TypeExecutable, Data: []byte("mysqld 4.1.22"), Version: "4.1.22"})
-	m.WriteFile(&machine.File{Path: apps.LibMySQLPath, Type: machine.TypeSharedLib, Data: []byte("libmysqlclient 4.1"), Version: "4.1"})
-	m.InstallPackage(machine.PackageRef{Name: "mysql", Version: "4.1.22"},
-		[]string{apps.MySQLExec, apps.LibMySQLPath})
-	return m
-}
-
-func tcpUpgrade() *pkgmgr.Upgrade {
-	return &pkgmgr.Upgrade{
-		ID: "mysql-5.0.22",
-		Pkg: &pkgmgr.Package{Name: "mysql", Version: "5.0.22", Files: []*machine.File{
-			{Path: apps.MySQLExec, Type: machine.TypeExecutable, Data: []byte("mysqld 5.0.22"), Version: "5.0.22"},
-			{Path: apps.LibMySQLPath, Type: machine.TypeSharedLib, Data: []byte("libmysqlclient 5.0"), Version: "5.0"},
-		}},
-		Replaces: "4.1.22",
-	}
+	return scenario.BuildMySQLMachine(scenario.MySQLMachineSpec{Name: name, Distro: "ubt"})
 }
 
 // startTCPFleet launches a transport server plus one agent per name.
@@ -135,7 +117,7 @@ func TestAbortMidStageOverTCP(t *testing.T) {
 	orch := New(dir)
 	h, err := orch.Start(context.Background(), Spec{
 		Policy:   deploy.PolicyBalanced,
-		Upgrade:  tcpUpgrade(),
+		Upgrade:  scenario.MySQLUpgrade(),
 		Clusters: tcpClusters(s, "abt", 3, map[string]deploy.Node{"abt-c1-rep": hold}),
 		Journal:  journal,
 		Configure: func(ctl *deploy.Controller) {
@@ -201,7 +183,7 @@ func TestAbortMidStageOverTCP(t *testing.T) {
 	// -resume refuses an aborted journal.
 	h2, err := orch.Start(context.Background(), Spec{
 		Policy:   deploy.PolicyBalanced,
-		Upgrade:  tcpUpgrade(),
+		Upgrade:  scenario.MySQLUpgrade(),
 		Clusters: tcpClusters(s, "abt", 3, nil),
 		Journal:  journal,
 		Resume:   true,
@@ -228,7 +210,7 @@ func TestPauseResumeOverTCP(t *testing.T) {
 	orch := New(t.TempDir())
 	h, err := orch.Start(context.Background(), Spec{
 		Policy:   deploy.PolicyBalanced,
-		Upgrade:  tcpUpgrade(),
+		Upgrade:  scenario.MySQLUpgrade(),
 		Clusters: tcpClusters(s, "pr", 2, map[string]deploy.Node{"pr-c0-rep": hold}),
 	})
 	if err != nil {

@@ -2,9 +2,8 @@
 // from machine fingerprints to clusters of deployment, exactly as
 // internal/staging owns the wave schedule. The front half of the paper's
 // clustering subsystem (§3.2.3) — collect every machine's diff against the
-// vendor reference, cluster the diffs, pick representatives — used to be
-// implemented twice, serially, in internal/core (local fleets) and
-// internal/transport (remote fleets). Both now route through this package:
+// vendor reference, cluster the diffs, pick representatives — lives here
+// once; internal/transport runs it with one Source per registered agent:
 //
 //	Source (per machine)  ──Collect──►  []Machine  ──Fingerprints──►
 //	cluster.Run  ──Assemble──►  []*deploy.Cluster
@@ -85,8 +84,8 @@ func FromFingerprint(fp cluster.MachineFingerprint) Machine {
 }
 
 // Source yields one machine's profile against a vendor reference.
-// core.UserMachine implements it by fingerprinting in-process; the
-// transport server's agent handles implement it with a fingerprint RPC.
+// The transport server's agent handles implement it with a fingerprint
+// RPC; tests implement it by fingerprinting in-process.
 // Collect may call Profile on different sources concurrently, so
 // implementations must not share mutable state across sources. The
 // context carries the collection's cancellation; sources doing I/O

@@ -201,8 +201,8 @@ func (s *Set) Equal(other *Set) bool {
 }
 
 // Signature returns a single stable hash over the whole set, independent of
-// insertion order. The paper's privacy extension (§3.5) has each machine
-// communicate only this hash of its differing items to the vendor.
+// insertion order. Watch-mode agents tag each profile delta with it, so
+// the vendor can tell a delta that folded cleanly from a diverged base.
 func (s *Set) Signature() uint64 {
 	ids := make([]string, 0, s.Len())
 	for id := range s.items {

@@ -239,10 +239,9 @@ func VerifyMySQLBehavior() cluster.Behavior {
 		m := BuildMySQLMachine(spec)
 		// Apply the upgrade the way the package manager would: new server
 		// binary and new client library.
-		m.WriteFile(&machine.File{Path: apps.MySQLExec, Type: machine.TypeExecutable,
-			Data: []byte("mysqld 5.0.22"), Version: "5.0.22"})
-		m.WriteFile(&machine.File{Path: apps.LibMySQLPath, Type: machine.TypeSharedLib,
-			Data: []byte("libmysqlclient 5.0"), Version: "5.0"})
+		for _, f := range MySQLUpgrade().Pkg.Files {
+			m.WriteFile(f)
+		}
 
 		behavior := ""
 		if tr := (apps.MySQL{}).Run(m, []string{"SELECT 1"}); tr.ExitStatus() == "crash" {

@@ -175,6 +175,31 @@ func (a *Agent) serve(conn net.Conn) error {
 // session end, redialing is the caller's policy.
 func (a *Agent) ServeConn(conn net.Conn) error { return a.serve(conn) }
 
+// ServePipes attaches the agent to an in-process server and keeps it
+// attached: inject a net.Pipe session into srv, serve it until it dies
+// (faults kill sessions), and re-pipe — the in-process twin of
+// RunWithReconnect. It returns once stop is closed or srv is.
+func (a *Agent) ServePipes(srv *Server, stop <-chan struct{}) {
+	for {
+		select {
+		case <-stop:
+			return
+		default:
+		}
+		client, srvEnd := net.Pipe()
+		if err := srv.ServeConn(srvEnd); err != nil {
+			client.Close()
+			return
+		}
+		a.ServeConn(client) //nolint:errcheck — session end, not failure
+		select {
+		case <-stop:
+			return
+		case <-time.After(2 * time.Millisecond): // pace the re-pipe like a redial
+		}
+	}
+}
+
 // ReconnectConfig tunes RunWithReconnect. The zero value gives sensible
 // defaults: 5 consecutive failed dials before giving up, 20ms initial
 // backoff doubling to a 1s ceiling.

@@ -6,15 +6,44 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/deploy"
 	"repro/internal/machine"
+	"repro/internal/parser"
+	"repro/internal/pkgmgr"
+	"repro/internal/profile"
+	"repro/internal/report"
+	"repro/internal/resource"
 )
 
-// Local-vs-remote parity: core.Vendor.ClusterFleet over an in-process
-// fleet and Server.ClusterRemote over the same machines behind agents run
-// the same profile pipeline, so they must produce identical clusters,
-// representative selections, and distances.
+// Local-vs-remote parity: Server.ClusterRemote over machines behind agents
+// is the profile pipeline (Collect → cluster.Run → Assemble) with agents
+// as its sources, so it must produce the clusters, representative
+// selections and distances the pipeline produces over in-process sources
+// fingerprinting the same machines directly.
+
+// localSource is the in-process reference profile.Source: it fingerprints
+// its machine itself, no wire involved.
+type localSource struct {
+	m    *machine.Machine
+	reg  *parser.Registry
+	refs []string
+}
+
+func (l localSource) Name() string { return l.m.Name }
+
+func (l localSource) Profile(_ context.Context, _ string, vendor *resource.Set) (profile.Machine, error) {
+	own := parser.NewFingerprinter(l.reg).Fingerprint(l.m, l.refs)
+	return profile.New(l.m.Name, own, vendor, l.m.AppSetKey()), nil
+}
+
+// namedNode is a deploy.Node that only carries a name, for Assemble.
+type namedNode string
+
+func (n namedNode) Name() string { return string(n) }
+func (n namedNode) TestUpgrade(context.Context, *pkgmgr.Upgrade) (*report.Report, error) {
+	return nil, nil
+}
+func (n namedNode) Integrate(context.Context, *pkgmgr.Upgrade) error { return nil }
 
 // parityMachine builds one fleet machine; flavor varies the parsed diff
 // (libc version) and the app set (php4) so the clustering exercises both
@@ -65,8 +94,8 @@ func TestLocalAndRemoteClusteringParity(t *testing.T) {
 	}
 	names := []string{"pm-00", "pm-01", "pm-02", "pm-03", "pm-04", "pm-05", "pm-06"}
 
-	// Two identical copies of the fleet: one wrapped as local user
-	// machines, one served by agents over the wire.
+	// Two identical copies of the fleet: one fingerprinted in-process, one
+	// served by agents over the wire.
 	var localMachines, remoteMachines []*machine.Machine
 	for i, f := range flavors {
 		localMachines = append(localMachines, parityMachine(names[i], f.libc, f.php4))
@@ -85,24 +114,34 @@ func TestLocalAndRemoteClusteringParity(t *testing.T) {
 	}
 	remoteDeploy, remoteRaw := rc.Deploy, rc.Clusters
 
-	// Local path: same reference machine, resource references and (Mirage)
-	// registry as the wire configuration describes.
-	v := core.NewVendor(userMachine("vendor-ref", false))
-	v.Resources["mysql"] = refs
-	fleet := core.NewFleet(v, localMachines...)
-	cl, err := v.ClusterFleet(context.Background(), fleet, "mysql", cfg, reps)
+	// Local path: the same registry the wire configuration describes, the
+	// same resource references, the same vendor items.
+	reg, err := BuildRegistry(regCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sources []profile.Source
+	for _, m := range localMachines {
+		sources = append(sources, localSource{m, reg, refs})
+	}
+	profiles, err := profile.Collect(context.Background(), sources, "mysql", vendorItems, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	localRaw := cluster.Run(cfg, profile.Fingerprints(profiles))
+	localDeploy, err := profile.Assemble(localRaw, reps, func(name string) deploy.Node { return namedNode(name) })
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if len(cl.Clusters) != len(remoteRaw) {
-		t.Fatalf("local %d clusters, remote %d", len(cl.Clusters), len(remoteRaw))
+	if len(localRaw) != len(remoteRaw) {
+		t.Fatalf("local %d clusters, remote %d", len(localRaw), len(remoteRaw))
 	}
-	if len(cl.Clusters) < 3 {
-		t.Fatalf("fixture too weak: only %d clusters", len(cl.Clusters))
+	if len(localRaw) < 3 {
+		t.Fatalf("fixture too weak: only %d clusters", len(localRaw))
 	}
-	for i := range cl.Clusters {
-		lc, rc := cl.Clusters[i], remoteRaw[i]
+	for i := range localRaw {
+		lc, rc := localRaw[i], remoteRaw[i]
 		if lc.ID != rc.ID || lc.Distance != rc.Distance {
 			t.Fatalf("cluster %d: local id/distance %d/%d, remote %d/%d",
 				i, lc.ID, lc.Distance, rc.ID, rc.Distance)
@@ -115,11 +154,11 @@ func TestLocalAndRemoteClusteringParity(t *testing.T) {
 		}
 	}
 
-	if len(cl.Deploy) != len(remoteDeploy) {
-		t.Fatalf("local %d deploy clusters, remote %d", len(cl.Deploy), len(remoteDeploy))
+	if len(localDeploy) != len(remoteDeploy) {
+		t.Fatalf("local %d deploy clusters, remote %d", len(localDeploy), len(remoteDeploy))
 	}
-	for i := range cl.Deploy {
-		ld, rd := cl.Deploy[i], remoteDeploy[i]
+	for i := range localDeploy {
+		ld, rd := localDeploy[i], remoteDeploy[i]
 		if ld.ID != rd.ID || ld.Distance != rd.Distance {
 			t.Fatalf("deploy cluster %d: local %s/%d, remote %s/%d",
 				i, ld.ID, ld.Distance, rd.ID, rd.Distance)

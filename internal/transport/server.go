@@ -1070,10 +1070,10 @@ type RemoteClustering struct {
 }
 
 // ClusterRemote fingerprints the whole registered fleet concurrently and
-// runs the clustering algorithm. It is the same Collect → cluster.Run →
-// Assemble pipeline core.Vendor.ClusterFleet runs over a local fleet, so
-// a local and a networked fleet with identical fingerprints cluster
-// identically.
+// runs the clustering algorithm: the profile package's Collect →
+// cluster.Run → Assemble pipeline with one agentSource per agent, so a
+// networked fleet clusters exactly as the same fingerprints would
+// in-process (parity_test.go).
 func (s *Server) ClusterRemote(ctx context.Context, app string, refs []string, reg RegistryConfig, vendorItems *resource.Set, cfg cluster.Config, repsPerCluster int) (*RemoteClustering, error) {
 	ms, err := s.CollectProfiles(ctx, app, refs, reg, vendorItems)
 	if err != nil {

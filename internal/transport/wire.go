@@ -5,8 +5,8 @@
 // Agents dial the vendor and keep a persistent control channel open (the
 // usual arrangement for fleet management behind NAT); all subsequent RPCs
 // are vendor-initiated over that channel. Remote agents appear to the
-// deployment controller as deploy.Node values, so the same staged
-// protocols drive local fleets and networked ones.
+// deployment controller as deploy.Node values, so the staged protocols
+// need know nothing of the wire.
 //
 // Wire format: newline-delimited JSON frames. JSON string escaping
 // guarantees no raw newline appears inside a frame.
