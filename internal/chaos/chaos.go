@@ -35,20 +35,20 @@ import (
 
 // Terminal states a chaos run can end in, read back from the journal —
 // never from in-memory state, because the journal is what survives a
-// vendor crash.
+// vendor crash. Each is the type of the record that ended the journal.
 const (
-	// TerminalComplete: the journal is sealed with RecComplete — every
-	// non-quarantined member converged on the (possibly corrected) new
-	// version.
-	TerminalComplete = "complete"
+	// TerminalComplete: the journal is sealed with a completion record —
+	// every non-quarantined member converged on the (possibly corrected)
+	// new version.
+	TerminalComplete = deploy.RecComplete
 	// TerminalRolledBack: the journal is sealed with rollback_complete —
 	// every previously-integrated, reachable member was verified back on
 	// the baseline.
-	TerminalRolledBack = "rolled_back"
+	TerminalRolledBack = deploy.RecRollbackDone
 	// TerminalAbandoned: the vendor gave up and no rollback was armed.
 	// Acceptance runs arm AutoRollback, so this state appearing there is
 	// a bug, not an outcome.
-	TerminalAbandoned = "abandoned"
+	TerminalAbandoned = deploy.RecAbandoned
 )
 
 // Options configures one chaos run.
@@ -279,26 +279,21 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 }
 
 // TerminalOf reads the journal and names its terminal state ("" if the
-// journal just stops — a crash, not a terminal).
+// journal just stops — a crash, not a terminal — even inside a rollback
+// pass).
 func TerminalOf(path string) (string, error) {
 	records, err := rollout.Load(path)
 	if err != nil {
 		return "", err
 	}
-	term := ""
+	var cur deploy.Cursor
 	for _, r := range records {
-		switch r.Type {
-		case rollout.RecComplete:
-			term = TerminalComplete
-		case rollout.RecRollbackDone:
-			term = TerminalRolledBack
-		case rollout.RecAbandoned:
-			if term == "" {
-				term = TerminalAbandoned
-			}
-		}
+		cur.Apply(r)
 	}
-	return term, nil
+	if cur.Terminal == nil {
+		return "", nil
+	}
+	return cur.Terminal.Type, nil
 }
 
 // stranded returns the machines whose installed MySQL disagrees with

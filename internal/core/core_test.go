@@ -349,7 +349,7 @@ func TestJournaledStageDeployment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) < 3 || recs[0].Type != rollout.RecPlan || recs[len(recs)-1].Type != rollout.RecComplete {
+	if len(recs) < 3 || recs[0].Type != deploy.RecPlan || recs[len(recs)-1].Type != rollout.RecComplete {
 		t.Fatalf("journal shape wrong: %d records, head %s, tail %s",
 			len(recs), recs[0].Type, recs[len(recs)-1].Type)
 	}

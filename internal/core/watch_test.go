@@ -125,7 +125,7 @@ func TestWatchModeDriftHoldsRollout(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range recs {
-		if r.Type == rollout.RecDrift && r.Node == drifter && strings.HasPrefix(r.Reason, "drifted") {
+		if r.Type == deploy.RecDrift && r.Node == drifter && strings.HasPrefix(r.Reason, "drifted") {
 			return
 		}
 	}

@@ -124,7 +124,7 @@ func bigFleet(nClusters, nodesPer int, bad map[string]map[string]string) []*Clus
 
 // eventKey is what of an event must not depend on the pool size.
 type eventKey struct {
-	Type      EventType
+	Type      string
 	Stage     int
 	Node      string
 	UpgradeID string
@@ -139,16 +139,16 @@ func checkWaveShape(t *testing.T, evs []Event) {
 	var passed []string
 	for i := 0; i < len(evs); {
 		switch evs[i].Type {
-		case EventTested:
+		case RecTested:
 			passed = passed[:0]
-			for ; i < len(evs) && evs[i].Type == EventTested; i++ {
+			for ; i < len(evs) && evs[i].Type == RecTested; i++ {
 				if evs[i].Success {
 					passed = append(passed, evs[i].Node)
 				}
 			}
-		case EventIntegrated:
+		case RecIntegrated:
 			var got []string
-			for ; i < len(evs) && evs[i].Type == EventIntegrated; i++ {
+			for ; i < len(evs) && evs[i].Type == RecIntegrated; i++ {
 				got = append(got, evs[i].Node)
 			}
 			if !reflect.DeepEqual(got, passed) {

@@ -75,8 +75,8 @@ func TestCancelCutsRetryBackoffShort(t *testing.T) {
 		t.Fatalf("abort quarantined %v", out.Quarantined)
 	}
 	last := obs.events[len(obs.events)-1]
-	if last.Type != EventAbandoned || last.Reason == "" {
-		t.Fatalf("last event = %+v, want reasoned EventAbandoned", last)
+	if last.Type != RecAbandoned || last.Reason == "" {
+		t.Fatalf("last event = %+v, want reasoned RecAbandoned", last)
 	}
 }
 
@@ -94,7 +94,7 @@ func TestCancelBeforeStageStartsIsStillAbandoned(t *testing.T) {
 	}
 	abandoned := 0
 	for _, ev := range obs.events {
-		if ev.Type == EventAbandoned {
+		if ev.Type == RecAbandoned {
 			abandoned++
 		}
 	}
@@ -121,7 +121,7 @@ func TestStageGateErrorHaltsPlan(t *testing.T) {
 		t.Fatalf("err = %v, want the gate's", err)
 	}
 	for _, ev := range obs.events {
-		if ev.Type == EventAbandoned {
+		if ev.Type == RecAbandoned {
 			t.Fatalf("gate error recorded as abandonment: %+v", ev)
 		}
 	}
@@ -130,7 +130,7 @@ func TestStageGateErrorHaltsPlan(t *testing.T) {
 		t.Fatal("stage 0 did not run before the gate halt")
 	}
 	for _, ev := range obs.events {
-		if ev.Type == EventStageStarted && ev.Stage == 1 {
+		if ev.Type == RecStageStart && ev.Stage == 1 {
 			t.Fatal("stage 1 started despite its gate erroring")
 		}
 	}

@@ -158,7 +158,7 @@ func TestQuarantinedRepIsGateFailureNotPass(t *testing.T) {
 	}
 	stageOf := make(map[string]int)
 	for _, ev := range obs.events {
-		if ev.Type == EventTested {
+		if ev.Type == RecTested {
 			stageOf[ev.Node] = ev.Stage
 		}
 	}
@@ -222,7 +222,7 @@ type failingJournal struct {
 }
 
 func (j *failingJournal) OnEvent(ev Event) error {
-	if ev.Type != EventIntegrated {
+	if ev.Type != RecIntegrated {
 		return nil
 	}
 	if len(j.recorded) == j.k-1 {
@@ -382,7 +382,7 @@ func TestCursorSkipsCompletedStagesAndMembers(t *testing.T) {
 	}
 	// Members the cursor records as integrated were not re-tested.
 	for _, c := range clusters {
-		for _, n := range append(append([]Node(nil), c.Representatives...), c.Others...) {
+		for n := range c.Nodes() {
 			fn := n.(*fakeNode)
 			wantTests := 0
 			if fn.name == "far-1" || fn.name == "far-2" {

@@ -18,6 +18,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
 	"sort"
 	"sync"
 	"time"
@@ -71,6 +72,22 @@ type Cluster struct {
 
 // Size returns the total number of nodes.
 func (c *Cluster) Size() int { return len(c.Representatives) + len(c.Others) }
+
+// Nodes yields every member of the cluster, representatives first.
+func (c *Cluster) Nodes() iter.Seq[Node] {
+	return func(yield func(Node) bool) {
+		for _, n := range c.Representatives {
+			if !yield(n) {
+				return
+			}
+		}
+		for _, n := range c.Others {
+			if !yield(n) {
+				return
+			}
+		}
+	}
+}
 
 // Fixer is the vendor's debugging loop: given the failure reports for an
 // upgrade, it returns a corrected upgrade. ok=false means the vendor could
@@ -223,100 +240,12 @@ const (
 	DefaultRetryBackoff     = 25 * time.Millisecond
 )
 
-// EventType enumerates deployment state transitions. The stream of events
-// is the write-ahead deployment journal's input (internal/rollout); every
-// transition that Resume must be able to replay appears here.
-type EventType int
-
-const (
-	// EventStageStarted fires when a plan stage begins executing.
-	EventStageStarted EventType = iota
-	// EventTested fires after a member's validation report is deposited.
-	EventTested
-	// EventIntegrated fires after a member integrates an upgrade version.
-	EventIntegrated
-	// EventQuarantined fires when a member exhausts the transient-retry
-	// budget and is left behind.
-	EventQuarantined
-	// EventFixReleased fires when the vendor ships a corrected upgrade;
-	// UpgradeID is the new version, PrevID the superseded one.
-	EventFixReleased
-	// EventGatePassed fires when a stage's gate releases the next stage.
-	EventGatePassed
-	// EventAbandoned fires when the vendor gives up on the upgrade.
-	EventAbandoned
-	// EventRollbackStarted fires before any member is reverted; UpgradeID
-	// is the baseline being restored, PrevID the version rolled back. Its
-	// durability is what makes a crash mid-rollback resumable.
-	EventRollbackStarted
-	// EventRolledBack fires after a member is restored to the baseline;
-	// UpgradeID is the baseline, PrevID the version the member left.
-	EventRolledBack
-	// EventRollbackSkipped fires when rollback leaves a member behind
-	// (quarantined, or unreachable through the retry budget) — Reason says
-	// why. A skipped member never blocks rollback completion.
-	EventRollbackSkipped
-	// EventRollbackCompleted fires when the rollback pass is done; with
-	// EventRollbackStarted it brackets the journal's rollback records.
-	EventRollbackCompleted
-)
-
-// Event is one deployment state transition.
-type Event struct {
-	Type EventType
-	// Stage is the plan stage index, or -1 for post-plan work (promoted
-	// adaptive waves, final-version notification).
-	Stage     int
-	Node      string
-	Cluster   string
-	UpgradeID string // upgrade version current at the transition
-	PrevID    string // EventFixReleased: the superseded version
-	Success   bool   // EventTested: validation verdict
-	Round     int    // EventFixReleased / EventAbandoned: debugging round
-	Reason    string // EventQuarantined / EventRollbackSkipped: why
-}
-
 // Observer receives every deployment state transition, in order. A
 // journaling observer that cannot persist an event returns an error, and
 // the controller halts the plan — write-ahead discipline: progress that
 // cannot be recorded must not continue, or a crash would replay it.
 type Observer interface {
 	OnEvent(Event) error
-}
-
-// Cursor tells Deploy what a previous run of the same plan already
-// accomplished, so a resumed rollout skips completed work instead of
-// redoing it. internal/rollout builds cursors by replaying a deployment
-// journal against a hash-checked freshly built plan.
-type Cursor struct {
-	// DoneStages is the count of leading plan stages whose gate passed;
-	// Deploy releases them immediately without re-running their waves.
-	DoneStages int
-	// Rounds restores the vendor debugging round counter.
-	Rounds int
-	// UpgradeID is the upgrade version that was current when the journal
-	// ended (advanced past the original by recorded fix releases). The
-	// caller is responsible for passing Deploy the matching upgrade.
-	UpgradeID string
-	// FinalID restores the last upgrade version the journal records as
-	// actually integrated on a node, so a resumed outcome that performs
-	// no new integrations still names the version that deployed.
-	FinalID string
-	// Overhead restores the faulty-test counter (the paper's metric).
-	Overhead int
-	// Integrated maps node name to the upgrade version it already
-	// integrated. Such members are never re-tested or re-integrated in
-	// waves; members holding a superseded version are brought to the
-	// final version by the usual §4.3 late notification.
-	Integrated map[string]string
-	// Quarantined lists members already quarantined; quarantine is sticky.
-	Quarantined map[string]bool
-	// Unclean lists clusters with recorded failures or quarantines, so
-	// adaptive gate promotion stays exactly as conservative on resume as
-	// it was in the interrupted run.
-	Unclean map[string]bool
-	// NodeTests and NodeFailures restore the per-node validation counters.
-	NodeTests, NodeFailures map[string]int
 }
 
 // Controller executes deployments.
@@ -391,7 +320,8 @@ type Controller struct {
 	Observer Observer
 	// Cursor, when set, resumes a previous run of the same plan: leading
 	// DoneStages release immediately and members the cursor records as
-	// integrated or quarantined are skipped.
+	// integrated or quarantined are skipped — or, for Rollback, a
+	// previous rollback pass of it.
 	Cursor *Cursor
 	// StageGate, when set, is consulted before each stage begins executing
 	// (and before the post-plan promoted flush, with stage -1) — the hook
@@ -533,7 +463,10 @@ func (ctl *Controller) PlanFor(policy Policy, clusters []*Cluster) *staging.Plan
 // mistake worth naming). Deploy then returns the partial outcome plus an
 // error wrapping ctx.Err().
 func (ctl *Controller) Deploy(ctx context.Context, policy Policy, up *pkgmgr.Upgrade, clusters []*Cluster) (*Outcome, error) {
-	out := &Outcome{Policy: policy, Nodes: make(map[string]*NodeStatus), FinalID: up.ID}
+	if up.Urgent {
+		policy = PolicyNoStaging
+	}
+	out := ctl.Cursor.outcome(policy, up.ID, clusters)
 	if ctl.Transfer != nil {
 		before := ctl.Transfer()
 		defer func() { out.Transfer = ctl.Transfer().Sub(before) }()
@@ -541,43 +474,11 @@ func (ctl *Controller) Deploy(ctx context.Context, policy Policy, up *pkgmgr.Upg
 	byID := make(map[string]*Cluster, len(clusters))
 	for _, c := range clusters {
 		byID[c.ID] = c
-		for _, n := range append(append([]Node(nil), c.Representatives...), c.Others...) {
-			out.Nodes[n.Name()] = &NodeStatus{Node: n.Name(), Cluster: c.ID}
-		}
-	}
-	if up.Urgent {
-		policy = PolicyNoStaging
-		out.Policy = PolicyNoStaging
 	}
 
 	r := &waveRunner{ctx: ctx, spanCtx: ctx, ctl: ctl, up: up, out: out, clusters: byID, clean: make(map[string]bool), unclean: make(map[string]bool)}
 	if cur := ctl.Cursor; cur != nil {
 		r.skipStages = cur.DoneStages
-		out.Rounds = cur.Rounds
-		out.Overhead = cur.Overhead
-		if cur.FinalID != "" {
-			out.FinalID = cur.FinalID
-		}
-		for name, id := range cur.Integrated {
-			if st := out.Nodes[name]; st != nil {
-				st.UpgradeID = id
-			}
-		}
-		for name := range cur.Quarantined {
-			if st := out.Nodes[name]; st != nil {
-				st.Quarantined = true
-			}
-		}
-		for name, n := range cur.NodeTests {
-			if st := out.Nodes[name]; st != nil {
-				st.Tests = n
-			}
-		}
-		for name, n := range cur.NodeFailures {
-			if st := out.Nodes[name]; st != nil {
-				st.Failures = n
-			}
-		}
 		for c := range cur.Unclean {
 			r.unclean[c] = true
 		}
@@ -697,7 +598,7 @@ func (r *waveRunner) checkAbort(stage int) bool {
 	}
 	if r.err == nil {
 		r.err = fmt.Errorf("deploy: rollout aborted: %w", cerr)
-		r.emit(Event{Type: EventAbandoned, Stage: stage, UpgradeID: r.up.ID,
+		r.emit(Event{Type: RecAbandoned, Stage: stage, UpgradeID: r.up.ID,
 			Round: r.out.Rounds, Reason: "rollout aborted: " + cerr.Error()})
 	}
 	return true
@@ -771,7 +672,7 @@ func (r *waveRunner) RunStage(st staging.Stage, done func()) {
 	sctx, endStage := telemetry.StartSpan(r.ctx, "stage", fmt.Sprintf("stage %d", idx), "")
 	r.spanCtx = sctx
 	defer func() { r.spanCtx = r.ctx; endStage(r.err) }()
-	r.emit(Event{Type: EventStageStarted, Stage: idx, UpgradeID: r.up.ID})
+	r.emit(Event{Type: RecStageStart, Stage: idx, UpgradeID: r.up.ID})
 	var waves []staging.Wave
 	for _, w := range st.Waves {
 		if st.Promote(w, r.clean) {
@@ -786,7 +687,7 @@ func (r *waveRunner) RunStage(st staging.Stage, done func()) {
 	if r.err != nil || r.out.Abandoned {
 		return
 	}
-	r.emit(Event{Type: EventGatePassed, Stage: idx, UpgradeID: r.up.ID})
+	r.emit(Event{Type: RecGate, Stage: idx, UpgradeID: r.up.ID})
 	if r.err != nil {
 		// The gate record could not be journaled; releasing the gate
 		// anyway would let the plan outrun its journal.
@@ -982,19 +883,19 @@ func (r *waveRunner) debug(stage int) bool {
 	}
 	if out.Rounds >= max || ctl.Fix == nil {
 		out.Abandoned = true
-		r.emit(Event{Type: EventAbandoned, Stage: stage, UpgradeID: r.up.ID, Round: out.Rounds})
+		r.emit(Event{Type: RecAbandoned, Stage: stage, UpgradeID: r.up.ID, Round: out.Rounds})
 		return false
 	}
 	out.Rounds++
 	fixed, ok := ctl.Fix(r.up, ctl.URR.Failures(r.up.ID))
 	if !ok {
 		out.Abandoned = true
-		r.emit(Event{Type: EventAbandoned, Stage: stage, UpgradeID: r.up.ID, Round: out.Rounds})
+		r.emit(Event{Type: RecAbandoned, Stage: stage, UpgradeID: r.up.ID, Round: out.Rounds})
 		return false
 	}
 	prev := r.up.ID
 	r.up = fixed
-	r.emit(Event{Type: EventFixReleased, Stage: stage, UpgradeID: fixed.ID, PrevID: prev, Round: out.Rounds})
+	r.emit(Event{Type: RecFix, Stage: stage, UpgradeID: fixed.ID, PrevID: prev, Round: out.Rounds})
 	return true
 }
 
@@ -1032,7 +933,7 @@ func (r *waveRunner) quarantine(stage int, m member, reason string) {
 	st.Quarantined = true
 	r.clean[m.cluster] = false
 	r.unclean[m.cluster] = true
-	r.emit(Event{Type: EventQuarantined, Stage: stage, Node: m.node.Name(),
+	r.emit(Event{Type: RecQuarantined, Stage: stage, Node: m.node.Name(),
 		Cluster: m.cluster, UpgradeID: r.up.ID, Reason: reason})
 }
 
@@ -1145,7 +1046,7 @@ func (r *waveRunner) testMembers(stage int, ms []member, integrate bool) (failed
 		st := r.out.Nodes[m.node.Name()]
 		st.Tests++
 		tested++
-		r.emit(Event{Type: EventTested, Stage: stage, Node: m.node.Name(),
+		r.emit(Event{Type: RecTested, Stage: stage, Node: m.node.Name(),
 			Cluster: m.cluster, UpgradeID: r.up.ID, Success: rep.Success})
 		if r.halted {
 			break
@@ -1173,7 +1074,7 @@ func (r *waveRunner) testMembers(stage int, ms []member, integrate bool) (failed
 func (ctl *Controller) notifyFinal(ctx context.Context, final *pkgmgr.Upgrade, clusters []*Cluster, out *Outcome) error {
 	var ms []member
 	for _, c := range clusters {
-		for _, n := range append(append([]Node(nil), c.Representatives...), c.Others...) {
+		for n := range c.Nodes() {
 			st := out.Nodes[n.Name()]
 			if st.UpgradeID == "" || st.UpgradeID == final.ID || st.Quarantined {
 				continue
@@ -1193,7 +1094,7 @@ func (ctl *Controller) notifyFinal(ctx context.Context, final *pkgmgr.Upgrade, c
 
 // integrateMembers applies the validated upgrade on every member, on the
 // same Parallelism- and Budget-bounded pool as testing, and books each
-// result — EventIntegrated, or quarantine for a member that stayed
+// result — an integrated record, or quarantine for a member that stayed
 // unreachable through its retries — on the runner goroutine in member
 // order as completions arrive. FinalID advances here — when a version
 // actually reaches a node — so that on abandonment the outcome names the
@@ -1223,7 +1124,7 @@ func (r *waveRunner) integrateMembers(stage int, ms []member) {
 			case err == nil:
 				r.out.Nodes[m.node.Name()].UpgradeID = r.up.ID
 				r.out.FinalID = r.up.ID
-				r.emit(Event{Type: EventIntegrated, Stage: stage, Node: m.node.Name(),
+				r.emit(Event{Type: RecIntegrated, Stage: stage, Node: m.node.Name(),
 					Cluster: m.cluster, UpgradeID: r.up.ID})
 			case IsTransient(err):
 				r.quarantine(stage, m, err.Error())

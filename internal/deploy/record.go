@@ -1,0 +1,237 @@
+package deploy
+
+import (
+	"strings"
+
+	"repro/internal/staging"
+)
+
+// Record types — the one vocabulary of Event.Type, spoken alike by the
+// controller's observer stream, the rollout journal and the control
+// plane's event API. In the order a healthy journal sees them:
+const (
+	// RecPlan heads every journal: the identity of the plan the journal
+	// describes. Resume refuses a journal whose plan hash does not match
+	// the freshly built plan.
+	RecPlan = "plan"
+	// RecStageStart marks a plan stage beginning execution.
+	RecStageStart = "stage_start"
+	// RecTested records one member validation verdict.
+	RecTested = "tested"
+	// RecIntegrated records one member integrating an upgrade version.
+	RecIntegrated = "integrated"
+	// RecQuarantined records a member left behind as unreachable.
+	RecQuarantined = "quarantined"
+	// RecFix records the vendor releasing a corrected upgrade: UpgradeID is
+	// the new version, PrevID the superseded one.
+	RecFix = "fix"
+	// RecGate records a stage's gate releasing the next stage.
+	RecGate = "gate"
+	// RecAbandoned records the vendor giving up on the upgrade (or an
+	// operator abort, with the Reason naming it).
+	RecAbandoned = "abandoned"
+	// RecComplete seals a journal whose rollout finished.
+	RecComplete = "complete"
+	// RecDrift records a live-fleet drift event folded mid-rollout: Node
+	// is the machine, Cluster the cluster it left, Reason the
+	// classification ("migrated", "drifted") plus destination. Drift
+	// records are history, not protocol state: the fold counts them, but
+	// they gate nothing by themselves — the drift policy re-evaluates
+	// against the live fleet.
+	RecDrift = "drift"
+
+	// Rollback records follow an abandoned record when the fleet is driven
+	// back to the baseline. All four are boundary records — each is fsynced
+	// before the rollback proceeds, because rollback is exactly the code
+	// path where a replayed side effect (re-reverting a member) must be
+	// provably unnecessary.
+
+	// RecRollbackStart marks a rollback pass beginning; no member reverts
+	// before this record is durable. UpgradeID is the baseline restored,
+	// PrevID the version rolled back.
+	RecRollbackStart = "rollback_start"
+	// RecRolledBack records one member restored to the baseline.
+	RecRolledBack = "rolled_back"
+	// RecRollbackSkip records a member the rollback left behind
+	// (quarantined or unreachable) with the reason.
+	RecRollbackSkip = "rollback_skip"
+	// RecRollbackDone seals the rollback: the journal's second terminal
+	// state — converged on the new version (RecComplete) or verifiably
+	// back on the baseline (RecRollbackDone).
+	RecRollbackDone = "rollback_complete"
+)
+
+// Event is one deployment state transition, in exactly the form the
+// journal writes it as one JSON line and the control plane streams it.
+type Event struct {
+	Seq  int    `json:"seq"`
+	Type string `json:"type"`
+
+	// Plan identity (RecPlan).
+	Policy   string               `json:"policy,omitempty"`
+	Seed     uint64               `json:"seed,omitempty"`
+	PlanHash string               `json:"plan_hash,omitempty"`
+	Clusters []staging.ClusterRef `json:"clusters,omitempty"`
+
+	// State transitions. Stage is the plan stage index, -1 for post-plan
+	// work (promoted adaptive waves, final notification, rollback).
+	Stage     int    `json:"stage"`
+	Node      string `json:"node,omitempty"`
+	Cluster   string `json:"cluster,omitempty"`
+	UpgradeID string `json:"upgrade,omitempty"`
+	PrevID    string `json:"prev,omitempty"`
+	Success   bool   `json:"success,omitempty"`
+	Round     int    `json:"round,omitempty"`
+	Reason    string `json:"reason,omitempty"`
+}
+
+// Cursor is what a rollout's records say about it: the one fold of the
+// record stream, built by Apply. Resume hands it to Deploy so a resumed
+// rollout skips completed work; rollback resume, the control plane's
+// status and the chaos verdict read the same fold.
+type Cursor struct {
+	// Policy is the plan's policy, as the plan record names it.
+	Policy Policy
+	// Stage is the last plan stage that started (-1 before the first).
+	Stage int
+	// DoneStages is the count of leading plan stages whose gate passed;
+	// Deploy releases them immediately without re-running their waves.
+	DoneStages int
+	// Rounds restores the vendor debugging round counter.
+	Rounds int
+	// UpgradeID is the upgrade version that was current when the journal
+	// ended (advanced past the original by recorded fix releases). The
+	// caller is responsible for passing Deploy the matching upgrade.
+	UpgradeID string
+	// FinalID restores the last upgrade version the journal records as
+	// actually integrated on a node, so a resumed outcome that performs
+	// no new integrations still names the version that deployed.
+	FinalID string
+	// Tested counts validation verdicts; Overhead the failing ones (the
+	// paper's metric).
+	Tested, Overhead int
+	// Integrated maps node name to the upgrade version it holds: the one
+	// it integrated, or the baseline once rolled back. Such members are
+	// never re-tested or re-integrated in waves; members holding a
+	// superseded version are brought to the final version by the usual
+	// §4.3 late notification.
+	Integrated map[string]string
+	// Quarantined lists members quarantined or left behind by a rollback;
+	// quarantine is sticky.
+	Quarantined map[string]bool
+	// Unclean lists clusters with recorded failures or quarantines, so
+	// adaptive gate promotion stays exactly as conservative on resume as
+	// it was in the interrupted run.
+	Unclean map[string]bool
+	// NodeTests and NodeFailures restore the per-node validation counters.
+	NodeTests, NodeFailures map[string]int
+
+	// Terminal is the record that ended the journal — complete, abandoned
+	// or rollback_complete — and nil while it is still open, which
+	// includes a rollback pass that began after an abandoned record.
+	Terminal *Event
+
+	// Baseline is the version a rollback restores, set once a rollback
+	// started. Reverted members are verifiably on it and are never
+	// touched again; Skipped maps left-behind members to the journaled
+	// reason. Both accumulate across repeated rollback starts, so a
+	// twice-crashed rollback never forgets a durable revert.
+	Baseline string
+	Reverted map[string]bool
+	Skipped  map[string]string
+
+	// Drifted lists the members drift records report as drifted
+	// (rep-invalidating, not merely migrated), in report order;
+	// DriftCluster maps each to its cluster of deployment.
+	Drifted      []string
+	DriftCluster map[string]string
+}
+
+// Apply folds one record into the cursor. Record types it does not drive
+// state from are ignored.
+func (c *Cursor) Apply(ev Event) {
+	switch ev.Type {
+	case RecPlan:
+		c.Stage, c.UpgradeID = -1, ev.UpgradeID
+		for _, p := range staging.Policies() {
+			if p.String() == ev.Policy {
+				c.Policy = p
+			}
+		}
+	case RecStageStart:
+		c.Stage = ev.Stage
+	case RecGate:
+		// Stages gate strictly in order; count the contiguous prefix.
+		if ev.Stage == c.DoneStages {
+			c.DoneStages++
+		}
+	case RecTested:
+		c.Tested++
+		set(&c.NodeTests, ev.Node, c.NodeTests[ev.Node]+1)
+		if !ev.Success {
+			c.Overhead++
+			set(&c.NodeFailures, ev.Node, c.NodeFailures[ev.Node]+1)
+			set(&c.Unclean, ev.Cluster, true)
+		}
+	case RecIntegrated:
+		set(&c.Integrated, ev.Node, ev.UpgradeID)
+		c.FinalID = ev.UpgradeID
+	case RecQuarantined:
+		set(&c.Quarantined, ev.Node, true)
+		set(&c.Unclean, ev.Cluster, true)
+	case RecFix:
+		c.Rounds, c.UpgradeID = ev.Round, ev.UpgradeID
+	case RecAbandoned, RecComplete, RecRollbackDone:
+		// An abandoned record names the round the vendor gave up in: a
+		// fixer that could not produce a fix still spent one.
+		c.Rounds = max(c.Rounds, ev.Round)
+		t := ev // only terminal records leave Apply's stack
+		c.Terminal = &t
+	case RecRollbackStart:
+		c.Baseline, c.Terminal = ev.UpgradeID, nil
+	case RecRolledBack:
+		set(&c.Integrated, ev.Node, ev.UpgradeID)
+		set(&c.Reverted, ev.Node, true)
+	case RecRollbackSkip:
+		set(&c.Quarantined, ev.Node, true)
+		set(&c.Skipped, ev.Node, ev.Reason)
+	case RecDrift:
+		if _, seen := c.DriftCluster[ev.Node]; !seen && strings.HasPrefix(ev.Reason, "drifted") {
+			set(&c.DriftCluster, ev.Node, ev.Cluster)
+			c.Drifted = append(c.Drifted, ev.Node)
+		}
+	}
+}
+
+// set stores v under k, making the map on first use.
+func set[V any](m *map[string]V, k string, v V) {
+	if *m == nil {
+		*m = make(map[string]V)
+	}
+	(*m)[k] = v
+}
+
+// outcome is the outcome a run over clusters starts from: every member
+// fresh, or — for a cursor c — as its records left them. It is the one
+// place a fold becomes an Outcome, for Deploy and for a resumed rollback.
+func (c *Cursor) outcome(policy Policy, finalID string, clusters []*Cluster) *Outcome {
+	out := &Outcome{Policy: policy, FinalID: finalID, Nodes: make(map[string]*NodeStatus)}
+	for _, cl := range clusters {
+		for n := range cl.Nodes() {
+			out.Nodes[n.Name()] = &NodeStatus{Node: n.Name(), Cluster: cl.ID}
+		}
+	}
+	if c == nil {
+		return out
+	}
+	out.Rounds, out.Overhead = c.Rounds, c.Overhead
+	if c.FinalID != "" {
+		out.FinalID = c.FinalID
+	}
+	for name, st := range out.Nodes {
+		st.UpgradeID, st.Quarantined = c.Integrated[name], c.Quarantined[name]
+		st.Tests, st.Failures = c.NodeTests[name], c.NodeFailures[name]
+	}
+	out.collectQuarantined()
+	return out
+}

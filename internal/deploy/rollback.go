@@ -30,14 +30,26 @@ type RollbackOutcome struct {
 // machinery in reverse — the agents' self-seeded caches still hold the
 // baseline's chunks, so the reverse manifests resolve nearly for free.
 //
-// Write-ahead discipline mirrors the forward path: EventRollbackStarted
-// must be durable before the first member reverts, every revert is
+// It books the pass into out and returns it. A nil out resumes from the
+// controller's Cursor instead: the outcome the journal's records left.
+//
+// Write-ahead discipline mirrors the forward path: the rollback_start
+// record must be durable before the first member reverts, every revert is
 // journaled after it lands (so a crash re-reverts at most the one member
-// in flight — integration of the baseline is idempotent), and members
-// already recorded by a resume (done) are never touched again. A
-// quarantined or unreachable member is skipped with a journaled reason
-// rather than blocking completion; EventRollbackCompleted seals the pass.
-func (ctl *Controller) Rollback(ctx context.Context, baseline *pkgmgr.Upgrade, clusters []*Cluster, out *Outcome, done map[string]bool) (*RollbackOutcome, error) {
+// in flight — integration of the baseline is idempotent), and members the
+// Cursor records as reverted are never touched again. A quarantined or
+// unreachable member is skipped with a journaled reason rather than
+// blocking completion; rollback_complete seals the pass.
+func (ctl *Controller) Rollback(ctx context.Context, baseline *pkgmgr.Upgrade, clusters []*Cluster, out *Outcome) (*Outcome, error) {
+	cur := ctl.Cursor
+	if out == nil {
+		out = cur.outcome(cur.Policy, "", clusters)
+		out.Abandoned = true // only a rollout given up is rolled back
+	}
+	var done map[string]bool
+	if cur != nil {
+		done = cur.Reverted
+	}
 	ro := &RollbackOutcome{BaselineID: baseline.ID, Skipped: map[string]string{}}
 	emit := func(ev Event) error {
 		if ctl.Observer == nil {
@@ -52,26 +64,22 @@ func (ctl *Controller) Rollback(ctx context.Context, baseline *pkgmgr.Upgrade, c
 	if ctl.Transfer != nil {
 		before = ctl.Transfer()
 	}
-	if err := emit(Event{Type: EventRollbackStarted, Stage: -1,
+	if err := emit(Event{Type: RecRollbackStart, Stage: -1,
 		UpgradeID: baseline.ID, PrevID: out.FinalID}); err != nil {
-		return nil, err
+		return out, err
 	}
 	if ctl.RollbackMode != nil {
 		ctl.RollbackMode(true)
 		defer ctl.RollbackMode(false)
 	}
 	for _, c := range clusters {
-		for _, n := range append(append([]Node(nil), c.Representatives...), c.Others...) {
+		for n := range c.Nodes() {
 			name := n.Name()
 			st := out.Nodes[name]
 			if done[name] {
-				// A previous run already journaled this member's revert
-				// (a resumed cursor may even have folded it back to the
-				// baseline already); reflect it in the outcome without
-				// touching the machine again.
-				if st != nil {
-					st.UpgradeID = baseline.ID
-				}
+				// A previous run already journaled this member's revert,
+				// and the cursor's outcome has it on the baseline: count
+				// it without touching the machine again.
 				ro.Reverted = append(ro.Reverted, name)
 				continue
 			}
@@ -80,9 +88,9 @@ func (ctl *Controller) Rollback(ctx context.Context, baseline *pkgmgr.Upgrade, c
 			}
 			if st.Quarantined {
 				ro.Skipped[name] = "quarantined"
-				if err := emit(Event{Type: EventRollbackSkipped, Stage: -1, Node: name,
+				if err := emit(Event{Type: RecRollbackSkip, Stage: -1, Node: name,
 					Cluster: c.ID, UpgradeID: baseline.ID, Reason: "quarantined"}); err != nil {
-					return nil, err
+					return out, err
 				}
 				continue
 			}
@@ -101,32 +109,32 @@ func (ctl *Controller) Rollback(ctx context.Context, baseline *pkgmgr.Upgrade, c
 			end(err)
 			if err != nil {
 				if ctx.Err() != nil {
-					return nil, ctx.Err() // abort: resumable from the journal
+					return out, ctx.Err() // abort: resumable from the journal
 				}
 				if !IsTransient(err) {
-					return nil, fmt.Errorf("deploy: rolling back %s to %s: %w", name, baseline.ID, err)
+					return out, fmt.Errorf("deploy: rolling back %s to %s: %w", name, baseline.ID, err)
 				}
 				// Unreachable through the whole retry budget: leave it
 				// behind (journaled) so the fleet's rollback completes.
 				st.Quarantined = true
 				ro.Skipped[name] = err.Error()
-				if err := emit(Event{Type: EventRollbackSkipped, Stage: -1, Node: name,
+				if err := emit(Event{Type: RecRollbackSkip, Stage: -1, Node: name,
 					Cluster: c.ID, UpgradeID: baseline.ID, Reason: err.Error()}); err != nil {
-					return nil, err
+					return out, err
 				}
 				continue
 			}
 			prev := st.UpgradeID
 			st.UpgradeID = baseline.ID
 			ro.Reverted = append(ro.Reverted, name)
-			if err := emit(Event{Type: EventRolledBack, Stage: -1, Node: name,
+			if err := emit(Event{Type: RecRolledBack, Stage: -1, Node: name,
 				Cluster: c.ID, UpgradeID: baseline.ID, PrevID: prev}); err != nil {
-				return nil, err
+				return out, err
 			}
 		}
 	}
-	if err := emit(Event{Type: EventRollbackCompleted, Stage: -1, UpgradeID: baseline.ID}); err != nil {
-		return nil, err
+	if err := emit(Event{Type: RecRollbackDone, Stage: -1, UpgradeID: baseline.ID}); err != nil {
+		return out, err
 	}
 	if ctl.Transfer != nil {
 		ro.Transfer = ctl.Transfer().Sub(before)
@@ -134,5 +142,5 @@ func (ctl *Controller) Rollback(ctx context.Context, baseline *pkgmgr.Upgrade, c
 	}
 	out.RolledBack = true
 	out.Rollback = ro
-	return ro, nil
+	return out, nil
 }

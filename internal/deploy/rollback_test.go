@@ -114,7 +114,7 @@ func TestCanaryGateAbandonsWhenUnfixable(t *testing.T) {
 }
 
 // eventLog records every observed event type in order.
-type eventLog struct{ types []EventType }
+type eventLog struct{ types []string }
 
 func (l *eventLog) OnEvent(ev Event) error {
 	l.types = append(l.types, ev.Type)
@@ -158,17 +158,17 @@ func TestRollbackRevertsIntegratedMembers(t *testing.T) {
 			rollbackOn++
 		}
 	}
-	ro, err := ctl.Rollback(context.Background(), up("v0"), clusters, out, nil)
-	if err != nil {
+	if _, err := ctl.Rollback(context.Background(), up("v0"), clusters, out); err != nil {
 		t.Fatal(err)
 	}
+	ro := out.Rollback
 	if rollbackOn != 1 {
 		t.Fatalf("RollbackMode flipped on %d times, want 1", rollbackOn)
 	}
 	if got := append([]string(nil), ro.Reverted...); !equalStrings(sorted(got), integrated) {
 		t.Fatalf("reverted %v, want %v", got, integrated)
 	}
-	if !out.RolledBack || out.Rollback != ro || ro.BaselineID != "v0" {
+	if !out.RolledBack || ro == nil || ro.BaselineID != "v0" {
 		t.Fatalf("rollback bookkeeping: %+v", ro)
 	}
 	for _, name := range integrated {
@@ -183,14 +183,14 @@ func TestRollbackRevertsIntegratedMembers(t *testing.T) {
 	}
 	// Observer saw the rollback lifecycle in order: started, per-member
 	// reverts, completed.
-	var seq []EventType
+	var seq []string
 	for _, et := range log.types {
 		switch et {
-		case EventRollbackStarted, EventRolledBack, EventRollbackSkipped, EventRollbackCompleted:
+		case RecRollbackStart, RecRolledBack, RecRollbackSkip, RecRollbackDone:
 			seq = append(seq, et)
 		}
 	}
-	if len(seq) < 3 || seq[0] != EventRollbackStarted || seq[len(seq)-1] != EventRollbackCompleted {
+	if len(seq) < 3 || seq[0] != RecRollbackStart || seq[len(seq)-1] != RecRollbackDone {
 		t.Fatalf("rollback event sequence = %v", seq)
 	}
 }
@@ -233,10 +233,10 @@ func TestRollbackSkipsUnreachableAndQuarantined(t *testing.T) {
 	ctl := NewController(report.New(), nil)
 	ctl.Sleep = func(time.Duration) {}
 	ctl.TransientRetries = 1
-	ro, err := ctl.Rollback(context.Background(), up("v0"), clusters, out, nil)
-	if err != nil {
+	if _, err := ctl.Rollback(context.Background(), up("v0"), clusters, out); err != nil {
 		t.Fatalf("an unreachable member must not block rollback completion: %v", err)
 	}
+	ro := out.Rollback
 	if !equalStrings(sorted(append([]string(nil), ro.Reverted...)), []string{"near-2", "near-rep"}) {
 		t.Fatalf("reverted = %v", ro.Reverted)
 	}
@@ -280,7 +280,7 @@ func equalStrings(a, b []string) bool {
 
 func nodeByName(clusters []*Cluster, name string) Node {
 	for _, c := range clusters {
-		for _, n := range append(append([]Node(nil), c.Representatives...), c.Others...) {
+		for n := range c.Nodes() {
 			if n.Name() == name {
 				return n
 			}

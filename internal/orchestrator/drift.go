@@ -3,9 +3,8 @@ package orchestrator
 import (
 	"context"
 	"fmt"
-	"strings"
 
-	"repro/internal/rollout"
+	"repro/internal/deploy"
 )
 
 // Live-fleet drift and rollouts. A rollout's plan is built from a
@@ -14,7 +13,7 @@ import (
 // fixes). The fleetwatch monitor classifies each change and the vendor
 // bridges rep-invalidating ones here: NotifyDrift fans a neutral
 // DriftEvent to every live rollout, which journals it as a first-class
-// RecDrift record, folds it into its status snapshot, and applies its
+// RecDrift record, folds it with its other records, and applies its
 // DriftPolicy — journal-and-continue, hold at the next stage barrier, or
 // abort and re-stage from the current fleet view.
 
@@ -75,21 +74,17 @@ func (o *Orchestrator) NotifyDrift(ev DriftEvent) {
 
 // NotifyDrift folds one fleet drift event into this rollout: appended to
 // the event log, journaled as a RecDrift record (durable history that
-// survives crash-resume without driving protocol state), counted into the
-// status snapshot, and checked against the spec's DriftPolicy. Events for
-// machines outside the rollout's plan, and non-drift classes, are
+// survives crash-resume without driving protocol state), folded with the
+// rollout's records, and checked against the spec's DriftPolicy. Events
+// for machines outside the rollout's plan, and non-drift classes, are
 // ignored.
 func (h *Handle) NotifyDrift(ev DriftEvent) {
 	if ev.Class != "migrated" && ev.Class != "drifted" {
 		return
 	}
+	cluster, member := h.members[ev.Machine]
 	h.mu.Lock()
-	if h.status.State.Terminal() {
-		h.mu.Unlock()
-		return
-	}
-	m := h.status.Members[ev.Machine]
-	if m == nil {
+	if !member || h.status.State.Terminal() {
 		h.mu.Unlock()
 		return
 	}
@@ -97,14 +92,14 @@ func (h *Handle) NotifyDrift(ev DriftEvent) {
 	if ev.To != "" {
 		reason += " to " + ev.To
 	}
-	rec := rollout.Record{
-		Type: rollout.RecDrift, Stage: -1,
-		Node: ev.Machine, Cluster: m.Cluster, Reason: reason,
+	rec := deploy.Event{Type: deploy.RecDrift, Stage: -1, Node: ev.Machine, Cluster: cluster, Reason: reason}
+	drifted := len(h.fold.Drifted)
+	h.recordLocked(rec)
+	var hold, restage bool
+	if len(h.fold.Drifted) > drifted {
+		hold, restage = h.driftPolicyLocked(cluster)
 	}
-	rec.Seq = len(h.events) + 1
-	h.events = append(h.events, rec)
 	j := h.liveJournal
-	hold, restage := h.applyDriftLocked(ev.Machine, m.Cluster, ev.Class)
 	h.signalLocked()
 	h.mu.Unlock()
 	if j != nil {
@@ -122,31 +117,28 @@ func (h *Handle) NotifyDrift(ev DriftEvent) {
 	}
 }
 
-// applyDriftLocked counts one drift event and evaluates the policy;
-// callers hold h.mu. Only "drifted" (rep-invalidating) events count
-// toward the per-cluster budget — migrations are recorded but free.
-func (h *Handle) applyDriftLocked(machine, clusterID, class string) (hold, restage bool) {
-	st := &h.status
-	m := st.Members[machine]
-	if class != "drifted" || m == nil || m.Drifted {
-		return false, false
+// driftPolicyLocked evaluates the spec's DriftPolicy once a member of
+// clusterID newly counts as drifted; callers hold h.mu. Only "drifted"
+// (rep-invalidating) events count toward the per-cluster budget —
+// migrations are recorded but free — and a resumed journal's drift counts
+// without ever re-firing the policy.
+func (h *Handle) driftPolicyLocked(clusterID string) (hold, restage bool) {
+	n := 0
+	for _, c := range h.fold.DriftCluster {
+		if c == clusterID {
+			n++
+		}
 	}
-	m.Drifted = true
-	st.Drifted++
-	if h.driftByCluster == nil {
-		h.driftByCluster = make(map[string]int)
-	}
-	h.driftByCluster[clusterID]++
 	pol := h.spec.Drift
-	if h.driftByCluster[clusterID] <= pol.MaxDriftedPerCluster {
+	if n <= pol.MaxDriftedPerCluster {
 		return false, false
 	}
 	switch pol.Action {
 	case DriftHold:
-		if !h.paused && st.DriftHold == "" {
-			st.DriftHold = fmt.Sprintf(
+		if !h.paused && h.status.DriftHold == "" {
+			h.status.DriftHold = fmt.Sprintf(
 				"cluster %s: %d drifted member(s) exceed budget %d",
-				clusterID, h.driftByCluster[clusterID], pol.MaxDriftedPerCluster)
+				clusterID, n, pol.MaxDriftedPerCluster)
 			return true, false
 		}
 	case DriftRestage:
@@ -156,27 +148,6 @@ func (h *Handle) applyDriftLocked(machine, clusterID, class string) (hold, resta
 		}
 	}
 	return false, false
-}
-
-// foldPriorDriftLocked replays the drift records of a resumed journal
-// into the status snapshot. Prior records restore the counts but never
-// re-fire the policy: the drift that mattered is re-evaluated against the
-// live fleet, not against history (see rollout.RecDrift).
-func (h *Handle) foldPriorDriftLocked(prior []rollout.Record) {
-	for _, r := range prior {
-		if r.Type != rollout.RecDrift {
-			continue
-		}
-		if m := h.status.Members[r.Node]; m != nil && !m.Drifted &&
-			strings.HasPrefix(r.Reason, "drifted") {
-			m.Drifted = true
-			h.status.Drifted++
-			if h.driftByCluster == nil {
-				h.driftByCluster = make(map[string]int)
-			}
-			h.driftByCluster[r.Cluster]++
-		}
-	}
 }
 
 // restage executes the DriftRestage action: abort this rollout (its
@@ -211,22 +182,10 @@ func (h *Handle) restage() {
 	h.mu.Unlock()
 }
 
-// Drifted returns the names of this rollout's members currently counted
-// as drifted, sorted by the order they were reported.
+// DriftedMembers returns the names of this rollout's members counted as
+// drifted, in the order they were reported.
 func (h *Handle) DriftedMembers() []string {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	var out []string
-	seen := make(map[string]bool)
-	for _, r := range h.events {
-		if r.Type != rollout.RecDrift || seen[r.Node] ||
-			!strings.HasPrefix(r.Reason, "drifted") {
-			continue
-		}
-		if m := h.status.Members[r.Node]; m != nil && m.Drifted {
-			seen[r.Node] = true
-			out = append(out, r.Node)
-		}
-	}
-	return out
+	return append([]string(nil), h.fold.Drifted...)
 }

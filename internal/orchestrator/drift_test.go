@@ -129,7 +129,7 @@ func TestDriftHoldPausesAtStageBarrier(t *testing.T) {
 	}
 	found := false
 	for _, r := range recs {
-		if r.Type == rollout.RecDrift && r.Node == "dh-c1-rep" {
+		if r.Type == deploy.RecDrift && r.Node == "dh-c1-rep" {
 			found = true
 		}
 	}
@@ -198,7 +198,7 @@ func TestDriftRecordsSurviveCrashResume(t *testing.T) {
 		if err := j.Append(keep); err != nil {
 			t.Fatal(err)
 		}
-		sawDrift = sawDrift || r.Type == rollout.RecDrift
+		sawDrift = sawDrift || r.Type == deploy.RecDrift
 		sawGate = sawGate || r.Type == rollout.RecGate
 		if sawDrift && sawGate {
 			break

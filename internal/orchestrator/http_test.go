@@ -170,7 +170,7 @@ func TestHTTPAbort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if last := recs[len(recs)-1]; last.Type != rollout.RecAbandoned {
+	if last := recs[len(recs)-1]; last.Type != deploy.RecAbandoned {
 		t.Fatalf("journal tail = %+v", last)
 	}
 }

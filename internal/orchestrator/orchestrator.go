@@ -141,8 +141,8 @@ type MemberStatus struct {
 	Drifted bool `json:"drifted,omitempty"`
 }
 
-// Status is a point-in-time snapshot of a rollout, built by folding the
-// deploy.Observer event stream — the same records the journal holds.
+// Status is a point-in-time snapshot of a rollout, read off the fold of
+// its records (deploy.Cursor) — the same records the journal holds.
 type Status struct {
 	ID     string `json:"id"`
 	State  State  `json:"state"`
@@ -326,22 +326,18 @@ func (o *Orchestrator) Start(ctx context.Context, spec Spec) (*Handle, error) {
 		changed: make(chan struct{}),
 		unpause: make(chan struct{}),
 		status: Status{
-			ID:        id,
-			State:     StateRunning,
-			Policy:    plan.Policy.String(),
-			UpgradeID: spec.Upgrade.ID,
-			Stage:     -1,
-			Stages:    len(plan.Stages),
-			Members:   make(map[string]*MemberStatus),
-			Journal:   journal,
+			ID:      id,
+			State:   StateRunning,
+			Policy:  plan.Policy.String(),
+			Stages:  len(plan.Stages),
+			Journal: journal,
 		},
+		members: make(map[string]string),
+		fold:    deploy.Cursor{Stage: -1, UpgradeID: spec.Upgrade.ID},
 	}
 	for _, c := range spec.Clusters {
-		for _, n := range c.Representatives {
-			h.status.Members[n.Name()] = &MemberStatus{Cluster: c.ID}
-		}
-		for _, n := range c.Others {
-			h.status.Members[n.Name()] = &MemberStatus{Cluster: c.ID}
+		for n := range c.Nodes() {
+			h.members[n.Name()] = c.ID
 		}
 	}
 
@@ -450,8 +446,14 @@ type Handle struct {
 	policy  deploy.Policy
 	journal string
 
-	mu          sync.Mutex
-	status      Status
+	// members maps every member of the plan to its cluster of deployment.
+	members map[string]string
+
+	mu     sync.Mutex
+	status Status
+	// fold is what the rollout's records say — a resumed journal's, then
+	// every event since; Status reads its progress off it.
+	fold        deploy.Cursor
 	events      []rollout.Record
 	changed     chan struct{} // closed and replaced on every append/transition
 	paused      bool
@@ -461,12 +463,9 @@ type Handle struct {
 	// (installed by the engine's OnOpen hook, cleared when Deploy
 	// returns): where NotifyDrift appends RecDrift records.
 	liveJournal *rollout.Journal
-	// driftByCluster counts drifted members per cluster of deployment —
-	// the quantity DriftPolicy.MaxDriftedPerCluster bounds.
-	driftByCluster map[string]int
-	restaging      bool // a DriftRestage is in flight
-	out            *deploy.Outcome
-	err            error
+	restaging   bool // a DriftRestage is in flight
+	out         *deploy.Outcome
+	err         error
 }
 
 // ID identifies the rollout within its orchestrator.
@@ -526,14 +525,15 @@ func (h *Handle) run(ctx context.Context, ctl *deploy.Controller, spec Spec, jou
 			Baseline:     spec.Baseline,
 			AutoRollback: spec.AutoRollback,
 			Telemetry:    reg,
-			// Capture the live journal for drift records, and fold the
-			// drift history of a resumed journal back into the status
-			// snapshot (counts only — the policy re-fires from live
-			// events, not replayed ones).
+			// Capture the live journal for drift records, and seed the
+			// fold with a resumed journal's records (the drift policy
+			// re-fires only from live events, never replayed ones).
 			OnOpen: func(j *rollout.Journal, prior []rollout.Record) {
 				h.mu.Lock()
 				h.liveJournal = j
-				h.foldPriorDriftLocked(prior)
+				for _, r := range prior {
+					h.fold.Apply(r)
+				}
 				h.mu.Unlock()
 			},
 		}
@@ -545,7 +545,7 @@ func (h *Handle) run(ctx context.Context, ctl *deploy.Controller, spec Spec, jou
 		ctl.Observer = h
 		out, err = ctl.Deploy(ctx, spec.Policy, spec.Upgrade, spec.Clusters)
 		if err == nil && out != nil && out.Abandoned && spec.AutoRollback && spec.Baseline != nil {
-			_, err = ctl.Rollback(ctx, spec.Baseline, spec.Clusters, out, nil)
+			out, err = ctl.Rollback(ctx, spec.Baseline, spec.Clusters, out)
 		}
 		ctl.Observer = nil
 	}
@@ -567,13 +567,9 @@ func (h *Handle) run(ctx context.Context, ctl *deploy.Controller, spec Spec, jou
 	if err != nil {
 		h.status.Error = err.Error()
 	}
-	if out != nil {
-		h.status.FinalID = out.FinalID
-		h.status.Rounds = out.Rounds
-		if out.Transfer != (deploy.TransferStats{}) {
-			tr := out.Transfer
-			h.status.Transfer = &tr
-		}
+	if out != nil && out.Transfer != (deploy.TransferStats{}) {
+		tr := out.Transfer
+		h.status.Transfer = &tr
 	}
 	h.signalLocked()
 	h.mu.Unlock()
@@ -700,14 +696,22 @@ func (h *Handle) state() State {
 func (h *Handle) Status() Status {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	st := h.status
+	st, f := h.status, &h.fold
+	st.UpgradeID, st.FinalID, st.Baseline = f.UpgradeID, f.FinalID, f.Baseline
+	st.Stage, st.GatesPassed, st.Rounds = f.Stage, f.DoneStages, f.Rounds
+	st.Tested, st.Failures, st.Integrated = f.Tested, f.Overhead, len(f.Integrated)
+	st.Quarantined, st.RolledBack, st.Drifted = len(f.Quarantined), len(f.Reverted), len(f.Drifted)
 	st.Events = len(h.events)
-	members := make(map[string]*MemberStatus, len(h.status.Members))
-	for name, m := range h.status.Members {
-		cp := *m
-		members[name] = &cp
+	st.Members = make(map[string]*MemberStatus, len(h.members))
+	ms := make([]MemberStatus, 0, len(h.members)) // one allocation, not one per member
+	for name, cluster := range h.members {
+		_, drifted := f.DriftCluster[name]
+		ms = append(ms, MemberStatus{
+			Cluster: cluster, Tests: f.NodeTests[name], Failures: f.NodeFailures[name],
+			UpgradeID: f.Integrated[name], Quarantined: f.Quarantined[name], Drifted: drifted,
+		})
+		st.Members[name] = &ms[len(ms)-1]
 	}
-	st.Members = members
 	if h.status.Transfer != nil {
 		tr := *h.status.Transfer
 		st.Transfer = &tr
@@ -717,69 +721,26 @@ func (h *Handle) Status() Status {
 
 // OnEvent implements deploy.Observer: every state transition (already
 // durable in the journal, when there is one) is appended to the event log
-// and folded into the status snapshot. It never fails — the in-memory
-// view is advisory; the journal is the arbiter.
+// and folded. It never fails — the in-memory view is advisory; the
+// journal is the arbiter.
 func (h *Handle) OnEvent(ev deploy.Event) error {
-	rec, err := rollout.RecordOf(ev)
-	if err != nil {
-		return nil // unknown event type: ignore in the advisory view
-	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	rec.Seq = len(h.events) + 1
-	h.events = append(h.events, rec)
-	st := &h.status
-	switch rec.Type {
-	case rollout.RecStageStart:
-		st.Stage = rec.Stage
-		st.UpgradeID = rec.UpgradeID
-	case rollout.RecGate:
-		st.GatesPassed++
-	case rollout.RecTested:
-		st.Tested++
-		if m := st.Members[rec.Node]; m != nil {
-			m.Tests++
-			if !rec.Success {
-				m.Failures++
-			}
-		}
-		if !rec.Success {
-			st.Failures++
-		}
-	case rollout.RecIntegrated:
-		st.FinalID = rec.UpgradeID
-		if m := st.Members[rec.Node]; m != nil {
-			if m.UpgradeID == "" {
-				st.Integrated++
-			}
-			m.UpgradeID = rec.UpgradeID
-		}
-	case rollout.RecQuarantined:
-		if m := st.Members[rec.Node]; m != nil && !m.Quarantined {
-			m.Quarantined = true
-			st.Quarantined++
-		}
-	case rollout.RecFix:
-		st.Rounds = rec.Round
-		st.UpgradeID = rec.UpgradeID
-	case rollout.RecRollbackStart:
-		st.Baseline = rec.UpgradeID
-		if !st.State.Terminal() {
-			st.State = StateRollingBack
-		}
-	case rollout.RecRolledBack:
-		st.RolledBack++
-		if m := st.Members[rec.Node]; m != nil {
-			m.UpgradeID = rec.UpgradeID
-		}
-	case rollout.RecRollbackSkip:
-		if m := st.Members[rec.Node]; m != nil && !m.Quarantined {
-			m.Quarantined = true
-			st.Quarantined++
-		}
-	}
+	h.recordLocked(ev)
 	h.signalLocked()
 	return nil
+}
+
+// recordLocked appends ev to the event log and folds it; a rollout whose
+// records began a rollback is rolling back until it ends. Callers hold
+// h.mu.
+func (h *Handle) recordLocked(ev deploy.Event) {
+	ev.Seq = len(h.events) + 1
+	h.events = append(h.events, ev)
+	h.fold.Apply(ev)
+	if h.fold.Baseline != "" && !h.status.State.Terminal() {
+		h.status.State = StateRollingBack
+	}
 }
 
 // Rollback drives every member this rollout integrated back to the
@@ -842,7 +803,8 @@ func (h *Handle) Rollback(ctx context.Context) (*deploy.RollbackOutcome, error) 
 			err = errors.New("orchestrator: rollout produced no outcome to roll back")
 		} else {
 			h.ctl.Observer = h
-			ro, err = h.ctl.Rollback(ctx, h.spec.Baseline, h.spec.Clusters, out, nil)
+			_, err = h.ctl.Rollback(ctx, h.spec.Baseline, h.spec.Clusters, out)
+			ro = out.Rollback
 			h.ctl.Observer = nil
 		}
 	}

@@ -230,7 +230,7 @@ func TestAbortMidWavePromptAndJournaledAbandoned(t *testing.T) {
 		t.Fatal(err)
 	}
 	last := recs[len(recs)-1]
-	if last.Type != rollout.RecAbandoned {
+	if last.Type != deploy.RecAbandoned {
 		t.Fatalf("journal tail = %+v, want abandoned", last)
 	}
 	for _, r := range recs {
@@ -349,7 +349,7 @@ func TestAbortWhilePaused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if last := recs[len(recs)-1]; last.Type != rollout.RecAbandoned {
+	if last := recs[len(recs)-1]; last.Type != deploy.RecAbandoned {
 		t.Fatalf("journal tail = %+v, want abandoned", last)
 	}
 }
@@ -445,6 +445,18 @@ func TestResumeContinuesJournaledRollout(t *testing.T) {
 	}
 	if out.Integrated() != 4 {
 		t.Fatalf("resumed rollout integrated %d/4", out.Integrated())
+	}
+	// The status agrees with the outcome: it folds the journal's records
+	// from before the cut, not only the resumed run's.
+	st := h2.Status()
+	if st.Integrated != 4 || st.GatesPassed != st.Stages || st.Stage != st.Stages-1 {
+		t.Fatalf("resumed status: integrated=%d gates_passed=%d stage=%d of %d stages",
+			st.Integrated, st.GatesPassed, st.Stage, st.Stages)
+	}
+	for name, m := range st.Members {
+		if m.UpgradeID != "v1" {
+			t.Fatalf("resumed status: member %s upgrade=%q, want v1", name, m.UpgradeID)
+		}
 	}
 	// The members the truncated journal recorded as integrated were not
 	// re-tested by the resumed run.

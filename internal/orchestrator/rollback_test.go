@@ -82,8 +82,8 @@ func TestOrchestratorAutoRollback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if last := recs[len(recs)-1]; last.Type != rollout.RecRollbackDone {
-		t.Fatalf("journal tail = %s, want %s", last.Type, rollout.RecRollbackDone)
+	if last := recs[len(recs)-1]; last.Type != deploy.RecRollbackDone {
+		t.Fatalf("journal tail = %s, want %s", last.Type, deploy.RecRollbackDone)
 	}
 	// A second rollback of the already-unwound rollout is refused.
 	if _, err := h.Rollback(context.Background()); err == nil ||
@@ -137,8 +137,8 @@ func TestHTTPRollback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if last := recs[len(recs)-1]; last.Type != rollout.RecRollbackDone {
-		t.Fatalf("journal tail = %s, want %s", last.Type, rollout.RecRollbackDone)
+	if last := recs[len(recs)-1]; last.Type != deploy.RecRollbackDone {
+		t.Fatalf("journal tail = %s, want %s", last.Type, deploy.RecRollbackDone)
 	}
 
 	// Rolling back twice is a client-visible conflict, not a panic.

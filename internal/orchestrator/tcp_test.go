@@ -148,7 +148,7 @@ func TestAbortMidStageOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if last := recs[len(recs)-1]; last.Type != rollout.RecAbandoned {
+	if last := recs[len(recs)-1]; last.Type != deploy.RecAbandoned {
 		t.Fatalf("journal tail = %+v, want abandoned", last)
 	}
 	// Nothing is appended after the abort returned.

@@ -3,10 +3,10 @@ package rollout
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/deploy"
 	"repro/internal/pkgmgr"
+	"repro/internal/staging"
 	"repro/internal/telemetry"
 )
 
@@ -84,7 +84,9 @@ func (t *teeObserver) OnEvent(ev deploy.Event) error {
 // with a completion record. Cancelling ctx aborts the rollout: the
 // controller journals an abandoned record (so the journal refuses to
 // resume — an abort is terminal, not a pause) and Deploy returns the
-// partial outcome with an error wrapping ctx.Err().
+// partial outcome with an error wrapping ctx.Err(). Resuming a journal
+// whose forward pass ended resumes its rollback: one already begun, or —
+// with AutoRollback armed — the one an abandoned journal owes.
 func (e *Engine) Deploy(ctx context.Context, policy deploy.Policy, up *pkgmgr.Upgrade, clusters []*deploy.Cluster) (*deploy.Outcome, error) {
 	ctl := e.Controller
 	// Mirror the controller's urgent bypass so the journaled plan is the
@@ -101,84 +103,61 @@ func (e *Engine) Deploy(ctx context.Context, policy deploy.Policy, up *pkgmgr.Up
 
 	var j *Journal
 	var prior []Record
+	var cur *deploy.Cursor
+	var err error
 	if e.Resume {
-		journal, records, err := Open(e.Path)
-		if err != nil {
+		if j, prior, cur, err = e.open(plan, refs); err != nil {
 			return nil, err
 		}
-		journal.Telemetry = e.Telemetry
-		cursor, term, rerr := replay(records, plan, refs)
-		if rerr != nil {
-			journal.Close()
-			return nil, rerr
-		}
-		rb := RollbackOf(records)
-		if rb != nil && rb.Done {
-			journal.Close()
-			return nil, fmt.Errorf("rollout: journal is sealed — the fleet rolled back to %s; nothing to resume", rb.BaselineID)
-		}
-		if term != nil && term.Type == RecComplete {
-			journal.Close()
-			return nil, fmt.Errorf("rollout: journal is sealed — the rollout completed with %s deployed; nothing to resume", term.UpgradeID)
-		}
-		if term != nil { // abandoned: the only way forward is rollback
-			if (rb == nil || !rb.Started) && !(e.AutoRollback && e.Baseline != nil) {
-				journal.Close()
-				return nil, fmt.Errorf("rollout: journal records the vendor abandoning %s after round %d; an abandoned rollout cannot resume", term.UpgradeID, term.Round)
-			}
-			defer journal.Close()
-			return e.runRollback(ctx, journal, cursor, rb, policy, clusters)
-		}
-		if cursor.UpgradeID != "" && cursor.UpgradeID != up.ID {
-			ok := false
-			if e.Rebuild != nil {
-				if u, found := e.Rebuild(cursor.UpgradeID); found {
-					up, ok = u, true
-				}
-			}
-			if !ok {
-				journal.Close()
-				return nil, fmt.Errorf("rollout: journal ended on upgrade %s but %s was supplied and no Rebuild hook can produce it", cursor.UpgradeID, up.ID)
+		err = refuse(cur, cur.Baseline != "" || e.AutoRollback && e.Baseline != nil)
+		if err == nil && !ended(cur) && cur.UpgradeID != up.ID {
+			// Fixes shipped before the crash: continue from the journal's
+			// version, never regress members it moved past the original.
+			if u, ok := e.rebuild(cur.UpgradeID); ok {
+				up = u
+			} else {
+				err = fmt.Errorf("rollout: journal ended on upgrade %s but %s was supplied and no Rebuild hook can produce it", cur.UpgradeID, up.ID)
 			}
 		}
-		j = journal
-		prior = records
-		ctl.Cursor = cursor
+		if err != nil {
+			j.Close()
+			return nil, err
+		}
 	} else {
-		journal, err := Create(e.Path)
-		if err != nil {
+		if j, err = Create(e.Path); err != nil {
 			return nil, err
 		}
-		journal.Telemetry = e.Telemetry
-		if err := journal.Append(PlanRecord(plan, refs, up.ID)); err != nil {
-			journal.Close()
+		j.Telemetry = e.Telemetry
+		if err := j.Append(PlanRecord(plan, refs, up.ID)); err != nil {
+			j.Close()
 			return nil, err
 		}
-		j = journal
 	}
 	defer j.Close()
 	if e.OnOpen != nil {
 		e.OnOpen(j, prior)
 	}
-	ctl.Observer = &teeObserver{journal: &Recorder{J: j, Group: true}, extra: e.Observer}
-	defer func() { ctl.Observer, ctl.Cursor = nil, nil }()
+	defer e.install(j, cur)()
+	if cur != nil && ended(cur) {
+		return e.rollback(ctx, cur, clusters)
+	}
 
 	out, err := ctl.Deploy(ctx, policy, up, clusters)
-	if err == nil && out != nil {
-		if out.Abandoned && e.AutoRollback && e.Baseline != nil {
-			// The observer is still installed: every revert is journaled
-			// (durably, before the next) and rollback_complete seals the
-			// journal in its second terminal state.
-			if _, rerr := ctl.Rollback(ctx, e.Baseline, clusters, out, nil); rerr != nil {
-				return out, rerr
-			}
-		} else if !out.Abandoned {
-			if aerr := j.Append(Record{Type: RecComplete, Stage: -1, UpgradeID: out.FinalID}); aerr != nil {
-				return out, aerr
-			}
+	if err != nil || out == nil {
+		return out, err
+	}
+	if out.Abandoned && e.AutoRollback && e.Baseline != nil {
+		// The observer is still installed: every revert is journaled
+		// (durably, before the next) and rollback_complete seals the
+		// journal in its second terminal state.
+		return ctl.Rollback(ctx, e.Baseline, clusters, out)
+	}
+	if !out.Abandoned {
+		if err := j.Append(Record{Type: RecComplete, Stage: -1, UpgradeID: out.FinalID}); err != nil {
+			return out, err
 		}
 	}
-	return out, err
+	return out, nil
 }
 
 // Rollback resumes the journal at Path and drives every member it
@@ -190,99 +169,67 @@ func (e *Engine) Deploy(ctx context.Context, policy deploy.Policy, up *pkgmgr.Up
 // journal sealed by completion (deploy the old version instead) or by a
 // finished rollback.
 func (e *Engine) Rollback(ctx context.Context, policy deploy.Policy, clusters []*deploy.Cluster) (*deploy.Outcome, error) {
-	refs := deploy.Refs(clusters)
-	plan := e.Controller.PlanFor(policy, clusters)
-	j, records, err := Open(e.Path)
+	j, _, cur, err := e.open(e.Controller.PlanFor(policy, clusters), deploy.Refs(clusters))
 	if err != nil {
 		return nil, err
-	}
-	j.Telemetry = e.Telemetry
-	cursor, term, err := replay(records, plan, refs)
-	if err != nil {
-		j.Close()
-		return nil, err
-	}
-	if term != nil && term.Type == RecComplete {
-		j.Close()
-		return nil, fmt.Errorf("rollout: journal is sealed — the rollout completed with %s deployed; roll back by deploying the previous version", term.UpgradeID)
-	}
-	rb := RollbackOf(records)
-	if rb != nil && rb.Done {
-		j.Close()
-		return nil, fmt.Errorf("rollout: journal already records a completed rollback to %s", rb.BaselineID)
 	}
 	defer j.Close()
-	return e.runRollback(ctx, j, cursor, rb, policy, clusters)
-}
-
-// runRollback executes (or resumes) the rollback pass against an open
-// journal, synthesizing the outcome the controller mutates from the
-// replayed cursor.
-func (e *Engine) runRollback(ctx context.Context, j *Journal, cursor *deploy.Cursor, rb *RollbackState, policy deploy.Policy, clusters []*deploy.Cluster) (*deploy.Outcome, error) {
-	baseline, err := e.baselineFor(rb)
-	if err != nil {
+	if err := refuse(cur, true); err != nil {
 		return nil, err
 	}
-	ctl := e.Controller
-	ctl.Observer = &teeObserver{journal: &Recorder{J: j, Group: true}, extra: e.Observer}
-	defer func() { ctl.Observer = nil }()
-	out := outcomeFrom(policy, cursor, clusters)
-	var done map[string]bool
-	if rb != nil {
-		done = rb.Reverted
-	}
-	if _, err := ctl.Rollback(ctx, baseline, clusters, out, done); err != nil {
-		return out, err
-	}
-	return out, nil
+	defer e.install(j, cur)()
+	return e.rollback(ctx, cur, clusters)
 }
 
-// baselineFor resolves the baseline artifact a rollback restores,
-// insisting that a resumed rollback gets exactly the version its
-// rollback_start record names (via Baseline or the Rebuild hook).
-func (e *Engine) baselineFor(rb *RollbackState) (*pkgmgr.Upgrade, error) {
+// open reopens the journal at Path and folds its records, checked against
+// the rebuilt plan.
+func (e *Engine) open(plan *staging.Plan, refs []staging.ClusterRef) (*Journal, []Record, *deploy.Cursor, error) {
+	j, records, err := Open(e.Path)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	cur, err := fold(records, plan, refs)
+	if err != nil {
+		j.Close()
+		return nil, nil, nil, err
+	}
+	j.Telemetry = e.Telemetry
+	return j, records, cur, nil
+}
+
+// install has the controller journal into j, forwarding to Observer, and
+// resume from cur, until the returned function undoes both.
+func (e *Engine) install(j *Journal, cur *deploy.Cursor) func() {
+	ctl := e.Controller
+	ctl.Observer = &teeObserver{journal: &Recorder{J: j, Group: true}, extra: e.Observer}
+	ctl.Cursor = cur
+	return func() { ctl.Observer, ctl.Cursor = nil, nil }
+}
+
+// rollback runs the rollback pass of a journal whose forward pass is over
+// — or resumes it, insisting on exactly the baseline its rollback_start
+// record names (via Baseline or the Rebuild hook). The outcome it books
+// into is the one the journal's records left.
+func (e *Engine) rollback(ctx context.Context, cur *deploy.Cursor, clusters []*deploy.Cluster) (*deploy.Outcome, error) {
 	b := e.Baseline
-	if rb != nil && rb.Started && (b == nil || b.ID != rb.BaselineID) {
-		if e.Rebuild != nil {
-			if u, ok := e.Rebuild(rb.BaselineID); ok {
-				return u, nil
-			}
+	if cur.Baseline != "" && (b == nil || b.ID != cur.Baseline) {
+		u, ok := e.rebuild(cur.Baseline)
+		if !ok {
+			return nil, fmt.Errorf("rollout: journal rolls back to %s and neither Baseline nor Rebuild can produce it", cur.Baseline)
 		}
-		if b != nil {
-			return nil, fmt.Errorf("rollout: journal rolls back to %s but baseline %s was supplied", rb.BaselineID, b.ID)
-		}
-		return nil, fmt.Errorf("rollout: journal rolls back to %s and neither Baseline nor Rebuild can produce it", rb.BaselineID)
+		b = u
 	}
 	if b == nil {
 		return nil, fmt.Errorf("rollout: no baseline artifact to roll back to")
 	}
-	return b, nil
+	return e.Controller.Rollback(ctx, b, clusters, nil)
 }
 
-// outcomeFrom synthesizes the abandoned outcome a resumed rollback
-// mutates, from the journal's replayed cursor.
-func outcomeFrom(policy deploy.Policy, cur *deploy.Cursor, clusters []*deploy.Cluster) *deploy.Outcome {
-	out := &deploy.Outcome{
-		Policy: policy, FinalID: cur.FinalID, Rounds: cur.Rounds,
-		Overhead: cur.Overhead, Abandoned: true,
-		Nodes: make(map[string]*deploy.NodeStatus),
+// rebuild maps a journaled upgrade ID back to its artifact through the
+// Rebuild hook, if there is one.
+func (e *Engine) rebuild(id string) (*pkgmgr.Upgrade, bool) {
+	if e.Rebuild == nil {
+		return nil, false
 	}
-	for _, c := range clusters {
-		for _, n := range append(append([]deploy.Node(nil), c.Representatives...), c.Others...) {
-			name := n.Name()
-			out.Nodes[name] = &deploy.NodeStatus{
-				Node: name, Cluster: c.ID,
-				UpgradeID: cur.Integrated[name],
-				Tests:     cur.NodeTests[name], Failures: cur.NodeFailures[name],
-				Quarantined: cur.Quarantined[name],
-			}
-		}
-	}
-	for name, q := range cur.Quarantined {
-		if q {
-			out.Quarantined = append(out.Quarantined, name)
-		}
-	}
-	sort.Strings(out.Quarantined)
-	return out
+	return e.Rebuild(id)
 }

@@ -25,11 +25,11 @@ func TestGroupCommitGateDurabilityOrder(t *testing.T) {
 	rec := &Recorder{J: j, Group: true}
 
 	events := []deploy.Event{
-		{Type: deploy.EventStageStarted, Stage: 0, UpgradeID: "u1"},
-		{Type: deploy.EventTested, Stage: 0, Node: "m1", Cluster: "c", UpgradeID: "u1", Success: true},
-		{Type: deploy.EventIntegrated, Stage: 0, Node: "m1", Cluster: "c", UpgradeID: "u1"},
-		{Type: deploy.EventTested, Stage: 0, Node: "m2", Cluster: "c", UpgradeID: "u1", Success: true},
-		{Type: deploy.EventIntegrated, Stage: 0, Node: "m2", Cluster: "c", UpgradeID: "u1"},
+		{Type: RecStageStart, Stage: 0, UpgradeID: "u1"},
+		{Type: RecTested, Stage: 0, Node: "m1", Cluster: "c", UpgradeID: "u1", Success: true},
+		{Type: RecIntegrated, Stage: 0, Node: "m1", Cluster: "c", UpgradeID: "u1"},
+		{Type: RecTested, Stage: 0, Node: "m2", Cluster: "c", UpgradeID: "u1", Success: true},
+		{Type: RecIntegrated, Stage: 0, Node: "m2", Cluster: "c", UpgradeID: "u1"},
 	}
 	for _, ev := range events {
 		if err := rec.OnEvent(ev); err != nil {
@@ -40,7 +40,7 @@ func TestGroupCommitGateDurabilityOrder(t *testing.T) {
 		// Stage start synced; the four member records should be batched.
 		t.Fatalf("pending before gate = %d, want 4", p)
 	}
-	if err := rec.OnEvent(deploy.Event{Type: deploy.EventGatePassed, Stage: 0, UpgradeID: "u1"}); err != nil {
+	if err := rec.OnEvent(deploy.Event{Type: RecGate, Stage: 0, UpgradeID: "u1"}); err != nil {
 		t.Fatal(err)
 	}
 	if p := j.Pending(); p != 0 {

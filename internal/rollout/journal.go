@@ -9,14 +9,16 @@
 //     started, member tested/integrated/quarantined, fix released, gate
 //     passed, abandoned, complete). Appends are crash-safe: each record
 //     is one fsynced line, and Load tolerates a torn final line.
-//   - Recorder bridges deploy.Observer events into journal records. A
-//     record that cannot be persisted halts the plan (write-ahead
-//     discipline), which is exactly what makes the journal trustworthy
-//     on resume.
-//   - Resume replays a journal against a freshly built plan — refusing
-//     to resume if the plan hash no longer matches — and returns the
-//     deploy.Cursor that lets staging.Execute skip completed stages and
-//     already-integrated members.
+//   - Recorder is the deploy.Observer a journaled controller runs with:
+//     the controller's events are journal records already, so it only
+//     appends them, syncing boundary records. A record that cannot be
+//     persisted halts the plan (write-ahead discipline), which is exactly
+//     what makes the journal trustworthy on resume.
+//   - Resume folds a journal (deploy.Cursor.Apply) after checking it
+//     against a freshly built plan — refusing to resume if the plan hash
+//     no longer matches — and returns the deploy.Cursor that lets
+//     staging.Execute skip completed stages and already-integrated
+//     members.
 //   - Engine wires the three around a deploy.Controller: create-or-resume
 //     the journal, install recorder and cursor, run the deployment, seal
 //     the journal with a completion record.
@@ -31,83 +33,23 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/staging"
+	"repro/internal/deploy"
 	"repro/internal/telemetry"
 )
 
-// Record types, in the order a healthy journal sees them.
+// Record is one line of the journal: a deploy.Event, the same JSON the
+// control plane streams.
+type Record = deploy.Event
+
+// Record types under the names the benchmark (bench/seams.go) uses;
+// deploy owns the vocabulary.
 const (
-	// RecPlan heads every journal: the identity of the plan the journal
-	// describes. Resume refuses a journal whose plan hash does not match
-	// the freshly built plan.
-	RecPlan = "plan"
-	// RecStageStart marks a plan stage beginning execution.
-	RecStageStart = "stage_start"
-	// RecTested records one member validation verdict.
-	RecTested = "tested"
-	// RecIntegrated records one member integrating an upgrade version.
-	RecIntegrated = "integrated"
-	// RecQuarantined records a member left behind as unreachable.
-	RecQuarantined = "quarantined"
-	// RecFix records the vendor releasing a corrected upgrade.
-	RecFix = "fix"
-	// RecGate records a stage's gate releasing the next stage.
-	RecGate = "gate"
-	// RecAbandoned records the vendor giving up on the upgrade.
-	RecAbandoned = "abandoned"
-	// RecComplete seals a journal whose rollout finished.
-	RecComplete = "complete"
-	// RecDrift records a live-fleet drift event folded mid-rollout: Node
-	// is the machine, Cluster the cluster it left, Reason the
-	// classification ("migrated", "drifted") plus destination. Drift
-	// records are history, not protocol state: replay counts them into
-	// the resumed rollout's drift totals but they gate nothing by
-	// themselves — the drift policy re-evaluates against the live fleet.
-	RecDrift = "drift"
-
-	// Rollback records follow an abandoned record when the fleet is driven
-	// back to the baseline. All four are boundary records — each is fsynced
-	// before the rollback proceeds, because rollback is exactly the code
-	// path where a replayed side effect (re-reverting a member) must be
-	// provably unnecessary.
-
-	// RecRollbackStart marks a rollback pass beginning; no member reverts
-	// before this record is durable. UpgradeID is the baseline restored,
-	// PrevID the version rolled back.
-	RecRollbackStart = "rollback_start"
-	// RecRolledBack records one member restored to the baseline.
-	RecRolledBack = "rolled_back"
-	// RecRollbackSkip records a member the rollback left behind
-	// (quarantined or unreachable) with the reason.
-	RecRollbackSkip = "rollback_skip"
-	// RecRollbackDone seals the rollback: the journal's second terminal
-	// state — converged on the new version (RecComplete) or verifiably
-	// back on the baseline (RecRollbackDone).
-	RecRollbackDone = "rollback_complete"
+	RecStageStart = deploy.RecStageStart
+	RecTested     = deploy.RecTested
+	RecIntegrated = deploy.RecIntegrated
+	RecGate       = deploy.RecGate
+	RecComplete   = deploy.RecComplete
 )
-
-// Record is one line of the journal.
-type Record struct {
-	Seq  int    `json:"seq"`
-	Type string `json:"type"`
-
-	// Plan identity (RecPlan).
-	Policy   string               `json:"policy,omitempty"`
-	Seed     uint64               `json:"seed,omitempty"`
-	PlanHash string               `json:"plan_hash,omitempty"`
-	Clusters []staging.ClusterRef `json:"clusters,omitempty"`
-
-	// State transitions. Stage is the plan stage index, -1 for post-plan
-	// work (promoted adaptive waves, final notification).
-	Stage     int    `json:"stage"`
-	Node      string `json:"node,omitempty"`
-	Cluster   string `json:"cluster,omitempty"`
-	UpgradeID string `json:"upgrade,omitempty"`
-	PrevID    string `json:"prev,omitempty"`
-	Success   bool   `json:"success,omitempty"`
-	Round     int    `json:"round,omitempty"`
-	Reason    string `json:"reason,omitempty"`
-}
 
 // DefaultGroupWindow is the longest a buffered (group-committed) record
 // waits before a background fsync makes it durable.

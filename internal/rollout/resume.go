@@ -28,7 +28,7 @@ func PlanHash(plan *staging.Plan, refs []staging.ClusterRef) string {
 // PlanRecord builds the identity record that heads every journal.
 func PlanRecord(plan *staging.Plan, refs []staging.ClusterRef, upgradeID string) Record {
 	return Record{
-		Type:      RecPlan,
+		Type:      deploy.RecPlan,
 		Policy:    plan.Policy.String(),
 		Seed:      plan.Seed,
 		UpgradeID: upgradeID,
@@ -38,10 +38,10 @@ func PlanRecord(plan *staging.Plan, refs []staging.ClusterRef, upgradeID string)
 	}
 }
 
-// Recorder translates deployment state transitions into journal records;
-// it is the deploy.Observer a journaled controller runs with. An append
-// failure propagates back into the controller, which halts the plan —
-// progress the journal cannot record must not happen.
+// Recorder journals deployment state transitions; it is the
+// deploy.Observer a journaled controller runs with. An append failure
+// propagates back into the controller, which halts the plan — progress
+// the journal cannot record must not happen.
 type Recorder struct {
 	J *Journal
 	// Group enables group-committed appends: member-level records (tested,
@@ -58,203 +58,83 @@ type Recorder struct {
 	Group bool
 }
 
-// RecordOf translates one deployment state transition into its journal
-// record form — the same vocabulary the control-plane API speaks, so a
-// journal line and a streamed rollout event are the same JSON shape.
-func RecordOf(ev deploy.Event) (Record, error) {
-	r := Record{
-		Stage:     ev.Stage,
-		Node:      ev.Node,
-		Cluster:   ev.Cluster,
-		UpgradeID: ev.UpgradeID,
-		PrevID:    ev.PrevID,
-		Success:   ev.Success,
-		Round:     ev.Round,
-		Reason:    ev.Reason,
-	}
-	switch ev.Type {
-	case deploy.EventStageStarted:
-		r.Type = RecStageStart
-	case deploy.EventTested:
-		r.Type = RecTested
-	case deploy.EventIntegrated:
-		r.Type = RecIntegrated
-	case deploy.EventQuarantined:
-		r.Type = RecQuarantined
-	case deploy.EventFixReleased:
-		r.Type = RecFix
-	case deploy.EventGatePassed:
-		r.Type = RecGate
-	case deploy.EventAbandoned:
-		r.Type = RecAbandoned
-	case deploy.EventRollbackStarted:
-		r.Type = RecRollbackStart
-	case deploy.EventRolledBack:
-		r.Type = RecRolledBack
-	case deploy.EventRollbackSkipped:
-		r.Type = RecRollbackSkip
-	case deploy.EventRollbackCompleted:
-		r.Type = RecRollbackDone
-	default:
-		return Record{}, fmt.Errorf("rollout: unknown deploy event type %d", ev.Type)
-	}
-	return r, nil
-}
-
 // OnEvent implements deploy.Observer.
 func (rec *Recorder) OnEvent(ev deploy.Event) error {
-	r, err := RecordOf(ev)
-	if err != nil {
-		return err
-	}
 	if rec.Group {
-		switch r.Type {
-		case RecStageStart, RecGate, RecAbandoned,
-			RecRollbackStart, RecRolledBack, RecRollbackSkip, RecRollbackDone:
+		switch ev.Type {
+		case RecStageStart, RecGate, deploy.RecAbandoned,
+			deploy.RecRollbackStart, deploy.RecRolledBack, deploy.RecRollbackSkip, deploy.RecRollbackDone:
 			// Boundary records sync (committing the batch before them);
 			// everything else rides a later sync or the group window.
 			// Every rollback record is a boundary: a member must never
 			// revert before the record of the previous revert is durable.
-			return rec.J.Append(r)
+			return rec.J.Append(ev)
 		default:
-			return rec.J.AppendBuffered(r)
+			return rec.J.AppendBuffered(ev)
 		}
 	}
-	return rec.J.Append(r)
+	return rec.J.Append(ev)
 }
 
-// Resume replays journal records against a freshly built plan for the
-// same deployment and returns the cursor that lets the controller skip
-// completed work: gated stages release immediately, integrated members
-// are never re-tested or re-integrated, quarantined members stay
+// Resume folds journal records checked against a freshly built plan for
+// the same deployment and returns the cursor that lets the controller
+// skip completed work: gated stages release immediately, integrated
+// members are never re-tested or re-integrated, quarantined members stay
 // quarantined, and the debugging round counter and current upgrade ID
 // pick up where the journal ended. It refuses journals whose plan hash
 // does not match the plan (the topology or policy changed), journals
-// that record an abandoned rollout, and sealed journals (the rollout
-// completed — rerunning it is an operator mistake worth naming).
+// whose rollout was given up, and sealed journals (rerunning a finished
+// rollout is an operator mistake worth naming).
 func Resume(records []Record, plan *staging.Plan, refs []staging.ClusterRef) (*deploy.Cursor, error) {
-	cur, term, err := replay(records, plan, refs)
+	cur, err := fold(records, plan, refs)
+	if err == nil {
+		err = refuse(cur, false)
+	}
 	if err != nil {
 		return nil, err
-	}
-	if term != nil {
-		if term.Type == RecAbandoned {
-			return nil, fmt.Errorf("rollout: journal records the vendor abandoning %s after round %d; an abandoned rollout cannot resume", term.UpgradeID, term.Round)
-		}
-		return nil, fmt.Errorf("rollout: journal is sealed — the rollout completed with %s deployed; nothing to resume", term.UpgradeID)
 	}
 	return cur, nil
 }
 
-// replay is the raw journal fold: head checks, then every
-// state-transition record folded into a cursor, with the terminal record
-// (abandoned or complete) returned instead of refused — the entry point
-// for rollback resume, where "abandoned" is precisely the state being
-// picked up. Rollback records fold too: a rolled-back member's current
-// version is the baseline, a skipped member is quarantined.
-func replay(records []Record, plan *staging.Plan, refs []staging.ClusterRef) (*deploy.Cursor, *Record, error) {
+// fold checks the journal's head against the plan and folds every record
+// into a cursor, whatever state the journal ended in.
+func fold(records []Record, plan *staging.Plan, refs []staging.ClusterRef) (*deploy.Cursor, error) {
 	if len(records) == 0 {
-		return nil, nil, fmt.Errorf("rollout: journal is empty; nothing to resume")
+		return nil, fmt.Errorf("rollout: journal is empty; nothing to resume")
 	}
 	head := records[0]
-	if head.Type != RecPlan {
-		return nil, nil, fmt.Errorf("rollout: journal does not start with a plan record (got %q)", head.Type)
+	if head.Type != deploy.RecPlan {
+		return nil, fmt.Errorf("rollout: journal does not start with a plan record (got %q)", head.Type)
 	}
 	if want := PlanHash(plan, refs); head.PlanHash != want {
-		return nil, nil, fmt.Errorf("rollout: journal plan hash %s does not match the rebuilt plan %s (policy %s, %d clusters) — refusing to resume against a different schedule",
+		return nil, fmt.Errorf("rollout: journal plan hash %s does not match the rebuilt plan %s (policy %s, %d clusters) — refusing to resume against a different schedule",
 			head.PlanHash, want, plan.Policy, len(refs))
 	}
-	cur := &deploy.Cursor{
-		UpgradeID:    head.UpgradeID,
-		Integrated:   make(map[string]string),
-		Quarantined:  make(map[string]bool),
-		Unclean:      make(map[string]bool),
-		NodeTests:    make(map[string]int),
-		NodeFailures: make(map[string]int),
-	}
-	var term *Record
-	for i := range records[1:] {
-		r := records[1+i]
-		switch r.Type {
-		case RecGate:
-			// Stages gate strictly in order; count the contiguous prefix.
-			if r.Stage == cur.DoneStages {
-				cur.DoneStages++
-			}
-		case RecTested:
-			cur.NodeTests[r.Node]++
-			if !r.Success {
-				cur.NodeFailures[r.Node]++
-				cur.Overhead++
-				cur.Unclean[r.Cluster] = true
-			}
-		case RecIntegrated:
-			cur.Integrated[r.Node] = r.UpgradeID
-			cur.FinalID = r.UpgradeID
-		case RecQuarantined:
-			cur.Quarantined[r.Node] = true
-			cur.Unclean[r.Cluster] = true
-		case RecFix:
-			cur.Rounds = r.Round
-			cur.UpgradeID = r.UpgradeID
-		case RecAbandoned, RecComplete:
-			term = &records[1+i]
-		case RecRolledBack:
-			cur.Integrated[r.Node] = r.UpgradeID
-		case RecRollbackSkip:
-			cur.Quarantined[r.Node] = true
-		}
-	}
-	return cur, term, nil
-}
-
-// RollbackState is the journal's view of a rollback pass — what a resume
-// must not redo.
-type RollbackState struct {
-	// Started: a durable rollback_start exists; the pass is resumable.
-	Started bool
-	// Done: the rollback_complete seal exists; the journal is terminal.
-	Done bool
-	// BaselineID is the version the fleet is being driven back to; PrevID
-	// the version rolled back.
-	BaselineID, PrevID string
-	// Reverted members are verifiably on the baseline and are never
-	// touched again by a resumed rollback.
-	Reverted map[string]bool
-	// Skipped maps left-behind members to the journaled reason.
-	Skipped map[string]string
-}
-
-// RollbackOf extracts the rollback state from journal records, or nil if
-// no rollback ever started.
-func RollbackOf(records []Record) *RollbackState {
-	var rb *RollbackState
+	cur := &deploy.Cursor{}
 	for _, r := range records {
-		switch r.Type {
-		case RecRollbackStart:
-			// A resumed rollback journals a fresh start record; the members
-			// already durably reverted stay reverted, so accumulate rather
-			// than reset — otherwise a twice-crashed rollback would forget
-			// the first attempt's facts and revert those members again.
-			if rb == nil {
-				rb = &RollbackState{Reverted: map[string]bool{}, Skipped: map[string]string{}}
-			}
-			rb.Started = true
-			rb.BaselineID = r.UpgradeID
-			rb.PrevID = r.PrevID
-		case RecRolledBack:
-			if rb != nil {
-				rb.Reverted[r.Node] = true
-			}
-		case RecRollbackSkip:
-			if rb != nil {
-				rb.Skipped[r.Node] = r.Reason
-			}
-		case RecRollbackDone:
-			if rb != nil {
-				rb.Done = true
-			}
-		}
+		cur.Apply(r)
 	}
-	return rb
+	return cur, nil
 }
+
+// refuse says why the journal folded into cur cannot be taken further. A
+// sealed journal — its rollout or its rollback completed — never can. One
+// whose forward pass ended (abandoned, or a rollback began) can only be
+// rolled back: rollback says whether the caller will.
+func refuse(cur *deploy.Cursor, rollback bool) error {
+	if t := cur.Terminal; t != nil && t.Type != deploy.RecAbandoned {
+		what := "rollout with " + t.UpgradeID + " deployed"
+		if t.Type == deploy.RecRollbackDone {
+			what = "rollback — the fleet rolled back to " + t.UpgradeID
+		}
+		return fmt.Errorf("rollout: journal is sealed by a completed %s; nothing left to run", what)
+	}
+	if !rollback && ended(cur) {
+		return fmt.Errorf("rollout: journal records the vendor abandoning %s after round %d; an abandoned rollout cannot resume", cur.UpgradeID, cur.Rounds)
+	}
+	return nil
+}
+
+// ended reports whether the journal folded into cur records its forward
+// pass over: abandoned, or a rollback begun.
+func ended(cur *deploy.Cursor) bool { return cur.Terminal != nil || cur.Baseline != "" }

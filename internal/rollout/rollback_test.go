@@ -77,12 +77,12 @@ func TestAutoRollbackSealsJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb := RollbackOf(records)
-	if rb == nil || !rb.Started || !rb.Done || rb.BaselineID != "v0" {
+	rb := folded(records)
+	if rb.Baseline != "v0" || rb.Terminal == nil || rb.Terminal.Type != deploy.RecRollbackDone {
 		t.Fatalf("journal rollback state = %+v", rb)
 	}
-	if last := records[len(records)-1]; last.Type != RecRollbackDone {
-		t.Fatalf("journal tail = %s, want %s", last.Type, RecRollbackDone)
+	if last := records[len(records)-1]; last.Type != deploy.RecRollbackDone {
+		t.Fatalf("journal tail = %s, want %s", last.Type, deploy.RecRollbackDone)
 	}
 	// The members that integrated v1 were each driven back to v0 exactly
 	// once; the far cluster never left the baseline.
@@ -143,7 +143,7 @@ func TestRollbackCrashResumeDoesNotRevertTwice(t *testing.T) {
 	lines := strings.SplitAfter(string(data), "\n")
 	cut := -1
 	for i, ln := range lines {
-		if strings.Contains(ln, `"type":"`+RecRolledBack+`"`) {
+		if strings.Contains(ln, `"type":"`+deploy.RecRolledBack+`"`) {
 			cut = i
 			break
 		}
@@ -155,8 +155,8 @@ func TestRollbackCrashResumeDoesNotRevertTwice(t *testing.T) {
 	if err := os.WriteFile(trunc, []byte(strings.Join(lines[:cut+1], "")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rbBefore := RollbackOf(mustLoad(t, trunc))
-	if rbBefore == nil || !rbBefore.Started || rbBefore.Done || len(rbBefore.Reverted) != 1 {
+	rbBefore := folded(mustLoad(t, trunc))
+	if rbBefore.Baseline != "v0" || rbBefore.Terminal != nil || len(rbBefore.Reverted) != 1 {
 		t.Fatalf("truncated journal rollback state = %+v", rbBefore)
 	}
 	var survivor string
@@ -206,11 +206,11 @@ func TestRollbackCrashResumeDoesNotRevertTwice(t *testing.T) {
 
 	// The resumed journal is sealed: terminal state preserved end to end.
 	records := mustLoad(t, trunc)
-	if last := records[len(records)-1]; last.Type != RecRollbackDone {
-		t.Fatalf("resumed journal tail = %s, want %s", last.Type, RecRollbackDone)
+	if last := records[len(records)-1]; last.Type != deploy.RecRollbackDone {
+		t.Fatalf("resumed journal tail = %s, want %s", last.Type, deploy.RecRollbackDone)
 	}
-	rbAfter := RollbackOf(records)
-	if rbAfter == nil || !rbAfter.Done || !rbAfter.Reverted[survivor] {
+	rbAfter := folded(records)
+	if rbAfter.Terminal == nil || rbAfter.Terminal.Type != deploy.RecRollbackDone || !rbAfter.Reverted[survivor] {
 		t.Fatalf("resumed journal rollback state = %+v", rbAfter)
 	}
 }
@@ -249,9 +249,18 @@ func TestManualRollbackAfterAbandon(t *testing.T) {
 			t.Fatalf("%s reverted %d times, want 1", name, got)
 		}
 	}
-	if recs := mustLoad(t, path); recs[len(recs)-1].Type != RecRollbackDone {
+	if recs := mustLoad(t, path); recs[len(recs)-1].Type != deploy.RecRollbackDone {
 		t.Fatalf("journal tail = %s", recs[len(recs)-1].Type)
 	}
+}
+
+// folded is the journal's fold without the plan check Resume adds.
+func folded(records []Record) *deploy.Cursor {
+	cur := &deploy.Cursor{}
+	for _, r := range records {
+		cur.Apply(r)
+	}
+	return cur
 }
 
 func mustLoad(t *testing.T, path string) []Record {

@@ -85,7 +85,7 @@ func TestJournalRoundTripAndTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, typ := range []string{RecPlan, RecStageStart, RecTested} {
+	for i, typ := range []string{deploy.RecPlan, RecStageStart, RecTested} {
 		if err := j.Append(Record{Type: typ, Stage: i - 1}); err != nil {
 			t.Fatal(err)
 		}
@@ -168,12 +168,12 @@ func TestResumeBuildsCursor(t *testing.T) {
 		PlanRecord(plan, refs, "v1"),
 		{Type: RecStageStart, Stage: 0},
 		{Type: RecTested, Stage: 0, Node: "near-rep", Cluster: "near", Success: false},
-		{Type: RecFix, Stage: 0, UpgradeID: "v2", PrevID: "v1", Round: 1},
+		{Type: deploy.RecFix, Stage: 0, UpgradeID: "v2", PrevID: "v1", Round: 1},
 		{Type: RecTested, Stage: 0, Node: "near-rep", Cluster: "near", UpgradeID: "v2", Success: true},
 		{Type: RecIntegrated, Stage: 0, Node: "near-rep", Cluster: "near", UpgradeID: "v2"},
 		{Type: RecGate, Stage: 0},
 		{Type: RecStageStart, Stage: 1},
-		{Type: RecQuarantined, Stage: 1, Node: "near-1", Cluster: "near", Reason: "agent unreachable"},
+		{Type: deploy.RecQuarantined, Stage: 1, Node: "near-1", Cluster: "near", Reason: "agent unreachable"},
 	}
 	for i := range records {
 		records[i].Seq = i + 1
@@ -309,7 +309,7 @@ func TestResumeRebuildsFixedVersion(t *testing.T) {
 	}
 	j.Append(PlanRecord(plan, refs, "v1"))
 	j.Append(Record{Type: RecStageStart, Stage: 0})
-	j.Append(Record{Type: RecFix, Stage: 0, UpgradeID: "v2", PrevID: "v1", Round: 1})
+	j.Append(Record{Type: deploy.RecFix, Stage: 0, UpgradeID: "v2", PrevID: "v1", Round: 1})
 	j.Close()
 
 	// Without a release store the engine refuses: resuming with v1 would
@@ -358,7 +358,7 @@ func TestResumeRestoresOutcomeCounters(t *testing.T) {
 	records := []Record{
 		PlanRecord(plan, refs, "v1"),
 		{Type: RecTested, Stage: 0, Node: "near-rep", Cluster: "near", UpgradeID: "v1", Success: false},
-		{Type: RecFix, Stage: 0, UpgradeID: "v2", PrevID: "v1", Round: 1},
+		{Type: deploy.RecFix, Stage: 0, UpgradeID: "v2", PrevID: "v1", Round: 1},
 		{Type: RecTested, Stage: 0, Node: "near-rep", Cluster: "near", UpgradeID: "v2", Success: true},
 		{Type: RecIntegrated, Stage: 0, Node: "near-rep", Cluster: "near", UpgradeID: "v2"},
 	}
@@ -383,7 +383,7 @@ func TestResumeRefusesAbandonedJournal(t *testing.T) {
 	plan := staging.BuildPlan(staging.PolicyBalanced, refs, 0)
 	records := []Record{
 		PlanRecord(plan, refs, "v1"),
-		{Type: RecAbandoned, Stage: 0, UpgradeID: "v1", Round: 10},
+		{Type: deploy.RecAbandoned, Stage: 0, UpgradeID: "v1", Round: 10},
 	}
 	for i := range records {
 		records[i].Seq = i + 1
