@@ -105,7 +105,7 @@ func run() (code int) {
 	resume := flag.Bool("resume", false, "resume the rollout recorded in -journal (skip stages and members it records as done) instead of starting fresh")
 	serve := flag.Bool("serve", env("MIRAGE_SERVE", false, strconv.ParseBool), "control-plane mode: expose the HTTP admin API on -admin and start rollouts on demand (mirage-ctl) instead of running one and exiting (env MIRAGE_SERVE)")
 	admin := flag.String("admin", env("MIRAGE_ADMIN_ADDR", "127.0.0.1:7080", str), "address for the HTTP control plane (one-shot mode serves it too, so a running rollout can be paused or aborted) (env MIRAGE_ADMIN_ADDR)")
-	flag.StringVar(&opts.JournalDir, "journal-dir", env("MIRAGE_JOURNAL_DIR", "", str), "directory for per-rollout journals in -serve mode (empty = unjournaled rollouts unless the start request names a journal) (env MIRAGE_JOURNAL_DIR)")
+	flag.StringVar(&opts.JournalDir, "journal-dir", env("MIRAGE_JOURNAL_DIR", "", str), "directory for per-rollout journals <id>.journal, for every rollout that names no journal file of its own (empty = a private temporary directory, removed at exit) (env MIRAGE_JOURNAL_DIR)")
 	flag.IntVar(&opts.Shards, "shards", env("MIRAGE_SHARDS", 0, strconv.Atoi), "agent-registry shard count, rounded up to a power of two (0 = derive from GOMAXPROCS); more shards mean less lock contention under registration storms and concurrent rollouts")
 	flag.IntVar(&opts.WorkerBudget, "worker-budget", env("MIRAGE_WORKER_BUDGET", 0, strconv.Atoi), "vendor-wide cap on concurrently in-flight member RPCs shared by ALL rollouts (0 = unlimited); individual rollouts still honor -parallel within it (env MIRAGE_WORKER_BUDGET)")
 	flag.IntVar(&opts.MaxActive, "max-rollouts", env("MIRAGE_MAX_ROLLOUTS", 0, strconv.Atoi), "admission control: rollouts allowed to execute concurrently (0 = unbounded); POST /rollouts beyond this and -max-queued returns 429 (env MIRAGE_MAX_ROLLOUTS)")

@@ -270,13 +270,20 @@ func main() {
 	// events come from the fleetwatch monitor folding agents' -watch
 	// profile-delta pushes; this walkthrough fleet was clustered by hand,
 	// so we bridge one event into the orchestrator directly, exactly as
-	// the vendor's delta handler does.
+	// the vendor's delta handler does — once the rollout's first stage has
+	// started: drift is journaled first, and a rollout records none before
+	// its journal is open.
 	var st4 orchestrator.Status
 	for attempt := 0; ; attempt++ {
 		if st4, err = ctl.Start(ctx, orchestrator.StartRequest{
 			Policy: "balanced", DriftAction: "hold",
 		}); err != nil {
 			log.Fatal(err)
+		}
+		for st4.Stage < 0 && !st4.State.Terminal() {
+			if st4, err = ctl.Get(ctx, st4.ID); err != nil {
+				log.Fatal(err)
+			}
 		}
 		v.Orch.NotifyDrift(orchestrator.DriftEvent{
 			Machine: "c1-oth", To: "somewhere-new", Class: "drifted", Version: 1,

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"os"
 	"sync/atomic"
 
 	"repro/internal/apps"
@@ -43,7 +44,7 @@ import (
 type Options struct {
 	Listen       string // -listen: address agents register at
 	Shards       int    // -shards: agent-registry shard count (0 = from GOMAXPROCS)
-	JournalDir   string // -journal-dir: per-rollout journals ("" = unjournaled by default)
+	JournalDir   string // -journal-dir: per-rollout journals ("" = a private directory New makes and Close removes)
 	WorkerBudget int    // -worker-budget: in-flight member RPCs across all rollouts (0 = unlimited)
 	MaxActive    int    // -max-rollouts: concurrently executing rollouts (0 = unbounded)
 	MaxQueued    int    // -max-queued: rollouts waiting for an execution slot
@@ -79,6 +80,9 @@ type Vendor struct {
 	// fleet is published by Profile; the delta bridge, the controller
 	// hooks and the admin API read it from other goroutines.
 	fleet atomic.Pointer[profiledFleet]
+	// privateJournals is the journal directory New made because Options
+	// named none; Close removes it.
+	privateJournals string
 }
 
 // profiledFleet is what Profile leaves behind: the live monitor plus what
@@ -93,26 +97,42 @@ type profiledFleet struct {
 // one telemetry registry and tracer shared by transport and orchestrator,
 // the vendor-wide worker budget, and the profile-delta bridge — installed
 // before the first agent can push, so an early delta gets a clean "not
-// yet" error instead of a race.
+// yet" error instead of a race. Every rollout is journaled: without
+// Options.JournalDir the journals go to a private temporary directory.
 func New(opts Options) (*Vendor, error) {
 	srv, err := transport.ListenWith(opts.Listen, transport.ListenOpts{Shards: opts.Shards})
 	if err != nil {
 		return nil, err
 	}
-	orch := orchestrator.New(opts.JournalDir)
+	dir, private := opts.JournalDir, ""
+	if dir == "" {
+		if dir, err = os.MkdirTemp("", "mirage-journals-"); err != nil {
+			srv.Close()
+			return nil, fmt.Errorf("core: journal directory: %w", err)
+		}
+		private = dir
+	}
+	orch := orchestrator.New(dir)
 	orch.Budget = deploy.NewBudget(opts.WorkerBudget)
 	orch.MaxActive = opts.MaxActive
 	orch.MaxQueued = opts.MaxQueued
 	orch.Telemetry = telemetry.NewRegistry()
 	orch.Tracer = &telemetry.Tracer{}
 	srv.Telemetry = orch.Telemetry
-	v := &Vendor{Server: srv, Orch: orch, URR: report.New()}
+	v := &Vendor{Server: srv, Orch: orch, URR: report.New(), privateJournals: private}
 	srv.OnProfileDelta = v.onProfileDelta
 	return v, nil
 }
 
-// Close shuts the transport server down; every agent session ends with it.
-func (v *Vendor) Close() error { return v.Server.Close() }
+// Close shuts the transport server down — every agent session ends with
+// it — and removes the private journal directory New made, if any.
+func (v *Vendor) Close() error {
+	err := v.Server.Close()
+	if v.privateJournals != "" {
+		os.RemoveAll(v.privateJournals) //nolint:errcheck — best-effort cleanup of scratch journals
+	}
+	return err
+}
 
 // Monitor returns the live drift monitor, nil until Profile has run.
 func (v *Vendor) Monitor() *fleetwatch.Monitor {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/deploy"
 	"repro/internal/machine"
 	"repro/internal/orchestrator"
+	"repro/internal/pkgmgr"
 	"repro/internal/report"
 	"repro/internal/rollout"
 	"repro/internal/scenario"
@@ -359,6 +361,53 @@ func TestJournaledStageDeployment(t *testing.T) {
 	}
 	if again, err := rollout.Load(spec.Journal); err != nil || len(again) != len(recs) {
 		t.Fatalf("refused resume still appended records: %d -> %d (%v)", len(recs), len(again), err)
+	}
+}
+
+// heldNode passes validation once released — a member that keeps a
+// rollout running until the test lets it go.
+type heldNode struct {
+	name             string
+	started, release chan struct{}
+}
+
+func (n *heldNode) Name() string { return n.name }
+func (n *heldNode) TestUpgrade(_ context.Context, up *pkgmgr.Upgrade) (*report.Report, error) {
+	close(n.started)
+	<-n.release
+	return &report.Report{UpgradeID: up.ID, Machine: n.name, Success: true}, nil
+}
+func (n *heldNode) Integrate(context.Context, *pkgmgr.Upgrade) error { return nil }
+
+// TestPrivateJournalDirectory: a vendor given no journal directory still
+// journals every rollout — into a private directory that Close removes.
+func TestPrivateJournalDirectory(t *testing.T) {
+	v, err := New(Options{Listen: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	rep := &heldNode{name: "held", started: make(chan struct{}), release: make(chan struct{})}
+	h, err := v.Orch.Start(context.Background(), orchestrator.Spec{Upgrade: scenario.MySQLUpgrade(),
+		Clusters: []*deploy.Cluster{{ID: "c0", Distance: 1, Representatives: []deploy.Node{rep}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-rep.started
+	journal := h.Status().Journal
+	if _, err := os.Stat(journal); err != nil {
+		t.Fatalf("running rollout's journal: %v", err)
+	}
+	close(rep.release)
+	if out, err := h.Wait(context.Background()); err != nil || out.Integrated() != 1 {
+		t.Fatalf("rollout: %v, outcome %+v", err, out)
+	}
+	if recs, err := rollout.Load(journal); err != nil || len(recs) == 0 || recs[len(recs)-1].Type != rollout.RecComplete {
+		t.Fatalf("journal of the finished rollout: %d records, %v", len(recs), err)
+	}
+	v.Close()
+	if _, err := os.Stat(filepath.Dir(journal)); !os.IsNotExist(err) {
+		t.Fatalf("journal directory after Close: %v, want it gone", err)
 	}
 }
 

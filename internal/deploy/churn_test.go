@@ -234,7 +234,7 @@ func (j *failingJournal) OnEvent(ev Event) error {
 	return nil
 }
 
-// TestIntegrateWindowUnderFailingJournal pins the unjournaled-integration
+// TestIntegrateWindowUnderFailingJournal pins the unrecorded-integration
 // window. Integrations run Parallelism wide, so a journal that dies can
 // leave more than one of them unrecorded — but never more than
 // Parallelism: the pool does not run ahead of the bookkeeping by more

@@ -31,7 +31,8 @@ const (
 	// DriftRestage aborts the rollout and relaunches it against clusters
 	// rebuilt from the live fleet view (Spec.Restage). The journal of the
 	// aborted attempt ends abandoned; the relaunch runs under a fresh
-	// journal and ID, recorded in Status.RestagedAs.
+	// ID and a fresh journal in Orchestrator.JournalDir, recorded in
+	// Status.RestagedAs.
 	DriftRestage DriftAction = "restage"
 )
 
@@ -63,52 +64,51 @@ type DriftEvent struct {
 	Version uint64
 }
 
-// NotifyDrift fans a drift event to every non-terminal rollout. Each
-// rollout that counts the machine among its members journals and folds
-// the event; the rest ignore it.
+// NotifyDrift fans a drift event to every rollout. Each one whose journal
+// is open and which counts the machine among its members journals and
+// folds the event; the rest ignore it.
 func (o *Orchestrator) NotifyDrift(ev DriftEvent) {
 	for _, h := range o.List() {
 		h.NotifyDrift(ev)
 	}
 }
 
-// NotifyDrift folds one fleet drift event into this rollout: appended to
-// the event log, journaled as a RecDrift record (durable history that
-// survives crash-resume without driving protocol state), folded with the
-// rollout's records, and checked against the spec's DriftPolicy. Events
-// for machines outside the rollout's plan, and non-drift classes, are
-// ignored.
+// NotifyDrift records one fleet drift event in this rollout: journaled
+// first as a RecDrift record (durable history that survives crash-resume
+// without driving protocol state), which the journal hands to the event
+// log and the fold like any other record, and only then checked against
+// the spec's DriftPolicy. A rollout without an open journal — queued, or
+// finished — records no drift, and neither does one whose append fails.
+// Events for machines outside the rollout's plan, and non-drift classes,
+// are ignored.
 func (h *Handle) NotifyDrift(ev DriftEvent) {
 	if ev.Class != "migrated" && ev.Class != "drifted" {
 		return
 	}
 	cluster, member := h.members[ev.Machine]
-	h.mu.Lock()
-	if !member || h.status.State.Terminal() {
-		h.mu.Unlock()
+	if !member {
 		return
 	}
+	h.mu.Lock()
+	j := h.liveJournal
+	_, seen := h.fold.DriftCluster[ev.Machine]
+	h.mu.Unlock()
 	reason := ev.Class
 	if ev.To != "" {
 		reason += " to " + ev.To
 	}
-	rec := deploy.Event{Type: deploy.RecDrift, Stage: -1, Node: ev.Machine, Cluster: cluster, Reason: reason}
-	drifted := len(h.fold.Drifted)
-	h.recordLocked(rec)
-	var hold, restage bool
-	if len(h.fold.Drifted) > drifted {
-		hold, restage = h.driftPolicyLocked(cluster)
+	// The journal serializes appends internally, so this is safe next to
+	// the controller's recorder; it refuses once the rollout has finished
+	// and closed it.
+	if j == nil || j.Append(deploy.Event{Type: deploy.RecDrift, Stage: -1, Node: ev.Machine, Cluster: cluster, Reason: reason}) != nil {
+		return
 	}
-	j := h.liveJournal
-	h.signalLocked()
+	if seen || ev.Class != "drifted" {
+		return // only a newly drifted member counts toward the budget
+	}
+	h.mu.Lock()
+	hold, restage := h.driftPolicyLocked(cluster)
 	h.mu.Unlock()
-	if j != nil {
-		// The journal serializes appends internally, so this is safe next
-		// to the controller's recorder. A failure (including the journal
-		// closing because the rollout just finished) only costs the
-		// durable copy of an advisory record; the in-memory fold stands.
-		j.Append(rec) //nolint:errcheck
-	}
 	if hold {
 		h.Pause()
 	}

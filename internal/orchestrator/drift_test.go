@@ -28,7 +28,7 @@ func TestDriftCountingAndBudget(t *testing.T) {
 		started: make(chan struct{}),
 		release: make(chan struct{}),
 	}
-	orch := New("") // unjournaled: counting needs no disk
+	orch := New(t.TempDir())
 	h, err := orch.Start(context.Background(), Spec{
 		Policy:   deploy.PolicyBalanced,
 		Upgrade:  upgrade("v1"),
@@ -226,6 +226,53 @@ func TestDriftRecordsSurviveCrashResume(t *testing.T) {
 	}
 	if m := st.Members["dr-c1-rep"]; m == nil || !m.Drifted {
 		t.Fatalf("resumed member dr-c1-rep not drifted: %+v", m)
+	}
+	// The resumed rollout streams the interrupted run's records, drift
+	// included, then its own: its journal.
+	streamIsJournal(t, h)
+	streamIsJournal(t, h2)
+}
+
+// TestDriftOnQueuedRolloutIsNotRecorded: a rollout waiting for an
+// execution slot has no open journal, so drift reported to it is neither
+// journaled nor counted — its status says what its journal says.
+func TestDriftOnQueuedRolloutIsNotRecorded(t *testing.T) {
+	orch := New(t.TempDir())
+	orch.MaxActive, orch.MaxQueued = 1, 1
+	ctx := context.Background()
+	gated, clusters := holdFleet("dq")
+	h1, err := orch.Start(ctx, Spec{Policy: deploy.PolicyBalanced, Upgrade: upgrade("v1"), Clusters: clusters})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-gated.started // h1 holds the only slot
+	h2, err := orch.Start(ctx, Spec{Policy: deploy.PolicyBalanced, Upgrade: upgrade("v2"), Clusters: fleet("dq2", 1, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := h2.Status().State; st != StateQueued {
+		t.Fatalf("second rollout %s, want queued", st)
+	}
+	orch.NotifyDrift(DriftEvent{Machine: "dq2-c0-oth", To: "cluster9", Class: "drifted"})
+
+	gated.release <- struct{}{}
+	gated.release <- struct{}{}
+	for _, h := range []*Handle{h1, h2} {
+		if _, err := h.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := h2.Status()
+	recs, err := rollout.Load(st.Journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f deploy.Cursor
+	for _, r := range recs {
+		f.Apply(r)
+	}
+	if st.Drifted != len(f.Drifted) || st.Drifted != 0 {
+		t.Fatalf("status drifted=%d, journal fold drifted=%d, want both 0", st.Drifted, len(f.Drifted))
 	}
 }
 

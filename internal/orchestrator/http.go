@@ -92,10 +92,12 @@ func (r StartRequest) Overlay(base Spec) (Spec, error) {
 // debugging loop and release store.
 type Launcher func(req StartRequest) (Spec, error)
 
-// EventsResponse is one long-poll page of a rollout's event stream.
+// EventsResponse is one long-poll page of a rollout's event stream: its
+// journal's records, in journal order and with the journal's seq.
 type EventsResponse struct {
 	Events []rollout.Record `json:"events"`
-	// Next is the cursor to pass as ?since= for the following page.
+	// Next is the cursor to pass as ?since= for the following page: the
+	// seq of the last record returned, or the clamped cursor when none is.
 	Next int `json:"next"`
 	// Done means the rollout is terminal and the log is exhausted.
 	Done bool `json:"done"`
@@ -286,12 +288,11 @@ func (a *API) events(w http.ResponseWriter, r *http.Request) {
 	since, _ := strconv.Atoi(r.URL.Query().Get("since"))
 	ctx, cancel := context.WithTimeout(r.Context(), a.window(r.URL.Query().Get("wait")))
 	defer cancel()
-	recs, done := h.EventsSince(ctx, since)
-	writeJSON(w, http.StatusOK, EventsResponse{
-		Events: recs,
-		Next:   since + len(recs),
-		Done:   done,
-	})
+	recs, next, done := h.EventsSince(ctx, since)
+	if recs == nil {
+		recs = []rollout.Record{} // an empty page, not null
+	}
+	writeJSON(w, http.StatusOK, EventsResponse{Events: recs, Next: next, Done: done})
 }
 
 // trace serves a rollout's span tree: the raw telemetry snapshot as

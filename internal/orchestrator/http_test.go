@@ -2,6 +2,9 @@ package orchestrator
 
 import (
 	"context"
+	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -172,6 +175,47 @@ func TestHTTPAbort(t *testing.T) {
 	}
 	if last := recs[len(recs)-1]; last.Type != deploy.RecAbandoned {
 		t.Fatalf("journal tail = %+v", last)
+	}
+}
+
+// TestHTTPEventsCursorClamped: on a finished rollout, a cursor past the
+// log pages back an empty list and the tip, and a negative cursor pages
+// back the whole log with the last record's seq — next is always a seq
+// the log holds, never the raw query value.
+func TestHTTPEventsCursorClamped(t *testing.T) {
+	orch := New(t.TempDir())
+	h, err := orch.Start(context.Background(), Spec{
+		Policy: deploy.PolicyBalanced, Upgrade: upgrade("v1"), Clusters: fleet("hc", 2, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	tip := h.Status().Events
+	ts := httptest.NewServer((&API{Orch: orch}).Handler())
+	t.Cleanup(ts.Close)
+	for _, tc := range []struct {
+		since        string
+		events, next int
+	}{{"9999", 0, tip}, {"-3", tip, tip}} {
+		resp, err := http.Get(ts.URL + "/rollouts/" + h.ID() + "/events?since=" + tc.since)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var page EventsResponse
+		if err := json.Unmarshal(body, &page); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(body), `"events":[`) || len(page.Events) != tc.events ||
+			page.Next != tc.next || !page.Done {
+			t.Fatalf("?since=%s: %s, want %d events, next %d, done", tc.since, body, tc.events, tc.next)
+		}
 	}
 }
 

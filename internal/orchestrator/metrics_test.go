@@ -330,7 +330,7 @@ func TestMetricsScrapeCostIgnoresMembers(t *testing.T) {
 	for i := 1; i < members; i++ {
 		big.Others = append(big.Others, &okNode{name: fmt.Sprintf("big-%d", i)})
 	}
-	orch := New("")
+	orch := New(t.TempDir())
 	h, err := orch.Start(context.Background(), Spec{
 		Policy: deploy.PolicyBalanced, Upgrade: upgrade("v1"), Clusters: []*deploy.Cluster{big}})
 	if err != nil {

@@ -1,10 +1,10 @@
 // Package orchestrator is Mirage's rollout control plane: it turns a
 // staged deployment from a blocking function call into a first-class,
 // observable, cancellable lifecycle. One Orchestrator owns any number of
-// concurrent rollouts, each identified by an ID and backed by its own
-// write-ahead deployment journal; a Handle exposes the lifecycle verbs —
-// Status snapshots and an event stream built from the deploy.Observer
-// transitions, Pause/ResumeRun (a barrier between plan stages),
+// concurrent rollouts, each identified by an ID and run by rollout.Engine
+// over its own write-ahead deployment journal; a Handle exposes the
+// lifecycle verbs — Status snapshots and an event stream that is the
+// journal, record for record, Pause/ResumeRun (a barrier between plan stages),
 // Abort (context cancellation, journaled as abandoned so the rollout can
 // never half-resume), and Wait.
 //
@@ -46,8 +46,8 @@ type Spec struct {
 	// URR receives validation reports; a fresh repository is used if nil.
 	URR *report.URR
 	// Journal is the rollout's write-ahead journal file. Empty means
-	// <Orchestrator.JournalDir>/<id>.journal, or — when the orchestrator
-	// has no journal directory either — an unjournaled in-memory rollout.
+	// <Orchestrator.JournalDir>/<id>.journal; Start refuses a spec that
+	// names none when the orchestrator has no journal directory either.
 	Journal string
 	// Resume replays the existing journal instead of truncating it; the
 	// rollout continues exactly where the journal ends (or Start's Wait
@@ -178,15 +178,15 @@ type Status struct {
 	// vendor bytes, chunk hit/miss split, and the peer tier's share.
 	Transfer *deploy.TransferStats `json:"transfer,omitempty"`
 	Journal  string                `json:"journal,omitempty"`
-	// Events is the count of events so far — the long-poll cursor.
+	// Events is the journal seq of the last record streamed — the cursor.
 	Events int    `json:"events"`
 	Error  string `json:"error,omitempty"`
 }
 
 // Orchestrator runs and tracks concurrent rollouts.
 type Orchestrator struct {
-	// JournalDir, when non-empty, gives every rollout without an explicit
-	// Spec.Journal its own journal file <JournalDir>/<id>.journal.
+	// JournalDir gives every rollout without an explicit Spec.Journal its
+	// own journal file <JournalDir>/<id>.journal; empty, each spec must.
 	JournalDir string
 
 	// Budget is the vendor-wide worker budget (cap on concurrently
@@ -227,8 +227,8 @@ type Orchestrator struct {
 	queue    []*Handle // FIFO admission queue (waiting handles)
 }
 
-// New returns an orchestrator journaling under dir ("" disables default
-// journaling; individual specs may still name a journal file).
+// New returns an orchestrator journaling under dir ("" means every spec
+// names its own journal file).
 func New(dir string) *Orchestrator {
 	return &Orchestrator{JournalDir: dir, rollouts: make(map[string]*Handle)}
 }
@@ -300,8 +300,11 @@ func (o *Orchestrator) Start(ctx context.Context, spec Spec) (*Handle, error) {
 	if spec.Resume && spec.Journal == "" {
 		return nil, errors.New("orchestrator: resume requires Spec.Journal to name the interrupted rollout's journal file")
 	}
+	if spec.Journal == "" && o.JournalDir == "" {
+		return nil, errors.New("orchestrator: spec names no journal file and the orchestrator has no JournalDir")
+	}
 	journal := spec.Journal
-	if journal == "" && o.JournalDir != "" {
+	if journal == "" {
 		journal = filepath.Join(o.JournalDir, id+".journal")
 	}
 
@@ -360,7 +363,7 @@ func (o *Orchestrator) Start(ctx context.Context, spec Spec) (*Handle, error) {
 	o.order = append(o.order, id)
 	o.mu.Unlock()
 
-	go h.run(rctx, ctl, spec, journal)
+	go h.run(rctx)
 	return h, nil
 }
 
@@ -451,17 +454,16 @@ type Handle struct {
 
 	mu     sync.Mutex
 	status Status
-	// fold is what the rollout's records say — a resumed journal's, then
-	// every event since; Status reads its progress off it.
-	fold        deploy.Cursor
+	// events is the journal as the file holds it (seq n at index n-1) and
+	// fold what it says; Status reads its progress off the fold.
 	events      []rollout.Record
+	fold        deploy.Cursor
 	changed     chan struct{} // closed and replaced on every append/transition
 	paused      bool
 	unpause     chan struct{} // closed on ResumeRun
 	rollingBack bool          // a manual Rollback is in flight
-	// liveJournal is the rollout's open journal while Engine.Deploy runs
-	// (installed by the engine's OnOpen hook, cleared when Deploy
-	// returns): where NotifyDrift appends RecDrift records.
+	// liveJournal is where NotifyDrift appends: the journal the engine last
+	// opened, nil while queued and closed once the engine returns.
 	liveJournal *rollout.Journal
 	restaging   bool // a DriftRestage is in flight
 	out         *deploy.Outcome
@@ -474,7 +476,7 @@ func (h *Handle) ID() string { return h.id }
 // run executes the rollout to completion. A queued handle first waits for
 // its admission grant; aborting while queued terminates it without ever
 // occupying a slot (or touching its journal).
-func (h *Handle) run(ctx context.Context, ctl *deploy.Controller, spec Spec, journal string) {
+func (h *Handle) run(ctx context.Context) {
 	reg := h.orch.registry()
 	trace := h.orch.Tracer.Start(h.id)
 	root := trace.Begin(0, "rollout", h.id, "")
@@ -512,43 +514,10 @@ func (h *Handle) run(ctx context.Context, ctl *deploy.Controller, spec Spec, jou
 	if h.orch != nil && h.orch.MaxActive > 0 {
 		releaseSlot = h.orch.releaseSlot
 	}
-	ctl.StageGate = h.gate
-	var out *deploy.Outcome
-	var err error
-	if journal != "" {
-		eng := &rollout.Engine{
-			Controller:   ctl,
-			Path:         journal,
-			Resume:       spec.Resume,
-			Rebuild:      spec.Rebuild,
-			Observer:     h,
-			Baseline:     spec.Baseline,
-			AutoRollback: spec.AutoRollback,
-			Telemetry:    reg,
-			// Capture the live journal for drift records, and seed the
-			// fold with a resumed journal's records (the drift policy
-			// re-fires only from live events, never replayed ones).
-			OnOpen: func(j *rollout.Journal, prior []rollout.Record) {
-				h.mu.Lock()
-				h.liveJournal = j
-				for _, r := range prior {
-					h.fold.Apply(r)
-				}
-				h.mu.Unlock()
-			},
-		}
-		out, err = eng.Deploy(ctx, spec.Policy, spec.Upgrade, spec.Clusters)
-		h.mu.Lock()
-		h.liveJournal = nil
-		h.mu.Unlock()
-	} else {
-		ctl.Observer = h
-		out, err = ctl.Deploy(ctx, spec.Policy, spec.Upgrade, spec.Clusters)
-		if err == nil && out != nil && out.Abandoned && spec.AutoRollback && spec.Baseline != nil {
-			out, err = ctl.Rollback(ctx, spec.Baseline, spec.Clusters, out)
-		}
-		ctl.Observer = nil
-	}
+	h.ctl.StageGate = h.gate
+	eng := h.engine()
+	eng.Resume, eng.AutoRollback = h.spec.Resume, h.spec.AutoRollback
+	out, err := eng.Deploy(ctx, h.spec.Policy, h.spec.Upgrade, h.spec.Clusters)
 
 	h.mu.Lock()
 	h.out, h.err = out, err
@@ -579,6 +548,24 @@ func (h *Handle) run(ctx context.Context, ctl *deploy.Controller, spec Spec, jou
 	// not bounce it off a slot the finished rollout still holds.
 	releaseSlot()
 	close(h.done)
+}
+
+// engine runs the rollout, and a manual rollback, over its journal, which
+// tells the handle of every record it holds and writes.
+func (h *Handle) engine() *rollout.Engine {
+	return &rollout.Engine{
+		Controller: h.ctl,
+		Path:       h.journal,
+		Rebuild:    h.spec.Rebuild,
+		Observer:   h,
+		Baseline:   h.spec.Baseline,
+		Telemetry:  h.orch.registry(),
+		OnOpen: func(j *rollout.Journal) {
+			h.mu.Lock()
+			h.liveJournal = j
+			h.mu.Unlock()
+		},
+	}
 }
 
 // signalLocked wakes event and status waiters; callers hold h.mu.
@@ -719,36 +706,31 @@ func (h *Handle) Status() Status {
 	return st
 }
 
-// OnEvent implements deploy.Observer: every state transition (already
-// durable in the journal, when there is one) is appended to the event log
-// and folded. It never fails — the in-memory view is advisory; the
-// journal is the arbiter.
+// OnEvent implements deploy.Observer for the rollout's journal. A record
+// joins the log and the fold only if its seq is the next one, so a manual
+// rollback reopening the journal repeats nothing; a rollout whose records
+// began a rollback is rolling back until it ends.
 func (h *Handle) OnEvent(ev deploy.Event) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.recordLocked(ev)
-	h.signalLocked()
-	return nil
-}
-
-// recordLocked appends ev to the event log and folds it; a rollout whose
-// records began a rollback is rolling back until it ends. Callers hold
-// h.mu.
-func (h *Handle) recordLocked(ev deploy.Event) {
-	ev.Seq = len(h.events) + 1
+	if ev.Seq != len(h.events)+1 {
+		return nil
+	}
 	h.events = append(h.events, ev)
 	h.fold.Apply(ev)
 	if h.fold.Baseline != "" && !h.status.State.Terminal() {
 		h.status.State = StateRollingBack
 	}
+	h.signalLocked()
+	return nil
 }
 
 // Rollback drives every member this rollout integrated back to the
 // baseline version — the manual counterpart of Spec.AutoRollback, for an
 // operator deciding after the fact that an abandoned (or aborted, or
 // failed) rollout must be undone. It requires a terminal, unsuccessful
-// rollout and a Spec.Baseline artifact (or, journaled, a Rebuild hook
-// able to produce it), runs synchronously, and leaves the rollout in
+// rollout and a Spec.Baseline artifact (or a Rebuild hook able to
+// produce it), runs synchronously, and leaves the rollout in
 // StateRolledBack. A rollback the journal records as started is resumed:
 // members with a durable rolled_back record are never reverted again.
 func (h *Handle) Rollback(ctx context.Context) (*deploy.RollbackOutcome, error) {
@@ -768,7 +750,7 @@ func (h *Handle) Rollback(ctx context.Context) (*deploy.RollbackOutcome, error) 
 		h.mu.Unlock()
 		return nil, fmt.Errorf("orchestrator: rollout is %s; abort it before rolling back", st)
 	}
-	if h.spec.Baseline == nil && !(h.journal != "" && h.spec.Rebuild != nil) {
+	if h.spec.Baseline == nil && h.spec.Rebuild == nil {
 		h.mu.Unlock()
 		return nil, errors.New("orchestrator: rollout has no baseline artifact to roll back to")
 	}
@@ -777,39 +759,12 @@ func (h *Handle) Rollback(ctx context.Context) (*deploy.RollbackOutcome, error) 
 	h.signalLocked()
 	h.mu.Unlock()
 
+	out, err := h.engine().Rollback(ctx, h.policy, h.spec.Clusters)
 	var ro *deploy.RollbackOutcome
-	var err error
-	if h.journal != "" {
-		eng := &rollout.Engine{
-			Controller: h.ctl,
-			Path:       h.journal,
-			Rebuild:    h.spec.Rebuild,
-			Observer:   h,
-			Baseline:   h.spec.Baseline,
-		}
-		var out *deploy.Outcome
-		out, err = eng.Rollback(ctx, h.policy, h.spec.Clusters)
-		if out != nil {
-			ro = out.Rollback
-			h.mu.Lock()
-			h.out = out
-			h.mu.Unlock()
-		}
-	} else {
-		h.mu.Lock()
-		out := h.out
-		h.mu.Unlock()
-		if out == nil {
-			err = errors.New("orchestrator: rollout produced no outcome to roll back")
-		} else {
-			h.ctl.Observer = h
-			_, err = h.ctl.Rollback(ctx, h.spec.Baseline, h.spec.Clusters, out)
-			ro = out.Rollback
-			h.ctl.Observer = nil
-		}
-	}
-
 	h.mu.Lock()
+	if out != nil {
+		h.out, ro = out, out.Rollback
+	}
 	h.rollingBack = false
 	if err != nil {
 		h.status.State = st // restore the terminal state; retryable
@@ -826,42 +781,35 @@ func (h *Handle) Rollback(ctx context.Context) (*deploy.RollbackOutcome, error) 
 	return ro, err
 }
 
-// EventsSince returns the events after cursor `since` (0 means from the
-// beginning). When none are pending it blocks until at least one arrives,
-// the rollout reaches a terminal state, or ctx is done. done reports that
-// the rollout is terminal AND the returned slice exhausts the log — the
+// EventsSince returns the journal records after seq since (0 means from
+// the beginning) and next, the seq of the last one returned, or since
+// clamped to the log when none is. When none are pending it blocks until
+// one arrives, the rollout reaches a terminal state, or ctx is done. done
+// reports that the rollout is terminal and the log exhausted — the
 // long-poll termination condition.
-func (h *Handle) EventsSince(ctx context.Context, since int) (recs []rollout.Record, done bool) {
+func (h *Handle) EventsSince(ctx context.Context, since int) (recs []rollout.Record, next int, done bool) {
 	for {
 		h.mu.Lock()
-		if since < 0 {
-			since = 0
-		}
-		if since > len(h.events) {
-			// A cursor past the log (stale client, restarted vendor):
-			// clamp to the tip so the poll terminates instead of waiting
-			// for events that can never exist.
-			since = len(h.events)
-		}
-		if since < len(h.events) {
-			recs = append([]rollout.Record(nil), h.events[since:]...)
-		}
+		// A cursor past the log (stale client, restarted vendor) clamps to
+		// the tip, so the poll terminates instead of waiting for records
+		// that can never exist.
+		next = min(max(since, 0), len(h.events))
+		recs = append([]rollout.Record(nil), h.events[next:]...)
 		terminal := h.status.State.Terminal()
-		total := len(h.events)
 		ch := h.changed
 		h.mu.Unlock()
 		if len(recs) > 0 || terminal {
-			return recs, terminal && since+len(recs) == total
+			return recs, next + len(recs), terminal
 		}
 		select {
 		case <-ch:
 		case <-ctx.Done():
-			return nil, false
+			return nil, next, false
 		}
 	}
 }
 
-// Events streams the rollout's events from the beginning: the returned
+// Events streams the rollout's journal from the beginning: the returned
 // channel replays the log and then follows it live, closing once the
 // rollout is terminal and the log is drained (or when ctx is done).
 func (h *Handle) Events(ctx context.Context) <-chan rollout.Record {
@@ -870,7 +818,7 @@ func (h *Handle) Events(ctx context.Context) <-chan rollout.Record {
 		defer close(ch)
 		next := 0
 		for {
-			recs, done := h.EventsSince(ctx, next)
+			recs, n, done := h.EventsSince(ctx, next)
 			if len(recs) == 0 && !done {
 				return // ctx expired
 			}
@@ -881,7 +829,7 @@ func (h *Handle) Events(ctx context.Context) <-chan rollout.Record {
 					return
 				}
 			}
-			next += len(recs)
+			next = n
 			if done {
 				return
 			}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -101,6 +102,29 @@ func fleet(prefix string, nclusters int, override map[string]deploy.Node) []*dep
 	return cs
 }
 
+// streamIsJournal checks that a terminal rollout's event stream is its
+// journal, record for record and seq for seq, that Status().Events names
+// the last seq, and returns the journal.
+func streamIsJournal(t *testing.T, h *Handle) []rollout.Record {
+	t.Helper()
+	st := h.Status()
+	recs, err := rollout.Load(st.Journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs, next, done := h.EventsSince(context.Background(), 0)
+	if !done {
+		t.Fatal("EventsSince(terminal) not done")
+	}
+	if !reflect.DeepEqual(evs, recs) {
+		t.Fatalf("streamed %d records, journal holds %d:\nstream  %+v\njournal %+v", len(evs), len(recs), evs, recs)
+	}
+	if last := recs[len(recs)-1].Seq; st.Events != last || next != last {
+		t.Fatalf("Status().Events = %d, next = %d, last journal seq %d", st.Events, next, last)
+	}
+	return recs
+}
+
 func TestLifecycleSucceeds(t *testing.T) {
 	orch := New(t.TempDir())
 	h, err := orch.Start(context.Background(), Spec{
@@ -120,21 +144,10 @@ func TestLifecycleSucceeds(t *testing.T) {
 	if st.State != StateSucceeded || st.Integrated != 4 || st.Tested != 4 || st.Stages != 4 {
 		t.Fatalf("status = %+v", st)
 	}
-	// The journal exists, is sealed, and matches the event stream's view.
-	recs, err := rollout.Load(st.Journal)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The journal exists, is sealed, and is the event stream.
+	recs := streamIsJournal(t, h)
 	if last := recs[len(recs)-1]; last.Type != rollout.RecComplete {
 		t.Fatalf("journal not sealed: %+v", last)
-	}
-	// The handle's event log is the journal minus plan header and seal.
-	evs, done := h.EventsSince(context.Background(), 0)
-	if !done {
-		t.Fatal("EventsSince(terminal) not done")
-	}
-	if want := len(recs) - 2; len(evs) != want {
-		t.Fatalf("events %d, journal state records %d", len(evs), want)
 	}
 	if _, ok := orch.Get(h.ID()); !ok {
 		t.Fatalf("Get(%s) lost the rollout", h.ID())
@@ -261,7 +274,7 @@ func TestPauseHoldsAtStageBarrier(t *testing.T) {
 		started: make(chan struct{}),
 		release: make(chan struct{}),
 	}
-	orch := New("") // unjournaled: pause/resume need no disk
+	orch := New(t.TempDir())
 	h, err := orch.Start(context.Background(), Spec{
 		Policy:   deploy.PolicyBalanced,
 		Upgrade:  upgrade("v1"),
@@ -458,12 +471,10 @@ func TestResumeContinuesJournaledRollout(t *testing.T) {
 			t.Fatalf("resumed status: member %s upgrade=%q, want v1", name, m.UpgradeID)
 		}
 	}
-	// The members the truncated journal recorded as integrated were not
-	// re-tested by the resumed run.
-	resumed, err := rollout.Load(cut)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The stream is the whole journal: the interrupted run's records, then
+	// the resumed run's. The members the truncated journal recorded as
+	// integrated were not re-tested by the resumed run.
+	resumed := streamIsJournal(t, h2)
 	doneBefore := map[string]bool{}
 	for _, r := range full[:n] {
 		if r.Type == rollout.RecIntegrated {
@@ -486,7 +497,7 @@ func TestEventsStreamFollowsLive(t *testing.T) {
 		started: make(chan struct{}),
 		release: make(chan struct{}),
 	}
-	orch := New("")
+	orch := New(t.TempDir())
 	h, err := orch.Start(context.Background(), Spec{
 		Policy:   deploy.PolicyBalanced,
 		Upgrade:  upgrade("v1"),
@@ -497,24 +508,27 @@ func TestEventsStreamFollowsLive(t *testing.T) {
 	}
 	ch := h.Events(context.Background())
 	<-gated.started
-	// First event (stage start) arrives while the rollout is mid-wave.
-	select {
-	case ev := <-ch:
-		if ev.Type != rollout.RecStageStart {
-			t.Fatalf("first event = %+v", ev)
+	// The plan record and the first stage start arrive while the rollout
+	// is mid-wave.
+	for _, want := range []string{deploy.RecPlan, rollout.RecStageStart} {
+		select {
+		case ev := <-ch:
+			if ev.Type != want {
+				t.Fatalf("live event = %+v, want %s", ev, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("no live %s event", want)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no live event")
 	}
 	gated.release <- struct{}{}
 	var last rollout.Record
-	count := 1
+	count := 2
 	for ev := range ch {
 		last = ev
 		count++
 	}
-	if last.Type != rollout.RecGate {
-		t.Fatalf("last event = %+v, want final gate", last)
+	if last.Type != rollout.RecComplete || last.Seq != count {
+		t.Fatalf("last event = %+v after %d, want the complete seal", last, count)
 	}
 	if st := h.Status(); count != st.Events {
 		t.Fatalf("streamed %d events, status says %d", count, st.Events)
@@ -524,7 +538,7 @@ func TestEventsStreamFollowsLive(t *testing.T) {
 func TestEventsSinceClampsStaleCursor(t *testing.T) {
 	// A cursor past the log (stale client, restarted vendor) must still
 	// terminate a long-poll on a terminal rollout instead of spinning.
-	orch := New("")
+	orch := New(t.TempDir())
 	h, err := orch.Start(context.Background(), Spec{
 		Policy: deploy.PolicyBalanced, Upgrade: upgrade("v1"), Clusters: fleet("cl", 1, nil),
 	})
@@ -534,14 +548,17 @@ func TestEventsSinceClampsStaleCursor(t *testing.T) {
 	if _, err := h.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	recs, done := h.EventsSince(context.Background(), 9999)
-	if !done || len(recs) != 0 {
-		t.Fatalf("stale cursor: recs=%d done=%v, want empty and done", len(recs), done)
+	recs, next, done := h.EventsSince(context.Background(), 9999)
+	if tip := h.Status().Events; !done || len(recs) != 0 || next != tip {
+		t.Fatalf("stale cursor: recs=%d next=%d done=%v, want empty, next=%d and done", len(recs), next, done, tip)
 	}
 }
 
 func TestStartValidation(t *testing.T) {
 	orch := New("")
+	if _, err := orch.Start(context.Background(), Spec{Upgrade: upgrade("v1"), Clusters: fleet("x", 1, nil)}); err == nil {
+		t.Fatal("spec without a journal accepted by an orchestrator without JournalDir")
+	}
 	if _, err := orch.Start(context.Background(), Spec{Clusters: fleet("x", 1, nil)}); err == nil {
 		t.Fatal("no upgrade accepted")
 	}

@@ -140,6 +140,10 @@ func TestHTTPRollback(t *testing.T) {
 	if last := recs[len(recs)-1]; last.Type != deploy.RecRollbackDone {
 		t.Fatalf("journal tail = %s, want %s", last.Type, deploy.RecRollbackDone)
 	}
+	// The rollback reopened a journal the handle had already streamed: the
+	// stream is still the journal, each seq once.
+	h, _ := orch.Get(id)
+	streamIsJournal(t, h)
 
 	// Rolling back twice is a client-visible conflict, not a panic.
 	if _, err := c.Rollback(ctx, id); err == nil ||

@@ -31,12 +31,10 @@ type Engine struct {
 	// version, not the original. Without Rebuild, resuming such a journal
 	// requires the caller to pass the matching version directly.
 	Rebuild func(upgradeID string) (*pkgmgr.Upgrade, bool)
-	// Observer, when set, additionally receives every state transition
-	// after its journal record is written (and, for boundary records —
-	// stage start, gate, abandoned, every rollback record — fsynced;
-	// member records are group-committed and become durable within the
-	// journal's group window at the latest). Its return value is ignored:
-	// the journal is the arbiter of whether the plan may continue.
+	// Observer, when set, is told of every journal record as the file
+	// holds it, seq included: a reopened journal's records first, then each
+	// as the journal writes it (see Journal.Observer). Its return value is
+	// ignored: the journal is the arbiter of whether the plan may continue.
 	Observer deploy.Observer
 	// Baseline is the version-N artifact the fleet ran before this
 	// rollout — what a rollback restores. The agents' self-seeded caches
@@ -53,30 +51,13 @@ type Engine struct {
 	// a no-op; the controller carries its own Telemetry field).
 	Telemetry *telemetry.Registry
 	// OnOpen, when set, receives the live journal right before the
-	// deployment starts — on resume together with the replayed records,
-	// on a fresh run with nil. It is how the orchestrator appends
-	// first-class records of its own (drift events) concurrently with the
-	// controller's recorder: Journal serializes appends internally, and
-	// replay skips record types it does not drive protocol state from.
-	// The journal is only valid until Deploy returns.
-	OnOpen func(j *Journal, prior []Record)
-}
-
-// teeObserver journals each event first and forwards it to the secondary
-// observer only once the record is durable.
-type teeObserver struct {
-	journal deploy.Observer
-	extra   deploy.Observer
-}
-
-func (t *teeObserver) OnEvent(ev deploy.Event) error {
-	if err := t.journal.OnEvent(ev); err != nil {
-		return err
-	}
-	if t.extra != nil {
-		t.extra.OnEvent(ev) //nolint:errcheck — advisory view, journal decides
-	}
-	return nil
+	// deployment or rollback starts, once Observer has heard its records.
+	// It is how the orchestrator appends first-class records of its own
+	// (drift events) concurrently with the controller's recorder: Journal
+	// serializes appends internally, and replay skips record types it does
+	// not drive protocol state from. The journal is closed, refusing
+	// appends, once Deploy or Rollback returns.
+	OnOpen func(j *Journal)
 }
 
 // Deploy runs (or resumes) the upgrade across the clusters under policy,
@@ -127,16 +108,14 @@ func (e *Engine) Deploy(ctx context.Context, policy deploy.Policy, up *pkgmgr.Up
 		if j, err = Create(e.Path); err != nil {
 			return nil, err
 		}
-		j.Telemetry = e.Telemetry
+		j.Telemetry, j.Observer = e.Telemetry, e.Observer
 		if err := j.Append(PlanRecord(plan, refs, up.ID)); err != nil {
 			j.Close()
 			return nil, err
 		}
 	}
 	defer j.Close()
-	if e.OnOpen != nil {
-		e.OnOpen(j, prior)
-	}
+	e.opened(j, prior)
 	defer e.install(j, cur)()
 	if cur != nil && ended(cur) {
 		return e.rollback(ctx, cur, clusters)
@@ -169,7 +148,7 @@ func (e *Engine) Deploy(ctx context.Context, policy deploy.Policy, up *pkgmgr.Up
 // journal sealed by completion (deploy the old version instead) or by a
 // finished rollback.
 func (e *Engine) Rollback(ctx context.Context, policy deploy.Policy, clusters []*deploy.Cluster) (*deploy.Outcome, error) {
-	j, _, cur, err := e.open(e.Controller.PlanFor(policy, clusters), deploy.Refs(clusters))
+	j, prior, cur, err := e.open(e.Controller.PlanFor(policy, clusters), deploy.Refs(clusters))
 	if err != nil {
 		return nil, err
 	}
@@ -177,6 +156,7 @@ func (e *Engine) Rollback(ctx context.Context, policy deploy.Policy, clusters []
 	if err := refuse(cur, true); err != nil {
 		return nil, err
 	}
+	e.opened(j, prior)
 	defer e.install(j, cur)()
 	return e.rollback(ctx, cur, clusters)
 }
@@ -193,16 +173,29 @@ func (e *Engine) open(plan *staging.Plan, refs []staging.ClusterRef) (*Journal, 
 		j.Close()
 		return nil, nil, nil, err
 	}
-	j.Telemetry = e.Telemetry
+	j.Telemetry, j.Observer = e.Telemetry, e.Observer
 	return j, records, cur, nil
 }
 
-// install has the controller journal into j, forwarding to Observer, and
-// resume from cur, until the returned function undoes both.
+// opened tells Observer of the records a reopened journal already holds —
+// the journal tells it of every later one — and hands the journal to
+// OnOpen.
+func (e *Engine) opened(j *Journal, prior []Record) {
+	if e.Observer != nil {
+		for _, r := range prior {
+			e.Observer.OnEvent(r) //nolint:errcheck — as the journal does
+		}
+	}
+	if e.OnOpen != nil {
+		e.OnOpen(j)
+	}
+}
+
+// install has the controller journal into j and resume from cur, until
+// the returned function undoes both.
 func (e *Engine) install(j *Journal, cur *deploy.Cursor) func() {
 	ctl := e.Controller
-	ctl.Observer = &teeObserver{journal: &Recorder{J: j, Group: true}, extra: e.Observer}
-	ctl.Cursor = cur
+	ctl.Observer, ctl.Cursor = &Recorder{J: j, Group: true}, cur
 	return func() { ctl.Observer, ctl.Cursor = nil, nil }
 }
 

@@ -21,7 +21,8 @@
 //     members.
 //   - Engine wires the three around a deploy.Controller: create-or-resume
 //     the journal, install recorder and cursor, run the deployment, seal
-//     the journal with a completion record.
+//     the journal with a completion record — telling its Observer of every
+//     journal record, exactly as the file holds it.
 package rollout
 
 import (
@@ -81,6 +82,12 @@ type Journal struct {
 	// size observations (nil is a no-op).
 	Telemetry *telemetry.Registry
 
+	// Observer, when set, is told of each record as the file holds it, in
+	// file order, under the journal's lock: after the fsync for Append,
+	// after the write for AppendBuffered. It must not call back into the
+	// journal; its return value is ignored. Set it before the first append.
+	Observer deploy.Observer
+
 	pending int         // records written but not yet fsynced
 	syncErr error       // sticky: a failed background sync poisons the journal
 	timer   *time.Timer // armed while pending > 0
@@ -136,10 +143,7 @@ func (j *Journal) Path() string { return j.path }
 func (j *Journal) Append(rec Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := j.writeLocked(rec); err != nil {
-		return err
-	}
-	return j.syncLocked()
+	return j.writeLocked(rec, true)
 }
 
 // AppendBuffered writes the record without waiting for the disk: it
@@ -149,7 +153,7 @@ func (j *Journal) Append(rec Record) error {
 func (j *Journal) AppendBuffered(rec Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := j.writeLocked(rec); err != nil {
+	if err := j.writeLocked(rec, false); err != nil {
 		return err
 	}
 	if j.timer == nil {
@@ -189,8 +193,8 @@ func (j *Journal) Pending() int {
 func (j *Journal) Syncs() int64 { return j.syncs.Load() }
 
 // writeLocked marshals and writes one line, assigning the sequence
-// number; callers hold j.mu.
-func (j *Journal) writeLocked(rec Record) error {
+// number, fsyncs it if durable, and tells the observer; callers hold j.mu.
+func (j *Journal) writeLocked(rec Record, durable bool) error {
 	if j.f == nil {
 		return fmt.Errorf("rollout: journal %s is closed", j.path)
 	}
@@ -208,6 +212,14 @@ func (j *Journal) writeLocked(rec Record) error {
 		return fmt.Errorf("rollout: appending to journal: %w", err)
 	}
 	j.pending++
+	if durable {
+		if err := j.syncLocked(); err != nil {
+			return err
+		}
+	}
+	if j.Observer != nil {
+		j.Observer.OnEvent(rec) //nolint:errcheck — the record is written; the observer only follows
+	}
 	return nil
 }
 
