@@ -14,10 +14,12 @@
 // resolving a manifest the agent seeds the cache by chunking its
 // currently installed files, so the chunks an upgrade shares with the
 // previous version — usually almost all of them — are already present
-// and a version N→N+1 push degenerates to a true CDC delta. Only the
-// addresses the cache misses are fetched, as raw chunk bytes, and the
-// original files are reassembled locally before being handed to the
-// ordinary package-manager path.
+// and a version N→N+1 push degenerates to a true CDC delta. Seeding
+// covers only files the cache did not install itself: a file an
+// integration wrote is the cache's own Assemble output, every chunk of
+// it already held. Only the addresses the cache misses are fetched, as
+// raw chunk bytes, and the original files are reassembled locally before
+// being handed to the ordinary package-manager path.
 //
 // Both ends are safe for concurrent use: one store serves every agent
 // connection of a vendor, and one cache may be shared by several agents
@@ -107,10 +109,17 @@ func distinctAddrs(files []FileManifest) []uint64 {
 // an inline push would have to carry.
 func (m *Manifest) PayloadBytes() int64 {
 	var n int64
-	for _, f := range m.Files {
-		for _, c := range f.Chunks {
-			n += int64(c.Size)
-		}
+	for i := range m.Files {
+		n += int64(m.Files[i].Size())
+	}
+	return n
+}
+
+// Size returns the length of the file the chunk list assembles to.
+func (f *FileManifest) Size() int {
+	n := 0
+	for _, c := range f.Chunks {
+		n += c.Size
 	}
 	return n
 }
@@ -350,10 +359,11 @@ func (s *Store) Bytes() int64 {
 
 // CacheStats summarises one cache's history.
 type CacheStats struct {
-	Chunks int   // distinct chunks held
-	Bytes  int64 // distinct chunk bytes held
-	Hits   int64 // manifest chunk lookups satisfied locally
-	Misses int64 // manifest chunk lookups that had to be fetched
+	Chunks      int   // distinct chunks held
+	Bytes       int64 // distinct chunk bytes held
+	Hits        int64 // manifest chunk lookups satisfied locally
+	Misses      int64 // manifest chunk lookups that had to be fetched
+	SeededBytes int64 // installed-file bytes seeding has chunked
 }
 
 // Cache is the agent-side chunk cache. It persists across RPCs for the
@@ -368,11 +378,11 @@ type Cache struct {
 	// seededFiles remembers whole-file digests already chunked into the
 	// cache, so two machines sharing a cache seed identical files once.
 	seededFiles map[uint64]bool
-	// seededPaths remembers per-machine file identities already seeded,
-	// so re-seeding before every RPC skips even the whole-file hash pass
-	// for files that look unchanged.
-	seededPaths map[seedKey]bool
-	hits, miss  int64
+	// seededPaths remembers per-machine file identities already seeded or
+	// installed from this cache, so re-seeding before every RPC skips even
+	// the whole-file hash pass for files that look unchanged.
+	seededPaths        map[seedKey]bool
+	hits, miss, seeded int64
 }
 
 // seedKey identifies a machine file cheaply — without reading its data.
@@ -398,24 +408,55 @@ func NewCache() *Cache {
 // SeedFile chunks one file's current contents into the cache. Seeding is
 // what turns a version upgrade into a delta: every chunk the new version
 // shares with the installed one is a hit before any byte moves.
+//
+// The hash and split run without the cache's lock, so the peer server's
+// Chunks and every other agent sharing the cache carry on meanwhile.
 func (c *Cache) SeedFile(data []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	key := fingerprint.HashBytes(data)
-	if c.seededFiles[key] {
+	c.mu.Lock()
+	done := c.seededFiles[key]
+	c.mu.Unlock()
+	if done {
 		return
 	}
-	for _, ch := range c.chunker.SplitAddressed(data) {
+	chunks := c.chunker.SplitAddressed(data)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.seeded += int64(len(data))
+	if c.seededFiles[key] {
+		return // a concurrent seeder of the same content got here first
+	}
+	for _, ch := range chunks {
 		c.add(ch.Address, data[ch.Offset:ch.Offset+ch.Length])
 	}
 	c.seededFiles[key] = true
 }
 
+// Installed records that machine name now holds m's files exactly as
+// Assemble built them from this cache, so SeedMachine skips them:
+// re-chunking one could only find chunks the cache already holds. Files a
+// migration names are left to seeding, as the migration may have
+// rewritten them.
+func (c *Cache) Installed(name string, m *Manifest) {
+	migrated := make(map[string]bool, len(m.Migrations))
+	for _, ed := range m.Migrations {
+		migrated[ed.Path] = true
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i := range m.Files {
+		f := &m.Files[i]
+		if !migrated[f.Path] {
+			c.seededPaths[seedKey{machine: name, path: f.Path, version: f.Version, size: f.Size()}] = true
+		}
+	}
+}
+
 // SeedMachine seeds the cache from every file on the machine. It is
 // called before each manifest resolution, so it memoizes aggressively:
-// a file whose (path, version, size) was seeded before is skipped
-// without touching its data, and a changed file whose whole-content
-// digest is already known skips re-chunking.
+// a file whose (path, version, size) was seeded or Installed before is
+// skipped without touching its data, and a changed file whose
+// whole-content digest is already known skips re-chunking.
 func (c *Cache) SeedMachine(m *machine.Machine) {
 	for _, f := range m.Files() {
 		k := seedKey{machine: m.Name, path: f.Path, version: f.Version, size: len(f.Data)}
@@ -508,11 +549,7 @@ func (c *Cache) Assemble(m *Manifest) (*pkgmgr.Upgrade, error) {
 		Dependencies: append([]pkgmgr.Dependency(nil), m.Deps...),
 	}
 	for _, fm := range m.Files {
-		size := 0
-		for _, ref := range fm.Chunks {
-			size += ref.Size
-		}
-		data := make([]byte, 0, size)
+		data := make([]byte, 0, fm.Size())
 		for _, ref := range fm.Chunks {
 			chunk, ok := c.chunks[ref.Hash]
 			if !ok {
@@ -535,5 +572,5 @@ func (c *Cache) Assemble(m *Manifest) (*pkgmgr.Upgrade, error) {
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{Chunks: len(c.chunks), Bytes: c.bytes, Hits: c.hits, Misses: c.miss}
+	return CacheStats{Chunks: len(c.chunks), Bytes: c.bytes, Hits: c.hits, Misses: c.miss, SeededBytes: c.seeded}
 }

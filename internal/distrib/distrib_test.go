@@ -241,6 +241,69 @@ func TestConcurrentStoreAndCache(t *testing.T) {
 	wg.Wait()
 }
 
+// TestConcurrentSeedAddChunks: SeedFile chunks outside the cache's lock.
+// Seeders (two of them with the same content, as machines sharing a cache
+// have), fetched-chunk inserts and peer serving racing on one cache must
+// end with exactly the chunks a serial run holds.
+func TestConcurrentSeedAddChunks(t *testing.T) {
+	edited := payload(51, 96*1024)
+	copy(edited[40_000:], "an edit in the middle")
+	files := [][]byte{payload(51, 96*1024), payload(52, 96*1024), payload(51, 96*1024), edited}
+	store := NewStore()
+	man := store.Manifest(upgrade("app-2.0",
+		&machine.File{Path: "/bin/app", Type: machine.TypeExecutable, Data: payload(53, 64*1024)}))
+	fetched, err := store.Chunks(man.Addrs())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	serial := NewCache()
+	for _, f := range files {
+		serial.SeedFile(f)
+	}
+	for _, ch := range fetched {
+		if err := serial.Add(ch.Hash, ch.Data); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	shared := NewCache()
+	var wg sync.WaitGroup
+	for _, f := range files {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			shared.SeedFile(f)
+		}()
+	}
+	for _, ch := range fetched {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := shared.Add(ch.Hash, ch.Data); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 100; i++ {
+			shared.Chunks(man.Addrs())
+		}
+	}()
+	wg.Wait()
+
+	if got, want := shared.Stats(), serial.Stats(); got.Chunks != want.Chunks || got.Bytes != want.Bytes {
+		t.Fatalf("concurrent cache holds %d chunks / %d bytes, serial %d / %d", got.Chunks, got.Bytes, want.Chunks, want.Bytes)
+	}
+	for addr, data := range serial.chunks {
+		if !bytes.Equal(shared.chunks[addr], data) {
+			t.Fatalf("chunk %s differs between the concurrent and the serial cache", fingerprint.FormatHash(addr))
+		}
+	}
+}
+
 // TestCacheChunksServesWhatItHolds pins the peer-serving primitive: only
 // held addresses come back, in request order, and the miss is silent —
 // "what I have" is the peer protocol, the requester's fallback handles

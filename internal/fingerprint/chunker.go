@@ -22,17 +22,20 @@ const (
 
 // Chunk is one content-defined chunk of a byte stream.
 type Chunk struct {
-	Offset int    // byte offset of the chunk within the input
-	Length int    // chunk length in bytes
-	Hash   uint64 // Rabin fingerprint of the chunk contents
+	Offset int // byte offset of the chunk within the input
+	Length int // chunk length in bytes
+	// Hash is the windowed Rabin fingerprint at the chunk's cut: it covers
+	// only the chunk's last WindowSize bytes, not the whole chunk (a known
+	// gap in the CHUNK_HASH items built from it; ROADMAP item 3).
+	Hash uint64
 }
 
-// Chunker splits byte streams into content-defined chunks.
+// Chunker splits byte streams into content-defined chunks. It is safe for
+// concurrent use: Split rolls a private copy of the chunker's Rabin.
 type Chunker struct {
 	avg, min, max int
 	mask          uint64
 	rabin         *Rabin
-	hasher        *Rabin
 }
 
 // NewChunker returns a Chunker with the given average, minimum and maximum
@@ -54,12 +57,11 @@ func NewChunker(avg, min, max int) *Chunker {
 		panic("fingerprint: chunk size bounds must satisfy min <= avg <= max")
 	}
 	return &Chunker{
-		avg:    avg,
-		min:    min,
-		max:    max,
-		mask:   uint64(avg - 1),
-		rabin:  NewRabin(0),
-		hasher: NewRabin(0),
+		avg:   avg,
+		min:   min,
+		max:   max,
+		mask:  uint64(avg - 1),
+		rabin: NewRabin(0),
 	}
 }
 
@@ -68,30 +70,24 @@ func NewChunker(avg, min, max int) *Chunker {
 // data always produces the same chunks.
 func (c *Chunker) Split(data []byte) []Chunk {
 	var chunks []Chunk
+	r := *c.rabin
 	start := 0
-	c.rabin.Reset()
 	for i, b := range data {
-		fp := c.rabin.Roll(b)
+		fp := r.Roll(b)
 		size := i - start + 1
 		atBoundary := size >= c.min && fp&c.mask == boundaryMagic&c.mask
 		if atBoundary || size >= c.max {
-			chunks = append(chunks, c.makeChunk(data, start, i+1))
+			// r was reset at start and has rolled exactly this chunk's
+			// bytes, so fp is the chunk's Hash.
+			chunks = append(chunks, Chunk{Offset: start, Length: size, Hash: fp})
 			start = i + 1
-			c.rabin.Reset()
+			r.Reset()
 		}
 	}
 	if start < len(data) {
-		chunks = append(chunks, c.makeChunk(data, start, len(data)))
+		chunks = append(chunks, Chunk{Offset: start, Length: len(data) - start, Hash: r.Sum()})
 	}
 	return chunks
-}
-
-func (c *Chunker) makeChunk(data []byte, start, end int) Chunk {
-	c.hasher.Reset()
-	for _, b := range data[start:end] {
-		c.hasher.Roll(b)
-	}
-	return Chunk{Offset: start, Length: end - start, Hash: c.hasher.Sum()}
 }
 
 // AddressedChunk is a content-defined chunk plus its content address: the

@@ -238,6 +238,99 @@ func TestRollingMatchesOneShot(t *testing.T) {
 	}
 }
 
+// windowedHorner is the fingerprint Roll should hold after rolling data
+// from a reset state, evaluated directly: the last WindowSize bytes as a
+// polynomial over GF(2), by Horner's rule, modulo DefaultPoly.
+func windowedHorner(data []byte) uint64 {
+	if len(data) > WindowSize {
+		data = data[len(data)-WindowSize:]
+	}
+	deg := degree(DefaultPoly)
+	var v uint64
+	for _, b := range data {
+		v = polyMulMod(v, 1<<8, DefaultPoly, deg) ^ uint64(b)
+	}
+	return v
+}
+
+// splitTwoPass is the reference chunking: one Rabin pass finds the cuts,
+// then a second, independent evaluation hashes each chunk's bytes.
+func splitTwoPass(data []byte) []Chunk {
+	var out []Chunk
+	r := NewRabin(0)
+	start := 0
+	cut := func(end int) {
+		out = append(out, Chunk{Offset: start, Length: end - start, Hash: windowedHorner(data[start:end])})
+		start = end
+		r.Reset()
+	}
+	const mask = DefaultAvgSize - 1
+	for i, b := range data {
+		fp := r.Roll(b)
+		size := i - start + 1
+		if size >= DefaultMinSize && fp&mask == boundaryMagic&mask || size >= DefaultMaxSize {
+			cut(i + 1)
+		}
+	}
+	if start < len(data) {
+		cut(len(data))
+	}
+	return out
+}
+
+// TestSplitMatchesTwoPassReference: Split takes each chunk's Hash from its
+// boundary pass; that must equal hashing the chunk in a second pass, on
+// random lengths up to three maximum chunks, on tails shorter than the
+// Rabin window, and on zero runs that only max-size cuts can end.
+func TestSplitMatchesTwoPassReference(t *testing.T) {
+	c := NewChunker(0, 0, 0)
+	check := func(what string, data []byte) []Chunk {
+		t.Helper()
+		got, want := c.Split(data), splitTwoPass(data)
+		if len(got) != len(want) {
+			t.Fatalf("%s (%d bytes): %d chunks, reference %d", what, len(data), len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s (%d bytes): chunk %d = %+v, reference %+v", what, len(data), i, got[i], want[i])
+			}
+		}
+		return got
+	}
+
+	rng := rand.New(rand.NewSource(31))
+	for n := 0; n < 200; n++ {
+		data := make([]byte, rng.Intn(3*DefaultMaxSize+1))
+		rng.Read(data)
+		check("random", data)
+	}
+
+	base := make([]byte, 4*DefaultMaxSize)
+	rng.Read(base)
+	first := c.Split(base)[0]
+	end := first.Offset + first.Length
+	for tail := 1; tail < WindowSize; tail++ {
+		chunks := check("short tail", base[:end+tail])
+		if last := chunks[len(chunks)-1]; last.Length != tail {
+			t.Fatalf("tail chunk is %d bytes, want %d", last.Length, tail)
+		}
+	}
+
+	zeros := make([]byte, 3*DefaultMaxSize+100)
+	mixed := append(append(append([]byte(nil), base[:5000]...), zeros...), base[5000:9000]...)
+	for what, data := range map[string][]byte{"zero run": zeros, "zero run inside random": mixed} {
+		maxCuts := 0
+		for _, ch := range check(what, data) {
+			if ch.Length == DefaultMaxSize {
+				maxCuts++
+			}
+		}
+		if maxCuts < 2 {
+			t.Fatalf("%s: %d max-size cuts, want the zero run to force several", what, maxCuts)
+		}
+	}
+}
+
 func TestIdenticalContentSameChunks(t *testing.T) {
 	data := bytes.Repeat([]byte("mirage "), 4000)
 	c1 := NewChunker(0, 0, 0)

@@ -122,7 +122,9 @@ func (r *Rabin) Reset() {
 func (r *Rabin) Roll(b byte) uint64 {
 	out := r.window[r.pos]
 	r.window[r.pos] = b
-	r.pos = (r.pos + 1) % WindowSize
+	if r.pos++; r.pos == WindowSize {
+		r.pos = 0
+	}
 	// Remove the outgoing byte's contribution, then append the new byte:
 	// value = ((value ^ out*x^(8W)) * x^8 + b) mod poly.
 	r.value ^= r.outTable[out]
@@ -135,9 +137,10 @@ func (r *Rabin) Roll(b byte) uint64 {
 // Sum returns the current fingerprint value.
 func (r *Rabin) Sum() uint64 { return r.value }
 
-// Fingerprint computes the Rabin fingerprint of data in one shot using the
-// default polynomial. It is the non-rolling entry point used to hash whole
-// chunks.
+// Fingerprint computes, in one shot with the default polynomial, the
+// windowed Rabin fingerprint Roll ends on: it covers only the last
+// WindowSize bytes of data, so it is not a whole-content hash (ROADMAP
+// item 3; HashBytes is).
 func Fingerprint(data []byte) uint64 {
 	r := NewRabin(0)
 	for _, b := range data {

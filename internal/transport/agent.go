@@ -449,6 +449,7 @@ func (a *Agent) handleIntegrate(req IntegrateReq) Frame {
 	if _, err := mgr.Apply(up); err != nil {
 		return errFrame(err.Error())
 	}
+	a.Cache.Installed(a.M.Name, req.Manifest)
 	a.applied = req.Manifest
 	return Frame{OK: true}
 }

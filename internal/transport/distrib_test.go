@@ -172,6 +172,95 @@ func TestVersionUpgradeTransfersOnlyChangedChunks(t *testing.T) {
 	}
 }
 
+// pipeAgent attaches one agent for m to a fresh server over net.Pipe and
+// returns both once the agent has registered.
+func pipeAgent(t *testing.T, m *machine.Machine) (*Server, *Agent) {
+	t.Helper()
+	s, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	vendorEnd, agentEnd := net.Pipe()
+	if err := s.ServeConn(vendorEnd); err != nil {
+		t.Fatal(err)
+	}
+	agent := NewAgent(m)
+	go agent.ServeConn(agentEnd)
+	if !s.WaitForAgent(m.Name, 5*time.Second) {
+		t.Fatal("agent never registered")
+	}
+	return s, agent
+}
+
+// TestIntegratedFilesAreNotReseeded: a file an integration wrote is the
+// agent's own Assemble output, so the next release's test call seeds none
+// of it, and the release still moves only a delta. A file a migration
+// rewrote, or one changed out-of-band after its integration, is seeded.
+func TestIntegratedFilesAreNotReseeded(t *testing.T) {
+	const size = 256 * 1024
+	const cnf = "/etc/mysql/my.cnf"
+	m := machine.New("reseed-node")
+	m.SetEnv("HOME", "/home/user")
+	m.WriteFile(&machine.File{Path: apps.MySQLExec, Type: machine.TypeExecutable, Data: bigData(2, size), Version: "4.1.22"})
+	m.InstallPackage(machine.PackageRef{Name: "mysql", Version: "4.1.22"}, []string{apps.MySQLExec})
+	s, agent := pipeAgent(t, m)
+	node, ctx := s.Node(m.Name), context.Background()
+
+	cfg := bigData(3, 4096)
+	// release ships a copy of the installed binary edited at offset at,
+	// plus cfg.
+	release := func(version string, at int, migrations ...pkgmgr.FileEdit) *pkgmgr.Upgrade {
+		bin := append([]byte(nil), m.ReadFile(apps.MySQLExec).Data...)
+		copy(bin[at:], "a small release-train edit")
+		return &pkgmgr.Upgrade{
+			ID: "mysql-" + version,
+			Pkg: &pkgmgr.Package{Name: "mysql", Version: version, Files: []*machine.File{
+				{Path: apps.MySQLExec, Type: machine.TypeExecutable, Data: bin, Version: version},
+				{Path: cnf, Type: machine.TypeConfig, Data: cfg, Version: version},
+			}},
+			Migrations: migrations,
+		}
+	}
+	// ship tests and integrates up, and returns the bytes its test call
+	// seeded and the chunk bytes both calls moved.
+	ship := func(up *pkgmgr.Upgrade) (seeded, moved int64) {
+		t.Helper()
+		seededBefore, before := agent.Cache.Stats().SeededBytes, s.TransferSnapshot()
+		rep, err := node.TestUpgrade(ctx, up)
+		if err != nil || !rep.Success {
+			t.Fatalf("%s: test = %+v, %v", up.ID, rep, err)
+		}
+		seeded = agent.Cache.Stats().SeededBytes - seededBefore
+		if err := node.Integrate(ctx, up); err != nil {
+			t.Fatalf("%s: integrate: %v", up.ID, err)
+		}
+		return seeded, s.TransferSnapshot().Sub(before).ChunkBytes
+	}
+
+	if seeded, _ := ship(release("5.0.1", size/4)); seeded != size {
+		t.Fatalf("first release seeded %d bytes, want the %d-byte binary installed before the agent ran", seeded, size)
+	}
+	migrated := pkgmgr.FileEdit{Path: cnf, SetData: bigData(4, len(cfg))}
+	seeded, moved := ship(release("5.0.2", size/2, migrated))
+	if seeded != 0 {
+		t.Fatalf("5.0.2 test call seeded %d bytes of files the agent installed itself, want 0", seeded)
+	}
+	if moved == 0 || moved > size/4 {
+		t.Fatalf("5.0.2 moved %d chunk bytes, want a small non-empty delta of the %d-byte binary", moved, size)
+	}
+	if seeded, _ := ship(release("5.0.3", 3*size/4)); seeded != int64(len(migrated.SetData)) {
+		t.Fatalf("5.0.3 test call seeded %d bytes, want only the %d-byte file the 5.0.2 migration rewrote",
+			seeded, len(migrated.SetData))
+	}
+	const patch = "# local patch"
+	m.MutateFile(apps.MySQLExec, func(f *machine.File) { f.Data = append(f.Data, patch...) })
+	if seeded, _ := ship(release("5.0.4", size/8)); seeded != size+int64(len(patch)) {
+		t.Fatalf("5.0.4 test call seeded %d bytes, want the %d-byte binary changed after its integration",
+			seeded, size+len(patch))
+	}
+}
+
 // TestConcurrentPushesSharedCache races several upgrade pushes against
 // one chunk cache shared by all agents of the fleet — the shared-LAN-cache
 // arrangement — under the race detector.
@@ -240,19 +329,7 @@ func TestRepeatedIntegrateAppliesOnce(t *testing.T) {
 	const cnf, note = "/home/user/.my.cnf", "# migrated-for-5\n"
 	m := userMachine("idem", false)
 	m.WriteFile(&machine.File{Path: cnf, Type: machine.TypeConfig, Data: []byte("[client]\n")})
-	s, err := Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	vendorEnd, agentEnd := net.Pipe()
-	if err := s.ServeConn(vendorEnd); err != nil {
-		t.Fatal(err)
-	}
-	go NewAgent(m).ServeConn(agentEnd)
-	if !s.WaitForAgent("idem", 5*time.Second) {
-		t.Fatal("agent never registered")
-	}
+	s, _ := pipeAgent(t, m)
 	node, ctx := s.Node("idem"), context.Background()
 	integrate := func(up *pkgmgr.Upgrade, wantNotes int, what string) {
 		t.Helper()
