@@ -128,7 +128,7 @@ const (
 // Transfer source reports, as a before/after delta.
 type TransferStats struct {
 	Frames      int64 // request frames sent
-	Bytes       int64 // total bytes on the wire
+	Bytes       int64 // bytes the vendor wrote to agent control channels
 	ChunkBytes  int64 // content-addressed chunk payload bytes
 	ChunkHits   int64 // manifest chunks already held by agents
 	ChunkMisses int64 // manifest chunks that had to be transferred

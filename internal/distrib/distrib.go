@@ -46,29 +46,33 @@ type ChunkRef struct {
 // FileManifest describes one upgrade file as an ordered chunk list in
 // place of inline data.
 type FileManifest struct {
-	Path    string     `json:"path"`
-	Type    int        `json:"type"`
-	Version string     `json:"version,omitempty"`
-	Chunks  []ChunkRef `json:"chunks,omitempty"`
+	Path    string
+	Type    int
+	Version string
+	Chunks  []ChunkRef
 }
 
 // Manifest is the content-addressed form of a pkgmgr.Upgrade: all the
-// metadata, none of the bytes.
+// metadata, none of the bytes. It travels in its binary wire form (Wire,
+// DecodeManifest).
 type Manifest struct {
-	ID         string              `json:"id"`
-	Name       string              `json:"name"`
-	Version    string              `json:"version"`
-	Replaces   string              `json:"replaces,omitempty"`
-	Urgent     bool                `json:"urgent,omitempty"`
-	Files      []FileManifest      `json:"files"`
-	Deps       []pkgmgr.Dependency `json:"deps,omitempty"`
-	Migrations []pkgmgr.FileEdit   `json:"migrations,omitempty"`
+	ID         string
+	Name       string
+	Version    string
+	Replaces   string
+	Urgent     bool
+	Files      []FileManifest
+	Deps       []pkgmgr.Dependency
+	Migrations []pkgmgr.FileEdit
 
 	// addrs is the distinct address list, which every push of the
-	// manifest needs and Store.Manifest derives once. Unexported, so it
-	// does not travel; a manifest decoded off the wire derives it on
-	// demand.
+	// manifest needs and Store.Manifest derives once; a manifest decoded
+	// off the wire derives it on demand.
 	addrs []uint64
+	// wire is the manifest's encoding, set once by whoever builds the
+	// manifest (Store.Manifest, DecodeManifest) and never written after:
+	// the vendor encodes an upgrade once, not once per push.
+	wire []byte
 }
 
 // ChunkCount returns the number of chunk references across all files
@@ -322,6 +326,7 @@ func (s *Store) chunk(up *pkgmgr.Upgrade) *Manifest {
 		m.Files = append(m.Files, fm)
 	}
 	m.addrs = distinctAddrs(m.Files)
+	m.wire = m.encode()
 	return m
 }
 

@@ -2,11 +2,11 @@ package transport
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
-	"reflect"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -66,11 +66,12 @@ type Agent struct {
 	watchMu sync.Mutex
 	watch   map[string]*watchState
 
-	// applied is the manifest of the last successful integration. A vendor
-	// that lost the reply (reset channel, crash between RPC and journal)
-	// repeats the integrate; answering the repeat from here keeps it from
-	// applying non-idempotent migrations (FileEdit.Append) a second time.
-	applied *WireManifest
+	// applied is the wire form of the manifest of the last successful
+	// integration. A vendor that lost the reply (reset channel, crash
+	// between RPC and journal) repeats the integrate; answering the repeat
+	// from here keeps it from applying non-idempotent migrations
+	// (FileEdit.Append) a second time.
+	applied []byte
 
 	peerLn                          net.Listener
 	peerReqs, peerChunks, peerBytes atomic.Int64
@@ -302,15 +303,9 @@ func (a *Agent) handle(req Frame) Frame {
 		}
 		return a.handleFingerprint(req.Fingerprint)
 	case OpTest:
-		if req.Test == nil {
-			return errFrame("test payload missing")
-		}
-		return a.handleTest(*req.Test)
+		return a.handleTest(req.Manifest)
 	case OpIntegrate:
-		if req.Integrate == nil {
-			return errFrame("integrate payload missing")
-		}
-		return a.handleIntegrate(*req.Integrate)
+		return a.handleIntegrate(req.Manifest)
 	case OpPeerFetch:
 		if req.PeerFetch == nil {
 			return errFrame("peer_fetch payload missing")
@@ -352,7 +347,7 @@ func (a *Agent) handleRecord(req RecordReq) Frame {
 // a version upgrade is already local), then either assembles the upgrade
 // entirely from cache or returns the missing chunk set for the vendor to
 // push.
-func (a *Agent) resolveUpgrade(man *WireManifest) (*pkgmgr.Upgrade, []uint64, error) {
+func (a *Agent) resolveUpgrade(man *distrib.Manifest) (*pkgmgr.Upgrade, []uint64, error) {
 	if man == nil {
 		return nil, nil, errors.New("manifest missing")
 	}
@@ -407,8 +402,8 @@ func (a *Agent) handleFingerprint(raw json.RawMessage) Frame {
 	return Frame{Diff: ItemsToWire(diff), AppSet: a.M.AppSetKey(), OK: true}
 }
 
-func (a *Agent) handleTest(req TestReq) Frame {
-	up, need, err := a.resolveUpgrade(req.Manifest)
+func (a *Agent) handleTest(man *distrib.Manifest) Frame {
+	up, need, err := a.resolveUpgrade(man)
 	if err != nil {
 		return errFrame(err.Error())
 	}
@@ -434,11 +429,11 @@ func (a *Agent) handleTest(req TestReq) Frame {
 	return Frame{Report: out, OK: true}
 }
 
-func (a *Agent) handleIntegrate(req IntegrateReq) Frame {
-	if a.applied != nil && reflect.DeepEqual(a.applied, req.Manifest) {
+func (a *Agent) handleIntegrate(man *distrib.Manifest) Frame {
+	if man != nil && bytes.Equal(a.applied, man.Wire()) {
 		return Frame{OK: true} // already applied: acknowledge the repeat
 	}
-	up, need, err := a.resolveUpgrade(req.Manifest)
+	up, need, err := a.resolveUpgrade(man)
 	if err != nil {
 		return errFrame(err.Error())
 	}
@@ -449,8 +444,8 @@ func (a *Agent) handleIntegrate(req IntegrateReq) Frame {
 	if _, err := mgr.Apply(up); err != nil {
 		return errFrame(err.Error())
 	}
-	a.Cache.Installed(a.M.Name, req.Manifest)
-	a.applied = req.Manifest
+	a.Cache.Installed(a.M.Name, man)
+	a.applied = man.Wire()
 	return Frame{OK: true}
 }
 

@@ -17,23 +17,27 @@ import (
 // allocate or stream gigabytes.
 const maxWireChunk = 1 << 26 // 64MB
 
-// maxHeaderLine bounds one frame's JSON header line. No header carries
-// payload — chunk bytes ride behind it as a raw body — so headers are
-// small: the longest the tier-1 suite produces is 2.1 KB and the longest
-// of the five bench workloads 5.5 KB (the manifest of swarm-cold's
-// 528 KiB upgrade). The cap is what keeps a peer that never sends a
-// newline from growing the reader's line buffer without limit.
+// maxHeaderLine bounds one frame's JSON header line, and a manifest body's
+// announced length. No header carries payload — chunk bytes and manifests
+// ride behind it as raw bodies — so headers are small: the longest the
+// tier-1 suite produces is 1.9 KB and the longest of the five bench
+// workloads 4.8 KB (swarm-cold's chunk_meta for its 528 KiB upgrade);
+// the longest manifest bodies are 4.8 KB and 1.5 KB. The cap is what
+// keeps a peer that never sends a newline, or announces a huge body, from
+// growing the reader's buffer without limit.
 const maxHeaderLine = 1 << 20 // 1MB
 
-// ErrFrameTooLarge reports a frame header longer than maxHeaderLine. The
-// stream cannot be resynchronized after it; callers drop the connection.
-var ErrFrameTooLarge = errors.New("transport: frame header too large")
+// ErrFrameTooLarge reports a frame header longer than maxHeaderLine, or a
+// manifest_len outside [0, maxHeaderLine]. The stream cannot be
+// resynchronized after it; callers drop the connection.
+var ErrFrameTooLarge = errors.New("transport: frame too large")
 
-// chunkBufPool recycles the scratch buffers the binary chunk read path
-// fills from the socket. Every consumer of chunk bytes copies what it
-// keeps (distrib.Cache.Add stores its own copy), so one pooled buffer
-// serves an entire stream of chunks and large OpFetchChunks / peer
-// transfers allocate nothing per frame on the hot path.
+// chunkBufPool recycles the scratch buffers the binary body read paths
+// fill from the socket. Every consumer of body bytes copies what it keeps
+// (distrib.Cache.Add and DecodeManifest store their own copies), so one
+// pooled buffer serves an entire stream of chunks, large OpFetchChunks /
+// peer transfers allocate nothing per frame on the hot path, and no
+// connection keeps a manifest buffer of its own.
 var chunkBufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 32*1024)
@@ -42,11 +46,12 @@ var chunkBufPool = sync.Pool{
 }
 
 // frameConn frames one side of a transport connection: newline-delimited
-// JSON headers, optionally followed by a raw binary chunk body whose
-// layout (per-chunk address and length, in order) the header announces in
-// Frame.ChunkMeta. Raw bodies are what remove base64 from the chunk hot
-// path: the JSON header is a few dozen bytes per chunk, the payload
-// crosses the wire byte-for-byte.
+// JSON headers, each optionally followed by a raw binary body — a
+// manifest of Frame.ManifestLen bytes, or chunks whose layout (per-chunk
+// address and length, in order) the header announces in Frame.ChunkMeta.
+// Raw bodies are what keep encoding/json off the hot path: chunk payload
+// crosses the wire byte-for-byte, and a manifest is encoded once per
+// upgrade rather than marshalled per member.
 //
 // A frameConn is not safe for concurrent use; callers serialize access
 // (the agent's serve loop, the vendor's per-connection RPC mutex).
@@ -62,12 +67,14 @@ func newFrameConn(br *bufio.Reader, bw *bufio.Writer) *frameConn {
 	return &frameConn{br: br, bw: bw}
 }
 
-// ReadFrame reads one newline-terminated JSON header into f. It replaces
-// the json.Decoder the wire format grew up with: a Decoder reads ahead
-// into its own buffer, which would swallow the raw chunk body following a
-// binary header; reading exactly one line keeps the stream positioned at
-// the body's first byte. A header that outgrows maxHeaderLine is refused
-// with ErrFrameTooLarge before the line buffer grows past the cap.
+// ReadFrame reads one newline-terminated JSON header into f, and the
+// manifest body behind it if the header announces one. It replaces the
+// json.Decoder the wire format grew up with: a Decoder reads ahead into
+// its own buffer, which would swallow the raw body following a header;
+// reading exactly one line keeps the stream positioned at the body's
+// first byte. A header that outgrows maxHeaderLine is refused with
+// ErrFrameTooLarge before the line buffer grows past the cap, and so is a
+// manifest_len beyond it. A chunk body is left for ReadChunkBody.
 func (fc *frameConn) ReadFrame(f *Frame) error {
 	fc.line = fc.line[:0]
 	for {
@@ -84,13 +91,49 @@ func (fc *frameConn) ReadFrame(f *Frame) error {
 		}
 	}
 	*f = Frame{}
-	return json.Unmarshal(fc.line, f)
+	if err := json.Unmarshal(fc.line, f); err != nil {
+		return err
+	}
+	if f.ManifestLen == 0 {
+		return nil
+	}
+	return fc.readManifest(f)
 }
 
-// WriteFrame marshals f and writes it as one newline-terminated header.
-// The buffered writer is not flushed: callers batch the header with any
-// binary body and flush once per message.
+// readManifest reads the f.ManifestLen body bytes through a pooled buffer
+// (DecodeManifest copies what it keeps) and decodes them into f.Manifest.
+func (fc *frameConn) readManifest(f *Frame) error {
+	n := f.ManifestLen
+	if n < 0 || n > maxHeaderLine {
+		return ErrFrameTooLarge
+	}
+	bufp := chunkBufPool.Get().(*[]byte)
+	defer chunkBufPool.Put(bufp)
+	if cap(*bufp) < n {
+		*bufp = make([]byte, n)
+	}
+	body := (*bufp)[:n]
+	if _, err := io.ReadFull(fc.br, body); err != nil {
+		return err
+	}
+	m, err := distrib.DecodeManifest(body)
+	if err != nil {
+		return fmt.Errorf("transport: %s manifest: %w", f.Op, err)
+	}
+	f.Manifest = m
+	return nil
+}
+
+// WriteFrame marshals f and writes it as one newline-terminated header,
+// followed by f.Manifest's wire bytes when it carries one. The buffered
+// writer is not flushed: callers batch the header with any chunk body and
+// flush once per message.
 func (fc *frameConn) WriteFrame(f Frame) error {
+	var body []byte
+	if f.Manifest != nil {
+		body = f.Manifest.Wire()
+	}
+	f.ManifestLen = len(body)
 	b, err := json.Marshal(f)
 	if err != nil {
 		return err
@@ -98,7 +141,11 @@ func (fc *frameConn) WriteFrame(f Frame) error {
 	if _, err := fc.bw.Write(b); err != nil {
 		return err
 	}
-	return fc.bw.WriteByte('\n')
+	if err := fc.bw.WriteByte('\n'); err != nil {
+		return err
+	}
+	_, err = fc.bw.Write(body)
+	return err
 }
 
 // WriteChunkBody writes the raw bytes of chunks after a header whose

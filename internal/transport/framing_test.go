@@ -51,9 +51,10 @@ func TestBinaryFramingZeroExpansion(t *testing.T) {
 	if st.ChunkBytes != size {
 		t.Fatalf("pushed %d chunk bytes for a %d-byte payload, want exactly the payload", st.ChunkBytes, size)
 	}
-	// One chunk reference is {"h":<≤20 digits>,"n":<≤5 digits>}, at most
-	// 40 bytes with its comma; it appears in three manifests and one
-	// ChunkMeta. 1 KiB covers the rest of those four frames.
+	// One chunk reference is at most 40 bytes in ChunkMeta
+	// ({"h":<≤20 digits>,"n":<≤5 digits>} and a comma) and 11 in a binary
+	// manifest; it appears in three manifests and one ChunkMeta. 1 KiB
+	// covers the rest of those four frames.
 	refs := int64(s.ChunkStore().Manifest(up).ChunkCount())
 	if headers := st.Bytes - st.ChunkBytes; headers > 4*40*refs+1024 {
 		t.Fatalf("%d bytes on the wire beside %d chunk bytes (%d chunk refs): the body did not cross raw",

@@ -190,7 +190,7 @@ func (s *Server) metrics() *serverMetrics {
 				"Injected fault delay absorbed by agent RPCs.", "", 1e-9),
 
 			frames:     counter("mirage_transfer_frames_total", "Request frames sent to agents."),
-			bytes:      counter("mirage_transfer_bytes_total", "Total bytes on the wire."),
+			bytes:      counter("mirage_transfer_bytes_total", "Bytes the vendor wrote to agent control channels."),
 			chunkBytes: counter("mirage_transfer_chunk_bytes_total", "Content-addressed chunk payload bytes."),
 			hits:       counter("mirage_transfer_chunk_hits_total", "Manifest chunks agents already held."),
 			misses:     counter("mirage_transfer_chunk_misses_total", "Manifest chunks that had to be transferred."),
@@ -507,7 +507,7 @@ func (s *Server) peerHintsFor(requester string, need []uint64) []string {
 // in it is now in the agent's cache. This passive bookkeeping is the only
 // feed the chunk-location index has (besides AddPeerSource); no RPC ever
 // asks an agent what it holds.
-func (s *Server) markPeerHeld(name string, man *WireManifest) {
+func (s *Server) markPeerHeld(name string, man *distrib.Manifest) {
 	s.peerMu.Lock()
 	defer s.peerMu.Unlock()
 	s.peers.markHeld(name, man.Addrs())
@@ -929,14 +929,6 @@ func (s *Server) Node(name string) *RemoteNode {
 // Name implements deploy.Node.
 func (r *RemoteNode) Name() string { return r.name }
 
-// upgradeFrame builds the test/integrate request frame carrying man.
-func upgradeFrame(op string, man *WireManifest) Frame {
-	if op == OpTest {
-		return Frame{Op: op, Test: &TestReq{Manifest: man}}
-	}
-	return Frame{Op: op, Integrate: &IntegrateReq{Manifest: man}}
-}
-
 // pushUpgrade performs one test or integrate RPC on the agent. The frame
 // carries only the manifest; if the agent reports missing chunks, the
 // peer tier is tried first (a directed OpPeerFetch against hinted gated
@@ -961,7 +953,7 @@ func (s *Server) pushUpgrade(ctx context.Context, name, op string, up *pkgmgr.Up
 		attempts = 8
 	}
 	for attempt := 0; attempt < attempts; attempt++ {
-		resp, err := ac.call(ctx, upgradeFrame(op, man), s.Timeout)
+		resp, err := ac.call(ctx, Frame{Op: op, Manifest: man}, s.Timeout)
 		if err != nil {
 			return Frame{}, err
 		}

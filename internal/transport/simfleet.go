@@ -278,26 +278,21 @@ func (f *SimFleet) handle(name string, fc *frameConn, req *Frame) Frame {
 	switch req.Op {
 	case OpPing:
 		return Frame{OK: true}
-	case OpTest:
-		if req.Test == nil || req.Test.Manifest == nil {
-			return Frame{Err: "sim: test without manifest"}
+	case OpTest, OpIntegrate:
+		if req.Manifest == nil {
+			return Frame{Err: "sim: " + req.Op + " without manifest"}
 		}
-		if need := f.cache.Missing(req.Test.Manifest); len(need) > 0 {
+		if need := f.cache.Missing(req.Manifest); len(need) > 0 {
 			return Frame{OK: true, NeedChunks: need}
+		}
+		if req.Op == OpIntegrate {
+			f.integrated.Add(1)
+			return Frame{OK: true}
 		}
 		f.tested.Add(1)
 		return Frame{OK: true, Report: &report.Report{
-			UpgradeID: req.Test.Manifest.ID, Machine: name, Success: true,
+			UpgradeID: req.Manifest.ID, Machine: name, Success: true,
 		}}
-	case OpIntegrate:
-		if req.Integrate == nil || req.Integrate.Manifest == nil {
-			return Frame{Err: "sim: integrate without manifest"}
-		}
-		if need := f.cache.Missing(req.Integrate.Manifest); len(need) > 0 {
-			return Frame{OK: true, NeedChunks: need}
-		}
-		f.integrated.Add(1)
-		return Frame{OK: true}
 	case OpFetchChunks:
 		if len(req.ChunkMeta) == 0 {
 			return Frame{Err: "sim: fetch_chunks without chunk_meta"}

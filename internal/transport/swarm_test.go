@@ -355,7 +355,7 @@ func playLyingAgent(conn net.Conn, lie func(asked int) string) {
 			if pushed {
 				out.Report = &report.Report{Machine: "liar", Success: true}
 			} else {
-				out.NeedChunks = req.Test.Manifest.Addrs()
+				out.NeedChunks = req.Manifest.Addrs()
 			}
 		case OpPeerFetch:
 			out.NeedChunks = req.PeerFetch.Addrs

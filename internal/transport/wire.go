@@ -8,8 +8,11 @@
 // deployment controller as deploy.Node values, so the staged protocols
 // need know nothing of the wire.
 //
-// Wire format: newline-delimited JSON frames. JSON string escaping
-// guarantees no raw newline appears inside a frame.
+// Wire format: each frame is a newline-terminated JSON header, optionally
+// followed by a raw binary body the header announces — chunk bytes
+// (chunk_meta) or an upgrade manifest in distrib's binary encoding
+// (manifest_len). JSON string escaping guarantees no raw newline appears
+// inside a header.
 package transport
 
 import (
@@ -36,10 +39,16 @@ type Frame struct {
 	Identify    *IdentifyReq     `json:"identify,omitempty"`
 	Record      *RecordReq       `json:"record,omitempty"`
 	Fingerprint json.RawMessage  `json:"fingerprint,omitempty"`
-	Test        *TestReq         `json:"test,omitempty"`
-	Integrate   *IntegrateReq    `json:"integrate,omitempty"`
 	PeerFetch   *PeerFetchReq    `json:"peer_fetch,omitempty"`
 	Delta       *ProfileDeltaReq `json:"delta,omitempty"`
+
+	// Manifest is the upgrade an OpTest or OpIntegrate request names. It
+	// never rides in the JSON header: WriteFrame sets ManifestLen and
+	// writes the manifest's memoized binary encoding right after the
+	// header's newline, and ReadFrame reads and decodes exactly that many
+	// bytes. Chunks the agent lacks follow in an OpFetchChunks push.
+	Manifest    *distrib.Manifest `json:"-"`
+	ManifestLen int               `json:"manifest_len,omitempty"`
 
 	// ChunkMeta announces a binary chunk body: immediately after this
 	// frame's newline follow the raw bytes of each listed chunk, in
@@ -145,24 +154,6 @@ type FingerprintReq struct {
 	Refs        []string       `json:"refs"`
 	Registry    RegistryConfig `json:"registry"`
 	VendorItems []WireItem     `json:"vendor_items"`
-}
-
-// WireManifest is the content-addressed form of an upgrade: metadata plus
-// per-file chunk address lists, no file data. It is the distrib manifest
-// verbatim — the distribution layer owns the format.
-type WireManifest = distrib.Manifest
-
-// TestReq asks the agent to validate the upgrade in isolation. The
-// upgrade travels as its manifest; chunks the agent lacks follow in an
-// OpFetchChunks push.
-type TestReq struct {
-	Manifest *WireManifest `json:"manifest,omitempty"`
-}
-
-// IntegrateReq asks the agent to apply the validated upgrade, named by
-// manifest like TestReq.
-type IntegrateReq struct {
-	Manifest *WireManifest `json:"manifest,omitempty"`
 }
 
 // PeerFetchReq directs an agent to pull chunk addresses from peers, in
