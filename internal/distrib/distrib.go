@@ -27,6 +27,7 @@
 package distrib
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"sync"
@@ -554,17 +555,19 @@ func (c *Cache) Assemble(m *Manifest) (*pkgmgr.Upgrade, error) {
 		Dependencies: append([]pkgmgr.Dependency(nil), m.Deps...),
 	}
 	for _, fm := range m.Files {
-		data := make([]byte, 0, fm.Size())
-		for _, ref := range fm.Chunks {
+		parts := make([][]byte, len(fm.Chunks))
+		for i, ref := range fm.Chunks {
 			chunk, ok := c.chunks[ref.Hash]
 			if !ok {
 				return nil, fmt.Errorf("distrib: assembling %s: chunk %s not cached",
 					fm.Path, fingerprint.FormatHash(ref.Hash))
 			}
-			data = append(data, chunk...)
+			parts[i] = chunk
 		}
+		// bytes.Join sizes its buffer without zeroing it first: every
+		// byte of the file is written exactly once, by the copy.
 		pkg.Files = append(pkg.Files, &machine.File{
-			Path: fm.Path, Type: machine.FileType(fm.Type), Version: fm.Version, Data: data,
+			Path: fm.Path, Type: machine.FileType(fm.Type), Version: fm.Version, Data: bytes.Join(parts, nil),
 		})
 	}
 	return &pkgmgr.Upgrade{

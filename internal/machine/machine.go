@@ -50,6 +50,11 @@ func (t FileType) String() string {
 }
 
 // File is one file on a simulated machine.
+//
+// Data is read-only once the file is written to a machine: WriteFile keeps
+// the slice, so the machine, its snapshots, an installed package and a
+// rollback transaction may all hold the same bytes. MutateFile is the one
+// way to change a file's contents; it hands fn a private copy.
 type File struct {
 	Path string
 	Type FileType
@@ -57,13 +62,6 @@ type File struct {
 	// Version is free-form version metadata carried by executables and
 	// libraries ("2.4", "5.0.22"); parsers embed it in item keys.
 	Version string
-}
-
-// Clone returns a deep copy of the file.
-func (f *File) Clone() *File {
-	data := make([]byte, len(f.Data))
-	copy(data, f.Data)
-	return &File{Path: f.Path, Type: f.Type, Data: data, Version: f.Version}
 }
 
 // PackageRef names an installed package at a specific version.
@@ -104,10 +102,12 @@ func New(name string) *Machine {
 	}
 }
 
-// Snapshot returns a copy-on-write child of m. Reads see m's state; writes
-// affect only the snapshot. This is the isolation primitive behind upgrade
-// validation: the paper boots UML copy-on-write from the host filesystem so
-// the isolated environment is "built from the same file system state".
+// Snapshot returns a layered child of m. Reads fall through to m; writes
+// and removals land in the snapshot's own layer, and file bytes are shared
+// with m rather than duplicated. This is the isolation primitive behind
+// upgrade validation: the paper boots UML copy-on-write from the host
+// filesystem so the isolated environment is "built from the same file
+// system state".
 func (m *Machine) Snapshot(name string) *Machine {
 	s := New(name)
 	s.parent = m
@@ -124,13 +124,16 @@ func (m *Machine) Snapshot(name string) *Machine {
 	return s
 }
 
-// WriteFile creates or replaces a file.
+// WriteFile creates or replaces a file. The machine keeps its own copy of
+// f's header and shares f.Data, so re-pointing f's fields afterwards never
+// reaches the machine; overwriting bytes inside f.Data would.
 func (m *Machine) WriteFile(f *File) {
 	if f.Path == "" {
 		panic("machine: empty file path")
 	}
+	c := *f
 	delete(m.deleted, f.Path)
-	m.files[f.Path] = f
+	m.files[f.Path] = &c
 }
 
 // ReadFile returns the file at path, or nil if absent.
@@ -157,17 +160,19 @@ func (m *Machine) RemoveFile(path string) {
 	}
 }
 
-// MutateFile applies fn to a private copy of the file at path, honouring
-// copy-on-write semantics, and reports whether the file existed.
+// MutateFile applies fn to a private copy of the file at path, bytes
+// included, and reports whether the file existed. Every other holder of
+// the old bytes keeps them unchanged.
 func (m *Machine) MutateFile(path string, fn func(*File)) bool {
 	f := m.ReadFile(path)
 	if f == nil {
 		return false
 	}
-	c := f.Clone()
-	fn(c)
+	c := *f
+	c.Data = append([]byte(nil), f.Data...)
+	fn(&c)
 	c.Path = path
-	m.WriteFile(c)
+	m.WriteFile(&c)
 	return true
 }
 

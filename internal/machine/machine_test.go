@@ -40,16 +40,30 @@ func TestRemoveFile(t *testing.T) {
 	m.RemoveFile("/a") // no-op, must not panic
 }
 
-func TestFileClone(t *testing.T) {
+// TestWriteFileSharesBytes pins the byte-sharing contract: WriteFile keeps
+// the caller's bytes but not its header, and MutateFile changes a private
+// copy, so every other holder of the old bytes keeps them.
+func TestWriteFileSharesBytes(t *testing.T) {
+	m := New("m")
 	f := file("/bin/mysqld", TypeExecutable, "ELF")
 	f.Version = "4.1.22"
-	c := f.Clone()
-	c.Data[0] = 'X'
-	if string(f.Data) != "ELF" {
-		t.Fatal("Clone shares data with original")
+	m.WriteFile(f)
+	got := m.ReadFile("/bin/mysqld")
+	if &got.Data[0] != &f.Data[0] {
+		t.Fatal("WriteFile copied the bytes")
 	}
-	if c.Version != "4.1.22" || c.Path != f.Path || c.Type != f.Type {
-		t.Fatal("Clone dropped metadata")
+	f.Data, f.Version = []byte("re-pointed"), "9"
+	if string(got.Data) != "ELF" || got.Version != "4.1.22" {
+		t.Fatalf("re-pointing the caller's File reached the machine: %+v", got)
+	}
+
+	snap := m.Snapshot("s")
+	snap.MutateFile("/bin/mysqld", func(f *File) { f.Data[0] = 'X' })
+	if string(got.Data) != "ELF" || string(m.ReadFile("/bin/mysqld").Data) != "ELF" {
+		t.Fatal("MutateFile wrote into shared bytes")
+	}
+	if s := snap.ReadFile("/bin/mysqld"); string(s.Data) != "XLF" || s.Version != "4.1.22" {
+		t.Fatalf("mutated file = %+v", s)
 	}
 }
 

@@ -190,7 +190,7 @@ func (mgr *Manager) Install(p *Package) ([]*Package, error) {
 
 func (mgr *Manager) writePackage(p *Package) {
 	for _, f := range p.Files {
-		mgr.M.WriteFile(f.Clone())
+		mgr.M.WriteFile(f)
 	}
 	mgr.M.InstallPackage(p.Ref(), p.FilePaths())
 }
@@ -198,7 +198,9 @@ func (mgr *Manager) writePackage(p *Package) {
 // Transaction records the machine state an upgrade replaced, enabling
 // rollback. Mirage performs upgrades in an isolated environment first; on
 // the production system, the transaction is the rollback path the survey's
-// respondents asked for.
+// respondents asked for. It holds the replaced, removed and migrated files
+// as the machine held them: file bytes are read-only once written, so
+// keeping the old *File keeps its contents.
 type Transaction struct {
 	mgr          *Manager
 	pkgName      string
@@ -240,7 +242,7 @@ func (mgr *Manager) Apply(up *Upgrade) (*Transaction, error) {
 	for _, f := range up.Pkg.Files {
 		newPaths[f.Path] = true
 		if old := mgr.M.ReadFile(f.Path); old != nil {
-			tx.replaced = append(tx.replaced, old.Clone())
+			tx.replaced = append(tx.replaced, old)
 		} else {
 			tx.created = append(tx.created, f.Path)
 		}
@@ -248,14 +250,14 @@ func (mgr *Manager) Apply(up *Upgrade) (*Transaction, error) {
 	for _, p := range tx.oldFiles {
 		if !newPaths[p] {
 			if old := mgr.M.ReadFile(p); old != nil {
-				tx.removedFiles = append(tx.removedFiles, old.Clone())
+				tx.removedFiles = append(tx.removedFiles, old)
 			}
 		}
 	}
 
 	// Write the new version.
 	for _, f := range up.Pkg.Files {
-		mgr.M.WriteFile(f.Clone())
+		mgr.M.WriteFile(f)
 	}
 	for _, f := range tx.removedFiles {
 		mgr.M.RemoveFile(f.Path)
@@ -266,7 +268,7 @@ func (mgr *Manager) Apply(up *Upgrade) (*Transaction, error) {
 	for _, ed := range up.Migrations {
 		prior := mgr.M.ReadFile(ed.Path)
 		if prior != nil {
-			tx.migrated = append(tx.migrated, prior.Clone())
+			tx.migrated = append(tx.migrated, prior)
 		} else {
 			tx.migCreated = append(tx.migCreated, ed.Path)
 		}
@@ -296,16 +298,16 @@ func (tx *Transaction) Rollback() {
 		tx.mgr.M.RemoveFile(p)
 	}
 	for _, f := range tx.migrated {
-		tx.mgr.M.WriteFile(f.Clone())
+		tx.mgr.M.WriteFile(f)
 	}
 	for _, p := range tx.created {
 		tx.mgr.M.RemoveFile(p)
 	}
 	for _, f := range tx.replaced {
-		tx.mgr.M.WriteFile(f.Clone())
+		tx.mgr.M.WriteFile(f)
 	}
 	for _, f := range tx.removedFiles {
-		tx.mgr.M.WriteFile(f.Clone())
+		tx.mgr.M.WriteFile(f)
 	}
 	if tx.hadPkg {
 		tx.mgr.M.InstallPackage(tx.ref, tx.oldFiles)

@@ -258,7 +258,10 @@ func TestRemove(t *testing.T) {
 	}
 }
 
-func TestInstallWritesClones(t *testing.T) {
+// TestInstallSharesBytes: an installed package shares its bytes with the
+// machine, and neither side can change the other's view — MutateFile
+// copies, and re-pointing the package's File leaves the machine's.
+func TestInstallSharesBytes(t *testing.T) {
 	repo := NewRepository()
 	p := mkpkg("tool", "1.0", nil, "/bin/tool")
 	repo.Add(p)
@@ -266,8 +269,83 @@ func TestInstallWritesClones(t *testing.T) {
 	if _, err := NewManager(m, repo).Install(p); err != nil {
 		t.Fatal(err)
 	}
-	m.ReadFile("/bin/tool").Data[0] = 'X'
-	if p.Files[0].Data[0] == 'X' {
-		t.Fatal("machine file aliases repository package data")
+	const want = "tool-1.0:/bin/tool"
+	shipped := p.Files[0].Data
+	if &m.ReadFile("/bin/tool").Data[0] != &shipped[0] {
+		t.Fatal("Install copied the package's bytes")
+	}
+	p.Files[0].Data, p.Files[0].Version = []byte("re-pointed"), "9"
+	if f := m.ReadFile("/bin/tool"); string(f.Data) != want || f.Version != "1.0" {
+		t.Fatalf("re-pointing the package's File reached the machine: %+v", f)
+	}
+	m.MutateFile("/bin/tool", func(f *machine.File) { f.Data[0] = 'X' })
+	if string(shipped) != want {
+		t.Fatalf("MutateFile on the machine reached the package's bytes: %q", shipped)
+	}
+}
+
+// TestRollbackSharesBytes: a transaction keeps the files it replaced,
+// removed and migrated without copying them, and rolling back — twice —
+// restores them byte for byte, an Append migration included.
+func TestRollbackSharesBytes(t *testing.T) {
+	const cnf = "/home/user/.my.cnf"
+	repo := NewRepository()
+	v4 := mkpkg("mysql", "4.1.22", nil, "/bin/mysqld", "/share/legacy.sql")
+	v5 := mkpkg("mysql", "5.0.22", nil, "/bin/mysqld")
+	m := machine.New("m")
+	mgr := NewManager(m, repo)
+	if _, err := mgr.Install(v4); err != nil {
+		t.Fatal(err)
+	}
+	m.WriteFile(&machine.File{Path: cnf, Type: machine.TypeConfig, Data: []byte("[client]\n")})
+	before := map[string][]byte{}
+	for _, f := range m.Files() {
+		before[f.Path] = f.Data
+	}
+	want := map[string]string{}
+	for p, data := range before {
+		want[p] = string(data)
+	}
+
+	tx, err := mgr.Apply(&Upgrade{ID: "up", Pkg: v5, Migrations: []FileEdit{{Path: cnf, Append: []byte("# v5\n")}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(m.ReadFile(cnf).Data); got != "[client]\n# v5\n" {
+		t.Fatalf("migrated %s = %q", cnf, got)
+	}
+	for round := 1; round <= 2; round++ {
+		tx.Rollback()
+		if got := m.Paths(); len(got) != len(want) {
+			t.Fatalf("rollback %d: paths = %v", round, got)
+		}
+		for p, data := range before {
+			f := m.ReadFile(p)
+			if f == nil || string(f.Data) != want[p] {
+				t.Fatalf("rollback %d: %s = %+v, want %q", round, p, f, want[p])
+			}
+			if &f.Data[0] != &data[0] {
+				t.Fatalf("rollback %d: %s restored from a copy", round, p)
+			}
+		}
+	}
+}
+
+// TestSnapshotMigrationSharesBytes: an Append migration applied inside a
+// snapshot — the validation sandbox — leaves its parent's bytes alone.
+func TestSnapshotMigrationSharesBytes(t *testing.T) {
+	m, _, p := migFixture(t)
+	const orig = "[client]\nlegacy=1\n"
+	sandbox := m.Snapshot("sandbox")
+	if _, err := NewManager(sandbox, NewRepository()).Apply(&Upgrade{ID: "up", Pkg: p, Migrations: []FileEdit{
+		{Path: "/home/user/.my.cnf", Append: []byte("# migrated\n")},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := string(sandbox.ReadFile("/home/user/.my.cnf").Data); got != orig+"# migrated\n" {
+		t.Fatalf("sandbox file = %q", got)
+	}
+	if got := string(m.ReadFile("/home/user/.my.cnf").Data); got != orig {
+		t.Fatalf("parent file = %q, want %q", got, orig)
 	}
 }

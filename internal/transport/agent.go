@@ -72,6 +72,14 @@ type Agent struct {
 	// from here keeps it from applying non-idempotent migrations
 	// (FileEdit.Append) a second time.
 	applied []byte
+	// tested is the upgrade the last passing test assembled, and testedWire
+	// the wire form of the manifest it was assembled from. An integrate of
+	// that same manifest installs it without seeding or assembling again:
+	// assembled bytes are a function of the manifest alone, every chunk
+	// having been content-verified on Cache.Add. The next test or integrate
+	// drops it, so an agent holds at most one extra upgrade.
+	tested     *pkgmgr.Upgrade
+	testedWire []byte
 
 	peerLn                          net.Listener
 	peerReqs, peerChunks, peerBytes atomic.Int64
@@ -403,6 +411,7 @@ func (a *Agent) handleFingerprint(raw json.RawMessage) Frame {
 }
 
 func (a *Agent) handleTest(man *distrib.Manifest) Frame {
+	a.tested, a.testedWire = nil, nil
 	up, need, err := a.resolveUpgrade(man)
 	if err != nil {
 		return errFrame(err.Error())
@@ -423,22 +432,29 @@ func (a *Agent) handleTest(man *distrib.Manifest) Frame {
 			out.Reasons = append(out.Reasons, verdict.Reason)
 		}
 	}
-	if !out.Success {
+	if out.Success {
+		a.tested, a.testedWire = up, man.Wire()
+	} else {
 		out.Image = report.CaptureImage(rep.Sandbox)
 	}
 	return Frame{Report: out, OK: true}
 }
 
 func (a *Agent) handleIntegrate(man *distrib.Manifest) Frame {
+	up, testedWire := a.tested, a.testedWire
+	a.tested, a.testedWire = nil, nil
 	if man != nil && bytes.Equal(a.applied, man.Wire()) {
 		return Frame{OK: true} // already applied: acknowledge the repeat
 	}
-	up, need, err := a.resolveUpgrade(man)
-	if err != nil {
-		return errFrame(err.Error())
-	}
-	if len(need) > 0 {
-		return Frame{OK: true, NeedChunks: need}
+	if up == nil || man == nil || !bytes.Equal(testedWire, man.Wire()) {
+		var need []uint64
+		var err error
+		if up, need, err = a.resolveUpgrade(man); err != nil {
+			return errFrame(err.Error())
+		}
+		if len(need) > 0 {
+			return Frame{OK: true, NeedChunks: need}
+		}
 	}
 	mgr := pkgmgr.NewManager(a.M, pkgmgr.NewRepository())
 	if _, err := mgr.Apply(up); err != nil {

@@ -366,3 +366,71 @@ func TestRepeatedIntegrateAppliesOnce(t *testing.T) {
 		t.Fatalf("machine ended at %s", ref.Version)
 	}
 }
+
+// TestIntegrateReusesTestedAssembly: an integrate of the manifest the last
+// passing test assembled installs those very bytes, without seeding or
+// consulting the cache again. A different manifest resolves as usual, and a
+// failing test keeps nothing.
+func TestIntegrateReusesTestedAssembly(t *testing.T) {
+	m := userMachine("reuse", true)
+	s, agent := pipeAgent(t, m)
+	node, ctx := s.Node(m.Name), context.Background()
+	for _, app := range []string{"mysql", "php"} {
+		if _, err := s.Identify(ctx, m.Name, app, [][]string{nil}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Record(ctx, m.Name, app, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	release := func(marker string) *pkgmgr.Upgrade {
+		up := mysql5Wire()
+		up.Pkg.Files[1] = lib(apps.LibMySQLPath, "5.0", marker)
+		return up
+	}
+	test := func(up *pkgmgr.Upgrade, wantPass bool) {
+		t.Helper()
+		rep, err := node.TestUpgrade(ctx, up)
+		if err != nil || rep.Success != wantPass {
+			t.Fatalf("test of %q = %+v, %v; want success %v", up.Pkg.Files[1].Data, rep, err, wantPass)
+		}
+		if kept := agent.tested != nil; kept != wantPass {
+			t.Fatalf("after a test with success %v the agent kept an assembly: %v", wantPass, kept)
+		}
+	}
+	libData := func() string { return string(m.ReadFile(apps.LibMySQLPath).Data) }
+
+	fixed, other := release("php4-compat"), release("php4-compat rebuilt")
+	test(fixed, true)
+	test(mysql5Wire(), false) // breaks php: drops what the passing test kept
+
+	test(fixed, true)
+	before := agent.Cache.Stats()
+	if err := node.Integrate(ctx, other); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := libData(), string(other.Pkg.Files[1].Data); got != want {
+		t.Fatalf("integrating another manifest after a test installed %q, want %q", got, want)
+	}
+	if st := agent.Cache.Stats(); st.Hits+st.Misses == before.Hits+before.Misses {
+		t.Fatal("a different manifest was not resolved against the cache")
+	}
+
+	test(fixed, true)
+	kept, before := agent.tested, agent.Cache.Stats()
+	if err := node.Integrate(ctx, fixed); err != nil {
+		t.Fatal(err)
+	}
+	if st := agent.Cache.Stats(); st.Hits != before.Hits || st.Misses != before.Misses {
+		t.Fatalf("integrate after its test resolved against the cache: %+v, then %+v", before, st)
+	}
+	for i, f := range fixed.Pkg.Files {
+		got := m.ReadFile(f.Path).Data
+		if !bytes.Equal(got, f.Data) || &got[0] != &kept.Pkg.Files[i].Data[0] {
+			t.Fatalf("%s: installed %q, want the tested assembly of %q", f.Path, got, f.Data)
+		}
+	}
+	if agent.tested != nil {
+		t.Fatal("integrate kept the tested assembly")
+	}
+}

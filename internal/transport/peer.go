@@ -242,7 +242,8 @@ func newPeerIndex() *peerIndex {
 // hints returns up to MaxPeerHints peer addresses for need, best coverage
 // first (ties broken by name for determinism), excluding requester. live
 // resolves a currently registered agent to the peer address its channel
-// advertised ("" when it is gone or serves none).
+// advertised ("" when it is gone or serves none). An agent with no address
+// is skipped before its held set is counted.
 func (pi *peerIndex) hints(requester string, need []uint64, live func(name string) string) []string {
 	type cand struct {
 		name  string
@@ -251,12 +252,15 @@ func (pi *peerIndex) hints(requester string, need []uint64, live func(name strin
 	}
 	var cands []cand
 	for name := range pi.eligible {
-		if name == requester {
+		held := pi.held[name]
+		if name == requester || len(held) == 0 {
 			continue
 		}
-		held := pi.held[name]
-		if len(held) == 0 {
-			continue
+		addr := pi.addrs[name]
+		if addr == "" {
+			if addr = live(name); addr == "" {
+				continue
+			}
 		}
 		cover := 0
 		for _, a := range need {
@@ -264,14 +268,7 @@ func (pi *peerIndex) hints(requester string, need []uint64, live func(name strin
 				cover++
 			}
 		}
-		if cover == 0 {
-			continue
-		}
-		addr := pi.addrs[name]
-		if addr == "" {
-			addr = live(name)
-		}
-		if addr != "" {
+		if cover > 0 {
 			cands = append(cands, cand{name, addr, cover})
 		}
 	}

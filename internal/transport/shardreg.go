@@ -120,8 +120,10 @@ func (r *Registry[V]) shard(name string) *regShard[V] {
 // Shards returns the shard count.
 func (r *Registry[V]) Shards() int { return len(r.shards) }
 
-// Len returns the number of registered names.
-func (r *Registry[V]) Len() int { return int(r.count.Load()) }
+// Len returns the number of registered names. Put counts a name after
+// releasing its shard, so a removal racing in between can briefly take the
+// count below zero; Len reads that as empty.
+func (r *Registry[V]) Len() int { return max(int(r.count.Load()), 0) }
 
 // ShardSizes returns the per-shard entry counts, for metrics and for
 // eyeballing hash spread.

@@ -56,6 +56,12 @@ func TestRegistryBasics(t *testing.T) {
 	if sum != 0 {
 		t.Fatalf("shard sizes sum to %d after Clear", sum)
 	}
+	// A removal landing between Put's insert and its count: the count dips
+	// below zero, and Len and Names must read it as empty.
+	r.count.Add(-1)
+	if r.Len() != 0 || len(r.Names()) != 0 {
+		t.Fatalf("len = %d, names = %v while the count is below zero", r.Len(), r.Names())
+	}
 }
 
 // TestRegistryWaiterChurn is the O(fleet²) regression test: a fleet-sized

@@ -415,6 +415,47 @@ func TestPeerIndexHints(t *testing.T) {
 	}
 }
 
+// TestPeerIndexHintsSkipsNonServing: a fleet whose agents serve no peers
+// gets no hints, and hints resolves each agent's address before counting
+// its held set, so the answer costs the same whether the sets are large or
+// the need is empty. Counting 200 sets against a 16k-address need would
+// take three million lookups.
+func TestPeerIndexHintsSkipsNonServing(t *testing.T) {
+	const agents, size = 200, 1 << 14
+	need := make([]uint64, size)
+	held := make(map[uint64]bool, size)
+	for i := range need {
+		need[i] = uint64(i)
+		held[uint64(i)] = true
+	}
+	pi := newPeerIndex()
+	for i := 0; i < agents; i++ {
+		name := fmt.Sprintf("a%03d", i)
+		pi.eligible[name] = true
+		pi.held[name] = held
+	}
+	resolved := 0
+	live := func(string) string { resolved++; return "" }
+	fastest := func(need []uint64) time.Duration {
+		best := time.Duration(1 << 62)
+		for i := 0; i < 5; i++ {
+			start := time.Now()
+			if got := pi.hints("z", need, live); len(got) != 0 {
+				t.Fatalf("hints = %v, want none from agents that serve no peers", got)
+			}
+			best = min(best, time.Since(start))
+		}
+		return best
+	}
+	if empty, full := fastest(nil), fastest(need); full > 10*empty+time.Millisecond {
+		t.Fatalf("hints took %v against a %d-address need and %v against none: it counted held sets of agents that serve no peers",
+			full, size, empty)
+	}
+	if resolved != 10*agents {
+		t.Fatalf("live resolved %d names, want %d", resolved, 10*agents)
+	}
+}
+
 // TestPeerIndexForgetsDeadAgent: an agent's peer address lives and dies
 // with its registered channel. A gated, chunk-holding agent is hinted;
 // once the vendor has dropped it, requesters are no longer sent to dial
