@@ -433,7 +433,9 @@ func (c *Cache) SeedFile(data []byte) {
 		return // a concurrent seeder of the same content got here first
 	}
 	for _, ch := range chunks {
-		c.add(ch.Address, data[ch.Offset:ch.Offset+ch.Length])
+		if _, ok := c.chunks[ch.Address]; !ok {
+			c.add(ch.Address, bytes.Clone(data[ch.Offset:ch.Offset+ch.Length]))
+		}
 	}
 	c.seededFiles[key] = true
 }
@@ -478,17 +480,20 @@ func (c *Cache) SeedMachine(m *machine.Machine) {
 	}
 }
 
-// add records one chunk. Callers hold c.mu.
+// add records one chunk, keeping data itself rather than a copy. Callers
+// hold c.mu.
 func (c *Cache) add(addr uint64, data []byte) {
 	if _, ok := c.chunks[addr]; ok {
 		return
 	}
-	c.chunks[addr] = append([]byte(nil), data...)
+	c.chunks[addr] = data
 	c.bytes += int64(len(data))
 }
 
 // Add inserts a fetched chunk after verifying its content address; a
-// mismatch means corruption (or a wrong chunk) and is rejected.
+// mismatch means corruption (or a wrong chunk) and is rejected. The cache
+// keeps the very slice it verified, without copying it, so the caller
+// must not modify data afterwards.
 func (c *Cache) Add(addr uint64, data []byte) error {
 	if got := fingerprint.HashBytes(data); got != addr {
 		return fmt.Errorf("distrib: chunk %s content hashes to %s",
@@ -530,8 +535,9 @@ func (c *Cache) Missing(m *Manifest) []uint64 {
 // primitive of the peer tier, where "give me what you have" is the
 // protocol and the requester falls back to the vendor for the rest.
 // The returned Data slices alias the cache's internal storage: stored
-// chunks are immutable (add-only map, every insert copies), so they are
-// safe to read concurrently but must never be modified.
+// chunks are immutable (add-only map, and no slice is modified once
+// added), so they are safe to read concurrently but must never be
+// modified.
 func (c *Cache) Chunks(addrs []uint64) []Chunk {
 	c.mu.Lock()
 	defer c.mu.Unlock()

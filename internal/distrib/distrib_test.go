@@ -141,6 +141,33 @@ func TestCacheRejectsCorruptChunk(t *testing.T) {
 	}
 }
 
+// TestCacheAddKeepsVerifiedSlice: Add stores the very slice it verified,
+// without a copy — a chunk body read off the wire is already memory
+// nothing else reuses — and still rejects, and does not store, a slice
+// whose digest does not match its address.
+func TestCacheAddKeepsVerifiedSlice(t *testing.T) {
+	cache := NewCache()
+	data := payload(5, 3000)
+	addr := fingerprint.HashBytes(data)
+	bad := payload(6, 3000)
+	if err := cache.Add(addr, bad); err == nil {
+		t.Fatal("mismatched digest accepted")
+	}
+	if got := cache.Chunks([]uint64{addr}); len(got) != 0 {
+		t.Fatal("rejected chunk stored")
+	}
+	if err := cache.Add(addr, data); err != nil {
+		t.Fatal(err)
+	}
+	got := cache.Chunks([]uint64{addr})
+	if len(got) != 1 || &got[0].Data[0] != &data[0] || len(got[0].Data) != len(data) {
+		t.Fatal("cache stored a copy, not the verified slice")
+	}
+	if st := cache.Stats(); st.Chunks != 1 || st.Bytes != int64(len(data)) {
+		t.Fatalf("stats = %+v, want one chunk of %d bytes", st, len(data))
+	}
+}
+
 func TestAssembleNamesMissingChunk(t *testing.T) {
 	store := NewStore()
 	man := store.Manifest(upgrade("app-2.0",

@@ -122,7 +122,7 @@ func (a *Agent) serve(conn net.Conn) error {
 	// the line-based frame codec (not a json.Decoder, whose read-ahead
 	// would swallow the raw body of a binary chunk frame).
 	bw := bufio.NewWriter(conn)
-	fc := newFrameConn(bufio.NewReader(conn), bw)
+	fc := newFrameConn(bufio.NewReader(conn), bw, conn)
 	if err := fc.WriteFrame(Frame{Op: OpRegister, Register: &RegisterReq{Machine: a.M.Name, Peer: a.PeerAddr}}); err != nil {
 		return nil // connection already dead; session over
 	}
@@ -368,7 +368,7 @@ func (a *Agent) resolveUpgrade(man *distrib.Manifest) (*pkgmgr.Upgrade, []uint64
 }
 
 // handleFetchChunks consumes a chunk push: the raw body announced by meta
-// is streamed through a pooled buffer into the cache, each chunk verified
+// is read straight into the slices the cache keeps, each chunk verified
 // against its content address by Cache.Add. The body is fully consumed
 // even when a chunk is rejected, keeping the control channel's framing
 // intact; the error travels back in the reply.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"sync"
 
 	"repro/internal/distrib"
@@ -32,18 +33,21 @@ const maxHeaderLine = 1 << 20 // 1MB
 // resynchronized after it; callers drop the connection.
 var ErrFrameTooLarge = errors.New("transport: frame too large")
 
-// chunkBufPool recycles the scratch buffers the binary body read paths
-// fill from the socket. Every consumer of body bytes copies what it keeps
-// (distrib.Cache.Add and DecodeManifest store their own copies), so one
-// pooled buffer serves an entire stream of chunks, large OpFetchChunks /
-// peer transfers allocate nothing per frame on the hot path, and no
-// connection keeps a manifest buffer of its own.
+// chunkBufPool recycles the scratch buffers readManifest fills from the
+// socket: DecodeManifest copies what it keeps, so no connection keeps a
+// manifest buffer of its own. Chunk bodies never come from it, because
+// ReadChunkBody's callers keep the bytes they are handed.
 var chunkBufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 32*1024)
 		return &b
 	},
 }
+
+// maxBodySegment bounds the buffers ReadChunkBody allocates: consecutive
+// chunks share one segment of at most this many bytes, and a chunk larger
+// than it gets a segment of its own.
+const maxBodySegment = 1 << 20 // 1MB
 
 // frameConn frames one side of a transport connection: newline-delimited
 // JSON headers, each optionally followed by a raw binary body — a
@@ -58,13 +62,19 @@ var chunkBufPool = sync.Pool{
 type frameConn struct {
 	br *bufio.Reader
 	bw *bufio.Writer
+	// w is the writer beneath bw. Chunk bodies bypass bw and go to w in
+	// one vectored write; on the vendor it is the countingWriter, so body
+	// bytes are counted like every other byte.
+	w io.Writer
 	// line is the reusable header-read buffer: one allocation per
 	// connection, not per frame, regardless of header size.
 	line []byte
 }
 
-func newFrameConn(br *bufio.Reader, bw *bufio.Writer) *frameConn {
-	return &frameConn{br: br, bw: bw}
+// newFrameConn frames reads from br and writes through bw, a buffered
+// writer over w.
+func newFrameConn(br *bufio.Reader, bw *bufio.Writer, w io.Writer) *frameConn {
+	return &frameConn{br: br, bw: bw, w: w}
 }
 
 // ReadFrame reads one newline-terminated JSON header into f, and the
@@ -149,16 +159,20 @@ func (fc *frameConn) WriteFrame(f Frame) error {
 }
 
 // WriteChunkBody writes the raw bytes of chunks after a header whose
-// ChunkMeta listed them in the same order. The bytes go straight from the
-// store's (or cache's) slices into the buffered writer — no intermediate
-// copy, no encoding.
+// ChunkMeta listed them in the same order. It flushes the buffered header,
+// then hands the store's (or cache's) slices to the writer beneath as one
+// net.Buffers: a single writev on a bare TCP conn, one counted write per
+// chunk through the vendor's countingWriter, never a copy or an encoding.
 func (fc *frameConn) WriteChunkBody(chunks []distrib.Chunk) error {
-	for _, ch := range chunks {
-		if _, err := fc.bw.Write(ch.Data); err != nil {
-			return err
-		}
+	if err := fc.bw.Flush(); err != nil {
+		return err
 	}
-	return nil
+	bufs := make(net.Buffers, len(chunks))
+	for i, ch := range chunks {
+		bufs[i] = ch.Data
+	}
+	_, err := bufs.WriteTo(fc.w)
+	return err
 }
 
 // chunkMeta builds the ChunkMeta header entries announcing chunks.
@@ -170,34 +184,54 @@ func chunkMeta(chunks []distrib.Chunk) []distrib.ChunkRef {
 	return meta
 }
 
-// ReadChunkBody reads the raw chunk body a header's meta announced,
-// invoking fn for each chunk with a pooled scratch buffer that is reused
-// between calls — fn must copy anything it keeps. The full declared body
-// is always consumed, even when fn rejects a chunk (digest mismatch):
-// on a persistent control channel an unconsumed body would desynchronize
-// every later frame. The first fn error is returned after the body is
-// drained; an I/O error aborts immediately (the stream is dead anyway).
+// ReadChunkBody reads the raw chunk body a header's meta announced and
+// calls fn for each chunk, in order, as soon as its bytes are complete.
+// Consecutive chunks are read into freshly allocated segments of at most
+// maxBodySegment bytes, filled with reads of whatever the socket holds (a
+// read into the unfilled tail bypasses the bufio buffer). A segment is
+// never reused, so fn may keep data. The full declared body is always
+// consumed, even when fn rejects a chunk (digest mismatch): on a
+// persistent control channel an unconsumed body would desynchronize every
+// later frame. The first fn error is returned after the body is drained;
+// an I/O error returns once the chunks completed before it are delivered
+// (the stream is dead anyway).
 func (fc *frameConn) ReadChunkBody(meta []distrib.ChunkRef, fn func(addr uint64, data []byte) error) error {
-	bufp := chunkBufPool.Get().(*[]byte)
-	defer chunkBufPool.Put(bufp)
-	var firstErr error
 	for _, ref := range meta {
 		if ref.Size < 0 || ref.Size > maxWireChunk {
 			return fmt.Errorf("transport: chunk body declares %d bytes", ref.Size)
 		}
-		if cap(*bufp) < ref.Size {
-			*bufp = make([]byte, ref.Size)
+	}
+	var firstErr, rerr error
+	for len(meta) > 0 {
+		size, n := meta[0].Size, 1
+		for n < len(meta) && size+meta[n].Size <= maxBodySegment {
+			size += meta[n].Size
+			n++
 		}
-		buf := (*bufp)[:ref.Size]
-		if _, err := io.ReadFull(fc.br, buf); err != nil {
-			if firstErr != nil {
-				return firstErr
+		seg := make([]byte, size)
+		filled, off := 0, 0
+		for _, ref := range meta[:n] {
+			end := off + ref.Size
+			for filled < end {
+				if rerr != nil {
+					if firstErr != nil {
+						return firstErr
+					}
+					if rerr == io.EOF {
+						rerr = io.ErrUnexpectedEOF
+					}
+					return rerr
+				}
+				var k int
+				k, rerr = fc.br.Read(seg[filled:])
+				filled += k
 			}
-			return err
+			if firstErr == nil {
+				firstErr = fn(ref.Hash, seg[off:end:end])
+			}
+			off = end
 		}
-		if firstErr == nil {
-			firstErr = fn(ref.Hash, buf)
-		}
+		meta = meta[n:]
 	}
 	return firstErr
 }

@@ -5,11 +5,15 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/apps"
+	"repro/internal/distrib"
+	"repro/internal/fingerprint"
 	"repro/internal/machine"
 	"repro/internal/pkgmgr"
 )
@@ -89,7 +93,7 @@ func TestHeaderLineIsBounded(t *testing.T) {
 	}
 
 	t.Run("frameConn", func(t *testing.T) {
-		fc := newFrameConn(bufio.NewReader(bytes.NewReader(make([]byte, 2*maxHeaderLine))), nil)
+		fc := newFrameConn(bufio.NewReader(bytes.NewReader(make([]byte, 2*maxHeaderLine))), nil, nil)
 		var f Frame
 		if err := fc.ReadFrame(&f); !errors.Is(err, ErrFrameTooLarge) {
 			t.Fatalf("ReadFrame = %v, want ErrFrameTooLarge", err)
@@ -117,5 +121,126 @@ func TestHeaderLineIsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 		flood(t, vendor)
+	})
+}
+
+// chunkBody returns chunks of the given sizes, each filled from its own
+// seed, and the meta announcing them.
+func chunkBody(seed byte, sizes ...int) ([]distrib.Chunk, []distrib.ChunkRef) {
+	chunks := make([]distrib.Chunk, len(sizes))
+	for i, n := range sizes {
+		data := bigData(seed+byte(i), n)
+		chunks[i] = distrib.Chunk{Hash: fingerprint.HashBytes(data), Data: data}
+	}
+	return chunks, chunkMeta(chunks)
+}
+
+// TestFramingChunkBodyKept reads bodies back to back through one
+// frameConn whose fn keeps every slice it is handed, as Cache.Add does.
+// Every kept chunk must still hold its own bytes after later bodies were
+// read — the reader never reuses memory it delivered — including a 2 MiB
+// chunk, larger than a segment, between small ones. Reads come in halves
+// of what was asked, so chunks straddle reads.
+func TestFramingChunkBodyKept(t *testing.T) {
+	first, firstMeta := chunkBody(1, 3000, 5000, 70_000)
+	second, secondMeta := chunkBody(9, 4000, 2<<20, 0, 6000)
+	var stream bytes.Buffer
+	w := newFrameConn(nil, bufio.NewWriter(&stream), &stream)
+	for _, body := range [][]distrib.Chunk{first, second} {
+		if err := w.WriteChunkBody(body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := newFrameConn(bufio.NewReader(iotest.HalfReader(&stream)), nil, nil)
+	var kept []distrib.Chunk
+	keep := func(addr uint64, data []byte) error {
+		kept = append(kept, distrib.Chunk{Hash: addr, Data: data})
+		return nil
+	}
+	for _, meta := range [][]distrib.ChunkRef{firstMeta, secondMeta} {
+		if err := r.ReadChunkBody(meta, keep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := append(first, second...)
+	if len(kept) != len(want) {
+		t.Fatalf("delivered %d chunks, want %d", len(kept), len(want))
+	}
+	for i, ch := range kept {
+		if ch.Hash != want[i].Hash || !bytes.Equal(ch.Data, want[i].Data) {
+			t.Fatalf("chunk %d (%d bytes) changed after later reads", i, len(want[i].Data))
+		}
+		if cap(ch.Data) != len(ch.Data) {
+			t.Fatalf("chunk %d has capacity %d past its %d bytes: an append would overwrite its neighbour", i, cap(ch.Data), len(ch.Data))
+		}
+	}
+}
+
+// FuzzReadChunkBody feeds ReadChunkBody arbitrary chunk sizes (two bytes
+// each, so at most 64 KiB) and stream bytes, with fn rejecting the chunk
+// at index reject when there is one. The reader must not panic; it must
+// hand fn exactly consecutive slices of the stream; a stream shorter than
+// the body must fail after delivering exactly the chunks it holds in
+// full; and a rejection must leave the stream at the byte after the body.
+func FuzzReadChunkBody(f *testing.F) {
+	f.Add([]byte{0x10, 0x00, 0x00, 0x20}, uint8(255), bytes.Repeat([]byte{7}, 0x30))
+	f.Add([]byte{0x10, 0x00, 0x00, 0x20}, uint8(0), bytes.Repeat([]byte{7}, 0x31))
+	f.Add([]byte{0xff, 0xff, 0x00, 0x00, 0x01, 0x00}, uint8(1), bytes.Repeat([]byte{1, 2, 3}, 30_000))
+	f.Add([]byte{0x05}, uint8(255), []byte("abc"))
+	f.Fuzz(func(t *testing.T, sizes []byte, reject uint8, stream []byte) {
+		var meta []distrib.ChunkRef
+		total := 0
+		for i := 0; i+1 < len(sizes) && len(meta) < 64; i += 2 {
+			n := int(sizes[i]) | int(sizes[i+1])<<8
+			meta = append(meta, distrib.ChunkRef{Hash: uint64(len(meta)), Size: n})
+			total += n
+		}
+		errReject := errors.New("rejected")
+		var got [][]byte
+		br := bufio.NewReader(iotest.HalfReader(bytes.NewReader(stream)))
+		err := newFrameConn(br, nil, nil).ReadChunkBody(meta, func(addr uint64, data []byte) error {
+			if addr != uint64(len(got)) {
+				t.Fatalf("chunk %d delivered as chunk %d", addr, len(got))
+			}
+			got = append(got, data)
+			if addr == uint64(reject) {
+				return errReject
+			}
+			return nil
+		})
+		off := 0
+		for i, data := range got {
+			if !bytes.Equal(data, stream[off:off+meta[i].Size]) {
+				t.Fatalf("chunk %d is not stream[%d:%d]", i, off, off+meta[i].Size)
+			}
+			off += meta[i].Size
+		}
+		// The chunks the stream holds in full, and the rejection among them.
+		whole, prefix := 0, 0
+		for whole < len(meta) && prefix+meta[whole].Size <= len(stream) {
+			prefix += meta[whole].Size
+			whole++
+		}
+		rejected := int(reject) < whole
+		switch {
+		case rejected:
+			if err != errReject || len(got) != int(reject)+1 {
+				t.Fatalf("err = %v after %d chunks, want the rejection of chunk %d", err, len(got), reject)
+			}
+		case len(stream) < total:
+			if err == nil || len(got) != whole {
+				t.Fatalf("short stream: err = %v after %d chunks, want an error after the %d it holds", err, len(got), whole)
+			}
+		default:
+			if err != nil || len(got) != len(meta) {
+				t.Fatalf("err = %v after %d of %d chunks", err, len(got), len(meta))
+			}
+		}
+		if len(stream) >= total && (rejected || err == nil) {
+			next, rerr := br.ReadByte()
+			if len(stream) == total && rerr != io.EOF || len(stream) > total && (rerr != nil || next != stream[total]) {
+				t.Fatalf("after the body read %q (err %v), want stream[%d]", next, rerr, total)
+			}
+		}
 	})
 }

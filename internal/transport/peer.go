@@ -17,6 +17,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"time"
 )
@@ -88,7 +89,7 @@ func (a *Agent) PeerStats() PeerServeStats {
 func (a *Agent) servePeerConn(conn net.Conn) {
 	defer conn.Close()
 	bw := bufio.NewWriter(conn)
-	fc := newFrameConn(bufio.NewReader(conn), bw)
+	fc := newFrameConn(bufio.NewReader(conn), bw, conn)
 	for {
 		conn.SetDeadline(time.Now().Add(a.peerTimeout() * 4))
 		var req Frame
@@ -183,7 +184,7 @@ func (a *Agent) fetchFromPeer(peerAddr string, addrs []uint64) (got []uint64, n 
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(timeout))
 	bw := bufio.NewWriter(conn)
-	fc := newFrameConn(bufio.NewReader(conn), bw)
+	fc := newFrameConn(bufio.NewReader(conn), bw, conn)
 	if err := fc.WriteFrame(Frame{ID: 1, Op: OpPeerGet, NeedChunks: addrs}); err != nil {
 		return nil, 0, err
 	}
@@ -205,9 +206,12 @@ func (a *Agent) fetchFromPeer(peerAddr string, addrs []uint64) (got []uint64, n 
 		requested[addr] = true
 	}
 	err = fc.ReadChunkBody(resp.ChunkMeta, func(addr uint64, data []byte) error {
+		// Each delivery consumes its request, so a chunk served twice is
+		// unrequested the second time and cannot be credited twice.
 		if !requested[addr] {
 			return fmt.Errorf("peer %s served unrequested chunk", peerAddr)
 		}
+		delete(requested, addr)
 		if err := a.Cache.Add(addr, data); err != nil {
 			return err // digest mismatch: corrupt peer
 		}
@@ -228,14 +232,39 @@ func (a *Agent) fetchFromPeer(peerAddr string, addrs []uint64) (got []uint64, n 
 type peerIndex struct {
 	addrs    map[string]string          // AddPeerSource name → address; never a registered agent's
 	held     map[string]map[uint64]bool // agent name → chunk addresses known held
-	eligible map[string]bool            // names cleared to serve (gated waves)
+	eligible []string                   // names cleared to serve (gated waves), sorted, distinct
 }
 
 func newPeerIndex() *peerIndex {
 	return &peerIndex{
-		addrs:    make(map[string]string),
-		held:     make(map[string]map[uint64]bool),
-		eligible: make(map[string]bool),
+		addrs: make(map[string]string),
+		held:  make(map[string]map[uint64]bool),
+	}
+}
+
+// markEligible merges names into the sorted eligible list in place: the
+// new names are sorted and merged in from the back, so a wave costs one
+// pass over the list, and a wave whose names are all eligible already (a
+// later rollout over the same fleet) allocates nothing.
+func (pi *peerIndex) markEligible(names []string) {
+	var add []string
+	for _, n := range names {
+		if _, found := slices.BinarySearch(pi.eligible, n); !found {
+			add = append(add, n)
+		}
+	}
+	slices.Sort(add)
+	add = slices.Compact(add)
+	i, j := len(pi.eligible)-1, len(add)-1
+	pi.eligible = slices.Grow(pi.eligible, len(add))[:len(pi.eligible)+len(add)]
+	for k := len(pi.eligible) - 1; j >= 0; k-- {
+		if i >= 0 && pi.eligible[i] > add[j] {
+			pi.eligible[k] = pi.eligible[i]
+			i--
+		} else {
+			pi.eligible[k] = add[j]
+			j--
+		}
 	}
 }
 
@@ -244,14 +273,22 @@ func newPeerIndex() *peerIndex {
 // resolves a currently registered agent to the peer address its channel
 // advertised ("" when it is gone or serves none). An agent with no address
 // is skipped before its held set is counted.
+//
+// Agents are visited in name order, so an agent ties with every earlier
+// one it matches and loses the tie. Once MaxPeerHints candidates cover
+// all of need, no later agent can enter the result, and the scan stops:
+// a fleet of full holders costs MaxPeerHints held-set counts, not one per
+// agent.
 func (pi *peerIndex) hints(requester string, need []uint64, live func(name string) string) []string {
 	type cand struct {
-		name  string
 		addr  string
 		cover int
 	}
-	var cands []cand
-	for name := range pi.eligible {
+	best := make([]cand, 0, MaxPeerHints) // best coverage first
+	for _, name := range pi.eligible {
+		if len(best) == MaxPeerHints && best[MaxPeerHints-1].cover == len(need) {
+			break
+		}
 		held := pi.held[name]
 		if name == requester || len(held) == 0 {
 			continue
@@ -268,21 +305,22 @@ func (pi *peerIndex) hints(requester string, need []uint64, live func(name strin
 				cover++
 			}
 		}
-		if cover > 0 {
-			cands = append(cands, cand{name, addr, cover})
+		// Insert behind every candidate covering at least as much.
+		i := len(best)
+		for i > 0 && best[i-1].cover < cover {
+			i--
 		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].cover != cands[j].cover {
-			return cands[i].cover > cands[j].cover
+		if cover == 0 || i == MaxPeerHints {
+			continue
 		}
-		return cands[i].name < cands[j].name
-	})
-	if len(cands) > MaxPeerHints {
-		cands = cands[:MaxPeerHints]
+		if len(best) < MaxPeerHints {
+			best = append(best, cand{})
+		}
+		copy(best[i+1:], best[i:])
+		best[i] = cand{addr, cover}
 	}
-	out := make([]string, len(cands))
-	for i, c := range cands {
+	out := make([]string, len(best))
+	for i, c := range best {
 		out[i] = c.addr
 	}
 	return out

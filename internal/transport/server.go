@@ -471,9 +471,7 @@ func (s *Server) SetRollbackMode(on bool) { s.rollbackMode.Store(on) }
 func (s *Server) MarkPeerEligible(names []string) {
 	s.peerMu.Lock()
 	defer s.peerMu.Unlock()
-	for _, n := range names {
-		s.peers.eligible[n] = true
-	}
+	s.peers.markEligible(names)
 }
 
 // AddPeerSource registers an external peer chunk source by hand: name is
@@ -485,7 +483,7 @@ func (s *Server) AddPeerSource(name, addr string, addrs []uint64) {
 	s.peerMu.Lock()
 	defer s.peerMu.Unlock()
 	s.peers.addrs[name] = addr
-	s.peers.eligible[name] = true
+	s.peers.markEligible([]string{name})
 	s.peers.markHeld(name, addrs)
 }
 
@@ -649,7 +647,7 @@ func (s *Server) register(conn net.Conn) {
 		delete(s.pending, conn)
 		s.mu.Unlock()
 	}
-	fc := newFrameConn(bufio.NewReader(conn), nil)
+	fc := newFrameConn(bufio.NewReader(conn), nil, nil)
 	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
 		unpend()
 		conn.Close()
@@ -676,7 +674,7 @@ func (s *Server) register(conn net.Conn) {
 			}
 		}
 		bw := bufio.NewWriter(conn)
-		fc.bw = bw
+		fc.bw, fc.w = bw, conn
 		conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
 		if err := fc.WriteFrame(resp); err == nil {
 			bw.Flush()
@@ -693,7 +691,7 @@ func (s *Server) register(conn net.Conn) {
 	conn.SetReadDeadline(time.Time{})
 	cw := &countingWriter{w: conn, srv: s}
 	bw := bufio.NewWriter(cw)
-	fc.bw = bw
+	fc.bw, fc.w = bw, cw
 	ac := &agentConn{
 		name: hello.Register.Machine, peer: hello.Register.Peer, conn: conn, srv: s,
 		bw: bw, fc: fc, cw: cw,

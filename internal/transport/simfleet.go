@@ -227,7 +227,7 @@ func (f *SimFleet) serve(name string, conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, 2048)
 	bw := bufio.NewWriterSize(conn, 1024)
-	fc := newFrameConn(br, bw)
+	fc := newFrameConn(br, bw, conn)
 	if err := fc.WriteFrame(Frame{Op: OpRegister, Register: &RegisterReq{Machine: name}}); err != nil {
 		return
 	}

@@ -5,13 +5,18 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/apps"
 	"repro/internal/deploy"
+	"repro/internal/distrib"
+	"repro/internal/fingerprint"
 	"repro/internal/machine"
 	"repro/internal/pkgmgr"
 	"repro/internal/report"
@@ -140,7 +145,7 @@ func fakePeer(t *testing.T, serve func(fc *frameConn, bw *bufio.Writer, req Fram
 			go func() {
 				defer conn.Close()
 				bw := bufio.NewWriter(conn)
-				fc := newFrameConn(bufio.NewReader(conn), bw)
+				fc := newFrameConn(bufio.NewReader(conn), bw, conn)
 				var req Frame
 				if err := fc.ReadFrame(&req); err != nil {
 					return
@@ -338,7 +343,7 @@ func TestImpossiblePeerReportBooksNothing(t *testing.T) {
 func playLyingAgent(conn net.Conn, lie func(asked int) string) {
 	defer conn.Close()
 	bw := bufio.NewWriter(conn)
-	fc := newFrameConn(bufio.NewReader(conn), bw)
+	fc := newFrameConn(bufio.NewReader(conn), bw, conn)
 	out := Frame{Op: OpRegister, Register: &RegisterReq{Machine: "liar"}}
 	pushed := false
 	for {
@@ -377,9 +382,7 @@ func playLyingAgent(conn net.Conn, lie func(asked int) string) {
 // excluded, capped at MaxPeerHints, deterministic tie-break.
 func TestPeerIndexHints(t *testing.T) {
 	pi := newPeerIndex()
-	for _, n := range []string{"a", "b", "c", "d", "e"} {
-		pi.eligible[n] = true
-	}
+	pi.markEligible([]string{"a", "b", "c", "d", "e"})
 	// a and b are hand-registered sources; the rest resolve through their
 	// live channel.
 	pi.addrs["a"], pi.addrs["b"] = "a:1", "b:1"
@@ -407,7 +410,7 @@ func TestPeerIndexHints(t *testing.T) {
 		}
 	}
 	// Ineligible agents are invisible no matter their coverage.
-	delete(pi.eligible, "a")
+	pi.eligible = slices.DeleteFunc(pi.eligible, func(n string) bool { return n == "a" })
 	for _, h := range pi.hints("z", []uint64{1, 2, 3}, live) {
 		if h == "a:1" {
 			t.Fatal("ineligible agent hinted")
@@ -431,7 +434,7 @@ func TestPeerIndexHintsSkipsNonServing(t *testing.T) {
 	pi := newPeerIndex()
 	for i := 0; i < agents; i++ {
 		name := fmt.Sprintf("a%03d", i)
-		pi.eligible[name] = true
+		pi.markEligible([]string{name})
 		pi.held[name] = held
 	}
 	resolved := 0
@@ -535,4 +538,177 @@ func TestPeerIndexForgetsDeadAgent(t *testing.T) {
 	agent.PeerAddr = ""
 	session(third)
 	hinted("mirror:1")
+}
+
+// exhaustiveHints is the hint ranking as a full scan: count every eligible
+// agent's coverage, sort by coverage and then name, keep the first
+// MaxPeerHints. peerIndex.hints must agree with it on every input.
+func exhaustiveHints(pi *peerIndex, requester string, need []uint64, live func(string) string) []string {
+	type cand struct {
+		name, addr string
+		cover      int
+	}
+	var cands []cand
+	for _, name := range pi.eligible {
+		held := pi.held[name]
+		if name == requester || len(held) == 0 {
+			continue
+		}
+		addr := pi.addrs[name]
+		if addr == "" {
+			if addr = live(name); addr == "" {
+				continue
+			}
+		}
+		cover := 0
+		for _, a := range need {
+			if held[a] {
+				cover++
+			}
+		}
+		if cover > 0 {
+			cands = append(cands, cand{name, addr, cover})
+		}
+	}
+	sort.Slice(cands, func(i, j int) bool {
+		if cands[i].cover != cands[j].cover {
+			return cands[i].cover > cands[j].cover
+		}
+		return cands[i].name < cands[j].name
+	})
+	if len(cands) > MaxPeerHints {
+		cands = cands[:MaxPeerHints]
+	}
+	out := make([]string, len(cands))
+	for i, c := range cands {
+		out[i] = c.addr
+	}
+	return out
+}
+
+// TestPeerIndexHintsMatchesExhaustive draws random indexes — held sets
+// (some empty), eligibility marked in batches with repeats, agents with a
+// source address, a live one, both or none, any requester, and needs that
+// are empty, full, partial or repeat addresses — and requires hints to
+// equal the exhaustive ranking on every one, and the eligible list to
+// stay sorted and distinct.
+func TestPeerIndexHintsMatchesExhaustive(t *testing.T) {
+	const addrSpace = 8
+	rng := rand.New(rand.NewSource(34))
+	name := func() string { return fmt.Sprintf("n%02d", rng.Intn(20)) }
+	for iter := 0; iter < 1000; iter++ {
+		pi := newPeerIndex()
+		liveAddr := make(map[string]string)
+		marked := make(map[string]bool)
+		for i, n := 0, rng.Intn(12); i < n; i++ {
+			agent := name()
+			switch rng.Intn(4) {
+			case 0:
+				pi.addrs[agent] = agent + ":src"
+			case 1:
+				liveAddr[agent] = agent + ":live"
+			case 2:
+				pi.addrs[agent] = agent + ":src"
+				liveAddr[agent] = agent + ":live"
+			}
+			if rng.Intn(5) > 0 {
+				var held []uint64
+				for a := uint64(0); a < addrSpace; a++ {
+					if rng.Intn(2) == 0 {
+						held = append(held, a)
+					}
+				}
+				pi.markHeld(agent, held)
+			}
+			if rng.Intn(4) > 0 {
+				batch := []string{agent}
+				for j := rng.Intn(3); j > 0; j-- {
+					batch = append(batch, name(), agent)
+				}
+				pi.markEligible(batch)
+				for _, b := range batch {
+					marked[b] = true
+				}
+			}
+		}
+		if !slices.IsSorted(pi.eligible) || len(slices.Compact(slices.Clone(pi.eligible))) != len(pi.eligible) ||
+			len(pi.eligible) != len(marked) {
+			t.Fatalf("iteration %d: eligible = %v, want the %d marked names sorted and distinct", iter, pi.eligible, len(marked))
+		}
+		var need []uint64
+		switch rng.Intn(4) {
+		case 0: // empty
+		case 1:
+			for a := uint64(0); a < addrSpace; a++ {
+				need = append(need, a)
+			}
+		default:
+			for j := rng.Intn(2 * addrSpace); j > 0; j-- {
+				need = append(need, uint64(rng.Intn(addrSpace)))
+			}
+		}
+		requester := name()
+		live := func(n string) string { return liveAddr[n] }
+		got, want := pi.hints(requester, need, live), exhaustiveHints(pi, requester, need, live)
+		if !slices.Equal(got, want) {
+			t.Fatalf("iteration %d: hints(%s, %v) = %v, want %v (eligible %v)", iter, requester, need, got, want, pi.eligible)
+		}
+	}
+}
+
+// TestPeerIndexHintsStopsAtFullCover: in a fleet where every eligible
+// agent holds the whole need, hints consults the first MaxPeerHints
+// agents in name order and stops — it does not count 10,000 held sets to
+// keep three of them.
+func TestPeerIndexHintsStopsAtFullCover(t *testing.T) {
+	const agents = 10_000
+	need := []uint64{1, 2, 3, 4}
+	pi := newPeerIndex()
+	names := make([]string, agents)
+	for i := range names {
+		names[i] = fmt.Sprintf("a%05d", i)
+		pi.markHeld(names[i], need)
+	}
+	rand.New(rand.NewSource(1)).Shuffle(agents, func(i, j int) { names[i], names[j] = names[j], names[i] })
+	for len(names) > 0 {
+		n := min(len(names), 1000)
+		pi.markEligible(names[:n])
+		names = names[n:]
+	}
+	calls := 0
+	live := func(name string) string { calls++; return name + ":1" }
+	got := pi.hints("a00001", need, live)
+	if want := []string{"a00000:1", "a00002:1", "a00003:1"}; !slices.Equal(got, want) {
+		t.Fatalf("hints = %v, want %v", got, want)
+	}
+	if calls > MaxPeerHints+1 {
+		t.Fatalf("live consulted %d times for %d full holders, want at most %d", calls, agents, MaxPeerHints+1)
+	}
+}
+
+// TestPeerServesDuplicateChunk: a hinted peer answers a request for [a, b]
+// with a twice. Each delivery consumes its request, so the repeat is an
+// unrequested chunk: the peer is dropped, a (which verified) is credited
+// once, and b is left for the vendor's push.
+func TestPeerServesDuplicateChunk(t *testing.T) {
+	a := distrib.Chunk{Data: bigData(1, 3000)}
+	b := distrib.Chunk{Data: bigData(2, 3000)}
+	a.Hash, b.Hash = fingerprint.HashBytes(a.Data), fingerprint.HashBytes(b.Data)
+	peer := fakePeer(t, func(fc *frameConn, bw *bufio.Writer, req Frame) {
+		twice := []distrib.Chunk{a, a}
+		fc.WriteFrame(Frame{ID: req.ID, OK: true, ChunkMeta: chunkMeta(twice)})
+		fc.WriteChunkBody(twice)
+		bw.Flush()
+	})
+	agent := NewAgent(userMachine("dup-target", false))
+	resp := agent.handlePeerFetch(PeerFetchReq{Addrs: []uint64{a.Hash, b.Hash}, Peers: []string{peer}})
+	if res := resp.Peer; res.Chunks != 1 || res.Bytes != int64(len(a.Data)) || !slices.Equal(res.Failed, []string{peer}) {
+		t.Fatalf("peer result = %+v, want a credited once and %s dropped", res, peer)
+	}
+	if !slices.Equal(resp.NeedChunks, []uint64{b.Hash}) {
+		t.Fatalf("left for the vendor: %v, want [b] = [%d]", resp.NeedChunks, b.Hash)
+	}
+	if got := agent.Cache.Chunks([]uint64{a.Hash}); len(got) != 1 {
+		t.Fatal("the verified chunk a was not kept")
+	}
 }

@@ -134,7 +134,7 @@ func TestManifestBodyLenRefused(t *testing.T) {
 	for _, n := range []int{-1, maxHeaderLine + 1} {
 		header := fmt.Sprintf(`{"id":1,"op":%q,"manifest_len":%d}`+"\n", OpTest, n)
 		t.Run(fmt.Sprintf("frameConn/%d", n), func(t *testing.T) {
-			fc := newFrameConn(bufio.NewReader(strings.NewReader(header)), nil)
+			fc := newFrameConn(bufio.NewReader(strings.NewReader(header)), nil, nil)
 			var f Frame
 			if err := fc.ReadFrame(&f); !errors.Is(err, ErrFrameTooLarge) {
 				t.Fatalf("ReadFrame = %v, want ErrFrameTooLarge", err)
@@ -202,7 +202,7 @@ func TestManifestBodyTruncated(t *testing.T) {
 	}
 	for cname, frame := range cases {
 		t.Run("frameConn/"+cname, func(t *testing.T) {
-			fc := newFrameConn(bufio.NewReader(strings.NewReader(frame)), nil)
+			fc := newFrameConn(bufio.NewReader(strings.NewReader(frame)), nil, nil)
 			var f Frame
 			err := fc.ReadFrame(&f)
 			if cname == "truncated" && !errors.Is(err, io.ErrUnexpectedEOF) ||
