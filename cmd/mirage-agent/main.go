@@ -90,13 +90,9 @@ func main() {
 		slog.Info("watching for drift", "agent", m.Name, "interval", *watch)
 	}
 	slog.Info("connecting to vendor", "agent", m.Name, "vendor", *connect)
-	var err error
 	if *reconnect {
-		err = agent.RunWithReconnect(*connect, transport.ReconnectConfig{MaxAttempts: *reconnectAttempts})
-	} else {
-		err = agent.Run(*connect)
-	}
-	if err != nil {
+		agent.RunWithReconnect(*connect, transport.ReconnectConfig{MaxAttempts: *reconnectAttempts})
+	} else if err := agent.Run(*connect); err != nil {
 		fatal("agent run failed", "agent", m.Name, "err", err)
 	}
 	ref, _ := m.Package("mysql")

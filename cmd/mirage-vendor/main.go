@@ -91,7 +91,6 @@ func main() { os.Exit(run()) }
 func run() (code int) {
 	var opts core.Options              // -listen, -shards, -journal-dir, -worker-budget, -max-rollouts, -max-queued
 	var gate orchestrator.StartRequest // -gate-*: the vendor-wide canary gate, in the form a start request overrides it
-	var faults transport.FaultPlan     // -fault-*
 	flag.StringVar(&opts.Listen, "listen", env("MIRAGE_LISTEN_ADDR", "127.0.0.1:7033", str), "address to listen on for agents (env MIRAGE_LISTEN_ADDR)")
 	agents := flag.Int("agents", env("MIRAGE_AGENTS", 1, strconv.Atoi), "number of agents to wait for (env MIRAGE_AGENTS)")
 	wait := flag.Duration("wait", env("MIRAGE_WAIT", 30*time.Second, time.ParseDuration), "how long to wait for agents (env MIRAGE_WAIT)")
@@ -115,13 +114,6 @@ func run() (code int) {
 	flag.Float64Var(&gate.GateBaseline, "gate-baseline", 0, "canary gate: expected baseline failure rate (see -gate-min-samples)")
 	flag.Float64Var(&gate.GateMaxExcess, "gate-excess", 0, "canary gate: tolerated excess failure rate over -gate-baseline")
 	flag.IntVar(&gate.GateMinSamples, "gate-min-samples", 0, "canary gate: minimum validation verdicts before the gate decides; 0 disables the gate (classic binary representative pass/fail)")
-	flag.Uint64Var(&faults.Seed, "fault-seed", 1, "chaos: seed for the deterministic per-agent fault streams")
-	flag.Float64Var(&faults.Drop, "fault-drop", 0, "chaos: probability a vendor→agent call is dropped before delivery (connection dies)")
-	flag.Float64Var(&faults.Delay, "fault-delay", 0, "chaos: probability a call is delayed by -fault-delay-by")
-	flag.DurationVar(&faults.DelayBy, "fault-delay-by", 2*time.Millisecond, "chaos: injected latency for delay faults")
-	flag.Float64Var(&faults.Corrupt, "fault-corrupt", 0, "chaos: probability a pushed chunk payload is corrupted in flight (the content address catches it)")
-	flag.Float64Var(&faults.Reset, "fault-reset", 0, "chaos: probability the connection resets after the agent did the work but before the reply is seen")
-	flag.IntVar(&faults.MaxFaults, "fault-max", 0, "chaos: total rate-fault budget, 0 = unlimited (crash schedules don't consume it)")
 	logOpts := logx.Flags(flag.CommandLine)
 	flag.Parse()
 	pol, okPolicy := staging.ParsePolicy(*policy) // validate before waiting on agents
@@ -143,10 +135,6 @@ func run() (code int) {
 	}
 	defer v.Close()
 	v.Server.ProfileParallelism = *profilePar
-	if faults.Drop > 0 || faults.Delay > 0 || faults.Corrupt > 0 || faults.Reset > 0 {
-		v.Server.Faults = transport.NewFaultInjector(faults)
-		slog.Info("chaos: fault injection armed", "plan", fmt.Sprintf("%+v", faults))
-	}
 	slog.Info("vendor listening", "addr", v.Server.Addr(), "agents_expected", *agents)
 	if got := v.Server.WaitForAgents(*agents, *wait); got < *agents {
 		return infra("agents missing at deadline", "registered", got, "expected", *agents)

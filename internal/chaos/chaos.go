@@ -79,13 +79,15 @@ type Options struct {
 	// Journal is the journal file path (required — a chaos run's verdict
 	// is read from it).
 	Journal string
-	// Retries/Backoff tune the controller's transient-retry loop under
-	// chaos (defaults: 8 retries, 2ms initial backoff). Retries must
-	// outlast the fault budget's worst consecutive run or a healthy
-	// member gets quarantined for weather.
-	Retries int
-	Backoff time.Duration
 }
+
+// The controller's transient-retry loop under chaos: chaosRetries must
+// outlast the fault budget's worst consecutive run or a healthy member
+// gets quarantined for weather.
+const (
+	chaosRetries = 8
+	chaosBackoff = 2 * time.Millisecond
+)
 
 // Result is what a chaos run is judged on.
 type Result struct {
@@ -192,7 +194,7 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 		go func() {
 			defer wg.Done()
 			if opts.TCP {
-				a.RunWithReconnect(srv.Addr(), transport.ReconnectConfig{ //nolint:errcheck
+				a.RunWithReconnect(srv.Addr(), transport.ReconnectConfig{
 					BaseDelay: 2 * time.Millisecond, Stop: stop,
 				})
 			} else {
@@ -241,14 +243,7 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 		Rebuild:  scenario.MySQLRelease,
 		Baseline: scenario.MySQLBaseline(), AutoRollback: opts.AutoRollback,
 		Configure: func(ctl *deploy.Controller) {
-			ctl.TransientRetries = opts.Retries
-			if ctl.TransientRetries == 0 {
-				ctl.TransientRetries = 8
-			}
-			ctl.RetryBackoff = opts.Backoff
-			if ctl.RetryBackoff <= 0 {
-				ctl.RetryBackoff = 2 * time.Millisecond
-			}
+			ctl.TransientRetries, ctl.RetryBackoff = chaosRetries, chaosBackoff
 		},
 	}
 	if opts.Fix {

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -41,17 +40,6 @@ type Agent struct {
 	// server, set by ServePeers (empty: this agent does not serve peers).
 	// It travels in the registration frame, so set it before Run.
 	PeerAddr string
-	// PeerTimeout bounds each peer conversation during a vendor-directed
-	// peer fetch (0 means DefaultPeerTimeout).
-	PeerTimeout time.Duration
-
-	// Faults, when set, injects deterministic chaos on the agent side of
-	// the control channel: requests are delayed, dropped (the session dies
-	// unanswered), reset (handled, then the session dies before the
-	// reply), or the whole agent "crashes" at scheduled call points. Pair
-	// it with RunWithReconnect so a killed session redials — exactly the
-	// churn a real crashing agent produces.
-	Faults *FaultInjector
 
 	// local caches locally identified resources per application.
 	local map[string][]string
@@ -99,199 +87,54 @@ func NewAgent(m *machine.Machine) *Agent {
 }
 
 // Run dials the vendor at addr, registers, and serves commands until the
-// connection is closed by the vendor or an error occurs. It returns nil on
-// orderly shutdown (vendor closed the channel).
+// connection is closed by the vendor or breaks. It returns an error only
+// when the dial fails.
 func (a *Agent) Run(addr string) error {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("transport: dialing vendor: %w", err)
 	}
-	return a.serve(conn)
+	a.ServeConn(conn)
+	return nil
 }
 
-// serve registers over an established connection and answers vendor
-// commands until the session ends. A broken connection — vendor closed
-// the channel, network dropped mid-frame — ends the session with nil:
-// whether to redial is the caller's policy (RunWithReconnect's loop, or
-// Run's give-up).
-func (a *Agent) serve(conn net.Conn) error {
-	defer conn.Close()
-
-	// Buffer frame writes: one reply is one flushed burst, not a stream
-	// of small unbuffered writes straight to the socket. Reads go through
-	// the line-based frame codec (not a json.Decoder, whose read-ahead
-	// would swallow the raw body of a binary chunk frame).
-	bw := bufio.NewWriter(conn)
-	fc := newFrameConn(bufio.NewReader(conn), bw, conn)
-	if err := fc.WriteFrame(Frame{Op: OpRegister, Register: &RegisterReq{Machine: a.M.Name, Peer: a.PeerAddr}}); err != nil {
-		return nil // connection already dead; session over
-	}
-	if err := bw.Flush(); err != nil {
-		return nil
-	}
-
-	for {
-		var req Frame
-		if err := fc.ReadFrame(&req); err != nil {
-			return nil // vendor closed the channel (or it broke)
-		}
-		dieAfter := false
-		if a.Faults != nil {
-			// Agent-side chaos. A drop or crash before handling kills the
-			// session with the request unacted-on; a reset handles it and
-			// dies before the reply — either way the vendor sees a
-			// transient channel death and (with reconnect) the agent
-			// returns. Note a binary chunk body must still be consumed
-			// before dying mid-frame would be modeled, so drops land
-			// before the body read only for plain frames.
-			switch a.Faults.Next(a.M.Name, req.Op) {
-			case FaultDrop, FaultCrash:
-				if req.Op != OpFetchChunks || len(req.ChunkMeta) == 0 {
-					return nil
-				}
-				dieAfter = true
-			case FaultDelay:
-				time.Sleep(a.Faults.DelayBy())
-			case FaultReset:
-				dieAfter = true
-			}
-		}
-		var resp Frame
-		if req.Op == OpFetchChunks {
-			// Chunk push: the raw body follows the header on this very
-			// stream, so it must be consumed here, in frame order, before
-			// the next request can be read.
-			resp = a.handleFetchChunks(fc, req.ChunkMeta)
-		} else {
-			resp = a.handle(req)
-		}
-		if dieAfter {
-			return nil
-		}
-		resp.ID = req.ID
-		if err := fc.WriteFrame(resp); err != nil {
-			return nil
-		}
-		if err := bw.Flush(); err != nil {
-			return nil
-		}
-	}
-}
-
-// ServeConn serves vendor commands over an established connection — the
-// in-process (net.Pipe) counterpart of Run, pairing with Server.ServeConn
-// for fleets that skip TCP entirely. Semantics match serve: nil on
-// session end, redialing is the caller's policy.
-func (a *Agent) ServeConn(conn net.Conn) error { return a.serve(conn) }
-
-// ServePipes attaches the agent to an in-process server and keeps it
-// attached: inject a net.Pipe session into srv, serve it until it dies
-// (faults kill sessions), and re-pipe — the in-process twin of
-// RunWithReconnect. It returns once stop is closed or srv is.
-func (a *Agent) ServePipes(srv *Server, stop <-chan struct{}) {
-	for {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		client, srvEnd := net.Pipe()
-		if err := srv.ServeConn(srvEnd); err != nil {
-			client.Close()
-			return
-		}
-		a.ServeConn(client) //nolint:errcheck — session end, not failure
-		select {
-		case <-stop:
-			return
-		case <-time.After(2 * time.Millisecond): // pace the re-pipe like a redial
-		}
-	}
-}
-
-// ReconnectConfig tunes RunWithReconnect. The zero value gives sensible
-// defaults: 5 consecutive failed dials before giving up, 20ms initial
-// backoff doubling to a 1s ceiling.
-type ReconnectConfig struct {
-	// MaxAttempts is how many consecutive dials may fail before the agent
-	// concludes the vendor is gone and returns (default 5). A successful
-	// session resets the count.
-	MaxAttempts int
-	// BaseDelay is the backoff before the first redial (default 20ms);
-	// it doubles per consecutive failure up to MaxDelay (default 1s).
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
-	// Stop, when non-nil, ends the loop as soon as the current session
-	// finishes (or immediately, if waiting to redial).
-	Stop <-chan struct{}
+// ServeConn is one control-channel session over an established
+// connection: register, answer vendor commands until the connection dies,
+// close it. Whether to come back is the caller's policy: Run gives up,
+// RunWithReconnect and ServePipes redial. Paired with Server.ServeConn it
+// attaches an agent to an in-process server over net.Pipe.
+func (a *Agent) ServeConn(conn net.Conn) {
+	// bufio's default sizes: a real agent is one connection per process.
+	serveSession(conn, 4096, 4096, RegisterReq{Machine: a.M.Name, Peer: a.PeerAddr}, a.handle)
 }
 
 // RunWithReconnect runs the agent like Run, but redials the vendor with
-// exponential backoff whenever the control channel drops — the agent-side
-// half of churn tolerance. The agent's identity (machine name) and its
-// chunk cache live on the Agent value, not the connection, so a
-// re-registered session continues exactly where the dropped one left off:
-// the vendor's retried RPC finds the same machine with its cache warm.
-// It returns nil once MaxAttempts consecutive dials fail (vendor gone —
-// the orderly end of a deployment) or Stop is signalled.
-func (a *Agent) RunWithReconnect(addr string, cfg ReconnectConfig) error {
-	attempts := cfg.MaxAttempts
-	if attempts <= 0 {
-		attempts = 5
-	}
-	base := cfg.BaseDelay
-	if base <= 0 {
-		base = 20 * time.Millisecond
-	}
-	max := cfg.MaxDelay
-	if max <= 0 {
-		max = time.Second
-	}
-	failures := 0
-	for {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			failures++
-			if failures >= attempts {
-				return nil
-			}
-			delay := base << (failures - 1)
-			if delay > max {
-				delay = max
-			}
-			select {
-			case <-time.After(delay):
-			case <-cfg.Stop:
-				return nil
-			}
-			continue
+// exponential backoff whenever the control channel drops: the agent-side
+// half of churn tolerance, under which the vendor's retried RPC finds the
+// same machine with its cache warm. It returns once cfg.MaxAttempts
+// consecutive dials fail (vendor gone: the orderly end of a deployment)
+// or cfg.Stop is closed.
+func (a *Agent) RunWithReconnect(addr string, cfg ReconnectConfig) {
+	a.redial(func() (net.Conn, error) { return net.Dial("tcp", addr) }, cfg)
+}
+
+// ServePipes attaches the agent to an in-process server and keeps it
+// attached: the same redial loop as RunWithReconnect, each session a
+// net.Pipe injected into srv with Server.ServeConn. It returns once stop
+// is closed or srv is.
+func (a *Agent) ServePipes(srv *Server, stop <-chan struct{}) {
+	a.redial(func() (net.Conn, error) {
+		client, srvEnd := net.Pipe()
+		if err := srv.ServeConn(srvEnd); err != nil {
+			client.Close()
+			return nil, err
 		}
-		failures = 0
-		start := time.Now()
-		if err := a.serve(conn); err != nil {
-			return err
-		}
-		select {
-		case <-cfg.Stop:
-			return nil
-		default:
-		}
-		// A session that died faster than the base backoff is a sign of
-		// active rejection (administrative drop, a name fight with another
-		// agent) — pace the redial so two such agents cannot hot-loop a
-		// registration storm against the vendor.
-		if time.Since(start) < base {
-			select {
-			case <-time.After(base):
-			case <-cfg.Stop:
-				return nil
-			}
-		}
-	}
+		return client, nil
+	}, ReconnectConfig{MaxAttempts: 1, BaseDelay: 2 * time.Millisecond, Stop: stop})
 }
 
 // handle dispatches one vendor command.
-func (a *Agent) handle(req Frame) Frame {
+func (a *Agent) handle(fc *frameConn, req *Frame) Frame {
 	switch req.Op {
 	case OpPing:
 		return Frame{OK: true}
@@ -319,6 +162,8 @@ func (a *Agent) handle(req Frame) Frame {
 			return errFrame("peer_fetch payload missing")
 		}
 		return a.handlePeerFetch(*req.PeerFetch)
+	case OpFetchChunks:
+		return a.handleFetchChunks(fc, req.ChunkMeta)
 	default:
 		return errFrame("unknown op " + req.Op)
 	}
@@ -407,7 +252,7 @@ func (a *Agent) handleFingerprint(raw json.RawMessage) Frame {
 		lastSig:     diff.Signature(),
 	}
 	a.watchMu.Unlock()
-	return Frame{Diff: ItemsToWire(diff), AppSet: a.M.AppSetKey(), OK: true}
+	return Frame{Diff: ItemsToWire(diff.Items()), AppSet: a.M.AppSetKey(), OK: true}
 }
 
 func (a *Agent) handleTest(man *distrib.Manifest) Frame {

@@ -89,42 +89,114 @@ func TestReplacedConnectionSurfacesTypedError(t *testing.T) {
 	}
 }
 
+// TestAgentReconnectPreservesIdentityAndCache runs the redial loop over
+// both of its dialers: TCP (RunWithReconnect) and in-process pipes
+// (ServePipes). A dropped session comes back under the same name with its
+// chunk cache warm, and the loop returns once stop is closed.
 func TestAgentReconnectPreservesIdentityAndCache(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(a *Agent, s *Server, stop chan struct{})
+	}{
+		{"tcp", func(a *Agent, s *Server, stop chan struct{}) {
+			a.RunWithReconnect(s.Addr(), ReconnectConfig{
+				MaxAttempts: 500, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond, Stop: stop,
+			})
+		}},
+		{"ServePipes", func(a *Agent, s *Server, stop chan struct{}) { a.ServePipes(s, stop) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { s.Close() })
+			agent := NewAgent(userMachine("phoenix", false))
+			stop, done := make(chan struct{}), make(chan struct{})
+			go func() { defer close(done); tc.run(agent, s, stop) }()
+			if !s.WaitForAgent("phoenix", 5*time.Second) {
+				t.Fatal("agent never registered")
+			}
+
+			// Warm the chunk cache through a manifest-mode test RPC.
+			if _, err := s.Node("phoenix").TestUpgrade(context.Background(), mysql5Wire()); err != nil {
+				t.Fatal(err)
+			}
+			before := agent.Cache.Stats()
+			if before.Chunks == 0 {
+				t.Fatal("cache not warmed")
+			}
+
+			if !s.DropAgent("phoenix") {
+				t.Fatal("drop failed")
+			}
+			if !s.WaitForAgent("phoenix", 5*time.Second) {
+				t.Fatal("agent did not reconnect")
+			}
+			// Same identity, same cache: the re-test resolves from cache,
+			// moving zero chunk bytes.
+			pre := s.TransferSnapshot().ChunkBytes
+			if _, err := s.Node("phoenix").TestUpgrade(context.Background(), mysql5Wire()); err != nil {
+				t.Fatal(err)
+			}
+			if moved := s.TransferSnapshot().ChunkBytes - pre; moved != 0 {
+				t.Fatalf("reconnected agent re-fetched %d chunk bytes; cache lost", moved)
+			}
+			if after := agent.Cache.Stats(); after.Chunks < before.Chunks {
+				t.Fatalf("cache shrank across reconnect: %+v -> %+v", before, after)
+			}
+
+			// With stop closed, the session's end is the loop's end.
+			close(stop)
+			s.DropAgent("phoenix")
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("redial loop still running after stop")
+			}
+		})
+	}
+}
+
+// TestServePipesEndsWithServer: ServePipes' other exit. Once the server
+// closes, the session dies and the next pipe is refused, which ends the
+// loop without stop ever being closed.
+func TestServePipesEndsWithServer(t *testing.T) {
 	s, err := Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { s.Close() })
-	m := userMachine("phoenix", false)
-	agent := NewAgent(m)
-	startReconnectingAgent(t, s, agent)
+	done := make(chan struct{})
+	go func() { defer close(done); NewAgent(userMachine("piped", false)).ServePipes(s, make(chan struct{})) }()
+	if !s.WaitForAgent("piped", 5*time.Second) {
+		t.Fatal("agent never registered")
+	}
+	s.Close()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("ServePipes still running after the server closed")
+	}
+}
 
-	// Warm the chunk cache through a manifest-mode test RPC.
-	if _, err := s.Node("phoenix").TestUpgrade(context.Background(), mysql5Wire()); err != nil {
-		t.Fatal(err)
+// TestReconnectBackoffBounded: the redial backoff stays within [base, max]
+// and never shrinks, however many dials in a row have failed. A plain
+// base<<(failures-1) wraps past failure 40 at the 20ms default base.
+func TestReconnectBackoffBounded(t *testing.T) {
+	base, max := 20*time.Millisecond, time.Second
+	prev := time.Duration(0)
+	for failures := 1; failures <= 200; failures++ {
+		d := reconnectDelay(base, max, failures)
+		if d < base || d > max {
+			t.Fatalf("failure %d: delay %v outside [%v, %v]", failures, d, base, max)
+		}
+		if d < prev {
+			t.Fatalf("failure %d: delay %v shorter than the %v before it", failures, d, prev)
+		}
+		prev = d
 	}
-	before := agent.Cache.Stats()
-	if before.Chunks == 0 {
-		t.Fatal("cache not warmed")
-	}
-
-	if !s.DropAgent("phoenix") {
-		t.Fatal("drop failed")
-	}
-	if !s.WaitForAgent("phoenix", 5*time.Second) {
-		t.Fatal("agent did not reconnect")
-	}
-	// Same identity, same cache: the re-test resolves from cache, moving
-	// zero chunk bytes.
-	pre := s.TransferSnapshot().ChunkBytes
-	if _, err := s.Node("phoenix").TestUpgrade(context.Background(), mysql5Wire()); err != nil {
-		t.Fatal(err)
-	}
-	if moved := s.TransferSnapshot().ChunkBytes - pre; moved != 0 {
-		t.Fatalf("reconnected agent re-fetched %d chunk bytes; cache lost", moved)
-	}
-	if after := agent.Cache.Stats(); after.Chunks < before.Chunks {
-		t.Fatalf("cache shrank across reconnect: %+v -> %+v", before, after)
+	if prev != max {
+		t.Fatalf("delay settles at %v, want the %v ceiling", prev, max)
 	}
 }
 

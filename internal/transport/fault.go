@@ -16,10 +16,10 @@ import (
 // plan against the same call sequence injects the same faults, which is
 // what lets a chaos test assert an exact terminal state.
 //
-// A plan is installed on one endpoint (Server.Faults, Agent.Faults, or
-// SimOptions.Faults) via NewFaultInjector. Rates are probabilities in
-// [0,1] evaluated once per call against a per-agent PRNG stream derived
-// from Seed and the agent name, so injection is deterministic per agent
+// A plan is installed on the vendor end of every control channel
+// (Server.Faults) via NewFaultInjector. Rates are probabilities in [0,1]
+// evaluated once per call against a per-agent PRNG stream derived from
+// Seed and the agent name, so injection is deterministic per agent
 // regardless of goroutine scheduling across agents.
 type FaultPlan struct {
 	// Seed keys the per-agent PRNG streams (0 is a valid, fixed seed).

@@ -58,7 +58,7 @@ const maxBodySegment = 1 << 20 // 1MB
 // upgrade rather than marshalled per member.
 //
 // A frameConn is not safe for concurrent use; callers serialize access
-// (the agent's serve loop, the vendor's per-connection RPC mutex).
+// (serveSession on the agent, the vendor's per-connection RPC mutex).
 type frameConn struct {
 	br *bufio.Reader
 	bw *bufio.Writer

@@ -91,7 +91,7 @@ func (a *Agent) servePeerConn(conn net.Conn) {
 	bw := bufio.NewWriter(conn)
 	fc := newFrameConn(bufio.NewReader(conn), bw, conn)
 	for {
-		conn.SetDeadline(time.Now().Add(a.peerTimeout() * 4))
+		conn.SetDeadline(time.Now().Add(DefaultPeerTimeout * 4))
 		var req Frame
 		if err := fc.ReadFrame(&req); err != nil {
 			return
@@ -120,13 +120,6 @@ func (a *Agent) servePeerConn(conn net.Conn) {
 		a.peerChunks.Add(int64(len(chunks)))
 		a.peerBytes.Add(n)
 	}
-}
-
-func (a *Agent) peerTimeout() time.Duration {
-	if a.PeerTimeout > 0 {
-		return a.PeerTimeout
-	}
-	return DefaultPeerTimeout
 }
 
 // handlePeerFetch executes a vendor-directed peer fetch: pull the
@@ -176,13 +169,12 @@ func (a *Agent) handlePeerFetch(req PeerFetchReq) Frame {
 // failure or a digest mismatch — a peer that serves one corrupt chunk is
 // not trusted for the rest of its stream).
 func (a *Agent) fetchFromPeer(peerAddr string, addrs []uint64) (got []uint64, n int64, err error) {
-	timeout := a.peerTimeout()
-	conn, err := net.DialTimeout("tcp", peerAddr, timeout)
+	conn, err := net.DialTimeout("tcp", peerAddr, DefaultPeerTimeout)
 	if err != nil {
 		return nil, 0, err
 	}
 	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(timeout))
+	conn.SetDeadline(time.Now().Add(DefaultPeerTimeout))
 	bw := bufio.NewWriter(conn)
 	fc := newFrameConn(bufio.NewReader(conn), bw, conn)
 	if err := fc.WriteFrame(Frame{ID: 1, Op: OpPeerGet, NeedChunks: addrs}); err != nil {

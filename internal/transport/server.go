@@ -387,8 +387,7 @@ type Server struct {
 	dist *distrib.Store
 }
 
-// DefaultMaxPending bounds concurrent registration handshakes per accept
-// loop when ListenOpts.MaxPending is zero.
+// DefaultMaxPending bounds concurrent registration handshakes per server.
 const DefaultMaxPending = 1024
 
 // ListenOpts tunes the control-plane scaling knobs fixed at listen time.
@@ -396,9 +395,6 @@ type ListenOpts struct {
 	// Shards is the agent-registry shard count; <= 0 selects
 	// the default (GOMAXPROCS-derived, rounded to a power of two).
 	Shards int
-	// MaxPending bounds in-flight registration handshakes; <= 0 selects
-	// DefaultMaxPending.
-	MaxPending int
 }
 
 // Listen starts the vendor server on addr (use "127.0.0.1:0" in tests) and
@@ -407,22 +403,17 @@ func Listen(addr string) (*Server, error) {
 	return ListenWith(addr, ListenOpts{})
 }
 
-// ListenWith is Listen with explicit registry sharding and handshake
-// admission bounds.
+// ListenWith is Listen with explicit registry sharding.
 func ListenWith(addr string, opts ListenOpts) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen: %w", err)
 	}
-	maxPending := opts.MaxPending
-	if maxPending <= 0 {
-		maxPending = DefaultMaxPending
-	}
 	s := &Server{
 		ln:         ln,
 		registry:   NewRegistry[*agentConn](opts.Shards),
 		pending:    make(map[net.Conn]bool),
-		pendingSem: make(chan struct{}, maxPending),
+		pendingSem: make(chan struct{}, DefaultMaxPending),
 		done:       make(chan struct{}),
 		Timeout:    DefaultRPCTimeout,
 		dist:       distrib.NewStore(),
@@ -835,7 +826,7 @@ func (p *fpPayload) rawFor(app string, vendor *resource.Set) (json.RawMessage, e
 	defer p.mu.Unlock()
 	if p.raw == nil || p.app != app || p.vendor != vendor {
 		b, err := json.Marshal(&FingerprintReq{
-			App: app, Refs: p.refs, Registry: p.reg, VendorItems: ItemsToWire(vendor),
+			App: app, Refs: p.refs, Registry: p.reg, VendorItems: ItemsToWire(vendor.Items()),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("transport: encoding fingerprint request: %w", err)

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"sync"
@@ -51,25 +50,19 @@ type SimFleet struct {
 type SimOptions struct {
 	// Prefix names the agents "<Prefix>-000000" …; default "sim".
 	Prefix string
-	// Cache is the shared chunk cache; nil starts an empty one.
-	Cache *distrib.Cache
 	// Server injects agents as in-process pipes via Server.ServeConn.
 	Server *Server
 	// Addr dials each agent over TCP.
 	Addr string
-	// DialTimeout bounds each TCP dial (default 10s).
-	DialTimeout time.Duration
-	// Spawn bounds how many agents connect concurrently (default 256) —
-	// enough to saturate registration without a 100k-goroutine dial storm.
-	Spawn int
-	// Faults injects deterministic chaos into every sim agent's serve
-	// loop — the fleet-scale counterpart of Agent.Faults.
-	Faults *FaultInjector
-	// Reconnect redials (or re-pipes) an agent whose session died while
-	// the fleet is still open — the sim counterpart of RunWithReconnect,
-	// and what lets a fleet under drop/crash chaos converge anyway.
-	Reconnect bool
 }
+
+const (
+	// simDialTimeout bounds each sim agent's TCP dial.
+	simDialTimeout = 10 * time.Second
+	// simSpawn bounds how many sim agents connect concurrently: enough to
+	// saturate registration without a 100k-goroutine dial storm.
+	simSpawn = 256
+)
 
 // StartSimFleet launches n simulated agents and returns once every
 // connection attempt has been made (use Server.WaitForAgents to wait for
@@ -82,28 +75,15 @@ func StartSimFleet(n int, opts SimOptions) (*SimFleet, error) {
 	if prefix == "" {
 		prefix = "sim"
 	}
-	if opts.Cache == nil {
-		opts.Cache = distrib.NewCache()
-	}
-	if opts.DialTimeout <= 0 {
-		opts.DialTimeout = 10 * time.Second
-	}
-	spawn := opts.Spawn
-	if spawn <= 0 {
-		spawn = 256
-	}
-	if spawn > n {
-		spawn = n
-	}
 
-	f := &SimFleet{cache: opts.Cache, opts: opts, names: make([]string, n), conns: make(map[string]net.Conn, n)}
+	f := &SimFleet{cache: distrib.NewCache(), opts: opts, names: make([]string, n), conns: make(map[string]net.Conn, n)}
 	for i := range f.names {
 		f.names[i] = fmt.Sprintf("%s-%06d", prefix, i)
 	}
 
 	var firstErr error
 	var errMu sync.Mutex
-	sem := make(chan struct{}, spawn)
+	sem := make(chan struct{}, min(simSpawn, n))
 	var launch sync.WaitGroup
 	for i := 0; i < n; i++ {
 		launch.Add(1)
@@ -120,7 +100,7 @@ func StartSimFleet(n int, opts SimOptions) (*SimFleet, error) {
 				return
 			}
 			f.wg.Add(1)
-			go f.run(name, conn)
+			go f.serve(name, conn)
 		}(f.names[i])
 	}
 	launch.Wait()
@@ -143,7 +123,7 @@ func (f *SimFleet) connect(name string) (net.Conn, error) {
 		}
 		conn = client
 	} else {
-		c, err := net.DialTimeout("tcp", f.opts.Addr, f.opts.DialTimeout)
+		c, err := net.DialTimeout("tcp", f.opts.Addr, simDialTimeout)
 		if err != nil {
 			return nil, err
 		}
@@ -160,42 +140,8 @@ func (f *SimFleet) connect(name string) (net.Conn, error) {
 	return conn, nil
 }
 
-// run is one agent's session lifecycle: serve until the connection dies
-// and, with Reconnect, come back — the way a crashed-and-restarted agent
-// redials the vendor.
-func (f *SimFleet) run(name string, conn net.Conn) {
-	defer f.wg.Done()
-	for {
-		f.serve(name, conn)
-		if !f.opts.Reconnect {
-			return
-		}
-		f.mu.Lock()
-		closed := f.closed
-		f.mu.Unlock()
-		if closed {
-			return
-		}
-		// Pace the redial like a real agent, then retry a few times: the
-		// vendor may be mid-teardown of the dead registration.
-		var err error
-		for attempt := 0; attempt < 3; attempt++ {
-			time.Sleep(2 * time.Millisecond)
-			if conn, err = f.connect(name); err == nil {
-				break
-			}
-		}
-		if err != nil {
-			return
-		}
-	}
-}
-
 // Names returns the fleet's agent names in spawn order.
 func (f *SimFleet) Names() []string { return f.names }
-
-// Cache returns the shared chunk cache.
-func (f *SimFleet) Cache() *distrib.Cache { return f.cache }
 
 // Tested returns how many validations the fleet performed.
 func (f *SimFleet) Tested() int64 { return f.tested.Load() }
@@ -220,56 +166,13 @@ func (f *SimFleet) Close() {
 	f.wg.Wait()
 }
 
-// serve is one sim agent session: register, then answer vendor RPCs until
-// the connection dies. Buffers are deliberately small — at 100k agents
-// every per-connection kilobyte is 100MB.
+// serve is one sim agent session. Buffers are deliberately small: at
+// 100k agents every per-connection kilobyte is 100MB.
 func (f *SimFleet) serve(name string, conn net.Conn) {
-	defer conn.Close()
-	br := bufio.NewReaderSize(conn, 2048)
-	bw := bufio.NewWriterSize(conn, 1024)
-	fc := newFrameConn(br, bw, conn)
-	if err := fc.WriteFrame(Frame{Op: OpRegister, Register: &RegisterReq{Machine: name}}); err != nil {
-		return
-	}
-	if err := bw.Flush(); err != nil {
-		return
-	}
-	for {
-		var req Frame
-		if err := fc.ReadFrame(&req); err != nil {
-			return
-		}
-		dieAfter := false
-		if fi := f.opts.Faults; fi != nil {
-			// Same chaos semantics as Agent.serve: drop/crash kill the
-			// session unanswered (after consuming any binary body, which
-			// would otherwise desync nothing — the session dies anyway, but
-			// handling keeps the cache bookkeeping honest), reset answers
-			// never arrive, delay is injected latency.
-			switch fi.Next(name, req.Op) {
-			case FaultDrop, FaultCrash:
-				if req.Op != OpFetchChunks || len(req.ChunkMeta) == 0 {
-					return
-				}
-				dieAfter = true
-			case FaultDelay:
-				time.Sleep(fi.DelayBy())
-			case FaultReset:
-				dieAfter = true
-			}
-		}
-		resp := f.handle(name, fc, &req)
-		if dieAfter {
-			return
-		}
-		resp.ID = req.ID
-		if err := fc.WriteFrame(resp); err != nil {
-			return
-		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-	}
+	defer f.wg.Done()
+	serveSession(conn, 2048, 1024, RegisterReq{Machine: name}, func(fc *frameConn, req *Frame) Frame {
+		return f.handle(name, fc, req)
+	})
 }
 
 // handle answers one vendor RPC with the cheapest protocol-correct

@@ -82,7 +82,7 @@ func TestWireItemsRoundTrip(t *testing.T) {
 	set := resource.NewSet(0)
 	set.Add(resource.Item{Key: "a.b", Hash: 42, Kind: resource.Parsed})
 	set.Add(resource.Item{Key: "f", Hash: 7, Kind: resource.Content})
-	back := ItemsFromWire(ItemsToWire(set))
+	back := ItemsFromWire(ItemsToWire(set.Items()))
 	if !back.Equal(set) {
 		t.Fatal("item wire round-trip lost data")
 	}

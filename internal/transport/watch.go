@@ -99,15 +99,15 @@ func (a *Agent) CheckDrift(vendorAddr string) (pushed int, err error) {
 			App:     app,
 			AppSet:  a.M.AppSetKey(),
 			Sig:     sig,
-			Added:   itemsToWireSlice(added),
-			Removed: itemsToWireSlice(removed),
+			Added:   ItemsToWire(added),
+			Removed: ItemsToWire(removed),
 		}
 		resync, perr := a.pushDelta(vendorAddr, req)
 		if resync {
 			// Vendor lost our baseline: re-send the complete diff.
 			full := &ProfileDeltaReq{
 				Machine: a.M.Name, App: app, AppSet: a.M.AppSetKey(),
-				Sig: sig, Added: ItemsToWire(diff), Full: true,
+				Sig: sig, Added: ItemsToWire(diff.Items()), Full: true,
 			}
 			_, perr = a.pushDelta(vendorAddr, full)
 		}
@@ -156,12 +156,4 @@ func (a *Agent) pushDelta(vendorAddr string, req *ProfileDeltaReq) (resync bool,
 		return false, fmt.Errorf("transport: unacknowledged delta reply")
 	}
 	return resp.Status == StatusResync, nil
-}
-
-func itemsToWireSlice(items []resource.Item) []WireItem {
-	out := make([]WireItem, len(items))
-	for i, it := range items {
-		out[i] = WireItem{Key: it.Key, Hash: it.Hash, Kind: int(it.Kind)}
-	}
-	return out
 }

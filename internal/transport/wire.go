@@ -201,9 +201,8 @@ type WireItem struct {
 	Kind int    `json:"t"`
 }
 
-// ItemsToWire serializes an item set.
-func ItemsToWire(s *resource.Set) []WireItem {
-	items := s.Items()
+// ItemsToWire serializes items.
+func ItemsToWire(items []resource.Item) []WireItem {
 	out := make([]WireItem, len(items))
 	for i, it := range items {
 		out[i] = WireItem{Key: it.Key, Hash: it.Hash, Kind: int(it.Kind)}
