@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/simulator"
-	"repro/internal/staging"
 )
 
 // Deployment scenario of §4.3.1: 100,000 machines in 20 equal clusters,
@@ -123,13 +122,6 @@ func WithMisplaced(specs []simulator.ClusterSpec, inFirstCluster bool) []simulat
 	}
 	out[idx].Misplaced = append(append([]string(nil), out[idx].Misplaced...), "misplaced-problem")
 	return out
-}
-
-// DeploymentPlan builds the staged wave schedule for the scenario's
-// clusters under the given policy — the plan both the simulator and the
-// live controller execute. seed matters only for PolicyRandomStaging.
-func DeploymentPlan(policy staging.Policy, specs []simulator.ClusterSpec, seed uint64) *staging.Plan {
-	return simulator.PlanFor(policy, specs, seed)
 }
 
 // ProblemMachineCount returns m, the total number of problematic machines.

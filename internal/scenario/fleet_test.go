@@ -41,9 +41,8 @@ func TestLargeFleetClusterStructure(t *testing.T) {
 		t.Fatalf("fleet clustering not sound: w=%d %v", q.W, q.Misplaced)
 	}
 	// 10x the problem machines of Table 2: 50 php, 20 my.cnf.
-	probs := MachinesByProblem(behavior)
-	if len(probs[MySQLProblemPHP]) != 50 || len(probs[MySQLProblemMyCnf]) != 20 {
-		t.Fatalf("problem counts = %d/%d", len(probs[MySQLProblemPHP]), len(probs[MySQLProblemMyCnf]))
+	if n := problemCounts(behavior); n[MySQLProblemPHP] != 50 || n[MySQLProblemMyCnf] != 20 {
+		t.Fatalf("problem counts = %v", n)
 	}
 }
 

@@ -11,7 +11,6 @@
 package scenario
 
 import (
-	"sort"
 	"strconv"
 	"strings"
 
@@ -210,21 +209,6 @@ func MySQLFingerprints(reg *parser.Registry) []cluster.MachineFingerprint {
 	for _, spec := range MySQLTable2() {
 		m := BuildMySQLMachine(spec)
 		out = append(out, cluster.NewMachineFingerprint(m.Name, fp.Fingerprint(m, refs), vendorSet, m.AppSetKey()))
-	}
-	return out
-}
-
-// MachinesByProblem lists machine names exhibiting each problem, for
-// reporting.
-func MachinesByProblem(b cluster.Behavior) map[string][]string {
-	out := make(map[string][]string)
-	for name, prob := range b {
-		if prob != "" {
-			out[prob] = append(out[prob], name)
-		}
-	}
-	for _, names := range out {
-		sort.Strings(names)
 	}
 	return out
 }

@@ -32,13 +32,20 @@ func TestMySQLBehaviorMatchesExecution(t *testing.T) {
 		}
 	}
 	// Sanity: 5 PHP-problem machines, 2 my.cnf-problem machines.
-	byProb := MachinesByProblem(want)
-	if len(byProb[MySQLProblemPHP]) != 5 {
-		t.Fatalf("php-problem machines = %v", byProb[MySQLProblemPHP])
+	if n := problemCounts(want); n[MySQLProblemPHP] != 5 || n[MySQLProblemMyCnf] != 2 {
+		t.Fatalf("problem counts = %v", n)
 	}
-	if len(byProb[MySQLProblemMyCnf]) != 2 {
-		t.Fatalf("mycnf-problem machines = %v", byProb[MySQLProblemMyCnf])
+}
+
+// problemCounts counts the machines exhibiting each problem.
+func problemCounts(b cluster.Behavior) map[string]int {
+	n := make(map[string]int)
+	for _, p := range b {
+		if p != "" {
+			n[p]++
+		}
 	}
+	return n
 }
 
 // Figure 6: clustering with application-specific parsers for all
@@ -259,6 +266,16 @@ func TestDeploymentPlacements(t *testing.T) {
 	if len(probIdx) != 4 { // 2 prevalent clusters at 20% + 2 non-prevalent
 		t.Fatalf("uniform problems at %v", probIdx)
 	}
+}
+
+// The scenario needs at least five clusters for its three problem groups.
+func TestDeploymentRejectsFewerThanFiveClusters(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Deployment(100, 3, 15, ProblemsLast) did not panic")
+		}
+	}()
+	Deployment(100, 3, 15, ProblemsLast)
 }
 
 func TestWithMisplaced(t *testing.T) {
