@@ -88,9 +88,14 @@ func TestCancelBeforeStageStartsIsStillAbandoned(t *testing.T) {
 	ctl.Observer = obs
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := ctl.Deploy(ctx, PolicyBalanced, up("v1"), twoClusters(nil))
+	out, err := ctl.Deploy(ctx, PolicyBalanced, up("v1"), twoClusters(nil))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
+	}
+	// The abandoned record is the abort's, not the vendor's: no debugging
+	// round was spent and the outcome does not claim the vendor gave up.
+	if out.Abandoned || out.Rounds != 0 {
+		t.Fatalf("abort outcome abandoned=%v rounds=%d, want false/0", out.Abandoned, out.Rounds)
 	}
 	abandoned := 0
 	for _, ev := range obs.events {

@@ -195,7 +195,9 @@ type NodeStatus struct {
 	Quarantined bool
 }
 
-// Outcome summarises a deployment.
+// Outcome summarises a deployment: the rollout's fold (Controller.Cursor)
+// read once, when Deploy or Rollback returns, plus what only the run
+// knows — whether the vendor gave up, and the traffic it caused.
 type Outcome struct {
 	Policy    Policy
 	FinalID   string // ID of the upgrade version that ultimately deployed
@@ -316,12 +318,17 @@ type Controller struct {
 	Sleep func(time.Duration)
 
 	// Observer, when set, receives every deployment state transition (the
-	// deployment journal's input). An observer error halts the plan.
+	// deployment journal's input), each after Cursor has folded it. An
+	// observer error halts the plan: from then on transitions are still
+	// folded but no longer offered.
 	Observer Observer
-	// Cursor, when set, resumes a previous run of the same plan: leading
-	// DoneStages release immediately and members the cursor records as
-	// integrated or quarantined are skipped — or, for Rollback, a
-	// previous rollback pass of it.
+	// Cursor is the rollout's fold: Deploy resumes from it and books into
+	// it. Its leading DoneStages release immediately and members it
+	// records as integrated or quarantined are skipped; every transition
+	// the run makes is applied to it before the Observer hears of it, and
+	// every decision — skips, promotion, rounds — is read off it. Rollback
+	// reads the same fold and requires one. A nil Cursor makes Deploy fold
+	// into a private one, starting fresh.
 	Cursor *Cursor
 	// StageGate, when set, is consulted before each stage begins executing
 	// (and before the post-plan promoted flush, with stage -1) — the hook
@@ -351,20 +358,6 @@ func (ctl *Controller) initTelem() {
 		ctl.retriesTot = ctl.Telemetry.Counter("mirage_transient_retries_total",
 			"Transient member-RPC errors retried after backoff.", "")
 	})
-}
-
-// memberHist is the per-member operation duration family (full duration
-// of a test/integrate/rollback attempt loop, retries included).
-func (ctl *Controller) memberHist() *telemetry.Family {
-	ctl.initTelem()
-	return ctl.memberDur
-}
-
-// budgetHist is the budget-acquire wait family: how long member RPCs
-// queued for a worker-budget slot (~0 with no budget installed).
-func (ctl *Controller) budgetHist() *telemetry.Family {
-	ctl.initTelem()
-	return ctl.budgetWait
 }
 
 // retries resolves the configured transient-retry budget.
@@ -403,30 +396,46 @@ func (ctl *Controller) backoff(attempt int) time.Duration {
 	return base << attempt
 }
 
-// retryTransient runs op, retrying transient errors on the bounded
-// doubling backoff, and returns the last error — the one retry loop both
-// member testing and integration use. A cancelled context stops the loop
-// immediately (mid-backoff included) and surfaces ctx.Err(), which is not
-// transient, so no member is quarantined for an operator abort.
-// node names the member for the retry counter and backoff spans.
-func (ctl *Controller) retryTransient(ctx context.Context, node string, op func(context.Context) error) error {
-	err := op(ctx)
-	for attempt := 0; err != nil && IsTransient(err) && attempt < ctl.retries(); attempt++ {
-		ctl.initTelem()
+// call runs one member operation under its span and its duration
+// histogram, both named op ("test", "integrate" or "rollback"): each
+// attempt waits for a worker-budget slot, released before any backoff,
+// and transient errors retry on the bounded doubling backoff. It returns
+// the last error. A cancelled context stops the loop immediately
+// (mid-backoff included) and surfaces ctx.Err(), which is not transient,
+// so no member is quarantined for an operator abort. ctx carries the
+// enclosing span, passed explicitly because pool workers must not race
+// the runner's spanCtx writes.
+func (ctl *Controller) call(ctx context.Context, op, node string, rpc func(context.Context) error) error {
+	ctl.initTelem()
+	ctx, end := telemetry.StartSpan(ctx, op, node, node)
+	endTimer := ctl.memberDur.With(op).Time()
+	attempt := func() error {
+		t0 := time.Now()
+		if err := ctl.Budget.Acquire(ctx); err != nil {
+			return err
+		}
+		ctl.budgetWait.With(op).ObserveSince(t0)
+		defer ctl.Budget.Release()
+		return rpc(ctx)
+	}
+	err := attempt()
+	for i := 0; err != nil && IsTransient(err) && i < ctl.retries(); i++ {
 		ctl.retriesTot.With("").Inc()
 		_, endBackoff := telemetry.StartSpan(ctx, "backoff", "", node)
-		ctl.pause(ctx, ctl.backoff(attempt))
+		ctl.pause(ctx, ctl.backoff(i))
 		endBackoff(err)
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
+		if ctx.Err() != nil {
+			break
 		}
-		err = op(ctx)
+		err = attempt()
 	}
 	if err != nil && ctx.Err() != nil {
 		// An I/O failure observed during teardown is the abort, not a
 		// machine problem.
-		return ctx.Err()
+		err = ctx.Err()
 	}
+	endTimer()
+	end(err)
 	return err
 }
 
@@ -466,49 +475,42 @@ func (ctl *Controller) Deploy(ctx context.Context, policy Policy, up *pkgmgr.Upg
 	if up.Urgent {
 		policy = PolicyNoStaging
 	}
-	out := ctl.Cursor.outcome(policy, up.ID, clusters)
+	var before TransferStats
 	if ctl.Transfer != nil {
-		before := ctl.Transfer()
-		defer func() { out.Transfer = ctl.Transfer().Sub(before) }()
+		before = ctl.Transfer()
 	}
+	cur := ctl.Cursor
+	if cur == nil {
+		cur = &Cursor{}
+	}
+	cur.from = up.ID
 	byID := make(map[string]*Cluster, len(clusters))
+	size := 0
 	for _, c := range clusters {
 		byID[c.ID] = c
+		size += c.Size()
 	}
+	cur.reserve(size)
 
-	r := &waveRunner{ctx: ctx, spanCtx: ctx, ctl: ctl, up: up, out: out, clusters: byID, clean: make(map[string]bool), unclean: make(map[string]bool)}
-	if cur := ctl.Cursor; cur != nil {
-		r.skipStages = cur.DoneStages
-		for c := range cur.Unclean {
-			r.unclean[c] = true
-		}
-	}
+	r := &waveRunner{ctx: ctx, spanCtx: ctx, ctl: ctl, cur: cur, up: up, clusters: byID,
+		clean: make(map[string]bool), skipStages: cur.DoneStages}
 	staging.Execute(ctl.PlanFor(policy, clusters), r)
-	if r.err == nil && !out.Abandoned {
+	if r.err == nil && !r.abandoned {
 		r.flushPromoted()
 	}
-	out.collectQuarantined()
-	if r.err != nil || out.Abandoned {
-		return out, r.err
+	if r.err == nil && !r.abandoned {
+		// Nodes that integrated an earlier version of the upgrade before a
+		// problem elsewhere forced a correction are "later notified of a
+		// new upgrade fixing the problems" (§4.3): validate and integrate
+		// the final version on them now.
+		r.notifyFinal(clusters)
 	}
-	// Nodes that integrated an earlier version of the upgrade before a
-	// problem elsewhere forced a correction are "later notified of a new
-	// upgrade fixing the problems" (§4.3): validate and integrate the
-	// final version on them now.
-	err := ctl.notifyFinal(ctx, r.up, clusters, out)
-	out.collectQuarantined()
-	return out, err
-}
-
-// collectQuarantined rebuilds the sorted quarantine list from node status.
-func (o *Outcome) collectQuarantined() {
-	o.Quarantined = o.Quarantined[:0]
-	for name, st := range o.Nodes {
-		if st.Quarantined {
-			o.Quarantined = append(o.Quarantined, name)
-		}
+	out := cur.outcome(policy, clusters)
+	out.Abandoned = r.abandoned
+	if ctl.Transfer != nil {
+		out.Transfer = ctl.Transfer().Sub(before)
 	}
-	sort.Strings(o.Quarantined)
+	return out, r.err
 }
 
 // waveRunner is the live executor of staging plans: within a stage all
@@ -520,18 +522,17 @@ type waveRunner struct {
 	// the rollout context at rest, the current stage span inside a
 	// stage, the current wave span inside a wave. Only the runner's own
 	// goroutine writes it, and always before spawning pool workers.
-	spanCtx  context.Context
-	ctl      *Controller
+	spanCtx context.Context
+	ctl     *Controller
+	// cur is the rollout's fold: emit books every transition into it, and
+	// every decision below reads it — once a cluster is unclean it can
+	// never be promoted, even if its members pass on a later attempt.
+	cur      *Cursor
 	up       *pkgmgr.Upgrade // current upgrade version; advances as fixes ship
-	out      *Outcome
 	clusters map[string]*Cluster
 	// clean records whether a cluster has seen zero failures so far —
 	// PolicyAdaptive's promotion signal.
 	clean map[string]bool
-	// unclean is the sticky complement fed by quarantines and, on resume,
-	// by the cursor: once a cluster is unclean it can never be promoted,
-	// even if its members pass on a later attempt.
-	unclean map[string]bool
 	// promoted holds elastic waves released past their barrier; they run
 	// as one merged parallel wave at the end of the plan.
 	promoted []staging.Wave
@@ -539,11 +540,14 @@ type waveRunner struct {
 	// below skipStages were completed by a previous run (journal resume)
 	// and release their gate without re-running.
 	stage, skipStages int
+	// abandoned is set when the vendor gave up (Outcome.Abandoned). The
+	// fold cannot say so: an operator abort writes the same record.
+	abandoned bool
 	// halted is set when the observer can no longer record transitions:
 	// from that moment no new side effect (integration, quarantine) may
 	// be started, or a crash-resume would not know it happened, and the
 	// observer is offered nothing further. Integrations already on the
-	// pool finish and show in the outcome only.
+	// pool finish and are folded into the outcome only.
 	halted bool
 	err    error
 }
@@ -555,17 +559,9 @@ type member struct {
 	cluster string
 }
 
-func (r *waveRunner) members(waves []staging.Wave) []member {
-	var ms []member
-	add := func(n Node, cluster string) {
-		// Members a previous run already integrated (any version — a
-		// superseded one catches up via final notification) and members
-		// under quarantine stay out of wave testing.
-		if st := r.out.Nodes[n.Name()]; st != nil && (st.UpgradeID != "" || st.Quarantined) {
-			return
-		}
-		ms = append(ms, member{n, cluster})
-	}
+// walk calls f on every member the waves cover, wave by wave,
+// representatives before others.
+func (r *waveRunner) walk(waves []staging.Wave, f func(n Node, cluster string)) {
 	for _, w := range waves {
 		c := r.clusters[w.Cluster]
 		if c == nil {
@@ -573,15 +569,27 @@ func (r *waveRunner) members(waves []staging.Wave) []member {
 		}
 		if w.Group != staging.GroupOthers {
 			for _, n := range c.Representatives {
-				add(n, c.ID)
+				f(n, c.ID)
 			}
 		}
 		if w.Group != staging.GroupReps {
 			for _, n := range c.Others {
-				add(n, c.ID)
+				f(n, c.ID)
 			}
 		}
 	}
+}
+
+// members lists the waves' members still owed wave testing: members the
+// fold records as integrated (any version — a superseded one catches up
+// via final notification) or quarantined stay out.
+func (r *waveRunner) members(waves []staging.Wave) []member {
+	var ms []member
+	r.walk(waves, func(n Node, cluster string) {
+		if name := n.Name(); r.cur.Integrated[name] == "" && !r.cur.Quarantined[name] {
+			ms = append(ms, member{n, cluster})
+		}
+	})
 	return ms
 }
 
@@ -599,7 +607,7 @@ func (r *waveRunner) checkAbort(stage int) bool {
 	if r.err == nil {
 		r.err = fmt.Errorf("deploy: rollout aborted: %w", cerr)
 		r.emit(Event{Type: RecAbandoned, Stage: stage, UpgradeID: r.up.ID,
-			Round: r.out.Rounds, Reason: "rollout aborted: " + cerr.Error()})
+			Round: r.cur.Rounds, Reason: "rollout aborted: " + cerr.Error()})
 	}
 	return true
 }
@@ -623,10 +631,12 @@ func (r *waveRunner) gate(stage int) bool {
 	return r.checkAbort(stage)
 }
 
-// emit delivers one event to the observer. An observer that cannot record
-// the transition halts the plan: a journal the rollout has outrun is no
-// longer a journal.
+// emit books one transition: it folds the event into the rollout's
+// cursor, then delivers it to the observer. An observer that cannot
+// record the transition halts the plan: a journal the rollout has
+// outrun is no longer a journal.
 func (r *waveRunner) emit(ev Event) {
+	r.cur.Apply(ev)
 	if r.ctl.Observer == nil || r.halted {
 		return
 	}
@@ -645,7 +655,7 @@ func (r *waveRunner) emit(ev Event) {
 func (r *waveRunner) RunStage(st staging.Stage, done func()) {
 	idx := r.stage
 	r.stage++
-	if r.err != nil || r.out.Abandoned {
+	if r.err != nil || r.abandoned {
 		return
 	}
 	if idx < r.skipStages {
@@ -684,7 +694,7 @@ func (r *waveRunner) RunStage(st staging.Stage, done func()) {
 		waves = append(waves, w)
 	}
 	r.converge(idx, waves, st.RetryAll)
-	if r.err != nil || r.out.Abandoned {
+	if r.err != nil || r.abandoned {
 		return
 	}
 	r.emit(Event{Type: RecGate, Stage: idx, UpgradeID: r.up.ID})
@@ -707,32 +717,13 @@ func (r *waveRunner) notifyGated(st staging.Stage) {
 	}
 	seen := make(map[string]bool)
 	var names []string
-	consider := func(n Node) {
+	r.walk(st.Waves, func(n Node, _ string) {
 		name := n.Name()
-		if seen[name] {
-			return
-		}
-		seen[name] = true
-		if nst := r.out.Nodes[name]; nst != nil && nst.UpgradeID != "" && !nst.Quarantined {
+		if !seen[name] && r.cur.Integrated[name] != "" && !r.cur.Quarantined[name] {
+			seen[name] = true
 			names = append(names, name)
 		}
-	}
-	for _, w := range st.Waves {
-		c := r.clusters[w.Cluster]
-		if c == nil {
-			continue
-		}
-		if w.Group != staging.GroupOthers {
-			for _, n := range c.Representatives {
-				consider(n)
-			}
-		}
-		if w.Group != staging.GroupReps {
-			for _, n := range c.Others {
-				consider(n)
-			}
-		}
-	}
+	})
 	if len(names) == 0 {
 		return
 	}
@@ -768,7 +759,7 @@ func (r *waveRunner) converge(stage int, waves []staging.Wave, retryAll bool) {
 		if w.Group != staging.GroupOthers {
 			// A cluster starts clean unless something — a recorded
 			// failure, a quarantine — already poisoned it.
-			r.clean[w.Cluster] = !r.unclean[w.Cluster]
+			r.clean[w.Cluster] = !r.cur.Unclean[w.Cluster]
 		}
 	}
 	all := r.members(waves)
@@ -864,64 +855,38 @@ func (r *waveRunner) canaryConverge(stage int, all []member) {
 func (r *waveRunner) alive(ms []member) []member {
 	out := make([]member, 0, len(ms))
 	for _, m := range ms {
-		if st := r.out.Nodes[m.node.Name()]; st != nil && st.Quarantined {
-			continue
+		if !r.cur.Quarantined[m.node.Name()] {
+			out = append(out, m)
 		}
-		out = append(out, m)
 	}
 	return out
 }
 
 // debug invokes the vendor fixer on the current failures and advances the
-// runner to the corrected upgrade, or marks the outcome abandoned when
-// the vendor gives up or rounds are exhausted.
+// runner to the corrected upgrade, or abandons the upgrade when the
+// vendor gives up or rounds are exhausted.
 func (r *waveRunner) debug(stage int) bool {
-	ctl, out := r.ctl, r.out
+	ctl := r.ctl
 	max := ctl.MaxRounds
 	if max == 0 {
 		max = 10
 	}
-	if out.Rounds >= max || ctl.Fix == nil {
-		out.Abandoned = true
-		r.emit(Event{Type: RecAbandoned, Stage: stage, UpgradeID: r.up.ID, Round: out.Rounds})
-		return false
+	round := r.cur.Rounds
+	var fixed *pkgmgr.Upgrade
+	ok := round < max && ctl.Fix != nil
+	if ok {
+		round++ // spent even if the vendor cannot produce a fix
+		fixed, ok = ctl.Fix(r.up, ctl.URR.Failures(r.up.ID))
 	}
-	out.Rounds++
-	fixed, ok := ctl.Fix(r.up, ctl.URR.Failures(r.up.ID))
 	if !ok {
-		out.Abandoned = true
-		r.emit(Event{Type: RecAbandoned, Stage: stage, UpgradeID: r.up.ID, Round: out.Rounds})
+		r.abandoned = true
+		r.emit(Event{Type: RecAbandoned, Stage: stage, UpgradeID: r.up.ID, Round: round})
 		return false
 	}
 	prev := r.up.ID
 	r.up = fixed
-	r.emit(Event{Type: RecFix, Stage: stage, UpgradeID: fixed.ID, PrevID: prev, Round: out.Rounds})
+	r.emit(Event{Type: RecFix, Stage: stage, UpgradeID: fixed.ID, PrevID: prev, Round: round})
 	return true
-}
-
-// testWithRetry validates the current upgrade on one node, retrying
-// transient errors on the controller's bounded doubling backoff. It
-// returns the last error when the budget is exhausted. ctx carries the
-// enclosing wave span (r.spanCtx at call time — passed explicitly
-// because pool workers must not race the runner's spanCtx writes).
-func (r *waveRunner) testWithRetry(ctx context.Context, n Node) (*report.Report, error) {
-	sctx, end := telemetry.StartSpan(ctx, "test", n.Name(), n.Name())
-	endTimer := r.ctl.memberHist().With("test").Time()
-	var rep *report.Report
-	err := r.ctl.retryTransient(sctx, n.Name(), func(ctx context.Context) error {
-		t0 := time.Now()
-		if err := r.ctl.Budget.Acquire(ctx); err != nil {
-			return err
-		}
-		r.ctl.budgetHist().With("test").ObserveSince(t0)
-		defer r.ctl.Budget.Release()
-		var e error
-		rep, e = n.TestUpgrade(ctx, r.up)
-		return e
-	})
-	endTimer()
-	end(err)
-	return rep, err
 }
 
 // quarantine marks a member persistently unreachable: it leaves the wave
@@ -929,10 +894,7 @@ func (r *waveRunner) testWithRetry(ctx context.Context, n Node) (*report.Report,
 // cluster counts as unclean — a quarantined representative is a failure
 // for gate purposes, not a pass.
 func (r *waveRunner) quarantine(stage int, m member, reason string) {
-	st := r.out.Nodes[m.node.Name()]
-	st.Quarantined = true
 	r.clean[m.cluster] = false
-	r.unclean[m.cluster] = true
 	r.emit(Event{Type: RecQuarantined, Stage: stage, Node: m.node.Name(),
 		Cluster: m.cluster, UpgradeID: r.up.ID, Reason: reason})
 }
@@ -1003,7 +965,13 @@ func (r *waveRunner) testMembers(stage int, ms []member, integrate bool) (failed
 	errs := make([]error, len(ms))
 	sctx := r.spanCtx // read once, before any worker goroutine exists
 	r.runPool(len(ms), len(ms),
-		func(i int) { reports[i], errs[i] = r.testWithRetry(sctx, ms[i].node) },
+		func(i int) {
+			n := ms[i].node
+			errs[i] = r.ctl.call(sctx, "test", n.Name(), func(ctx context.Context) (err error) {
+				reports[i], err = n.TestUpgrade(ctx, r.up)
+				return err
+			})
+		},
 		func(int) {},
 		func() bool { return r.ctx.Err() == nil }) // abort: start no further member test
 
@@ -1043,8 +1011,6 @@ func (r *waveRunner) testMembers(stage int, ms []member, integrate bool) (failed
 		rep := reports[i]
 		rep.Cluster = m.cluster
 		r.ctl.URR.Deposit(rep)
-		st := r.out.Nodes[m.node.Name()]
-		st.Tests++
 		tested++
 		r.emit(Event{Type: RecTested, Stage: stage, Node: m.node.Name(),
 			Cluster: m.cluster, UpgradeID: r.up.ID, Success: rep.Success})
@@ -1052,10 +1018,7 @@ func (r *waveRunner) testMembers(stage int, ms []member, integrate bool) (failed
 			break
 		}
 		if !rep.Success {
-			st.Failures++
-			r.out.Overhead++
 			r.clean[m.cluster] = false
-			r.unclean[m.cluster] = true
 			failed = append(failed, m)
 			continue
 		}
@@ -1071,34 +1034,34 @@ func (r *waveRunner) testMembers(stage int, ms []member, integrate bool) (failed
 // final corrected upgrade. Each such node re-validates before integrating;
 // the re-validations run on the same worker pool as wave testing. Nodes
 // that fail the final version keep their earlier working upgrade.
-func (ctl *Controller) notifyFinal(ctx context.Context, final *pkgmgr.Upgrade, clusters []*Cluster, out *Outcome) error {
+func (r *waveRunner) notifyFinal(clusters []*Cluster) {
 	var ms []member
 	for _, c := range clusters {
 		for n := range c.Nodes() {
-			st := out.Nodes[n.Name()]
-			if st.UpgradeID == "" || st.UpgradeID == final.ID || st.Quarantined {
-				continue
+			name := n.Name()
+			if id := r.cur.Integrated[name]; id != "" && id != r.up.ID && !r.cur.Quarantined[name] {
+				ms = append(ms, member{n, c.ID})
 			}
-			ms = append(ms, member{n, c.ID})
 		}
 	}
 	if len(ms) == 0 {
-		return nil
+		return
 	}
-	sctx, endStage := telemetry.StartSpan(ctx, "stage", "final notification", "")
-	r := &waveRunner{ctx: ctx, spanCtx: sctx, ctl: ctl, up: final, out: out, clean: make(map[string]bool), unclean: make(map[string]bool)}
+	sctx, endStage := telemetry.StartSpan(r.ctx, "stage", "final notification", "")
+	r.spanCtx = sctx
 	r.testMembers(-1, ms, true)
+	r.spanCtx = r.ctx
 	endStage(r.err)
-	return r.err
 }
 
 // integrateMembers applies the validated upgrade on every member, on the
 // same Parallelism- and Budget-bounded pool as testing, and books each
 // result — an integrated record, or quarantine for a member that stayed
 // unreachable through its retries — on the runner goroutine in member
-// order as completions arrive. FinalID advances here — when a version
-// actually reaches a node — so that on abandonment the outcome names the
-// last version that deployed, never a fix that no node integrated.
+// order as completions arrive. The fold's FinalID advances only on an
+// integrated record — when a version actually reaches a node — so that on
+// abandonment the outcome names the last version that deployed, never a
+// fix that no node integrated.
 //
 // Integration is the one side effect a journal must not lose, so the
 // pool never runs ahead of the bookkeeping by more than its own width: at
@@ -1117,13 +1080,16 @@ func (r *waveRunner) integrateMembers(stage int, ms []member) {
 	sctx := r.spanCtx // read once, before any worker goroutine exists
 	broken := false   // an integrate failed for good; its error is booked in member order
 	r.runPool(len(ms), max(r.ctl.Parallelism, 1),
-		func(i int) { errs[i] = r.integrateWithRetry(sctx, ms[i].node) },
+		func(i int) {
+			n := ms[i].node
+			errs[i] = r.ctl.call(sctx, "integrate", n.Name(), func(ctx context.Context) error {
+				return n.Integrate(ctx, r.up)
+			})
+		},
 		func(i int) {
 			m, err := ms[i], errs[i]
 			switch {
 			case err == nil:
-				r.out.Nodes[m.node.Name()].UpgradeID = r.up.ID
-				r.out.FinalID = r.up.ID
 				r.emit(Event{Type: RecIntegrated, Stage: stage, Node: m.node.Name(),
 					Cluster: m.cluster, UpgradeID: r.up.ID})
 			case IsTransient(err):
@@ -1140,26 +1106,4 @@ func (r *waveRunner) integrateMembers(stage int, ms []member) {
 		},
 		func() bool { return !r.halted && !broken && r.ctx.Err() == nil })
 	r.checkAbort(stage)
-}
-
-// integrateWithRetry applies the validated upgrade on one node, retrying
-// transient errors on the same bounded backoff as testing — a member that
-// validated successfully but lost its connection before integrating gets
-// the same chance to come back. ctx carries the enclosing wave span, as
-// for testWithRetry.
-func (r *waveRunner) integrateWithRetry(ctx context.Context, n Node) error {
-	sctx, end := telemetry.StartSpan(ctx, "integrate", n.Name(), n.Name())
-	endTimer := r.ctl.memberHist().With("integrate").Time()
-	err := r.ctl.retryTransient(sctx, n.Name(), func(ctx context.Context) error {
-		t0 := time.Now()
-		if err := r.ctl.Budget.Acquire(ctx); err != nil {
-			return err
-		}
-		r.ctl.budgetHist().With("integrate").ObserveSince(t0)
-		defer r.ctl.Budget.Release()
-		return n.Integrate(ctx, r.up)
-	})
-	endTimer()
-	end(err)
-	return err
 }

@@ -1,6 +1,7 @@
 package deploy
 
 import (
+	"sort"
 	"strings"
 
 	"repro/internal/staging"
@@ -86,9 +87,11 @@ type Event struct {
 }
 
 // Cursor is what a rollout's records say about it: the one fold of the
-// record stream, built by Apply. Resume hands it to Deploy so a resumed
-// rollout skips completed work; rollback resume, the control plane's
-// status and the chaos verdict read the same fold.
+// record stream, built by Apply. The live controller books every
+// transition through it and decides from it (Controller.Cursor); Resume
+// rebuilds it from a journal so a resumed rollout skips completed work;
+// rollback resume, the control plane's status and the chaos verdict read
+// the same fold.
 type Cursor struct {
 	// Policy is the plan's policy, as the plan record names it.
 	Policy Policy
@@ -145,6 +148,10 @@ type Cursor struct {
 	// DriftCluster maps each to its cluster of deployment.
 	Drifted      []string
 	DriftCluster map[string]string
+
+	// from is the upgrade the last Deploy over this fold started from: the
+	// version an Outcome names as final until a member integrates one.
+	from string
 }
 
 // Apply folds one record into the cursor. Record types it does not drive
@@ -211,27 +218,43 @@ func set[V any](m *map[string]V, k string, v V) {
 	(*m)[k] = v
 }
 
-// outcome is the outcome a run over clusters starts from: every member
-// fresh, or — for a cursor c — as its records left them. It is the one
-// place a fold becomes an Outcome, for Deploy and for a resumed rollback.
-func (c *Cursor) outcome(policy Policy, finalID string, clusters []*Cluster) *Outcome {
-	out := &Outcome{Policy: policy, FinalID: finalID, Nodes: make(map[string]*NodeStatus)}
+// reserve sizes the per-member maps every run books into for n members,
+// so a fresh fold does not regrow them member by member.
+func (c *Cursor) reserve(n int) {
+	if c.Integrated == nil {
+		c.Integrated = make(map[string]string, n)
+	}
+	if c.NodeTests == nil {
+		c.NodeTests = make(map[string]int, n)
+	}
+}
+
+// final is the version an Outcome names as deployed: the last one a
+// member integrated or, before any did, the one Deploy started from.
+func (c *Cursor) final() string {
+	if c.FinalID != "" {
+		return c.FinalID
+	}
+	return c.from
+}
+
+// outcome reads the fold as the Outcome of a run over clusters. It is the
+// one place a fold becomes an Outcome, for Deploy and for Rollback.
+func (c *Cursor) outcome(policy Policy, clusters []*Cluster) *Outcome {
+	out := &Outcome{Policy: policy, FinalID: c.final(), Rounds: c.Rounds, Overhead: c.Overhead,
+		Nodes: make(map[string]*NodeStatus)}
 	for _, cl := range clusters {
 		for n := range cl.Nodes() {
-			out.Nodes[n.Name()] = &NodeStatus{Node: n.Name(), Cluster: cl.ID}
+			name := n.Name()
+			out.Nodes[name] = &NodeStatus{Node: name, Cluster: cl.ID, UpgradeID: c.Integrated[name],
+				Tests: c.NodeTests[name], Failures: c.NodeFailures[name], Quarantined: c.Quarantined[name]}
 		}
 	}
-	if c == nil {
-		return out
-	}
-	out.Rounds, out.Overhead = c.Rounds, c.Overhead
-	if c.FinalID != "" {
-		out.FinalID = c.FinalID
-	}
 	for name, st := range out.Nodes {
-		st.UpgradeID, st.Quarantined = c.Integrated[name], c.Quarantined[name]
-		st.Tests, st.Failures = c.NodeTests[name], c.NodeFailures[name]
+		if st.Quarantined {
+			out.Quarantined = append(out.Quarantined, name)
+		}
 	}
-	out.collectQuarantined()
+	sort.Strings(out.Quarantined)
 	return out
 }

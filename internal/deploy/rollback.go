@@ -2,11 +2,10 @@ package deploy
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/pkgmgr"
-	"repro/internal/telemetry"
 )
 
 // RollbackOutcome summarises a rollback pass.
@@ -30,8 +29,11 @@ type RollbackOutcome struct {
 // machinery in reverse — the agents' self-seeded caches still hold the
 // baseline's chunks, so the reverse manifests resolve nearly for free.
 //
-// It books the pass into out and returns it. A nil out resumes from the
-// controller's Cursor instead: the outcome the journal's records left.
+// It reads the rollout's fold from the controller's Cursor — the one the
+// abandoned Deploy booked into, or the one a journal's records left —
+// books the pass into it, and returns the Outcome the fold then reads
+// as. Without a Cursor there is no rollout to roll back: it returns an
+// error.
 //
 // Write-ahead discipline mirrors the forward path: the rollback_start
 // record must be durable before the first member reverts, every revert is
@@ -40,33 +42,49 @@ type RollbackOutcome struct {
 // Cursor records as reverted are never touched again. A quarantined or
 // unreachable member is skipped with a journaled reason rather than
 // blocking completion; rollback_complete seals the pass.
-func (ctl *Controller) Rollback(ctx context.Context, baseline *pkgmgr.Upgrade, clusters []*Cluster, out *Outcome) (*Outcome, error) {
+func (ctl *Controller) Rollback(ctx context.Context, baseline *pkgmgr.Upgrade, clusters []*Cluster) (*Outcome, error) {
 	cur := ctl.Cursor
-	if out == nil {
-		out = cur.outcome(cur.Policy, "", clusters)
-		out.Abandoned = true // only a rollout given up is rolled back
-	}
-	var done map[string]bool
-	if cur != nil {
-		done = cur.Reverted
-	}
-	ro := &RollbackOutcome{BaselineID: baseline.ID, Skipped: map[string]string{}}
-	emit := func(ev Event) error {
-		if ctl.Observer == nil {
-			return nil
-		}
-		if err := ctl.Observer.OnEvent(ev); err != nil {
-			return fmt.Errorf("deploy: rollback observer: %w", err)
-		}
-		return nil
+	if cur == nil {
+		return nil, errors.New("deploy: rollback needs the rollout's fold in Controller.Cursor")
 	}
 	var before TransferStats
 	if ctl.Transfer != nil {
 		before = ctl.Transfer()
 	}
-	if err := emit(Event{Type: RecRollbackStart, Stage: -1,
-		UpgradeID: baseline.ID, PrevID: out.FinalID}); err != nil {
+	r := &waveRunner{ctx: ctx, ctl: ctl, cur: cur}
+	err := r.rollback(baseline, clusters)
+	out := cur.outcome(cur.Policy, clusters)
+	out.Abandoned = true // only a rollout given up is rolled back
+	if err != nil {
 		return out, err
+	}
+	// A member an earlier pass skipped is quarantined, so this pass
+	// skipped it again: the fold's skips are this pass's.
+	ro := &RollbackOutcome{BaselineID: baseline.ID, Skipped: map[string]string{}}
+	for _, c := range clusters {
+		for n := range c.Nodes() {
+			if name := n.Name(); cur.Reverted[name] {
+				ro.Reverted = append(ro.Reverted, name)
+			} else if reason, ok := cur.Skipped[name]; ok {
+				ro.Skipped[name] = reason
+			}
+		}
+	}
+	if ctl.Transfer != nil {
+		ro.Transfer = ctl.Transfer().Sub(before)
+		out.Transfer = ro.Transfer
+	}
+	out.RolledBack = true
+	out.Rollback = ro
+	return out, nil
+}
+
+// rollback runs the pass, booking each step through emit.
+func (r *waveRunner) rollback(baseline *pkgmgr.Upgrade, clusters []*Cluster) error {
+	cur, ctl := r.cur, r.ctl
+	r.emit(Event{Type: RecRollbackStart, Stage: -1, UpgradeID: baseline.ID, PrevID: cur.final()})
+	if r.err != nil {
+		return r.err
 	}
 	if ctl.RollbackMode != nil {
 		ctl.RollbackMode(true)
@@ -75,72 +93,42 @@ func (ctl *Controller) Rollback(ctx context.Context, baseline *pkgmgr.Upgrade, c
 	for _, c := range clusters {
 		for n := range c.Nodes() {
 			name := n.Name()
-			st := out.Nodes[name]
-			if done[name] {
-				// A previous run already journaled this member's revert,
-				// and the cursor's outcome has it on the baseline: count
-				// it without touching the machine again.
-				ro.Reverted = append(ro.Reverted, name)
+			id := cur.Integrated[name]
+			if cur.Reverted[name] || id == "" || id == baseline.ID {
+				// Reverted by a previous run, as the journal records, or
+				// never left the baseline: nothing to undo.
 				continue
 			}
-			if st == nil || st.UpgradeID == "" || st.UpgradeID == baseline.ID {
-				continue // never left the baseline: nothing to undo
-			}
-			if st.Quarantined {
-				ro.Skipped[name] = "quarantined"
-				if err := emit(Event{Type: RecRollbackSkip, Stage: -1, Node: name,
-					Cluster: c.ID, UpgradeID: baseline.ID, Reason: "quarantined"}); err != nil {
-					return out, err
+			reason := "quarantined"
+			if !cur.Quarantined[name] {
+				err := ctl.call(r.ctx, "rollback", name, func(ctx context.Context) error {
+					return n.Integrate(ctx, baseline)
+				})
+				if err == nil {
+					r.emit(Event{Type: RecRolledBack, Stage: -1, Node: name,
+						Cluster: c.ID, UpgradeID: baseline.ID, PrevID: id})
+					if r.err != nil {
+						return r.err
+					}
+					continue
 				}
-				continue
-			}
-			sctx, end := telemetry.StartSpan(ctx, "rollback", name, name)
-			endTimer := ctl.memberHist().With("rollback").Time()
-			err := ctl.retryTransient(sctx, name, func(ctx context.Context) error {
-				t0 := time.Now()
-				if err := ctl.Budget.Acquire(ctx); err != nil {
-					return err
-				}
-				ctl.budgetHist().With("rollback").ObserveSince(t0)
-				defer ctl.Budget.Release()
-				return n.Integrate(ctx, baseline)
-			})
-			endTimer()
-			end(err)
-			if err != nil {
-				if ctx.Err() != nil {
-					return out, ctx.Err() // abort: resumable from the journal
+				if r.ctx.Err() != nil {
+					return r.ctx.Err() // abort: resumable from the journal
 				}
 				if !IsTransient(err) {
-					return out, fmt.Errorf("deploy: rolling back %s to %s: %w", name, baseline.ID, err)
+					return fmt.Errorf("deploy: rolling back %s to %s: %w", name, baseline.ID, err)
 				}
 				// Unreachable through the whole retry budget: leave it
 				// behind (journaled) so the fleet's rollback completes.
-				st.Quarantined = true
-				ro.Skipped[name] = err.Error()
-				if err := emit(Event{Type: RecRollbackSkip, Stage: -1, Node: name,
-					Cluster: c.ID, UpgradeID: baseline.ID, Reason: err.Error()}); err != nil {
-					return out, err
-				}
-				continue
+				reason = err.Error()
 			}
-			prev := st.UpgradeID
-			st.UpgradeID = baseline.ID
-			ro.Reverted = append(ro.Reverted, name)
-			if err := emit(Event{Type: RecRolledBack, Stage: -1, Node: name,
-				Cluster: c.ID, UpgradeID: baseline.ID, PrevID: prev}); err != nil {
-				return out, err
+			r.emit(Event{Type: RecRollbackSkip, Stage: -1, Node: name,
+				Cluster: c.ID, UpgradeID: baseline.ID, Reason: reason})
+			if r.err != nil {
+				return r.err
 			}
 		}
 	}
-	if err := emit(Event{Type: RecRollbackDone, Stage: -1, UpgradeID: baseline.ID}); err != nil {
-		return out, err
-	}
-	if ctl.Transfer != nil {
-		ro.Transfer = ctl.Transfer().Sub(before)
-		out.Transfer = out.Transfer.Add(ro.Transfer)
-	}
-	out.RolledBack = true
-	out.Rollback = ro
-	return out, nil
+	r.emit(Event{Type: RecRollbackDone, Stage: -1, UpgradeID: baseline.ID})
+	return r.err
 }

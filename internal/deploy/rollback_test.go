@@ -133,7 +133,7 @@ func TestRollbackRevertsIntegratedMembers(t *testing.T) {
 	clusters := twoClusters(bad)
 	ctl := NewController(report.New(), nil)
 	log := &eventLog{}
-	ctl.Observer = log
+	ctl.Observer, ctl.Cursor = log, &Cursor{}
 	out, err := ctl.Deploy(context.Background(), PolicyBalanced, up("v1"), clusters)
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +158,7 @@ func TestRollbackRevertsIntegratedMembers(t *testing.T) {
 			rollbackOn++
 		}
 	}
-	if _, err := ctl.Rollback(context.Background(), up("v0"), clusters, out); err != nil {
+	if out, err = ctl.Rollback(context.Background(), up("v0"), clusters); err != nil {
 		t.Fatal(err)
 	}
 	ro := out.Rollback
@@ -222,18 +222,16 @@ func TestRollbackSkipsUnreachableAndQuarantined(t *testing.T) {
 	clusters := []*Cluster{{ID: "near", Distance: 1,
 		Representatives: []Node{rep},
 		Others:          []Node{dead, okNode, qNode}}}
-	// Synthesized abandoned outcome: everyone integrated v1, near-3 was
-	// quarantined along the way.
-	out := &Outcome{FinalID: "v1", Abandoned: true, Nodes: map[string]*NodeStatus{
-		"near-rep": {Node: "near-rep", Cluster: "near", UpgradeID: "v1"},
-		"near-1":   {Node: "near-1", Cluster: "near", UpgradeID: "v1"},
-		"near-2":   {Node: "near-2", Cluster: "near", UpgradeID: "v1"},
-		"near-3":   {Node: "near-3", Cluster: "near", UpgradeID: "v1", Quarantined: true},
-	}}
+	// Synthesized fold of an abandoned rollout: everyone integrated v1,
+	// near-3 was quarantined along the way.
 	ctl := NewController(report.New(), nil)
 	ctl.Sleep = func(time.Duration) {}
 	ctl.TransientRetries = 1
-	if _, err := ctl.Rollback(context.Background(), up("v0"), clusters, out); err != nil {
+	ctl.Cursor = &Cursor{FinalID: "v1",
+		Integrated:  map[string]string{"near-rep": "v1", "near-1": "v1", "near-2": "v1", "near-3": "v1"},
+		Quarantined: map[string]bool{"near-3": true}}
+	out, err := ctl.Rollback(context.Background(), up("v0"), clusters)
+	if err != nil {
 		t.Fatalf("an unreachable member must not block rollback completion: %v", err)
 	}
 	ro := out.Rollback
@@ -261,6 +259,16 @@ func TestRollbackSkipsUnreachableAndQuarantined(t *testing.T) {
 		if len(n.integrated) != 1 || n.integrated[0] != "v0" {
 			t.Fatalf("%s integrations = %v, want [v0]", n.name, n.integrated)
 		}
+	}
+}
+
+// TestRollbackWithoutFoldErrors: a controller that holds no rollout's
+// fold has nothing to roll back; Rollback says so instead of panicking.
+func TestRollbackWithoutFoldErrors(t *testing.T) {
+	ctl := NewController(report.New(), nil)
+	out, err := ctl.Rollback(context.Background(), up("v0"), twoClusters(nil))
+	if err == nil || out != nil {
+		t.Fatalf("Rollback without a Cursor = %+v, %v; want an error", out, err)
 	}
 }
 

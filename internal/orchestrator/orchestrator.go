@@ -559,7 +559,6 @@ func (h *Handle) engine() *rollout.Engine {
 		Rebuild:    h.spec.Rebuild,
 		Observer:   h,
 		Baseline:   h.spec.Baseline,
-		Telemetry:  h.orch.registry(),
 		OnOpen: func(j *rollout.Journal) {
 			h.mu.Lock()
 			h.liveJournal = j

@@ -7,15 +7,15 @@ import (
 	"repro/internal/deploy"
 	"repro/internal/pkgmgr"
 	"repro/internal/staging"
-	"repro/internal/telemetry"
 )
 
 // Engine runs journaled deployments over a deploy.Controller: the
 // durable, resumable form of Controller.Deploy. A fresh run creates the
 // journal and heads it with the plan identity; a resumed run replays the
-// journal into a cursor (hash-checking the rebuilt plan) so completed
-// stages and already-integrated members are skipped. Either way every
-// state transition is journaled before the gate it precedes releases, so
+// journal (hash-checking the rebuilt plan) so completed stages and
+// already-integrated members are skipped. Either way the fold of the
+// journal's records is the controller's Cursor, and every state
+// transition is journaled before the gate it precedes releases, so
 // killing the vendor at any point leaves a journal from which the rollout
 // continues exactly where it stopped.
 type Engine struct {
@@ -46,10 +46,6 @@ type Engine struct {
 	// returning, journaling each revert. The journal then ends in the
 	// second terminal state: rollback_complete.
 	AutoRollback bool
-	// Telemetry, when set, is handed to the journal so fsync latency and
-	// group-commit batch sizes land in the operational histograms (nil is
-	// a no-op; the controller carries its own Telemetry field).
-	Telemetry *telemetry.Registry
 	// OnOpen, when set, receives the live journal right before the
 	// deployment or rollback starts, once Observer has heard its records.
 	// It is how the orchestrator appends first-class records of its own
@@ -108,16 +104,19 @@ func (e *Engine) Deploy(ctx context.Context, policy deploy.Policy, up *pkgmgr.Up
 		if j, err = Create(e.Path); err != nil {
 			return nil, err
 		}
-		j.Telemetry, j.Observer = e.Telemetry, e.Observer
-		if err := j.Append(PlanRecord(plan, refs, up.ID)); err != nil {
+		j.Telemetry, j.Observer = ctl.Telemetry, e.Observer
+		head := PlanRecord(plan, refs, up.ID)
+		if err := j.Append(head); err != nil {
 			j.Close()
 			return nil, err
 		}
+		cur = &deploy.Cursor{}
+		cur.Apply(head)
 	}
 	defer j.Close()
 	e.opened(j, prior)
 	defer e.install(j, cur)()
-	if cur != nil && ended(cur) {
+	if ended(cur) {
 		return e.rollback(ctx, cur, clusters)
 	}
 
@@ -126,10 +125,13 @@ func (e *Engine) Deploy(ctx context.Context, policy deploy.Policy, up *pkgmgr.Up
 		return out, err
 	}
 	if out.Abandoned && e.AutoRollback && e.Baseline != nil {
-		// The observer is still installed: every revert is journaled
-		// (durably, before the next) and rollback_complete seals the
-		// journal in its second terminal state.
-		return ctl.Rollback(ctx, e.Baseline, clusters, out)
+		// The recorder and the fold are still installed: every revert is
+		// journaled (durably, before the next) and rollback_complete seals
+		// the journal in its second terminal state. The outcome's traffic
+		// is both passes'.
+		rout, err := ctl.Rollback(ctx, e.Baseline, clusters)
+		rout.Transfer = out.Transfer.Add(rout.Transfer)
+		return rout, err
 	}
 	if !out.Abandoned {
 		if err := j.Append(Record{Type: RecComplete, Stage: -1, UpgradeID: out.FinalID}); err != nil {
@@ -173,7 +175,7 @@ func (e *Engine) open(plan *staging.Plan, refs []staging.ClusterRef) (*Journal, 
 		j.Close()
 		return nil, nil, nil, err
 	}
-	j.Telemetry, j.Observer = e.Telemetry, e.Observer
+	j.Telemetry, j.Observer = e.Controller.Telemetry, e.Observer
 	return j, records, cur, nil
 }
 
@@ -191,18 +193,19 @@ func (e *Engine) opened(j *Journal, prior []Record) {
 	}
 }
 
-// install has the controller journal into j and resume from cur, until
-// the returned function undoes both.
+// install has the controller journal into j and book into cur — the
+// fold of the journal's records — until the returned function undoes
+// both.
 func (e *Engine) install(j *Journal, cur *deploy.Cursor) func() {
 	ctl := e.Controller
-	ctl.Observer, ctl.Cursor = &Recorder{J: j, Group: true}, cur
+	ctl.Observer, ctl.Cursor = &Recorder{J: j}, cur
 	return func() { ctl.Observer, ctl.Cursor = nil, nil }
 }
 
 // rollback runs the rollback pass of a journal whose forward pass is over
 // — or resumes it, insisting on exactly the baseline its rollback_start
-// record names (via Baseline or the Rebuild hook). The outcome it books
-// into is the one the journal's records left.
+// record names (via Baseline or the Rebuild hook). It books into the
+// fold of the journal's records.
 func (e *Engine) rollback(ctx context.Context, cur *deploy.Cursor, clusters []*deploy.Cluster) (*deploy.Outcome, error) {
 	b := e.Baseline
 	if cur.Baseline != "" && (b == nil || b.ID != cur.Baseline) {
@@ -215,7 +218,7 @@ func (e *Engine) rollback(ctx context.Context, cur *deploy.Cursor, clusters []*d
 	if b == nil {
 		return nil, fmt.Errorf("rollout: no baseline artifact to roll back to")
 	}
-	return e.Controller.Rollback(ctx, b, clusters, nil)
+	return e.Controller.Rollback(ctx, b, clusters)
 }
 
 // rebuild maps a journaled upgrade ID back to its artifact through the

@@ -22,7 +22,7 @@ func TestGroupCommitGateDurabilityOrder(t *testing.T) {
 	// A huge window keeps the background flush out of the picture: only
 	// the gate's own sync can make the member records durable.
 	j.GroupWindow = time.Hour
-	rec := &Recorder{J: j, Group: true}
+	rec := &Recorder{J: j}
 
 	events := []deploy.Event{
 		{Type: RecStageStart, Stage: 0, UpgradeID: "u1"},

@@ -42,38 +42,31 @@ func PlanRecord(plan *staging.Plan, refs []staging.ClusterRef, upgradeID string)
 // deploy.Observer a journaled controller runs with. An append failure
 // propagates back into the controller, which halts the plan — progress
 // the journal cannot record must not happen.
+//
+// Appends are group-committed: member-level records (tested, integrated,
+// quarantined, fix) are written immediately but fsynced in batches — by
+// the journal's group window, or by the next boundary record. Boundary
+// records (stage start, gate, abandoned, every rollback record) always
+// sync, and a file sync commits everything written before it, so the
+// write-ahead guarantee that matters is untouched: a gate never releases
+// before every record preceding it is durable, and a member never
+// reverts before the record of the previous revert is durable. What
+// group commit trades away is only the crash freshness of an unsynced
+// within-stage suffix, and losing those records merely makes resume redo
+// that work — the same window a crash between RPC and fsync always had.
 type Recorder struct {
 	J *Journal
-	// Group enables group-committed appends: member-level records (tested,
-	// integrated, quarantined, fix) are written immediately but fsynced in
-	// batches — by the journal's group window, or by the next boundary
-	// record. Boundary records (stage start, gate, abandoned) always sync,
-	// and a file sync commits everything written before it, so the
-	// write-ahead guarantee that matters is untouched: a gate never
-	// releases before every record preceding it is durable. What group
-	// commit trades away is only the crash freshness of an unsynced
-	// within-stage suffix, and losing those records merely makes resume
-	// redo that work — the same window a crash between RPC and fsync
-	// always had.
-	Group bool
 }
 
 // OnEvent implements deploy.Observer.
 func (rec *Recorder) OnEvent(ev deploy.Event) error {
-	if rec.Group {
-		switch ev.Type {
-		case RecStageStart, RecGate, deploy.RecAbandoned,
-			deploy.RecRollbackStart, deploy.RecRolledBack, deploy.RecRollbackSkip, deploy.RecRollbackDone:
-			// Boundary records sync (committing the batch before them);
-			// everything else rides a later sync or the group window.
-			// Every rollback record is a boundary: a member must never
-			// revert before the record of the previous revert is durable.
-			return rec.J.Append(ev)
-		default:
-			return rec.J.AppendBuffered(ev)
-		}
+	switch ev.Type {
+	case RecStageStart, RecGate, deploy.RecAbandoned,
+		deploy.RecRollbackStart, deploy.RecRolledBack, deploy.RecRollbackSkip, deploy.RecRollbackDone:
+		return rec.J.Append(ev)
+	default:
+		return rec.J.AppendBuffered(ev)
 	}
-	return rec.J.Append(ev)
 }
 
 // Resume folds journal records checked against a freshly built plan for
