@@ -50,7 +50,6 @@ import (
 	"repro/internal/logx"
 	"repro/internal/orchestrator"
 	"repro/internal/pkgmgr"
-	"repro/internal/profile"
 	"repro/internal/report"
 	"repro/internal/scenario"
 	"repro/internal/staging"
@@ -97,7 +96,6 @@ func run() (code int) {
 	policy := flag.String("policy", env("MIRAGE_POLICY", "balanced", str), "deployment policy: balanced, frontloading, nostaging, random or adaptive (env MIRAGE_POLICY)")
 	diameter := flag.Int("d", 3, "QT clustering diameter")
 	parallel := flag.Int("parallel", deploy.DefaultParallelism, "worker-pool size for node testing within a wave")
-	profilePar := flag.Int("profile-parallel", 0, "concurrent agent fingerprint RPCs while profiling the fleet (0 = default)")
 	showPlan := flag.Bool("plan", false, "print the staged wave schedule before deploying")
 	urrFile := flag.String("urr", "", "save the report repository to this file after deployment")
 	journal := flag.String("journal", "", "write-ahead deployment journal file for the one-shot rollout: every state transition is persisted, making the deployment durable and resumable")
@@ -134,7 +132,6 @@ func run() (code int) {
 		return infra("listen failed", "err", err)
 	}
 	defer v.Close()
-	v.Server.ProfileParallelism = *profilePar
 	slog.Info("vendor listening", "addr", v.Server.Addr(), "agents_expected", *agents)
 	if got := v.Server.WaitForAgents(*agents, *wait); got < *agents {
 		return infra("agents missing at deadline", "registered", got, "expected", *agents)
@@ -153,15 +150,14 @@ func run() (code int) {
 	if err := v.Enroll(ctx, "php", [][]string{nil}, names); err != nil {
 		return infra("enrolling php failed", "err", err)
 	}
-	rc, err := v.Profile(ctx, core.App{
+	clusters, err := v.Profile(ctx, core.App{
 		Name: "mysql", Refs: scenario.MySQLResourceRefs(),
 		Registry: transport.MirageRegistryConfig(), Reference: scenario.MySQLVendorReference(),
 	}, cluster.Config{Diameter: *diameter})
 	if err != nil {
 		return infra("fleet clustering failed", "err", err)
 	}
-	slog.Info("fleet profiled", "agents", len(rc.Profiles),
-		"distinct_profiles", profile.Distinct(rc.Profiles), "clusters", fmt.Sprint(rc.Clusters))
+	slog.Info("fleet profiled", "agents", v.Monitor().View().Machines, "clusters", len(clusters))
 
 	// The orchestrator owns every rollout this vendor runs, one-shot or
 	// served, and the admin API is mounted either way so mirage-ctl can
@@ -169,7 +165,7 @@ func run() (code int) {
 	spec := orchestrator.Spec{
 		Policy:   pol,
 		Upgrade:  scenario.MySQLUpgrade(),
-		Clusters: rc.Deploy,
+		Clusters: clusters,
 		Fix: func(up *pkgmgr.Upgrade, failures []*report.Report) (*pkgmgr.Upgrade, bool) {
 			fixed, ok := scenario.MySQLFix(up, failures)
 			slog.Info("vendor debugging failures, releasing fix", "failures", len(failures), "release", fixed.ID)
@@ -236,7 +232,7 @@ func run() (code int) {
 	// One-shot mode: start a single rollout on the orchestrator and wait.
 	spec.Journal, spec.Resume = *journal, *resume
 	if *showPlan {
-		fmt.Print(deploy.NewController(nil, nil).PlanFor(pol, rc.Deploy).Describe())
+		fmt.Print(deploy.NewController(nil, nil).PlanFor(pol, clusters).Describe())
 	}
 	h, err := v.Orch.Start(ctx, v.Spec(spec))
 	if err != nil {

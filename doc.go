@@ -5,8 +5,8 @@
 // The library lives under internal/: environment fingerprinting
 // (internal/fingerprint, internal/parser), the identification heuristic
 // (internal/envid), the two-phase clustering algorithm (internal/cluster),
-// the fleet-profiling pipeline (internal/profile) that collects machine
-// profiles concurrently and assembles clusters of deployment, and the
+// the live fleet monitor (internal/fleetwatch) that keeps the clustering
+// current and assembles every plan's clusters of deployment, and the
 // unified staging engine (internal/staging) that computes one
 // wave-schedule Plan per deployment policy and drives it through two
 // executors — the event-driven simulator (internal/simulator) and the live

@@ -79,13 +79,13 @@ func main() {
 	}
 
 	// 3. Cluster by environment.
-	rc, err := v.Profile(ctx, core.App{
+	clusters, err := v.Profile(ctx, core.App{
 		Name: "mysql", Refs: refs, Registry: transport.MirageRegistryConfig(), Reference: reference,
 	}, cluster.Config{Diameter: 3})
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, c := range rc.Clusters {
+	for _, c := range v.Monitor().View().Clusters {
 		fmt.Printf("cluster %d (distance %d): %v\n", c.ID, c.Distance, c.Machines)
 	}
 
@@ -99,7 +99,7 @@ func main() {
 	h, err := v.Orch.Start(ctx, v.Spec(orchestrator.Spec{
 		Policy:   deploy.PolicyBalanced,
 		Upgrade:  scenario.MySQLUpgrade(),
-		Clusters: rc.Deploy,
+		Clusters: clusters,
 		Fix: func(up *pkgmgr.Upgrade, failures []*report.Report) (*pkgmgr.Upgrade, bool) {
 			fmt.Printf("vendor: %d failure report(s); first: %v from %s\n",
 				len(failures), failures[0].FailedApps, failures[0].Machine)

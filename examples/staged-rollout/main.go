@@ -77,15 +77,15 @@ func main() {
 	if err := v.Enroll(ctx, "php", [][]string{nil}, php); err != nil {
 		log.Fatal(err)
 	}
-	rc, err := v.Profile(ctx, core.App{
+	clusters, err := v.Profile(ctx, core.App{
 		Name: "mysql", Refs: scenario.MySQLResourceRefs(),
 		Registry: transport.MirageRegistryConfig(), Reference: scenario.MySQLVendorReference(),
 	}, cluster.Config{Diameter: 3})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("clustered into %d clusters:\n", len(rc.Clusters))
-	for _, c := range rc.Clusters {
+	fmt.Printf("clustered into %d clusters:\n", len(clusters))
+	for _, c := range v.Monitor().View().Clusters {
 		fmt.Printf("  distance %2d: %v\n", c.Distance, c.Machines)
 	}
 	fmt.Println()
@@ -95,7 +95,7 @@ func main() {
 	h, err := v.Orch.Start(ctx, v.Spec(orchestrator.Spec{
 		Policy:   deploy.PolicyBalanced,
 		Upgrade:  scenario.MySQLUpgrade(),
-		Clusters: rc.Deploy,
+		Clusters: clusters,
 		Fix: func(up *pkgmgr.Upgrade, failures []*report.Report) (*pkgmgr.Upgrade, bool) {
 			fmt.Printf("vendor: debugging %d failure report(s):\n", len(failures))
 			for _, g := range v.URR.GroupFailures(up.ID) {

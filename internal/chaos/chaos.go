@@ -223,7 +223,7 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 			return nil, fmt.Errorf("chaos: %w", err)
 		}
 	}
-	rc, err := v.Profile(ctx, core.App{
+	clusters, err := v.Profile(ctx, core.App{
 		Name: "mysql", Refs: scenario.MySQLResourceRefs(),
 		Registry: transport.MirageRegistryConfig(), Reference: scenario.MySQLVendorReference(),
 	}, cluster.Config{Diameter: 3})
@@ -237,7 +237,7 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	spec := orchestrator.Spec{
 		Policy:   policy,
 		Upgrade:  scenario.MySQLUpgrade(),
-		Clusters: rc.Deploy,
+		Clusters: clusters,
 		Gate:     opts.Gate,
 		Journal:  opts.Journal,
 		Rebuild:  scenario.MySQLRelease,
@@ -265,7 +265,7 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	res := &Result{
 		Terminal:       term,
 		Outcome:        out,
-		Clusters:       len(rc.Clusters),
+		Clusters:       len(clusters),
 		FaultsInjected: srv.Faults.Injected(),
 		Machines:       machines,
 	}

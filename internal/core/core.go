@@ -31,7 +31,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/orchestrator"
 	"repro/internal/parser"
-	"repro/internal/profile"
 	"repro/internal/report"
 	"repro/internal/resource"
 	"repro/internal/telemetry"
@@ -160,23 +159,30 @@ func (v *Vendor) Enroll(ctx context.Context, app string, workloads [][]string, a
 }
 
 // Profile fingerprints every registered agent against app's reference,
-// clusters the fleet (one representative per cluster) and starts the live
-// drift monitor on the result, representatives marked. From here on
-// agents' profile deltas fold into the monitor and reach running rollouts.
-func (v *Vendor) Profile(ctx context.Context, app App, cfg cluster.Config) (*transport.RemoteClustering, error) {
+// clusters the fleet and starts the live drift monitor on the result. It
+// returns the monitor's clusters of deployment, one representative per
+// cluster, which the monitor then protects. From here on agents' profile
+// deltas fold into the monitor and reach running rollouts.
+func (v *Vendor) Profile(ctx context.Context, app App, cfg cluster.Config) ([]*deploy.Cluster, error) {
 	items, err := app.referenceItems()
 	if err != nil {
 		return nil, err
 	}
-	rc, err := v.Server.ClusterRemote(ctx, app.Name, app.Refs, app.Registry, items, cfg, 1)
+	fps, err := v.Server.FingerprintAll(ctx, app.Name, app.Refs, app.Registry, items)
 	if err != nil {
 		return nil, err
 	}
-	m := fleetwatch.NewMonitor(cluster.NewSnapshot(cfg, profile.Fingerprints(rc.Profiles), rc.Clusters), v.Orch.Telemetry)
-	m.SetRepresentatives(rc.Deploy)
+	m := fleetwatch.NewMonitor(cluster.BuildSnapshot(cfg, fps), v.Orch.Telemetry)
+	dcs, err := m.DeployClusters(v.node)
+	if err != nil {
+		return nil, err
+	}
 	v.fleet.Store(&profiledFleet{app: app, vendorItems: items, monitor: m})
-	return rc, nil
+	return dcs, nil
 }
+
+// node resolves a clustered machine to its agent's deployment node.
+func (v *Vendor) node(name string) deploy.Node { return v.Server.Node(name) }
 
 // onProfileDelta is the delta bridge (transport.Server.OnProfileDelta): a
 // watch-mode agent's push folds into the monitor; a push the monitor
@@ -220,7 +226,8 @@ func (v *Vendor) onProfileDelta(req *transport.ProfileDeltaReq) (resync bool, er
 // tier and forgetting RollbackMode misbooks rolled-back chunks, which is
 // why no caller installs them by hand. The spec's own Configure still
 // runs, after the hooks; its URR defaults to the vendor's and its Restage
-// to the monitor's current fleet view.
+// to the monitor's clusters of deployment over the current fleet view,
+// whose representatives the monitor then protects.
 func (v *Vendor) Spec(spec orchestrator.Spec) orchestrator.Spec {
 	configure := spec.Configure
 	spec.Configure = func(ctl *deploy.Controller) {
@@ -245,7 +252,7 @@ func (v *Vendor) Spec(spec orchestrator.Spec) orchestrator.Spec {
 			if m == nil {
 				return nil, errNotProfiled
 			}
-			return m.DeployClusters(1, func(name string) deploy.Node { return v.Server.Node(name) })
+			return m.DeployClusters(v.node)
 		}
 	}
 	return spec

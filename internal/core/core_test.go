@@ -94,13 +94,26 @@ func mysqlFleet(t *testing.T) (*Vendor, []*machine.Machine) {
 	return v, machines
 }
 
-func profileMySQL(t *testing.T, v *Vendor) *transport.RemoteClustering {
+func profileMySQL(t *testing.T, v *Vendor) []*deploy.Cluster {
 	t.Helper()
-	rc, err := v.Profile(context.Background(), mysqlApp(), cluster.Config{Diameter: 3})
+	clusters, err := v.Profile(context.Background(), mysqlApp(), cluster.Config{Diameter: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rc
+	return clusters
+}
+
+// clustering turns clusters of deployment back into the clustering they
+// were assembled from, for cluster.Evaluate.
+func clustering(dcs []*deploy.Cluster) []*cluster.Cluster {
+	out := make([]*cluster.Cluster, len(dcs))
+	for i, dc := range dcs {
+		out[i] = &cluster.Cluster{ID: i, Distance: dc.Distance}
+		for n := range dc.Nodes() {
+			out[i].Machines = append(out[i].Machines, n.Name())
+		}
+	}
+	return out
 }
 
 // deployMySQL runs the MySQL 4->5 rollout described by spec (policy, fixer,
@@ -112,7 +125,7 @@ func deployMySQL(t *testing.T, v *Vendor, spec orchestrator.Spec) (*deploy.Outco
 		spec.Upgrade = scenario.MySQLUpgrade()
 	}
 	if spec.Clusters == nil {
-		spec.Clusters = profileMySQL(t, v).Deploy
+		spec.Clusters = profileMySQL(t, v)
 	}
 	h, err := v.Orch.Start(context.Background(), v.Spec(spec))
 	if err != nil {
@@ -142,9 +155,9 @@ func TestIdentifyResourcesOnReference(t *testing.T) {
 
 func TestClusterFleetSeparatesBehaviours(t *testing.T) {
 	v, _ := mysqlFleet(t)
-	rc := profileMySQL(t, v)
+	clusters := clustering(profileMySQL(t, v))
 	byMachine := make(map[string]int)
-	for i, c := range rc.Clusters {
+	for i, c := range clusters {
 		for _, m := range c.Machines {
 			byMachine[m] = i
 		}
@@ -161,7 +174,7 @@ func TestClusterFleetSeparatesBehaviours(t *testing.T) {
 	if byMachine["u-usercfg-1"] == byMachine["u-plain-1"] {
 		t.Fatal("userconfig machine clustered with plain machines")
 	}
-	q := cluster.Evaluate(rc.Clusters, cluster.Behavior{
+	q := cluster.Evaluate(clusters, cluster.Behavior{
 		"u-plain-1": "", "u-plain-2": "",
 		"u-php4-1": "php-crash", "u-php4-2": "php-crash",
 		"u-usercfg-1": "mycnf-crash",
@@ -170,8 +183,30 @@ func TestClusterFleetSeparatesBehaviours(t *testing.T) {
 		t.Fatalf("clustering not sound: %+v", q)
 	}
 	// Profiling is what starts the live fleet view.
-	if view := v.Monitor().View(); view.Machines != 5 || len(view.Clusters) != len(rc.Clusters) {
+	if view := v.Monitor().View(); view.Machines != 5 || len(view.Clusters) != len(clusters) {
 		t.Fatalf("monitor view = %+v, want the profiled fleet", view)
+	}
+}
+
+// TestClusterFleetIdenticalAcrossRuns: profiling the same fleet again
+// yields the same clusters of deployment, distances, representatives and
+// members, whatever order the agents' fingerprints arrived in.
+func TestClusterFleetIdenticalAcrossRuns(t *testing.T) {
+	v, _ := mysqlFleet(t)
+	want := ""
+	for run := 0; run < 3; run++ {
+		got := ""
+		for _, dc := range profileMySQL(t, v) {
+			got += fmt.Sprintf(" %s@%v:%s", dc.ID, dc.Distance, dc.Representatives[0].Name())
+			for _, n := range dc.Others {
+				got += "," + n.Name()
+			}
+		}
+		if run == 0 {
+			want = got
+		} else if got != want {
+			t.Fatalf("run %d:%s\nwant%s", run, got, want)
+		}
 	}
 }
 
@@ -194,7 +229,7 @@ func TestClusterFleetUnknownApp(t *testing.T) {
 func TestRepsPerCluster(t *testing.T) {
 	v, machines := mysqlFleet(t)
 	members := 0
-	for _, dc := range profileMySQL(t, v).Deploy {
+	for _, dc := range profileMySQL(t, v) {
 		if len(dc.Representatives) != 1 {
 			t.Fatalf("cluster %s has %d representatives, want 1", dc.ID, len(dc.Representatives))
 		}
@@ -202,24 +237,6 @@ func TestRepsPerCluster(t *testing.T) {
 	}
 	if members != len(machines) {
 		t.Fatalf("clusters of deployment hold %d members, fleet has %d", members, len(machines))
-	}
-}
-
-func TestClusterFleetIdenticalAtAnyProfileParallelism(t *testing.T) {
-	v, _ := mysqlFleet(t)
-	want := ""
-	for _, par := range []int{1, 2, 16} {
-		v.Server.ProfileParallelism = par
-		rc := profileMySQL(t, v)
-		got := fmt.Sprint(rc.Clusters)
-		for _, dc := range rc.Deploy {
-			got += fmt.Sprintf(" %s:%s+%d", dc.ID, dc.Representatives[0].Name(), len(dc.Others))
-		}
-		if want == "" {
-			want = got
-		} else if got != want {
-			t.Fatalf("parallelism %d: %s\nwant %s", par, got, want)
-		}
 	}
 }
 
@@ -339,7 +356,7 @@ func TestAbandonedDeploymentLeavesProductionIntact(t *testing.T) {
 func TestJournaledStageDeployment(t *testing.T) {
 	v, machines := mysqlFleet(t)
 	spec := orchestrator.Spec{Fix: scenario.MySQLFix, Rebuild: scenario.MySQLRelease,
-		Clusters: profileMySQL(t, v).Deploy, Journal: filepath.Join(t.TempDir(), "deploy.journal")}
+		Clusters: profileMySQL(t, v), Journal: filepath.Join(t.TempDir(), "deploy.journal")}
 	out, err := deployMySQL(t, v, spec)
 	if err != nil {
 		t.Fatal(err)

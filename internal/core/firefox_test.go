@@ -72,11 +72,11 @@ func firefox2Upgrade(fixed bool) *pkgmgr.Upgrade {
 
 func TestFirefoxFleetClusteringSound(t *testing.T) {
 	v, _ := firefoxFleet(t)
-	rc, err := v.Profile(context.Background(), firefoxApp(), cluster.Config{Diameter: 3})
+	clusters, err := v.Profile(context.Background(), firefoxApp(), cluster.Config{Diameter: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q := cluster.Evaluate(rc.Clusters, scenario.FirefoxBehavior()); !q.Sound() {
+	if q := cluster.Evaluate(clustering(clusters), scenario.FirefoxBehavior()); !q.Sound() {
 		t.Fatalf("fleet clustering not sound: %+v", q)
 	}
 }
@@ -107,12 +107,12 @@ func TestFirefoxSilentMisbehaviorCaughtByReplay(t *testing.T) {
 
 func TestFirefoxStagedDeploymentWithMigration(t *testing.T) {
 	v, machines := firefoxFleet(t)
-	rc, err := v.Profile(context.Background(), firefoxApp(), cluster.Config{Diameter: 3})
+	clusters, err := v.Profile(context.Background(), firefoxApp(), cluster.Config{Diameter: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	h, err := v.Orch.Start(context.Background(), v.Spec(orchestrator.Spec{
-		Policy: deploy.PolicyFrontLoading, Upgrade: firefox2Upgrade(false), Clusters: rc.Deploy,
+		Policy: deploy.PolicyFrontLoading, Upgrade: firefox2Upgrade(false), Clusters: clusters,
 		Fix: func(*pkgmgr.Upgrade, []*report.Report) (*pkgmgr.Upgrade, bool) { return firefox2Upgrade(true), true },
 	}))
 	if err != nil {

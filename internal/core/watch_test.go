@@ -14,7 +14,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/orchestrator"
 	"repro/internal/pkgmgr"
-	"repro/internal/profile"
 	"repro/internal/report"
 	"repro/internal/rollout"
 	"repro/internal/scenario"
@@ -47,6 +46,22 @@ func watchFleet(t *testing.T) (*Vendor, map[string]*transport.Agent) {
 	return v, agents
 }
 
+// fingerprintMySQL fingerprints every registered agent against mysqlApp's
+// reference without profiling the fleet.
+func fingerprintMySQL(t *testing.T, v *Vendor) []cluster.MachineFingerprint {
+	t.Helper()
+	app := mysqlApp()
+	items, err := app.referenceItems()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fps, err := v.Server.FingerprintAll(context.Background(), app.Name, app.Refs, app.Registry, items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fps
+}
+
 // upgradeLibc changes a parsed resource on the machine: a new libc version
 // is an environment its old cluster-mates do not share.
 func upgradeLibc(a *transport.Agent) {
@@ -74,9 +89,9 @@ func (n *holdNode) TestUpgrade(ctx context.Context, up *pkgmgr.Upgrade) (*report
 
 func TestWatchModeDriftHoldsRollout(t *testing.T) {
 	v, agents := watchFleet(t)
-	rc := profileMySQL(t, v)
-	if len(rc.Deploy) != 3 {
-		t.Fatalf("clusters = %d, want 3", len(rc.Deploy))
+	clusters := profileMySQL(t, v)
+	if len(clusters) != 3 {
+		t.Fatalf("clusters = %d, want 3", len(clusters))
 	}
 	addr := v.Server.Addr()
 	if pushed, err := agents["plain-1"].CheckDrift(addr); pushed != 0 || err != nil {
@@ -84,11 +99,11 @@ func TestWatchModeDriftHoldsRollout(t *testing.T) {
 	}
 
 	// A hold-on-drift rollout, pinned in its first stage.
-	hold := &holdNode{Node: rc.Deploy[0].Representatives[0], started: make(chan struct{}), release: make(chan struct{})}
-	rc.Deploy[0].Representatives[0] = hold
+	hold := &holdNode{Node: clusters[0].Representatives[0], started: make(chan struct{}), release: make(chan struct{})}
+	clusters[0].Representatives[0] = hold
 	journal := filepath.Join(t.TempDir(), "drift.journal")
 	h, err := v.Orch.Start(context.Background(), v.Spec(orchestrator.Spec{
-		Upgrade: scenario.MySQLUpgrade(), Clusters: rc.Deploy, Journal: journal,
+		Upgrade: scenario.MySQLUpgrade(), Clusters: clusters, Journal: journal,
 		Drift: orchestrator.DriftPolicy{Action: orchestrator.DriftHold},
 	}))
 	if err != nil {
@@ -98,7 +113,7 @@ func TestWatchModeDriftHoldsRollout(t *testing.T) {
 
 	// The representative of a still-pending cluster changes underneath the
 	// plan: its verdict will no longer vouch for the member it leaves.
-	drifter := rc.Deploy[2].Representatives[0].Name()
+	drifter := clusters[2].Representatives[0].Name()
 	upgradeLibc(agents[drifter])
 	if pushed, err := agents[drifter].CheckDrift(addr); pushed != 1 || err != nil {
 		t.Fatalf("changed machine pushed %d deltas (err %v), want 1", pushed, err)
@@ -137,9 +152,9 @@ func TestWatchModeDriftHoldsRollout(t *testing.T) {
 // agent's next push is its full profile, which does.
 func TestWatchModeResync(t *testing.T) {
 	v, agents := watchFleet(t)
-	rc := profileMySQL(t, v)
+	profileMySQL(t, v)
 	var others []cluster.MachineFingerprint
-	for _, fp := range profile.Fingerprints(rc.Profiles) {
+	for _, fp := range fingerprintMySQL(t, v) {
 		if fp.Name != "web-1" {
 			others = append(others, fp)
 		}
@@ -167,14 +182,7 @@ func TestWatchModeResync(t *testing.T) {
 // is not profiled yet gets a clean refusal, not a race.
 func TestWatchModeEarlyDelta(t *testing.T) {
 	v, agents := watchFleet(t)
-	app := mysqlApp()
-	items, err := app.referenceItems()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := v.Server.FingerprintAll(context.Background(), app.Name, app.Refs, app.Registry, items); err != nil {
-		t.Fatal(err)
-	}
+	fingerprintMySQL(t, v)
 	upgradeLibc(agents["plain-0"])
 	pushed, err := agents["plain-0"].CheckDrift(v.Server.Addr())
 	if pushed != 0 || err == nil || !strings.Contains(err.Error(), "fleet not profiled yet") {

@@ -1,6 +1,9 @@
 // Package fleetwatch is Mirage's live-fleet drift layer: it keeps the
 // vendor's clustering continuously true as the fleet churns, instead of
-// trusting the one-shot snapshot taken at rollout launch.
+// trusting the one-shot snapshot taken at rollout launch. The Monitor is
+// also where every staging plan's clusters of deployment come from
+// (DeployClusters), at launch and at re-stage alike, so the plan and the
+// drift classification always agree on who the representatives are.
 //
 // Agents re-fingerprint themselves periodically (mirage-agent -watch) and
 // push profile *deltas* — the few items that changed, CDC-chunk digests for
@@ -8,8 +11,8 @@
 // a cluster.Snapshot via its incremental Update (the weighted-QT structure,
 // so a fold costs candidate-clusters × distinct-profiles, not O(fleet)),
 // classifies the move, bumps a version counter, and exposes the result as a
-// FleetView the profile pipeline and the orchestrator read instead of the
-// launch-time snapshot.
+// FleetView and as clusters of deployment, read instead of the launch-time
+// snapshot.
 //
 // Classification is about representative validity (paper §3.2.3: a cluster
 // representative's test verdict vouches only for machines that still look
@@ -37,7 +40,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/deploy"
-	"repro/internal/profile"
 	"repro/internal/resource"
 	"repro/internal/telemetry"
 )
@@ -98,7 +100,7 @@ type Monitor struct {
 	snap    *cluster.Snapshot
 	version uint64
 	gated   map[*cluster.Cluster]bool
-	reps    map[string]bool  // machines serving as representatives in an active plan
+	reps    map[string]bool  // representatives of the last plan DeployClusters assembled
 	drifted map[string]Event // machines currently flagged drifted
 	subs    []func(Event)
 
@@ -113,7 +115,6 @@ func NewMonitor(snap *cluster.Snapshot, reg *telemetry.Registry) *Monitor {
 		snap:    snap,
 		version: 1,
 		gated:   make(map[*cluster.Cluster]bool),
-		reps:    make(map[string]bool),
 		drifted: make(map[string]Event),
 	}
 	m.reclusterSec = reg.Histogram("mirage_recluster_seconds",
@@ -131,20 +132,6 @@ func (m *Monitor) Subscribe(fn func(Event)) {
 	m.mu.Lock()
 	m.subs = append(m.subs, fn)
 	m.mu.Unlock()
-}
-
-// SetRepresentatives records the machines acting as cluster representatives
-// in the active deployment plan; a representative leaving a still-populated
-// cluster is rep-invalidating.
-func (m *Monitor) SetRepresentatives(clusters []*deploy.Cluster) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.reps = make(map[string]bool)
-	for _, c := range clusters {
-		for _, n := range c.Representatives {
-			m.reps[n.Name()] = true
-		}
-	}
 }
 
 // MarkGated records that the cluster(s) containing the named members passed
@@ -375,14 +362,36 @@ func (m *Monitor) viewLocked() FleetView {
 }
 
 // DeployClusters assembles clusters of deployment from the *current* fleet
-// view — what a re-stage launches instead of the stale plan. node resolves
-// a member name to its deployment node, as in profile.Assemble.
-func (m *Monitor) DeployClusters(repsPerCluster int, node func(name string) deploy.Node) ([]*deploy.Cluster, error) {
+// view — the launch plan, and what a re-stage launches instead of the
+// stale one. Each cluster's first member in name order is its
+// representative and the rest are its Others; node resolves a member name
+// to its deployment node, and a member without one fails the assembly.
+// The representatives picked become the ones drift protects: from here
+// on, one of them leaving a still-populated cluster is rep-invalidating.
+// node runs under the monitor's lock, so it must not call back into it.
+func (m *Monitor) DeployClusters(node func(name string) deploy.Node) ([]*deploy.Cluster, error) {
 	m.mu.Lock()
-	clusters := make([]*cluster.Cluster, len(m.snap.Clusters))
-	copy(clusters, m.snap.Clusters)
-	m.mu.Unlock()
-	return profile.Assemble(clusters, repsPerCluster, node)
+	defer m.mu.Unlock()
+	out := make([]*deploy.Cluster, 0, len(m.snap.Clusters))
+	reps := make(map[string]bool, len(m.snap.Clusters))
+	for _, c := range m.snap.Clusters {
+		dc := &deploy.Cluster{ID: deploy.ClusterName(c.ID), Distance: c.Distance}
+		for i, name := range c.Machines {
+			n := node(name)
+			if n == nil {
+				return nil, fmt.Errorf("fleetwatch: clustered machine %q has no deployment node", name)
+			}
+			if i == 0 {
+				dc.Representatives = []deploy.Node{n}
+				reps[name] = true
+			} else {
+				dc.Others = append(dc.Others, n)
+			}
+		}
+		out = append(out, dc)
+	}
+	m.reps = reps
+	return out, nil
 }
 
 func nameOf(c *cluster.Cluster) string {

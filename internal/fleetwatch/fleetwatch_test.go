@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -101,6 +102,25 @@ func watchedFleet(t *testing.T) (*Monitor, map[string]cluster.MachineFingerprint
 	return NewMonitor(snap, telemetry.NewRegistry()), fps
 }
 
+// deployClusters assembles the monitor's current plan over fake nodes.
+func deployClusters(t *testing.T, m *Monitor) []*deploy.Cluster {
+	t.Helper()
+	dcs, err := m.DeployClusters(func(name string) deploy.Node { return fakeNode(name) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dcs
+}
+
+// planOf renders a plan as "id/distance:[reps]+[others]" per cluster.
+func planOf(dcs []*deploy.Cluster) string {
+	var out []string
+	for _, dc := range dcs {
+		out = append(out, fmt.Sprintf("%s/%d:%v+%v", dc.ID, dc.Distance, dc.Representatives, dc.Others))
+	}
+	return strings.Join(out, " ")
+}
+
 func TestClassifyStable(t *testing.T) {
 	m, fps := watchedFleet(t)
 	// One extra content chunk: within the diameter, same cluster.
@@ -149,9 +169,7 @@ func TestClassifyDriftedFromGatedCluster(t *testing.T) {
 
 func TestClassifyDriftedPendingRepresentative(t *testing.T) {
 	m, fps := watchedFleet(t)
-	m.SetRepresentatives([]*deploy.Cluster{
-		{ID: "cluster0", Representatives: []deploy.Node{fakeNode("a1")}, Others: []deploy.Node{fakeNode("a2"), fakeNode("a3")}},
-	})
+	deployClusters(t, m) // a1 represents {a1, a2, a3}
 	// The pending cluster's representative changes and leaves a2/a3 behind.
 	next := mkfp("a1", parsedSet("php.5"), contentSet("y"))
 	ev := push(t, m, union(fps["a1"]), next)
@@ -162,9 +180,7 @@ func TestClassifyDriftedPendingRepresentative(t *testing.T) {
 
 func TestLoneMachineMoveIsMigration(t *testing.T) {
 	m, fps := watchedFleet(t)
-	m.SetRepresentatives([]*deploy.Cluster{
-		{ID: "cluster1", Representatives: []deploy.Node{fakeNode("b1")}},
-	})
+	deployClusters(t, m) // b1 represents {b1, b2}
 	// b2 leaves; then b1 — a rep — moves but leaves nobody behind once b2
 	// is gone too: the final move strands no one, so it is a migration.
 	push(t, m, union(fps["b2"]), mkfp("b2", parsedSet("libc.2.5"), contentSet("x")))
@@ -245,10 +261,7 @@ func TestSubscribeSeesEvents(t *testing.T) {
 func TestDeployClustersFromLiveView(t *testing.T) {
 	m, fps := watchedFleet(t)
 	push(t, m, union(fps["a3"]), mkfp("a3", parsedSet("ssl.1"), contentSet("z")))
-	dcs, err := m.DeployClusters(1, func(name string) deploy.Node { return fakeNode(name) })
-	if err != nil {
-		t.Fatal(err)
-	}
+	dcs := deployClusters(t, m)
 	if len(dcs) != 3 {
 		t.Fatalf("deploy clusters = %d, want 3", len(dcs))
 	}
@@ -261,6 +274,86 @@ func TestDeployClustersFromLiveView(t *testing.T) {
 	}
 	if total != 5 {
 		t.Fatalf("deploy cluster members = %d, want 5", total)
+	}
+}
+
+func TestDeployClustersSelectsRepInNameOrder(t *testing.T) {
+	m, fps := watchedFleet(t)
+	// a0 joins the a-cluster: it sorts first, so it becomes the representative.
+	push(t, m, nil, mkfp("a0", fps["a1"].ParsedDiff, fps["a1"].ContentDiff))
+	want := "cluster0/2:[a0]+[a1 a2 a3] cluster1/2:[b1]+[b2]"
+	if got := planOf(deployClusters(t, m)); got != want {
+		t.Fatalf("plan = %s\nwant %s", got, want)
+	}
+}
+
+func TestDeployClustersRejectsUnknownMachine(t *testing.T) {
+	m, _ := watchedFleet(t)
+	_, err := m.DeployClusters(func(name string) deploy.Node {
+		if name == "b2" {
+			return nil
+		}
+		return fakeNode(name)
+	})
+	if err == nil || !strings.Contains(err.Error(), `"b2"`) {
+		t.Fatalf("err = %v, want one naming b2", err)
+	}
+}
+
+// TestRestagedRepresentativeIsWatched: a re-staged plan's representatives
+// are the ones drift protects, not the launch plan's.
+func TestRestagedRepresentativeIsWatched(t *testing.T) {
+	m, fps := watchedFleet(t)
+	deployClusters(t, m) // launch: a1 represents {a1, a2, a3}
+	if ev := push(t, m, union(fps["a1"]), mkfp("a1", parsedSet("php.5"), contentSet("y"))); ev.Class != ClassDrifted {
+		t.Fatalf("launch representative leaving: class = %s, want drifted", ev.Class)
+	}
+	plan := planOf(deployClusters(t, m))
+	if !strings.Contains(plan, ":[a2]+[a3]") {
+		t.Fatalf("restaged plan = %s, want a2 representing {a2, a3}", plan)
+	}
+	// The restaged representative now leaves a3 behind.
+	if ev := push(t, m, union(fps["a2"]), mkfp("a2", parsedSet("ssl.1"), contentSet("z"))); ev.Class != ClassDrifted {
+		t.Fatalf("restaged representative leaving: class = %s, want drifted", ev.Class)
+	}
+}
+
+// TestDeployClustersDuringDeltas assembles plans while deltas fold: every
+// plan is a consistent copy of one fleet view (run it under -race).
+func TestDeployClustersDuringDeltas(t *testing.T) {
+	m, fps := watchedFleet(t)
+	done := make(chan struct{})
+	errs := make(chan error, 1)
+	go func() {
+		defer close(errs)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			dcs, err := m.DeployClusters(func(name string) deploy.Node { return fakeNode(name) })
+			members := 0
+			for _, dc := range dcs {
+				members += dc.Size()
+			}
+			if err != nil || members != 5 {
+				errs <- fmt.Errorf("plan holds %d members (err %v), want 5", members, err)
+				return
+			}
+		}
+	}()
+	away := mkfp("a2", parsedSet("php.5"), contentSet("y"))
+	for i := 0; i < 200; i++ {
+		from, to := fps["a2"], away
+		if i%2 == 1 {
+			from, to = away, fps["a2"]
+		}
+		push(t, m, union(from), to)
+	}
+	close(done)
+	if err := <-errs; err != nil {
+		t.Fatal(err)
 	}
 }
 

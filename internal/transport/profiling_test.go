@@ -1,20 +1,23 @@
 package transport
 
 import (
+	"bufio"
 	"context"
+	"encoding/json"
+	"fmt"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/apps"
 	"repro/internal/parser"
-	"repro/internal/profile"
 	"repro/internal/resource"
 )
 
-// Tests for the concurrent fleet-profiling path: fan-out determinism,
-// error attribution, and the wire acknowledgment fix.
+// Tests for the concurrent fleet-fingerprinting path: name order, the
+// in-flight bound, error attribution, and the wire acknowledgment fix.
 
 func mysqlVendorItems(t *testing.T) ([]string, RegistryConfig, *resource.Set) {
 	t.Helper()
@@ -28,48 +31,220 @@ func mysqlVendorItems(t *testing.T) ([]string, RegistryConfig, *resource.Set) {
 	return refs, regCfg, items
 }
 
+// TestFingerprintAllDeterministicAcrossParallelism: a fleet larger than
+// the fan-out's bound, registered out of name order, comes back in name
+// order, identically on every collection.
 func TestFingerprintAllDeterministicAcrossParallelism(t *testing.T) {
-	names := []string{"fp-a", "fp-b", "fp-c", "fp-d", "fp-e", "fp-f"}
+	s, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var names []string
+	for i := 9; i >= 0; i-- {
+		names = append([]string{fmt.Sprintf("fp-%02d", i)}, names...)
+		go NewAgent(userMachine(names[0], i%2 == 1)).Run(s.Addr())
+		if got := s.WaitForAgents(10-i, 5*time.Second); got != 10-i {
+			t.Fatalf("only %d/%d agents registered", got, 10-i)
+		}
+	}
 	refs, regCfg, vendorItems := mysqlVendorItems(t)
-
-	var want []string
-	var wantKeys []profile.Key
-	for _, par := range []int{1, 3, 16} {
-		s, _ := startFleet(t,
-			userMachine(names[0], false),
-			userMachine(names[1], true),
-			userMachine(names[2], false),
-			userMachine(names[3], true),
-			userMachine(names[4], false),
-			userMachine(names[5], true),
-		)
-		s.ProfileParallelism = par
-		ms, err := s.CollectProfiles(context.Background(), "mysql", refs, regCfg, vendorItems)
+	want := ""
+	for run := 0; run < 3; run++ {
+		fps, err := s.FingerprintAll(context.Background(), "mysql", refs, regCfg, vendorItems)
 		if err != nil {
-			t.Fatalf("parallelism %d: %v", par, err)
+			t.Fatal(err)
 		}
-		var got []string
-		var gotKeys []profile.Key
-		for _, m := range ms {
-			got = append(got, m.Name)
-			gotKeys = append(gotKeys, m.Key())
+		var got, order []string
+		for _, fp := range fps {
+			order = append(order, fp.Name)
+			got = append(got, fmt.Sprintf("%s:%x/%x/%s", fp.Name, fp.ParsedDiff.Signature(), fp.ContentDiff.Signature(), fp.AppSet))
 		}
-		if want == nil {
-			want, wantKeys = got, gotKeys
-			if strings.Join(got, ",") != strings.Join(names, ",") {
-				t.Fatalf("collection order %v, want sorted agent names %v", got, names)
+		if strings.Join(order, ",") != strings.Join(names, ",") {
+			t.Fatalf("run %d: order %v, want agent names %v", run, order, names)
+		}
+		if run == 0 {
+			want = strings.Join(got, " ")
+		} else if strings.Join(got, " ") != want {
+			t.Fatalf("run %d: %v\nwant %s", run, got, want)
+		}
+	}
+}
+
+// rawAgent registers name on a raw connection and answers each request
+// with the frame answer returns for its ID, one request at a time.
+func rawAgent(t *testing.T, addr, name string, answer func(id int) string) {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	fmt.Fprintf(conn, `{"op":"register","register":{"machine":%q}}`+"\n", name)
+	go func() {
+		r := bufio.NewReader(conn)
+		for {
+			line, err := r.ReadBytes('\n')
+			if err != nil {
+				return
 			}
-		} else {
-			if strings.Join(got, ",") != strings.Join(want, ",") {
-				t.Fatalf("parallelism %d: order %v != %v", par, got, want)
+			var req Frame
+			if json.Unmarshal(line, &req) != nil {
+				return
 			}
-			for i := range gotKeys {
-				if gotKeys[i] != wantKeys[i] {
-					t.Fatalf("parallelism %d: profile %s differs", par, got[i])
-				}
+			fmt.Fprintln(conn, answer(req.ID))
+		}
+	}()
+}
+
+// blockingAgent is a rawAgent that holds every request until release is
+// closed, tracking in active and maxSeen how many requests the fleet
+// holds at once.
+func blockingAgent(t *testing.T, addr, name string, active, maxSeen *atomic.Int32, release <-chan struct{}) {
+	rawAgent(t, addr, name, func(id int) string {
+		n := active.Add(1)
+		for {
+			max := maxSeen.Load()
+			if n <= max || maxSeen.CompareAndSwap(max, n) {
+				break
 			}
 		}
-		s.Close()
+		<-release
+		active.Add(-1)
+		return fmt.Sprintf(`{"id":%d,"ok":true}`, id)
+	})
+}
+
+func TestFingerprintAllBoundsInFlight(t *testing.T) {
+	s, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var active, maxSeen atomic.Int32
+	release := make(chan struct{})
+	for i := 0; i < 20; i++ {
+		blockingAgent(t, s.Addr(), fmt.Sprintf("blk-%02d", i), &active, &maxSeen, release)
+	}
+	if got := s.WaitForAgents(20, 5*time.Second); got != 20 {
+		t.Fatalf("only %d/20 agents registered", got)
+	}
+	done := make(chan error, 1)
+	go func() {
+		fps, err := s.FingerprintAll(context.Background(), "mysql", nil, RegistryConfig{}, resource.NewSet(0))
+		if err == nil && len(fps) != 20 {
+			err = fmt.Errorf("%d fingerprints, want 20", len(fps))
+		}
+		done <- err
+	}()
+	// Hold every agent until the fan-out is saturated, then give an
+	// unbounded fan-out the time to push past the bound.
+	deadline := time.Now().Add(5 * time.Second)
+	for active.Load() < fingerprintParallelism {
+		if time.Now().After(deadline) {
+			t.Fatalf("fan-out never saturated: %d in flight", active.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := maxSeen.Load(); got != fingerprintParallelism {
+		t.Fatalf("max fingerprint RPCs in flight = %d, want exactly %d", got, fingerprintParallelism)
+	}
+}
+
+func TestFingerprintAllEmptyFleet(t *testing.T) {
+	s, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	refs, regCfg, vendorItems := mysqlVendorItems(t)
+	if fps, err := s.FingerprintAll(context.Background(), "mysql", refs, regCfg, vendorItems); err != nil || len(fps) != 0 {
+		t.Fatalf("empty fleet: %v, %v", fps, err)
+	}
+}
+
+// TestFingerprintAllNameOrderWhateverReplyOrder: agents that answer in
+// reverse name order still come back in name order.
+func TestFingerprintAllNameOrderWhateverReplyOrder(t *testing.T) {
+	s, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	names := []string{"ro-0", "ro-1", "ro-2", "ro-3", "ro-4", "ro-5"}
+	var active, maxSeen atomic.Int32
+	release := make([]chan struct{}, len(names))
+	for _, i := range []int{3, 0, 5, 1, 4, 2} {
+		release[i] = make(chan struct{})
+		blockingAgent(t, s.Addr(), names[i], &active, &maxSeen, release[i])
+	}
+	if got := s.WaitForAgents(len(names), 5*time.Second); got != len(names) {
+		t.Fatalf("only %d/%d agents registered", got, len(names))
+	}
+	done := make(chan []string, 1)
+	go func() {
+		fps, err := s.FingerprintAll(context.Background(), "mysql", nil, RegistryConfig{}, resource.NewSet(0))
+		if err != nil {
+			t.Error(err)
+		}
+		var order []string
+		for _, fp := range fps {
+			order = append(order, fp.Name)
+		}
+		done <- order
+	}()
+	// Every request is in flight before the first answer, so the answers
+	// arrive last name first.
+	deadline := time.Now().Add(5 * time.Second)
+	for active.Load() < int32(len(names)) {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d requests in flight", active.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for i := len(names) - 1; i >= 0; i-- {
+		close(release[i])
+		for active.Load() > int32(i) {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if order := <-done; strings.Join(order, ",") != strings.Join(names, ",") {
+		t.Fatalf("order %v, want %v", order, names)
+	}
+}
+
+// TestFingerprintAllNamesFirstFailingAgentInNameOrder: with two agents
+// failing, the error names the first of them in name order, with its
+// cause, and never a healthy agent.
+func TestFingerprintAllNamesFirstFailingAgentInNameOrder(t *testing.T) {
+	s, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	answers := map[string]string{
+		"ok-1":      `{"id":%d,"ok":true}`,
+		"bad-late":  `{"id":%d,"err":"also broken"}`,
+		"bad-early": `{"id":%d,"err":"disk on fire"}`,
+	}
+	for name, format := range answers {
+		rawAgent(t, s.Addr(), name, func(id int) string { return fmt.Sprintf(format, id) })
+	}
+	if got := s.WaitForAgents(len(answers), 5*time.Second); got != len(answers) {
+		t.Fatalf("only %d/%d agents registered", got, len(answers))
+	}
+	for run := 0; run < 5; run++ {
+		_, err := s.FingerprintAll(context.Background(), "mysql", nil, RegistryConfig{}, resource.NewSet(0))
+		if err == nil || !strings.Contains(err.Error(), "bad-early") || !strings.Contains(err.Error(), "disk on fire") {
+			t.Fatalf("run %d: error does not name the first failing agent: %v", run, err)
+		}
+		if strings.Contains(err.Error(), "ok-1") {
+			t.Fatalf("run %d: error blames a healthy agent: %v", run, err)
+		}
 	}
 }
 

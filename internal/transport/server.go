@@ -18,7 +18,6 @@ import (
 	"repro/internal/deploy"
 	"repro/internal/distrib"
 	"repro/internal/pkgmgr"
-	"repro/internal/profile"
 	"repro/internal/report"
 	"repro/internal/resource"
 	"repro/internal/telemetry"
@@ -337,14 +336,6 @@ type Server struct {
 	serving sync.WaitGroup
 
 	Timeout time.Duration
-
-	// ProfileParallelism bounds how many agents are fingerprinted
-	// concurrently during fleet profiling (0 means
-	// profile.DefaultParallelism, 1 means serial). Each agent has its own
-	// channel, so fan-out never interleaves frames on one connection; the
-	// collected order — and therefore the clustering — is identical at
-	// any setting.
-	ProfileParallelism int
 
 	// Faults, when set, injects deterministic chaos on every vendor-side
 	// call: drops, delays, corrupt chunk payloads, resets, and scheduled
@@ -805,102 +796,75 @@ func (s *Server) Record(ctx context.Context, machineName, app string, inputs []s
 	return resp.Status, nil
 }
 
-// fpPayload memoizes the serialized fingerprint request body shared by
-// every agent of one profiling fan-out. The body — resource references,
-// registry configuration, and above all the vendor item list — is
-// identical across agents, so it is marshalled once per (app, vendor set)
-// and the raw bytes are reused across the whole fleet instead of being
-// re-serialized per connection.
-type fpPayload struct {
-	refs []string
-	reg  RegistryConfig
+// fingerprintParallelism bounds how many fingerprint RPCs FingerprintAll
+// keeps in flight. Each agent has its own channel, so the fan-out never
+// interleaves frames on one connection; the bound keeps a large fleet's
+// replies from arriving all at once.
+const fingerprintParallelism = 8
 
-	mu     sync.Mutex
-	app    string
-	vendor *resource.Set
-	raw    json.RawMessage
-}
-
-func (p *fpPayload) rawFor(app string, vendor *resource.Set) (json.RawMessage, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.raw == nil || p.app != app || p.vendor != vendor {
-		b, err := json.Marshal(&FingerprintReq{
-			App: app, Refs: p.refs, Registry: p.reg, VendorItems: ItemsToWire(vendor.Items()),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("transport: encoding fingerprint request: %w", err)
+// FingerprintAll collects every registered agent's item diff against the
+// vendor reference for app, as clustering inputs in agent-name order
+// whatever order the replies arrive in. The request body — references,
+// registry and the vendor item list — is the same for every agent, so it
+// is encoded once before the fan-out. A failure stops the collection: no
+// new RPC starts after one fails or ctx is done, and the error names the
+// first failing agent in name order.
+func (s *Server) FingerprintAll(ctx context.Context, app string, refs []string, reg RegistryConfig, vendorItems *resource.Set) ([]cluster.MachineFingerprint, error) {
+	body, err := json.Marshal(&FingerprintReq{
+		App: app, Refs: refs, Registry: reg, VendorItems: ItemsToWire(vendorItems.Items()),
+	})
+	if err != nil {
+		return nil, fmt.Errorf("transport: encoding fingerprint request: %w", err)
+	}
+	names := s.Agents()
+	out := make([]cluster.MachineFingerprint, len(names))
+	errs := make([]error, len(names))
+	var failed atomic.Bool
+	slots := make(chan struct{}, fingerprintParallelism)
+	var wg sync.WaitGroup
+	for i, name := range names {
+		slots <- struct{}{}
+		if failed.Load() || ctx.Err() != nil {
+			break
 		}
-		p.app, p.vendor, p.raw = app, vendor, b
+		wg.Add(1)
+		go func() {
+			defer func() { <-slots; wg.Done() }()
+			if out[i], errs[i] = s.fingerprint(ctx, name, body); errs[i] != nil {
+				failed.Store(true)
+			}
+		}()
 	}
-	return p.raw, nil
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("transport: fingerprinting %s on %s: %w", app, names[i], err)
+		}
+	}
+	return out, nil
 }
 
-// agentSource exposes one registered agent as a profile.Source: Profile
-// performs a fingerprint RPC on the agent's channel. The resource
-// references and registry configuration are fixed per collection, and the
-// request body is shared with every sibling source of the same fan-out.
-type agentSource struct {
-	s       *Server
-	name    string
-	payload *fpPayload
-}
-
-// Name implements profile.Source.
-func (as *agentSource) Name() string { return as.name }
-
-// Profile implements profile.Source over the wire.
-func (as *agentSource) Profile(ctx context.Context, app string, vendor *resource.Set) (profile.Machine, error) {
-	ac, err := as.s.agent(as.name)
+// fingerprint performs one agent's fingerprint RPC with a pre-encoded
+// request body.
+func (s *Server) fingerprint(ctx context.Context, name string, body json.RawMessage) (cluster.MachineFingerprint, error) {
+	ac, err := s.agent(name)
 	if err != nil {
-		return profile.Machine{}, err
+		return cluster.MachineFingerprint{}, err
 	}
-	raw, err := as.payload.rawFor(app, vendor)
+	resp, err := ac.call(ctx, Frame{Op: OpFingerprint, Fingerprint: body}, s.Timeout)
 	if err != nil {
-		return profile.Machine{}, err
-	}
-	resp, err := ac.call(ctx, Frame{Op: OpFingerprint, Fingerprint: raw}, as.s.Timeout)
-	if err != nil {
-		return profile.Machine{}, err
+		return cluster.MachineFingerprint{}, err
 	}
 	diff := ItemsFromWire(resp.Diff)
-	return profile.Machine{
-		Name:        as.name,
+	return cluster.MachineFingerprint{
+		Name:        name,
 		ParsedDiff:  diff.OfKind(resource.Parsed),
 		ContentDiff: diff.OfKind(resource.Content),
 		AppSet:      resp.AppSet,
 	}, nil
-}
-
-// ProfileSources returns one profile.Source per registered agent, in
-// sorted name order — the remote half of the shared profiling pipeline.
-// All sources share one lazily serialized request payload.
-func (s *Server) ProfileSources(refs []string, reg RegistryConfig) []profile.Source {
-	payload := &fpPayload{refs: refs, reg: reg}
-	names := s.Agents()
-	out := make([]profile.Source, len(names))
-	for i, n := range names {
-		out[i] = &agentSource{s: s, name: n, payload: payload}
-	}
-	return out
-}
-
-// CollectProfiles gathers every registered agent's diff profile for app.
-// The per-agent fingerprint RPCs fan out concurrently on the shared
-// profile pipeline (bounded by s.ProfileParallelism), with deterministic
-// sorted-name output order; a failure names the failing agent.
-func (s *Server) CollectProfiles(ctx context.Context, app string, refs []string, reg RegistryConfig, vendorItems *resource.Set) ([]profile.Machine, error) {
-	return profile.Collect(ctx, s.ProfileSources(refs, reg), app, vendorItems, s.ProfileParallelism)
-}
-
-// FingerprintAll collects item diffs from every registered agent for app,
-// as clustering inputs. See CollectProfiles for concurrency and ordering.
-func (s *Server) FingerprintAll(ctx context.Context, app string, refs []string, reg RegistryConfig, vendorItems *resource.Set) ([]cluster.MachineFingerprint, error) {
-	ms, err := s.CollectProfiles(ctx, app, refs, reg, vendorItems)
-	if err != nil {
-		return nil, err
-	}
-	return profile.Fingerprints(ms), nil
 }
 
 // RemoteNode exposes a registered agent as a deploy.Node, so the staged
@@ -1039,33 +1003,4 @@ func (r *RemoteNode) TestUpgrade(ctx context.Context, up *pkgmgr.Upgrade) (*repo
 func (r *RemoteNode) Integrate(ctx context.Context, up *pkgmgr.Upgrade) error {
 	_, err := r.s.pushUpgrade(ctx, r.name, OpIntegrate, up)
 	return err
-}
-
-// RemoteClustering is the result of clustering a registered fleet: the
-// collected profiles, the raw clustering, and the clusters of deployment
-// backed by remote nodes.
-type RemoteClustering struct {
-	Profiles []profile.Machine
-	Clusters []*cluster.Cluster
-	Deploy   []*deploy.Cluster
-}
-
-// ClusterRemote fingerprints the whole registered fleet concurrently and
-// runs the clustering algorithm: the profile package's Collect →
-// cluster.Run → Assemble pipeline with one agentSource per agent, so a
-// networked fleet clusters exactly as the same fingerprints would
-// in-process (parity_test.go).
-func (s *Server) ClusterRemote(ctx context.Context, app string, refs []string, reg RegistryConfig, vendorItems *resource.Set, cfg cluster.Config, repsPerCluster int) (*RemoteClustering, error) {
-	ms, err := s.CollectProfiles(ctx, app, refs, reg, vendorItems)
-	if err != nil {
-		return nil, err
-	}
-	clusters := cluster.Run(cfg, profile.Fingerprints(ms))
-	dcs, err := profile.Assemble(clusters, repsPerCluster, func(name string) deploy.Node {
-		return s.Node(name)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &RemoteClustering{Profiles: ms, Clusters: clusters, Deploy: dcs}, nil
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/cluster"
 	"repro/internal/deploy"
+	"repro/internal/fleetwatch"
 	"repro/internal/machine"
 	"repro/internal/parser"
 	"repro/internal/pkgmgr"
@@ -186,7 +187,10 @@ func TestRemoteValidationAndIntegration(t *testing.T) {
 	}
 }
 
-func TestClusterRemoteAndStagedDeployment(t *testing.T) {
+// TestClusterFleetAndStagedDeployment takes a networked fleet down the
+// vendor's one path to a staging plan — FingerprintAll, BuildSnapshot,
+// the drift monitor's DeployClusters — and deploys it.
+func TestClusterFleetAndStagedDeployment(t *testing.T) {
 	machines := []*machine.Machine{
 		userMachine("m-plain-1", false),
 		userMachine("m-plain-2", false),
@@ -222,17 +226,21 @@ func TestClusterRemoteAndStagedDeployment(t *testing.T) {
 	}
 	vendorItems := parser.NewFingerprinter(reg).Fingerprint(ref, refs)
 
-	rc, err := s.ClusterRemote(context.Background(), "mysql", refs, regCfg, vendorItems, cluster.Config{Diameter: 3}, 1)
+	fps, err := s.FingerprintAll(context.Background(), "mysql", refs, regCfg, vendorItems)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rc.Clusters) != 2 {
-		t.Fatalf("clusters = %d, want 2 (plain vs php4 app sets)", len(rc.Clusters))
+	if len(fps) != 4 {
+		t.Fatalf("fingerprints = %d, want 4", len(fps))
 	}
-	if len(rc.Profiles) != 4 {
-		t.Fatalf("profiles = %d, want 4", len(rc.Profiles))
+	m := fleetwatch.NewMonitor(cluster.BuildSnapshot(cluster.Config{Diameter: 3}, fps), nil)
+	dcs, err := m.DeployClusters(func(name string) deploy.Node { return s.Node(name) })
+	if err != nil {
+		t.Fatal(err)
 	}
-	dcs := rc.Deploy
+	if len(dcs) != 2 {
+		t.Fatalf("clusters = %d, want 2 (plain vs php4 app sets)", len(dcs))
+	}
 
 	urr := report.New()
 	fixed := mysql5Wire()
