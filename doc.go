@@ -16,7 +16,7 @@
 // manifests in place of inline payloads, persistent agent-side chunk
 // caches seeded from installed files, and batched fetches of only the
 // missing chunks — pushed as binary chunk frames (raw bytes behind a
-// JSON header) and, once a rollout's early waves gate, served mostly
+// length-prefixed binary frame) and, once a rollout's early waves gate, served mostly
 // peer-to-peer: agents opt in with -peer-listen, the vendor hints gated
 // peers that hold the missing addresses, and every peer-fetched chunk
 // self-verifies against its content digest before the vendor uplink is

@@ -263,6 +263,7 @@ func TestMetricsFamilies(t *testing.T) {
 		"# TYPE mirage_budget_wait_seconds histogram",
 		"# TYPE mirage_fault_delay_seconds histogram",
 		"# TYPE mirage_faults_injected_total counter",
+		"# TYPE mirage_frames_refused_total counter",
 		"# TYPE mirage_journal_batch_records histogram",
 		"# TYPE mirage_journal_fsync_seconds histogram",
 		"# TYPE mirage_member_duration_seconds histogram",

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -169,7 +168,14 @@ func (a *Agent) handle(fc *frameConn, req *Frame) Frame {
 	}
 }
 
-func errFrame(msg string) Frame { return Frame{Err: msg} }
+// errFrame is a failed reply. msg is cut to the wire's string cap: an
+// error too long to send must not cost the channel.
+func errFrame(msg string) Frame {
+	if len(msg) > maxWireString {
+		msg = msg[:maxWireString]
+	}
+	return Frame{Err: msg}
+}
 
 func (a *Agent) handleIdentify(req IdentifyReq) Frame {
 	app := apps.Lookup(req.App)
@@ -227,9 +233,9 @@ func (a *Agent) handleFetchChunks(fc *frameConn, meta []distrib.ChunkRef) Frame 
 	return Frame{OK: true}
 }
 
-func (a *Agent) handleFingerprint(raw json.RawMessage) Frame {
-	var req FingerprintReq
-	if err := json.Unmarshal(raw, &req); err != nil {
+func (a *Agent) handleFingerprint(raw []byte) Frame {
+	req, err := decodeFingerprintReq(raw)
+	if err != nil {
 		return errFrame("fingerprint payload malformed: " + err.Error())
 	}
 	reg, err := BuildRegistry(req.Registry)
@@ -281,6 +287,12 @@ func (a *Agent) handleTest(man *distrib.Manifest) Frame {
 		a.tested, a.testedWire = up, man.Wire()
 	} else {
 		out.Image = report.CaptureImage(rep.Sandbox)
+		// An image past its cap would cost the channel, and with it the
+		// report: send the report without it, saying why.
+		if n := imageWireLen(out.Image); n > maxImageBody {
+			out.Image = nil
+			out.Reasons = append(out.Reasons, fmt.Sprintf("report image of %d bytes exceeds the %d-byte cap; sent without it", n, maxImageBody))
+		}
 	}
 	return Frame{Report: out, OK: true}
 }

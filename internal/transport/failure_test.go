@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"net"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/deploy"
+	"repro/internal/machine"
 	"repro/internal/report"
 )
 
@@ -93,7 +95,7 @@ func TestRPCTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write([]byte(`{"op":"register","register":{"machine":"mute"}}` + "\n")); err != nil {
+	if _, err := conn.Write(wireBytes(t, &Frame{Op: OpRegister, Register: &RegisterReq{Machine: "mute"}})); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.WaitForAgents(1, time.Second); got != 1 {
@@ -110,11 +112,14 @@ func TestRPCTimeout(t *testing.T) {
 	}
 }
 
+// TestUnknownOpRejectedByAgent sends the agent an op the codec knows but
+// its control channel does not serve (an op name the codec does not know
+// cannot be encoded at all).
 func TestUnknownOpRejectedByAgent(t *testing.T) {
 	m := userMachine("strict", false)
 	s, _ := startFleet(t, m)
 	ac, _ := s.registry.Get("strict")
-	_, err := ac.call(context.Background(), Frame{Op: "format-disk"}, time.Second)
+	_, err := ac.call(context.Background(), Frame{Op: OpPeerGet}, time.Second)
 	if err == nil || !strings.Contains(err.Error(), "unknown op") {
 		t.Fatalf("err = %v", err)
 	}
@@ -133,5 +138,61 @@ func TestServerCloseTerminatesAgents(t *testing.T) {
 	case <-done:
 	case <-time.After(3 * time.Second):
 		t.Fatal("agent did not terminate after server close")
+	}
+}
+
+// phpFailure is TestRemoteValidationAndIntegration's failing member with a
+// data file of size bytes: a machine whose mysql5Wire test fails and
+// whose report image carries the file.
+func phpFailure(t *testing.T, name string, size int) (*Server, []byte) {
+	t.Helper()
+	m := userMachine(name, true)
+	data := bigData(5, size)
+	m.WriteFile(&machine.File{Path: "/var/lib/mysql/ibdata1", Type: machine.TypeData, Data: data})
+	s, _ := startFleet(t, m)
+	for _, app := range []string{"mysql", "php"} {
+		if _, err := s.Identify(context.Background(), name, app, [][]string{nil}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Record(context.Background(), name, app, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s, data
+}
+
+// TestLargeFailureImageArrives: a failure report whose machine image
+// holds an 800 KiB file reaches the vendor with the file's bytes intact.
+// The image rides as a raw body behind the report's frame, bounded by its
+// own cap rather than by the frame cap it would cross inside the frame.
+func TestLargeFailureImageArrives(t *testing.T) {
+	s, data := phpFailure(t, "php4-big", 800*1024)
+	rep, err := s.Node("php4-big").TestUpgrade(context.Background(), mysql5Wire())
+	if err != nil {
+		t.Fatalf("failure report lost: %v", err)
+	}
+	if rep.Success || rep.Image == nil {
+		t.Fatalf("report = %+v, want a failure with its image", rep)
+	}
+	if f := rep.Image.Materialize().ReadFile("/var/lib/mysql/ibdata1"); f == nil || !bytes.Equal(f.Data, data) {
+		t.Fatal("the image's 800 KiB file did not arrive intact")
+	}
+}
+
+// TestOverCapImageSentWithoutIt: an image past its cap never costs the
+// channel; the failure report arrives without it, saying why.
+func TestOverCapImageSentWithoutIt(t *testing.T) {
+	defer func(n int) { maxImageBody = n }(maxImageBody)
+	maxImageBody = 64 * 1024
+	s, _ := phpFailure(t, "php4-huge", 100*1024)
+	rep, err := s.Node("php4-huge").TestUpgrade(context.Background(), mysql5Wire())
+	if err != nil {
+		t.Fatalf("failure report lost: %v", err)
+	}
+	if rep.Success || rep.Image != nil || !strings.Contains(strings.Join(rep.Reasons, ";"), "exceeds the 65536-byte cap") {
+		t.Fatalf("report = %+v, want a failure without its image, the reason given", rep)
+	}
+	if err := s.Ping(context.Background(), "php4-huge"); err != nil {
+		t.Fatalf("channel after the report: %v", err)
 	}
 }

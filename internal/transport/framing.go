@@ -2,7 +2,7 @@ package transport
 
 import (
 	"bufio"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"repro/internal/distrib"
+	"repro/internal/report"
 )
 
 // maxWireChunk bounds a single chunk's declared wire length. The CDC
@@ -18,26 +19,18 @@ import (
 // allocate or stream gigabytes.
 const maxWireChunk = 1 << 26 // 64MB
 
-// maxHeaderLine bounds one frame's JSON header line, and a manifest body's
-// announced length. No header carries payload — chunk bytes and manifests
-// ride behind it as raw bodies — so headers are small: the longest the
-// tier-1 suite produces is 1.9 KB and the longest of the five bench
-// workloads 4.8 KB (swarm-cold's chunk_meta for its 528 KiB upgrade);
-// the longest manifest bodies are 4.8 KB and 1.5 KB. The cap is what
-// keeps a peer that never sends a newline, or announces a huge body, from
-// growing the reader's buffer without limit.
-const maxHeaderLine = 1 << 20 // 1MB
-
-// ErrFrameTooLarge reports a frame header longer than maxHeaderLine, or a
-// manifest_len outside [0, maxHeaderLine]. The stream cannot be
+// ErrFrameTooLarge reports a frame announcing more than maxFrame bytes, a
+// manifest body beyond maxFrame or an image body beyond maxImageBody. It
+// is refused before any of it is buffered. The stream cannot be
 // resynchronized after it; callers drop the connection.
 var ErrFrameTooLarge = errors.New("transport: frame too large")
 
-// chunkBufPool recycles the scratch buffers readManifest fills from the
-// socket: DecodeManifest copies what it keeps, so no connection keeps a
-// manifest buffer of its own. Chunk bodies never come from it, because
-// ReadChunkBody's callers keep the bytes they are handed.
-var chunkBufPool = sync.Pool{
+// scratchPool recycles the buffers ReadFrame fills from the socket: a
+// frame too long for the reader's own buffer, and a manifest body, which
+// DecodeManifest copies what it keeps of. No connection keeps a buffer
+// of its own beyond its bufio pair. Chunk and image bodies never come
+// from it, because their readers keep the bytes they are handed.
+var scratchPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 32*1024)
 		return &b
@@ -49,13 +42,17 @@ var chunkBufPool = sync.Pool{
 // than it gets a segment of its own.
 const maxBodySegment = 1 << 20 // 1MB
 
-// frameConn frames one side of a transport connection: newline-delimited
-// JSON headers, each optionally followed by a raw binary body — a
-// manifest of Frame.ManifestLen bytes, or chunks whose layout (per-chunk
-// address and length, in order) the header announces in Frame.ChunkMeta.
-// Raw bodies are what keep encoding/json off the hot path: chunk payload
-// crosses the wire byte-for-byte, and a manifest is encoded once per
-// upgrade rather than marshalled per member.
+// frameConn frames one side of a transport connection: length-prefixed
+// binary frames (wire.go), each optionally followed by raw bodies the
+// frame announces — a manifest or a report image of the announced length,
+// or chunks whose layout (per-chunk address and length, in order)
+// Frame.ChunkMeta lists. Raw bodies keep payload off the codec: chunk
+// bytes cross the wire byte-for-byte, and a manifest is encoded once per
+// upgrade rather than per member.
+//
+// A frameConn holds nothing but the connection's bufio pair and the
+// writer beneath: a frame is encoded straight into the writer's buffer
+// and decoded straight out of the reader's.
 //
 // A frameConn is not safe for concurrent use; callers serialize access
 // (serveSession on the agent, the vendor's per-connection RPC mutex).
@@ -66,9 +63,6 @@ type frameConn struct {
 	// one vectored write; on the vendor it is the countingWriter, so body
 	// bytes are counted like every other byte.
 	w io.Writer
-	// line is the reusable header-read buffer: one allocation per
-	// connection, not per frame, regardless of header size.
-	line []byte
 }
 
 // newFrameConn frames reads from br and writes through bw, a buffered
@@ -77,84 +71,190 @@ func newFrameConn(br *bufio.Reader, bw *bufio.Writer, w io.Writer) *frameConn {
 	return &frameConn{br: br, bw: bw, w: w}
 }
 
-// ReadFrame reads one newline-terminated JSON header into f, and the
-// manifest body behind it if the header announces one. It replaces the
-// json.Decoder the wire format grew up with: a Decoder reads ahead into
-// its own buffer, which would swallow the raw body following a header;
-// reading exactly one line keeps the stream positioned at the body's
-// first byte. A header that outgrows maxHeaderLine is refused with
-// ErrFrameTooLarge before the line buffer grows past the cap, and so is a
-// manifest_len beyond it. A chunk body is left for ReadChunkBody.
+// lenPrefix is the longest length prefix: maxFrame takes 3 uvarint bytes.
+const lenPrefix = 3
+
+// ReadFrame reads one frame into f, and the manifest or image body behind
+// it if the frame announces one. The announced length is checked against
+// maxFrame, and the version byte against frameVersion, before the rest
+// of the frame is waited for; a frame that fits the reader's buffer is
+// decoded from it in place, a longer one from a pooled buffer. A refused
+// frame returns a *frameError. A chunk body is left for ReadChunkBody.
 func (fc *frameConn) ReadFrame(f *Frame) error {
-	fc.line = fc.line[:0]
-	for {
-		part, err := fc.br.ReadSlice('\n')
-		if len(fc.line)+len(part) > maxHeaderLine {
-			return ErrFrameTooLarge
+	n, err := readFrameLen(fc.br)
+	if err != nil {
+		return err
+	}
+	if n >= 1 {
+		v, err := fc.br.Peek(1)
+		if err != nil {
+			return unexpected(err)
 		}
-		fc.line = append(fc.line, part...)
-		if err == nil {
-			break
-		}
-		if err != bufio.ErrBufferFull {
-			return err
+		if v[0] != frameVersion {
+			return refuse(refusedVersion, nil, "version %d", v[0])
 		}
 	}
 	*f = Frame{}
-	if err := json.Unmarshal(fc.line, f); err != nil {
-		return err
+	var manifestLen, imageLen int
+	if n <= fc.br.Size() {
+		body, err := fc.br.Peek(n)
+		if err != nil {
+			return unexpected(err)
+		}
+		manifestLen, imageLen, err = decodeFrame(body, f)
+		fc.br.Discard(n)
+		if err != nil {
+			return err
+		}
+	} else {
+		bufp := scratchPool.Get().(*[]byte)
+		defer scratchPool.Put(bufp)
+		body := grow(bufp, n)
+		if _, err := io.ReadFull(fc.br, body); err != nil {
+			return unexpected(err)
+		}
+		if manifestLen, imageLen, err = decodeFrame(body, f); err != nil {
+			return err
+		}
 	}
-	if f.ManifestLen == 0 {
-		return nil
+	if manifestLen > 0 {
+		if err := fc.readManifest(f, manifestLen); err != nil {
+			return err
+		}
 	}
-	return fc.readManifest(f)
+	if imageLen > 0 {
+		return fc.readImage(f.Report, imageLen)
+	}
+	return nil
 }
 
-// readManifest reads the f.ManifestLen body bytes through a pooled buffer
-// (DecodeManifest copies what it keeps) and decodes them into f.Manifest.
-func (fc *frameConn) readManifest(f *Frame) error {
-	n := f.ManifestLen
-	if n < 0 || n > maxHeaderLine {
-		return ErrFrameTooLarge
+// readFrameLen reads a frame's length prefix, refusing an overlong
+// encoding and a length beyond maxFrame as soon as its bytes say so.
+func readFrameLen(br *bufio.Reader) (int, error) {
+	var n uint64
+	for i := 0; i < lenPrefix; i++ {
+		c, err := br.ReadByte()
+		if err != nil {
+			if i > 0 {
+				return 0, unexpected(err)
+			}
+			return 0, err
+		}
+		n |= uint64(c&0x7f) << (7 * i)
+		if c < 0x80 {
+			if c == 0 && i > 0 {
+				return 0, refuse(refusedBadField, nil, "overlong frame length")
+			}
+			if n > maxFrame {
+				return 0, refuse(refusedTooLarge, nil, "%d-byte frame over the cap %d", n, maxFrame)
+			}
+			return int(n), nil
+		}
 	}
-	bufp := chunkBufPool.Get().(*[]byte)
-	defer chunkBufPool.Put(bufp)
+	return 0, refuse(refusedTooLarge, nil, "frame length over %d bytes", lenPrefix)
+}
+
+// unexpected turns an EOF inside a frame or body into io.ErrUnexpectedEOF.
+func unexpected(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// grow returns (*bufp)[:n], growing the pooled buffer to fit.
+func grow(bufp *[]byte, n int) []byte {
 	if cap(*bufp) < n {
 		*bufp = make([]byte, n)
 	}
-	body := (*bufp)[:n]
+	return (*bufp)[:n]
+}
+
+// readManifest reads the n-byte manifest body through a pooled buffer
+// (DecodeManifest copies what it keeps) and decodes it into f.Manifest.
+func (fc *frameConn) readManifest(f *Frame, n int) error {
+	bufp := scratchPool.Get().(*[]byte)
+	defer scratchPool.Put(bufp)
+	body := grow(bufp, n)
 	if _, err := io.ReadFull(fc.br, body); err != nil {
-		return err
+		return unexpected(err)
 	}
 	m, err := distrib.DecodeManifest(body)
 	if err != nil {
-		return fmt.Errorf("transport: %s manifest: %w", f.Op, err)
+		return refuse(refusedBadField, err, "%s manifest", f.Op)
 	}
 	f.Manifest = m
 	return nil
 }
 
-// WriteFrame marshals f and writes it as one newline-terminated header,
-// followed by f.Manifest's wire bytes when it carries one. The buffered
-// writer is not flushed: callers batch the header with any chunk body and
-// flush once per message.
-func (fc *frameConn) WriteFrame(f Frame) error {
-	var body []byte
-	if f.Manifest != nil {
-		body = f.Manifest.Wire()
-	}
-	f.ManifestLen = len(body)
-	b, err := json.Marshal(f)
+// readImage reads the n-byte image body into rep.Image. The body is kept
+// — the image's file bytes share it — so it is read into a buffer of its
+// own that grows with the bytes that arrive, not with the announcement.
+func (fc *frameConn) readImage(rep *report.Report, n int) error {
+	body, err := io.ReadAll(io.LimitReader(fc.br, int64(n)))
 	if err != nil {
 		return err
 	}
-	if _, err := fc.bw.Write(b); err != nil {
+	if len(body) < n {
+		return io.ErrUnexpectedEOF
+	}
+	img, err := decodeImage(body)
+	if err != nil {
 		return err
 	}
-	if err := fc.bw.WriteByte('\n'); err != nil {
+	rep.Image = img
+	return nil
+}
+
+// minFrameRoom is the free space WriteFrame wants in the writer's buffer
+// before it encodes there; with less it flushes first.
+const minFrameRoom = 256
+
+// WriteFrame encodes f straight into the buffered writer — behind room
+// for the length prefix, which is filled in once the length is known —
+// and writes the manifest and image bodies f announces behind it. Only a
+// frame longer than the writer's free buffer is encoded in a fresh slice;
+// the bodies are written from the bytes they already are (a manifest's
+// memoized encoding) or, for a rare failure image, from one slice of its
+// exact length. The buffered writer is not flushed: callers batch the
+// frame with any chunk body and flush once per message.
+func (fc *frameConn) WriteFrame(f *Frame) error {
+	var manifest, image []byte
+	if f.Manifest != nil {
+		if manifest = f.Manifest.Wire(); len(manifest) > maxFrame {
+			return fmt.Errorf("%w: %d-byte manifest", ErrFrameTooLarge, len(manifest))
+		}
+	}
+	if f.Report != nil && f.Report.Image != nil {
+		n := imageWireLen(f.Report.Image)
+		if n > maxImageBody {
+			return fmt.Errorf("%w: %d-byte report image", ErrFrameTooLarge, n)
+		}
+		image = appendImage(make([]byte, 0, n), f.Report.Image)
+	}
+	if fc.bw.Available() < minFrameRoom {
+		if err := fc.bw.Flush(); err != nil {
+			return err
+		}
+	}
+	b := append(fc.bw.AvailableBuffer(), make([]byte, lenPrefix)...)
+	b, err := appendFrame(b, f, len(manifest), len(image))
+	if err != nil {
 		return err
 	}
-	_, err = fc.bw.Write(body)
+	n := len(b) - lenPrefix
+	if n > maxFrame {
+		return fmt.Errorf("%w: %d-byte %q frame", ErrFrameTooLarge, n, f.Op)
+	}
+	k := uvarintLen(uint64(n))
+	binary.PutUvarint(b[lenPrefix-k:], uint64(n))
+	if _, err := fc.bw.Write(b[lenPrefix-k:]); err != nil {
+		return err
+	}
+	if _, err := fc.bw.Write(manifest); err != nil {
+		return err
+	}
+	_, err = fc.bw.Write(image)
 	return err
 }
 

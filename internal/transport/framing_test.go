@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -55,51 +56,53 @@ func TestBinaryFramingZeroExpansion(t *testing.T) {
 	if st.ChunkBytes != size {
 		t.Fatalf("pushed %d chunk bytes for a %d-byte payload, want exactly the payload", st.ChunkBytes, size)
 	}
-	// One chunk reference is at most 40 bytes in ChunkMeta
-	// ({"h":<≤20 digits>,"n":<≤5 digits>} and a comma) and 11 in a binary
-	// manifest; it appears in three manifests and one ChunkMeta. 1 KiB
-	// covers the rest of those four frames.
+	// One chunk reference is at most 11 bytes, in ChunkMeta as in a binary
+	// manifest (an 8-byte address and a uvarint size under 2 MiB), and it
+	// appears in three manifests and one ChunkMeta. 1 KiB covers the rest
+	// of those four frames.
 	refs := int64(s.ChunkStore().Manifest(up).ChunkCount())
-	if headers := st.Bytes - st.ChunkBytes; headers > 4*40*refs+1024 {
+	if headers := st.Bytes - st.ChunkBytes; headers > 4*11*refs+1024 {
 		t.Fatalf("%d bytes on the wire beside %d chunk bytes (%d chunk refs): the body did not cross raw",
 			headers, st.ChunkBytes, refs)
 	}
 }
 
-// TestHeaderLineIsBounded streams newline-free bytes at each endpoint
+// TestHeaderLineIsBounded: a frame announcing more than the frame cap is
+// refused from its length prefix alone, before any of its bytes are
+// buffered. The flood sub-tests announce such a frame at each endpoint
 // that reads frames off a connection it did not choose — the server's
-// accept path and an agent's serve loop — and asserts the peer is cut off
-// after the reader took at most the cap plus one bufio buffer, instead of
-// buffering whatever arrives. net.Pipe is synchronous, so the bytes the
-// writer got rid of are exactly the bytes the endpoint read.
+// accept path and an agent's serve loop — and keep streaming; the peer
+// must be cut off after the endpoint took at most one bufio buffer,
+// instead of buffering whatever arrives. net.Pipe is synchronous, so the
+// bytes the writer got rid of are exactly the bytes the endpoint read.
 func TestHeaderLineIsBounded(t *testing.T) {
+	announce := binary.AppendUvarint(nil, 2*maxFrame)
 	flood := func(t *testing.T, conn net.Conn) {
 		t.Helper()
 		defer conn.Close()
 		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		written, err := conn.Write(announce)
 		junk := bytes.Repeat([]byte{'x'}, 1000)
-		written := 0
-		for written < 4*maxHeaderLine {
-			n, err := conn.Write(junk)
+		for err == nil && written < 4*maxFrame {
+			var n int
+			n, err = conn.Write(junk)
 			written += n
-			if err != nil {
-				break
-			}
 		}
-		if written < maxHeaderLine || written > maxHeaderLine+4096 {
-			t.Fatalf("endpoint read %d newline-free bytes before hanging up, want within one 4096-byte buffer above the %d cap",
-				written, maxHeaderLine)
+		if written > 4096 {
+			t.Fatalf("endpoint read %d bytes of a frame announcing %d before hanging up, want at most one 4096-byte buffer",
+				written, 2*maxFrame)
 		}
 	}
 
 	t.Run("frameConn", func(t *testing.T) {
-		fc := newFrameConn(bufio.NewReader(bytes.NewReader(make([]byte, 2*maxHeaderLine))), nil, nil)
+		src := bytes.NewReader(append(announce, make([]byte, 2*maxFrame)...))
+		fc := newFrameConn(bufio.NewReader(src), nil, nil)
 		var f Frame
 		if err := fc.ReadFrame(&f); !errors.Is(err, ErrFrameTooLarge) {
 			t.Fatalf("ReadFrame = %v, want ErrFrameTooLarge", err)
 		}
-		if len(fc.line) > maxHeaderLine {
-			t.Fatalf("buffered %d header bytes, past the %d cap", len(fc.line), maxHeaderLine)
+		if read := int(src.Size()) - src.Len(); read > 4096 {
+			t.Fatalf("read %d bytes of the refused frame, past one bufio buffer", read)
 		}
 	})
 	t.Run("server accept path", func(t *testing.T) {
@@ -113,11 +116,15 @@ func TestHeaderLineIsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 		flood(t, client)
+		if got := s.metrics().refused.With(refusedTooLarge).Value(); got != 1 {
+			t.Fatalf("too_large refusals counted = %d, want 1", got)
+		}
 	})
 	t.Run("Agent.serve", func(t *testing.T) {
 		vendor, agentEnd := net.Pipe()
 		go NewAgent(userMachine("flooded", false)).ServeConn(agentEnd)
-		if _, err := bufio.NewReader(vendor).ReadBytes('\n'); err != nil { // the registration frame
+		var reg Frame
+		if err := newFrameConn(bufio.NewReader(vendor), nil, nil).ReadFrame(&reg); err != nil {
 			t.Fatal(err)
 		}
 		flood(t, vendor)

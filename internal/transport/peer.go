@@ -97,13 +97,13 @@ func (a *Agent) servePeerConn(conn net.Conn) {
 			return
 		}
 		if req.Op != OpPeerGet {
-			fc.WriteFrame(Frame{ID: req.ID, Err: "unknown peer op " + req.Op})
+			fc.WriteFrame(&Frame{ID: req.ID, Err: "unknown peer op " + req.Op})
 			bw.Flush()
 			return
 		}
 		chunks := a.Cache.Chunks(req.NeedChunks)
 		resp := Frame{ID: req.ID, OK: true, ChunkMeta: chunkMeta(chunks)}
-		if err := fc.WriteFrame(resp); err != nil {
+		if err := fc.WriteFrame(&resp); err != nil {
 			return
 		}
 		if err := fc.WriteChunkBody(chunks); err != nil {
@@ -177,7 +177,7 @@ func (a *Agent) fetchFromPeer(peerAddr string, addrs []uint64) (got []uint64, n 
 	conn.SetDeadline(time.Now().Add(DefaultPeerTimeout))
 	bw := bufio.NewWriter(conn)
 	fc := newFrameConn(bufio.NewReader(conn), bw, conn)
-	if err := fc.WriteFrame(Frame{ID: 1, Op: OpPeerGet, NeedChunks: addrs}); err != nil {
+	if err := fc.WriteFrame(&Frame{ID: 1, Op: OpPeerGet, NeedChunks: addrs}); err != nil {
 		return nil, 0, err
 	}
 	if err := bw.Flush(); err != nil {

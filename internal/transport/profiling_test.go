@@ -3,7 +3,6 @@ package transport
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"strings"
@@ -73,25 +72,26 @@ func TestFingerprintAllDeterministicAcrossParallelism(t *testing.T) {
 
 // rawAgent registers name on a raw connection and answers each request
 // with the frame answer returns for its ID, one request at a time.
-func rawAgent(t *testing.T, addr, name string, answer func(id int) string) {
+func rawAgent(t *testing.T, addr, name string, answer func(id int) *Frame) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	fmt.Fprintf(conn, `{"op":"register","register":{"machine":%q}}`+"\n", name)
+	bw := bufio.NewWriter(conn)
+	fc := newFrameConn(bufio.NewReader(conn), bw, conn)
+	if fc.WriteFrame(&Frame{Op: OpRegister, Register: &RegisterReq{Machine: name}}) != nil || bw.Flush() != nil {
+		t.Fatal("registering", name)
+	}
 	go func() {
-		r := bufio.NewReader(conn)
 		for {
-			line, err := r.ReadBytes('\n')
-			if err != nil {
-				return
-			}
 			var req Frame
-			if json.Unmarshal(line, &req) != nil {
+			if fc.ReadFrame(&req) != nil {
 				return
 			}
-			fmt.Fprintln(conn, answer(req.ID))
+			if fc.WriteFrame(answer(req.ID)) != nil || bw.Flush() != nil {
+				return
+			}
 		}
 	}()
 }
@@ -100,7 +100,7 @@ func rawAgent(t *testing.T, addr, name string, answer func(id int) string) {
 // closed, tracking in active and maxSeen how many requests the fleet
 // holds at once.
 func blockingAgent(t *testing.T, addr, name string, active, maxSeen *atomic.Int32, release <-chan struct{}) {
-	rawAgent(t, addr, name, func(id int) string {
+	rawAgent(t, addr, name, func(id int) *Frame {
 		n := active.Add(1)
 		for {
 			max := maxSeen.Load()
@@ -110,7 +110,7 @@ func blockingAgent(t *testing.T, addr, name string, active, maxSeen *atomic.Int3
 		}
 		<-release
 		active.Add(-1)
-		return fmt.Sprintf(`{"id":%d,"ok":true}`, id)
+		return &Frame{ID: id, OK: true}
 	})
 }
 
@@ -226,13 +226,13 @@ func TestFingerprintAllNamesFirstFailingAgentInNameOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	answers := map[string]string{
-		"ok-1":      `{"id":%d,"ok":true}`,
-		"bad-late":  `{"id":%d,"err":"also broken"}`,
-		"bad-early": `{"id":%d,"err":"disk on fire"}`,
+	answers := map[string]Frame{
+		"ok-1":      {OK: true},
+		"bad-late":  {Err: "also broken"},
+		"bad-early": {Err: "disk on fire"},
 	}
-	for name, format := range answers {
-		rawAgent(t, s.Addr(), name, func(id int) string { return fmt.Sprintf(format, id) })
+	for name, answer := range answers {
+		rawAgent(t, s.Addr(), name, func(id int) *Frame { answer.ID = id; return &answer })
 	}
 	if got := s.WaitForAgents(len(answers), 5*time.Second); got != len(answers) {
 		t.Fatalf("only %d/%d agents registered", got, len(answers))
@@ -284,19 +284,20 @@ func TestUnacknowledgedReplyRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write([]byte(`{"op":"register","register":{"machine":"shrug"}}` + "\n")); err != nil {
+	if _, err := conn.Write(wireBytes(t, &Frame{Op: OpRegister, Register: &RegisterReq{Machine: "shrug"}})); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.WaitForAgents(1, time.Second); got != 1 {
 		t.Fatalf("agents = %d", got)
 	}
+	bare := wireBytes(t, &Frame{ID: 1})
 	go func() {
 		buf := make([]byte, 4096)
 		for {
 			if _, err := conn.Read(buf); err != nil {
 				return
 			}
-			if _, err := conn.Write([]byte(`{"id":1}` + "\n")); err != nil {
+			if _, err := conn.Write(bare); err != nil {
 				return
 			}
 		}

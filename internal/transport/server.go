@@ -3,7 +3,6 @@ package transport
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -75,16 +74,16 @@ type agentConn struct {
 	srv  *Server
 	// bw buffers frame writes so one frame is one buffered write burst
 	// with an explicit flush, not a stream of tiny unbuffered socket
-	// writes; fc is the line-based frame codec over it (and the reader),
-	// which is what lets a binary chunk body ride behind a JSON header.
+	// writes; fc is the frame codec over it (and the reader), which lets
+	// raw manifest and chunk bodies ride behind a frame.
 	bw *bufio.Writer
 	fc *frameConn
 	cw *countingWriter
 
 	// replaced is set (before the socket is closed) when a new
 	// registration under the same name supersedes this channel, so an
-	// in-flight call surfaces ErrAgentReplaced instead of the raw JSON
-	// decode error the closed socket would produce.
+	// in-flight call surfaces ErrAgentReplaced instead of the raw read
+	// error the closed socket would produce.
 	replaced atomic.Bool
 
 	mu     sync.Mutex // serializes RPCs on the channel
@@ -149,7 +148,7 @@ func (ac *agentConn) callBody(ctx context.Context, req Frame, body []distrib.Chu
 	resp, err := ac.exchange(ctx, req, body, timeout)
 	// ac.mu serializes RPCs on this channel, so the connection byte
 	// count's delta across the exchange is exactly this call's writes
-	// (JSON header plus any binary chunk body).
+	// (frame plus any manifest or chunk body).
 	sent := ac.cw.n - bytes0
 	m := ac.srv.metrics()
 	m.rpcLatency.With(req.Op).ObserveSince(t0)
@@ -166,6 +165,8 @@ type serverMetrics struct {
 	frames, bytes, chunkBytes, hits, misses *telemetry.Counter
 	peerBytes, peerHits, fallbacks          *telemetry.Counter
 	rolledBack, faults                      *telemetry.Counter
+
+	refused *telemetry.CounterFamily
 }
 
 // metrics binds the server's families on first use — not in ListenWith,
@@ -184,7 +185,7 @@ func (s *Server) metrics() *serverMetrics {
 			rpcLatency: reg.Histogram("mirage_rpc_latency_seconds",
 				"Vendor-to-agent RPC latency by op, faults and deadline waits included.", "op", 1e-9),
 			rpcBytes: reg.Histogram("mirage_rpc_frame_bytes",
-				"Bytes written to the agent socket per RPC by op (frame header plus chunk body).", "op", 1),
+				"Bytes written to the agent socket per RPC by op (frame plus manifest or chunk body).", "op", 1),
 			faultDelay: reg.Histogram("mirage_fault_delay_seconds",
 				"Injected fault delay absorbed by agent RPCs.", "", 1e-9),
 
@@ -198,6 +199,8 @@ func (s *Server) metrics() *serverMetrics {
 			fallbacks:  counter("mirage_peer_fallbacks_total", "Chunks the peer tier missed and the vendor pushed."),
 			rolledBack: counter("mirage_rollback_chunks_total", "Manifest chunks resolved while restoring members to the baseline."),
 			faults:     counter("mirage_faults_injected_total", "Transport faults fired by the chaos injector."),
+			refused: reg.Counter("mirage_frames_refused_total",
+				"Frames read from agents and refused, by reason; each drops its channel.", "reason"),
 		}
 		reg.Gauge("mirage_registry_agents_total", "Registered agents.", "",
 			func(emit func(string, float64)) { emit("", float64(s.registry.Len())) })
@@ -209,6 +212,19 @@ func (s *Server) metrics() *serverMetrics {
 			})
 	})
 	return &s.m
+}
+
+// readFrame reads one frame from an agent's connection, counting a
+// refused one by its reason.
+func (s *Server) readFrame(fc *frameConn, f *Frame) error {
+	err := fc.ReadFrame(f)
+	if err != nil {
+		var fe *frameError
+		if errors.As(err, &fe) {
+			s.metrics().refused.With(fe.reason).Inc()
+		}
+	}
+	return err
 }
 
 // exchange performs the locked wire exchange behind callBody.
@@ -265,7 +281,7 @@ func (ac *agentConn) exchange(ctx context.Context, req Frame, body []distrib.Chu
 			<-yanked
 		}
 	}()
-	if err := ac.fc.WriteFrame(req); err != nil {
+	if err := ac.fc.WriteFrame(&req); err != nil {
 		return Frame{}, ac.fail(ctx, "sending "+req.Op, err)
 	}
 	if body != nil {
@@ -281,7 +297,7 @@ func (ac *agentConn) exchange(ctx context.Context, req Frame, body []distrib.Chu
 		return Frame{}, ac.fail(ctx, req.Op, errFaultInjected)
 	}
 	var resp Frame
-	if err := ac.fc.ReadFrame(&resp); err != nil {
+	if err := ac.srv.readFrame(ac.fc, &resp); err != nil {
 		return Frame{}, ac.fail(ctx, "reading "+req.Op+" reply", err)
 	}
 	if resp.ID != req.ID {
@@ -636,7 +652,7 @@ func (s *Server) register(conn net.Conn) {
 		return
 	}
 	var hello Frame
-	if err := fc.ReadFrame(&hello); err != nil {
+	if err := s.readFrame(fc, &hello); err != nil {
 		unpend()
 		conn.Close()
 		return
@@ -658,7 +674,7 @@ func (s *Server) register(conn net.Conn) {
 		bw := bufio.NewWriter(conn)
 		fc.bw, fc.w = bw, conn
 		conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
-		if err := fc.WriteFrame(resp); err == nil {
+		if err := fc.WriteFrame(&resp); err == nil {
 			bw.Flush()
 		}
 		unpend()
@@ -691,7 +707,7 @@ func (s *Server) register(conn net.Conn) {
 	if old, dup := s.registry.Put(ac.name, ac); dup {
 		// Mark the superseded channel replaced BEFORE closing its socket,
 		// so a racing in-flight call classifies as ErrAgentReplaced rather
-		// than failing with a raw JSON decode error.
+		// than failing with a raw read error.
 		old.replaced.Store(true)
 		old.conn.Close()
 	}
@@ -810,12 +826,9 @@ const fingerprintParallelism = 8
 // new RPC starts after one fails or ctx is done, and the error names the
 // first failing agent in name order.
 func (s *Server) FingerprintAll(ctx context.Context, app string, refs []string, reg RegistryConfig, vendorItems *resource.Set) ([]cluster.MachineFingerprint, error) {
-	body, err := json.Marshal(&FingerprintReq{
+	body := encodeFingerprintReq(&FingerprintReq{
 		App: app, Refs: refs, Registry: reg, VendorItems: ItemsToWire(vendorItems.Items()),
 	})
-	if err != nil {
-		return nil, fmt.Errorf("transport: encoding fingerprint request: %w", err)
-	}
 	names := s.Agents()
 	out := make([]cluster.MachineFingerprint, len(names))
 	errs := make([]error, len(names))
@@ -849,7 +862,7 @@ func (s *Server) FingerprintAll(ctx context.Context, app string, refs []string, 
 
 // fingerprint performs one agent's fingerprint RPC with a pre-encoded
 // request body.
-func (s *Server) fingerprint(ctx context.Context, name string, body json.RawMessage) (cluster.MachineFingerprint, error) {
+func (s *Server) fingerprint(ctx context.Context, name string, body []byte) (cluster.MachineFingerprint, error) {
 	ac, err := s.agent(name)
 	if err != nil {
 		return cluster.MachineFingerprint{}, err

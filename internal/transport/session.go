@@ -14,14 +14,16 @@ import (
 // serveSession registers reg over conn, then answers vendor requests with
 // handle until the connection dies, and closes it. Reads and writes go
 // through bufio buffers of the given sizes; one reply is one flushed
-// burst. handle is given the frameConn because an OpFetchChunks header is
+// burst. handle is given the frameConn because an OpFetchChunks frame is
 // followed by its raw chunk body on this very stream, which must be
-// consumed, in frame order, before the next request can be read.
+// consumed, in frame order, before the next request can be read. A frame
+// the session cannot read — refused, or cut short — ends it: the stream
+// cannot be resynchronized.
 func serveSession(conn net.Conn, readBuf, writeBuf int, reg RegisterReq, handle func(fc *frameConn, req *Frame) Frame) {
 	defer conn.Close()
 	bw := bufio.NewWriterSize(conn, writeBuf)
 	fc := newFrameConn(bufio.NewReaderSize(conn, readBuf), bw, conn)
-	if fc.WriteFrame(Frame{Op: OpRegister, Register: &reg}) != nil || bw.Flush() != nil {
+	if fc.WriteFrame(&Frame{Op: OpRegister, Register: &reg}) != nil || bw.Flush() != nil {
 		return
 	}
 	var req Frame
@@ -32,7 +34,7 @@ func serveSession(conn net.Conn, readBuf, writeBuf int, reg RegisterReq, handle 
 		}
 		resp := handle(fc, &req)
 		resp.ID = req.ID
-		if fc.WriteFrame(resp) != nil || bw.Flush() != nil {
+		if fc.WriteFrame(&resp) != nil || bw.Flush() != nil {
 			return
 		}
 	}

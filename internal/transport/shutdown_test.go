@@ -1,9 +1,7 @@
 package transport
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"net"
 	"runtime"
@@ -22,11 +20,7 @@ func silentAgent(t *testing.T, s *Server, name string) net.Conn {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	bw := bufio.NewWriter(conn)
-	if err := json.NewEncoder(bw).Encode(Frame{Op: OpRegister, Register: &RegisterReq{Machine: name}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
+	if _, err := conn.Write(wireBytes(t, &Frame{Op: OpRegister, Register: &RegisterReq{Machine: name}})); err != nil {
 		t.Fatal(err)
 	}
 	if !s.WaitForAgent(name, 5*time.Second) {

@@ -3,7 +3,6 @@ package transport
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net"
@@ -184,7 +183,7 @@ func TestCorruptPeerFallsBackToVendor(t *testing.T) {
 			data[0] ^= 0xff
 			chunks[i].Data = data
 		}
-		fc.WriteFrame(Frame{ID: req.ID, OK: true, ChunkMeta: chunkMeta(chunks)})
+		fc.WriteFrame(&Frame{ID: req.ID, OK: true, ChunkMeta: chunkMeta(chunks)})
 		fc.WriteChunkBody(chunks)
 		bw.Flush()
 	})
@@ -220,7 +219,7 @@ func TestPeerDiesMidFetch(t *testing.T) {
 		if err != nil {
 			return
 		}
-		fc.WriteFrame(Frame{ID: req.ID, OK: true, ChunkMeta: chunkMeta(chunks)})
+		fc.WriteFrame(&Frame{ID: req.ID, OK: true, ChunkMeta: chunkMeta(chunks)})
 		// First chunk only, then half of the second: the body dies mid-read.
 		bw.Write(chunks[0].Data)
 		if len(chunks) > 1 {
@@ -289,9 +288,9 @@ func TestUnreachablePeerFallsBack(t *testing.T) {
 // Prometheus counter must never decrease — and the push must converge
 // through the vendor fallback as if the peer tier had served nothing.
 func TestImpossiblePeerReportBooksNothing(t *testing.T) {
-	lies := map[string]func(asked int) string{
-		"negative bytes":         func(int) string { return `{"bytes":-1000000000000,"chunks":1}` },
-		"more chunks than asked": func(asked int) string { return fmt.Sprintf(`{"bytes":4096,"chunks":%d}`, asked+1) },
+	lies := map[string]func(asked int) *PeerResult{
+		"negative bytes":         func(int) *PeerResult { return &PeerResult{Bytes: -1000000000000, Chunks: 1} },
+		"more chunks than asked": func(asked int) *PeerResult { return &PeerResult{Bytes: 4096, Chunks: asked + 1} },
 	}
 	for name, lie := range lies {
 		t.Run(name, func(t *testing.T) {
@@ -338,16 +337,16 @@ func TestImpossiblePeerReportBooksNothing(t *testing.T) {
 
 // playLyingAgent is the agent side of a control channel played by hand:
 // it registers as "liar", claims to hold no chunk until one fetch_chunks
-// push arrived, and answers every peer_fetch with the JSON lie(asked) as
-// its peer result and the full request still missing.
-func playLyingAgent(conn net.Conn, lie func(asked int) string) {
+// push arrived, and answers every peer_fetch with lie(asked) as its peer
+// result and the full request still missing.
+func playLyingAgent(conn net.Conn, lie func(asked int) *PeerResult) {
 	defer conn.Close()
 	bw := bufio.NewWriter(conn)
 	fc := newFrameConn(bufio.NewReader(conn), bw, conn)
 	out := Frame{Op: OpRegister, Register: &RegisterReq{Machine: "liar"}}
 	pushed := false
 	for {
-		if fc.WriteFrame(out) != nil || bw.Flush() != nil {
+		if fc.WriteFrame(&out) != nil || bw.Flush() != nil {
 			return
 		}
 		var req Frame
@@ -364,11 +363,9 @@ func playLyingAgent(conn net.Conn, lie func(asked int) string) {
 			}
 		case OpPeerFetch:
 			out.NeedChunks = req.PeerFetch.Addrs
-			// Through the decoder, as a real reply arrives: it is the
-			// wire form, not the Go type, that admits these values.
-			if json.Unmarshal([]byte(lie(len(out.NeedChunks))), &out.Peer) != nil {
-				return
-			}
+			// Through the codec, as a real reply arrives: the wire form
+			// admits these values, so the vendor must bound them itself.
+			out.Peer = lie(len(out.NeedChunks))
 		case OpFetchChunks:
 			if fc.ReadChunkBody(req.ChunkMeta, func(uint64, []byte) error { return nil }) != nil {
 				return
@@ -696,7 +693,7 @@ func TestPeerServesDuplicateChunk(t *testing.T) {
 	a.Hash, b.Hash = fingerprint.HashBytes(a.Data), fingerprint.HashBytes(b.Data)
 	peer := fakePeer(t, func(fc *frameConn, bw *bufio.Writer, req Frame) {
 		twice := []distrib.Chunk{a, a}
-		fc.WriteFrame(Frame{ID: req.ID, OK: true, ChunkMeta: chunkMeta(twice)})
+		fc.WriteFrame(&Frame{ID: req.ID, OK: true, ChunkMeta: chunkMeta(twice)})
 		fc.WriteChunkBody(twice)
 		bw.Flush()
 	})

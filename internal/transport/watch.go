@@ -139,7 +139,7 @@ func (a *Agent) pushDelta(vendorAddr string, req *ProfileDeltaReq) (resync bool,
 	conn.SetDeadline(time.Now().Add(DefaultDeltaTimeout))
 	bw := bufio.NewWriter(conn)
 	fc := newFrameConn(bufio.NewReader(conn), bw, conn)
-	if err := fc.WriteFrame(Frame{ID: 1, Op: OpProfileDelta, Delta: req}); err != nil {
+	if err := fc.WriteFrame(&Frame{ID: 1, Op: OpProfileDelta, Delta: req}); err != nil {
 		return false, fmt.Errorf("transport: sending delta: %w", err)
 	}
 	if err := bw.Flush(); err != nil {
