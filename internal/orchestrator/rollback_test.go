@@ -13,8 +13,8 @@ import (
 	"repro/internal/rollout"
 )
 
-// badNode is an okNode whose validation of one upgrade ID fails — the
-// fixture that makes a no-fixer rollout abandon.
+// badNode is an okNode whose validation of one upgrade ID fails, with a
+// report image — the fixture that makes a no-fixer rollout abandon.
 type badNode struct {
 	okNode
 	failOn string
@@ -26,6 +26,7 @@ func (n *badNode) TestUpgrade(ctx context.Context, up *pkgmgr.Upgrade) (*report.
 		rep.Success = false
 		rep.FailedApps = []string{"app"}
 		rep.Reasons = []string{"crash"}
+		rep.Image = &report.Image{MachineName: n.name, Env: map[string]string{"APP_STATE": "crashed"}}
 	}
 	return rep, err
 }
