@@ -1,6 +1,7 @@
-// mirage-ctl is the operator's handle on a running mirage-vendor control
-// plane: it starts, lists, watches, pauses, resumes, aborts and waits for
-// rollouts over the HTTP admin API.
+// mirage-ctl is the operator's handle on a mirage-vendor control plane:
+// it starts, lists, watches, pauses, resumes, aborts and waits for
+// rollouts over the HTTP admin API, and reads the Upgrade Report
+// Repository of any rollout offline, from its journal.
 //
 //	mirage-ctl [-server http://127.0.0.1:7080] <command> [args]
 //
@@ -19,6 +20,12 @@
 //	wait <id>                                        block until terminal
 //	drift                                            live fleet view and drifted members
 //	refresh                                          full fleet re-fingerprint
+//	urr summary|failures <journal> <upgrade>         a rollout's verdicts, and its
+//	                                                 failures by failure mode
+//	urr image <journal> <machine>                    a machine's failure image
+//
+// The urr queries fold the journal and the images/ store beside it; they
+// need no running vendor.
 //
 // Exit codes mirror mirage-vendor: 0 success, 1 transport/usage trouble,
 // 3 the awaited rollout ended in any state but succeeded.
@@ -84,6 +91,8 @@ func main() {
 		err = fleetView(ctx, c.FleetDrift)
 	case "refresh":
 		err = fleetView(ctx, c.FleetRefresh)
+	case "urr":
+		err = urr(rest, os.Stdout)
 	case "wait":
 		err = withID(rest, func(id string) error {
 			st, e := c.Wait(ctx, id, 30*time.Second)
@@ -107,7 +116,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: mirage-ctl [-server URL] start|list|status|events|pause|resume|abort|rollback|wait|drift|refresh [args]\n")
+	fmt.Fprintf(os.Stderr, "usage: mirage-ctl [-server URL] start|list|status|events|pause|resume|abort|rollback|wait|drift|refresh|urr [args]\n")
 }
 
 func withID(args []string, f func(string) error) error {

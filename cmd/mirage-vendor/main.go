@@ -31,7 +31,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -86,7 +85,7 @@ func infra(msg string, args ...any) int {
 func main() { os.Exit(run()) }
 
 // run is main with an exit code instead of os.Exit, so the deferred
-// server shutdowns and the -urr save run on every path.
+// server shutdowns run on every path.
 func run() (code int) {
 	var opts core.Options              // -listen, -shards, -journal-dir, -worker-budget, -max-rollouts, -max-queued
 	var gate orchestrator.StartRequest // -gate-*: the vendor-wide canary gate, in the form a start request overrides it
@@ -97,7 +96,6 @@ func run() (code int) {
 	diameter := flag.Int("d", 3, "QT clustering diameter")
 	parallel := flag.Int("parallel", deploy.DefaultParallelism, "worker-pool size for node testing within a wave")
 	showPlan := flag.Bool("plan", false, "print the staged wave schedule before deploying")
-	urrFile := flag.String("urr", "", "save the report repository to this file after deployment")
 	journal := flag.String("journal", "", "write-ahead deployment journal file for the one-shot rollout: every state transition is persisted, making the deployment durable and resumable")
 	resume := flag.Bool("resume", false, "resume the rollout recorded in -journal (skip stages and members it records as done) instead of starting fresh")
 	serve := flag.Bool("serve", env("MIRAGE_SERVE", false, strconv.ParseBool), "control-plane mode: expose the HTTP admin API on -admin and start rollouts on demand (mirage-ctl) instead of running one and exiting (env MIRAGE_SERVE)")
@@ -187,23 +185,6 @@ func run() (code int) {
 	}()
 	defer httpSrv.Close()
 	slog.Info("control plane up", "url", "http://"+*admin)
-
-	// From here on rollouts can run; what they reported is saved on every
-	// way out — an aborted or failed rollout's reports are what explain it.
-	if *urrFile != "" {
-		defer func() {
-			var buf bytes.Buffer
-			err := v.URR.Save(&buf)
-			if err == nil {
-				err = os.WriteFile(*urrFile, buf.Bytes(), 0o666)
-			}
-			if err != nil {
-				code = infra("saving URR failed", "path", *urrFile, "err", err)
-				return
-			}
-			slog.Info("saved report repository", "reports", v.URR.Len(), "path", *urrFile)
-		}()
-	}
 
 	if *serve {
 		// Control-plane mode: rollouts arrive over HTTP; run until

@@ -21,7 +21,11 @@
 // peers that hold the missing addresses, and every peer-fetched chunk
 // self-verifies against its content digest before the vendor uplink is
 // asked for the remainder. The user-machine testing subsystem is
-// internal/vmtest and the Upgrade Report Repository is internal/report.
+// internal/vmtest. The Upgrade Report Repository (internal/report) is a
+// view of the deployment journal: each verdict is one journaled record,
+// failure report images are stored content-addressed beside the
+// journals, and report.URR is their fold — rebuilt when a rollout
+// resumes, and read offline by mirage-ctl urr.
 // Deployments run as first-class rollout lifecycles on the control plane
 // (internal/orchestrator): Start(ctx, Spec) returns a Handle with Status
 // snapshots, a replayable event stream, Pause/ResumeRun at stage

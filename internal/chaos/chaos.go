@@ -45,10 +45,6 @@ const (
 	// every previously-integrated, reachable member was verified back on
 	// the baseline.
 	TerminalRolledBack = deploy.RecRollbackDone
-	// TerminalAbandoned: the vendor gave up and no rollback was armed.
-	// Acceptance runs arm AutoRollback, so this state appearing there is
-	// a bug, not an outcome.
-	TerminalAbandoned = deploy.RecAbandoned
 )
 
 // Options configures one chaos run.
@@ -92,7 +88,9 @@ const (
 // Result is what a chaos run is judged on.
 type Result struct {
 	// Terminal is the journal's final state: TerminalComplete,
-	// TerminalRolledBack or TerminalAbandoned.
+	// TerminalRolledBack or, should the vendor give up with no rollback
+	// armed, deploy.RecAbandoned — a bug in an acceptance run, not an
+	// outcome.
 	Terminal string
 	// Outcome is the deployment outcome (Rollback details included when
 	// the fleet rolled back).

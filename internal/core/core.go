@@ -17,7 +17,6 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -185,17 +184,16 @@ func (v *Vendor) Profile(ctx context.Context, app App, cfg cluster.Config) ([]*d
 func (v *Vendor) node(name string) deploy.Node { return v.Server.Node(name) }
 
 // onProfileDelta is the delta bridge (transport.Server.OnProfileDelta): a
-// watch-mode agent's push folds into the monitor; a push the monitor
-// cannot fold asks the agent for its full profile; a fold that moved the
-// machine reaches every running rollout as a drift event.
-func (v *Vendor) onProfileDelta(req *transport.ProfileDeltaReq) (resync bool, err error) {
+// watch-mode agent's push, metered at the wireBytes its frame took, folds
+// into the monitor; a push the monitor cannot fold asks the agent for its
+// full profile; a fold that moved the machine reaches every running
+// rollout as a drift event.
+func (v *Vendor) onProfileDelta(req *transport.ProfileDeltaReq, wireBytes int) (resync bool, err error) {
 	m := v.Monitor()
 	if m == nil {
 		return false, errNotProfiled
 	}
-	if b, err := json.Marshal(req); err == nil {
-		m.ObserveDeltaBytes(len(b), req.Full)
-	}
+	m.ObserveDeltaBytes(wireBytes, req.Full)
 	ev, err := m.ApplyDelta(req.Machine, req.AppSet,
 		transport.ItemsFromWire(req.Added).Items(),
 		transport.ItemsFromWire(req.Removed).Items(), req.Sig, req.Full)
@@ -227,7 +225,8 @@ func (v *Vendor) onProfileDelta(req *transport.ProfileDeltaReq) (resync bool, er
 // why no caller installs them by hand. The spec's own Configure still
 // runs, after the hooks; its URR defaults to the vendor's and its Restage
 // to the monitor's clusters of deployment over the current fleet view,
-// whose representatives the monitor then protects.
+// whose representatives the monitor then protects, clearing the drift
+// flags the restaged plan has absorbed.
 func (v *Vendor) Spec(spec orchestrator.Spec) orchestrator.Spec {
 	configure := spec.Configure
 	spec.Configure = func(ctl *deploy.Controller) {
@@ -252,7 +251,13 @@ func (v *Vendor) Spec(spec orchestrator.Spec) orchestrator.Spec {
 			if m == nil {
 				return nil, errNotProfiled
 			}
-			return m.DeployClusters(v.node)
+			dcs, err := m.DeployClusters(v.node)
+			if err == nil {
+				// The restaged plan is drawn from the view the drift
+				// produced: no verdict of it depends on the drift flags.
+				m.ClearDrift()
+			}
+			return dcs, err
 		}
 	}
 	return spec
@@ -303,10 +308,10 @@ func (v *Vendor) API(base context.Context, launch orchestrator.Launcher) *orches
 // the trace — the failure, reproduced on the vendor's bench.
 func Reproduce(r *report.Report) (*trace.Trace, error) {
 	if r.Image == nil {
-		return nil, fmt.Errorf("core: report %d has no image", r.ID)
+		return nil, fmt.Errorf("core: report of %s has no image", r.Machine)
 	}
 	if len(r.FailedApps) == 0 {
-		return nil, fmt.Errorf("core: report %d has no failed applications", r.ID)
+		return nil, fmt.Errorf("core: report of %s has no failed applications", r.Machine)
 	}
 	model := apps.Lookup(r.FailedApps[0])
 	if model == nil {

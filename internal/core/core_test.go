@@ -290,8 +290,8 @@ func TestStagedDeploymentProtectsNonRepresentatives(t *testing.T) {
 	}
 	// u-php4-2 is the non-representative of the php4 cluster: it must
 	// never have tested the faulty original upgrade.
-	for _, r := range v.URR.ForUpgrade("mysql-5.0.22") {
-		if r.Machine == "u-php4-2" && !r.Success {
+	for _, r := range v.URR.Failures("mysql-5.0.22") {
+		if r.Machine == "u-php4-2" {
 			t.Fatal("non-representative tested the faulty upgrade")
 		}
 	}
@@ -428,17 +428,17 @@ func TestPrivateJournalDirectory(t *testing.T) {
 	}
 }
 
-// faultyReports has every machine validate the faulty upgrade directly (no
-// staging) and deposits the reports.
+// faultyReports has every given machine validate the faulty upgrade in
+// one unstaged rollout the vendor gives up on, booking their verdicts.
 func faultyReports(t *testing.T, v *Vendor, machines []*machine.Machine) {
 	t.Helper()
+	var nodes []deploy.Node
 	for _, m := range machines {
-		rep, err := v.Server.Node(m.Name).TestUpgrade(context.Background(), scenario.MySQLUpgrade())
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep.Cluster = "all"
-		v.URR.Deposit(rep)
+		nodes = append(nodes, v.Server.Node(m.Name))
+	}
+	if _, err := deployMySQL(t, v, orchestrator.Spec{Policy: deploy.PolicyNoStaging,
+		Clusters: []*deploy.Cluster{{ID: "all", Distance: 1, Representatives: nodes}}}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -477,6 +477,55 @@ func TestURRGroupsFailuresAcrossFleet(t *testing.T) {
 		}
 		if tr.ExitStatus() != "crash" {
 			t.Fatalf("group %q did not reproduce", g.Signature)
+		}
+	}
+}
+
+// TestURRResumeKeepsFailures is the URR's crash acceptance: a vendor is
+// killed right after the first debug round's fix record, and a restarted
+// vendor — fresh orchestrator, empty URR, the same fleet — resumes the
+// journal. Its URR lists the pre-crash failure mode with its reasons, and
+// the image restored from the store beside the journal reproduces it.
+func TestURRResumeKeepsFailures(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "r1.journal")
+	spec := orchestrator.Spec{Fix: scenario.MySQLFix, Rebuild: scenario.MySQLRelease, Journal: journal}
+	v, _ := mysqlFleet(t)
+	if _, err := deployMySQL(t, v, spec); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fix := strings.Index(string(b), `"type":"fix"`)
+	if fix < 0 {
+		t.Fatal("the rollout released no fix")
+	}
+	cut := fix + strings.IndexByte(string(b[fix:]), '\n') + 1
+	if err := os.WriteFile(journal, b[:cut], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	restarted, _ := mysqlFleet(t)
+	spec.Resume = true
+	if _, err := deployMySQL(t, restarted, spec); err != nil {
+		t.Fatal(err)
+	}
+	groups := restarted.URR.GroupFailures("mysql-5.0.22")
+	if len(groups) == 0 {
+		t.Fatal("the resumed vendor's URR lost the pre-crash failures")
+	}
+	for _, g := range groups {
+		rep := g.Representative
+		if len(rep.Reasons) == 0 || !strings.Contains(g.Signature, rep.Reasons[0]) {
+			t.Fatalf("failure mode %q restored without its reasons: %+v", g.Signature, rep)
+		}
+		tr, err := Reproduce(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.ExitStatus() != "crash" {
+			t.Fatalf("restored image of %s does not reproduce %q: %s", rep.Machine, g.Signature, tr.ExitStatus())
 		}
 	}
 }

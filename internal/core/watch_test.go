@@ -3,10 +3,14 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"io"
+	"net"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/deploy"
@@ -187,5 +191,84 @@ func TestWatchModeEarlyDelta(t *testing.T) {
 	pushed, err := agents["plain-0"].CheckDrift(v.Server.Addr())
 	if pushed != 0 || err == nil || !strings.Contains(err.Error(), "fleet not profiled yet") {
 		t.Fatalf("early delta: pushed %d, err %v", pushed, err)
+	}
+}
+
+// TestWatchModeDeltaBytesAreWireBytes: mirage_delta_bytes meters what a
+// push cost on the wire — the frame the vendor read — counted here by a
+// loopback proxy between the agent and the vendor.
+func TestWatchModeDeltaBytesAreWireBytes(t *testing.T) {
+	v, agents := watchFleet(t)
+	profileMySQL(t, v)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	sent := make(chan int64, 1)
+	go func() {
+		client, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer client.Close()
+		vendor, err := net.Dial("tcp", v.Server.Addr())
+		if err != nil {
+			return
+		}
+		defer vendor.Close()
+		go io.Copy(client, vendor) //nolint:errcheck — the reply only has to arrive
+		n, _ := io.Copy(vendor, client)
+		sent <- n
+	}()
+	upgradeLibc(agents["plain-0"])
+	if pushed, err := agents["plain-0"].CheckDrift(ln.Addr().String()); pushed != 1 || err != nil {
+		t.Fatalf("changed machine pushed %d deltas (err %v), want 1", pushed, err)
+	}
+	n := <-sent
+	var metrics bytes.Buffer
+	v.Orch.Telemetry.WritePrometheus(&metrics)
+	if want := fmt.Sprintf(`mirage_delta_bytes_sum{kind="delta"} %d`, n); !strings.Contains(metrics.String(), want+"\n") {
+		t.Fatalf("the push put %d bytes on the wire; metrics hold\n%s", n, metrics.String())
+	}
+}
+
+// TestWatchModeRestageClearsDriftFlags decides what a drift restage does
+// to the monitor's drift flags: it clears them. The flags say a plan's
+// representative verdicts no longer vouch for the machines that moved;
+// the restaged plan is drawn from the view those moves produced, so no
+// verdict of it depends on them, and a fleet view still listing them
+// would ask the operator for a restage that already happened.
+func TestWatchModeRestageClearsDriftFlags(t *testing.T) {
+	v, agents := watchFleet(t)
+	clusters := profileMySQL(t, v)
+	hold := &holdNode{Node: clusters[0].Representatives[0], started: make(chan struct{}), release: make(chan struct{})}
+	clusters[0].Representatives[0] = hold
+	h, err := v.Orch.Start(context.Background(), v.Spec(orchestrator.Spec{
+		Upgrade: scenario.MySQLUpgrade(), Clusters: clusters,
+		Drift: orchestrator.DriftPolicy{Action: orchestrator.DriftRestage},
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-hold.started
+	drifter := clusters[2].Representatives[0].Name()
+	upgradeLibc(agents[drifter])
+	if pushed, err := agents[drifter].CheckDrift(v.Server.Addr()); pushed != 1 || err != nil {
+		t.Fatalf("changed machine pushed %d deltas (err %v), want 1", pushed, err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for h.Status().RestagedAs == "" {
+		if time.Now().After(deadline) {
+			t.Fatal("the drift never restaged the rollout")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if evs := v.Monitor().Drifted(); len(evs) != 0 {
+		t.Fatalf("drift flags after the restage = %+v, want none", evs)
+	}
+	next, _ := v.Orch.Get(h.Status().RestagedAs)
+	if out, err := next.Wait(context.Background()); err != nil || out.Integrated() != 6 {
+		t.Fatalf("restaged rollout: %+v, %v", out, err)
 	}
 }

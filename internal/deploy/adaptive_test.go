@@ -14,17 +14,22 @@ import (
 // pass clean release their non-representatives from the barrier; the
 // promoted waves run as one merged parallel wave at the end of the plan.
 
-func depositOrder(urr *report.URR, id string) []string {
+// verdictOrder lists the members whose verdicts on upgrade id the
+// observer heard, in booking order.
+func verdictOrder(obs *captureObs, id string) []string {
 	var out []string
-	for _, r := range urr.ForUpgrade(id) {
-		out = append(out, r.Machine)
+	for _, ev := range obs.events {
+		if ev.Type == RecTested && ev.UpgradeID == id {
+			out = append(out, ev.Node)
+		}
 	}
 	return out
 }
 
 func TestAdaptivePromotesCleanClusters(t *testing.T) {
-	urr := report.New()
-	ctl := NewController(urr, nil)
+	ctl := NewController(report.New(), nil)
+	obs := &captureObs{}
+	ctl.Observer = obs
 	out, err := ctl.Deploy(context.Background(), PolicyAdaptive, up("v1"), twoClusters(nil))
 	if err != nil {
 		t.Fatal(err)
@@ -35,8 +40,8 @@ func TestAdaptivePromotesCleanClusters(t *testing.T) {
 	// Clean fleet: all representative waves run first (they alone gate),
 	// then the promoted non-representatives in one merged wave.
 	want := []string{"near-rep", "far-rep", "near-1", "near-2", "far-1", "far-2"}
-	if got := depositOrder(urr, "v1"); !reflect.DeepEqual(got, want) {
-		t.Fatalf("deposit order = %v, want %v", got, want)
+	if got := verdictOrder(obs, "v1"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("verdict order = %v, want %v", got, want)
 	}
 }
 
@@ -46,8 +51,9 @@ func TestAdaptiveDirtyClusterFallsBackToBalanced(t *testing.T) {
 		"far-1":   {"v1": "crash"},
 		"far-2":   {"v1": "crash"},
 	}
-	urr := report.New()
-	ctl := NewController(urr, fixerChain(t, map[string]string{"v1": "v2"}))
+	ctl := NewController(report.New(), fixerChain(t, map[string]string{"v1": "v2"}))
+	obs := &captureObs{}
+	ctl.Observer = obs
 	out, err := ctl.Deploy(context.Background(), PolicyAdaptive, up("v1"), twoClusters(bad))
 	if err != nil {
 		t.Fatal(err)
@@ -70,12 +76,12 @@ func TestAdaptiveDirtyClusterFallsBackToBalanced(t *testing.T) {
 	// v1 saw only the representatives; the dirty far cluster converged
 	// inline on v2, then the promoted near others, then notifyFinal
 	// brought near-rep (which had integrated v1) up to v2.
-	if got, want := depositOrder(urr, "v1"), []string{"near-rep", "far-rep"}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("v1 deposit order = %v, want %v", got, want)
+	if got, want := verdictOrder(obs, "v1"), []string{"near-rep", "far-rep"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("v1 verdict order = %v, want %v", got, want)
 	}
 	wantV2 := []string{"far-rep", "far-1", "far-2", "near-1", "near-2", "near-rep"}
-	if got := depositOrder(urr, "v2"); !reflect.DeepEqual(got, wantV2) {
-		t.Fatalf("v2 deposit order = %v, want %v", got, wantV2)
+	if got := verdictOrder(obs, "v2"); !reflect.DeepEqual(got, wantV2) {
+		t.Fatalf("v2 verdict order = %v, want %v", got, wantV2)
 	}
 }
 
@@ -168,8 +174,7 @@ func TestWorkerPoolMatchesSerialOutcome(t *testing.T) {
 		"c03-n05": {"v1": "crash"},
 	}
 	run := func(parallelism int, policy Policy) ([]string, []eventKey, *Outcome) {
-		urr := report.New()
-		ctl := NewController(urr, fixerChain(t, map[string]string{"v1": "v2"}))
+		ctl := NewController(report.New(), fixerChain(t, map[string]string{"v1": "v2"}))
 		ctl.Parallelism = parallelism
 		obs := &captureObs{}
 		ctl.Observer = obs
@@ -179,7 +184,7 @@ func TestWorkerPoolMatchesSerialOutcome(t *testing.T) {
 		}
 		var seq []string
 		for _, id := range []string{"v1", "v2"} {
-			seq = append(seq, depositOrder(urr, id)...)
+			seq = append(seq, verdictOrder(obs, id)...)
 		}
 		checkWaveShape(t, obs.events)
 		keys := make([]eventKey, len(obs.events))
@@ -192,7 +197,7 @@ func TestWorkerPoolMatchesSerialOutcome(t *testing.T) {
 		serialSeq, serialEvents, serialOut := run(1, policy)
 		poolSeq, poolEvents, poolOut := run(8, policy)
 		if !reflect.DeepEqual(serialSeq, poolSeq) {
-			t.Fatalf("%v: deposit sequence diverged between pool sizes:\nserial %v\npool   %v",
+			t.Fatalf("%v: verdict sequence diverged between pool sizes:\nserial %v\npool   %v",
 				policy, serialSeq, poolSeq)
 		}
 		if !reflect.DeepEqual(serialEvents, poolEvents) {
@@ -231,7 +236,7 @@ func TestFinalIDNamesDeployedVersionOnAbandonment(t *testing.T) {
 func TestWorkerPoolKeepsReportsOnNodeError(t *testing.T) {
 	// One node errors while others in the same pooled wave complete —
 	// including one that failed validation. The completed work must be
-	// deposited and booked before the error halts the deployment.
+	// booked before the error halts the deployment.
 	urr := report.New()
 	ctl := NewController(urr, nil)
 	ctl.Parallelism = 4
@@ -255,7 +260,7 @@ func TestWorkerPoolKeepsReportsOnNodeError(t *testing.T) {
 		t.Fatalf("overhead = %d, want 1", out.Overhead)
 	}
 	if s, f := urr.Summary("v1"); s != 2 || f != 1 {
-		t.Fatalf("URR summary = %d/%d, want 2 passes and 1 failure deposited", s, f)
+		t.Fatalf("URR summary = %d/%d, want 2 passes and 1 failure booked", s, f)
 	}
 }
 

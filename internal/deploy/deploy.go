@@ -10,8 +10,9 @@
 // answer "what latency/overhead would this schedule have at scale"; this
 // package actually performs the waves: nodes download upgrades, validate
 // them in isolation — concurrently within a wave, on a bounded worker
-// pool — deposit reports in the URR, and integrate on success, while the
-// vendor debugs reported failures and re-releases corrected upgrades.
+// pool — book their verdicts into the journal and the URR, and integrate
+// on success, while the vendor debugs reported failures and re-releases
+// corrected upgrades.
 package deploy
 
 import (
@@ -19,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -47,7 +49,7 @@ type Node interface {
 	// Name identifies the machine.
 	Name() string
 	// TestUpgrade downloads the upgrade, validates it in an isolated
-	// environment, and returns the resulting report (not yet deposited).
+	// environment, and returns the resulting report (not yet booked).
 	// The controller may call TestUpgrade on different nodes concurrently;
 	// implementations must not share mutable state across nodes. The
 	// context carries the rollout's cancellation: implementations doing
@@ -252,8 +254,15 @@ type Observer interface {
 
 // Controller executes deployments.
 type Controller struct {
+	// URR is the report repository every verdict is booked into, keyed by
+	// Journal and the verdict's ordinal among the rollout's verdicts.
 	URR *report.URR
 	Fix Fixer
+	// Journal names the journal the Observer writes this rollout's records
+	// to ("" when none does). A failing verdict's report image is stored
+	// in the image store beside it (report.ImageDir) before the record
+	// naming the image reaches the Observer.
+	Journal string
 	// MaxRounds bounds vendor debugging iterations (default 10).
 	MaxRounds int
 	// Seed drives the PolicyRandomStaging shuffle, for reproducibility.
@@ -339,8 +348,8 @@ type Controller struct {
 	StageGate func(ctx context.Context, stage int) error
 }
 
-// NewController returns a controller depositing into urr and debugging
-// with fix.
+// NewController returns a controller booking verdicts into urr and
+// debugging with fix.
 func NewController(urr *report.URR, fix Fixer) *Controller {
 	return &Controller{
 		URR: urr, Fix: fix, MaxRounds: 10, Parallelism: DefaultParallelism,
@@ -607,7 +616,7 @@ func (r *waveRunner) checkAbort(stage int) bool {
 	if r.err == nil {
 		r.err = fmt.Errorf("deploy: rollout aborted: %w", cerr)
 		r.emit(Event{Type: RecAbandoned, Stage: stage, UpgradeID: r.up.ID,
-			Round: r.cur.Rounds, Reason: "rollout aborted: " + cerr.Error()})
+			Round: int32(r.cur.Rounds), Reason: "rollout aborted: " + cerr.Error()})
 	}
 	return true
 }
@@ -880,12 +889,12 @@ func (r *waveRunner) debug(stage int) bool {
 	}
 	if !ok {
 		r.abandoned = true
-		r.emit(Event{Type: RecAbandoned, Stage: stage, UpgradeID: r.up.ID, Round: round})
+		r.emit(Event{Type: RecAbandoned, Stage: stage, UpgradeID: r.up.ID, Round: int32(round)})
 		return false
 	}
 	prev := r.up.ID
 	r.up = fixed
-	r.emit(Event{Type: RecFix, Stage: stage, UpgradeID: fixed.ID, PrevID: prev, Round: round})
+	r.emit(Event{Type: RecFix, Stage: stage, UpgradeID: fixed.ID, PrevID: prev, Round: int32(round)})
 	return true
 }
 
@@ -952,7 +961,7 @@ func (r *waveRunner) runPool(n, window int, work func(i int), done func(i int), 
 // testMembers validates the current upgrade on every member. Node tests
 // run concurrently on the worker pool bounded by Controller.Parallelism,
 // each with its own transient-retry budget; once the pool has drained,
-// reports are deposited and verdicts booked strictly in member order, and
+// verdicts are booked strictly in member order, and
 // then the passing members integrate on the same pool (integrateMembers)
 // — so URR contents, the event sequence and the outcome are identical at
 // any pool size. Members whose retries exhaust are quarantined;
@@ -976,8 +985,8 @@ func (r *waveRunner) testMembers(stage int, ms []member, integrate bool) (failed
 		func() bool { return r.ctx.Err() == nil }) // abort: start no further member test
 
 	// Even when a node errors, every report the pool already produced is
-	// deposited and booked in member order — evidence of validation work
-	// performed on real machines must not be discarded. Transient errors
+	// booked in member order — evidence of validation work performed on
+	// real machines must not be discarded. Transient errors
 	// that survived their retry budget quarantine the member; the first
 	// non-transient error (in member order) halts the plan after this
 	// wave. A journal failure is different: it stops the pass
@@ -1010,10 +1019,9 @@ func (r *waveRunner) testMembers(stage int, ms []member, integrate bool) (failed
 		}
 		rep := reports[i]
 		rep.Cluster = m.cluster
-		r.ctl.URR.Deposit(rep)
 		tested++
-		r.emit(Event{Type: RecTested, Stage: stage, Node: m.node.Name(),
-			Cluster: m.cluster, UpgradeID: r.up.ID, Success: rep.Success})
+		r.verdict(Event{Type: RecTested, Stage: stage, Node: m.node.Name(),
+			Cluster: m.cluster, UpgradeID: r.up.ID, Success: rep.Success}, rep)
 		if r.halted {
 			break
 		}
@@ -1028,6 +1036,33 @@ func (r *waveRunner) testMembers(stage int, ms []member, integrate bool) (failed
 	}
 	r.integrateMembers(stage, passed)
 	return failed, tested
+}
+
+// verdict books one tested record and its report: a failure's image is
+// encoded once and, for a journaled rollout, stored beside the journal
+// first, so the record that names it never reaches the journal ahead of
+// it; the record is then folded and offered to the observer, and the
+// report booked into the URR under the record's ordinal among the
+// rollout's verdicts. An image that cannot be stored halts the plan like
+// a record that cannot be journaled.
+func (r *waveRunner) verdict(ev Event, rep *report.Report) {
+	if !rep.Success {
+		ev.Failure = &report.Failure{FailedApps: rep.FailedApps, Reasons: rep.Reasons}
+		if rep.Image != nil {
+			var data []byte
+			ev.Failure.Image, data = report.EncodeImage(rep.Image)
+			if r.ctl.Journal != "" {
+				if err := report.PutImage(report.ImageDir(filepath.Dir(r.ctl.Journal)), ev.Failure.Image, data); err != nil {
+					r.halted = true
+					if r.err == nil {
+						r.err = fmt.Errorf("deploy: storing the report image of %s: %w", ev.Node, err)
+					}
+				}
+			}
+		}
+	}
+	r.emit(ev)
+	r.ctl.URR.Book(r.ctl.Journal, r.cur.Tested, rep)
 }
 
 // notifyFinal brings nodes that integrated a superseded version up to the

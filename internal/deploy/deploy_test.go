@@ -131,19 +131,25 @@ func TestBalancedRepShieldsCluster(t *testing.T) {
 }
 
 func TestBalancedOrderNearestFirst(t *testing.T) {
-	urr := report.New()
-	ctl := NewController(urr, nil)
+	ctl := NewController(report.New(), nil)
+	obs := &captureObs{}
+	ctl.Observer = obs
 	clusters := twoClusters(nil)
 	if _, err := ctl.Deploy(context.Background(), PolicyBalanced, up("v1"), clusters); err != nil {
 		t.Fatal(err)
 	}
-	reports := urr.ForUpgrade("v1")
-	// First deposited report must come from the near cluster.
-	if reports[0].Cluster != "near" {
-		t.Fatalf("first report from %s", reports[0].Cluster)
+	var verdicts []Event
+	for _, ev := range obs.events {
+		if ev.Type == RecTested {
+			verdicts = append(verdicts, ev)
+		}
 	}
-	if reports[len(reports)-1].Cluster != "far" {
-		t.Fatalf("last report from %s", reports[len(reports)-1].Cluster)
+	// The first verdict booked must come from the near cluster.
+	if verdicts[0].Cluster != "near" {
+		t.Fatalf("first verdict from %s", verdicts[0].Cluster)
+	}
+	if verdicts[len(verdicts)-1].Cluster != "far" {
+		t.Fatalf("last verdict from %s", verdicts[len(verdicts)-1].Cluster)
 	}
 }
 
@@ -172,19 +178,20 @@ func TestFrontLoadingPhase1CatchesAllReps(t *testing.T) {
 }
 
 func TestFrontLoadingPhase2FarthestFirst(t *testing.T) {
-	urr := report.New()
-	ctl := NewController(urr, nil)
+	ctl := NewController(report.New(), nil)
+	obs := &captureObs{}
+	ctl.Observer = obs
 	if _, err := ctl.Deploy(context.Background(), PolicyFrontLoading, up("v1"), twoClusters(nil)); err != nil {
 		t.Fatal(err)
 	}
-	var nonRepClusters []string
-	for _, r := range urr.ForUpgrade("v1") {
-		if r.Machine == "far-1" || r.Machine == "near-1" {
-			nonRepClusters = append(nonRepClusters, r.Cluster)
+	var nonReps []string
+	for _, n := range verdictOrder(obs, "v1") {
+		if n == "far-1" || n == "near-1" {
+			nonReps = append(nonReps, n)
 		}
 	}
-	if len(nonRepClusters) != 2 || nonRepClusters[0] != "far" {
-		t.Fatalf("phase-2 order = %v, want far first", nonRepClusters)
+	if len(nonReps) != 2 || nonReps[0] != "far-1" {
+		t.Fatalf("phase-2 order = %v, want far first", nonReps)
 	}
 }
 

@@ -2,6 +2,7 @@ package deploy
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/pkgmgr"
@@ -48,27 +49,22 @@ func TestRandomStagingStillShieldsNonReps(t *testing.T) {
 }
 
 func TestRandomStagingDeterministicPerSeed(t *testing.T) {
-	runOnce := func(seed uint64) []int {
-		urr := report.New()
-		ctl := NewController(urr, nil)
+	runOnce := func(seed uint64) []string {
+		ctl := NewController(report.New(), nil)
 		ctl.Seed = seed
+		obs := &captureObs{}
+		ctl.Observer = obs
 		if _, err := ctl.Deploy(context.Background(), PolicyRandomStaging, up("v1"), twoClusters(nil)); err != nil {
 			t.Fatal(err)
 		}
-		var seqs []int
-		for _, r := range urr.ForUpgrade("v1") {
-			seqs = append(seqs, r.Seq)
-			_ = r
-		}
-		return seqs
+		return verdictOrder(obs, "v1")
 	}
 	a := runOnce(5)
-	b := runOnce(5)
-	if len(a) != len(b) {
-		t.Fatal("different report counts for same seed")
+	if b := runOnce(5); !reflect.DeepEqual(a, b) {
+		t.Fatalf("same seed, different verdict order: %v vs %v", a, b)
 	}
 
-	// Different seeds can produce a different deposit order; at minimum
+	// Different seeds can produce a different verdict order; at minimum
 	// the deployment remains complete and correct.
 	c := runOnce(123456)
 	if len(c) != len(a) {

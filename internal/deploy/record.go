@@ -4,6 +4,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/report"
 	"repro/internal/staging"
 )
 
@@ -82,8 +83,16 @@ type Event struct {
 	UpgradeID string `json:"upgrade,omitempty"`
 	PrevID    string `json:"prev,omitempty"`
 	Success   bool   `json:"success,omitempty"`
-	Round     int    `json:"round,omitempty"`
-	Reason    string `json:"reason,omitempty"`
+	// Round packs beside Success in one word, so Failure's pointer leaves
+	// an Event no larger: every Event is copied into the control plane's
+	// per-rollout log.
+	Round  int32  `json:"round,omitempty"`
+	Reason string `json:"reason,omitempty"`
+
+	// Failure is what a failing verdict (RecTested) says beyond its
+	// success bit: the failure signature and its image's content address.
+	// Every other record leaves it nil.
+	Failure *report.Failure `json:"failure,omitempty"`
 }
 
 // Cursor is what a rollout's records say about it: the one fold of the
@@ -187,11 +196,11 @@ func (c *Cursor) Apply(ev Event) {
 		set(&c.Quarantined, ev.Node, true)
 		set(&c.Unclean, ev.Cluster, true)
 	case RecFix:
-		c.Rounds, c.UpgradeID = ev.Round, ev.UpgradeID
+		c.Rounds, c.UpgradeID = int(ev.Round), ev.UpgradeID
 	case RecAbandoned, RecComplete, RecRollbackDone:
 		// An abandoned record names the round the vendor gave up in: a
 		// fixer that could not produce a fix still spent one.
-		c.Rounds = max(c.Rounds, ev.Round)
+		c.Rounds = max(c.Rounds, int(ev.Round))
 		t := ev // only terminal records leave Apply's stack
 		c.Terminal = &t
 	case RecRollbackStart:

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -158,6 +159,23 @@ func checkFoldParity(t *testing.T, h *Handle, out *deploy.Outcome) {
 	}
 	if f.Terminal == nil {
 		t.Fatal("journal of a finished rollout folds to no terminal record")
+	}
+	// The URR the rollout booked live is the fold of the journal's
+	// verdicts, every failure image read back from the store.
+	urr := report.New()
+	if err := rollout.FoldURR(urr, st.Journal, records); err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range []*report.URR{urr, h.ctl.URR} {
+		if n, fails := u.Len(), u.Failures(records[0].UpgradeID); n != f.Tested || len(fails) != f.Overhead {
+			t.Fatalf("URR holds %d verdicts, %d failures; the journal %d, %d", n, len(fails), f.Tested, f.Overhead)
+		}
+	}
+	for i, r := range urr.Failures(records[0].UpgradeID) {
+		live := h.ctl.URR.Failures(records[0].UpgradeID)[i]
+		if r.Machine != live.Machine || r.Signature() != live.Signature() || !reflect.DeepEqual(r.Image, live.Image) {
+			t.Fatalf("folded failure %+v, booked live %+v", r, live)
+		}
 	}
 	if out != nil {
 		// Until a member integrates, an Outcome names the version the

@@ -113,12 +113,6 @@ func NewFingerprinter(reg *Registry) *Fingerprinter {
 	return &Fingerprinter{Registry: reg, chunker: fingerprint.NewChunker(0, 0, 0)}
 }
 
-// NewFingerprinterChunked returns a Fingerprinter with explicit chunker
-// parameters; used by the chunk-size ablation bench.
-func NewFingerprinterChunked(reg *Registry, avg, min, max int) *Fingerprinter {
-	return &Fingerprinter{Registry: reg, chunker: fingerprint.NewChunker(avg, min, max)}
-}
-
 // Fingerprint produces the item set for the given environmental resource
 // references on machine m. References are file paths or "env:NAME"
 // environment-variable references. Missing resources contribute no items;

@@ -1,14 +1,18 @@
-// Package report implements Mirage's reporting subsystem (paper §3.4): the
-// Upgrade Report Repository (URR) that collects success/failure results
-// from all machines and clusters. Each report stores (1) the cluster of
-// deployment, (2) the succinct test results, and (3) a report image that
-// lets the vendor reproduce the problem — in the paper, the entire upgraded
+// Package report implements Mirage's reporting subsystem (paper §3.4):
+// the Upgrade Report Repository (URR), which holds per machine the
+// cluster of deployment, the succinct test result and a report image that
+// lets the vendor reproduce a failure — in the paper, the entire upgraded
 // virtual-machine state; here, the full state of the simulated sandbox,
 // which Materialize turns back into a runnable machine.
+//
+// The URR is a view of the deployment journal: each verdict is one
+// "tested" record, a failing one carrying a Failure, and images sit
+// content-addressed beside the journals (PutImage, LoadImage).
 package report
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -75,13 +79,14 @@ func (img *Image) Materialize() *machine.Machine {
 	return m
 }
 
-// Report is one upgrade test result deposited in the URR.
+// Report is one validation verdict, as a node's TestUpgrade returns it
+// and the URR keeps it.
 type Report struct {
-	ID        int // assigned by the URR
 	UpgradeID string
 	Machine   string
-	Cluster   string // cluster of deployment
-	Success   bool
+	// Cluster is the cluster of deployment, set when the verdict is booked.
+	Cluster string
+	Success bool
 	// FailedApps and Reasons summarise the failure succinctly; empty on
 	// success.
 	FailedApps []string
@@ -89,8 +94,15 @@ type Report struct {
 	// Image is attached on failure so the vendor can reproduce the
 	// problem; successful reports omit it to save repository space.
 	Image *Image
-	// Seq is a logical receipt timestamp assigned by the URR.
-	Seq int
+}
+
+// Failure is what a failing tested record holds beyond its success bit:
+// the failure signature and the content address of the report image in
+// the store beside the journal ("" if the agent sent no image).
+type Failure struct {
+	FailedApps []string `json:"failed_apps,omitempty"`
+	Reasons    []string `json:"reasons,omitempty"`
+	Image      string   `json:"image,omitempty"`
 }
 
 // Signature is a stable identity for the failure mode: upgrade plus failed
@@ -108,70 +120,71 @@ func (r *Report) String() string {
 	if !r.Success {
 		status = "FAILURE " + strings.Join(r.FailedApps, ",")
 	}
-	return fmt.Sprintf("report#%d upgrade=%s machine=%s cluster=%s: %s",
-		r.ID, r.UpgradeID, r.Machine, r.Cluster, status)
+	return fmt.Sprintf("report upgrade=%s machine=%s cluster=%s: %s",
+		r.UpgradeID, r.Machine, r.Cluster, status)
 }
 
-// URR is the Upgrade Report Repository. The current implementation
-// co-locates it with the vendor, as in the paper; it is safe for
-// concurrent use by the transport layer.
+// URR is the Upgrade Report Repository: the fold of the verdicts booked
+// into it, co-located with the vendor as in the paper and safe for
+// concurrent use. It keeps failing verdicts whole and counts passing ones.
+//
+// A verdict is named by its journal and its ordinal among the journal's
+// tested records. Both the live controller and a replay book a journal's
+// verdicts in ordinal order, so the URR keeps per journal the last
+// ordinal it holds and ignores any at or below it: resuming a journal in
+// the process that wrote it counts no verdict twice.
 type URR struct {
-	mu      sync.Mutex
-	reports []*Report
-	nextSeq int
+	mu       sync.Mutex
+	held     map[string]int    // journal → last ordinal booked
+	tally    map[string][2]int // upgrade → successes, failures
+	failures []*Report         // failing verdicts, in booking order
 }
 
 // New returns an empty repository.
 func New() *URR {
-	return &URR{}
+	return &URR{held: make(map[string]int), tally: make(map[string][2]int)}
 }
 
-// Deposit stores a report, assigning its ID and sequence, and returns the ID.
-func (u *URR) Deposit(r *Report) int {
+// Book folds the verdict r, the ordinal-th of journal, into the
+// repository: taken only if the ordinal is past the last one the URR holds
+// for that journal. A verdict with no journal ("") is always taken.
+func (u *URR) Book(journal string, ordinal int, r *Report) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	r.ID = len(u.reports)
-	r.Seq = u.nextSeq
-	u.nextSeq++
-	u.reports = append(u.reports, r)
-	return r.ID
+	if journal != "" {
+		if ordinal <= u.held[journal] {
+			return
+		}
+		u.held[journal] = ordinal
+	}
+	t := u.tally[r.UpgradeID]
+	if r.Success {
+		t[0]++
+	} else {
+		t[1]++
+		u.failures = append(u.failures, r)
+	}
+	u.tally[r.UpgradeID] = t
 }
 
-// Len returns the number of deposited reports.
+// Len returns the number of verdicts booked.
 func (u *URR) Len() int {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	return len(u.reports)
-}
-
-// Get returns report by ID, or nil.
-func (u *URR) Get(id int) *Report {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	if id < 0 || id >= len(u.reports) {
-		return nil
+	n := 0
+	for _, t := range u.tally {
+		n += t[0] + t[1]
 	}
-	return u.reports[id]
+	return n
 }
 
-// ForUpgrade returns all reports for one upgrade, in deposit order.
-func (u *URR) ForUpgrade(upgradeID string) []*Report {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	var out []*Report
-	for _, r := range u.reports {
-		if r.UpgradeID == upgradeID {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// Failures returns the failed reports for one upgrade.
+// Failures returns the failed reports for one upgrade, in booking order.
 func (u *URR) Failures(upgradeID string) []*Report {
+	u.mu.Lock()
+	defer u.mu.Unlock()
 	var out []*Report
-	for _, r := range u.ForUpgrade(upgradeID) {
-		if !r.Success {
+	for _, r := range u.failures {
+		if r.UpgradeID == upgradeID {
 			out = append(out, r)
 		}
 	}
@@ -209,7 +222,7 @@ func (u *URR) GroupFailures(upgradeID string) []FailureGroup {
 	for _, sig := range order {
 		g := groups[sig]
 		sort.Strings(g.Clusters)
-		g.Clusters = dedupe(g.Clusters)
+		g.Clusters = slices.Compact(g.Clusters)
 		out = append(out, *g)
 	}
 	return out
@@ -217,34 +230,8 @@ func (u *URR) GroupFailures(upgradeID string) []FailureGroup {
 
 // Summary counts successes and failures for an upgrade.
 func (u *URR) Summary(upgradeID string) (successes, failures int) {
-	for _, r := range u.ForUpgrade(upgradeID) {
-		if r.Success {
-			successes++
-		} else {
-			failures++
-		}
-	}
-	return
-}
-
-// SuccessesInCluster counts successful reports for upgrade from a cluster;
-// deployment protocols use it to decide when to advance to the next stage.
-func (u *URR) SuccessesInCluster(upgradeID, cluster string) int {
-	n := 0
-	for _, r := range u.ForUpgrade(upgradeID) {
-		if r.Success && r.Cluster == cluster {
-			n++
-		}
-	}
-	return n
-}
-
-func dedupe(sorted []string) []string {
-	out := sorted[:0]
-	for i, s := range sorted {
-		if i == 0 || s != sorted[i-1] {
-			out = append(out, s)
-		}
-	}
-	return out
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	t := u.tally[upgradeID]
+	return t[0], t[1]
 }

@@ -1,6 +1,11 @@
 package report
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -55,37 +60,13 @@ func TestImageCapturesSnapshotLayers(t *testing.T) {
 	}
 }
 
-func TestDepositAssignsIDs(t *testing.T) {
-	u := New()
-	r1 := &Report{UpgradeID: "up1", Machine: "m1", Success: true}
-	r2 := &Report{UpgradeID: "up1", Machine: "m2", Success: false, FailedApps: []string{"php"}}
-	if id := u.Deposit(r1); id != 0 {
-		t.Fatalf("first id = %d", id)
-	}
-	if id := u.Deposit(r2); id != 1 {
-		t.Fatalf("second id = %d", id)
-	}
-	if u.Len() != 2 {
-		t.Fatalf("len = %d", u.Len())
-	}
-	if u.Get(1) != r2 || u.Get(99) != nil || u.Get(-1) != nil {
-		t.Fatal("Get broken")
-	}
-	if r1.Seq >= r2.Seq {
-		t.Fatal("sequence not monotone")
-	}
-}
-
 func TestQueries(t *testing.T) {
 	u := New()
-	u.Deposit(&Report{UpgradeID: "up1", Machine: "m1", Cluster: "c1", Success: true})
-	u.Deposit(&Report{UpgradeID: "up1", Machine: "m2", Cluster: "c2", Success: false,
+	u.Book("", 0, &Report{UpgradeID: "up1", Machine: "m1", Cluster: "c1", Success: true})
+	u.Book("", 0, &Report{UpgradeID: "up1", Machine: "m2", Cluster: "c2", Success: false,
 		FailedApps: []string{"php"}, Reasons: []string{"crash: undefined symbol"}})
-	u.Deposit(&Report{UpgradeID: "up2", Machine: "m1", Cluster: "c1", Success: true})
+	u.Book("", 0, &Report{UpgradeID: "up2", Machine: "m1", Cluster: "c1", Success: true})
 
-	if got := len(u.ForUpgrade("up1")); got != 2 {
-		t.Fatalf("ForUpgrade = %d", got)
-	}
 	if got := len(u.Failures("up1")); got != 1 {
 		t.Fatalf("Failures = %d", got)
 	}
@@ -93,11 +74,77 @@ func TestQueries(t *testing.T) {
 	if s != 1 || f != 1 {
 		t.Fatalf("Summary = %d %d", s, f)
 	}
-	if got := u.SuccessesInCluster("up1", "c1"); got != 1 {
-		t.Fatalf("SuccessesInCluster = %d", got)
+	if u.Len() != 3 {
+		t.Fatalf("Len = %d", u.Len())
 	}
-	if got := u.SuccessesInCluster("up1", "c2"); got != 0 {
-		t.Fatalf("SuccessesInCluster(c2) = %d", got)
+}
+
+// TestBookKeyedByJournalOrdinal: a journal's verdicts are keyed by their
+// ordinal among its tested records, so booking them again — a journal
+// replayed into the URR that booked it live — changes nothing, while a
+// verdict without a journal is always new.
+func TestBookKeyedByJournalOrdinal(t *testing.T) {
+	u := New()
+	fail := &Report{UpgradeID: "up", Machine: "m2", Cluster: "c", FailedApps: []string{"php"}, Reasons: []string{"crash"}}
+	verdicts := []*Report{{UpgradeID: "up", Machine: "m1", Cluster: "c", Success: true}, fail}
+	for round := 0; round < 2; round++ { // the second round is the replay
+		for i, r := range verdicts {
+			u.Book("a.journal", i+1, r)
+		}
+		if s, f := u.Summary("up"); s != 1 || f != 1 || len(u.Failures("up")) != 1 {
+			t.Fatalf("booking %d: summary %d/%d, failures %d", round+1, s, f, len(u.Failures("up")))
+		}
+	}
+	// Another journal's first verdict, and journal-less verdicts, count.
+	u.Book("b.journal", 1, verdicts[0])
+	u.Book("", 0, verdicts[0])
+	u.Book("", 0, verdicts[0])
+	if s, _ := u.Summary("up"); s != 4 {
+		t.Fatalf("successes = %d, want 4: a verdict of another journal or of none was taken for a replay", s)
+	}
+}
+
+// TestImageStoreRoundTrip: an image is stored once under the SHA-256 of
+// its stored form and loads back to a machine that materializes.
+func TestImageStoreRoundTrip(t *testing.T) {
+	dir := ImageDir(t.TempDir())
+	addr, data := EncodeImage(CaptureImage(sampleMachine()))
+	if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != addr {
+		t.Fatalf("address %s is not the SHA-256 of the stored form", addr)
+	}
+	for i := 0; i < 2; i++ { // the second put finds it stored
+		if err := PutImage(dir, addr, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 1 || ents[0].Name() != addr {
+		t.Fatalf("store holds %v, want exactly %s", ents, addr)
+	}
+	img, err := LoadImage(dir, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := img.Materialize().ReadFile("/bin/app"); f == nil || string(f.Data) != "bin" || f.Type != machine.TypeExecutable {
+		t.Fatalf("materialized file = %+v", f)
+	}
+}
+
+// TestLoadImageRejectsBadBytes: a stored image that no longer hashes to
+// its address, or is missing, is refused.
+func TestLoadImageRejectsBadBytes(t *testing.T) {
+	dir := t.TempDir()
+	addr, data := EncodeImage(CaptureImage(sampleMachine()))
+	if err := PutImage(dir, addr, data); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, addr), append(data, ' '), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadImage(dir, addr); err == nil || !strings.Contains(err.Error(), "hash") {
+		t.Fatalf("tampered image: %v", err)
+	}
+	if _, err := LoadImage(dir, strings.Repeat("0", 64)); err == nil {
+		t.Fatal("missing image loaded")
 	}
 }
 
@@ -108,10 +155,10 @@ func TestGroupFailuresDeduplicates(t *testing.T) {
 		if i == 2 {
 			cluster = "c2"
 		}
-		u.Deposit(&Report{UpgradeID: "up1", Machine: m, Cluster: cluster, Success: false,
+		u.Book("", 0, &Report{UpgradeID: "up1", Machine: m, Cluster: cluster, Success: false,
 			FailedApps: []string{"php"}, Reasons: []string{"crash: undefined symbol"}})
 	}
-	u.Deposit(&Report{UpgradeID: "up1", Machine: "m4", Cluster: "c3", Success: false,
+	u.Book("", 0, &Report{UpgradeID: "up1", Machine: "m4", Cluster: "c3", Success: false,
 		FailedApps: []string{"mysql"}, Reasons: []string{"crash: unknown option"}})
 
 	groups := u.GroupFailures("up1")
@@ -146,26 +193,31 @@ func TestReportString(t *testing.T) {
 	}
 }
 
-func TestConcurrentDeposits(t *testing.T) {
+// TestConcurrentBooking: rollouts book concurrently — each its own
+// journal's verdicts in ordinal order, and journal-less verdicts — and
+// every verdict counts once.
+func TestConcurrentBooking(t *testing.T) {
 	u := New()
 	var wg sync.WaitGroup
-	const n = 50
-	for i := 0; i < n; i++ {
-		wg.Add(1)
+	const journals, each = 5, 10
+	for j := 0; j < journals; j++ {
+		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			u.Deposit(&Report{UpgradeID: "up", Success: true})
+			for i := 1; i <= each; i++ {
+				u.Book(fmt.Sprintf("j%d", j), i, &Report{UpgradeID: "up", Success: i%2 == 0})
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			u.Book("", 0, &Report{UpgradeID: "up", Success: true})
 		}()
 	}
 	wg.Wait()
-	if u.Len() != n {
-		t.Fatalf("len = %d, want %d", u.Len(), n)
+	if got := u.Len(); got != journals*(each+1) {
+		t.Fatalf("len = %d, want %d", got, journals*(each+1))
 	}
-	ids := make(map[int]bool)
-	for _, r := range u.ForUpgrade("up") {
-		if ids[r.ID] {
-			t.Fatal("duplicate report ID")
-		}
-		ids[r.ID] = true
+	if s, f := u.Summary("up"); f != journals*each/2 || s != journals*(each/2+1) || len(u.Failures("up")) != f {
+		t.Fatalf("summary %d/%d, failures %d", s, f, len(u.Failures("up")))
 	}
 }

@@ -13,11 +13,11 @@ import (
 // durable, resumable form of Controller.Deploy. A fresh run creates the
 // journal and heads it with the plan identity; a resumed run replays the
 // journal (hash-checking the rebuilt plan) so completed stages and
-// already-integrated members are skipped. Either way the fold of the
-// journal's records is the controller's Cursor, and every state
-// transition is journaled before the gate it precedes releases, so
-// killing the vendor at any point leaves a journal from which the rollout
-// continues exactly where it stopped.
+// already-integrated members are skipped, and its verdicts join the
+// controller's URR. Either way the fold of the journal's records is the
+// controller's Cursor, and every state transition is journaled before the
+// gate it precedes releases, so killing the vendor at any point leaves a
+// journal from which the rollout continues exactly where it stopped.
 type Engine struct {
 	Controller *deploy.Controller
 	// Path is the journal file.
@@ -164,13 +164,18 @@ func (e *Engine) Rollback(ctx context.Context, policy deploy.Policy, clusters []
 }
 
 // open reopens the journal at Path and folds its records, checked against
-// the rebuilt plan.
+// the rebuilt plan, into a cursor and into the controller's URR.
 func (e *Engine) open(plan *staging.Plan, refs []staging.ClusterRef) (*Journal, []Record, *deploy.Cursor, error) {
 	j, records, err := Open(e.Path)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	cur, err := fold(records, plan, refs)
+	if err == nil {
+		// The Fixer and the URR's readers see the failures from before
+		// the crash.
+		err = FoldURR(e.Controller.URR, e.Path, records)
+	}
 	if err != nil {
 		j.Close()
 		return nil, nil, nil, err
@@ -193,13 +198,13 @@ func (e *Engine) opened(j *Journal, prior []Record) {
 	}
 }
 
-// install has the controller journal into j and book into cur — the
-// fold of the journal's records — until the returned function undoes
-// both.
+// install has the controller journal into j, keep report images beside
+// it and book into cur — the fold of the journal's records — until the
+// returned function undoes all three.
 func (e *Engine) install(j *Journal, cur *deploy.Cursor) func() {
 	ctl := e.Controller
-	ctl.Observer, ctl.Cursor = &Recorder{J: j}, cur
-	return func() { ctl.Observer, ctl.Cursor = nil, nil }
+	ctl.Observer, ctl.Cursor, ctl.Journal = &Recorder{J: j}, cur, e.Path
+	return func() { ctl.Observer, ctl.Cursor, ctl.Journal = nil, nil, "" }
 }
 
 // rollback runs the rollback pass of a journal whose forward pass is over

@@ -23,6 +23,9 @@
 //     the journal, install recorder and cursor, run the deployment, seal
 //     the journal with a completion record — telling its Observer of every
 //     journal record, exactly as the file holds it.
+//   - FoldURR rebuilds the report repository from a journal's tested
+//     records and the image store beside it: a resumed rollout's URR, or
+//     an offline reader's.
 package rollout
 
 import (

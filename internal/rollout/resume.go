@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"path/filepath"
 
 	"repro/internal/deploy"
+	"repro/internal/report"
 	"repro/internal/staging"
 )
 
@@ -131,3 +133,32 @@ func refuse(cur *deploy.Cursor, rollback bool) error {
 // ended reports whether the journal folded into cur records its forward
 // pass over: abandoned, or a rollback begun.
 func ended(cur *deploy.Cursor) bool { return cur.Terminal != nil || cur.Baseline != "" }
+
+// FoldURR books the verdicts of a journal's tested records into urr, each
+// keyed by the journal's path and the record's ordinal among its tested
+// records — the key the controller booked it under live, so folding a
+// journal the URR already holds changes nothing — with each failure's
+// image loaded from the store beside the journal.
+func FoldURR(urr *report.URR, path string, records []Record) error {
+	dir := report.ImageDir(filepath.Dir(path))
+	ordinal := 0
+	for _, r := range records {
+		if r.Type != RecTested {
+			continue
+		}
+		ordinal++
+		rep := &report.Report{UpgradeID: r.UpgradeID, Machine: r.Node, Cluster: r.Cluster, Success: r.Success}
+		if f := r.Failure; f != nil {
+			rep.FailedApps, rep.Reasons = f.FailedApps, f.Reasons
+			if f.Image != "" {
+				img, err := report.LoadImage(dir, f.Image)
+				if err != nil {
+					return fmt.Errorf("rollout: journal %s names a report image the store cannot give: %w", path, err)
+				}
+				rep.Image = img
+			}
+		}
+		urr.Book(path, ordinal, rep)
+	}
+	return nil
+}

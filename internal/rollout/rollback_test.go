@@ -12,7 +12,8 @@ import (
 	"repro/internal/report"
 )
 
-// failNode is a countingNode that fails validation of the named upgrade.
+// failNode is a countingNode that fails validation of the named upgrade,
+// reporting an image of the failure.
 type failNode struct {
 	*countingNode
 	failOn string
@@ -24,6 +25,7 @@ func (n *failNode) TestUpgrade(ctx context.Context, up *pkgmgr.Upgrade) (*report
 		rep.Success = false
 		rep.FailedApps = []string{"app"}
 		rep.Reasons = []string{"crash"}
+		rep.Image = &report.Image{MachineName: n.name, Env: map[string]string{"APP_STATE": "crashed"}}
 	}
 	return rep, err
 }

@@ -70,8 +70,19 @@ func TestPlansByteIdenticalAcrossExecutors(t *testing.T) {
 	}
 }
 
+// verdicts collects the clusters of a deployment's verdicts, in booking
+// order.
+type verdicts []string
+
+func (v *verdicts) OnEvent(ev deploy.Event) error {
+	if ev.Type == deploy.RecTested {
+		*v = append(*v, ev.Cluster)
+	}
+	return nil
+}
+
 // TestDeployFollowsPlanOrder executes a real (stubbed) deployment and
-// asserts the URR deposit order walks the plan's waves exactly.
+// asserts the order verdicts are booked in walks the plan's waves exactly.
 // PolicyAdaptive is deliberately absent: its promoted waves run at the
 // end of the plan in the live controller (executor-specific timing,
 // pinned by internal/deploy's adaptive tests), so only its plan bytes —
@@ -82,18 +93,18 @@ func TestDeployFollowsPlanOrder(t *testing.T) {
 		staging.PolicyNoStaging, staging.PolicyRandomStaging,
 	} {
 		_, clusters := fleet(4)
-		urr := report.New()
-		ctl := deploy.NewController(urr, nil)
+		ctl := deploy.NewController(report.New(), nil)
 		ctl.Seed = 42
+		var reports verdicts
+		ctl.Observer = &reports
 		plan := ctl.PlanFor(policy, clusters)
 		up := &pkgmgr.Upgrade{ID: "v1", Pkg: &pkgmgr.Package{Name: "app", Version: "v1"}}
 		if _, err := ctl.Deploy(context.Background(), policy, up, clusters); err != nil {
 			t.Fatalf("%s: %v", policy, err)
 		}
-		// Collapse consecutive reports into (cluster, count) runs... the
-		// plan's wave sequence must appear in deposit order. Waves of a
+		// Collapse consecutive verdicts into (cluster, count) runs... the
+		// plan's wave sequence must appear in booking order. Waves of a
 		// multi-wave stage run merged, so compare at stage granularity.
-		reports := urr.ForUpgrade("v1")
 		ri := 0
 		for si, st := range plan.Stages {
 			want := 0
@@ -115,7 +126,7 @@ func TestDeployFollowsPlanOrder(t *testing.T) {
 				if ri >= len(reports) {
 					t.Fatalf("%s: ran out of reports in stage %d", policy, si)
 				}
-				c := reports[ri].Cluster
+				c := reports[ri]
 				if members[c] == 0 {
 					t.Fatalf("%s: stage %d saw report from %s, not in stage waves", policy, si, c)
 				}

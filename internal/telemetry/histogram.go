@@ -68,9 +68,6 @@ func (h *Histogram) Observe(v int64) {
 	h.count.Add(1)
 }
 
-// ObserveDuration records a duration in nanoseconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
-
 // ObserveSince records the nanoseconds elapsed since t0 — the
 // allocation-free timer idiom: t0 := time.Now(); ...; h.ObserveSince(t0).
 func (h *Histogram) ObserveSince(t0 time.Time) { h.Observe(int64(time.Since(t0))) }

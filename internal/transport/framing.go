@@ -63,6 +63,9 @@ type frameConn struct {
 	// one vectored write; on the vendor it is the countingWriter, so body
 	// bytes are counted like every other byte.
 	w io.Writer
+	// read is the wire size of the last frame ReadFrame read: length
+	// prefix, frame and any manifest or image body behind it.
+	read int
 }
 
 // newFrameConn frames reads from br and writes through bw, a buffered
@@ -117,6 +120,7 @@ func (fc *frameConn) ReadFrame(f *Frame) error {
 			return err
 		}
 	}
+	fc.read = uvarintLen(uint64(n)) + n + manifestLen + imageLen
 	if manifestLen > 0 {
 		if err := fc.readManifest(f, manifestLen); err != nil {
 			return err

@@ -360,12 +360,12 @@ type Server struct {
 	Faults *FaultInjector
 
 	// OnProfileDelta, when set, receives watch-mode agents' OpProfileDelta
-	// pushes. Returning resync=true asks the agent to re-send its complete
-	// profile (Status "resync"); an error refuses the push. Unset, the
-	// server refuses deltas — drift detection is opt-in vendor wiring
-	// (mirage-vendor bridges this to a fleetwatch.Monitor). Set it before
-	// serving starts.
-	OnProfileDelta func(req *ProfileDeltaReq) (resync bool, err error)
+	// pushes, each with the bytes its frame took on the wire. Returning
+	// resync=true asks the agent to re-send its complete profile (Status
+	// "resync"); an error refuses the push. Unset, the server refuses
+	// deltas — drift detection is opt-in vendor wiring (mirage-vendor
+	// bridges this to a fleetwatch.Monitor). Set it before serving starts.
+	OnProfileDelta func(req *ProfileDeltaReq, wireBytes int) (resync bool, err error)
 
 	// Telemetry is the registry the server counts on: per-op RPC latency
 	// and frame-byte histograms, injected-delay accounting, the transfer
@@ -663,7 +663,7 @@ func (s *Server) register(conn net.Conn) {
 		resp := Frame{ID: hello.ID}
 		if h := s.OnProfileDelta; h == nil {
 			resp.Err = "vendor accepts no profile deltas"
-		} else if resync, err := h(hello.Delta); err != nil {
+		} else if resync, err := h(hello.Delta, fc.read); err != nil {
 			resp.Err = err.Error()
 		} else {
 			resp.OK = true

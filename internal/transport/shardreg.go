@@ -248,19 +248,6 @@ func (r *Registry[V]) Names() []string {
 	return out
 }
 
-// Each calls fn for every entry, shard by shard, holding the shard lock —
-// fn must be quick and must not call back into the registry.
-func (r *Registry[V]) Each(fn func(name string, v V)) {
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		for n, v := range sh.m {
-			fn(n, v)
-		}
-		sh.mu.Unlock()
-	}
-}
-
 // Clear empties the registry, returning every removed value (so a closing
 // server can tear the connections down outside any shard lock).
 func (r *Registry[V]) Clear() []V {

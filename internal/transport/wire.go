@@ -263,7 +263,9 @@ type RegistryConfig struct {
 // frameVersion is the first byte of every frame body. A peer speaking
 // another version — or the newline-terminated JSON headers this protocol
 // replaced, whose second byte is never this — is refused at that byte.
-const frameVersion = 1
+// Version 2 dropped the report fields no agent sets: ID, cluster and
+// sequence.
+const frameVersion = 2
 
 // Op codes, the second byte of a frame body. A reply has no op name.
 const (
@@ -543,11 +545,9 @@ func appendFrame(b []byte, f *Frame, manifestLen, imageLen int) ([]byte, error) 
 		b = appendStr(b, f.AppSet)
 	}
 	if r := f.Report; r != nil {
-		b = binary.AppendVarint(b, int64(r.ID))
-		b = appendStr(appendStr(appendStr(b, r.UpgradeID), r.Machine), r.Cluster)
+		b = appendStr(appendStr(b, r.UpgradeID), r.Machine)
 		b = appendBool(b, r.Success)
 		b = appendStrs(appendStrs(b, r.FailedApps), r.Reasons)
-		b = binary.AppendVarint(b, int64(r.Seq))
 		b = binary.AppendUvarint(b, uint64(imageLen))
 	}
 	if mask&fNeedChunks != 0 {
@@ -687,8 +687,8 @@ func decodeFrame(b []byte, f *Frame) (manifestLen, imageLen int, err error) {
 		f.AppSet = r.nonEmptyStr()
 	}
 	if mask&fReport != 0 {
-		rep := &report.Report{ID: r.varint(), UpgradeID: r.str(), Machine: r.str(), Cluster: r.str(),
-			Success: r.boolean(), FailedApps: r.strs(maxReportList), Reasons: r.strs(maxReportList), Seq: r.varint()}
+		rep := &report.Report{UpgradeID: r.str(), Machine: r.str(),
+			Success: r.boolean(), FailedApps: r.strs(maxReportList), Reasons: r.strs(maxReportList)}
 		imageLen = r.bodyLen(maxImageBody, "image")
 		f.Report = rep
 	}

@@ -432,7 +432,7 @@ func TestFrameFieldCaps(t *testing.T) {
 	t.Run("image body", func(t *testing.T) {
 		b := binary.AppendUvarint([]byte{frameVersion, opReply}, fID|fOK|fReport)
 		// ID 1, then a report of zero values up to its image length.
-		b = append(b, 1, 0, 0, 0, 0, 0, 0, 0, 0)
+		b = append(b, 1, 0, 0, 0, 0, 0)
 		b = rawFrame(binary.AppendUvarint(b, uint64(maxImageBody)+1)...)
 		if _, err := readWire(b); refusedFor(err) != refusedTooLarge {
 			t.Fatalf("image of %d bytes: %v, want a too_large refusal", maxImageBody+1, err)
@@ -498,8 +498,8 @@ func fuzzFrames() []*Frame {
 		{ID: 12, OK: true, Status: "recorded", Resources: []string{"/a", "/b"}},
 		{ID: 13, OK: true, Diff: items, AppSet: "mysql+php"},
 		{ID: 14, OK: true, NeedChunks: []uint64{3, 4}, Peer: &PeerResult{Chunks: 2, Bytes: -5, Failed: []string{"p1"}}},
-		{ID: 15, OK: true, Report: &report.Report{ID: -1, UpgradeID: "u", Machine: "m", Cluster: "c",
-			FailedApps: []string{"php"}, Reasons: []string{"crash"}, Seq: 3,
+		{ID: 15, OK: true, Report: &report.Report{UpgradeID: "u", Machine: "m",
+			FailedApps: []string{"php"}, Reasons: []string{"crash"},
 			Image: report.CaptureImage(userMachine("img", true))}},
 		{ID: 16, OK: true, ChunkMeta: []distrib.ChunkRef{{Hash: 9, Size: 1}}},
 	}
