@@ -1,0 +1,45 @@
+package transport
+
+import (
+	"time"
+
+	"repro/internal/distrib"
+)
+
+// Test-only handles on a Server. No binary needs them: the deployment
+// controller reaches agents through Node, and registration through
+// WaitForAgents.
+
+// ChunkStore returns the vendor-side chunk store.
+func (s *Server) ChunkStore() *distrib.Store { return s.dist }
+
+// AddPeerSource registers an external peer chunk source by hand: name is
+// recorded as eligible, reachable at addr, and holding the given chunk
+// addresses. Degradation tests point it at fake peers that die or serve
+// corrupt bytes.
+func (s *Server) AddPeerSource(name, addr string, addrs []uint64) {
+	s.peerMu.Lock()
+	defer s.peerMu.Unlock()
+	s.peers.addrs[name] = addr
+	s.peers.markEligible([]string{name})
+	s.peers.markHeld(name, addrs)
+}
+
+// DropAgent forcibly closes the named agent's control channel and removes
+// it from the registry, as a network failure would. A reconnecting agent
+// redials and re-registers under the same identity.
+func (s *Server) DropAgent(name string) bool {
+	ac, ok := s.registry.Remove(name)
+	if !ok {
+		return false
+	}
+	ac.conn.Close()
+	return true
+}
+
+// WaitForAgent blocks until the named agent is registered, the timeout
+// elapses, or the server is closed. The waiter parks on the shard owning
+// the name; unrelated registrations never wake it.
+func (s *Server) WaitForAgent(name string, timeout time.Duration) bool {
+	return s.registry.WaitName(name, timeout, s.done)
+}

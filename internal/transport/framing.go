@@ -27,14 +27,52 @@ var ErrFrameTooLarge = errors.New("transport: frame too large")
 
 // scratchPool recycles the buffers ReadFrame fills from the socket: a
 // frame too long for the reader's own buffer, and a manifest body, which
-// DecodeManifest copies what it keeps of. No connection keeps a buffer
-// of its own beyond its bufio pair. Chunk and image bodies never come
-// from it, because their readers keep the bytes they are handed.
+// DecodeManifest copies what it keeps of. Chunk and image bodies never
+// come from it, because their readers keep the bytes they are handed.
 var scratchPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 32*1024)
 		return &b
 	},
+}
+
+// readerPool and writerPool hold the vendor's bufio pairs. The vendor
+// reads only what it asked for, so a channel needs a pair only while it
+// reads a registration frame or makes a call: it borrows one for that and
+// gives it back, and an idle agent holds none. The pending-handshake bound
+// caps how many handshakes hold a reader at once. The next call on any
+// channel reuses a returned buffer, so nothing decoded may alias it:
+// decodeFrame copies every string and slice out, and a body's reader
+// reads it into bytes of its own.
+var (
+	readerPool = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
+	writerPool = sync.Pool{New: func() any { return bufio.NewWriter(nil) }}
+)
+
+func borrowReader(r io.Reader) *bufio.Reader {
+	br := readerPool.Get().(*bufio.Reader)
+	br.Reset(r)
+	return br
+}
+
+func borrowWriter(w io.Writer) *bufio.Writer {
+	bw := writerPool.Get().(*bufio.Writer)
+	bw.Reset(w)
+	return bw
+}
+
+// giveBack returns fc's borrowed buffers to their pools, reset so they
+// pin neither the connection nor any unread byte.
+func giveBack(fc *frameConn) {
+	if fc.br != nil {
+		fc.br.Reset(nil)
+		readerPool.Put(fc.br)
+	}
+	if fc.bw != nil {
+		fc.bw.Reset(nil)
+		writerPool.Put(fc.bw)
+	}
+	fc.br, fc.bw = nil, nil
 }
 
 // maxBodySegment bounds the buffers ReadChunkBody allocates: consecutive
@@ -50,9 +88,10 @@ const maxBodySegment = 1 << 20 // 1MB
 // bytes cross the wire byte-for-byte, and a manifest is encoded once per
 // upgrade rather than per member.
 //
-// A frameConn holds nothing but the connection's bufio pair and the
-// writer beneath: a frame is encoded straight into the writer's buffer
-// and decoded straight out of the reader's.
+// A frameConn holds nothing but a bufio pair and the writer beneath: a
+// frame is encoded straight into the writer's buffer and decoded straight
+// out of the reader's. The agent side keeps its pair for the session; the
+// vendor borrows its pair from readerPool and writerPool for one call.
 //
 // A frameConn is not safe for concurrent use; callers serialize access
 // (serveSession on the agent, the vendor's per-connection RPC mutex).

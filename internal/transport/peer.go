@@ -222,7 +222,7 @@ func (a *Agent) fetchFromPeer(peerAddr string, addrs []uint64) (got []uint64, n 
 // (agentConn.peer), so held and eligible survive a disconnect — the agent
 // serves again once it redials — while its address does not.
 type peerIndex struct {
-	addrs    map[string]string          // AddPeerSource name → address; never a registered agent's
+	addrs    map[string]string          // hand-seeded peer source → address; never a registered agent's
 	held     map[string]map[uint64]bool // agent name → chunk addresses known held
 	eligible []string                   // names cleared to serve (gated waves), sorted, distinct
 }

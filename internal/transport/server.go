@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -72,13 +71,13 @@ type agentConn struct {
 	peer string
 	conn net.Conn
 	srv  *Server
-	// bw buffers frame writes so one frame is one buffered write burst
-	// with an explicit flush, not a stream of tiny unbuffered socket
-	// writes; fc is the frame codec over it (and the reader), which lets
-	// raw manifest and chunk bodies ride behind a frame.
-	bw *bufio.Writer
-	fc *frameConn
-	cw *countingWriter
+	// fc is the frame codec over the channel, which lets raw manifest and
+	// chunk bodies ride behind a frame. Its bufio pair is borrowed from
+	// readerPool and writerPool for one call (exchange) and is nil between
+	// calls, so an idle agent holds no I/O buffer; its writer beneath is
+	// cw, which counts every byte.
+	fc frameConn
+	cw countingWriter
 
 	// replaced is set (before the socket is closed) when a new
 	// registration under the same name supersedes this channel, so an
@@ -215,9 +214,14 @@ func (s *Server) metrics() *serverMetrics {
 }
 
 // readFrame reads one frame from an agent's connection, counting a
-// refused one by its reason.
+// refused one by its reason. An agent sends nothing the vendor did not
+// ask for, so bytes buffered behind the frame are refused as trailing:
+// no byte may outlive the borrowed buffer that read it.
 func (s *Server) readFrame(fc *frameConn, f *Frame) error {
 	err := fc.ReadFrame(f)
+	if err == nil && fc.br.Buffered() > 0 {
+		err = refuse(refusedTrailing, nil, "%d stray bytes behind the frame", fc.br.Buffered())
+	}
 	if err != nil {
 		var fe *frameError
 		if errors.As(err, &fe) {
@@ -256,6 +260,8 @@ func (ac *agentConn) exchange(ctx context.Context, req Frame, body []distrib.Chu
 			resetAfter = true
 		}
 	}
+	ac.fc.br, ac.fc.bw = borrowReader(ac.conn), borrowWriter(&ac.cw)
+	defer giveBack(&ac.fc)
 	ac.nextID++
 	req.ID = ac.nextID
 	deadline := time.Now().Add(timeout)
@@ -289,7 +295,7 @@ func (ac *agentConn) exchange(ctx context.Context, req Frame, body []distrib.Chu
 			return Frame{}, ac.fail(ctx, "sending "+req.Op+" body", err)
 		}
 	}
-	if err := ac.bw.Flush(); err != nil {
+	if err := ac.fc.bw.Flush(); err != nil {
 		return Frame{}, ac.fail(ctx, "sending "+req.Op, err)
 	}
 	m.frames.Inc()
@@ -297,7 +303,7 @@ func (ac *agentConn) exchange(ctx context.Context, req Frame, body []distrib.Chu
 		return Frame{}, ac.fail(ctx, req.Op, errFaultInjected)
 	}
 	var resp Frame
-	if err := ac.srv.readFrame(ac.fc, &resp); err != nil {
+	if err := ac.srv.readFrame(&ac.fc, &resp); err != nil {
 		return Frame{}, ac.fail(ctx, "reading "+req.Op+" reply", err)
 	}
 	if resp.ID != req.ID {
@@ -329,9 +335,9 @@ func (e *agentError) Error() string { return "transport: agent " + e.name + ": "
 type Server struct {
 	ln net.Listener
 
-	// registry is the hash-sharded agent index: RPC dispatch, registration,
-	// and the WaitForAgents/WaitForAgent waiters all go through it, so no
-	// single mutex serializes a 100k-agent fleet.
+	// registry is the hash-sharded agent index: RPC dispatch, registration
+	// and the registry waiters all go through it, so no single mutex
+	// serializes a 100k-agent fleet.
 	registry *Registry[*agentConn]
 
 	mu sync.Mutex
@@ -431,9 +437,6 @@ func ListenWith(addr string, opts ListenOpts) (*Server, error) {
 	return s, nil
 }
 
-// ChunkStore returns the vendor-side chunk store.
-func (s *Server) ChunkStore() *distrib.Store { return s.dist }
-
 // TransferSnapshot reads the server-wide transfer counters — cumulative
 // across all agent connections past and present — in the deployment
 // controller's vocabulary, so Controller.Transfer can record per-rollout
@@ -472,19 +475,6 @@ func (s *Server) MarkPeerEligible(names []string) {
 	s.peers.markEligible(names)
 }
 
-// AddPeerSource registers an external peer chunk source by hand: name is
-// recorded as eligible, reachable at addr, and holding the given chunk
-// addresses. It is the seeding/test hook — degradation tests point it at
-// fake peers that die or serve corrupt bytes, and a pre-seeded mirror can
-// be injected the same way.
-func (s *Server) AddPeerSource(name, addr string, addrs []uint64) {
-	s.peerMu.Lock()
-	defer s.peerMu.Unlock()
-	s.peers.addrs[name] = addr
-	s.peers.markEligible([]string{name})
-	s.peers.markHeld(name, addrs)
-}
-
 // peerHintsFor returns up to MaxPeerHints peer addresses likely to hold
 // some of need, best coverage first; nil when no eligible peer covers
 // anything.
@@ -501,8 +491,8 @@ func (s *Server) peerHintsFor(requester string, need []uint64) []string {
 
 // markPeerHeld records that name resolved man completely — every address
 // in it is now in the agent's cache. This passive bookkeeping is the only
-// feed the chunk-location index has (besides AddPeerSource); no RPC ever
-// asks an agent what it holds.
+// feed the chunk-location index has; no RPC ever asks an agent what it
+// holds.
 func (s *Server) markPeerHeld(name string, man *distrib.Manifest) {
 	s.peerMu.Lock()
 	defer s.peerMu.Unlock()
@@ -532,11 +522,11 @@ func (s *Server) creditPeerResult(ac *agentConn, asked int, res *PeerResult) {
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // Close shuts the server down: the listener closes, every agent channel
-// is torn down, registry waiters (WaitForAgents/WaitForAgent) wake
-// immediately, and in-flight Calls fail with the typed ErrServerClosed
-// instead of a spoofed agent-gone error. Close blocks until the accept
-// loop and every registration goroutine have exited — a closed server
-// leaks nothing. Idempotent.
+// is torn down, registry waiters (WaitForAgents) wake immediately, and
+// in-flight Calls fail with the typed ErrServerClosed instead of a
+// spoofed agent-gone error. Close blocks until the accept loop and every
+// registration goroutine have exited — a closed server leaks nothing.
+// Idempotent.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -645,14 +635,15 @@ func (s *Server) register(conn net.Conn) {
 		delete(s.pending, conn)
 		s.mu.Unlock()
 	}
-	fc := newFrameConn(bufio.NewReader(conn), nil, nil)
+	fc := frameConn{br: borrowReader(conn)}
+	defer giveBack(&fc)
 	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
 		unpend()
 		conn.Close()
 		return
 	}
 	var hello Frame
-	if err := s.readFrame(fc, &hello); err != nil {
+	if err := s.readFrame(&fc, &hello); err != nil {
 		unpend()
 		conn.Close()
 		return
@@ -671,11 +662,10 @@ func (s *Server) register(conn net.Conn) {
 				resp.Status = StatusResync
 			}
 		}
-		bw := bufio.NewWriter(conn)
-		fc.bw, fc.w = bw, conn
+		fc.bw, fc.w = borrowWriter(conn), conn
 		conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
 		if err := fc.WriteFrame(&resp); err == nil {
-			bw.Flush()
+			fc.bw.Flush()
 		}
 		unpend()
 		conn.Close()
@@ -687,13 +677,11 @@ func (s *Server) register(conn net.Conn) {
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
-	cw := &countingWriter{w: conn, srv: s}
-	bw := bufio.NewWriter(cw)
-	fc.bw, fc.w = bw, cw
 	ac := &agentConn{
 		name: hello.Register.Machine, peer: hello.Register.Peer, conn: conn, srv: s,
-		bw: bw, fc: fc, cw: cw,
+		cw: countingWriter{w: conn, srv: s},
 	}
+	ac.fc.w = &ac.cw
 	s.mu.Lock()
 	delete(s.pending, conn)
 	if s.closed {
@@ -726,19 +714,6 @@ func (s *Server) drop(ac *agentConn) {
 	s.registry.RemoveIf(ac.name, func(cur *agentConn) bool { return cur == ac })
 }
 
-// DropAgent forcibly closes the named agent's control channel and removes
-// it from the registry — the vendor-side handle for administrative
-// disconnection and for fault injection in churn tests. A reconnecting
-// agent will simply redial and re-register under the same identity.
-func (s *Server) DropAgent(name string) bool {
-	ac, ok := s.registry.Remove(name)
-	if !ok {
-		return false
-	}
-	ac.conn.Close()
-	return true
-}
-
 // Agents returns the names of registered agents, sorted.
 func (s *Server) Agents() []string {
 	return s.registry.Names()
@@ -751,15 +726,6 @@ func (s *Server) Agents() []string {
 // once per registry change.
 func (s *Server) WaitForAgents(n int, timeout time.Duration) int {
 	return s.registry.WaitCount(n, timeout, s.done)
-}
-
-// WaitForAgent blocks until the named agent is registered, the timeout
-// elapses, or the server is closed — the natural companion to
-// reconnecting agents ("wait for the machine to come back before
-// proceeding"). The waiter parks on the shard owning the name; unrelated
-// registrations never wake it.
-func (s *Server) WaitForAgent(name string, timeout time.Duration) bool {
-	return s.registry.WaitName(name, timeout, s.done)
 }
 
 func (s *Server) agent(name string) (*agentConn, error) {
