@@ -470,9 +470,18 @@ func (ctl *Controller) PlanFor(policy Policy, clusters []*Cluster) *staging.Plan
 	return staging.BuildPlan(policy, Refs(clusters), ctl.Seed)
 }
 
-// Deploy runs the upgrade across the clusters under the given policy and
-// returns the outcome. Urgent upgrades bypass staging regardless of policy,
-// as the paper allows ("it may bypass the entire cluster infrastructure").
+// EffectivePolicy is the policy a deployment of up under policy executes:
+// urgent upgrades bypass staging regardless of policy, as the paper allows
+// ("it may bypass the entire cluster infrastructure").
+func EffectivePolicy(policy Policy, up *pkgmgr.Upgrade) Policy {
+	if up.Urgent {
+		return PolicyNoStaging
+	}
+	return policy
+}
+
+// Deploy runs the upgrade across the clusters under EffectivePolicy(policy,
+// up) and returns the outcome.
 //
 // Cancelling ctx aborts the rollout promptly — mid-wave, mid-backoff or at
 // a stage barrier: no new member test starts after cancellation, retry
@@ -481,9 +490,7 @@ func (ctl *Controller) PlanFor(policy Policy, clusters []*Cluster) *staging.Plan
 // mistake worth naming). Deploy then returns the partial outcome plus an
 // error wrapping ctx.Err().
 func (ctl *Controller) Deploy(ctx context.Context, policy Policy, up *pkgmgr.Upgrade, clusters []*Cluster) (*Outcome, error) {
-	if up.Urgent {
-		policy = PolicyNoStaging
-	}
+	policy = EffectivePolicy(policy, up)
 	var before TransferStats
 	if ctl.Transfer != nil {
 		before = ctl.Transfer()
@@ -492,14 +499,13 @@ func (ctl *Controller) Deploy(ctx context.Context, policy Policy, up *pkgmgr.Upg
 	if cur == nil {
 		cur = &Cursor{}
 	}
-	cur.from = up.ID
 	byID := make(map[string]*Cluster, len(clusters))
 	size := 0
 	for _, c := range clusters {
 		byID[c.ID] = c
 		size += c.Size()
 	}
-	cur.reserve(size)
+	cur.begin(up.ID, size)
 
 	r := &waveRunner{ctx: ctx, spanCtx: ctx, ctl: ctl, cur: cur, up: up, clusters: byID,
 		clean: make(map[string]bool), skipStages: cur.DoneStages}

@@ -3,6 +3,7 @@ package deploy
 import (
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/report"
 	"repro/internal/staging"
@@ -101,7 +102,14 @@ type Event struct {
 // rebuilds it from a journal so a resumed rollout skips completed work;
 // rollback resume, the control plane's status and the chaos verdict read
 // the same fold.
+//
+// Apply and the start of a run take its lock, and other goroutines read
+// it through Read. The goroutine booking the rollout reads unlocked: it
+// writes every field it reads (the control plane applies only drift
+// records, which the controller never reads).
 type Cursor struct {
+	mu sync.Mutex
+
 	// Policy is the plan's policy, as the plan record names it.
 	Policy Policy
 	// Stage is the last plan stage that started (-1 before the first).
@@ -166,6 +174,8 @@ type Cursor struct {
 // Apply folds one record into the cursor. Record types it does not drive
 // state from are ignored.
 func (c *Cursor) Apply(ev Event) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	switch ev.Type {
 	case RecPlan:
 		c.Stage, c.UpgradeID = -1, ev.UpgradeID
@@ -227,9 +237,22 @@ func set[V any](m *map[string]V, k string, v V) {
 	(*m)[k] = v
 }
 
-// reserve sizes the per-member maps every run books into for n members,
-// so a fresh fold does not regrow them member by member.
-func (c *Cursor) reserve(n int) {
+// Read calls f with the fold, holding the lock Apply takes: a consistent
+// view for a goroutine other than the one booking the rollout. f must not
+// keep the fold's maps or call back into the cursor.
+func (c *Cursor) Read(f func(*Cursor)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	f(c)
+}
+
+// begin starts a run over the fold: from is the upgrade it starts from,
+// and the per-member maps it books into are sized for n members, so a
+// fresh fold does not regrow them member by member.
+func (c *Cursor) begin(from string, n int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.from = from
 	if c.Integrated == nil {
 		c.Integrated = make(map[string]string, n)
 	}

@@ -87,11 +87,11 @@ func TestFoldRollbackPassIsNotTerminal(t *testing.T) {
 	step(Event{Type: RecRolledBack, Stage: -1, Node: "a", Cluster: "c", UpgradeID: "v0", PrevID: "v1"}, "")
 	step(Event{Type: RecRollbackStart, Stage: -1, UpgradeID: "v0", PrevID: "v1"}, "")
 	if !c.Reverted["a"] || c.Integrated["a"] != "v0" || c.Integrated["b"] != "v1" {
-		t.Fatalf("resumed rollback forgot a durable revert: %+v", c)
+		t.Fatalf("resumed rollback forgot a durable revert: %+v", &c)
 	}
 	step(Event{Type: RecRollbackSkip, Stage: -1, Node: "b", Cluster: "c", UpgradeID: "v0", Reason: "quarantined"}, "")
 	step(Event{Type: RecRollbackDone, Stage: -1, UpgradeID: "v0"}, RecRollbackDone)
 	if c.Policy != PolicyAdaptive || c.Rounds != 1 || c.Baseline != "v0" || !c.Quarantined["b"] || c.Skipped["b"] != "quarantined" {
-		t.Fatalf("fold = %+v", c)
+		t.Fatalf("fold = %+v", &c)
 	}
 }

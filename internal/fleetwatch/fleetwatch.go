@@ -27,7 +27,8 @@
 //     for the leaver), or the machine itself was a still-pending cluster's
 //     representative and left members behind that it no longer resembles.
 //
-// The orchestrator subscribes to these events and applies a DriftPolicy:
+// ApplyDelta and Remove return the event; the vendor bridges every
+// non-stable one to the orchestrator, which applies a DriftPolicy:
 // journal-and-continue, hold the rollout at its next stage barrier, or
 // re-stage the remaining plan from the current FleetView.
 package fleetwatch
@@ -102,7 +103,6 @@ type Monitor struct {
 	gated   map[*cluster.Cluster]bool
 	reps    map[string]bool  // representatives of the last plan DeployClusters assembled
 	drifted map[string]Event // machines currently flagged drifted
-	subs    []func(Event)
 
 	reclusterSec *telemetry.Family
 	deltaBytes   *telemetry.Family
@@ -124,14 +124,6 @@ func NewMonitor(snap *cluster.Snapshot, reg *telemetry.Registry) *Monitor {
 	m.driftTotal = reg.Counter("mirage_drift_members_total",
 		"Fleet members classified after a profile change.", "class")
 	return m
-}
-
-// Subscribe registers fn to receive every future drift event. fn runs
-// outside the monitor's lock, on the goroutine that folded the delta.
-func (m *Monitor) Subscribe(fn func(Event)) {
-	m.mu.Lock()
-	m.subs = append(m.subs, fn)
-	m.mu.Unlock()
 }
 
 // MarkGated records that the cluster(s) containing the named members passed
@@ -160,9 +152,10 @@ func (m *Monitor) ObserveDeltaBytes(n int, full bool) {
 // profile; sig is the signature of the complete post-change diff set, used
 // to detect divergence. full means added IS the complete diff (removed
 // ignored) — sent on first contact and after a resync. It returns the
-// classification event and whether the fold changed the fleet view.
+// classification event, or an *ErrResync when the delta cannot be folded.
 func (m *Monitor) ApplyDelta(machine, appSet string, added, removed []resource.Item, sig uint64, full bool) (Event, error) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 
 	next := resource.NewSet(len(added))
 	if full {
@@ -172,7 +165,6 @@ func (m *Monitor) ApplyDelta(machine, appSet string, added, removed []resource.I
 	} else {
 		old, ok := m.snap.Fingerprints[machine]
 		if !ok {
-			m.mu.Unlock()
 			return Event{}, &ErrResync{Machine: machine, Reason: "unknown machine"}
 		}
 		next.AddAll(old.ParsedDiff)
@@ -185,7 +177,6 @@ func (m *Monitor) ApplyDelta(machine, appSet string, added, removed []resource.I
 		}
 	}
 	if got := next.Signature(); got != sig {
-		m.mu.Unlock()
 		return Event{}, &ErrResync{Machine: machine, Reason: "signature mismatch after delta"}
 	}
 
@@ -204,9 +195,7 @@ func (m *Monitor) ApplyDelta(machine, appSet string, added, removed []resource.I
 	if old, ok := m.snap.Fingerprints[machine]; ok &&
 		old.AppSet == appSet &&
 		old.ParsedDiff.Equal(mf.ParsedDiff) && old.ContentDiff.Equal(mf.ContentDiff) {
-		ev := Event{Machine: machine, From: fromName, To: fromName, Class: ClassStable, Version: m.version}
-		m.mu.Unlock()
-		return ev, nil
+		return Event{Machine: machine, From: fromName, To: fromName, Class: ClassStable, Version: m.version}, nil
 	}
 
 	t0 := time.Now()
@@ -225,12 +214,6 @@ func (m *Monitor) ApplyDelta(machine, appSet string, added, removed []resource.I
 		delete(m.drifted, machine)
 	}
 	m.driftTotal.With(string(ev.Class)).Inc()
-	subs := append([]func(Event){}, m.subs...)
-	m.mu.Unlock()
-
-	for _, fn := range subs {
-		fn(ev)
-	}
 	return ev, nil
 }
 
@@ -261,6 +244,7 @@ func (m *Monitor) classifyLocked(machine, fromName string, before, after *cluste
 // Remove drops a decommissioned machine from the fleet.
 func (m *Monitor) Remove(machine string) Event {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	before := m.snap.ClusterOf(machine)
 	fromName := nameOf(before)
 	t0 := time.Now()
@@ -280,11 +264,6 @@ func (m *Monitor) Remove(machine string) Event {
 		m.drifted[machine] = ev
 	}
 	m.driftTotal.With(string(ev.Class)).Inc()
-	subs := append([]func(Event){}, m.subs...)
-	m.mu.Unlock()
-	for _, fn := range subs {
-		fn(ev)
-	}
 	return ev
 }
 

@@ -245,16 +245,17 @@ func TestRefreshResetsDrift(t *testing.T) {
 	}
 }
 
-func TestSubscribeSeesEvents(t *testing.T) {
+// TestApplyDeltaEventNamesFold: the event ApplyDelta returns — what the
+// vendor bridges to the control plane — names the machine and the fleet
+// view version its fold produced.
+func TestApplyDeltaEventNamesFold(t *testing.T) {
 	m, fps := watchedFleet(t)
-	var got []Event
-	m.Subscribe(func(ev Event) { got = append(got, ev) })
-	push(t, m, union(fps["a2"]), mkfp("a2", parsedSet("php.5"), contentSet("y")))
-	if len(got) != 1 || got[0].Machine != "a2" {
-		t.Fatalf("subscriber saw %v", got)
+	ev := push(t, m, union(fps["a2"]), mkfp("a2", parsedSet("php.5"), contentSet("y")))
+	if ev.Machine != "a2" {
+		t.Fatalf("event names %q, want a2", ev.Machine)
 	}
-	if got[0].Version != m.Version() {
-		t.Fatalf("event version %d != monitor version %d", got[0].Version, m.Version())
+	if ev.Version != m.Version() {
+		t.Fatalf("event version %d != monitor version %d", ev.Version, m.Version())
 	}
 }
 

@@ -75,9 +75,9 @@ func (o *Orchestrator) NotifyDrift(ev DriftEvent) {
 
 // NotifyDrift records one fleet drift event in this rollout: journaled
 // first as a RecDrift record (durable history that survives crash-resume
-// without driving protocol state), which the journal hands to the event
-// log and the fold like any other record, and only then checked against
-// the spec's DriftPolicy. A rollout without an open journal — queued, or
+// without driving protocol state), which the journal hands to OnEvent for
+// the event log and the engine's fold, and only then checked against the
+// spec's DriftPolicy. A rollout without an open journal — queued, or
 // finished — records no drift, and neither does one whose append fails.
 // Events for machines outside the rollout's plan, and non-drift classes,
 // are ignored.
@@ -91,7 +91,8 @@ func (h *Handle) NotifyDrift(ev DriftEvent) {
 	}
 	h.mu.Lock()
 	j := h.liveJournal
-	_, seen := h.fold.DriftCluster[ev.Machine]
+	var seen bool
+	h.cur.Read(func(f *deploy.Cursor) { _, seen = f.DriftCluster[ev.Machine] })
 	h.mu.Unlock()
 	reason := ev.Class
 	if ev.To != "" {
@@ -124,11 +125,13 @@ func (h *Handle) NotifyDrift(ev DriftEvent) {
 // without ever re-firing the policy.
 func (h *Handle) driftPolicyLocked(clusterID string) (hold, restage bool) {
 	n := 0
-	for _, c := range h.fold.DriftCluster {
-		if c == clusterID {
-			n++
+	h.cur.Read(func(f *deploy.Cursor) {
+		for _, c := range f.DriftCluster {
+			if c == clusterID {
+				n++
+			}
 		}
-	}
+	})
 	pol := h.spec.Drift
 	if n <= pol.MaxDriftedPerCluster {
 		return false, false
@@ -180,12 +183,4 @@ func (h *Handle) restage() {
 	}
 	h.signalLocked()
 	h.mu.Unlock()
-}
-
-// DriftedMembers returns the names of this rollout's members counted as
-// drifted, in the order they were reported.
-func (h *Handle) DriftedMembers() []string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]string(nil), h.fold.Drifted...)
 }

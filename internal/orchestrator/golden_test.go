@@ -153,10 +153,7 @@ func checkFoldParity(t *testing.T, h *Handle, out *deploy.Outcome) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var f deploy.Cursor
-	for _, r := range records {
-		f.Apply(r)
-	}
+	f := checkStatusIsFold(t, st, records)
 	if f.Terminal == nil {
 		t.Fatal("journal of a finished rollout folds to no terminal record")
 	}
@@ -203,20 +200,6 @@ func checkFoldParity(t *testing.T, h *Handle, out *deploy.Outcome) {
 		if out.RolledBack && len(f.Reverted) != len(out.Rollback.Reverted) {
 			t.Fatalf("fold reverted %d members, outcome %v", len(f.Reverted), out.Rollback.Reverted)
 		}
-	}
-	type counters struct {
-		Stage, GatesPassed, Rounds, Tested, Failures int
-		Integrated, Quarantined, RolledBack, Drifted int
-		UpgradeID, FinalID, Baseline                 string
-	}
-	want := counters{f.Stage, f.DoneStages, f.Rounds, f.Tested, f.Overhead,
-		len(f.Integrated), len(f.Quarantined), len(f.Reverted), len(f.Drifted),
-		f.UpgradeID, f.FinalID, f.Baseline}
-	got := counters{st.Stage, st.GatesPassed, st.Rounds, st.Tested, st.Failures,
-		st.Integrated, st.Quarantined, st.RolledBack, st.Drifted,
-		st.UpgradeID, st.FinalID, st.Baseline}
-	if got != want {
-		t.Fatalf("status counters %+v, journal fold %+v", got, want)
 	}
 }
 

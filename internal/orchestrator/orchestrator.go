@@ -308,13 +308,8 @@ func (o *Orchestrator) Start(ctx context.Context, spec Spec) (*Handle, error) {
 		journal = filepath.Join(o.JournalDir, id+".journal")
 	}
 
-	// Mirror the controller's urgent bypass so the stage count describes
-	// the plan that will actually execute.
-	policy := spec.Policy
-	if spec.Upgrade.Urgent {
-		policy = deploy.PolicyNoStaging
-	}
-	plan := ctl.PlanFor(policy, spec.Clusters)
+	// The stage count describes the plan that will actually execute.
+	plan := ctl.PlanFor(deploy.EffectivePolicy(spec.Policy, spec.Upgrade), spec.Clusters)
 
 	rctx, cancel := context.WithCancel(ctx)
 	h := &Handle{
@@ -322,7 +317,6 @@ func (o *Orchestrator) Start(ctx context.Context, spec Spec) (*Handle, error) {
 		orch:    o,
 		ctl:     ctl,
 		spec:    spec,
-		policy:  policy,
 		journal: journal,
 		cancel:  cancel,
 		done:    make(chan struct{}),
@@ -336,7 +330,7 @@ func (o *Orchestrator) Start(ctx context.Context, spec Spec) (*Handle, error) {
 			Journal: journal,
 		},
 		members: make(map[string]string),
-		fold:    deploy.Cursor{Stage: -1, UpgradeID: spec.Upgrade.ID},
+		cur:     &deploy.Cursor{Policy: plan.Policy, Stage: -1, UpgradeID: spec.Upgrade.ID},
 	}
 	for _, c := range spec.Clusters {
 		for n := range c.Nodes() {
@@ -442,11 +436,9 @@ type Handle struct {
 	// by the orchestrator when an execution slot is granted.
 	admit chan struct{}
 	// Retained for manual rollback of a terminal rollout: the controller
-	// (idle once the rollout ends), the spec, the effective policy
-	// (urgent bypass mirrored) and the journal path.
+	// (idle once the rollout ends), the spec and the journal path.
 	ctl     *deploy.Controller
 	spec    Spec
-	policy  deploy.Policy
 	journal string
 
 	// members maps every member of the plan to its cluster of deployment.
@@ -454,17 +446,17 @@ type Handle struct {
 
 	mu     sync.Mutex
 	status Status
-	// events is the journal as the file holds it (seq n at index n-1) and
-	// fold what it says; Status reads its progress off the fold.
+	// events is the journal as the file holds it (seq n at index n-1).
 	events      []rollout.Record
-	fold        deploy.Cursor
 	changed     chan struct{} // closed and replaced on every append/transition
 	paused      bool
 	unpause     chan struct{} // closed on ResumeRun
 	rollingBack bool          // a manual Rollback is in flight
 	// liveJournal is where NotifyDrift appends: the journal the engine last
-	// opened, nil while queued and closed once the engine returns.
+	// opened, nil while queued and closed once the engine returns. cur is
+	// its fold, the engine's Cursor; until then, a placeholder.
 	liveJournal *rollout.Journal
+	cur         *deploy.Cursor
 	restaging   bool // a DriftRestage is in flight
 	out         *deploy.Outcome
 	err         error
@@ -559,9 +551,9 @@ func (h *Handle) engine() *rollout.Engine {
 		Rebuild:    h.spec.Rebuild,
 		Observer:   h,
 		Baseline:   h.spec.Baseline,
-		OnOpen: func(j *rollout.Journal) {
+		OnOpen: func(j *rollout.Journal, cur *deploy.Cursor) {
 			h.mu.Lock()
-			h.liveJournal = j
+			h.liveJournal, h.cur = j, cur
 			h.mu.Unlock()
 		},
 	}
@@ -678,26 +670,29 @@ func (h *Handle) state() State {
 	return h.status.State
 }
 
-// Status returns a point-in-time snapshot.
+// Status returns a point-in-time snapshot, read off the engine's fold in
+// one locked pass.
 func (h *Handle) Status() Status {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	st, f := h.status, &h.fold
-	st.UpgradeID, st.FinalID, st.Baseline = f.UpgradeID, f.FinalID, f.Baseline
-	st.Stage, st.GatesPassed, st.Rounds = f.Stage, f.DoneStages, f.Rounds
-	st.Tested, st.Failures, st.Integrated = f.Tested, f.Overhead, len(f.Integrated)
-	st.Quarantined, st.RolledBack, st.Drifted = len(f.Quarantined), len(f.Reverted), len(f.Drifted)
+	st := h.status
 	st.Events = len(h.events)
 	st.Members = make(map[string]*MemberStatus, len(h.members))
 	ms := make([]MemberStatus, 0, len(h.members)) // one allocation, not one per member
-	for name, cluster := range h.members {
-		_, drifted := f.DriftCluster[name]
-		ms = append(ms, MemberStatus{
-			Cluster: cluster, Tests: f.NodeTests[name], Failures: f.NodeFailures[name],
-			UpgradeID: f.Integrated[name], Quarantined: f.Quarantined[name], Drifted: drifted,
-		})
-		st.Members[name] = &ms[len(ms)-1]
-	}
+	h.cur.Read(func(f *deploy.Cursor) {
+		st.UpgradeID, st.FinalID, st.Baseline = f.UpgradeID, f.FinalID, f.Baseline
+		st.Stage, st.GatesPassed, st.Rounds = f.Stage, f.DoneStages, f.Rounds
+		st.Tested, st.Failures, st.Integrated = f.Tested, f.Overhead, len(f.Integrated)
+		st.Quarantined, st.RolledBack, st.Drifted = len(f.Quarantined), len(f.Reverted), len(f.Drifted)
+		for name, cluster := range h.members {
+			_, drifted := f.DriftCluster[name]
+			ms = append(ms, MemberStatus{
+				Cluster: cluster, Tests: f.NodeTests[name], Failures: f.NodeFailures[name],
+				UpgradeID: f.Integrated[name], Quarantined: f.Quarantined[name], Drifted: drifted,
+			})
+			st.Members[name] = &ms[len(ms)-1]
+		}
+	})
 	if h.status.Transfer != nil {
 		tr := *h.status.Transfer
 		st.Transfer = &tr
@@ -706,9 +701,11 @@ func (h *Handle) Status() Status {
 }
 
 // OnEvent implements deploy.Observer for the rollout's journal. A record
-// joins the log and the fold only if its seq is the next one, so a manual
-// rollback reopening the journal repeats nothing; a rollout whose records
-// began a rollback is rolling back until it ends.
+// joins the log only if its seq is the next one, so a manual rollback
+// reopening the journal repeats nothing. Drift, the one record the
+// controller does not book, folds into the engine's cursor here, unless
+// replayed from a reopened journal, whose fold already holds it. A
+// rollout whose records began a rollback is rolling back until it ends.
 func (h *Handle) OnEvent(ev deploy.Event) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -716,9 +713,15 @@ func (h *Handle) OnEvent(ev deploy.Event) error {
 		return nil
 	}
 	h.events = append(h.events, ev)
-	h.fold.Apply(ev)
-	if h.fold.Baseline != "" && !h.status.State.Terminal() {
-		h.status.State = StateRollingBack
+	switch ev.Type {
+	case deploy.RecDrift:
+		if h.liveJournal != nil {
+			h.cur.Apply(ev)
+		}
+	case deploy.RecRollbackStart, deploy.RecRolledBack, deploy.RecRollbackSkip, deploy.RecRollbackDone:
+		if !h.status.State.Terminal() {
+			h.status.State = StateRollingBack
+		}
 	}
 	h.signalLocked()
 	return nil
@@ -756,9 +759,12 @@ func (h *Handle) Rollback(ctx context.Context) (*deploy.RollbackOutcome, error) 
 	h.rollingBack = true
 	h.status.State = StateRollingBack
 	h.signalLocked()
+	// The journaled plan's policy, urgent bypass included.
+	var policy deploy.Policy
+	h.cur.Read(func(f *deploy.Cursor) { policy = f.Policy })
 	h.mu.Unlock()
 
-	out, err := h.engine().Rollback(ctx, h.policy, h.spec.Clusters)
+	out, err := h.engine().Rollback(ctx, policy, h.spec.Clusters)
 	var ro *deploy.RollbackOutcome
 	h.mu.Lock()
 	if out != nil {

@@ -46,14 +46,15 @@ type Engine struct {
 	// returning, journaling each revert. The journal then ends in the
 	// second terminal state: rollback_complete.
 	AutoRollback bool
-	// OnOpen, when set, receives the live journal right before the
-	// deployment or rollback starts, once Observer has heard its records.
-	// It is how the orchestrator appends first-class records of its own
-	// (drift events) concurrently with the controller's recorder: Journal
-	// serializes appends internally, and replay skips record types it does
-	// not drive protocol state from. The journal is closed, refusing
-	// appends, once Deploy or Rollback returns.
-	OnOpen func(j *Journal)
+	// OnOpen, when set, receives the live journal and its fold — the
+	// controller's Cursor, read from other goroutines with Cursor.Read —
+	// right before the deployment or rollback starts, once Observer has
+	// heard the journal's records. It is how the orchestrator appends
+	// records of its own (drift events) concurrently with the controller's
+	// recorder, folding them in journal order: Journal serializes appends
+	// internally. The journal is closed, refusing appends, once Deploy or
+	// Rollback returns.
+	OnOpen func(*Journal, *deploy.Cursor)
 }
 
 // Deploy runs (or resumes) the upgrade across the clusters under policy,
@@ -66,15 +67,12 @@ type Engine struct {
 // with AutoRollback armed — the one an abandoned journal owes.
 func (e *Engine) Deploy(ctx context.Context, policy deploy.Policy, up *pkgmgr.Upgrade, clusters []*deploy.Cluster) (*deploy.Outcome, error) {
 	ctl := e.Controller
-	// Mirror the controller's urgent bypass so the journaled plan is the
-	// plan that actually executes. The plan is built here for its hash and
-	// rebuilt inside Controller.Deploy; both calls read the same policy,
-	// clusters and ctl.Seed, so the controller must not be mutated while
-	// Deploy runs or the journaled identity would describe a schedule that
-	// never executed.
-	if up.Urgent {
-		policy = deploy.PolicyNoStaging
-	}
+	// The journaled plan is the plan that actually executes, urgent bypass
+	// included. It is built here for its hash and rebuilt inside
+	// Controller.Deploy; both calls read the same policy, clusters and
+	// ctl.Seed, so the controller must not be mutated while Deploy runs or
+	// the journaled identity would describe a schedule that never executed.
+	policy = deploy.EffectivePolicy(policy, up)
 	refs := deploy.Refs(clusters)
 	plan := ctl.PlanFor(policy, clusters)
 
@@ -114,7 +112,7 @@ func (e *Engine) Deploy(ctx context.Context, policy deploy.Policy, up *pkgmgr.Up
 		cur.Apply(head)
 	}
 	defer j.Close()
-	e.opened(j, prior)
+	e.opened(j, prior, cur)
 	defer e.install(j, cur)()
 	if ended(cur) {
 		return e.rollback(ctx, cur, clusters)
@@ -158,7 +156,7 @@ func (e *Engine) Rollback(ctx context.Context, policy deploy.Policy, clusters []
 	if err := refuse(cur, true); err != nil {
 		return nil, err
 	}
-	e.opened(j, prior)
+	e.opened(j, prior, cur)
 	defer e.install(j, cur)()
 	return e.rollback(ctx, cur, clusters)
 }
@@ -185,16 +183,16 @@ func (e *Engine) open(plan *staging.Plan, refs []staging.ClusterRef) (*Journal, 
 }
 
 // opened tells Observer of the records a reopened journal already holds —
-// the journal tells it of every later one — and hands the journal to
-// OnOpen.
-func (e *Engine) opened(j *Journal, prior []Record) {
+// the journal tells it of every later one — and hands the journal and
+// their fold to OnOpen.
+func (e *Engine) opened(j *Journal, prior []Record, cur *deploy.Cursor) {
 	if e.Observer != nil {
 		for _, r := range prior {
 			e.Observer.OnEvent(r) //nolint:errcheck — as the journal does
 		}
 	}
 	if e.OnOpen != nil {
-		e.OnOpen(j)
+		e.OnOpen(j, cur)
 	}
 }
 

@@ -182,19 +182,6 @@ func (j *Journal) Sync() error {
 	return j.syncLocked()
 }
 
-// Pending returns the number of appended records not yet fsynced — zero
-// whenever write-ahead discipline has been settled (after a gate, after
-// Sync, after the window flush).
-func (j *Journal) Pending() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.pending
-}
-
-// Syncs returns the number of fsyncs performed — what makes the group
-// commit's batching measurable (records written vs disk flushes paid).
-func (j *Journal) Syncs() int64 { return j.syncs.Load() }
-
 // writeLocked marshals and writes one line, assigning the sequence
 // number, fsyncs it if durable, and tells the observer; callers hold j.mu.
 func (j *Journal) writeLocked(rec Record, durable bool) error {
