@@ -85,8 +85,9 @@ type Event struct {
 	PrevID    string `json:"prev,omitempty"`
 	Success   bool   `json:"success,omitempty"`
 	// Round packs beside Success in one word, so Failure's pointer leaves
-	// an Event no larger: every Event is copied into the control plane's
-	// per-rollout log.
+	// an Event no larger: every Event passes by value from the controller
+	// through the journal to the control plane, which keeps a live
+	// rollout's most recent records in a fixed window of Events.
 	Round  int32  `json:"round,omitempty"`
 	Reason string `json:"reason,omitempty"`
 

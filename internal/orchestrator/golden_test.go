@@ -108,8 +108,9 @@ func goldenScenarios() []goldenScenario {
 
 // runGolden runs one scenario on a fresh orchestrator at the given pool
 // width and returns the journals it pins, each checked against its
-// rollout's outcome and status.
-func runGolden(t *testing.T, sc goldenScenario, parallelism int) [][]byte {
+// rollout's outcome and status, and each rollout's event stream, read
+// once it has ended.
+func runGolden(t *testing.T, sc goldenScenario, parallelism int) (journals [][]byte, streams [][]rollout.Record) {
 	t.Helper()
 	spec := sc.spec()
 	spec.Configure = func(ctl *deploy.Controller) {
@@ -127,7 +128,6 @@ func runGolden(t *testing.T, sc goldenScenario, parallelism int) [][]byte {
 			handles = append(handles, next)
 		}
 	}
-	var journals [][]byte
 	for _, h := range handles {
 		out, err := h.Wait(context.Background())
 		if err != nil && !errors.Is(err, context.Canceled) {
@@ -138,9 +138,9 @@ func runGolden(t *testing.T, sc goldenScenario, parallelism int) [][]byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		journals = append(journals, b)
+		journals, streams = append(journals, b), append(streams, readAll(t, h, 0))
 	}
-	return journals
+	return journals, streams
 }
 
 // checkFoldParity: folding the journal a finished rollout left on disk
@@ -205,13 +205,16 @@ func checkFoldParity(t *testing.T, h *Handle, out *deploy.Outcome) {
 
 // TestGoldenJournals runs every golden scenario through Start at pool
 // widths 1 and 8: both runs must write byte-identical journals, equal to
-// the ones under testdata/golden (rewrite them with -update), and every
-// journal's fold must equal its rollout's Outcome and Status.
+// the ones under testdata/golden (rewrite them with -update), every
+// journal's fold must equal its rollout's Outcome and Status, and every
+// finished rollout's event stream must be its golden file, record for
+// record.
 func TestGoldenJournals(t *testing.T) {
 	for _, sc := range goldenScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
 			t.Parallel()
-			narrow, wide := runGolden(t, sc, 1), runGolden(t, sc, 8)
+			narrow, streams := runGolden(t, sc, 1)
+			wide, _ := runGolden(t, sc, 8)
 			for i := range narrow {
 				name := sc.name
 				if i > 0 {
@@ -236,6 +239,13 @@ func TestGoldenJournals(t *testing.T) {
 				}
 				if !bytes.Equal(narrow[i], want) {
 					t.Fatalf("%s: journal differs from %s:\ngot\n%s\nwant\n%s", name, path, narrow[i], want)
+				}
+				golden, err := rollout.Load(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(streams[i], golden) {
+					t.Fatalf("%s: event stream differs from %s:\ngot  %+v\nwant %+v", name, path, streams[i], golden)
 				}
 			}
 		})

@@ -256,6 +256,10 @@ func (a *API) start(w http.ResponseWriter, r *http.Request) {
 	}
 	h, err := a.Orch.Start(base, spec)
 	if err != nil {
+		if errors.Is(err, ErrJournalInUse) {
+			writeError(w, http.StatusConflict, err)
+			return
+		}
 		if errors.Is(err, ErrSaturated) {
 			// Backpressure, not failure: the vendor is at its in-flight
 			// rollout bound and the admission queue is full. Tell the
@@ -288,7 +292,11 @@ func (a *API) events(w http.ResponseWriter, r *http.Request) {
 	since, _ := strconv.Atoi(r.URL.Query().Get("since"))
 	ctx, cancel := context.WithTimeout(r.Context(), a.window(r.URL.Query().Get("wait")))
 	defer cancel()
-	recs, next, done := h.EventsSince(ctx, since)
+	recs, next, done, err := h.page(ctx, since, nil)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
 	if recs == nil {
 		recs = []rollout.Record{} // an empty page, not null
 	}

@@ -87,6 +87,13 @@ type Spec struct {
 // to retry later rather than pile more work onto a loaded vendor.
 var ErrSaturated = errors.New("orchestrator: too many rollouts in flight")
 
+// ErrJournalInUse is returned by Start (HTTP 409) for a journal file a
+// rollout of this orchestrator already owns: a fresh start would truncate
+// that rollout's history, and a resume may not join a rollout still
+// writing it. Rollback returns it for a rollout whose journal a later
+// resume took over.
+var ErrJournalInUse = errors.New("orchestrator: journal in use")
+
 // State names a phase of the rollout lifecycle.
 type State string
 
@@ -178,7 +185,8 @@ type Status struct {
 	// vendor bytes, chunk hit/miss split, and the peer tier's share.
 	Transfer *deploy.TransferStats `json:"transfer,omitempty"`
 	Journal  string                `json:"journal,omitempty"`
-	// Events is the journal seq of the last record streamed — the cursor.
+	// Events is the journal seq of the last record the rollout wrote — the
+	// event stream's tip.
 	Events int    `json:"events"`
 	Error  string `json:"error,omitempty"`
 }
@@ -225,12 +233,15 @@ type Orchestrator struct {
 	order    []string
 	active   int
 	queue    []*Handle // FIFO admission queue (waiting handles)
+	// journals maps each journal file (absolute path) to the rollout that
+	// last started on it: the one allowed to write it.
+	journals map[string]*Handle
 }
 
 // New returns an orchestrator journaling under dir ("" means every spec
 // names its own journal file).
 func New(dir string) *Orchestrator {
-	return &Orchestrator{JournalDir: dir, rollouts: make(map[string]*Handle)}
+	return &Orchestrator{JournalDir: dir, rollouts: make(map[string]*Handle), journals: make(map[string]*Handle)}
 }
 
 // Get returns the handle of a known rollout.
@@ -256,8 +267,9 @@ func (o *Orchestrator) List() []*Handle {
 // The rollout runs on its own goroutine until the plan completes, the
 // vendor abandons, an error halts it, or ctx is cancelled (Abort cancels
 // a derived context, so an operator abort never requires the caller's).
-// Start itself only validates the spec; resume refusals and journal
-// errors surface from Wait, like every other terminal outcome.
+// Start itself only validates the spec and claims its journal file (see
+// ErrJournalInUse); resume refusals and journal errors surface from Wait,
+// like every other terminal outcome.
 func (o *Orchestrator) Start(ctx context.Context, spec Spec) (*Handle, error) {
 	if spec.Upgrade == nil {
 		return nil, errors.New("orchestrator: spec has no upgrade")
@@ -307,6 +319,10 @@ func (o *Orchestrator) Start(ctx context.Context, spec Spec) (*Handle, error) {
 	if journal == "" {
 		journal = filepath.Join(o.JournalDir, id+".journal")
 	}
+	key, err := filepath.Abs(journal)
+	if err != nil {
+		return nil, fmt.Errorf("orchestrator: journal path: %w", err)
+	}
 
 	// The stage count describes the plan that will actually execute.
 	plan := ctl.PlanFor(deploy.EffectivePolicy(spec.Policy, spec.Upgrade), spec.Clusters)
@@ -318,9 +334,10 @@ func (o *Orchestrator) Start(ctx context.Context, spec Spec) (*Handle, error) {
 		ctl:     ctl,
 		spec:    spec,
 		journal: journal,
+		key:     key,
+		log:     rollout.NewReader(journal),
 		cancel:  cancel,
 		done:    make(chan struct{}),
-		changed: make(chan struct{}),
 		unpause: make(chan struct{}),
 		status: Status{
 			ID:      id,
@@ -339,6 +356,14 @@ func (o *Orchestrator) Start(ctx context.Context, spec Spec) (*Handle, error) {
 	}
 
 	o.mu.Lock()
+	if owner := o.journals[key]; owner != nil && (!spec.Resume || !owner.idle()) {
+		o.mu.Unlock()
+		cancel()
+		if spec.Resume {
+			return nil, fmt.Errorf("%w: rollout %s is still writing %s", ErrJournalInUse, owner.id, journal)
+		}
+		return nil, fmt.Errorf("%w: %s is rollout %s's journal; resume it instead", ErrJournalInUse, journal, owner.id)
+	}
 	if o.MaxActive > 0 {
 		switch {
 		case o.active < o.MaxActive:
@@ -355,6 +380,7 @@ func (o *Orchestrator) Start(ctx context.Context, spec Spec) (*Handle, error) {
 	}
 	o.rollouts[id] = h
 	o.order = append(o.order, id)
+	o.journals[key] = h
 	o.mu.Unlock()
 
 	go h.run(rctx)
@@ -440,15 +466,23 @@ type Handle struct {
 	ctl     *deploy.Controller
 	spec    Spec
 	journal string
+	key     string // the journal's absolute path: its entry in Orchestrator.journals
 
 	// members maps every member of the plan to its cluster of deployment.
 	members map[string]string
+	// log reads the event log's records back from the journal file.
+	log *rollout.Reader
 
 	mu     sync.Mutex
 	status Status
-	// events is the journal as the file holds it (seq n at index n-1).
-	events      []rollout.Record
-	changed     chan struct{} // closed and replaced on every append/transition
+	// The journal file is the event log. count is the seq of the last
+	// record OnEvent took, so the file holds records 1..count in full;
+	// window keeps the most recent of them (from seq winFrom on) for live
+	// followers, and is dropped once the rollout is terminal.
+	count       int
+	window      []rollout.Record // ring of eventWindow records: seq s at (s-1)%eventWindow
+	winFrom     int
+	changed     chan struct{} // taken by a waiter, closed by the next append/transition
 	paused      bool
 	unpause     chan struct{} // closed on ResumeRun
 	rollingBack bool          // a manual Rollback is in flight
@@ -532,6 +566,7 @@ func (h *Handle) run(ctx context.Context) {
 		tr := out.Transfer
 		h.status.Transfer = &tr
 	}
+	h.window = nil
 	h.signalLocked()
 	h.mu.Unlock()
 	trace.End(root, err)
@@ -559,10 +594,31 @@ func (h *Handle) engine() *rollout.Engine {
 	}
 }
 
-// signalLocked wakes event and status waiters; callers hold h.mu.
+// signalLocked wakes every waiter that took the wake channel; callers
+// hold h.mu. With nobody waiting it does nothing, so a record no follower
+// waits for costs no channel.
 func (h *Handle) signalLocked() {
-	close(h.changed)
-	h.changed = make(chan struct{})
+	if h.changed != nil {
+		close(h.changed)
+		h.changed = nil
+	}
+}
+
+// waitLocked returns the channel the next signalLocked closes; callers
+// hold h.mu.
+func (h *Handle) waitLocked() <-chan struct{} {
+	if h.changed == nil {
+		h.changed = make(chan struct{})
+	}
+	return h.changed
+}
+
+// idle reports whether the rollout has stopped writing its journal:
+// terminal, and no manual rollback in flight.
+func (h *Handle) idle() bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.status.State.Terminal() && !h.rollingBack
 }
 
 // gate implements deploy.Controller.StageGate: it holds the plan at the
@@ -676,7 +732,7 @@ func (h *Handle) Status() Status {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	st := h.status
-	st.Events = len(h.events)
+	st.Events = h.count
 	st.Members = make(map[string]*MemberStatus, len(h.members))
 	ms := make([]MemberStatus, 0, len(h.members)) // one allocation, not one per member
 	h.cur.Read(func(f *deploy.Cursor) {
@@ -700,19 +756,30 @@ func (h *Handle) Status() Status {
 	return st
 }
 
+// eventWindow is how many of its most recent records a live rollout keeps
+// in memory, so followers near the tip read them without decoding the
+// journal file.
+const eventWindow = 1024
+
 // OnEvent implements deploy.Observer for the rollout's journal. A record
 // joins the log only if its seq is the next one, so a manual rollback
-// reopening the journal repeats nothing. Drift, the one record the
-// controller does not book, folds into the engine's cursor here, unless
-// replayed from a reopened journal, whose fold already holds it. A
-// rollout whose records began a rollback is rolling back until it ends.
+// reopening the journal repeats nothing. The journal has written it in
+// full: the handle counts it and keeps it in the window. Drift, the one
+// record the controller does not book, folds into the engine's cursor
+// here, unless replayed from a reopened journal, whose fold already holds
+// it. A rollout whose records began a rollback is rolling back until it
+// ends.
 func (h *Handle) OnEvent(ev deploy.Event) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if ev.Seq != len(h.events)+1 {
+	if ev.Seq != h.count+1 {
 		return nil
 	}
-	h.events = append(h.events, ev)
+	if h.window == nil {
+		h.window, h.winFrom = make([]rollout.Record, eventWindow), ev.Seq
+	}
+	h.window[(ev.Seq-1)%eventWindow] = ev
+	h.count = ev.Seq
 	switch ev.Type {
 	case deploy.RecDrift:
 		if h.liveJournal != nil {
@@ -736,33 +803,10 @@ func (h *Handle) OnEvent(ev deploy.Event) error {
 // StateRolledBack. A rollback the journal records as started is resumed:
 // members with a durable rolled_back record are never reverted again.
 func (h *Handle) Rollback(ctx context.Context) (*deploy.RollbackOutcome, error) {
-	h.mu.Lock()
-	st := h.status.State
-	switch {
-	case h.rollingBack:
-		h.mu.Unlock()
-		return nil, errors.New("orchestrator: rollback already in progress")
-	case st == StateRolledBack:
-		h.mu.Unlock()
-		return nil, errors.New("orchestrator: rollout already rolled back")
-	case st == StateSucceeded:
-		h.mu.Unlock()
-		return nil, errors.New("orchestrator: rollout succeeded; roll back by deploying the previous version")
-	case !st.Terminal():
-		h.mu.Unlock()
-		return nil, fmt.Errorf("orchestrator: rollout is %s; abort it before rolling back", st)
+	st, policy, err := h.beginRollback()
+	if err != nil {
+		return nil, err
 	}
-	if h.spec.Baseline == nil && h.spec.Rebuild == nil {
-		h.mu.Unlock()
-		return nil, errors.New("orchestrator: rollout has no baseline artifact to roll back to")
-	}
-	h.rollingBack = true
-	h.status.State = StateRollingBack
-	h.signalLocked()
-	// The journaled plan's policy, urgent bypass included.
-	var policy deploy.Policy
-	h.cur.Read(func(f *deploy.Cursor) { policy = f.Policy })
-	h.mu.Unlock()
 
 	out, err := h.engine().Rollback(ctx, policy, h.spec.Clusters)
 	var ro *deploy.RollbackOutcome
@@ -781,51 +825,109 @@ func (h *Handle) Rollback(ctx context.Context) (*deploy.RollbackOutcome, error) 
 			h.status.Transfer = &tr
 		}
 	}
+	h.window = nil
 	h.signalLocked()
 	h.mu.Unlock()
 	return ro, err
 }
 
-// EventsSince returns the journal records after seq since (0 means from
-// the beginning) and next, the seq of the last one returned, or since
-// clamped to the log when none is. When none are pending it blocks until
-// one arrives, the rollout reaches a terminal state, or ctx is done. done
-// reports that the rollout is terminal and the log exhausted — the
-// long-poll termination condition.
-func (h *Handle) EventsSince(ctx context.Context, since int) (recs []rollout.Record, next int, done bool) {
+// beginRollback checks that a manual rollback may start and marks the
+// rollout rolling back, returning its terminal state and the journaled
+// plan's policy (urgent bypass included). It holds the orchestrator's
+// lock throughout, so a resume cannot claim the journal in between.
+func (h *Handle) beginRollback() (State, deploy.Policy, error) {
+	h.orch.mu.Lock()
+	defer h.orch.mu.Unlock()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	st := h.status.State
+	switch {
+	case h.rollingBack:
+		return st, 0, errors.New("orchestrator: rollback already in progress")
+	case st == StateRolledBack:
+		return st, 0, errors.New("orchestrator: rollout already rolled back")
+	case st == StateSucceeded:
+		return st, 0, errors.New("orchestrator: rollout succeeded; roll back by deploying the previous version")
+	case !st.Terminal():
+		return st, 0, fmt.Errorf("orchestrator: rollout is %s; abort it before rolling back", st)
+	case h.spec.Baseline == nil && h.spec.Rebuild == nil:
+		return st, 0, errors.New("orchestrator: rollout has no baseline artifact to roll back to")
+	}
+	if owner := h.orch.journals[h.key]; owner != h {
+		return st, 0, fmt.Errorf("%w: rollout %s resumed %s; roll back through it", ErrJournalInUse, owner.id, h.journal)
+	}
+	h.rollingBack = true
+	h.status.State = StateRollingBack
+	h.signalLocked()
+	var policy deploy.Policy
+	h.cur.Read(func(f *deploy.Cursor) { policy = f.Policy })
+	return st, policy, nil
+}
+
+// page returns journal records after seq since (0 means from the
+// beginning), in buf's storage, and next, the seq of the last one
+// returned, or since clamped to the log when none is. Records near the
+// tip come from the rollout's window in memory, older ones from the
+// journal file, at most eventWindow of them per call. When none are
+// pending it blocks until one arrives, the rollout reaches a terminal
+// state, or ctx is done. done reports that the rollout is terminal and
+// the log exhausted — the long-poll termination condition. err is the
+// journal file's read error.
+func (h *Handle) page(ctx context.Context, since int, buf []rollout.Record) (recs []rollout.Record, next int, done bool, err error) {
+	buf = buf[:0]
 	for {
 		h.mu.Lock()
 		// A cursor past the log (stale client, restarted vendor) clamps to
 		// the tip, so the poll terminates instead of waiting for records
 		// that can never exist.
-		next = min(max(since, 0), len(h.events))
-		recs = append([]rollout.Record(nil), h.events[next:]...)
-		terminal := h.status.State.Terminal()
-		ch := h.changed
+		next = min(max(since, 0), h.count)
+		tip, terminal := h.count, h.status.State.Terminal()
+		// The window holds seqs lo..tip; the file holds all of them.
+		lo := tip + 1
+		if h.window != nil {
+			lo = max(h.winFrom, tip-eventWindow+1)
+		}
+		if next+1 >= lo {
+			for s := next + 1; s <= tip; s++ {
+				buf = append(buf, h.window[(s-1)%eventWindow])
+			}
+		}
+		var wake <-chan struct{}
+		if next == tip && !terminal {
+			wake = h.waitLocked()
+		}
 		h.mu.Unlock()
-		if len(recs) > 0 || terminal {
-			return recs, next + len(recs), terminal
+		if next+1 < lo {
+			if buf, err = h.log.Read(buf, next, min(lo-1, next+eventWindow)); err != nil {
+				return nil, next, false, err
+			}
+		}
+		if len(buf) > 0 || terminal {
+			next += len(buf)
+			return buf, next, terminal && next == tip, nil
 		}
 		select {
-		case <-ch:
+		case <-wake:
 		case <-ctx.Done():
-			return nil, next, false
+			return nil, next, false, nil
 		}
 	}
 }
 
 // Events streams the rollout's journal from the beginning: the returned
 // channel replays the log and then follows it live, closing once the
-// rollout is terminal and the log is drained (or when ctx is done).
+// rollout is terminal and the log is drained (or when ctx is done, or the
+// journal file can no longer be read). One batch buffer serves every poll.
 func (h *Handle) Events(ctx context.Context) <-chan rollout.Record {
 	ch := make(chan rollout.Record)
 	go func() {
 		defer close(ch)
+		var buf []rollout.Record
 		next := 0
 		for {
-			recs, n, done := h.EventsSince(ctx, next)
-			if len(recs) == 0 && !done {
-				return // ctx expired
+			recs, n, done, err := h.page(ctx, next, buf)
+			if err != nil || len(recs) == 0 && !done {
+				return // the journal is unreadable, or ctx expired
 			}
 			for _, r := range recs {
 				select {
@@ -834,7 +936,7 @@ func (h *Handle) Events(ctx context.Context) <-chan rollout.Record {
 					return
 				}
 			}
-			next = n
+			buf, next = recs, n
 			if done {
 				return
 			}

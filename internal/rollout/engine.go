@@ -33,8 +33,10 @@ type Engine struct {
 	Rebuild func(upgradeID string) (*pkgmgr.Upgrade, bool)
 	// Observer, when set, is told of every journal record as the file
 	// holds it, seq included: a reopened journal's records first, then each
-	// as the journal writes it (see Journal.Observer). Its return value is
-	// ignored: the journal is the arbiter of whether the plan may continue.
+	// once the journal has written it in full (see Journal.Observer), so
+	// an observer can count records and read them back from the file
+	// (Reader) rather than keep them. Its return value is ignored: the
+	// journal is the arbiter of whether the plan may continue.
 	Observer deploy.Observer
 	// Baseline is the version-N artifact the fleet ran before this
 	// rollout — what a rollback restores. The agents' self-seeded caches

@@ -30,8 +30,10 @@ package rollout
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -85,14 +87,21 @@ type Journal struct {
 	// size observations (nil is a no-op).
 	Telemetry *telemetry.Registry
 
-	// Observer, when set, is told of each record as the file holds it, in
-	// file order, under the journal's lock: after the fsync for Append,
-	// after the write for AppendBuffered. It must not call back into the
-	// journal; its return value is ignored. Set it before the first append.
+	// Observer, when set, is told of each record once the file holds it in
+	// full, in file order, under the journal's lock: after the fsync for
+	// Append, after the write for AppendBuffered. So an observer that
+	// counts records knows the file holds every one it counted and can
+	// read them back by seq (Reader) instead of keeping its own copy. It
+	// must not call back into the journal; its return value is ignored.
+	// Set it before the first append.
 	Observer deploy.Observer
 
+	line bytes.Buffer  // the line being written, reused by every append
+	enc  *json.Encoder // encodes into line
+	rec  Record        // the record being encoded: a field, so encoding boxes no copy
+
 	pending int         // records written but not yet fsynced
-	syncErr error       // sticky: a failed background sync poisons the journal
+	err     error       // sticky: a failed write or sync poisons the journal
 	timer   *time.Timer // armed while pending > 0
 	syncs   atomic.Int64
 }
@@ -173,33 +182,42 @@ func (j *Journal) AppendBuffered(rec Record) error {
 func (j *Journal) Sync() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.err != nil {
+		return j.err
+	}
 	if j.f == nil {
-		if j.syncErr != nil {
-			return j.syncErr
-		}
 		return fmt.Errorf("rollout: journal %s is closed", j.path)
 	}
 	return j.syncLocked()
 }
 
-// writeLocked marshals and writes one line, assigning the sequence
-// number, fsyncs it if durable, and tells the observer; callers hold j.mu.
+// writeLocked encodes and writes one line, assigning the sequence number,
+// fsyncs it if durable, and tells the observer; callers hold j.mu. The
+// line is encoded into the journal's own buffer: json.Encoder writes
+// exactly json.Marshal's bytes and a newline. A failed write or sync
+// poisons the journal and leaves the sequence where it was, so nothing
+// is ever appended after a torn line or across a gap in the seqs.
 func (j *Journal) writeLocked(rec Record, durable bool) error {
+	if j.err != nil {
+		return j.err
+	}
 	if j.f == nil {
 		return fmt.Errorf("rollout: journal %s is closed", j.path)
 	}
-	if j.syncErr != nil {
-		return j.syncErr
+	if j.enc == nil {
+		j.enc = json.NewEncoder(&j.line)
 	}
-	j.seq++
-	rec.Seq = j.seq
-	b, err := json.Marshal(rec)
+	rec.Seq = j.seq + 1
+	j.line.Reset()
+	j.rec = rec
+	err := j.enc.Encode(&j.rec)
+	j.rec = Record{}
 	if err != nil {
-		j.seq--
 		return fmt.Errorf("rollout: encoding journal record: %w", err)
 	}
-	if _, err := j.f.Write(append(b, '\n')); err != nil {
-		return fmt.Errorf("rollout: appending to journal: %w", err)
+	if _, err := j.f.Write(j.line.Bytes()); err != nil {
+		j.err = fmt.Errorf("rollout: appending to journal: %w", err)
+		return j.err
 	}
 	j.pending++
 	if durable {
@@ -207,6 +225,7 @@ func (j *Journal) writeLocked(rec Record, durable bool) error {
 			return err
 		}
 	}
+	j.seq = rec.Seq
 	if j.Observer != nil {
 		j.Observer.OnEvent(rec) //nolint:errcheck — the record is written; the observer only follows
 	}
@@ -214,12 +233,14 @@ func (j *Journal) writeLocked(rec Record, durable bool) error {
 }
 
 // syncLocked fsyncs the file and settles the pending count; callers hold
-// j.mu.
+// j.mu. A failed sync poisons the journal: what the disk holds of the
+// pending records is unknown.
 func (j *Journal) syncLocked() error {
 	batch := j.pending
 	t0 := time.Now()
 	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("rollout: syncing journal: %w", err)
+		j.err = fmt.Errorf("rollout: syncing journal: %w", err)
+		return j.err
 	}
 	j.Telemetry.Histogram("mirage_journal_fsync_seconds",
 		"Journal fsync latency.", "", 1e-9).With("").ObserveSince(t0)
@@ -231,18 +252,16 @@ func (j *Journal) syncLocked() error {
 }
 
 // flushWindow is the group-commit timer callback: it syncs whatever is
-// pending and records a failure stickily (the rollout must halt at the
-// next record, not discover the loss at resume time).
+// pending; a failure is sticky (the rollout must halt at the next record,
+// not discover the loss at resume time).
 func (j *Journal) flushWindow() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.timer = nil
-	if j.f == nil || j.pending == 0 || j.syncErr != nil {
+	if j.f == nil || j.pending == 0 || j.err != nil {
 		return
 	}
-	if err := j.syncLocked(); err != nil {
-		j.syncErr = err
-	}
+	j.syncLocked() //nolint:errcheck — sticky in j.err
 }
 
 // Close syncs any buffered records and closes the journal file.
@@ -257,7 +276,7 @@ func (j *Journal) Close() error {
 		j.timer = nil
 	}
 	var serr error
-	if j.pending > 0 && j.syncErr == nil {
+	if j.pending > 0 && j.err == nil {
 		serr = j.syncLocked()
 	}
 	err := j.f.Close()
@@ -267,6 +286,9 @@ func (j *Journal) Close() error {
 	}
 	return err
 }
+
+// maxLine bounds one journal line on read.
+const maxLine = 16 * 1024 * 1024
 
 // Load reads the journal's intact records. A torn final line — the
 // signature of a crash mid-append — is silently discarded; corruption
@@ -289,7 +311,7 @@ func load(path string) ([]Record, int64, error) {
 	var recs []Record
 	var validLen, lastLen int64
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), maxLine)
 	line := 0
 	for sc.Scan() {
 		line++
@@ -325,4 +347,86 @@ func load(path string) ([]Record, int64, error) {
 		validLen -= lastLen
 	}
 	return recs, validLen, nil
+}
+
+// indexStride is the seq distance between two entries of a Reader's
+// offset index.
+const indexStride = 1024
+
+// Reader reads a journal's records by seq, while the journal may still
+// be growing. It keeps a sparse index, the byte offset of every
+// indexStride-th record, which reads fill in as they scan past those
+// records, so a read seeks near its first record instead of scanning the
+// file from the start, and decodes only the records it returns. It reads
+// only records its caller knows the file holds in full (those a
+// Journal.Observer was told of), and trusts the file's prefix not to
+// change: a journal only appends, and Open truncates only a torn tail.
+type Reader struct {
+	path string
+	mu   sync.Mutex
+	offs []int64 // offs[k]: where the record with seq k*indexStride+1 starts
+}
+
+// NewReader returns a reader of the journal at path.
+func NewReader(path string) *Reader { return &Reader{path: path, offs: []int64{0}} }
+
+// Read appends the records with seq in (since, upto] to dst and returns
+// it. The file must hold every one of them.
+func (r *Reader) Read(dst []Record, since, upto int) ([]Record, error) {
+	if since >= upto {
+		return dst, nil
+	}
+	r.mu.Lock()
+	k := min(max(since, 0)/indexStride, len(r.offs)-1)
+	off := r.offs[k]
+	r.mu.Unlock()
+	f, err := os.Open(r.path)
+	if err != nil {
+		return dst, fmt.Errorf("rollout: reading journal: %w", err)
+	}
+	defer f.Close()
+	if _, err := f.Seek(off, io.SeekStart); err != nil {
+		return dst, fmt.Errorf("rollout: reading journal: %w", err)
+	}
+	sc := bufio.NewScanner(f)
+	sc.Buffer(make([]byte, 0, 64*1024), maxLine)
+	seq := k * indexStride // the seq of the record before off
+	for seq < upto && sc.Scan() {
+		raw := sc.Bytes()
+		if len(raw) == 0 {
+			off++
+			continue
+		}
+		if seq%indexStride == 0 {
+			r.note(seq/indexStride, off)
+		}
+		seq++
+		off += int64(len(raw)) + 1
+		if seq <= since {
+			continue
+		}
+		dst = append(dst, Record{})
+		if err := json.Unmarshal(raw, &dst[len(dst)-1]); err != nil {
+			return dst[:len(dst)-1], fmt.Errorf("rollout: journal %s: corrupt record %d: %v", r.path, seq, err)
+		}
+		if got := dst[len(dst)-1].Seq; got != seq {
+			return dst[:len(dst)-1], fmt.Errorf("rollout: journal %s: record %d has seq %d", r.path, seq, got)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return dst, fmt.Errorf("rollout: reading journal %s: %w", r.path, err)
+	}
+	if seq < upto {
+		return dst, fmt.Errorf("rollout: journal %s ends at seq %d, want %d", r.path, seq, upto)
+	}
+	return dst, nil
+}
+
+// note records that the record with seq k*indexStride+1 starts at off.
+func (r *Reader) note(k int, off int64) {
+	r.mu.Lock()
+	if k == len(r.offs) {
+		r.offs = append(r.offs, off)
+	}
+	r.mu.Unlock()
 }
