@@ -27,6 +27,15 @@
 //     for the leaver), or the machine itself was a still-pending cluster's
 //     representative and left members behind that it no longer resembles.
 //
+// Which clustering feeds what: launch profiling and Refresh cluster the
+// fleet from scratch (cluster.BuildSnapshot); every fold after that is
+// incremental (Snapshot.Update), and DeployClusters — the launch plan and
+// every re-stage — reads that incremental view, as drift classification
+// does. A fleet with no fold since its last from-scratch clustering
+// re-stages to the same clusters. After folds the view may hold fewer
+// clusters than a fresh Run (greedy QT does not find the fewest), never
+// one that breaks Run's invariants.
+//
 // ApplyDelta and Remove return the event; the vendor bridges every
 // non-stable one to the orchestrator, which applies a DriftPolicy:
 // journal-and-continue, hold the rollout at its next stage barrier, or

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -358,14 +359,27 @@ func TestDeployClustersDuringDeltas(t *testing.T) {
 	}
 }
 
-// TestMonitorParityWithRun is the PR's parity proof: fold well over 100
-// random churn events through ApplyDelta and verify the final live view
-// honors every invariant a from-scratch cluster.Run guarantees — identical
+// paritySeeds are the event streams TestMonitorParityWithRun folds: 11,
+// then every seed of 1–1000 whose fold ends with fewer clusters than a
+// from-scratch Run, which an earlier form of the test wrongly forbade.
+var paritySeeds = []int64{11, 78, 234, 347, 517, 619, 716, 909, 968}
+
+// TestMonitorParityWithRun is the fleet monitor's parity proof: per seed,
+// fold 120 random churn events (machines drawn in name order, so a seed
+// is one stream) through ApplyDelta and Remove, then verify that the
+// final live view and a from-scratch cluster.Run over the same final
+// fingerprints both honor every invariant Run guarantees — identical
 // parsed diffs and uniform app sets within each cluster, content diameter
-// bounded, every machine in exactly one cluster — and that a from-scratch
-// Run over the same final fingerprints clusters the identical universe.
+// bounded, every machine in exactly one cluster — and accept each
+// other's clusters whole.
 func TestMonitorParityWithRun(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
+	for _, seed := range paritySeeds {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { checkParity(t, seed) })
+	}
+}
+
+func checkParity(t *testing.T, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
 	cfg := cluster.Config{Diameter: 2}
 
 	parsedPool := [][]string{nil, {"libc.2.5"}, {"libc.2.5", "php.5"}, {"ssl.1"}}
@@ -389,19 +403,11 @@ func TestMonitorParityWithRun(t *testing.T) {
 	}
 	m := NewMonitor(cluster.BuildSnapshot(cfg, machines), telemetry.NewRegistry())
 
-	names := func() []string {
-		out := make([]string, 0, len(cur))
-		for n := range cur {
-			out = append(out, n)
-		}
-		return out
-	}
-
 	const events = 120
 	for ev := 0; ev < events; ev++ {
 		switch op := rng.Intn(10); {
 		case op < 5: // change
-			ns := names()
+			ns := sortedNames(cur)
 			name := ns[rng.Intn(len(ns))]
 			next := randFP(name)
 			push(t, m, union(cur[name]), next)
@@ -411,7 +417,7 @@ func TestMonitorParityWithRun(t *testing.T) {
 			push(t, m, nil, mf)
 			cur[mf.Name] = mf
 		default: // decommission
-			ns := names()
+			ns := sortedNames(cur)
 			name := ns[rng.Intn(len(ns))]
 			m.Remove(name)
 			delete(cur, name)
@@ -422,54 +428,91 @@ func TestMonitorParityWithRun(t *testing.T) {
 	if v.Machines != len(cur) {
 		t.Fatalf("view machines = %d, want %d", v.Machines, len(cur))
 	}
-	seen := make(map[string]bool)
+	var live [][]string
 	for _, c := range v.Clusters {
-		if len(c.Machines) == 0 {
-			t.Fatal("empty cluster in live view")
+		live = append(live, c.Machines)
+	}
+	checkPartition(t, "live view", live, cur, cfg)
+
+	// A from-scratch Run over the same final fleet partitions the same
+	// universe under the same invariants. It need not use as few clusters:
+	// greedy QT does not find the fewest, so a fold can end with fewer
+	// (seeds 78, 234, 347, 517, 619, 716, 909 and 968 do, by one or two).
+	// What does hold is that each side accepts the other's clusters
+	// whole: Run keeps every live cluster as one, and Update folds every
+	// Run cluster into one.
+	var full [][]string
+	for _, c := range cluster.Run(cfg, fingerprints(cur, sortedNames(cur))) {
+		full = append(full, c.Machines)
+	}
+	checkPartition(t, "from-scratch run", full, cur, cfg)
+	for _, members := range live {
+		if n := len(cluster.Run(cfg, fingerprints(cur, members))); n != 1 {
+			t.Fatalf("Run splits live cluster %v into %d", members, n)
 		}
-		for _, name := range c.Machines {
-			if seen[name] {
-				t.Fatalf("%s in two clusters", name)
+	}
+	for _, members := range full {
+		snap := cluster.NewSnapshot(cfg, nil, nil)
+		for _, mf := range fingerprints(cur, members) {
+			snap.Update(mf)
+		}
+		if n := len(snap.Clusters); n != 1 {
+			t.Fatalf("Update splits Run's cluster %v into %d", members, n)
+		}
+	}
+}
+
+// sortedNames returns the fleet's machine names in order.
+func sortedNames(cur map[string]cluster.MachineFingerprint) []string {
+	out := make([]string, 0, len(cur))
+	for n := range cur {
+		out = append(out, n)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// fingerprints returns the named machines' fingerprints.
+func fingerprints(cur map[string]cluster.MachineFingerprint, names []string) []cluster.MachineFingerprint {
+	out := make([]cluster.MachineFingerprint, len(names))
+	for i, n := range names {
+		out[i] = cur[n]
+	}
+	return out
+}
+
+// checkPartition asserts the invariants every clustering of the fleet
+// honors: each machine in exactly one non-empty cluster, and within a
+// cluster identical parsed diffs, one app set and the content diameter.
+func checkPartition(t *testing.T, what string, clusters [][]string, cur map[string]cluster.MachineFingerprint, cfg cluster.Config) {
+	t.Helper()
+	seen := make(map[string]bool)
+	for _, c := range clusters {
+		if len(c) == 0 {
+			t.Fatalf("%s: empty cluster", what)
+		}
+		for _, name := range c {
+			if _, ok := cur[name]; !ok || seen[name] {
+				t.Fatalf("%s: %s unknown or in two clusters", what, name)
 			}
 			seen[name] = true
 		}
-		for i := 0; i < len(c.Machines); i++ {
-			for j := i + 1; j < len(c.Machines); j++ {
-				a, b := cur[c.Machines[i]], cur[c.Machines[j]]
+		for i := 0; i < len(c); i++ {
+			for j := i + 1; j < len(c); j++ {
+				a, b := cur[c[i]], cur[c[j]]
 				if !a.ParsedDiff.Equal(b.ParsedDiff) {
-					t.Fatalf("cluster %v mixes parsed diffs", c.Machines)
+					t.Fatalf("%s: cluster %v mixes parsed diffs", what, c)
 				}
 				if a.AppSet != b.AppSet {
-					t.Fatalf("cluster %v mixes app sets", c.Machines)
+					t.Fatalf("%s: cluster %v mixes app sets", what, c)
 				}
 				if d := resource.ManhattanDistance(a.ContentDiff, b.ContentDiff); d > cfg.Diameter {
-					t.Fatalf("cluster %v violates diameter: %d", c.Machines, d)
+					t.Fatalf("%s: cluster %v violates diameter: %d", what, c, d)
 				}
 			}
 		}
 	}
-	for name := range cur {
-		if !seen[name] {
-			t.Fatalf("%s lost from live view", name)
-		}
-	}
-
-	// From-scratch Run over the same final fleet clusters the same universe
-	// under the same invariants (it may merge more aggressively).
-	var final []cluster.MachineFingerprint
-	for _, mf := range cur {
-		final = append(final, mf)
-	}
-	full := cluster.Run(cfg, final)
-	fullSeen := 0
-	for _, c := range full {
-		fullSeen += len(c.Machines)
-	}
-	if fullSeen != len(cur) {
-		t.Fatalf("from-scratch run clustered %d machines, want %d", fullSeen, len(cur))
-	}
-	if len(full) > len(v.Clusters) {
-		t.Fatalf("incremental view merged MORE aggressively than Run: %d vs %d clusters",
-			len(v.Clusters), len(full))
+	if len(seen) != len(cur) {
+		t.Fatalf("%s: clustered %d machines, want %d", what, len(seen), len(cur))
 	}
 }

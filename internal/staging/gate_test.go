@@ -8,15 +8,15 @@ func TestGatePolicyEvaluate(t *testing.T) {
 		samples, failures int
 		want              GateVerdict
 	}{
-		{0, 0, GateNeedMore},          // nothing observed
-		{9, 9, GateNeedMore},          // below MinSamples even if all fail
-		{10, 0, GatePass},             // clean at the sample floor
-		{10, 2, GatePass},             // exactly at threshold (0.2) passes
-		{10, 3, GateFail},             // beyond baseline+excess
-		{100, 20, GatePass},           // 20% == threshold
-		{100, 21, GateFail},           // 21% > threshold
-		{1000, 199, GatePass},         // large-sample tolerance
-		{1000, 201, GateFail},         // large-sample violation
+		{0, 0, GateNeedMore},  // nothing observed
+		{9, 9, GateNeedMore},  // below MinSamples even if all fail
+		{10, 0, GatePass},     // clean at the sample floor
+		{10, 2, GatePass},     // exactly at threshold (0.2) passes
+		{10, 3, GateFail},     // beyond baseline+excess
+		{100, 20, GatePass},   // 20% == threshold
+		{100, 21, GateFail},   // 21% > threshold
+		{1000, 199, GatePass}, // large-sample tolerance
+		{1000, 201, GateFail}, // large-sample violation
 	}
 	for _, c := range cases {
 		if got := p.Evaluate(c.samples, c.failures); got != c.want {

@@ -25,7 +25,7 @@ type chromeTrace struct {
 // map to fleet members: control-plane spans (rollout, stage, wave,
 // gate-wait, admission-wait) share lane 0; each node gets its own lane
 // in first-seen order, so concurrent members render side by side with
-// their test/integrate/budget-wait/rpc spans nested by time containment.
+// their test/integrate/backoff/rpc spans nested by time containment.
 func (s TraceSnapshot) Chrome() ([]byte, error) {
 	lanes := map[string]int{"": 0}
 	events := []chromeEvent{{

@@ -1,20 +1,33 @@
 package telemetry
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"time"
 )
 
-// SpanID identifies a span within one Trace; 0 is "no span".
+// SpanID identifies a span within one Trace; 0 is "no span". The low
+// slotBits bits are the span's slot in the trace's open-span table and
+// the bits above are its begin sequence number, which doubles as the
+// slot's generation: IDs are unique, increase in begin order, and an End
+// that arrives after its slot was recycled does not match it.
 type SpanID uint64
+
+const (
+	slotBits = 24
+	slotMask = 1<<slotBits - 1
+
+	// spanPage is how many completed spans one page of the ring holds.
+	spanPage = 1024
+)
 
 // Span is one timed operation in a rollout's span tree. Kinds in use:
 // "rollout", "admission-wait", "stage", "wave", "gate-wait", "test",
-// "integrate", "rollback", "budget-wait", "backoff", "rpc". Node names
-// the fleet member the span ran against ("" for control-plane spans) and
-// doubles as the span's lane in the Chrome export. Times are nanoseconds
-// relative to the trace start.
+// "integrate", "rollback", "backoff", "rpc". Node names the fleet member
+// the span ran against ("" for control-plane spans) and doubles as the
+// span's lane in the Chrome export. Times are nanoseconds relative to the
+// trace start.
 type Span struct {
 	ID      SpanID `json:"id"`
 	Parent  SpanID `json:"parent,omitempty"`
@@ -28,22 +41,26 @@ type Span struct {
 	Open    bool   `json:"open,omitempty"`
 }
 
-// Trace records one rollout's spans. Completed spans land in a bounded
-// ring: once max spans have completed, each new completion overwrites
-// the oldest, so a 100k-member rollout keeps its most recent window
-// instead of growing without bound (Dropped counts the overwritten).
-// All methods are nil-safe.
+// Trace records one rollout's spans, as values: no span is a heap object
+// of its own. An open span lives in a slot of a table that grows to the
+// most spans ever open at once and is reused through a free list. End
+// copies the finished span into a bounded ring of max completed spans,
+// kept in pages of spanPage made the first time the ring reaches them
+// and never copied: once max spans have completed, each new completion
+// overwrites the oldest, so a 100k-member rollout keeps its most recent
+// window instead of growing without bound (Dropped counts the
+// overwritten). All methods are nil-safe.
 type Trace struct {
 	id    string
 	start time.Time
 	max   int
 
-	mu      sync.Mutex
-	nextID  SpanID
-	open    map[SpanID]*Span
-	ring    []Span
-	ringPos int
-	dropped int64
+	mu    sync.Mutex
+	seq   uint64   // spans begun
+	open  []Span   // open-span slots; a free slot has ID 0
+	free  []uint32 // free slots of open
+	pages [][]Span // the completed ring, page by page
+	done  int64    // spans completed
 }
 
 // ID returns the rollout ID the trace records.
@@ -59,44 +76,59 @@ func (t *Trace) Begin(parent SpanID, kind, name, node string) SpanID {
 	if t == nil {
 		return 0
 	}
+	now := time.Since(t.start).Nanoseconds()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.nextID++
-	id := t.nextID
-	t.open[id] = &Span{
-		ID: id, Parent: parent, Kind: kind, Name: name, Node: node,
-		StartNS: time.Since(t.start).Nanoseconds(),
+	var slot int
+	if n := len(t.free); n > 0 {
+		slot = int(t.free[n-1])
+		t.free = t.free[:n-1]
+	} else {
+		if len(t.open) > slotMask {
+			return 0 // more spans open at once than an ID can name
+		}
+		slot = len(t.open)
+		t.open = append(t.open, Span{})
 	}
+	t.seq++
+	id := SpanID(t.seq<<slotBits | uint64(slot))
+	t.open[slot] = Span{ID: id, Parent: parent, Kind: kind, Name: name, Node: node, StartNS: now}
 	return id
 }
 
 // End completes a span; err ("" when nil) is recorded on it.
 func (t *Trace) End(id SpanID, err error) { t.EndBytes(id, 0, err) }
 
-// EndBytes completes a span carrying a byte count (RPC frame bytes).
+// EndBytes completes a span carrying a byte count (RPC frame bytes). An
+// ID that names no open span (already ended, or its slot since reused)
+// is ignored.
 func (t *Trace) EndBytes(id SpanID, bytes int64, err error) {
 	if t == nil || id == 0 {
 		return
 	}
+	now := time.Since(t.start).Nanoseconds()
+	var msg string
+	if err != nil {
+		msg = err.Error()
+	}
+	slot := int(id & slotMask)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	s := t.open[id]
-	if s == nil {
+	if slot >= len(t.open) || t.open[slot].ID != id {
 		return
 	}
-	delete(t.open, id)
-	s.DurNS = time.Since(t.start).Nanoseconds() - s.StartNS
-	s.Bytes = bytes
-	if err != nil {
-		s.Err = err.Error()
+	s := &t.open[slot]
+	s.DurNS, s.Bytes, s.Err = now-s.StartNS, bytes, msg
+	pos := int(t.done % int64(t.max))
+	page := t.pages[pos/spanPage]
+	if page == nil {
+		page = make([]Span, min(spanPage, t.max-pos/spanPage*spanPage))
+		t.pages[pos/spanPage] = page
 	}
-	if len(t.ring) < t.max {
-		t.ring = append(t.ring, *s)
-		return
-	}
-	t.ring[t.ringPos] = *s
-	t.ringPos = (t.ringPos + 1) % t.max
-	t.dropped++
+	page[pos%spanPage] = *s
+	t.done++
+	*s = Span{}
+	t.free = append(t.free, uint32(slot))
 }
 
 // TraceSnapshot is the exportable state of a trace: all retained spans
@@ -115,22 +147,24 @@ func (t *Trace) Snapshot() TraceSnapshot {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	spans := make([]Span, 0, len(t.ring)+len(t.open))
-	spans = append(spans, t.ring...)
+	kept := int(min(t.done, int64(t.max)))
+	spans := make([]Span, 0, kept+len(t.open)-len(t.free))
+	for _, page := range t.pages {
+		n := min(len(page), kept-len(spans))
+		spans = append(spans, page[:n]...)
+	}
 	now := time.Since(t.start).Nanoseconds()
 	for _, s := range t.open {
-		cp := *s
-		cp.DurNS = now - cp.StartNS
-		cp.Open = true
-		spans = append(spans, cp)
-	}
-	sort.Slice(spans, func(i, j int) bool {
-		if spans[i].StartNS != spans[j].StartNS {
-			return spans[i].StartNS < spans[j].StartNS
+		if s.ID != 0 {
+			s.DurNS = now - s.StartNS
+			s.Open = true
+			spans = append(spans, s)
 		}
-		return spans[i].ID < spans[j].ID
+	}
+	slices.SortFunc(spans, func(a, b Span) int {
+		return cmp.Or(cmp.Compare(a.StartNS, b.StartNS), cmp.Compare(a.ID, b.ID))
 	})
-	return TraceSnapshot{RolloutID: t.id, Start: t.start, Dropped: t.dropped, Spans: spans}
+	return TraceSnapshot{RolloutID: t.id, Start: t.start, Dropped: max(0, t.done-int64(t.max)), Spans: spans}
 }
 
 // Tracer owns the per-rollout traces a control plane retains: at most
@@ -168,7 +202,7 @@ func (tr *Tracer) Start(id string) *Trace {
 	if _, ok := tr.traces[id]; !ok {
 		tr.order = append(tr.order, id)
 	}
-	t := &Trace{id: id, start: time.Now(), max: maxSpans, open: map[SpanID]*Span{}}
+	t := &Trace{id: id, start: time.Now(), max: maxSpans, pages: make([][]Span, (maxSpans+spanPage-1)/spanPage)}
 	tr.traces[id] = t
 	for len(tr.order) > maxTraces {
 		delete(tr.traces, tr.order[0])
