@@ -266,10 +266,10 @@ func printStatus(st orchestrator.Status) {
 		fmt.Println()
 	}
 	if st.Transfer != nil {
-		fmt.Printf("  transfer bytes=%d chunk_bytes=%d chunk_hits=%d chunk_misses=%d peer_bytes=%d peer_hits=%d vendor_fallbacks=%d rollback_chunks=%d faults_injected=%d\n",
+		fmt.Printf("  transfer bytes=%d chunk_bytes=%d chunk_hits=%d chunk_misses=%d peer_bytes=%d peer_hits=%d vendor_fallbacks=%d rollback_chunks=%d\n",
 			st.Transfer.Bytes, st.Transfer.ChunkBytes, st.Transfer.ChunkHits,
 			st.Transfer.ChunkMisses, st.Transfer.PeerBytes, st.Transfer.PeerHits,
-			st.Transfer.VendorFallbacks, st.Transfer.ChunksRolledBack, st.Transfer.FaultsInjected)
+			st.Transfer.VendorFallbacks, st.Transfer.ChunksRolledBack)
 	}
 	if st.Journal != "" {
 		fmt.Printf("  journal=%s\n", st.Journal)

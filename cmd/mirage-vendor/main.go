@@ -249,9 +249,9 @@ func run() (code int) {
 	}
 	if out.RolledBack {
 		rb := out.Rollback
-		fmt.Printf("rollout %s abandoned and rolled back to %s: reverted=%d skipped=%d rollback_chunks=%d faults_injected=%d\n",
+		fmt.Printf("rollout %s abandoned and rolled back to %s: reverted=%d skipped=%d rollback_chunks=%d\n",
 			h.ID(), rb.BaselineID, len(rb.Reverted), len(rb.Skipped),
-			out.Transfer.ChunksRolledBack, out.Transfer.FaultsInjected)
+			out.Transfer.ChunksRolledBack)
 		for name, reason := range rb.Skipped {
 			slog.Warn("rollback skipped member", "node", name, "reason", reason)
 		}

@@ -359,7 +359,7 @@ func main() {
 			"mirage_transfer_chunk_bytes_total", "mirage_transfer_chunk_hits_total",
 			"mirage_transfer_chunk_misses_total", "mirage_peer_bytes_total",
 			"mirage_peer_hits_total", "mirage_peer_fallbacks_total",
-			"mirage_rollback_chunks_total", "mirage_faults_injected_total",
+			"mirage_rollback_chunks_total",
 		},
 	} {
 		for _, fam := range fams {

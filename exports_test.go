@@ -23,9 +23,6 @@ var exportAllowlist = map[string]string{
 	"apps.Names":                          "test-only listing of the registered app models; open ROADMAP item 16 work",
 	"apps.PHP.ExecPath":                   "implements apps.App, whose ExecPath only tests call",
 	"apps.SlimServer.ExecPath":            "implements apps.App, whose ExecPath only tests call",
-	"chaos.RollbackFleet":                 "the rollback fleet profile only the chaos suite runs; open ROADMAP item 16 work",
-	"chaos.TerminalComplete":              "names a Result.Terminal value; only tests compare against it today",
-	"chaos.TerminalRolledBack":            "names a Result.Terminal value; only tests compare against it today",
 	"distrib.Manifest.PayloadBytes":       "test-only: a manifest's inline-push size; open ROADMAP item 16 work",
 	"envid.IncludeTypes":                  "the type-include rule form of the Firefox evaluation; only its test builds one",
 	"envid.Result.Why":                    "test-only: which mechanism classified a path; open ROADMAP item 16 work",

@@ -142,11 +142,9 @@ type TransferStats struct {
 	PeerHits        int64 // chunks the peer tier satisfied
 	VendorFallbacks int64 // chunks pushed by the vendor after peers missed
 
-	// Robustness counters: manifest chunks resolved while restoring
-	// members to the baseline version, and transport faults the chaos
-	// injector fired during the rollout.
+	// Robustness counter: manifest chunks resolved while restoring
+	// members to the baseline version.
 	ChunksRolledBack int64
-	FaultsInjected   int64
 }
 
 // Sub returns the counter delta t−o.
@@ -161,7 +159,6 @@ func (t TransferStats) Sub(o TransferStats) TransferStats {
 		PeerHits:         t.PeerHits - o.PeerHits,
 		VendorFallbacks:  t.VendorFallbacks - o.VendorFallbacks,
 		ChunksRolledBack: t.ChunksRolledBack - o.ChunksRolledBack,
-		FaultsInjected:   t.FaultsInjected - o.FaultsInjected,
 	}
 }
 
@@ -178,7 +175,6 @@ func (t TransferStats) Add(o TransferStats) TransferStats {
 		PeerHits:         t.PeerHits + o.PeerHits,
 		VendorFallbacks:  t.VendorFallbacks + o.VendorFallbacks,
 		ChunksRolledBack: t.ChunksRolledBack + o.ChunksRolledBack,
-		FaultsInjected:   t.FaultsInjected + o.FaultsInjected,
 	}
 }
 
@@ -323,7 +319,7 @@ type Controller struct {
 	// doubles per attempt (0 means DefaultRetryBackoff).
 	RetryBackoff time.Duration
 	// Sleep, when set, replaces time.Sleep for retry backoff — a hook for
-	// tests and fault injection.
+	// tests.
 	Sleep func(time.Duration)
 
 	// Observer, when set, receives every deployment state transition (the

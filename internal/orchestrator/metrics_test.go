@@ -261,8 +261,6 @@ func TestMetricsFamilies(t *testing.T) {
 	want := []string{
 		"# TYPE mirage_admission_wait_seconds histogram",
 		"# TYPE mirage_budget_wait_seconds histogram",
-		"# TYPE mirage_fault_delay_seconds histogram",
-		"# TYPE mirage_faults_injected_total counter",
 		"# TYPE mirage_frames_refused_total counter",
 		"# TYPE mirage_journal_batch_records histogram",
 		"# TYPE mirage_journal_fsync_seconds histogram",
@@ -306,7 +304,6 @@ func TestMetricsFamilies(t *testing.T) {
 		"mirage_peer_hits_total":             tr.PeerHits,
 		"mirage_peer_fallbacks_total":        tr.VendorFallbacks,
 		"mirage_rollback_chunks_total":       tr.ChunksRolledBack,
-		"mirage_faults_injected_total":       tr.FaultsInjected,
 		"mirage_registry_agents_total":       4 + late,
 		"mirage_rollouts_active":             0,
 		`mirage_rollouts{state="succeeded"}`: 1,

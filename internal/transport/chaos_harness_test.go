@@ -1,22 +1,9 @@
-// Package chaos is the end-to-end robustness harness: it stands up a
-// small clustered fleet of real simulated machines behind real transport
-// agents (TCP or in-process pipes), arms a seeded transport.FaultPlan,
-// and drives a journaled staged rollout through the vendor assembly's
-// orchestrator, the production path — canary gate, Fixer debug loop,
-// automatic rollback and all. A chaos run must
-// end in one of the journal's terminal states with zero members
-// stranded, and because the fault plan is seeded, a failing run replays
-// exactly.
-//
-// The harness exists so any scenario can be rerun under adversarial
-// channel conditions without bespoke wiring: tests and CI call Run with
-// a fleet profile and a FaultPlan and assert on the Result.
-package chaos
+package transport_test
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"net"
 	"sort"
 	"sync"
 	"time"
@@ -33,92 +20,47 @@ import (
 	"repro/internal/transport"
 )
 
-// Terminal states a chaos run can end in, read back from the journal —
-// never from in-memory state, because the journal is what survives a
-// vendor crash. Each is the type of the record that ended the journal.
-const (
-	// TerminalComplete: the journal is sealed with a completion record —
-	// every non-quarantined member converged on the (possibly corrected)
-	// new version.
-	TerminalComplete = deploy.RecComplete
-	// TerminalRolledBack: the journal is sealed with rollback_complete —
-	// every previously-integrated, reachable member was verified back on
-	// the baseline.
-	TerminalRolledBack = deploy.RecRollbackDone
-)
-
-// Options configures one chaos run.
-type Options struct {
-	// Fleet is the machine population (see ConvergeFleet / RollbackFleet
-	// for canned 3-cluster profiles).
-	Fleet []scenario.MySQLMachineSpec
-	// TCP runs every agent over a real 127.0.0.1 socket with reconnect;
-	// false injects agents as net.Pipe pairs (same protocol, zero
-	// descriptors).
+// chaosOptions configures one chaos run.
+type chaosOptions struct {
+	Fleet []scenario.MySQLMachineSpec // see convergeFleet and rollbackFleet
+	// TCP runs every agent over a real 127.0.0.1 socket, each dialing a
+	// listener of its own; false attaches agents over net.Pipe.
 	TCP bool
-	// Faults is the seeded chaos schedule, armed on the vendor server
-	// after enrollment (identification and clustering run clean — the
-	// model is a fleet that degrades after sign-up, not one that can
-	// never enroll).
-	Faults transport.FaultPlan
-	// Policy is the staging policy (default balanced).
-	Policy deploy.Policy
-	// Gate is the statistical canary gate (zero value: classic binary
-	// gating).
-	Gate staging.GatePolicy
-	// Fix arms the vendor's debug loop with the php4-compat corrected
-	// build; without it a validation failure exhausts debugging and the
-	// upgrade is abandoned.
-	Fix bool
-	// AutoRollback arms journaled automatic rollback to the baseline.
+	// Faults is armed on every link after enrollment: identification and
+	// clustering run clean, the fleet degrades after sign-up.
+	Faults       FaultPlan
+	Gate         staging.GatePolicy // zero value: classic binary gating
+	Fix          bool               // arm the debug loop with the php4-compat build
 	AutoRollback bool
-	// Journal is the journal file path (required — a chaos run's verdict
-	// is read from it).
-	Journal string
+	Journal      string // the verdict is read back from it
 }
 
-// The controller's transient-retry loop under chaos: chaosRetries must
-// outlast the fault budget's worst consecutive run or a healthy member
-// gets quarantined for weather.
-const (
-	chaosRetries = 8
-	chaosBackoff = 2 * time.Millisecond
-)
-
-// Result is what a chaos run is judged on.
-type Result struct {
-	// Terminal is the journal's final state: TerminalComplete,
-	// TerminalRolledBack or, should the vendor give up with no rollback
-	// armed, deploy.RecAbandoned — a bug in an acceptance run, not an
-	// outcome.
+// chaosResult is what a chaos run is judged on.
+type chaosResult struct {
+	// Terminal is the journal's final record type: deploy.RecComplete,
+	// deploy.RecRollbackDone, or deploy.RecAbandoned (a bug in an
+	// acceptance run, not an outcome).
 	Terminal string
-	// Outcome is the deployment outcome (Rollback details included when
-	// the fleet rolled back).
-	Outcome *deploy.Outcome
-	// Clusters is how many clusters enrollment produced.
-	Clusters int
-	// FaultsInjected counts the faults the plan actually fired.
-	FaultsInjected int64
-	// Stranded lists machines (with their observed version) left on
-	// neither the baseline nor the version the outcome says they run —
-	// always empty for a correct run.
+	Outcome  *deploy.Outcome
+	Clusters int         // how many clusters enrollment produced
+	Faults   FaultCounts // what the plan actually fired
+	// Stranded lists machines (name@version) left on neither the baseline
+	// nor the version the outcome says they run; empty for a correct run.
 	Stranded []string
-	// Machines is the fleet, post-run, for further assertions.
 	Machines []*machine.Machine
 }
 
-// BaselineVersion and UpgradeVersion are the fleet's version-N and
-// version-N+1 package versions.
+// The fleet's version-N and version-N+1 mysql package versions.
 const (
-	BaselineVersion = "4.1.22"
-	UpgradeVersion  = "5.0.22"
+	baselineVersion = "4.1.22"
+	upgradeVersion  = "5.0.22"
 )
 
-// ConvergeFleet is a 3-cluster profile whose failures the Fixer can
+// convergeFleet is a 3-cluster profile whose failures the Fixer can
 // cure: plain Ubuntu, Ubuntu+php4, and Fedora+php4+apache machines (per
 // of each). The php4 clusters genuinely fail the raw upgrade and pass
 // the corrected build, so with Fix armed the run converges on N+1.
-func ConvergeFleet(per int) []scenario.MySQLMachineSpec {
+func convergeFleet(per int) []scenario.MySQLMachineSpec {
 	var specs []scenario.MySQLMachineSpec
 	for i := 0; i < per; i++ {
 		specs = append(specs,
@@ -132,7 +74,7 @@ func ConvergeFleet(per int) []scenario.MySQLMachineSpec {
 	return specs
 }
 
-// RollbackFleet is a 3-cluster profile whose failure surfaces only
+// rollbackFleet is a 3-cluster profile whose failure surfaces only
 // after representatives have integrated: plain Ubuntu, plain Fedora and
 // Ubuntu+apache machines all pass, but one Ubuntu machine carries a
 // legacy ~/.my.cnf that crashes MySQL 5. It shares the plain-Ubuntu
@@ -140,7 +82,7 @@ func ConvergeFleet(per int) []scenario.MySQLMachineSpec {
 // representative, so the vendor discovers the problem mid-fleet — with
 // no fix available, an armed rollback must unwind the integrated
 // members.
-func RollbackFleet(per int) []scenario.MySQLMachineSpec {
+func rollbackFleet(per int) []scenario.MySQLMachineSpec {
 	var specs []scenario.MySQLMachineSpec
 	for i := 0; i < per; i++ {
 		specs = append(specs,
@@ -158,19 +100,14 @@ func RollbackFleet(per int) []scenario.MySQLMachineSpec {
 	return specs
 }
 
-// Run executes one chaos rollout and reads its verdict back from the
-// journal. The fleet enrolls clean (register, identify, record,
-// cluster), then the fault plan is armed and the journaled deployment
-// runs to a terminal state.
-func Run(ctx context.Context, opts Options) (*Result, error) {
-	if opts.Journal == "" {
-		return nil, errors.New("chaos: Options.Journal is required")
-	}
-	if len(opts.Fleet) == 0 {
-		opts.Fleet = ConvergeFleet(2)
-	}
-	policy := opts.Policy // zero value is PolicyBalanced
-
+// runChaos is the end-to-end robustness run: a small clustered fleet of
+// simulated machines behind real transport agents (TCP or pipes), a
+// seeded fault injector on every agent's link, and a journaled staged
+// rollout through the vendor assembly's orchestrator at its shipped
+// settings — canary gate, Fixer debug loop, automatic rollback and all.
+// The fleet enrolls clean, then the plan is armed; the verdict is read
+// back from the journal, and a failing run replays exactly by seed.
+func runChaos(ctx context.Context, opts chaosOptions) (*chaosResult, error) {
 	machines := make([]*machine.Machine, len(opts.Fleet))
 	for i, sp := range opts.Fleet {
 		machines[i] = scenario.BuildMySQLMachine(sp)
@@ -181,23 +118,54 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 		return nil, err
 	}
 	srv := v.Server
+	fi := newFaultInjector(opts.Faults)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	defer wg.Wait()   // after the conns die, collect the agent goroutines
 	defer v.Close()   // tears down every registered conn, ending sessions
-	defer close(stop) // stops reconnect loops from coming back
+	defer close(stop) // stops redial loops from coming back
 	for _, m := range machines {
+		// link makes one session's connection: the agent's end and the
+		// vendor's, which the injector wraps before the server sees it.
+		link := func() (net.Conn, net.Conn, error) {
+			agentEnd, vendorEnd := net.Pipe()
+			return agentEnd, vendorEnd, nil
+		}
+		if opts.TCP {
+			// Each agent dials a listener of its own, so the connection
+			// accepted there is known to be that agent's link.
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				return nil, err
+			}
+			defer ln.Close()
+			link = func() (net.Conn, net.Conn, error) {
+				agentEnd, err := net.Dial("tcp", ln.Addr().String())
+				if err != nil {
+					return nil, nil, err
+				}
+				vendorEnd, err := ln.Accept()
+				if err != nil {
+					agentEnd.Close()
+				}
+				return agentEnd, vendorEnd, err
+			}
+		}
 		a := transport.NewAgent(m)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if opts.TCP {
-				a.RunWithReconnect(srv.Addr(), transport.ReconnectConfig{
-					BaseDelay: 2 * time.Millisecond, Stop: stop,
-				})
-			} else {
-				a.ServePipes(srv, stop)
-			}
+			a.Redial(func() (net.Conn, error) {
+				agentEnd, vendorEnd, err := link()
+				if err != nil {
+					return nil, err
+				}
+				if err := srv.ServeConn(fi.wrap(m.Name, vendorEnd)); err != nil {
+					agentEnd.Close()
+					return nil, err
+				}
+				return agentEnd, nil
+			}, transport.ReconnectConfig{MaxAttempts: 1, BaseDelay: 2 * time.Millisecond, Stop: stop})
 		}()
 	}
 	if got := srv.WaitForAgents(len(machines), 10*time.Second); got != len(machines) {
@@ -230,19 +198,15 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	}
 
 	// Enrollment is done — the storm begins.
-	srv.Faults = transport.NewFaultInjector(opts.Faults)
+	fi.armed.Store(true)
 
 	spec := orchestrator.Spec{
-		Policy:   policy,
 		Upgrade:  scenario.MySQLUpgrade(),
 		Clusters: clusters,
 		Gate:     opts.Gate,
 		Journal:  opts.Journal,
 		Rebuild:  scenario.MySQLRelease,
 		Baseline: scenario.MySQLBaseline(), AutoRollback: opts.AutoRollback,
-		Configure: func(ctl *deploy.Controller) {
-			ctl.TransientRetries, ctl.RetryBackoff = chaosRetries, chaosBackoff
-		},
 	}
 	if opts.Fix {
 		spec.Fix = scenario.MySQLFix
@@ -256,25 +220,25 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("chaos: rollout: %w", err)
 	}
 
-	term, err := TerminalOf(opts.Journal)
+	term, err := terminalOf(opts.Journal)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
-		Terminal:       term,
-		Outcome:        out,
-		Clusters:       len(clusters),
-		FaultsInjected: srv.Faults.Injected(),
-		Machines:       machines,
-	}
-	res.Stranded = stranded(machines, out, scenario.MySQLBaseline().ID)
-	return res, nil
+	return &chaosResult{
+		Terminal: term,
+		Outcome:  out,
+		Clusters: len(clusters),
+		Faults:   fi.counts(),
+		Stranded: stranded(machines, out, scenario.MySQLBaseline().ID),
+		Machines: machines,
+	}, nil
 }
 
-// TerminalOf reads the journal and names its terminal state ("" if the
+// terminalOf reads the journal and names its terminal state ("" if the
 // journal just stops — a crash, not a terminal — even inside a rollback
-// pass).
-func TerminalOf(path string) (string, error) {
+// pass). The verdict comes from the journal, never from in-memory state,
+// because the journal is what survives a vendor crash.
+func terminalOf(path string) (string, error) {
 	records, err := rollout.Load(path)
 	if err != nil {
 		return "", err
@@ -305,9 +269,9 @@ func stranded(machines []*machine.Machine, out *deploy.Outcome, baselineID strin
 			continue
 		}
 		ref, _ := m.Package("mysql")
-		want := BaselineVersion
+		want := baselineVersion
 		if st != nil && st.UpgradeID != "" && st.UpgradeID != baselineID {
-			want = UpgradeVersion
+			want = upgradeVersion
 		}
 		ok := ref.Version == want
 		if ok {

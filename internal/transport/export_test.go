@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"encoding/binary"
+	"net"
 	"time"
 
 	"repro/internal/distrib"
@@ -42,4 +44,25 @@ func (s *Server) DropAgent(name string) bool {
 // the name; unrelated registrations never wake it.
 func (s *Server) WaitForAgent(name string, timeout time.Duration) bool {
 	return s.registry.WaitName(name, timeout, s.done)
+}
+
+// FrameHead reads the head of the frame at the start of b: where the
+// frame ends (length prefix included) and its op name. ok is false while
+// b is too short to hold the op byte. No other byte is decoded.
+func FrameHead(b []byte) (end int, op string, ok bool) {
+	n, k := binary.Uvarint(b)
+	if k <= 0 || len(b) < k+2 {
+		return 0, "", false
+	}
+	if code := b[k+1]; code < opCount {
+		op = opNames[code]
+	}
+	return k + int(n), op, true
+}
+
+// Redial is the agent's redial loop over any dialer: each session is a
+// connection dial returns. Harnesses use it to attach an agent through a
+// connection they wrap before the server sees it.
+func (a *Agent) Redial(dial func() (net.Conn, error), cfg ReconnectConfig) {
+	a.redial(dial, cfg)
 }

@@ -159,11 +159,11 @@ func (ac *agentConn) callBody(ctx context.Context, req Frame, body []distrib.Chu
 // serverMetrics are the server's handles on its telemetry registry: the
 // RPC histograms and the transfer counters TransferSnapshot reads back.
 type serverMetrics struct {
-	rpcLatency, rpcBytes, faultDelay *telemetry.Family
+	rpcLatency, rpcBytes *telemetry.Family
 
 	frames, bytes, chunkBytes, hits, misses *telemetry.Counter
 	peerBytes, peerHits, fallbacks          *telemetry.Counter
-	rolledBack, faults                      *telemetry.Counter
+	rolledBack                              *telemetry.Counter
 
 	refused *telemetry.CounterFamily
 }
@@ -182,11 +182,9 @@ func (s *Server) metrics() *serverMetrics {
 		}
 		s.m = serverMetrics{
 			rpcLatency: reg.Histogram("mirage_rpc_latency_seconds",
-				"Vendor-to-agent RPC latency by op, faults and deadline waits included.", "op", 1e-9),
+				"Vendor-to-agent RPC latency by op, deadline waits included.", "op", 1e-9),
 			rpcBytes: reg.Histogram("mirage_rpc_frame_bytes",
 				"Bytes written to the agent socket per RPC by op (frame plus manifest or chunk body).", "op", 1),
-			faultDelay: reg.Histogram("mirage_fault_delay_seconds",
-				"Injected fault delay absorbed by agent RPCs.", "", 1e-9),
 
 			frames:     counter("mirage_transfer_frames_total", "Request frames sent to agents."),
 			bytes:      counter("mirage_transfer_bytes_total", "Bytes the vendor wrote to agent control channels."),
@@ -197,7 +195,6 @@ func (s *Server) metrics() *serverMetrics {
 			peerHits:   counter("mirage_peer_hits_total", "Chunks served by the peer tier."),
 			fallbacks:  counter("mirage_peer_fallbacks_total", "Chunks the peer tier missed and the vendor pushed."),
 			rolledBack: counter("mirage_rollback_chunks_total", "Manifest chunks resolved while restoring members to the baseline."),
-			faults:     counter("mirage_faults_injected_total", "Transport faults fired by the chaos injector."),
 			refused: reg.Counter("mirage_frames_refused_total",
 				"Frames read from agents and refused, by reason; each drops its channel.", "reason"),
 		}
@@ -233,33 +230,6 @@ func (s *Server) readFrame(fc *frameConn, f *Frame) error {
 
 // exchange performs the locked wire exchange behind callBody.
 func (ac *agentConn) exchange(ctx context.Context, req Frame, body []distrib.Chunk, timeout time.Duration) (Frame, error) {
-	// Vendor-side chaos: the injector's verdict for this call. Drop and
-	// crash kill the channel before the frame leaves (the agent never saw
-	// the call); reset kills it after the flush (the agent acts on a
-	// request the vendor never sees acknowledged); corrupt damages chunk
-	// payload in a copy — content addressing rejects it downstream.
-	resetAfter := false
-	m := ac.srv.metrics()
-	if fi := ac.srv.Faults; fi != nil {
-		fault := fi.Next(ac.name, req.Op)
-		if fault != FaultNone {
-			m.faults.Inc()
-		}
-		switch fault {
-		case FaultDrop, FaultCrash:
-			return Frame{}, ac.fail(ctx, req.Op, errFaultInjected)
-		case FaultDelay:
-			d := fi.DelayBy()
-			time.Sleep(d)
-			m.faultDelay.With("").Observe(int64(d))
-		case FaultCorrupt:
-			if body != nil {
-				body = corruptChunks(body)
-			}
-		case FaultReset:
-			resetAfter = true
-		}
-	}
 	ac.fc.br, ac.fc.bw = borrowReader(ac.conn), borrowWriter(&ac.cw)
 	defer giveBack(&ac.fc)
 	ac.nextID++
@@ -298,10 +268,7 @@ func (ac *agentConn) exchange(ctx context.Context, req Frame, body []distrib.Chu
 	if err := ac.fc.bw.Flush(); err != nil {
 		return Frame{}, ac.fail(ctx, "sending "+req.Op, err)
 	}
-	m.frames.Inc()
-	if resetAfter {
-		return Frame{}, ac.fail(ctx, req.Op, errFaultInjected)
-	}
+	ac.srv.metrics().frames.Inc()
 	var resp Frame
 	if err := ac.srv.readFrame(&ac.fc, &resp); err != nil {
 		return Frame{}, ac.fail(ctx, "reading "+req.Op+" reply", err)
@@ -317,10 +284,6 @@ func (ac *agentConn) exchange(ctx context.Context, req Frame, body []distrib.Chu
 	}
 	return resp, nil
 }
-
-// errFaultInjected is the cause an injected drop/reset fault reports; it
-// reaches callers wrapped in the usual transient classification.
-var errFaultInjected = errors.New("injected fault")
 
 // agentError is an error the agent itself reported in a reply frame. The
 // control channel remains intact and usable — unlike a channel death, the
@@ -359,12 +322,6 @@ type Server struct {
 
 	Timeout time.Duration
 
-	// Faults, when set, injects deterministic chaos on every vendor-side
-	// call: drops, delays, corrupt chunk payloads, resets, and scheduled
-	// agent crashes per the injector's FaultPlan. Set it before deploying;
-	// production servers leave it nil.
-	Faults *FaultInjector
-
 	// OnProfileDelta, when set, receives watch-mode agents' OpProfileDelta
 	// pushes, each with the bytes its frame took on the wire. Returning
 	// resync=true asks the agent to re-send its complete profile (Status
@@ -374,9 +331,9 @@ type Server struct {
 	OnProfileDelta func(req *ProfileDeltaReq, wireBytes int) (resync bool, err error)
 
 	// Telemetry is the registry the server counts on: per-op RPC latency
-	// and frame-byte histograms, injected-delay accounting, the transfer
-	// counters behind TransferSnapshot and the agent-registry gauges. Nil
-	// selects a private registry nobody scrapes. RPC spans additionally
+	// and frame-byte histograms, the transfer counters behind
+	// TransferSnapshot and the agent-registry gauges. Nil selects a
+	// private registry nobody scrapes. RPC spans additionally
 	// land in whatever rollout trace rides the call's context, independent
 	// of this registry. Set it before the first RPC: the handles are bound
 	// once, on first use (see metrics).
@@ -453,7 +410,6 @@ func (s *Server) TransferSnapshot() deploy.TransferStats {
 		PeerHits:         m.peerHits.Value(),
 		VendorFallbacks:  m.fallbacks.Value(),
 		ChunksRolledBack: m.rolledBack.Value(),
-		FaultsInjected:   m.faults.Value(),
 	}
 }
 
@@ -861,6 +817,11 @@ func (s *Server) Node(name string) *RemoteNode {
 // Name implements deploy.Node.
 func (r *RemoteNode) Name() string { return r.name }
 
+// pushAttempts bounds the manifest requests in one push: each chunk
+// delivery the agent rejects (its content address caught damage in
+// flight) spends one.
+const pushAttempts = 3
+
 // pushUpgrade performs one test or integrate RPC on the agent. The frame
 // carries only the manifest; if the agent reports missing chunks, the
 // peer tier is tried first (a directed OpPeerFetch against hinted gated
@@ -869,6 +830,11 @@ func (r *RemoteNode) Name() string { return r.name }
 // retry costs a few hundred bytes, never a payload re-send. A manifest
 // that resolves completely marks its addresses held by the agent in the
 // chunk-location index, feeding future peer hints.
+//
+// A push still missing chunks after pushAttempts requests — a link that
+// damages every delivery to this agent — fails with deploy.ErrTransient:
+// the controller retries the member and then quarantines it, and the
+// rest of the rollout goes on.
 func (s *Server) pushUpgrade(ctx context.Context, name, op string, up *pkgmgr.Upgrade) (Frame, error) {
 	ac, err := s.agent(name)
 	if err != nil {
@@ -877,14 +843,7 @@ func (s *Server) pushUpgrade(ctx context.Context, name, op string, up *pkgmgr.Up
 	man := s.dist.Manifest(up)
 	m := s.metrics()
 	first := true
-	attempts := 3
-	if s.Faults != nil {
-		// Under injected chaos a push may be corrupted several times in a
-		// row; each rejection costs one manifest re-issue (a few hundred
-		// bytes), so buying headroom here is cheap.
-		attempts = 8
-	}
-	for attempt := 0; attempt < attempts; attempt++ {
+	for attempt := 0; attempt < pushAttempts; attempt++ {
 		resp, err := ac.call(ctx, Frame{Op: op, Manifest: man}, s.Timeout)
 		if err != nil {
 			return Frame{}, err
@@ -963,7 +922,7 @@ func (s *Server) pushUpgrade(ctx context.Context, name, op string, up *pkgmgr.Up
 			return Frame{}, perr
 		}
 	}
-	return Frame{}, fmt.Errorf("transport: agent %s still missing chunks after fetch", name)
+	return Frame{}, fmt.Errorf("transport: agent %s still missing chunks after fetch: %w", name, deploy.ErrTransient)
 }
 
 // TestUpgrade implements deploy.Node over the wire.

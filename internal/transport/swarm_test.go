@@ -3,6 +3,7 @@ package transport
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -523,7 +524,7 @@ func TestPeerIndexForgetsDeadAgent(t *testing.T) {
 	// A third session supersedes the second; the second's death throes
 	// arrive late and must not take the successor's address with them.
 	_, third := session(second)
-	second.fail(context.Background(), "ping", errFaultInjected) //nolint:errcheck — only the side effect matters
+	second.fail(context.Background(), "ping", errors.New("late read error")) //nolint:errcheck — only the side effect matters
 	hinted(agent.PeerAddr, "mirror:1")
 
 	// Administrative drop forgets it too; so does a redial that no longer
