@@ -475,6 +475,23 @@ func TestFrameCodecAllocs(t *testing.T) {
 	}
 }
 
+// TestManifestDecodeAllocs pins what decoding an upgrade's manifest costs
+// the heap: the kept copy of its bytes, the one string every decoded
+// string shares, the manifest, its file list and each of its two files'
+// chunk lists. A sim agent decodes one on every test and integrate call,
+// so the count is part of the sim fleet's per-member allocation.
+func TestManifestDecodeAllocs(t *testing.T) {
+	enc := distrib.NewStore().Manifest(mysql5Wire()).Wire()
+	n := testing.AllocsPerRun(100, func() {
+		if _, err := distrib.DecodeManifest(enc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n != 6 {
+		t.Errorf("DecodeManifest of the mysql 5 manifest: %v allocations, want 6", n)
+	}
+}
+
 // fuzzFrames is one frame per op, and per reply payload, for the fuzzer
 // to start from.
 func fuzzFrames() []*Frame {
