@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/distrib"
 	"repro/internal/report"
+	"repro/internal/wire"
 )
 
 // maxWireChunk bounds a single chunk's declared wire length. The CDC
@@ -159,7 +160,7 @@ func (fc *frameConn) ReadFrame(f *Frame) error {
 			return err
 		}
 	}
-	fc.read = uvarintLen(uint64(n)) + n + manifestLen + imageLen
+	fc.read = wire.UvarintLen(uint64(n)) + n + manifestLen + imageLen
 	if manifestLen > 0 {
 		if err := fc.readManifest(f, manifestLen); err != nil {
 			return err
@@ -289,7 +290,7 @@ func (fc *frameConn) WriteFrame(f *Frame) error {
 	if n > maxFrame {
 		return fmt.Errorf("%w: %d-byte %q frame", ErrFrameTooLarge, n, f.Op)
 	}
-	k := uvarintLen(uint64(n))
+	k := wire.UvarintLen(uint64(n))
 	binary.PutUvarint(b[lenPrefix-k:], uint64(n))
 	if _, err := fc.bw.Write(b[lenPrefix-k:]); err != nil {
 		return err

@@ -8,7 +8,8 @@
 // deployment controller as deploy.Node values, so the staged protocols
 // need know nothing of the wire.
 //
-// Wire format: every message is one length-prefixed binary frame,
+// Wire format: every message is one length-prefixed binary frame, a
+// grammar over package wire's primitives,
 //
 //	frame  = uvarint(n) body                  n = len(body) ≤ maxFrame
 //	body   = version:1 op:1 uvarint(fields) field*
@@ -18,21 +19,16 @@
 // may announce raw bodies that follow it on the stream: an upgrade
 // manifest in distrib's binary encoding (the manifest field), a failure
 // report's machine image (the report's image length), or chunk bytes
-// (chunk_meta). Counts and lengths are uvarints, each bounded both by the
-// bytes left and by a typed per-field cap; strings are length-prefixed;
-// content addresses and signatures are 8 little-endian bytes; signed
-// integers are zigzag varints.
-//
-// The encoding is canonical, after distrib's manifest encoding: a field is
-// present exactly when it is not its zero value, map keys are sorted, and
-// the decoder refuses overlong varints, booleans other than 0 and 1,
-// fields its op does not admit, counts over their caps and bytes left
-// over inside the frame. So every frame the decoder accepts re-encodes to
-// itself.
+// (chunk_meta). Every count has a typed per-field cap besides the bytes
+// left. A field is present exactly when it is not its zero value and map
+// keys are sorted, so the encoding is canonical: the decoder refuses
+// fields its op does not admit and empty present fields besides what
+// wire.Reader refuses.
 package transport
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -41,6 +37,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/report"
 	"repro/internal/resource"
+	"repro/internal/wire"
 )
 
 // Frame is one message on the wire. Requests carry Op and a payload field;
@@ -499,35 +496,35 @@ func appendFrame(b []byte, f *Frame, manifestLen, imageLen int) ([]byte, error) 
 		b = binary.AppendUvarint(b, uint64(f.ID))
 	}
 	if mask&fErr != 0 {
-		b = appendStr(b, f.Err)
+		b = wire.AppendStr(b, f.Err)
 	}
 	if mask&fStatus != 0 {
-		b = appendStr(b, f.Status)
+		b = wire.AppendStr(b, f.Status)
 	}
 	if r := f.Register; r != nil {
-		b = appendStr(appendStr(b, r.Machine), r.Peer)
+		b = wire.AppendStr(wire.AppendStr(b, r.Machine), r.Peer)
 	}
 	if r := f.Identify; r != nil {
-		b = appendStr(b, r.App)
+		b = wire.AppendStr(b, r.App)
 		b = binary.AppendUvarint(b, uint64(len(r.Workloads)))
 		for _, w := range r.Workloads {
-			b = appendStrs(b, w)
+			b = wire.AppendStrs(b, w)
 		}
 	}
 	if r := f.Record; r != nil {
-		b = appendStrs(appendStr(b, r.App), r.Inputs)
+		b = wire.AppendStrs(wire.AppendStr(b, r.App), r.Inputs)
 	}
 	if mask&fFingerprint != 0 {
-		b = appendStr(b, f.Fingerprint)
+		b = wire.AppendStr(b, f.Fingerprint)
 	}
 	if r := f.PeerFetch; r != nil {
-		b = appendStrs(appendAddrs(b, r.Addrs), r.Peers)
+		b = wire.AppendStrs(wire.AppendAddrs(b, r.Addrs), r.Peers)
 	}
 	if d := f.Delta; d != nil {
-		b = appendStr(appendStr(appendStr(b, d.Machine), d.App), d.AppSet)
+		b = wire.AppendStr(wire.AppendStr(wire.AppendStr(b, d.Machine), d.App), d.AppSet)
 		b = binary.LittleEndian.AppendUint64(b, d.Sig)
 		b = appendItems(appendItems(b, d.Added), d.Removed)
-		b = appendBool(b, d.Full)
+		b = wire.AppendBool(b, d.Full)
 	}
 	if mask&fManifest != 0 {
 		b = binary.AppendUvarint(b, uint64(manifestLen))
@@ -536,48 +533,28 @@ func appendFrame(b []byte, f *Frame, manifestLen, imageLen int) ([]byte, error) 
 		b = appendChunkRefs(b, f.ChunkMeta)
 	}
 	if mask&fResources != 0 {
-		b = appendStrs(b, f.Resources)
+		b = wire.AppendStrs(b, f.Resources)
 	}
 	if mask&fDiff != 0 {
 		b = appendItems(b, f.Diff)
 	}
 	if mask&fAppSet != 0 {
-		b = appendStr(b, f.AppSet)
+		b = wire.AppendStr(b, f.AppSet)
 	}
 	if r := f.Report; r != nil {
-		b = appendStr(appendStr(b, r.UpgradeID), r.Machine)
-		b = appendBool(b, r.Success)
-		b = appendStrs(appendStrs(b, r.FailedApps), r.Reasons)
+		b = wire.AppendStr(wire.AppendStr(b, r.UpgradeID), r.Machine)
+		b = wire.AppendBool(b, r.Success)
+		b = wire.AppendStrs(wire.AppendStrs(b, r.FailedApps), r.Reasons)
 		b = binary.AppendUvarint(b, uint64(imageLen))
 	}
 	if mask&fNeedChunks != 0 {
-		b = appendAddrs(b, f.NeedChunks)
+		b = wire.AppendAddrs(b, f.NeedChunks)
 	}
 	if p := f.Peer; p != nil {
 		b = binary.AppendVarint(binary.AppendVarint(b, int64(p.Chunks)), p.Bytes)
-		b = appendStrs(b, p.Failed)
+		b = wire.AppendStrs(b, p.Failed)
 	}
 	return b, nil
-}
-
-func appendStr[T string | []byte](b []byte, s T) []byte {
-	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
-}
-
-func appendStrs(b []byte, ss []string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(ss)))
-	for _, s := range ss {
-		b = appendStr(b, s)
-	}
-	return b
-}
-
-func appendAddrs(b []byte, addrs []uint64) []byte {
-	b = binary.AppendUvarint(b, uint64(len(addrs)))
-	for _, a := range addrs {
-		b = binary.LittleEndian.AppendUint64(b, a)
-	}
-	return b
 }
 
 func appendChunkRefs(b []byte, refs []distrib.ChunkRef) []byte {
@@ -592,18 +569,11 @@ func appendChunkRefs(b []byte, refs []distrib.ChunkRef) []byte {
 func appendItems(b []byte, items []WireItem) []byte {
 	b = binary.AppendUvarint(b, uint64(len(items)))
 	for _, it := range items {
-		b = appendStr(b, it.Key)
+		b = wire.AppendStr(b, it.Key)
 		b = binary.LittleEndian.AppendUint64(b, it.Hash)
 		b = binary.AppendVarint(b, int64(it.Kind))
 	}
 	return b
-}
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
 }
 
 // decodeFrame decodes a frame body into f, which must be zero, and returns
@@ -621,13 +591,15 @@ func decodeFrame(b []byte, f *Frame) (manifestLen, imageLen int, err error) {
 		return 0, 0, refuse(refusedBadField, nil, "op %d", op)
 	}
 	f.Op = opNames[op]
-	r := wireReader{b: b, off: 2}
-	mask := r.uvarint()
+	r := newFrameReader(b[2:])
+	mask := r.Uvarint()
 	if extra := mask &^ opFields[op]; extra != 0 {
-		r.fail("a %q frame cannot carry fields %#x", f.Op, extra)
+		r.Failf("a %q frame cannot carry fields %#x", f.Op, extra)
 	}
 	if mask&fID != 0 {
-		f.ID = r.positive(math.MaxInt)
+		if f.ID = r.Uint(math.MaxInt); f.ID == 0 {
+			r.Failf("id 0")
+		}
 	}
 	if mask&fErr != 0 {
 		f.Err = r.nonEmptyStr()
@@ -637,46 +609,43 @@ func decodeFrame(b []byte, f *Frame) (manifestLen, imageLen int, err error) {
 		f.Status = r.nonEmptyStr()
 	}
 	if mask&fRegister != 0 {
-		f.Register = &RegisterReq{Machine: r.str(), Peer: r.str()}
+		f.Register = &RegisterReq{Machine: r.Str(), Peer: r.Str()}
 	}
 	if mask&fIdentify != 0 {
-		req := &IdentifyReq{App: r.str()}
-		if n := r.count(1, maxArgs); n > 0 {
-			req.Workloads = make([][]string, n)
-			for i := range req.Workloads {
-				req.Workloads[i] = r.strs(maxArgs)
-			}
-		}
-		f.Identify = req
+		f.Identify = &IdentifyReq{App: r.Str(), Workloads: wire.List(r.Count(1, maxArgs), func() []string {
+			return r.Strs(maxArgs)
+		})}
 	}
 	if mask&fRecord != 0 {
-		f.Record = &RecordReq{App: r.str(), Inputs: r.strs(maxArgs)}
+		f.Record = &RecordReq{App: r.Str(), Inputs: r.Strs(maxArgs)}
 	}
 	if mask&fFingerprint != 0 {
-		if i, j := r.span(maxFrame); i < j {
-			f.Fingerprint = append([]byte(nil), b[i:j]...)
+		if fp := r.Bytes(maxFrame); len(fp) > 0 {
+			f.Fingerprint = append([]byte(nil), fp...)
 		} else {
-			r.fail("empty fingerprint")
+			r.Failf("empty fingerprint")
 		}
 	}
 	if mask&fPeerFetch != 0 {
-		f.PeerFetch = &PeerFetchReq{Addrs: r.addrs(maxChunkRefs), Peers: r.strs(MaxPeerHints)}
+		f.PeerFetch = &PeerFetchReq{Addrs: r.Addrs(maxChunkRefs), Peers: r.Strs(MaxPeerHints)}
 	}
 	if mask&fDelta != 0 {
-		f.Delta = &ProfileDeltaReq{Machine: r.str(), App: r.str(), AppSet: r.str(), Sig: r.addr(),
-			Added: r.items(maxItems), Removed: r.items(maxItems), Full: r.boolean()}
+		f.Delta = &ProfileDeltaReq{Machine: r.Str(), App: r.Str(), AppSet: r.Str(), Sig: r.Addr(),
+			Added: r.items(maxItems), Removed: r.items(maxItems), Full: r.Bool()}
 	}
 	if mask&fManifest != 0 {
 		if manifestLen = r.bodyLen(maxFrame, "manifest"); manifestLen == 0 {
-			r.fail("empty manifest body")
+			r.Failf("empty manifest body")
 		}
 	}
 	if mask&fChunkMeta != 0 {
-		f.ChunkMeta = r.chunkRefs()
+		f.ChunkMeta = wire.List(r.Count(9, maxChunkRefs), func() distrib.ChunkRef {
+			return distrib.ChunkRef{Hash: r.Addr(), Size: r.Uint(maxWireChunk)}
+		})
 		r.nonEmpty(len(f.ChunkMeta))
 	}
 	if mask&fResources != 0 {
-		f.Resources = r.strs(maxResources)
+		f.Resources = r.Strs(maxResources)
 		r.nonEmpty(len(f.Resources))
 	}
 	if mask&fDiff != 0 {
@@ -687,234 +656,82 @@ func decodeFrame(b []byte, f *Frame) (manifestLen, imageLen int, err error) {
 		f.AppSet = r.nonEmptyStr()
 	}
 	if mask&fReport != 0 {
-		rep := &report.Report{UpgradeID: r.str(), Machine: r.str(),
-			Success: r.boolean(), FailedApps: r.strs(maxReportList), Reasons: r.strs(maxReportList)}
+		rep := &report.Report{UpgradeID: r.Str(), Machine: r.Str(),
+			Success: r.Bool(), FailedApps: r.Strs(maxReportList), Reasons: r.Strs(maxReportList)}
 		imageLen = r.bodyLen(maxImageBody, "image")
 		f.Report = rep
 	}
 	if mask&fNeedChunks != 0 {
-		f.NeedChunks = r.addrs(maxChunkRefs)
+		f.NeedChunks = r.Addrs(maxChunkRefs)
 		r.nonEmpty(len(f.NeedChunks))
 	}
 	if mask&fPeer != 0 {
-		f.Peer = &PeerResult{Chunks: r.varint(), Bytes: r.varint64(), Failed: r.strs(MaxPeerHints)}
+		f.Peer = &PeerResult{Chunks: r.Varint(), Bytes: r.Varint64(), Failed: r.Strs(MaxPeerHints)}
 	}
-	if err := r.done("frame"); err != nil {
+	if err := r.refusal("frame"); err != nil {
 		return 0, 0, err
 	}
 	return manifestLen, imageLen, nil
 }
 
-// wireReader walks one encoding — a frame body, a fingerprint request or
-// an image. The first violation sticks: every later read returns a zero
-// value, and a zero count allocates nothing, so callers check err once
-// at the end.
-type wireReader struct {
-	b   []byte
-	off int
-	err *frameError
-}
+// frameReader is a wire.Reader over a frame body, a fingerprint request
+// or an image: strings are copied out, since a frame's bytes sit in a
+// buffer the next call reuses, and capped at maxWireString. It adds the
+// frame grammar's own elements and maps the reader's verdict onto a
+// refusal reason.
+type frameReader struct{ wire.Reader }
 
-func (r *wireReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = refuse(refusedBadField, nil, format+" at byte %d", append(args, r.off)...)
-	}
-}
-
-// uvarint reads one canonical uvarint: a minimal encoding's last byte is
-// non-zero unless it is the only one.
-func (r *wireReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 || (n > 1 && r.b[r.off+n-1] == 0) {
-		r.fail("bad varint")
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-// count reads an element count, refusing one over limit or one the
-// remaining input cannot hold at least bytes per element.
-func (r *wireReader) count(least, limit int) int {
-	v := r.uvarint()
-	if v > uint64(limit) {
-		r.fail("count %d over its cap %d", v, limit)
-		return 0
-	}
-	if v > uint64((len(r.b)-r.off)/least) {
-		r.fail("count %d exceeds the input", v)
-		return 0
-	}
-	return int(v)
+func newFrameReader(b []byte) frameReader {
+	return frameReader{wire.NewReader(b, "", maxWireString)}
 }
 
 // nonEmpty refuses an empty list in a field whose presence says it is not.
-func (r *wireReader) nonEmpty(n int) {
+func (r *frameReader) nonEmpty(n int) {
 	if n == 0 {
-		r.fail("empty list present")
+		r.Failf("empty list present")
 	}
 }
 
-// positive reads a uvarint in [1, limit].
-func (r *wireReader) positive(limit uint64) int {
-	v := r.uvarint()
-	if r.err == nil && (v == 0 || v > limit) {
-		r.fail("value %d out of range", v)
-		return 0
-	}
-	return int(v)
-}
-
-// bodyLen reads the length of a body that follows the frame, refused as
-// too large beyond limit.
-func (r *wireReader) bodyLen(limit int, what string) int {
-	v := r.uvarint()
-	if r.err == nil && v > uint64(limit) {
-		r.err = refuse(refusedTooLarge, nil, "%s body of %d bytes over its cap %d", what, v, limit)
-		return 0
-	}
-	return int(v)
-}
-
-func (r *wireReader) span(limit int) (int, int) {
-	n := r.count(1, limit)
-	start := r.off
-	r.off += n
-	return start, r.off
-}
-
-// str reads a string, copying it out of the input.
-func (r *wireReader) str() string {
-	i, j := r.span(maxWireString)
-	return string(r.b[i:j])
-}
-
-func (r *wireReader) nonEmptyStr() string {
-	s := r.str()
-	if r.err == nil && s == "" {
-		r.fail("empty string present")
+func (r *frameReader) nonEmptyStr() string {
+	s := r.Str()
+	if s == "" {
+		r.Failf("empty string present")
 	}
 	return s
 }
 
-func (r *wireReader) strs(limit int) []string {
-	n := r.count(1, limit)
-	if n == 0 {
-		return nil
-	}
-	out := make([]string, n)
-	for i := range out {
-		out[i] = r.str()
-	}
-	return out
-}
-
-func (r *wireReader) addrs(limit int) []uint64 {
-	n := r.count(8, limit)
-	if n == 0 {
-		return nil
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = r.addr()
-	}
-	return out
-}
-
-func (r *wireReader) chunkRefs() []distrib.ChunkRef {
-	n := r.count(9, maxChunkRefs)
-	if n == 0 {
-		return nil
-	}
-	out := make([]distrib.ChunkRef, n)
-	for i := range out {
-		out[i].Hash = r.addr()
-		size := r.uvarint()
-		if size > maxWireChunk {
-			r.fail("chunk of %d bytes", size)
-		}
-		out[i].Size = int(size)
-	}
-	return out
-}
-
-func (r *wireReader) items(limit int) []WireItem {
-	n := r.count(10, limit)
-	if n == 0 {
-		return nil
-	}
-	out := make([]WireItem, n)
-	for i := range out {
-		out[i] = WireItem{Key: r.str(), Hash: r.addr(), Kind: r.varint()}
-	}
-	return out
-}
-
-func (r *wireReader) octet() byte {
-	if r.err != nil {
-		return 0
-	}
-	if r.off == len(r.b) {
-		r.fail("truncated")
-		return 0
-	}
-	c := r.b[r.off]
-	r.off++
-	return c
-}
-
-func (r *wireReader) boolean() bool {
-	switch c := r.octet(); c {
-	case 0, 1:
-		return c == 1
-	default:
-		r.fail("bool %d", c)
-		return false
-	}
-}
-
-// varint64 reads a zigzag varint, canonical like uvarint.
-func (r *wireReader) varint64() int64 {
-	u := r.uvarint()
-	return int64(u>>1) ^ -int64(u&1)
-}
-
-// varint reads a zigzag varint that must fit an int.
-func (r *wireReader) varint() int {
-	v := r.varint64()
-	if int64(int(v)) != v {
-		r.fail("int %d out of range", v)
+// bodyLen reads the length of a body that follows the frame, refused as
+// too large beyond limit.
+func (r *frameReader) bodyLen(limit int, what string) int {
+	v := r.Uvarint()
+	if v > uint64(limit) {
+		r.Fail(refuse(refusedTooLarge, nil, "%s body of %d bytes over its cap %d", what, v, limit))
 		return 0
 	}
 	return int(v)
 }
 
-func (r *wireReader) addr() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b)-r.off < 8 {
-		r.fail("truncated")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
+func (r *frameReader) items(limit int) []WireItem {
+	return wire.List(r.Count(10, limit), func() WireItem {
+		return WireItem{Key: r.Str(), Hash: r.Addr(), Kind: r.Varint()}
+	})
 }
 
-// done reports the reader's verdict on a whole encoding: its first
-// violation, or bytes left over after it.
-func (r *wireReader) done(what string) error {
-	if r.err == nil && r.off != len(r.b) {
-		r.err = refuse(refusedTrailing, nil, "%d bytes after the %s", len(r.b)-r.off, what)
+// refusal maps the reader's verdict on a whole encoding onto a refusal:
+// bytes left over are trailing, a body over its cap too_large (bodyLen
+// refused it), any other violation a bad field.
+func (r *frameReader) refusal(what string) error {
+	err := r.Done()
+	if err == nil {
+		return nil
 	}
-	if r.err != nil {
-		return r.err
+	if fe, ok := err.(*frameError); ok {
+		return fe
 	}
-	return nil
+	if errors.Is(err, wire.ErrTrailing) {
+		return refuse(refusedTrailing, err, "%s", what)
+	}
+	return refuse(refusedBadField, err, "%s", what)
 }
 
 // encodeFingerprintReq returns req's wire form, the Frame.Fingerprint of
@@ -924,29 +741,25 @@ func (r *wireReader) done(what string) error {
 //	rule = str(Match) str(Pattern) varint(Type) str(Parser) count(str IgnoreKeys)
 //	item = str(Key) hash:8 varint(Kind)
 func encodeFingerprintReq(req *FingerprintReq) []byte {
-	b := appendStrs(appendStr(nil, req.App), req.Refs)
+	b := wire.AppendStrs(wire.AppendStr(nil, req.App), req.Refs)
 	b = binary.AppendUvarint(b, uint64(len(req.Registry.Rules)))
 	for _, rule := range req.Registry.Rules {
-		b = appendStr(appendStr(b, rule.Match), rule.Pattern)
+		b = wire.AppendStr(wire.AppendStr(b, rule.Match), rule.Pattern)
 		b = binary.AppendVarint(b, int64(rule.Type))
-		b = appendStrs(appendStr(b, rule.Parser), rule.IgnoreKeys)
+		b = wire.AppendStrs(wire.AppendStr(b, rule.Parser), rule.IgnoreKeys)
 	}
 	return appendItems(b, req.VendorItems)
 }
 
 // decodeFingerprintReq parses encodeFingerprintReq's output.
 func decodeFingerprintReq(b []byte) (*FingerprintReq, error) {
-	r := wireReader{b: b}
-	req := &FingerprintReq{App: r.str(), Refs: r.strs(maxResources)}
-	if n := r.count(5, maxRules); n > 0 {
-		req.Registry.Rules = make([]RegistryRule, n)
-		for i := range req.Registry.Rules {
-			req.Registry.Rules[i] = RegistryRule{Match: r.str(), Pattern: r.str(), Type: r.varint(),
-				Parser: r.str(), IgnoreKeys: r.strs(maxRules)}
-		}
-	}
+	r := newFrameReader(b)
+	req := &FingerprintReq{App: r.Str(), Refs: r.Strs(maxResources)}
+	req.Registry.Rules = wire.List(r.Count(5, maxRules), func() RegistryRule {
+		return RegistryRule{Match: r.Str(), Pattern: r.Str(), Type: r.Varint(), Parser: r.Str(), IgnoreKeys: r.Strs(maxRules)}
+	})
 	req.VendorItems = r.items(maxItems)
-	if err := r.done("fingerprint request"); err != nil {
+	if err := r.refusal("fingerprint request"); err != nil {
 		return nil, err
 	}
 	return req, nil
@@ -962,43 +775,31 @@ func decodeFingerprintReq(b []byte) (*FingerprintReq, error) {
 
 // imageWireLen returns the length of img's wire form.
 func imageWireLen(img *report.Image) int {
-	n := strLen(len(img.MachineName)) + uvarintLen(uint64(len(img.Files))) +
-		uvarintLen(uint64(len(img.Env))) + uvarintLen(uint64(len(img.Packages)))
+	n := wire.StrLen(len(img.MachineName)) + wire.UvarintLen(uint64(len(img.Files))) +
+		wire.UvarintLen(uint64(len(img.Env))) + wire.UvarintLen(uint64(len(img.Packages)))
 	for _, f := range img.Files {
-		n += strLen(len(f.Path)) + varintLen(int64(f.Type)) + strLen(len(f.Version)) + strLen(len(f.Data))
+		n += wire.StrLen(len(f.Path)) + wire.VarintLen(int64(f.Type)) + wire.StrLen(len(f.Version)) + wire.StrLen(len(f.Data))
 	}
 	for k, v := range img.Env {
-		n += strLen(len(k)) + strLen(len(v))
+		n += wire.StrLen(len(k)) + wire.StrLen(len(v))
 	}
 	for _, p := range img.Packages {
-		n += strLen(len(p.Name)) + strLen(len(p.Version)) + uvarintLen(uint64(len(p.Files)))
+		n += wire.StrLen(len(p.Name)) + wire.StrLen(len(p.Version)) + wire.UvarintLen(uint64(len(p.Files)))
 		for _, f := range p.Files {
-			n += strLen(len(f))
+			n += wire.StrLen(len(f))
 		}
 	}
 	return n
 }
 
-func uvarintLen(v uint64) int {
-	n := 1
-	for ; v >= 0x80; v >>= 7 {
-		n++
-	}
-	return n
-}
-
-func varintLen(v int64) int { return uvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
-
-func strLen(n int) int { return uvarintLen(uint64(n)) + n }
-
 // appendImage appends img's wire form to b.
 func appendImage(b []byte, img *report.Image) []byte {
-	b = appendStr(b, img.MachineName)
+	b = wire.AppendStr(b, img.MachineName)
 	b = binary.AppendUvarint(b, uint64(len(img.Files)))
 	for _, f := range img.Files {
-		b = appendStr(b, f.Path)
+		b = wire.AppendStr(b, f.Path)
 		b = binary.AppendVarint(b, int64(f.Type))
-		b = appendStr(appendStr(b, f.Version), f.Data)
+		b = wire.AppendStr(wire.AppendStr(b, f.Version), f.Data)
 	}
 	keys := make([]string, 0, len(img.Env))
 	for k := range img.Env {
@@ -1007,11 +808,11 @@ func appendImage(b []byte, img *report.Image) []byte {
 	sort.Strings(keys)
 	b = binary.AppendUvarint(b, uint64(len(keys)))
 	for _, k := range keys {
-		b = appendStr(appendStr(b, k), img.Env[k])
+		b = wire.AppendStr(wire.AppendStr(b, k), img.Env[k])
 	}
 	b = binary.AppendUvarint(b, uint64(len(img.Packages)))
 	for _, p := range img.Packages {
-		b = appendStrs(appendStr(appendStr(b, p.Name), p.Version), p.Files)
+		b = wire.AppendStrs(wire.AppendStr(wire.AppendStr(b, p.Name), p.Version), p.Files)
 	}
 	return b
 }
@@ -1019,36 +820,30 @@ func appendImage(b []byte, img *report.Image) []byte {
 // decodeImage parses appendImage's output. The files' Data slices share
 // b, which the image keeps.
 func decodeImage(b []byte) (*report.Image, error) {
-	r := wireReader{b: b}
-	img := &report.Image{MachineName: r.str()}
-	if n := r.count(4, maxImageFiles); n > 0 {
-		img.Files = make([]report.FileState, n)
-		for i := range img.Files {
-			f := &img.Files[i]
-			f.Path, f.Type, f.Version = r.str(), machine.FileType(r.varint()), r.str()
-			if start, end := r.span(maxImageBody); start < end {
-				f.Data = b[start:end:end]
-			}
+	r := newFrameReader(b)
+	img := &report.Image{MachineName: r.Str()}
+	img.Files = wire.List(r.Count(4, maxImageFiles), func() report.FileState {
+		f := report.FileState{Path: r.Str(), Type: machine.FileType(r.Varint()), Version: r.Str()}
+		if data := r.Bytes(maxImageBody); len(data) > 0 {
+			f.Data = data
 		}
-	}
-	if n := r.count(2, maxImageEntries); n > 0 {
+		return f
+	})
+	if n := r.Count(2, maxImageEntries); n > 0 {
 		img.Env = make(map[string]string, n)
 		prev := ""
-		for i := 0; i < n && r.err == nil; i++ {
-			k, v := r.str(), r.str()
+		for i := 0; i < n; i++ {
+			k, v := r.Str(), r.Str()
 			if i > 0 && k <= prev {
-				r.fail("environment key %q out of order", k)
+				r.Failf("environment key %q out of order", k)
 			}
 			img.Env[k], prev = v, k
 		}
 	}
-	if n := r.count(3, maxImageEntries); n > 0 {
-		img.Packages = make([]report.PackageState, n)
-		for i := range img.Packages {
-			img.Packages[i] = report.PackageState{Name: r.str(), Version: r.str(), Files: r.strs(maxImageFiles)}
-		}
-	}
-	if err := r.done("image"); err != nil {
+	img.Packages = wire.List(r.Count(3, maxImageEntries), func() report.PackageState {
+		return report.PackageState{Name: r.Str(), Version: r.Str(), Files: r.Strs(maxImageFiles)}
+	})
+	if err := r.refusal("image"); err != nil {
 		return nil, err
 	}
 	return img, nil
