@@ -6,12 +6,12 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/cluster"
-	"repro/internal/deploy"
 	"repro/internal/machine"
 	"repro/internal/orchestrator"
 	"repro/internal/pkgmgr"
 	"repro/internal/report"
 	"repro/internal/scenario"
+	"repro/internal/staging"
 	"repro/internal/transport"
 )
 
@@ -112,7 +112,7 @@ func TestFirefoxStagedDeploymentWithMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 	h, err := v.Orch.Start(context.Background(), v.Spec(orchestrator.Spec{
-		Policy: deploy.PolicyFrontLoading, Upgrade: firefox2Upgrade(false), Clusters: clusters,
+		Policy: staging.PolicyFrontLoading, Upgrade: firefox2Upgrade(false), Clusters: clusters,
 		Fix: func(*pkgmgr.Upgrade, []*report.Report) (*pkgmgr.Upgrade, bool) { return firefox2Upgrade(true), true },
 	}))
 	if err != nil {

@@ -8,9 +8,10 @@ import (
 
 	"repro/internal/pkgmgr"
 	"repro/internal/report"
+	"repro/internal/staging"
 )
 
-// PolicyAdaptive on the live controller: clusters whose representatives
+// staging.PolicyAdaptive on the live controller: clusters whose representatives
 // pass clean release their non-representatives from the barrier; the
 // promoted waves run as one merged parallel wave at the end of the plan.
 
@@ -30,7 +31,7 @@ func TestAdaptivePromotesCleanClusters(t *testing.T) {
 	ctl := NewController(report.New(), nil)
 	obs := &captureObs{}
 	ctl.Observer = obs
-	out, err := ctl.Deploy(context.Background(), PolicyAdaptive, up("v1"), twoClusters(nil))
+	out, err := ctl.Deploy(context.Background(), staging.PolicyAdaptive, up("v1"), twoClusters(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestAdaptiveDirtyClusterFallsBackToBalanced(t *testing.T) {
 	ctl := NewController(report.New(), fixerChain(t, map[string]string{"v1": "v2"}))
 	obs := &captureObs{}
 	ctl.Observer = obs
-	out, err := ctl.Deploy(context.Background(), PolicyAdaptive, up("v1"), twoClusters(bad))
+	out, err := ctl.Deploy(context.Background(), staging.PolicyAdaptive, up("v1"), twoClusters(bad))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestAdaptiveAbandonmentSkipsPromotedWaves(t *testing.T) {
 	}
 	urr := report.New()
 	ctl := NewController(urr, func(*pkgmgr.Upgrade, []*report.Report) (*pkgmgr.Upgrade, bool) { return nil, false })
-	out, err := ctl.Deploy(context.Background(), PolicyAdaptive, up("v1"), twoClusters(bad))
+	out, err := ctl.Deploy(context.Background(), staging.PolicyAdaptive, up("v1"), twoClusters(bad))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestWorkerPoolMatchesSerialOutcome(t *testing.T) {
 		}
 		return seq, keys, out
 	}
-	for _, policy := range []Policy{PolicyBalanced, PolicyFrontLoading, PolicyNoStaging, PolicyAdaptive} {
+	for _, policy := range []Policy{PolicyBalanced, staging.PolicyFrontLoading, PolicyNoStaging, staging.PolicyAdaptive} {
 		serialSeq, serialEvents, serialOut := run(1, policy)
 		poolSeq, poolEvents, poolOut := run(8, policy)
 		if !reflect.DeepEqual(serialSeq, poolSeq) {

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/pkgmgr"
 	"repro/internal/report"
+	"repro/internal/staging"
 )
 
 // flakyNode fails with a transient error for the first failTests
@@ -132,7 +133,7 @@ func TestPersistentlyUnreachableMemberQuarantined(t *testing.T) {
 }
 
 func TestQuarantinedRepIsGateFailureNotPass(t *testing.T) {
-	// Under PolicyAdaptive a cluster whose representatives pass clean has
+	// Under staging.PolicyAdaptive a cluster whose representatives pass clean has
 	// its non-representatives promoted past the barrier (they run in the
 	// merged post-plan wave, stage -1). A quarantined representative must
 	// count as a failure: its cluster stays unpromoted.
@@ -149,7 +150,7 @@ func TestQuarantinedRepIsGateFailureNotPass(t *testing.T) {
 	fastRetry(ctl)
 	obs := &captureObs{}
 	ctl.Observer = obs
-	out, err := ctl.Deploy(context.Background(), PolicyAdaptive, up("v1"), clusters)
+	out, err := ctl.Deploy(context.Background(), staging.PolicyAdaptive, up("v1"), clusters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +348,7 @@ func TestCursorResumesPromotedWaveMembers(t *testing.T) {
 		FinalID:    "v1",
 		Integrated: map[string]string{"near-rep": "v1"},
 	}
-	out, err := ctl.Deploy(context.Background(), PolicyAdaptive, up("v1"), clusters)
+	out, err := ctl.Deploy(context.Background(), staging.PolicyAdaptive, up("v1"), clusters)
 	if err != nil {
 		t.Fatal(err)
 	}

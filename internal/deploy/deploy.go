@@ -101,27 +101,14 @@ type Fixer func(up *pkgmgr.Upgrade, failures []*report.Report) (fixed *pkgmgr.Up
 // all speak the same vocabulary.
 type Policy = staging.Policy
 
+// The policies vendor code names through deploy; code needing another
+// names staging's (staging.PolicyAdaptive and the rest).
 const (
 	// PolicyBalanced deploys nearest cluster first, representatives before
 	// non-representatives (paper §4.3, "Balanced").
 	PolicyBalanced = staging.PolicyBalanced
-	// PolicyFrontLoading tests all representatives in parallel and debugs
-	// everything up front, then deploys non-representatives farthest
-	// cluster first (paper §4.3, "FrontLoading").
-	PolicyFrontLoading = staging.PolicyFrontLoading
 	// PolicyNoStaging deploys to every node at once; for urgent upgrades.
 	PolicyNoStaging = staging.PolicyNoStaging
-	// PolicyRandomStaging is Balanced with a randomized cluster order; the
-	// paper uses it to isolate the benefit of staging from that of
-	// distance-based ordering. Seeded deterministically via Controller.Seed.
-	PolicyRandomStaging = staging.PolicyRandomStaging
-	// PolicyAdaptive is Balanced with early promotion: clusters whose
-	// representatives pass without failures release their
-	// non-representatives from the barrier; the promoted waves run as one
-	// merged parallel wave at the end of the plan, by which time any
-	// problems found downstream have been debugged — so promoted nodes
-	// usually test the corrected upgrade directly.
-	PolicyAdaptive = staging.PolicyAdaptive
 )
 
 // TransferStats summarises the bytes a deployment moved over the node
@@ -261,7 +248,8 @@ type Controller struct {
 	Journal string
 	// MaxRounds bounds vendor debugging iterations (default 10).
 	MaxRounds int
-	// Seed drives the PolicyRandomStaging shuffle, for reproducibility.
+	// Seed drives the staging.PolicyRandomStaging shuffle, for
+	// reproducibility.
 	Seed uint64
 	// Parallelism is the width of the worker pool a wave's member RPCs
 	// run on — first every test, then every passing member's integrate
@@ -542,7 +530,7 @@ type waveRunner struct {
 	up       *pkgmgr.Upgrade // current upgrade version; advances as fixes ship
 	clusters map[string]*Cluster
 	// clean records whether a cluster has seen zero failures so far —
-	// PolicyAdaptive's promotion signal.
+	// staging.PolicyAdaptive's promotion signal.
 	clean map[string]bool
 	// promoted holds elastic waves released past their barrier; they run
 	// as one merged parallel wave at the end of the plan.

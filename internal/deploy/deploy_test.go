@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/pkgmgr"
 	"repro/internal/report"
+	"repro/internal/staging"
 )
 
 // fakeNode fails validation while the upgrade ID is in failOn.
@@ -160,7 +161,7 @@ func TestFrontLoadingPhase1CatchesAllReps(t *testing.T) {
 	}
 	urr := report.New()
 	ctl := NewController(urr, fixerChain(t, map[string]string{"v1": "v2"}))
-	out, err := ctl.Deploy(context.Background(), PolicyFrontLoading, up("v1"), twoClusters(bad))
+	out, err := ctl.Deploy(context.Background(), staging.PolicyFrontLoading, up("v1"), twoClusters(bad))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestFrontLoadingPhase2FarthestFirst(t *testing.T) {
 	ctl := NewController(report.New(), nil)
 	obs := &captureObs{}
 	ctl.Observer = obs
-	if _, err := ctl.Deploy(context.Background(), PolicyFrontLoading, up("v1"), twoClusters(nil)); err != nil {
+	if _, err := ctl.Deploy(context.Background(), staging.PolicyFrontLoading, up("v1"), twoClusters(nil)); err != nil {
 		t.Fatal(err)
 	}
 	var nonReps []string
@@ -281,7 +282,7 @@ func TestNodeErrorPropagates(t *testing.T) {
 }
 
 func TestPolicyString(t *testing.T) {
-	if PolicyBalanced.String() != "Balanced" || PolicyFrontLoading.String() != "FrontLoading" ||
+	if PolicyBalanced.String() != "Balanced" || staging.PolicyFrontLoading.String() != "FrontLoading" ||
 		PolicyNoStaging.String() != "NoStaging" {
 		t.Fatal("policy strings wrong")
 	}

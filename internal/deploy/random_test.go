@@ -7,20 +7,21 @@ import (
 
 	"repro/internal/pkgmgr"
 	"repro/internal/report"
+	"repro/internal/staging"
 )
 
 func TestRandomStagingDeploysEveryone(t *testing.T) {
 	urr := report.New()
 	ctl := NewController(urr, nil)
 	ctl.Seed = 7
-	out, err := ctl.Deploy(context.Background(), PolicyRandomStaging, up("v1"), twoClusters(nil))
+	out, err := ctl.Deploy(context.Background(), staging.PolicyRandomStaging, up("v1"), twoClusters(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Integrated() != 6 || out.Overhead != 0 {
 		t.Fatalf("outcome = %+v", out)
 	}
-	if out.Policy != PolicyRandomStaging {
+	if out.Policy != staging.PolicyRandomStaging {
 		t.Fatalf("policy = %v", out.Policy)
 	}
 }
@@ -34,7 +35,7 @@ func TestRandomStagingStillShieldsNonReps(t *testing.T) {
 	urr := report.New()
 	ctl := NewController(urr, fixerChain(t, map[string]string{"v1": "v2"}))
 	ctl.Seed = 99
-	out, err := ctl.Deploy(context.Background(), PolicyRandomStaging, up("v1"), twoClusters(bad))
+	out, err := ctl.Deploy(context.Background(), staging.PolicyRandomStaging, up("v1"), twoClusters(bad))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestRandomStagingDeterministicPerSeed(t *testing.T) {
 		ctl.Seed = seed
 		obs := &captureObs{}
 		ctl.Observer = obs
-		if _, err := ctl.Deploy(context.Background(), PolicyRandomStaging, up("v1"), twoClusters(nil)); err != nil {
+		if _, err := ctl.Deploy(context.Background(), staging.PolicyRandomStaging, up("v1"), twoClusters(nil)); err != nil {
 			t.Fatal(err)
 		}
 		return verdictOrder(obs, "v1")
@@ -81,7 +82,7 @@ func TestRandomStagingAbandonment(t *testing.T) {
 	ctl := NewController(urr, func(*pkgmgr.Upgrade, []*report.Report) (*pkgmgr.Upgrade, bool) {
 		return nil, false
 	})
-	out, err := ctl.Deploy(context.Background(), PolicyRandomStaging, up("v1"), twoClusters(bad))
+	out, err := ctl.Deploy(context.Background(), staging.PolicyRandomStaging, up("v1"), twoClusters(bad))
 	if err != nil {
 		t.Fatal(err)
 	}

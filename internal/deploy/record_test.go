@@ -91,7 +91,7 @@ func TestFoldRollbackPassIsNotTerminal(t *testing.T) {
 	}
 	step(Event{Type: RecRollbackSkip, Stage: -1, Node: "b", Cluster: "c", UpgradeID: "v0", Reason: "quarantined"}, "")
 	step(Event{Type: RecRollbackDone, Stage: -1, UpgradeID: "v0"}, RecRollbackDone)
-	if c.Policy != PolicyAdaptive || c.Rounds != 1 || c.Baseline != "v0" || !c.Quarantined["b"] || c.Skipped["b"] != "quarantined" {
+	if c.Policy != staging.PolicyAdaptive || c.Rounds != 1 || c.Baseline != "v0" || !c.Quarantined["b"] || c.Skipped["b"] != "quarantined" {
 		t.Fatalf("fold = %+v", &c)
 	}
 }

@@ -223,13 +223,23 @@ func (a *API) window(raw string) time.Duration {
 	return d
 }
 
+// maxStartBody bounds a start request's body. The request picks a policy
+// and a few knobs, so a client sending more is refused before its body is
+// buffered.
+const maxStartBody = 1 << 20 // 1MiB
+
 func (a *API) start(w http.ResponseWriter, r *http.Request) {
 	if a.Launch == nil {
 		writeError(w, http.StatusNotImplemented, errors.New("this control plane does not launch rollouts"))
 		return
 	}
 	var req StartRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxStartBody)).Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, err)
+			return
+		}
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}

@@ -240,3 +240,27 @@ func TestHTTPStartValidation(t *testing.T) {
 		t.Fatalf("no-launcher error = %v", err)
 	}
 }
+
+// TestHTTPStartBodyBounded: a start request whose body runs past 1 MiB is
+// refused with 413 before the decoder buffers the rest, and starts
+// nothing.
+func TestHTTPStartBodyBounded(t *testing.T) {
+	orch := New(t.TempDir())
+	api := &API{Orch: orch, Launch: func(StartRequest) (Spec, error) {
+		return Spec{Policy: deploy.PolicyBalanced, Upgrade: upgrade("v1"), Clusters: fleet("big", 1, nil)}, nil
+	}}
+	ts := httptest.NewServer(api.Handler())
+	t.Cleanup(ts.Close)
+	body := `{"policy":"balanced","pad":"` + strings.Repeat("x", 1<<20) + `"}`
+	resp, err := http.Post(ts.URL+"/rollouts", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("padded start request: HTTP %d, want 413", resp.StatusCode)
+	}
+	if st := orch.Statuses(); len(st) != 0 {
+		t.Fatalf("rollouts after a refused start = %+v, want none", st)
+	}
+}

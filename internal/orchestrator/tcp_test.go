@@ -27,7 +27,7 @@ func tcpMachine(name string) *machine.Machine {
 // startTCPFleet launches a transport server plus one agent per name.
 func startTCPFleet(t *testing.T, names ...string) (*transport.Server, map[string]*machine.Machine) {
 	t.Helper()
-	s, err := transport.Listen("127.0.0.1:0")
+	s, err := transport.ListenWith("127.0.0.1:0", transport.ListenOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

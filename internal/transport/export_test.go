@@ -39,12 +39,34 @@ func (s *Server) DropAgent(name string) bool {
 	return true
 }
 
-// WaitForAgent blocks until the named agent is registered, the timeout
-// elapses, or the server is closed. The waiter parks on the shard owning
-// the name; unrelated registrations never wake it.
-func (s *Server) WaitForAgent(name string, timeout time.Duration) bool {
-	return s.registry.WaitName(name, timeout, s.done)
+// Listen starts a vendor server on addr with the default registry
+// sharding.
+func Listen(addr string) (*Server, error) {
+	return ListenWith(addr, ListenOpts{})
 }
+
+// WaitForAgent polls until the named agent is registered, the timeout
+// elapses, or the server is closed, and reports whether it is registered.
+func (s *Server) WaitForAgent(name string, timeout time.Duration) bool {
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	deadline := time.After(timeout)
+	for {
+		if _, ok := s.registry.Get(name); ok {
+			return true
+		}
+		select {
+		case <-tick.C:
+		case <-deadline:
+			return false
+		case <-s.done:
+			return false
+		}
+	}
+}
+
+// Wakeups returns the number of waiter signals the registry has delivered.
+func (r *Registry[V]) Wakeups() int64 { return r.wakeups.Load() }
 
 // FrameHead reads the head of the frame at the start of b: where the
 // frame ends (length prefix included) and its op name. ok is false while

@@ -329,7 +329,7 @@ func TestFaultInjectorBudget(t *testing.T) {
 // arrives damaged, the agent rejects it on its content address, and the
 // push fails transient once its attempts are spent.
 func TestFaultInjectorCorruptOnlyChunks(t *testing.T) {
-	srv, err := transport.Listen("127.0.0.1:0")
+	srv, err := transport.ListenWith("127.0.0.1:0", transport.ListenOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -367,13 +367,8 @@ type ListenOpts struct {
 	Shards int
 }
 
-// Listen starts the vendor server on addr (use "127.0.0.1:0" in tests) and
-// begins accepting agent registrations.
-func Listen(addr string) (*Server, error) {
-	return ListenWith(addr, ListenOpts{})
-}
-
-// ListenWith is Listen with explicit registry sharding.
+// ListenWith starts the vendor server on addr and begins accepting agent
+// registrations, with the registry sharded as opts says.
 func ListenWith(addr string, opts ListenOpts) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -505,9 +500,6 @@ func (s *Server) Close() error {
 	s.serving.Wait()
 	return err
 }
-
-// Shutdown is Close under the name net/http made idiomatic.
-func (s *Server) Shutdown() error { return s.Close() }
 
 // isClosed reports whether Close has begun.
 func (s *Server) isClosed() bool {

@@ -20,10 +20,9 @@ import (
 // channel that was closed and replaced on every registry change, so during
 // a 100k-agent registration storm every waiter woke 100k times and
 // re-scanned the registry each time — O(fleet²) work for a single
-// WaitForAgents call. Registry instead wakes a waiter exactly once:
-// count waiters publish a threshold and are signalled by the registration
-// that reaches it (count-based, no rescans); name waiters hang off the
-// shard that owns their name and are signalled by that name's arrival.
+// WaitForAgents call. Registry instead wakes a waiter exactly once: count
+// waiters publish a threshold and are signalled by the registration that
+// reaches it (count-based, no rescans).
 
 // fnv1aOffset/fnv1aPrime are the FNV-1a 64-bit parameters; the hash is
 // inlined so shard picking allocates nothing.
@@ -56,12 +55,10 @@ func normalizeShards(n int) int {
 	return p
 }
 
-// regShard is one lock-domain of the registry: a map slice plus the
-// waiters for names that hash here.
+// regShard is one lock-domain of the registry: the names that hash here.
 type regShard[V any] struct {
-	mu      sync.Mutex
-	m       map[string]V
-	nameWtr map[string][]chan struct{}
+	mu sync.Mutex
+	m  map[string]V
 	// pad keeps neighbouring shards' mutexes off one cache line, which is
 	// the difference between sharding and false sharing.
 	_ [64]byte
@@ -91,9 +88,9 @@ type Registry[V any] struct {
 	wmu     sync.Mutex
 	waiters []countWaiter // sorted ascending by threshold
 
-	// wakeups counts waiter signals delivered (count and name alike). A
-	// WaitForAgents over an n-agent registration storm must cost O(1)
-	// wakeups, not O(n) — the churn regression test pins this down.
+	// wakeups counts waiter signals delivered. A WaitForAgents over an
+	// n-agent registration storm must cost O(1) wakeups, not O(n) — the
+	// churn regression test pins this down.
 	wakeups atomic.Int64
 }
 
@@ -137,9 +134,6 @@ func (r *Registry[V]) ShardSizes() []int {
 	return out
 }
 
-// Wakeups returns the number of waiter signals delivered so far.
-func (r *Registry[V]) Wakeups() int64 { return r.wakeups.Load() }
-
 // Get returns the value registered under name.
 func (r *Registry[V]) Get(name string) (V, bool) {
 	sh := r.shard(name)
@@ -151,26 +145,14 @@ func (r *Registry[V]) Get(name string) (V, bool) {
 
 // Put registers v under name, returning the displaced value if the name
 // was already taken. A replacement does not change the count (and wakes
-// nobody — the name was already present); a fresh registration increments
-// it, signals any waiters parked on this name, and wakes exactly the
-// count waiters whose threshold it reaches.
+// nobody); a fresh registration increments it and wakes exactly the count
+// waiters whose threshold it reaches.
 func (r *Registry[V]) Put(name string, v V) (old V, replaced bool) {
 	sh := r.shard(name)
 	sh.mu.Lock()
 	old, replaced = sh.m[name]
 	sh.m[name] = v
-	var wtrs []chan struct{}
-	if !replaced && sh.nameWtr != nil {
-		if ws := sh.nameWtr[name]; len(ws) > 0 {
-			wtrs = ws
-			delete(sh.nameWtr, name)
-		}
-	}
 	sh.mu.Unlock()
-	for _, ch := range wtrs {
-		r.wakeups.Add(1)
-		close(ch)
-	}
 	if !replaced {
 		n := r.count.Add(1)
 		if n >= r.minWait.Load() {
@@ -319,48 +301,4 @@ func (r *Registry[V]) removeCountWaiter(ch chan struct{}) {
 	} else {
 		r.minWait.Store(int64(r.waiters[0].n))
 	}
-}
-
-// WaitName blocks until name is registered, the timeout elapses, or done
-// is closed; it reports whether the name is present. The waiter hangs off
-// the shard that owns the name, so registrations elsewhere never touch it.
-func (r *Registry[V]) WaitName(name string, timeout time.Duration, done <-chan struct{}) bool {
-	sh := r.shard(name)
-	sh.mu.Lock()
-	if _, ok := sh.m[name]; ok {
-		sh.mu.Unlock()
-		return true
-	}
-	ch := make(chan struct{})
-	if sh.nameWtr == nil {
-		sh.nameWtr = make(map[string][]chan struct{})
-	}
-	sh.nameWtr[name] = append(sh.nameWtr[name], ch)
-	sh.mu.Unlock()
-
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case <-ch:
-		return true
-	case <-done:
-	case <-timer.C:
-	}
-	sh.mu.Lock()
-	if ws, ok := sh.nameWtr[name]; ok {
-		for i := range ws {
-			if ws[i] == ch {
-				ws = append(ws[:i], ws[i+1:]...)
-				break
-			}
-		}
-		if len(ws) == 0 {
-			delete(sh.nameWtr, name)
-		} else {
-			sh.nameWtr[name] = ws
-		}
-	}
-	_, present := sh.m[name]
-	sh.mu.Unlock()
-	return present
 }

@@ -68,44 +68,30 @@ func TestRegistryBasics(t *testing.T) {
 // registration storm must cost each parked waiter exactly one wakeup, not
 // one per registration. The old broadcast design woke every waiter on
 // every change — 10k registrations against one WaitForAgents call meant
-// 10k wakeups and 10k registry rescans; the count/name waiter design
-// delivers one signal per waiter, from the registration that satisfies it.
+// 10k wakeups and 10k registry rescans; the count waiter design delivers
+// one signal per waiter, from the registration that satisfies it.
 func TestRegistryWaiterChurn(t *testing.T) {
 	const n = 10_000
 	r := NewRegistry[int](0)
 	done := make(chan struct{})
 	defer close(done)
 
-	var wg sync.WaitGroup
 	results := make(chan int, 1)
-	named := make(chan bool, 1)
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		results <- r.WaitCount(n, time.Minute, done)
-	}()
-	go func() {
-		defer wg.Done()
-		named <- r.WaitName(fmt.Sprintf("reg-%05d", n-1), time.Minute, done)
-	}()
-	// Let both waiters park before the storm; a waiter that instead
-	// arrives mid-storm takes the fast path and costs zero wakeups, which
-	// only makes the assertion easier.
+	go func() { results <- r.WaitCount(n, time.Minute, done) }()
+	// Let the waiter park before the storm; a waiter that instead arrives
+	// mid-storm takes the fast path and costs zero wakeups, which only
+	// makes the assertion easier.
 	time.Sleep(10 * time.Millisecond)
 
 	for i := 0; i < n; i++ {
 		r.Put(fmt.Sprintf("reg-%05d", i), i)
 	}
-	wg.Wait()
 	if got := <-results; got != n {
 		t.Fatalf("WaitCount observed %d registrations, want %d", got, n)
 	}
-	if !<-named {
-		t.Fatal("WaitName never saw its registration")
-	}
-	// One signal per waiter. 10k under the old design; 2 here.
-	if w := r.Wakeups(); w > 2 {
-		t.Fatalf("%d registrations delivered %d waiter wakeups, want <= 2 — waiters are being woken by unrelated churn", n, w)
+	// One signal per waiter. 10k under the old design; 1 here.
+	if w := r.Wakeups(); w > 1 {
+		t.Fatalf("%d registrations delivered %d waiter wakeups, want <= 1 — waiters are being woken by unrelated churn", n, w)
 	}
 }
 
@@ -129,20 +115,6 @@ func TestRegistryWaitCountTimeout(t *testing.T) {
 	// Fast path: threshold already met returns immediately.
 	if got := r.WaitCount(2, time.Minute, nil); got != 3 {
 		t.Fatalf("satisfied WaitCount = %d, want 3", got)
-	}
-}
-
-func TestRegistryWaitNameTimeout(t *testing.T) {
-	r := NewRegistry[int](2)
-	if r.WaitName("ghost", 10*time.Millisecond, nil) {
-		t.Fatal("WaitName found a name that never registered")
-	}
-	r.Put("ghost", 1)
-	if w := r.Wakeups(); w != 0 {
-		t.Fatalf("wakeups = %d, want 0 — the timed-out name waiter leaked", w)
-	}
-	if !r.WaitName("ghost", time.Minute, nil) {
-		t.Fatal("WaitName missed a present name")
 	}
 }
 

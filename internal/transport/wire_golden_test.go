@@ -12,8 +12,6 @@ import (
 
 var updateWire = flag.Bool("update", false, "rewrite the golden wire corpus under testdata")
 
-const wireGoldenPath = "testdata/wire.golden"
-
 // goldenEntry is one named encoding of a golden wire corpus.
 type goldenEntry struct {
 	name string
@@ -84,7 +82,7 @@ func TestWireGolden(t *testing.T) {
 	if images == 0 {
 		t.Fatal("the corpus holds no image-carrying report frame")
 	}
-	checkGolden(t, wireGoldenPath, corpus)
+	checkGolden(t, "testdata/wire.golden", corpus)
 
 	for _, e := range corpus {
 		switch {
