@@ -5,7 +5,7 @@
 //
 //	mirage-ctl [-server http://127.0.0.1:7080] <command> [args]
 //
-//	start [-policy NAME] [-resume] [-journal FILE]
+//	start [-policy NAME] [-resume -journal r<n>.journal]
 //	      [-auto-rollback] [-gate-baseline R -gate-excess R -gate-min-samples N]
 //	      [-drift-max N -drift-action journal|hold|restage]
 //	                                                 start a rollout
@@ -140,8 +140,8 @@ func verb(ctx context.Context, do func(context.Context, string) (orchestrator.St
 func start(ctx context.Context, c *orchestrator.Client, args []string) error {
 	fs := flag.NewFlagSet("start", flag.ContinueOnError)
 	policy := fs.String("policy", "", "deployment policy (server default if empty)")
-	resume := fs.Bool("resume", false, "resume the journal instead of starting fresh")
-	journal := fs.String("journal", "", "journal file override")
+	resume := fs.Bool("resume", false, "resume the -journal rollout instead of starting fresh")
+	journal := fs.String("journal", "", "with -resume: the journal's file name in the vendor's journal directory")
 	autoRollback := fs.Bool("auto-rollback", false, "roll the fleet back to the baseline if the upgrade is abandoned")
 	gateBaseline := fs.Float64("gate-baseline", 0, "canary gate: expected baseline failure rate")
 	gateExcess := fs.Float64("gate-excess", 0, "canary gate: tolerated excess failure rate")

@@ -297,7 +297,7 @@ type Controller struct {
 	telemOnce  sync.Once
 	memberDur  *telemetry.Family
 	budgetWait *telemetry.Family
-	retriesTot *telemetry.CounterFamily
+	retriesTot *telemetry.Counter
 
 	// TransientRetries bounds how many times a member's test or integrate
 	// is retried after a transient error before the member is quarantined
@@ -349,7 +349,7 @@ func (ctl *Controller) initTelem() {
 		ctl.budgetWait = ctl.Telemetry.Histogram("mirage_budget_wait_seconds",
 			"Wait for a worker-budget slot by op.", "op", 1e-9)
 		ctl.retriesTot = ctl.Telemetry.Counter("mirage_transient_retries_total",
-			"Transient member-RPC errors retried after backoff.", "")
+			"Transient member-RPC errors retried after backoff.", "").With("")
 	})
 }
 
@@ -389,19 +389,18 @@ func (ctl *Controller) backoff(attempt int) time.Duration {
 	return base << attempt
 }
 
-// call runs one member operation under its span and its duration
-// histogram, both named op ("test", "integrate" or "rollback"): each
+// call runs one member operation as one telemetry op, a span and a
+// duration sample both named op ("test", "integrate" or "rollback"): each
 // attempt waits for a worker-budget slot, released before any backoff,
 // and transient errors retry on the bounded doubling backoff. It returns
 // the last error. A cancelled context stops the loop immediately
 // (mid-backoff included) and surfaces ctx.Err(), which is not transient,
 // so no member is quarantined for an operator abort. ctx carries the
-// enclosing span, passed explicitly because pool workers must not race
-// the runner's spanCtx writes.
+// enclosing span.
 func (ctl *Controller) call(ctx context.Context, op, node string, rpc func(context.Context) error) error {
 	ctl.initTelem()
-	ctx, end := telemetry.StartSpan(ctx, op, node, node)
-	endTimer := ctl.memberDur.With(op).Time()
+	m := telemetry.Start(ctx, ctl.memberDur.With(op), op, node, node)
+	ctx = m.Context(ctx)
 	attempt := func() error {
 		t0 := time.Now()
 		if err := ctl.Budget.Acquire(ctx); err != nil {
@@ -413,10 +412,10 @@ func (ctl *Controller) call(ctx context.Context, op, node string, rpc func(conte
 	}
 	err := attempt()
 	for i := 0; err != nil && IsTransient(err) && i < ctl.retries(); i++ {
-		ctl.retriesTot.With("").Inc()
-		_, endBackoff := telemetry.StartSpan(ctx, "backoff", "", node)
+		ctl.retriesTot.Inc()
+		backoff := telemetry.Start(ctx, nil, "backoff", "", node)
 		ctl.pause(ctx, ctl.backoff(i))
-		endBackoff(err)
+		backoff.End(err)
 		if ctx.Err() != nil {
 			break
 		}
@@ -427,8 +426,7 @@ func (ctl *Controller) call(ctx context.Context, op, node string, rpc func(conte
 		// machine problem.
 		err = ctx.Err()
 	}
-	endTimer()
-	end(err)
+	m.End(err)
 	return err
 }
 
@@ -491,7 +489,7 @@ func (ctl *Controller) Deploy(ctx context.Context, policy Policy, up *pkgmgr.Upg
 	}
 	cur.begin(up.ID, size)
 
-	r := &waveRunner{ctx: ctx, spanCtx: ctx, ctl: ctl, cur: cur, up: up, clusters: byID,
+	r := &waveRunner{ctx: ctx, ctl: ctl, cur: cur, up: up, clusters: byID,
 		clean: make(map[string]bool), skipStages: cur.DoneStages}
 	staging.Execute(ctl.PlanFor(policy, clusters), r)
 	if r.err == nil && !r.abandoned {
@@ -517,12 +515,7 @@ func (ctl *Controller) Deploy(ctx context.Context, policy Policy, up *pkgmgr.Upg
 // the controller's bounded worker pool.
 type waveRunner struct {
 	ctx context.Context
-	// spanCtx is the context member work derives telemetry spans from:
-	// the rollout context at rest, the current stage span inside a
-	// stage, the current wave span inside a wave. Only the runner's own
-	// goroutine writes it, and always before spawning pool workers.
-	spanCtx context.Context
-	ctl     *Controller
+	ctl *Controller
 	// cur is the rollout's fold: emit books every transition into it, and
 	// every decision below reads it — once a cluster is unclean it can
 	// never be promoted, even if its members pass on a later attempt.
@@ -678,9 +671,8 @@ func (r *waveRunner) RunStage(st staging.Stage, done func()) {
 	if r.gate(idx) {
 		return
 	}
-	sctx, endStage := telemetry.StartSpan(r.ctx, "stage", fmt.Sprintf("stage %d", idx), "")
-	r.spanCtx = sctx
-	defer func() { r.spanCtx = r.ctx; endStage(r.err) }()
+	span := telemetry.Start(r.ctx, nil, "stage", fmt.Sprintf("stage %d", idx), "")
+	defer func() { span.End(r.err) }()
 	r.emit(Event{Type: RecStageStart, Stage: idx, UpgradeID: r.up.ID})
 	var waves []staging.Wave
 	for _, w := range st.Waves {
@@ -692,7 +684,7 @@ func (r *waveRunner) RunStage(st staging.Stage, done func()) {
 		}
 		waves = append(waves, w)
 	}
-	r.converge(idx, waves, st.RetryAll)
+	r.converge(span.Context(r.ctx), idx, waves, st.RetryAll)
 	if r.err != nil || r.abandoned {
 		return
 	}
@@ -740,20 +732,20 @@ func (r *waveRunner) flushPromoted() {
 	if r.gate(-1) {
 		return
 	}
-	sctx, endStage := telemetry.StartSpan(r.ctx, "stage", "promoted flush", "")
-	r.spanCtx = sctx
-	defer func() { r.spanCtx = r.ctx; endStage(r.err) }()
+	span := telemetry.Start(r.ctx, nil, "stage", "promoted flush", "")
+	defer func() { span.End(r.err) }()
 	waves := r.promoted
 	r.promoted = nil
-	r.converge(-1, waves, false)
+	r.converge(span.Context(r.ctx), -1, waves, false)
 }
 
 // converge repeatedly tests-and-debugs until every member of the waves
 // passes or is quarantined, the vendor abandons the upgrade, or an error
 // occurs. Normally only the previously failing members re-test after a
 // fix; with retryAll (FrontLoading's phase-1 regime) every member
-// re-tests each round until a full round passes without failures.
-func (r *waveRunner) converge(stage int, waves []staging.Wave, retryAll bool) {
+// re-tests each round until a full round passes without failures. ctx
+// carries the stage's span.
+func (r *waveRunner) converge(ctx context.Context, stage int, waves []staging.Wave, retryAll bool) {
 	for _, w := range waves {
 		if w.Group != staging.GroupOthers {
 			// A cluster starts clean unless something — a recorded
@@ -763,7 +755,7 @@ func (r *waveRunner) converge(stage int, waves []staging.Wave, retryAll bool) {
 	}
 	all := r.members(waves)
 	if r.ctl.Gate.Enabled {
-		r.canaryConverge(stage, all)
+		r.canaryConverge(ctx, stage, all)
 		return
 	}
 	pending := all
@@ -771,12 +763,9 @@ func (r *waveRunner) converge(stage int, waves []staging.Wave, retryAll bool) {
 		if r.checkAbort(stage) {
 			return
 		}
-		prev := r.spanCtx
-		sctx, endWave := telemetry.StartSpan(prev, "wave", fmt.Sprintf("wave %d (%d members)", wave, len(pending)), "")
-		r.spanCtx = sctx
-		failed, _ := r.testMembers(stage, pending, true)
-		r.spanCtx = prev
-		endWave(r.err)
+		span := telemetry.Start(ctx, nil, "wave", fmt.Sprintf("wave %d (%d members)", wave, len(pending)), "")
+		failed, _ := r.testMembers(span.Context(ctx), stage, pending, true)
+		span.End(r.err)
 		if r.err != nil || len(failed) == 0 {
 			return
 		}
@@ -801,7 +790,7 @@ func (r *waveRunner) converge(stage int, waves []staging.Wave, retryAll bool) {
 // latest verdict passed integrates, while tolerated failures are simply
 // left on the old version, so no machine is ever stranded on a
 // half-trusted upgrade.
-func (r *waveRunner) canaryConverge(stage int, all []member) {
+func (r *waveRunner) canaryConverge(ctx context.Context, stage int, all []member) {
 	if len(all) == 0 {
 		return
 	}
@@ -814,12 +803,9 @@ func (r *waveRunner) canaryConverge(stage int, all []member) {
 		if len(ms) == 0 {
 			return // everyone quarantined; the stage converges empty
 		}
-		prev := r.spanCtx
-		sctx, endWave := telemetry.StartSpan(prev, "wave", fmt.Sprintf("canary round %d (%d members)", round, len(ms)), "")
-		r.spanCtx = sctx
-		failed, tested := r.testMembers(stage, ms, false)
-		r.spanCtx = prev
-		endWave(r.err)
+		span := telemetry.Start(ctx, nil, "wave", fmt.Sprintf("canary round %d (%d members)", round, len(ms)), "")
+		failed, tested := r.testMembers(span.Context(ctx), stage, ms, false)
+		span.End(r.err)
 		if r.err != nil || r.halted {
 			return
 		}
@@ -844,7 +830,7 @@ func (r *waveRunner) canaryConverge(stage int, all []member) {
 					promote = append(promote, m)
 				}
 			}
-			r.integrateMembers(stage, promote)
+			r.integrateMembers(ctx, stage, promote)
 			return
 		}
 	}
@@ -958,15 +944,14 @@ func (r *waveRunner) runPool(n, window int, work func(i int), done func(i int), 
 // non-transient errors halt the plan. It returns the members that failed
 // validation and how many verdicts were booked. With integrate false
 // (canary gating) passing members are left on their current version — the
-// gate decides promotion later.
-func (r *waveRunner) testMembers(stage int, ms []member, integrate bool) (failed []member, tested int) {
+// gate decides promotion later. ctx carries the enclosing span.
+func (r *waveRunner) testMembers(ctx context.Context, stage int, ms []member, integrate bool) (failed []member, tested int) {
 	reports := make([]*report.Report, len(ms))
 	errs := make([]error, len(ms))
-	sctx := r.spanCtx // read once, before any worker goroutine exists
 	r.runPool(len(ms), len(ms),
 		func(i int) {
 			n := ms[i].node
-			errs[i] = r.ctl.call(sctx, "test", n.Name(), func(ctx context.Context) (err error) {
+			errs[i] = r.ctl.call(ctx, "test", n.Name(), func(ctx context.Context) (err error) {
 				reports[i], err = n.TestUpgrade(ctx, r.up)
 				return err
 			})
@@ -1024,7 +1009,7 @@ func (r *waveRunner) testMembers(stage int, ms []member, integrate bool) (failed
 			passed = append(passed, m)
 		}
 	}
-	r.integrateMembers(stage, passed)
+	r.integrateMembers(ctx, stage, passed)
 	return failed, tested
 }
 
@@ -1072,11 +1057,9 @@ func (r *waveRunner) notifyFinal(clusters []*Cluster) {
 	if len(ms) == 0 {
 		return
 	}
-	sctx, endStage := telemetry.StartSpan(r.ctx, "stage", "final notification", "")
-	r.spanCtx = sctx
-	r.testMembers(-1, ms, true)
-	r.spanCtx = r.ctx
-	endStage(r.err)
+	span := telemetry.Start(r.ctx, nil, "stage", "final notification", "")
+	r.testMembers(span.Context(r.ctx), -1, ms, true)
+	span.End(r.err)
 }
 
 // integrateMembers applies the validated upgrade on every member, on the
@@ -1097,17 +1080,16 @@ func (r *waveRunner) notifyFinal(clusters []*Cluster) {
 // Parallelism members; a resumed rollout re-tests and re-integrates
 // exactly those, which is why agents acknowledge a repeated integrate of
 // the manifest they applied last without applying it again.
-func (r *waveRunner) integrateMembers(stage int, ms []member) {
+func (r *waveRunner) integrateMembers(ctx context.Context, stage int, ms []member) {
 	if len(ms) == 0 {
 		return
 	}
 	errs := make([]error, len(ms))
-	sctx := r.spanCtx // read once, before any worker goroutine exists
-	broken := false   // an integrate failed for good; its error is booked in member order
+	broken := false // an integrate failed for good; its error is booked in member order
 	r.runPool(len(ms), max(r.ctl.Parallelism, 1),
 		func(i int) {
 			n := ms[i].node
-			errs[i] = r.ctl.call(sctx, "integrate", n.Name(), func(ctx context.Context) error {
+			errs[i] = r.ctl.call(ctx, "integrate", n.Name(), func(ctx context.Context) error {
 				return n.Integrate(ctx, r.up)
 			})
 		},

@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
+	"path/filepath"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/rollout"
@@ -27,7 +29,9 @@ type StartRequest struct {
 	// fresh; it requires Journal (a fresh rollout ID's default path can
 	// never be the interrupted rollout's file).
 	Resume bool `json:"resume,omitempty"`
-	// Journal overrides the journal file path.
+	// Journal names the journal to resume: a bare file name in the
+	// orchestrator's JournalDir, accepted only with Resume. A fresh
+	// rollout always journals at <JournalDir>/<id>.journal.
 	Journal string `json:"journal,omitempty"`
 	// AutoRollback arms journaled automatic rollback to the vendor's
 	// baseline artifact when the upgrade is abandoned.
@@ -254,6 +258,16 @@ func (a *API) start(w http.ResponseWriter, r *http.Request) {
 	default:
 		writeError(w, http.StatusBadRequest, errors.New("unknown drift action "+strconv.Quote(req.DriftAction)))
 		return
+	}
+	if req.Resume || req.Journal != "" {
+		// A client names no file outside the journal directory: a path
+		// it chose could truncate any file the vendor can write.
+		name, dir := req.Journal, a.Orch.JournalDir
+		if !req.Resume || dir == "" || name == "" || name == "." || name == ".." || strings.ContainsAny(name, `/\`) {
+			writeError(w, http.StatusBadRequest, errors.New("a journal is named only to resume it, by its file name in the vendor's journal directory"))
+			return
+		}
+		req.Journal = filepath.Join(dir, name)
 	}
 	spec, err := a.Launch(req)
 	if err != nil {

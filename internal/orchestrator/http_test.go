@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -262,5 +264,74 @@ func TestHTTPStartBodyBounded(t *testing.T) {
 	}
 	if st := orch.Statuses(); len(st) != 0 {
 		t.Fatalf("rollouts after a refused start = %+v, want none", st)
+	}
+}
+
+// TestHTTPStartJournalConfined: an admin client names no file outside
+// the journal directory. A journal outside it — an absolute path, or one
+// through "..", with or without resume — is a 400 that leaves the file
+// byte-identical, as is a journal without resume, a resume without one,
+// and a resume on a control plane with no journal directory. A fresh
+// rollout journals at <dir>/<id>.journal, and a resume names a journal
+// there by its bare name.
+func TestHTTPStartJournalConfined(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "journals")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	t.Chdir(dir) // "../victim" names the victim from the process and from dir alike
+	victim := filepath.Join(root, "victim")
+	const precious = "not a journal\n"
+	if err := os.WriteFile(victim, []byte(precious), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	launch := func(req StartRequest) (Spec, error) {
+		return req.Overlay(Spec{Policy: deploy.PolicyBalanced, Upgrade: upgrade("v1"), Clusters: fleet("jc", 1, nil)})
+	}
+	orch := New(dir)
+	ts := httptest.NewServer((&API{Orch: orch, Launch: launch}).Handler())
+	t.Cleanup(ts.Close)
+	noDir := httptest.NewServer((&API{Orch: New(""), Launch: launch}).Handler())
+	t.Cleanup(noDir.Close)
+	for _, tc := range []struct{ url, body string }{
+		{ts.URL, `{"journal":"` + victim + `"}`},
+		{ts.URL, `{"journal":"../victim"}`},
+		{ts.URL, `{"journal":"` + victim + `","resume":true}`},
+		{ts.URL, `{"journal":"../victim","resume":true}`},
+		{ts.URL, `{"journal":"r1.journal"}`},
+		{ts.URL, `{"resume":true}`},
+		{noDir.URL, `{"journal":"r1.journal","resume":true}`},
+	} {
+		resp, err := http.Post(tc.url+"/rollouts", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("start %s: HTTP %d, want 400", tc.body, resp.StatusCode)
+		}
+	}
+	if data, err := os.ReadFile(victim); err != nil || string(data) != precious {
+		t.Fatalf("victim after the refused starts: %q, %v", data, err)
+	}
+	if st := orch.Statuses(); len(st) != 0 {
+		t.Fatalf("rollouts after refused starts = %+v, want none", st)
+	}
+
+	c := &Client{Base: ts.URL}
+	ctx := context.Background()
+	want := filepath.Join(dir, "r1.journal")
+	for _, req := range []StartRequest{{}, {Resume: true, Journal: "r1.journal"}} {
+		st, err := c.Start(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Journal != want {
+			t.Errorf("start %+v journals at %s, want %s", req, st.Journal, want)
+		}
+		if _, err := c.Wait(ctx, st.ID, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

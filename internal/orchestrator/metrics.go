@@ -7,15 +7,19 @@ import (
 )
 
 // registry returns the registry the orchestrator counts on — Telemetry,
-// made a private one when none was assigned — and on first use registers
-// the rollout lifecycle gauges and, when a worker budget is installed,
-// its occupancy. Not done in New: callers assign Telemetry and Budget
-// after it.
+// made a private one when none was assigned — and on first use binds the
+// admission and barrier histograms and registers the rollout lifecycle
+// gauges and, when a worker budget is installed, its occupancy. Not done
+// in New: callers assign Telemetry and Budget after it.
 func (o *Orchestrator) registry() *telemetry.Registry {
 	o.telemOnce.Do(func() {
 		if o.Telemetry == nil {
 			o.Telemetry = telemetry.NewRegistry()
 		}
+		o.admissionWait = o.Telemetry.Histogram("mirage_admission_wait_seconds",
+			"Time from rollout start to execution-slot grant.", "", 1e-9).With("")
+		o.barrierHold = o.Telemetry.Histogram("mirage_stage_barrier_seconds",
+			"Time rollouts spent holding at stage barriers.", "", 1e-9).With("")
 		gauge := func(name, help string, v func() float64) {
 			o.Telemetry.Gauge(name, help, "", func(emit func(string, float64)) { emit("", v()) })
 		}

@@ -170,6 +170,49 @@ func TestTraceEndpoint(t *testing.T) {
 	}
 }
 
+// TestSpanIsItsSample: each timed operation of a traced rollout over real
+// TCP — member test and integrate, agent RPC, stage barrier and admission
+// wait — is measured once. Its spans and its histogram's samples agree
+// in number, and the spans' durations sum to exactly the histogram's sum.
+func TestSpanIsItsSample(t *testing.T) {
+	s, _ := startTCPFleet(t, tcpNames("one", 2)...)
+	reg := telemetry.NewRegistry()
+	s.Telemetry = reg
+	orch := New(t.TempDir())
+	orch.Telemetry, orch.Tracer = reg, &telemetry.Tracer{}
+	h, err := orch.Start(context.Background(), Spec{
+		Policy: deploy.PolicyBalanced, Upgrade: scenario.MySQLUpgrade(), Clusters: tcpClusters(s, "one", 2, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := h.Wait(context.Background()); err != nil || out.Integrated() != 4 {
+		t.Fatalf("rollout: %v, outcome %+v", err, out)
+	}
+	type total struct{ n, ns int64 }
+	spans := map[string]total{}
+	for _, sp := range orch.Tracer.Get(h.ID()).Snapshot().Spans {
+		key := sp.Kind
+		if sp.Kind == "rpc" {
+			key += " " + sp.Name
+		}
+		spans[key] = total{spans[key].n + 1, spans[key].ns + sp.DurNS}
+	}
+	for key, hist := range map[string][2]string{
+		"test":             {"mirage_member_duration_seconds", "test"},
+		"integrate":        {"mirage_member_duration_seconds", "integrate"},
+		"rpc test_upgrade": {"mirage_rpc_latency_seconds", "test_upgrade"},
+		"rpc integrate":    {"mirage_rpc_latency_seconds", "integrate"},
+		"gate-wait":        {"mirage_stage_barrier_seconds", ""},
+		"admission-wait":   {"mirage_admission_wait_seconds", ""},
+	} {
+		hs := reg.Histogram(hist[0], "", "", 0).With(hist[1]).Snapshot()
+		if got := spans[key]; got.n == 0 || got != (total{hs.Count, hs.Sum}) {
+			t.Errorf("%s: %d spans of %dns in all; %s{%q} has %d samples of %dns",
+				key, got.n, got.ns, hist[0], hist[1], hs.Count, hs.Sum)
+		}
+	}
+}
+
 // scrape is one GET /metrics served in-process.
 func scrape(t *testing.T, h http.Handler) string {
 	rec := httptest.NewRecorder()

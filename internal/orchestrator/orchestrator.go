@@ -20,9 +20,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"repro/internal/deploy"
 	"repro/internal/pkgmgr"
@@ -226,6 +226,9 @@ type Orchestrator struct {
 	Tracer *telemetry.Tracer
 
 	telemOnce sync.Once
+	// admissionWait and barrierHold are Telemetry's histograms, bound by
+	// registry.
+	admissionWait, barrierHold *telemetry.Histogram
 
 	mu       sync.Mutex
 	seq      int
@@ -239,9 +242,19 @@ type Orchestrator struct {
 }
 
 // New returns an orchestrator journaling under dir ("" means every spec
-// names its own journal file).
+// names its own journal file). Its rollout IDs continue past the highest
+// r<n>.journal already in dir, so a fresh rollout never truncates the
+// journal of an earlier run.
 func New(dir string) *Orchestrator {
-	return &Orchestrator{JournalDir: dir, rollouts: make(map[string]*Handle), journals: make(map[string]*Handle)}
+	o := &Orchestrator{JournalDir: dir, rollouts: make(map[string]*Handle), journals: make(map[string]*Handle)}
+	entries, _ := os.ReadDir(dir) // none when dir is "" or unreadable
+	for _, e := range entries {
+		var n int
+		if _, err := fmt.Sscanf(e.Name(), "r%d.journal", &n); err == nil && e.Name() == fmt.Sprintf("r%d.journal", n) {
+			o.seq = max(o.seq, n)
+		}
+	}
+	return o
 }
 
 // Get returns the handle of a known rollout.
@@ -503,47 +516,34 @@ func (h *Handle) ID() string { return h.id }
 // its admission grant; aborting while queued terminates it without ever
 // occupying a slot (or touching its journal).
 func (h *Handle) run(ctx context.Context) {
-	reg := h.orch.registry()
-	trace := h.orch.Tracer.Start(h.id)
-	root := trace.Begin(0, "rollout", h.id, "")
-	enqueued := time.Now()
+	root := h.orch.Tracer.Start(h.id)
+	ctx = root.Context(ctx)
+	// Every rollout waits for admission, zero-width when it got a slot
+	// at once, so the wait is a complete picture of Start→execution delay.
+	wait := telemetry.Start(ctx, h.orch.admissionWait, "admission-wait", "", "")
+	var err error
 	if h.admit != nil {
-		wait := trace.Begin(root, "admission-wait", "", "")
 		select {
 		case <-h.admit:
-		case <-ctx.Done():
-			trace.End(wait, ctx.Err())
-			trace.End(root, ctx.Err())
-			h.orch.abandonQueued(h)
 			h.mu.Lock()
-			h.err = ctx.Err()
-			h.status.State = StateAborted
-			h.status.Error = h.err.Error()
+			h.status.State = StateRunning
 			h.signalLocked()
 			h.mu.Unlock()
-			close(h.done)
-			return
+		case <-ctx.Done():
+			err = ctx.Err()
 		}
-		trace.End(wait, nil)
-		h.mu.Lock()
-		h.status.State = StateRunning
-		h.signalLocked()
-		h.mu.Unlock()
 	}
-	// Admission-queue wait: ~0 for rollouts that got a slot immediately,
-	// so the family is a complete picture of Start→execution delay.
-	reg.Histogram("mirage_admission_wait_seconds",
-		"Time from rollout start to execution-slot grant.", "", 1e-9).
-		With("").ObserveSince(enqueued)
-	ctx = telemetry.NewContext(ctx, trace, root)
-	releaseSlot := func() {}
-	if h.orch != nil && h.orch.MaxActive > 0 {
-		releaseSlot = h.orch.releaseSlot
+	wait.End(err)
+	admitted := err == nil
+	var out *deploy.Outcome
+	if admitted {
+		h.ctl.StageGate = h.gate
+		eng := h.engine()
+		eng.Resume, eng.AutoRollback = h.spec.Resume, h.spec.AutoRollback
+		out, err = eng.Deploy(ctx, h.spec.Policy, h.spec.Upgrade, h.spec.Clusters)
+	} else {
+		h.orch.abandonQueued(h)
 	}
-	h.ctl.StageGate = h.gate
-	eng := h.engine()
-	eng.Resume, eng.AutoRollback = h.spec.Resume, h.spec.AutoRollback
-	out, err := eng.Deploy(ctx, h.spec.Policy, h.spec.Upgrade, h.spec.Clusters)
 
 	h.mu.Lock()
 	h.out, h.err = out, err
@@ -569,11 +569,13 @@ func (h *Handle) run(ctx context.Context) {
 	h.window = nil
 	h.signalLocked()
 	h.mu.Unlock()
-	trace.End(root, err)
+	root.End(err)
 	// The slot must be free before done closes: a caller that sees this
 	// rollout terminal may immediately Start another, and admission must
 	// not bounce it off a slot the finished rollout still holds.
-	releaseSlot()
+	if admitted && h.orch.MaxActive > 0 {
+		h.orch.releaseSlot()
+	}
 	close(h.done)
 }
 
@@ -626,11 +628,8 @@ func (h *Handle) idle() bool {
 // the stage-barrier histogram and, when the rollout is traced, recorded
 // as a gate-wait span (zero-width for barriers crossed without pausing).
 func (h *Handle) gate(ctx context.Context, stage int) error {
-	defer h.orch.registry().Histogram("mirage_stage_barrier_seconds",
-		"Time rollouts spent holding at stage barriers.", "", 1e-9).
-		With("").Time()()
-	_, end := telemetry.StartSpan(ctx, "gate-wait", fmt.Sprintf("stage %d", stage), "")
-	defer func() { end(nil) }()
+	hold := telemetry.Start(ctx, h.orch.barrierHold, "gate-wait", fmt.Sprintf("stage %d", stage), "")
+	defer hold.End(nil)
 	for {
 		h.mu.Lock()
 		if !h.paused {
@@ -943,15 +942,4 @@ func (h *Handle) Events(ctx context.Context) <-chan rollout.Record {
 		}
 	}()
 	return ch
-}
-
-// Outcome returns the final outcome and error of a terminal rollout
-// (nil, nil while it is still running).
-func (h *Handle) Outcome() (*deploy.Outcome, error) {
-	select {
-	case <-h.done:
-		return h.out, h.err
-	default:
-		return nil, nil
-	}
 }

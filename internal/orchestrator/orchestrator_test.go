@@ -1,9 +1,11 @@
 package orchestrator
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -151,6 +153,45 @@ func TestLifecycleSucceeds(t *testing.T) {
 	}
 	if _, ok := orch.Get(h.ID()); !ok {
 		t.Fatalf("Get(%s) lost the rollout", h.ID())
+	}
+}
+
+// TestNewContinuesPastEarlierJournals: an orchestrator made again on a
+// journal directory, as a restarted vendor does, continues its rollout
+// IDs past the r<n>.journal files there, so its first fresh rollout is r2
+// and leaves the earlier run's r1.journal byte-identical. Files of any
+// other name do not move the IDs.
+func TestNewContinuesPastEarlierJournals(t *testing.T) {
+	dir := t.TempDir()
+	spec := Spec{Policy: deploy.PolicyBalanced, Upgrade: upgrade("v1"), Clusters: fleet("nc", 1, nil)}
+	run := func(o *Orchestrator) string {
+		h, err := o.Start(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return h.ID()
+	}
+	if id := run(New(dir)); id != "r1" {
+		t.Fatalf("first rollout on an empty directory is %s, want r1", id)
+	}
+	journal := filepath.Join(dir, "r1.journal")
+	before, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"r9.journal.bak", "rx.journal", "notes"} {
+		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if id := run(New(dir)); id != "r2" {
+		t.Fatalf("first rollout after a restart is %s, want r2", id)
+	}
+	if after, err := os.ReadFile(journal); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("r1.journal changed across a restart (%v): %d bytes, was %d", err, len(after), len(before))
 	}
 }
 

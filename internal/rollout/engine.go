@@ -104,7 +104,8 @@ func (e *Engine) Deploy(ctx context.Context, policy deploy.Policy, up *pkgmgr.Up
 		if j, err = Create(e.Path); err != nil {
 			return nil, err
 		}
-		j.Telemetry, j.Observer = ctl.Telemetry, e.Observer
+		j.measure(ctl.Telemetry)
+		j.Observer = e.Observer
 		head := PlanRecord(plan, refs, up.ID)
 		if err := j.Append(head); err != nil {
 			j.Close()
@@ -180,7 +181,8 @@ func (e *Engine) open(plan *staging.Plan, refs []staging.ClusterRef) (*Journal, 
 		j.Close()
 		return nil, nil, nil, err
 	}
-	j.Telemetry, j.Observer = e.Controller.Telemetry, e.Observer
+	j.measure(e.Controller.Telemetry)
+	j.Observer = e.Observer
 	return j, records, cur, nil
 }
 

@@ -83,10 +83,6 @@ type Journal struct {
 	// (0 means DefaultGroupWindow). Read at first buffered append.
 	GroupWindow time.Duration
 
-	// Telemetry, when set, receives fsync latency and group-commit batch
-	// size observations (nil is a no-op).
-	Telemetry *telemetry.Registry
-
 	// Observer, when set, is told of each record once the file holds it in
 	// full, in file order, under the journal's lock: after the fsync for
 	// Append, after the write for AppendBuffered. So an observer that
@@ -104,6 +100,18 @@ type Journal struct {
 	err     error       // sticky: a failed write or sync poisons the journal
 	timer   *time.Timer // armed while pending > 0
 	syncs   atomic.Int64
+
+	// fsyncDur and batchSize receive fsync latency and group-commit batch
+	// size observations once measure binds them (nil is a no-op).
+	fsyncDur, batchSize *telemetry.Histogram
+}
+
+// measure binds the journal's fsync latency and batch size histograms on
+// reg (nil measures nothing). Call it before the first append.
+func (j *Journal) measure(reg *telemetry.Registry) {
+	j.fsyncDur = reg.Histogram("mirage_journal_fsync_seconds", "Journal fsync latency.", "", 1e-9).With("")
+	j.batchSize = reg.Histogram("mirage_journal_batch_records",
+		"Journal records made durable per fsync (group-commit batch size).", "", 1).With("")
 }
 
 // Create truncates (or creates) path and returns an empty journal.
@@ -142,9 +150,6 @@ func Open(path string) (*Journal, []Record, error) {
 	}
 	return j, recs, nil
 }
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
 
 // Append assigns the record the next sequence number and persists it:
 // marshal, write one line, fsync. The fsync also commits every record
@@ -242,10 +247,8 @@ func (j *Journal) syncLocked() error {
 		j.err = fmt.Errorf("rollout: syncing journal: %w", err)
 		return j.err
 	}
-	j.Telemetry.Histogram("mirage_journal_fsync_seconds",
-		"Journal fsync latency.", "", 1e-9).With("").ObserveSince(t0)
-	j.Telemetry.Histogram("mirage_journal_batch_records",
-		"Journal records made durable per fsync (group-commit batch size).", "", 1).With("").Observe(int64(batch))
+	j.fsyncDur.ObserveSince(t0)
+	j.batchSize.Observe(int64(batch))
 	j.syncs.Add(1)
 	j.pending = 0
 	return nil

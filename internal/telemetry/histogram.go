@@ -3,10 +3,12 @@
 // allocation-free atomic histograms, counters, and gauges evaluated at
 // scrape time — and the one renderer of Prometheus /metrics; and a
 // bounded-ring span tracer that records each rollout as a span tree
-// (exported as JSON and as Chrome trace-event format). One registry per
-// vendor process, shared by the transport server and the orchestrator and
-// threaded down through the deployment controller; no per-callsite
-// globals, zero external dependencies.
+// (exported as JSON and as Chrome trace-event format). A timed operation
+// is one Op: one histogram sample and, on a traced rollout, one span of
+// the same duration. One registry per vendor process, shared by the
+// transport server and the orchestrator and threaded down through the
+// deployment controller; no per-callsite globals, zero external
+// dependencies.
 //
 // Not to be confused with internal/trace, which models the paper's §3.3
 // syscall traces (what an upgrade does to a user machine). This package
@@ -15,8 +17,8 @@
 // look like at fleet scale.
 //
 // Every type in this package is nil-safe: a nil *Registry, *Family,
-// *Histogram, *Tracer or *Trace turns every method into a no-op, so
-// instrumented code calls unconditionally.
+// *Histogram, *Tracer or *Trace, or a zero Op, turns every method into a
+// no-op, so instrumented code calls unconditionally.
 package telemetry
 
 import (
@@ -71,14 +73,6 @@ func (h *Histogram) Observe(v int64) {
 // ObserveSince records the nanoseconds elapsed since t0 — the
 // allocation-free timer idiom: t0 := time.Now(); ...; h.ObserveSince(t0).
 func (h *Histogram) ObserveSince(t0 time.Time) { h.Observe(int64(time.Since(t0))) }
-
-// Time starts a timer and returns the function that stops and records
-// it: defer h.Time()(). Allocates one closure; hot paths that cannot
-// afford it use ObserveSince directly.
-func (h *Histogram) Time() func() {
-	t0 := time.Now()
-	return func() { h.ObserveSince(t0) }
-}
 
 // HistSnapshot is a consistent-enough copy of a histogram's state
 // (buckets are read individually; a scrape racing observations may be

@@ -67,14 +67,15 @@ func TestNilSafety(t *testing.T) {
 	f := r.Histogram("x", "", "op", 1)
 	f.Observe("a", 1) // all no-ops, must not panic
 	f.With("a").Observe(2)
-	f.With("a").Time()()
+	Start(t.Context(), f.With("a"), "x", "", "").End(nil)
 	r.Counter("y", "", "").With("").Inc()
 	r.Gauge("z", "", "", func(emit func(string, float64)) { emit("", 1) })
 	r.WritePrometheus(nil)
 	var tr *Tracer
-	trace := tr.Start("r1")
-	id := trace.Begin(0, "rollout", "r1", "")
-	trace.End(id, nil)
+	root := tr.Start("r1")
+	trace := root.t
+	Start(root.Context(t.Context()), nil, "stage", "", "").End(nil)
+	root.End(nil)
 	if snap := trace.Snapshot(); len(snap.Spans) != 0 {
 		t.Fatalf("nil trace snapshot has spans: %v", snap.Spans)
 	}
@@ -197,13 +198,13 @@ func TestRenderLabelEscaping(t *testing.T) {
 
 func TestTraceRing(t *testing.T) {
 	tr := &Tracer{MaxSpans: 4, MaxTraces: 2}
-	trace := tr.Start("r1")
-	root := trace.Begin(0, "rollout", "r1", "")
+	root := tr.Start("r1")
+	trace := root.t
+	ctx := root.Context(t.Context())
 	for i := 0; i < 10; i++ {
-		id := trace.Begin(root, "rpc", "op", "node-a")
-		trace.End(id, nil)
+		Start(ctx, nil, "rpc", "op", "node-a").End(nil)
 	}
-	trace.End(root, nil)
+	root.End(nil)
 	snap := trace.Snapshot()
 	if len(snap.Spans) != 4 {
 		t.Fatalf("ring retained %d spans, want 4", len(snap.Spans))
@@ -224,15 +225,14 @@ func TestTraceRing(t *testing.T) {
 
 func TestSpanContext(t *testing.T) {
 	tr := &Tracer{}
-	trace := tr.Start("r1")
-	root := trace.Begin(0, "rollout", "r1", "")
-	ctx := NewContext(t.Context(), trace, root)
+	root := tr.Start("r1")
+	trace := root.t
+	ctx := root.Context(t.Context())
 
-	sctx, end := StartSpan(ctx, "stage", "stage 0", "")
-	_, end2 := StartSpan(sctx, "test", "m1", "m1")
-	end2(nil)
-	end(nil)
-	trace.End(root, nil)
+	stage := Start(ctx, nil, "stage", "stage 0", "")
+	Start(stage.Context(ctx), nil, "test", "m1", "m1").End(nil)
+	stage.End(nil)
+	root.End(nil)
 
 	snap := trace.Snapshot()
 	if len(snap.Spans) != 3 {
@@ -248,20 +248,24 @@ func TestSpanContext(t *testing.T) {
 	if byKind["test"].Parent != byKind["stage"].ID {
 		t.Fatal("test span not parented to stage")
 	}
-	// No trace in ctx: everything is a no-op.
-	_, endNil := StartSpan(t.Context(), "x", "", "")
-	endNil(nil)
+	// No trace in ctx and no histogram: a no-op that leaves ctx as it is.
+	bare := t.Context()
+	op := Start(bare, nil, "x", "", "")
+	if op != (Op{}) || op.Context(bare) != bare {
+		t.Fatalf("untraced op %+v derives a context", op)
+	}
+	op.End(nil)
 }
 
 func TestChromeExport(t *testing.T) {
 	tr := &Tracer{}
-	trace := tr.Start("r9")
-	root := trace.Begin(0, "rollout", "r9", "")
-	st := trace.Begin(root, "stage", "stage 0", "")
-	m := trace.Begin(st, "test", "m1", "m1")
-	trace.End(m, nil)
-	trace.End(st, nil)
-	trace.End(root, nil)
+	root := tr.Start("r9")
+	trace := root.t
+	ctx := root.Context(t.Context())
+	st := Start(ctx, nil, "stage", "stage 0", "")
+	Start(st.Context(ctx), nil, "test", "m1", "m1").End(nil)
+	st.End(nil)
+	root.End(nil)
 
 	data, err := trace.Snapshot().Chrome()
 	if err != nil {

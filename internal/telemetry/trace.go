@@ -43,13 +43,14 @@ type Span struct {
 
 // Trace records one rollout's spans, as values: no span is a heap object
 // of its own. An open span lives in a slot of a table that grows to the
-// most spans ever open at once and is reused through a free list. End
-// copies the finished span into a bounded ring of max completed spans,
+// most spans ever open at once and is reused through a free list. Ending
+// a span copies it into a bounded ring of max completed spans,
 // kept in pages of spanPage made the first time the ring reaches them
 // and never copied: once max spans have completed, each new completion
 // overwrites the oldest, so a 100k-member rollout keeps its most recent
 // window instead of growing without bound (Dropped counts the
-// overwritten). All methods are nil-safe.
+// overwritten). All methods are nil-safe; spans are opened and closed
+// through Op.
 type Trace struct {
 	id    string
 	start time.Time
@@ -63,20 +64,10 @@ type Trace struct {
 	done  int64    // spans completed
 }
 
-// ID returns the rollout ID the trace records.
-func (t *Trace) ID() string {
-	if t == nil {
-		return ""
-	}
-	return t.id
-}
-
-// Begin starts a span under parent (0 for a root) and returns its ID.
-func (t *Trace) Begin(parent SpanID, kind, name, node string) SpanID {
-	if t == nil {
-		return 0
-	}
-	now := time.Since(t.start).Nanoseconds()
+// begin opens a span under parent (0 for a root), started at at, and
+// returns its ID.
+func (t *Trace) begin(parent SpanID, kind, name, node string, at time.Time) SpanID {
+	startNS := at.Sub(t.start).Nanoseconds()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var slot int
@@ -92,21 +83,17 @@ func (t *Trace) Begin(parent SpanID, kind, name, node string) SpanID {
 	}
 	t.seq++
 	id := SpanID(t.seq<<slotBits | uint64(slot))
-	t.open[slot] = Span{ID: id, Parent: parent, Kind: kind, Name: name, Node: node, StartNS: now}
+	t.open[slot] = Span{ID: id, Parent: parent, Kind: kind, Name: name, Node: node, StartNS: startNS}
 	return id
 }
 
-// End completes a span; err ("" when nil) is recorded on it.
-func (t *Trace) End(id SpanID, err error) { t.EndBytes(id, 0, err) }
-
-// EndBytes completes a span carrying a byte count (RPC frame bytes). An
-// ID that names no open span (already ended, or its slot since reused)
-// is ignored.
-func (t *Trace) EndBytes(id SpanID, bytes int64, err error) {
+// end completes a span that lasted dur nanoseconds, recording the bytes
+// it moved and err ("" when nil). An ID that names no open span (already
+// ended, or its slot since reused) is ignored.
+func (t *Trace) end(id SpanID, dur, bytes int64, err error) {
 	if t == nil || id == 0 {
 		return
 	}
-	now := time.Since(t.start).Nanoseconds()
 	var msg string
 	if err != nil {
 		msg = err.Error()
@@ -118,7 +105,7 @@ func (t *Trace) EndBytes(id SpanID, bytes int64, err error) {
 		return
 	}
 	s := &t.open[slot]
-	s.DurNS, s.Bytes, s.Err = now-s.StartNS, bytes, msg
+	s.DurNS, s.Bytes, s.Err = dur, bytes, msg
 	pos := int(t.done % int64(t.max))
 	page := t.pages[pos/spanPage]
 	if page == nil {
@@ -181,24 +168,18 @@ type Tracer struct {
 }
 
 // Start creates (or restarts) the trace for one rollout ID, evicting the
-// oldest trace beyond MaxTraces.
-func (tr *Tracer) Start(id string) *Trace {
+// oldest trace beyond MaxTraces, and returns its root op, the "rollout"
+// span: every other op of the rollout hangs below it through its Context.
+func (tr *Tracer) Start(id string) Op {
 	if tr == nil {
-		return nil
+		return Op{}
 	}
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	if tr.traces == nil {
 		tr.traces = map[string]*Trace{}
 	}
-	maxSpans := tr.MaxSpans
-	if maxSpans <= 0 {
-		maxSpans = 16384
-	}
-	maxTraces := tr.MaxTraces
-	if maxTraces <= 0 {
-		maxTraces = 8
-	}
+	maxSpans, maxTraces := cmp.Or(max(tr.MaxSpans, 0), 16384), cmp.Or(max(tr.MaxTraces, 0), 8)
 	if _, ok := tr.traces[id]; !ok {
 		tr.order = append(tr.order, id)
 	}
@@ -208,7 +189,7 @@ func (tr *Tracer) Start(id string) *Trace {
 		delete(tr.traces, tr.order[0])
 		tr.order = tr.order[1:]
 	}
-	return t
+	return Op{t: t, id: t.begin(0, "rollout", id, "", t.start), start: t.start}
 }
 
 // Get returns the retained trace for a rollout ID, or nil.

@@ -1,34 +1,70 @@
 package telemetry
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
 )
 
-// spanAllocBudget is what one span may allocate once its ring page
-// exists and the open-span table has reached its peak: a span is a value
-// copied from its slot into the ring, so nothing.
-const spanAllocBudget = 0
+// spanAllocBudget is what one leaf op, an RPC, may allocate once its ring
+// page exists and the open-span table has reached its peak: a span is a
+// value copied from its slot into the ring and an Op is a value, so
+// nothing. memberOpAllocBudget is what a member op that derives a context
+// for its RPCs may allocate: the context, which carries the trace and the
+// span together.
+const spanAllocBudget, memberOpAllocBudget = 0, 1
 
-// TestTraceAllocsPerSpan pins the tracer's hot path, an RPC span under
-// an open member span: Begin plus EndBytes allocates no more than
+// traced returns a trace of MaxSpans spanPage with its root span open,
+// and a context carrying it.
+func traced(t *testing.T) (*Trace, context.Context) {
+	root := (&Tracer{MaxSpans: spanPage}).Start("r1")
+	return root.t, root.Context(t.Context())
+}
+
+// TestTraceAllocsPerSpan pins the tracer's hot path, an RPC op under an
+// open member op: Start plus EndBytes allocates no more than
 // spanAllocBudget, the ring wrapping included.
 func TestTraceAllocsPerSpan(t *testing.T) {
-	trace := (&Tracer{MaxSpans: spanPage}).Start("r1")
-	root := trace.Begin(0, "rollout", "r1", "")
-	member := trace.Begin(root, "test", "node-a", "node-a")
-	trace.EndBytes(trace.Begin(member, "rpc", "test", "node-a"), 64, nil) // makes the page
+	trace, ctx := traced(t)
+	h := new(Histogram)
+	member := Start(ctx, nil, "test", "node-a", "node-a")
+	ctx = member.Context(ctx)
+	Start(ctx, h, "rpc", "test", "node-a").EndBytes(64, nil) // makes the page
 	allocs := testing.AllocsPerRun(2*spanPage, func() {
-		id := trace.Begin(member, "rpc", "test", "node-a")
-		trace.EndBytes(id, 64, nil)
+		Start(ctx, h, "rpc", "test", "node-a").EndBytes(64, nil)
 	})
 	if allocs > spanAllocBudget {
-		t.Fatalf("Begin+EndBytes allocates %.0f times per span, budget %d", allocs, spanAllocBudget)
+		t.Fatalf("an RPC op allocates %.0f times, budget %d", allocs, spanAllocBudget)
 	}
 	// The warm-up span, then AllocsPerRun's runs plus its own warm-up.
 	if snap, spans := trace.Snapshot(), 1+2*spanPage+1; snap.Dropped != int64(spans-spanPage) {
 		t.Fatalf("dropped = %d, want %d", snap.Dropped, spans-spanPage)
+	}
+}
+
+// TestMemberOpAllocs pins a member op on a traced rollout: starting it,
+// deriving the context its RPCs run under, one RPC op under that and
+// ending both allocates no more than memberOpAllocBudget; the RPC op
+// alone allocates nothing.
+func TestMemberOpAllocs(t *testing.T) {
+	_, ctx := traced(t)
+	member, rpc := new(Histogram), new(Histogram)
+	op := func() context.Context {
+		m := Start(ctx, member, "test", "node-a", "node-a")
+		mctx := m.Context(ctx)
+		Start(mctx, rpc, "rpc", "test", "node-a").EndBytes(64, nil)
+		m.End(nil)
+		return mctx
+	}
+	mctx := op() // makes the page
+	if allocs := testing.AllocsPerRun(2*spanPage, func() { op() }); allocs > memberOpAllocBudget {
+		t.Fatalf("a member op with one RPC allocates %.0f times, budget %d", allocs, memberOpAllocBudget)
+	}
+	if allocs := testing.AllocsPerRun(2*spanPage, func() {
+		Start(mctx, rpc, "rpc", "test", "node-a").EndBytes(64, nil)
+	}); allocs > spanAllocBudget {
+		t.Fatalf("an RPC op under a member op allocates %.0f times, budget %d", allocs, spanAllocBudget)
 	}
 }
 
@@ -39,11 +75,14 @@ func TestTraceAllocsPerSpan(t *testing.T) {
 func TestSpanOpenAcrossRingWrap(t *testing.T) {
 	const maxSpans = 2*spanPage + 10
 	const members = 3 * maxSpans
-	trace := (&Tracer{MaxSpans: maxSpans}).Start("r1")
-	root := trace.Begin(0, "rollout", "r1", "")
-	stage := trace.Begin(root, "stage", "stage 0", "")
+	rootOp := (&Tracer{MaxSpans: maxSpans}).Start("r1")
+	trace := rootOp.t
+	ctx := rootOp.Context(t.Context())
+	stageOp := Start(ctx, nil, "stage", "stage 0", "")
+	ctx = stageOp.Context(ctx)
+	root, stage := rootOp.id, stageOp.id
 	for i := 0; i < members; i++ {
-		trace.End(trace.Begin(stage, "test", "m", "m"), nil)
+		Start(ctx, nil, "test", "m", "m").End(nil)
 	}
 
 	snap := trace.Snapshot()
@@ -63,8 +102,8 @@ func TestSpanOpenAcrossRingWrap(t *testing.T) {
 		t.Fatalf("open spans %+v, want the rollout %d and its stage %d", open, root, stage)
 	}
 
-	trace.End(stage, nil)
-	trace.End(root, errors.New("aborted"))
+	stageOp.End(nil)
+	rootOp.End(errors.New("aborted"))
 	snap = trace.Snapshot()
 	if len(snap.Spans) != maxSpans || snap.Dropped != members+2-maxSpans {
 		t.Fatalf("ended: %d spans, %d dropped; want %d, %d",
@@ -88,28 +127,30 @@ func TestSpanOpenAcrossRingWrap(t *testing.T) {
 // TestSpanStaleEnd: ending a span twice, or ending it after its slot was
 // recycled for a newer span, changes nothing.
 func TestSpanStaleEnd(t *testing.T) {
-	trace := (&Tracer{}).Start("r1")
-	a := trace.Begin(0, "test", "a", "a")
-	trace.End(a, nil)
-	trace.End(a, errors.New("late"))
-	b := trace.Begin(0, "test", "b", "b")
+	root := (&Tracer{}).Start("r1")
+	trace, ctx := root.t, root.Context(t.Context())
+	opA := Start(ctx, nil, "test", "a", "a")
+	opA.End(nil)
+	opA.End(errors.New("late"))
+	opB := Start(ctx, nil, "test", "b", "b")
+	a, b := opA.id, opB.id
 	if a&slotMask != b&slotMask || a == b || a == 0 || b == 0 {
 		t.Fatalf("ids %#x, %#x: want one recycled slot, distinct non-zero ids", a, b)
 	}
-	trace.End(a, errors.New("stale"))
-	trace.End(SpanID(1<<slotBits|5), nil) // a slot never used
+	opA.End(errors.New("stale"))
+	Op{t: trace, id: SpanID(1<<slotBits | 5)}.End(nil) // a slot never used
 	snap := trace.Snapshot()
-	if len(snap.Spans) != 2 || snap.Dropped != 0 {
-		t.Fatalf("snapshot %+v, want a ended and b open", snap)
+	if len(snap.Spans) != 3 || snap.Dropped != 0 {
+		t.Fatalf("snapshot %+v, want the root open, a ended and b open", snap)
 	}
-	if s := snap.Spans[0]; s.ID != a || s.Open || s.Err != "" {
+	if s := snap.Spans[1]; s.ID != a || s.Open || s.Err != "" {
 		t.Fatalf("a = %+v, want ended once without error", s)
 	}
-	if s := snap.Spans[1]; s.ID != b || !s.Open {
+	if s := snap.Spans[2]; s.ID != b || !s.Open {
 		t.Fatalf("b = %+v, want still open", s)
 	}
-	trace.End(b, nil)
-	if snap := trace.Snapshot(); snap.Spans[1].Open || snap.Spans[1].ID != b {
+	opB.End(nil)
+	if snap := trace.Snapshot(); snap.Spans[2].Open || snap.Spans[2].ID != b {
 		t.Fatalf("b did not end: %+v", snap.Spans)
 	}
 }
@@ -120,17 +161,17 @@ func TestSpanStaleEnd(t *testing.T) {
 // span is either kept or dropped. Run it under -race.
 func TestSpanConcurrentSnapshot(t *testing.T) {
 	const workers, perWorker, maxSpans = 8, 1000, 700
-	trace := (&Tracer{MaxSpans: maxSpans}).Start("r1")
-	root := trace.Begin(0, "rollout", "r1", "")
+	root := (&Tracer{MaxSpans: maxSpans}).Start("r1")
+	trace, ctx := root.t, root.Context(t.Context())
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				member := trace.Begin(root, "test", "m", "m")
-				trace.EndBytes(trace.Begin(member, "rpc", "test", "m"), 64, nil)
-				trace.End(member, nil)
+				member := Start(ctx, nil, "test", "m", "m")
+				Start(member.Context(ctx), nil, "rpc", "test", "m").EndBytes(64, nil)
+				member.End(nil)
 			}
 		}()
 	}

@@ -125,9 +125,9 @@ func (ac *agentConn) call(ctx context.Context, req Frame, timeout time.Duration)
 // callBody is call with an optional binary chunk body: when body is
 // non-nil, req.ChunkMeta must announce it and the raw bytes are written
 // immediately after the header, inside the same buffered burst. It is
-// also the telemetry choke point: every vendor→agent RPC books its
-// latency and written bytes here (per-op histograms on the server's
-// registry, an "rpc" span on whatever rollout trace rides ctx).
+// also the telemetry choke point: every vendor→agent RPC is one op here,
+// its latency sample and, on whatever rollout trace rides ctx, its "rpc"
+// span with the bytes it wrote; the bytes also go to a per-op histogram.
 func (ac *agentConn) callBody(ctx context.Context, req Frame, body []distrib.Chunk, timeout time.Duration) (Frame, error) {
 	if err := ctx.Err(); err != nil {
 		return Frame{}, fmt.Errorf("transport: %s to %s: %w", req.Op, ac.name, err)
@@ -137,22 +137,16 @@ func (ac *agentConn) callBody(ctx context.Context, req Frame, body []distrib.Chu
 	if ac.replaced.Load() {
 		return Frame{}, fmt.Errorf("transport: %s to %s: %w", req.Op, ac.name, ErrAgentReplaced)
 	}
-	tr, parent := telemetry.FromContext(ctx)
-	var span telemetry.SpanID
-	if tr != nil {
-		span = tr.Begin(parent, "rpc", req.Op, ac.name)
-	}
-	t0 := time.Now()
+	m := ac.srv.metrics()
+	op := telemetry.Start(ctx, m.rpcLatency.With(req.Op), "rpc", req.Op, ac.name)
 	bytes0 := ac.cw.n
 	resp, err := ac.exchange(ctx, req, body, timeout)
 	// ac.mu serializes RPCs on this channel, so the connection byte
 	// count's delta across the exchange is exactly this call's writes
 	// (frame plus any manifest or chunk body).
 	sent := ac.cw.n - bytes0
-	m := ac.srv.metrics()
-	m.rpcLatency.With(req.Op).ObserveSince(t0)
+	op.EndBytes(sent, err)
 	m.rpcBytes.With(req.Op).Observe(sent)
-	tr.EndBytes(span, sent, err)
 	return resp, err
 }
 
