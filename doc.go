@@ -35,11 +35,11 @@
 // backoff and worker pool, and every transport RPC. The same package
 // exposes the lifecycle over HTTP (orchestrator.API, served by
 // mirage-vendor, driven by mirage-ctl through orchestrator.Client).
-// The control plane holds at 100k agents: the agent registry is sharded
-// with single-wakeup waiters (-shards), a vendor-wide worker budget caps
-// in-flight member RPCs across all rollouts (-worker-budget), admission
-// control bounds concurrent rollouts with a FIFO queue and 429s beyond
-// it (-max-rollouts, -max-queued), the deployment journal group-commits
+// The control plane holds at 100k agents: the agent registry wakes each
+// waiter once, a vendor-wide worker budget caps in-flight member RPCs
+// across all rollouts (-worker-budget), admission control bounds
+// concurrent rollouts with a FIFO queue and 429s beyond it
+// (-max-rollouts, -max-queued), the deployment journal group-commits
 // member records between durable gate syncs, and the admin mux serves
 // /healthz, optional pprof and Prometheus /metrics — one
 // telemetry.Registry that transport and orchestrator both count on.

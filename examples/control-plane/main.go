@@ -52,13 +52,11 @@ func main() {
 	// RPC latency on it, the orchestrator its rollout and worker-budget
 	// gauges, every rollout records a span trace, and GET /metrics /
 	// GET /rollouts/{id}/trace serve both. The options are mirage-vendor's
-	// sizing flags: the agent registry shards with -shards (default 4x
-	// GOMAXPROCS — matters from ~10k agents up); WorkerBudget is
-	// -worker-budget, one vendor-wide cap on in-flight member RPCs shared
-	// by every rollout; MaxActive/MaxQueued are -max-rollouts/-max-queued —
-	// beyond them POST /rollouts returns 429 with a Retry-After header. A
-	// six-agent walkthrough needs none of them; the budget is set so its
-	// occupancy gauges show on /metrics.
+	// sizing flags: WorkerBudget is -worker-budget, one vendor-wide cap on
+	// in-flight member RPCs shared by every rollout; MaxActive/MaxQueued
+	// are -max-rollouts/-max-queued — beyond them POST /rollouts returns
+	// 429 with a Retry-After header. A six-agent walkthrough needs none of
+	// them; the budget is set so its occupancy gauges show on /metrics.
 	dir, err := os.MkdirTemp("", "mirage-control-plane")
 	if err != nil {
 		log.Fatal(err)
@@ -352,7 +350,7 @@ func main() {
 		"gauge": {
 			"mirage_rollouts_active", "mirage_rollouts_queued", "mirage_rollouts",
 			"mirage_worker_budget_cap", "mirage_worker_budget_in_flight", "mirage_worker_budget_high_water",
-			"mirage_registry_agents_total", "mirage_registry_agents",
+			"mirage_registry_agents_total",
 		},
 		"counter": {
 			"mirage_transfer_frames_total", "mirage_transfer_bytes_total",

@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -42,9 +43,9 @@ var exportAllowlist = map[string]string{
 }
 
 // TestEveryExportHasACaller fails on an exported identifier under
-// internal/ that no non-test file in the repository references — the
-// benchmark module under bench/ counts as a caller — unless the allowlist
-// names it with a reason.
+// internal/ that no binary reaches — no non-test file of a package some
+// main package under cmd/, examples/ or bench/ imports references it —
+// unless the allowlist names it with a reason.
 func TestEveryExportHasACaller(t *testing.T) {
 	unused, err := unusedExports(".")
 	if err != nil {
@@ -64,8 +65,11 @@ func TestEveryExportHasACaller(t *testing.T) {
 
 // TestUnusedExportScanFindsOne runs the scan over a small module: an export
 // only a test calls is reported, and so is one whose name appears only as
-// another package's selector (lib.Listen, beside net.Listen); exports a
-// binary, the package itself or a method call reach are not.
+// another package's selector (lib.Listen, beside net.Listen), and so are
+// the function and method only a package no binary imports calls
+// (lib.OnlyOrphan, lib.Thing.Stray); exports a binary, the package itself,
+// a method call or a package a binary imports through another reach are
+// not.
 func TestUnusedExportScanFindsOne(t *testing.T) {
 	root := t.TempDir()
 	files := map[string]string{
@@ -83,6 +87,10 @@ func Internal() int { return 1 }
 func Unused() int { return Internal() }
 
 const Limit = 3
+
+func (Thing) Stray() {}
+func OnlyOrphan() int { return 0 }
+func ViaMid() int     { return 1 }
 `,
 		"internal/lib/listen.go": `package lib
 
@@ -90,8 +98,11 @@ import "net"
 
 func Listen() (net.Listener, error) { return net.Listen("tcp", "127.0.0.1:0") }
 `,
-		"internal/lib/lib_test.go": "package lib\n\nvar _ = Unused() + Limit\n\nfunc init() { New().Lonely() }\n",
-		"cmd/app/main.go":          "package main\n\nimport l \"example/internal/lib\"\n\nfunc main() { l.New().Used() }\n",
+		"internal/lib/lib_test.go":  "package lib\n\nvar _ = Unused() + Limit\n\nfunc init() { New().Lonely() }\n",
+		"cmd/app/main.go":           "package main\n\nimport l \"example/internal/lib\"\n\nfunc main() { l.New().Used() }\n",
+		"internal/orphan/orphan.go": "package orphan\n\nimport \"example/internal/lib\"\n\nfunc Use() int { lib.New().Stray(); return lib.OnlyOrphan() }\n",
+		"internal/mid/mid.go":       "package mid\n\nimport \"example/internal/lib\"\n\nfunc Mid() int { return lib.ViaMid() }\n",
+		"examples/demo/main.go":     "package main\n\nimport \"example/internal/mid\"\n\nfunc main() { mid.Mid() }\n",
 	}
 	for name, body := range files {
 		path := filepath.Join(root, name)
@@ -106,14 +117,17 @@ func Listen() (net.Listener, error) { return net.Listen("tcp", "127.0.0.1:0") }
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"lib.Limit", "lib.Listen", "lib.Thing.Lonely", "lib.Unused"}; !slices.Equal(got, want) {
+	want := []string{"lib.Limit", "lib.Listen", "lib.OnlyOrphan", "lib.Thing.Lonely", "lib.Thing.Stray", "lib.Unused", "orphan.Use"}
+	if !slices.Equal(got, want) {
 		t.Fatalf("unused exports = %v, want %v", got, want)
 	}
 }
 
 // unusedExports parses every Go file under root and returns, sorted, the
 // exported top-level identifiers and methods declared in non-test files
-// under internal/ that no non-test file references. A function, type,
+// under internal/ that no binary reaches. Only the non-test files of a
+// package some main package under cmd/, examples/ or bench/ imports,
+// directly or through other packages, count as callers. A function, type,
 // variable or constant is referenced by name from its own package or
 // through its package's import name; a method by any selector naming it,
 // since without type information an interface call cannot be told from a
@@ -125,9 +139,14 @@ func unusedExports(root string) ([]string, error) {
 		return nil, err
 	}
 	type decl struct{ pkg, name string } // name is Name or Type.Method
+	type pkgRefs struct {
+		binary   bool            // a main package under cmd/, examples/ or bench/
+		imports  map[string]bool // import paths
+		refs     map[decl]bool   // package path + identifier
+		selected map[string]bool // every selector name, for methods
+	}
 	var decls []decl
-	refs := map[decl]bool{}       // package path + identifier
-	selected := map[string]bool{} // every selector name, for methods
+	pkgs := map[string]*pkgRefs{} // by package path
 	fset := token.NewFileSet()
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -154,6 +173,15 @@ func unusedExports(root string) ([]string, error) {
 		if rel != "." {
 			pkg += "/" + filepath.ToSlash(rel)
 		}
+		pr := pkgs[pkg]
+		if pr == nil {
+			pr = &pkgRefs{imports: map[string]bool{}, refs: map[decl]bool{}, selected: map[string]bool{}}
+			pkgs[pkg] = pr
+		}
+		top, _, _ := strings.Cut(filepath.ToSlash(rel), "/")
+		if f.Name.Name == "main" && (top == "cmd" || top == "examples" || top == "bench") {
+			pr.binary = true
+		}
 		imports := map[string]string{}
 		for _, im := range f.Imports {
 			p := strings.Trim(im.Path.Value, `"`)
@@ -162,6 +190,7 @@ func unusedExports(root string) ([]string, error) {
 				name = im.Name.Name
 			}
 			imports[name] = p
+			pr.imports[p] = true
 		}
 		declaring := map[*ast.Ident]bool{}
 		internal := strings.HasPrefix(pkg, mod+"/internal/")
@@ -212,13 +241,13 @@ func unusedExports(root string) ([]string, error) {
 				// Sel names a member of X, never this package's own
 				// declaration: net.Listen is no reference to a Listen here.
 				declaring[n.Sel] = true
-				selected[n.Sel.Name] = true
+				pr.selected[n.Sel.Name] = true
 				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
-					refs[decl{imports[x.Name], n.Sel.Name}] = true
+					pr.refs[decl{imports[x.Name], n.Sel.Name}] = true
 				}
 			case *ast.Ident:
 				if !declaring[n] {
-					refs[decl{pkg, n.Name}] = true
+					pr.refs[decl{pkg, n.Name}] = true
 				}
 			}
 			return true
@@ -227,6 +256,26 @@ func unusedExports(root string) ([]string, error) {
 	})
 	if err != nil {
 		return nil, err
+	}
+	// Walk the import graph from the binaries; only what they reach calls.
+	var reach []string
+	reached := map[string]bool{}
+	for path, pr := range pkgs {
+		if pr.binary {
+			reach, reached[path] = append(reach, path), true
+		}
+	}
+	refs, selected := map[decl]bool{}, map[string]bool{}
+	for len(reach) > 0 {
+		pr := pkgs[reach[len(reach)-1]]
+		reach = reach[:len(reach)-1]
+		maps.Copy(refs, pr.refs)
+		maps.Copy(selected, pr.selected)
+		for im := range pr.imports {
+			if pkgs[im] != nil && !reached[im] {
+				reach, reached[im] = append(reach, im), true
+			}
+		}
 	}
 	var unused []string
 	for _, d := range decls {

@@ -73,10 +73,6 @@ type Config struct {
 	// from every machine's diff before phase 1, merging clusters that
 	// differ only in those items (§3.2.3, "Discussion").
 	DiscardPrefixes []string
-	// SplitByAppSet enables the final split of clusters whose machines
-	// have different application sets with overlapping resources. It
-	// defaults to true in Run; set DisableAppSetSplit to turn it off.
-	DisableAppSetSplit bool
 }
 
 // Run clusters the machines deterministically and returns clusters sorted
@@ -110,13 +106,11 @@ func Run(cfg Config, machines []MachineFingerprint) []*Cluster {
 	}
 
 	// Final split by application set.
-	if !cfg.DisableAppSetSplit {
-		var split [][]MachineFingerprint
-		for _, g := range groups {
-			split = append(split, splitByAppSet(g)...)
-		}
-		groups = split
+	var split [][]MachineFingerprint
+	for _, g := range groups {
+		split = append(split, splitByAppSet(g)...)
 	}
+	groups = split
 
 	clusters := make([]*Cluster, 0, len(groups))
 	for _, g := range groups {

@@ -124,10 +124,6 @@ func TestAppSetSplit(t *testing.T) {
 	if len(clusters) != 2 {
 		t.Fatalf("app-set split did not occur: %v", clusters)
 	}
-	clusters = Run(Config{Diameter: 3, DisableAppSetSplit: true}, []MachineFingerprint{a, b})
-	if len(clusters) != 1 {
-		t.Fatalf("app-set split not disableable: %v", clusters)
-	}
 }
 
 func TestDiscardPrefixesMergeClusters(t *testing.T) {

@@ -225,7 +225,7 @@ func (s *Snapshot) findHome(m MachineFingerprint) *Cluster {
 		if !setsEqual(cm.parsed, m.ParsedDiff) {
 			continue // signature collision
 		}
-		if !s.Config.DisableAppSetSplit && cm.appSet != m.AppSet {
+		if cm.appSet != m.AppSet {
 			continue
 		}
 		fits := true

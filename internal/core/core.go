@@ -41,7 +41,6 @@ import (
 // mirage-vendor flag.
 type Options struct {
 	Listen       string // -listen: address agents register at
-	Shards       int    // -shards: agent-registry shard count (0 = from GOMAXPROCS)
 	JournalDir   string // -journal-dir: per-rollout journals ("" = a private directory New makes and Close removes)
 	WorkerBudget int    // -worker-budget: in-flight member RPCs across all rollouts (0 = unlimited)
 	MaxActive    int    // -max-rollouts: concurrently executing rollouts (0 = unbounded)
@@ -98,7 +97,7 @@ type profiledFleet struct {
 // yet" error instead of a race. Every rollout is journaled: without
 // Options.JournalDir the journals go to a private temporary directory.
 func New(opts Options) (*Vendor, error) {
-	srv, err := transport.ListenWith(opts.Listen, transport.ListenOpts{Shards: opts.Shards})
+	srv, err := transport.ListenWith(opts.Listen, transport.ListenOpts{})
 	if err != nil {
 		return nil, err
 	}

@@ -217,6 +217,9 @@ func (o *Outcome) Integrated() int {
 // node testing within a wave.
 const DefaultParallelism = 4
 
+// maxRounds bounds the vendor's debugging iterations per rollout.
+const maxRounds = 10
+
 // Defaults for the transient-error retry budget. Four retries at a 25ms
 // doubling backoff give a disconnected agent roughly 375ms to redial
 // before its member is quarantined — generous against reconnect loops
@@ -246,8 +249,6 @@ type Controller struct {
 	// in the image store beside it (report.ImageDir) before the record
 	// naming the image reaches the Observer.
 	Journal string
-	// MaxRounds bounds vendor debugging iterations (default 10).
-	MaxRounds int
 	// Seed drives the staging.PolicyRandomStaging shuffle, for
 	// reproducibility.
 	Seed uint64
@@ -336,7 +337,7 @@ type Controller struct {
 // debugging with fix.
 func NewController(urr *report.URR, fix Fixer) *Controller {
 	return &Controller{
-		URR: urr, Fix: fix, MaxRounds: 10, Parallelism: DefaultParallelism,
+		URR: urr, Fix: fix, Parallelism: DefaultParallelism,
 		TransientRetries: DefaultTransientRetries, RetryBackoff: DefaultRetryBackoff,
 	}
 }
@@ -852,13 +853,9 @@ func (r *waveRunner) alive(ms []member) []member {
 // vendor gives up or rounds are exhausted.
 func (r *waveRunner) debug(stage int) bool {
 	ctl := r.ctl
-	max := ctl.MaxRounds
-	if max == 0 {
-		max = 10
-	}
 	round := r.cur.Rounds
 	var fixed *pkgmgr.Upgrade
-	ok := round < max && ctl.Fix != nil
+	ok := round < maxRounds && ctl.Fix != nil
 	if ok {
 		round++ // spent even if the vendor cannot produce a fix
 		fixed, ok = ctl.Fix(r.up, ctl.URR.Failures(r.up.ID))

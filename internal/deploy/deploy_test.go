@@ -259,12 +259,11 @@ func TestMaxRoundsBound(t *testing.T) {
 	}
 	urr := report.New()
 	ctl := NewController(urr, fixerChain(t, map[string]string{"v1": "v2", "v2": "v3", "v3": "v3"}))
-	ctl.MaxRounds = 2
 	out, err := ctl.Deploy(context.Background(), PolicyBalanced, up("v1"), twoClusters(bad))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.Abandoned || out.Rounds != 2 {
+	if !out.Abandoned || out.Rounds != maxRounds {
 		t.Fatalf("rounds=%d abandoned=%v", out.Rounds, out.Abandoned)
 	}
 }

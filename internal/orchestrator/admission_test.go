@@ -184,8 +184,7 @@ func TestHTTPAdmission429(t *testing.T) {
 	gated, clusters := holdFleet("h429")
 	launches := 0
 	api := &API{
-		Orch:       orch,
-		RetryAfter: 7,
+		Orch: orch,
 		Launch: func(req StartRequest) (Spec, error) {
 			launches++
 			cs := clusters
@@ -216,8 +215,8 @@ func TestHTTPAdmission429(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("saturated POST /rollouts = %d, want 429", resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "7" {
-		t.Fatalf("Retry-After = %q, want \"7\"", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Fatalf("Retry-After = %q, want \"1\"", ra)
 	}
 
 	gated.release <- struct{}{}

@@ -141,9 +141,6 @@ type API struct {
 	Base context.Context
 	// MaxWait caps the ?wait=/?timeout= long-poll windows (default 60s).
 	MaxWait time.Duration
-	// RetryAfter is the Retry-After hint (in seconds) sent with a 429
-	// when the rollout admission queue is full (default 1).
-	RetryAfter int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ — off by
 	// default because the admin mux may be reachable beyond localhost.
 	EnablePprof bool
@@ -156,13 +153,6 @@ type API struct {
 	// fresh fleet view and returns it, for POST /fleet/refresh. Nil makes
 	// the route a 501.
 	FleetRefresh func() (any, error)
-}
-
-func (a *API) retryAfter() string {
-	if a.RetryAfter > 0 {
-		return strconv.Itoa(a.RetryAfter)
-	}
-	return "1"
 }
 
 // Handler returns the API's routes as an http.Handler.
@@ -232,6 +222,10 @@ func (a *API) window(raw string) time.Duration {
 // buffered.
 const maxStartBody = 1 << 20 // 1MiB
 
+// retryAfter is the Retry-After hint, in seconds, sent with a 429 when
+// the rollout admission queue is full.
+const retryAfter = "1"
+
 func (a *API) start(w http.ResponseWriter, r *http.Request) {
 	if a.Launch == nil {
 		writeError(w, http.StatusNotImplemented, errors.New("this control plane does not launch rollouts"))
@@ -288,7 +282,7 @@ func (a *API) start(w http.ResponseWriter, r *http.Request) {
 			// Backpressure, not failure: the vendor is at its in-flight
 			// rollout bound and the admission queue is full. Tell the
 			// client when to come back instead of letting it pile on.
-			w.Header().Set("Retry-After", a.retryAfter())
+			w.Header().Set("Retry-After", retryAfter)
 			writeError(w, http.StatusTooManyRequests, err)
 			return
 		}

@@ -21,11 +21,11 @@ import (
 func TestHealthzAndMetrics(t *testing.T) {
 	orch := New(t.TempDir())
 	orch.Budget = deploy.NewBudget(16)
-	// Whatever else shares the registry — here a stand-in for the
-	// transport server's shard gauge — is served with no further wiring.
+	// Whatever else shares the registry — here a stand-in labelled gauge
+	// of another package — is served with no further wiring.
 	orch.Telemetry = telemetry.NewRegistry()
-	orch.Telemetry.Gauge("mirage_registry_agents", "Registered agents per shard.", "shard",
-		func(emit func(string, float64)) { emit("0", 3); emit("1", 4) })
+	orch.Telemetry.Gauge("mirage_pool_agents", "Agents per pool.", "pool",
+		func(emit func(string, float64)) { emit("a", 3); emit("b", 4) })
 	api := &API{
 		Orch: orch,
 		Launch: func(req StartRequest) (Spec, error) {
@@ -86,16 +86,16 @@ func TestHealthzAndMetrics(t *testing.T) {
 		`mirage_rollouts{state="succeeded"} 1`,
 		"mirage_worker_budget_cap 16",
 		"mirage_worker_budget_in_flight 0",
-		`mirage_registry_agents{shard="0"} 3`,
-		`mirage_registry_agents{shard="1"} 4`,
+		`mirage_pool_agents{pool="a"} 3`,
+		`mirage_pool_agents{pool="b"} 4`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics output missing %q:\n%s", want, text)
 		}
 	}
 	// HELP/TYPE must render once per family, not once per sample.
-	if n := strings.Count(text, "# HELP mirage_registry_agents"); n != 1 {
-		t.Fatalf("HELP for mirage_registry_agents rendered %d times, want 1", n)
+	if n := strings.Count(text, "# HELP mirage_pool_agents"); n != 1 {
+		t.Fatalf("HELP for mirage_pool_agents rendered %d times, want 1", n)
 	}
 }
 
@@ -228,7 +228,7 @@ func scrape(t *testing.T, h http.Handler) string {
 // registry and nothing else; while a journaled rollout over real TCP is
 // held mid-plan and new agents register, a loop scrapes /metrics — the
 // gauge collectors reach into the orchestrator's and each handle's locks
-// and into the sharded agent registry from the scraping goroutine, which
+// and into the agent registry from the scraping goroutine, which
 // must neither race nor deadlock (CI runs this under -race). The final
 // scrape must list exactly these families — the scalar ones the two
 // packages count themselves, and every histogram/counter family a
@@ -311,7 +311,6 @@ func TestMetricsFamilies(t *testing.T) {
 		"# TYPE mirage_peer_bytes_total counter",
 		"# TYPE mirage_peer_fallbacks_total counter",
 		"# TYPE mirage_peer_hits_total counter",
-		"# TYPE mirage_registry_agents gauge",
 		"# TYPE mirage_registry_agents_total gauge",
 		"# TYPE mirage_rollback_chunks_total counter",
 		"# TYPE mirage_rollouts gauge",

@@ -1,5 +1,7 @@
 package rollout
 
+import "fmt"
+
 // Test-only handles on a Journal's group commit. No binary needs them:
 // the telemetry registry reports fsyncs and batch sizes.
 
@@ -15,3 +17,16 @@ func (j *Journal) Pending() int {
 // Syncs returns the number of fsyncs performed — what makes the group
 // commit's batching measurable (records written vs disk flushes paid).
 func (j *Journal) Syncs() int64 { return j.syncs.Load() }
+
+// Sync makes every buffered record durable now.
+func (j *Journal) Sync() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.err != nil {
+		return j.err
+	}
+	if j.f == nil {
+		return fmt.Errorf("rollout: journal %s is closed", j.path)
+	}
+	return j.syncLocked()
+}

@@ -183,19 +183,6 @@ func (j *Journal) AppendBuffered(rec Record) error {
 	return nil
 }
 
-// Sync makes every buffered record durable now.
-func (j *Journal) Sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.err != nil {
-		return j.err
-	}
-	if j.f == nil {
-		return fmt.Errorf("rollout: journal %s is closed", j.path)
-	}
-	return j.syncLocked()
-}
-
 // writeLocked encodes and writes one line, assigning the sequence number,
 // fsyncs it if durable, and tells the observer; callers hold j.mu. The
 // line is encoded into the journal's own buffer: json.Encoder writes

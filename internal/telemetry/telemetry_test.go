@@ -98,8 +98,8 @@ func TestRegistryRender(t *testing.T) {
 			r.Counter("mirage_transient_retries_total", "Transient retries.", "op").With("test").Add(3)
 		},
 		func(r *Registry) {
-			r.Gauge("mirage_registry_agents", "Registered agents per registry shard.", "shard",
-				func(emit func(string, float64)) { emit("1", 4); emit("0", 3) })
+			r.Gauge("mirage_rollouts", "Rollouts by lifecycle state.", "state",
+				func(emit func(string, float64)) { emit("succeeded", 4); emit("running", 3) })
 		},
 		func(r *Registry) {
 			r.Gauge("mirage_rollouts_active", "Rollouts holding a slot.", "",
@@ -131,18 +131,18 @@ func TestRegistryRender(t *testing.T) {
 		`mirage_transient_retries_total{op="test"} 3`,
 		// A gauge family is one HELP, one TYPE, then its samples sorted
 		// by label value, however the collector emitted them.
-		"# HELP mirage_registry_agents Registered agents per registry shard.\n" +
-			"# TYPE mirage_registry_agents gauge\n" +
-			`mirage_registry_agents{shard="0"} 3` + "\n" +
-			`mirage_registry_agents{shard="1"} 4` + "\n",
+		"# HELP mirage_rollouts Rollouts by lifecycle state.\n" +
+			"# TYPE mirage_rollouts gauge\n" +
+			`mirage_rollouts{state="running"} 3` + "\n" +
+			`mirage_rollouts{state="succeeded"} 4` + "\n",
 		"# TYPE mirage_rollouts_active gauge\nmirage_rollouts_active 2\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}
 	}
-	if n := strings.Count(out, "# HELP mirage_registry_agents"); n != 1 {
-		t.Fatalf("HELP for mirage_registry_agents rendered %d times, want 1", n)
+	if n := strings.Count(out, "# HELP mirage_rollouts "); n != 1 {
+		t.Fatalf("HELP for mirage_rollouts rendered %d times, want 1", n)
 	}
 	// Cumulative buckets: 2ms lands at le=2^21ns, 5ms at 2^23 — the
 	// final finite bucket of op=test must equal the full count.

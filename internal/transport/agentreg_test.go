@@ -8,10 +8,7 @@ import (
 )
 
 func TestRegistryBasics(t *testing.T) {
-	r := NewRegistry[int](4)
-	if r.Shards() != 4 {
-		t.Fatalf("shards = %d, want 4", r.Shards())
-	}
+	r := NewRegistry[int](0)
 	if _, ok := r.Get("a"); ok {
 		t.Fatal("empty registry returned a value")
 	}
@@ -34,8 +31,8 @@ func TestRegistryBasics(t *testing.T) {
 	if ok := r.RemoveIf("a", func(v int) bool { return v == 2 }); !ok {
 		t.Fatal("RemoveIf refused a matching value")
 	}
-	if v, ok := r.Remove("b"); !ok || v != 3 {
-		t.Fatalf("Remove(b) = (%d, %v)", v, ok)
+	if ok := r.RemoveIf("b", func(v int) bool { return v == 3 }); !ok {
+		t.Fatal("RemoveIf(b) refused a matching value")
 	}
 	if r.Len() != 0 {
 		t.Fatalf("len = %d after removals, want 0", r.Len())
@@ -46,21 +43,8 @@ func TestRegistryBasics(t *testing.T) {
 	if got := len(r.Clear()); got != 10 {
 		t.Fatalf("Clear returned %d values, want 10", got)
 	}
-	if r.Len() != 0 {
-		t.Fatalf("len = %d after Clear, want 0", r.Len())
-	}
-	sum := 0
-	for _, n := range r.ShardSizes() {
-		sum += n
-	}
-	if sum != 0 {
-		t.Fatalf("shard sizes sum to %d after Clear", sum)
-	}
-	// A removal landing between Put's insert and its count: the count dips
-	// below zero, and Len and Names must read it as empty.
-	r.count.Add(-1)
 	if r.Len() != 0 || len(r.Names()) != 0 {
-		t.Fatalf("len = %d, names = %v while the count is below zero", r.Len(), r.Names())
+		t.Fatalf("len = %d, names = %v after Clear, want empty", r.Len(), r.Names())
 	}
 }
 
@@ -96,7 +80,7 @@ func TestRegistryWaiterChurn(t *testing.T) {
 }
 
 func TestRegistryWaitCountTimeout(t *testing.T) {
-	r := NewRegistry[int](2)
+	r := NewRegistry[int](0)
 	r.Put("only", 1)
 	start := time.Now()
 	if got := r.WaitCount(3, 20*time.Millisecond, nil); got != 1 {
@@ -119,9 +103,9 @@ func TestRegistryWaitCountTimeout(t *testing.T) {
 }
 
 // TestRegistryConcurrent hammers every entry point at once; its value is
-// under -race, where it proves the shard and waiter locking sound.
+// under -race, where it proves the map and waiter locking sound.
 func TestRegistryConcurrent(t *testing.T) {
-	r := NewRegistry[int](8)
+	r := NewRegistry[int](0)
 	const workers, perWorker = 8, 500
 	done := make(chan struct{})
 	defer close(done)
@@ -136,12 +120,12 @@ func TestRegistryConcurrent(t *testing.T) {
 				r.Put(name, i)
 				r.Get(name)
 				if i%7 == 0 {
-					r.Remove(name)
+					r.RemoveIf(name, func(int) bool { return true })
 					r.Put(name, i)
 				}
 				if i%31 == 0 {
 					r.Len()
-					r.ShardSizes()
+					r.Names()
 				}
 			}
 		}(w)

@@ -31,16 +31,15 @@ func (s *Server) AddPeerSource(name, addr string, addrs []uint64) {
 // it from the registry, as a network failure would. A reconnecting agent
 // redials and re-registers under the same identity.
 func (s *Server) DropAgent(name string) bool {
-	ac, ok := s.registry.Remove(name)
-	if !ok {
+	var ac *agentConn
+	if !s.registry.RemoveIf(name, func(cur *agentConn) bool { ac = cur; return true }) {
 		return false
 	}
 	ac.conn.Close()
 	return true
 }
 
-// Listen starts a vendor server on addr with the default registry
-// sharding.
+// Listen starts a vendor server on addr.
 func Listen(addr string) (*Server, error) {
 	return ListenWith(addr, ListenOpts{})
 }
@@ -66,7 +65,11 @@ func (s *Server) WaitForAgent(name string, timeout time.Duration) bool {
 }
 
 // Wakeups returns the number of waiter signals the registry has delivered.
-func (r *Registry[V]) Wakeups() int64 { return r.wakeups.Load() }
+func (r *Registry[V]) Wakeups() int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.wakeups
+}
 
 // FrameHead reads the head of the frame at the start of b: where the
 // frame ends (length prefix included) and its op name. ok is false while

@@ -7,7 +7,6 @@ import (
 	"io"
 	"log/slog"
 	"net"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -194,12 +193,6 @@ func (s *Server) metrics() *serverMetrics {
 		}
 		reg.Gauge("mirage_registry_agents_total", "Registered agents.", "",
 			func(emit func(string, float64)) { emit("", float64(s.registry.Len())) })
-		reg.Gauge("mirage_registry_agents", "Registered agents per registry shard.", "shard",
-			func(emit func(string, float64)) {
-				for i, n := range s.registry.ShardSizes() {
-					emit(strconv.Itoa(i), float64(n))
-				}
-			})
 	})
 	return &s.m
 }
@@ -292,9 +285,8 @@ func (e *agentError) Error() string { return "transport: agent " + e.name + ": "
 type Server struct {
 	ln net.Listener
 
-	// registry is the hash-sharded agent index: RPC dispatch, registration
-	// and the registry waiters all go through it, so no single mutex
-	// serializes a 100k-agent fleet.
+	// registry is the agent index: RPC dispatch, registration and the
+	// registry waiters all go through it.
 	registry *Registry[*agentConn]
 
 	mu sync.Mutex
@@ -354,23 +346,20 @@ type Server struct {
 // DefaultMaxPending bounds concurrent registration handshakes per server.
 const DefaultMaxPending = 1024
 
-// ListenOpts tunes the control-plane scaling knobs fixed at listen time.
-type ListenOpts struct {
-	// Shards is the agent-registry shard count; <= 0 selects
-	// the default (GOMAXPROCS-derived, rounded to a power of two).
-	Shards int
-}
+// ListenOpts has no fields. It stays because bench/seams.go still passes
+// one to ListenWith.
+type ListenOpts struct{}
 
 // ListenWith starts the vendor server on addr and begins accepting agent
-// registrations, with the registry sharded as opts says.
-func ListenWith(addr string, opts ListenOpts) (*Server, error) {
+// registrations.
+func ListenWith(addr string, _ ListenOpts) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen: %w", err)
 	}
 	s := &Server{
 		ln:         ln,
-		registry:   NewRegistry[*agentConn](opts.Shards),
+		registry:   NewRegistry[*agentConn](0),
 		pending:    make(map[net.Conn]bool),
 		pendingSem: make(chan struct{}, DefaultMaxPending),
 		done:       make(chan struct{}),
@@ -663,7 +652,7 @@ func (s *Server) Agents() []string {
 
 // WaitForAgents blocks until n agents are registered, the timeout
 // elapses, or the server is closed; it returns the registered count.
-// The waiter parks on a count threshold in the sharded registry and is
+// The waiter parks on a count threshold in the registry and is
 // woken exactly once — by the registration that reaches n — instead of
 // once per registry change.
 func (s *Server) WaitForAgents(n int, timeout time.Duration) int {
