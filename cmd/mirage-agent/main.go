@@ -11,9 +11,9 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/agent"
 	"repro/internal/logx"
 	"repro/internal/scenario"
-	"repro/internal/transport"
 )
 
 func fatal(msg string, args ...any) {
@@ -38,7 +38,7 @@ func main() {
 	}
 
 	if *sim > 0 {
-		fleet, err := transport.StartSimFleet(*sim, transport.SimOptions{
+		fleet, err := agent.StartSimFleet(*sim, agent.SimOptions{
 			Addr: *connect, Prefix: *simPrefix,
 		})
 		if err != nil {
@@ -74,34 +74,34 @@ func main() {
 	}
 
 	m := scenario.BuildMySQLMachine(*found)
-	agent := transport.NewAgent(m)
+	a := agent.NewAgent(m)
 	if *peerListen != "" {
-		addr, err := agent.ServePeers(*peerListen)
+		addr, err := a.ServePeers(*peerListen)
 		if err != nil {
 			fatal("peer serving failed", "agent", m.Name, "err", err)
 		}
-		defer agent.ClosePeers()
+		defer a.ClosePeers()
 		slog.Info("serving peer chunks", "agent", m.Name, "addr", addr)
 	}
 	if *watch > 0 {
 		stop := make(chan struct{})
 		defer close(stop)
-		go agent.Watch(*connect, *watch, stop)
+		go a.Watch(*connect, *watch, stop)
 		slog.Info("watching for drift", "agent", m.Name, "interval", *watch)
 	}
 	slog.Info("connecting to vendor", "agent", m.Name, "vendor", *connect)
 	if *reconnect {
-		agent.RunWithReconnect(*connect, transport.ReconnectConfig{MaxAttempts: *reconnectAttempts})
-	} else if err := agent.Run(*connect); err != nil {
+		a.RunWithReconnect(*connect, agent.ReconnectConfig{MaxAttempts: *reconnectAttempts})
+	} else if err := a.Run(*connect); err != nil {
 		fatal("agent run failed", "agent", m.Name, "err", err)
 	}
 	ref, _ := m.Package("mysql")
 	slog.Info("vendor closed the channel", "agent", m.Name, "mysql_version", ref.Version)
-	cs := agent.Cache.Stats()
+	cs := a.Cache.Stats()
 	slog.Info("chunk cache", "agent", m.Name,
 		"chunks", cs.Chunks, "bytes", cs.Bytes, "hits", cs.Hits, "misses", cs.Misses)
 	if *peerListen != "" {
-		ps := agent.PeerStats()
+		ps := a.PeerStats()
 		slog.Info("peer serving", "agent", m.Name,
 			"requests", ps.Requests, "chunks", ps.Chunks, "bytes", ps.Bytes)
 	}

@@ -216,17 +216,17 @@ func protocolTable(results ...*simulator.Result) {
 func runFig10(c *checker) {
 	fmt.Println("== Figure 10: deployment latency CDF, sound clustering ==")
 	p := simulator.DefaultParams()
-	ns := simulator.NoStaging(p, scenario.PaperDeployment(scenario.ProblemsLast))
-	bb := simulator.Balanced(p, scenario.PaperDeployment(scenario.ProblemsLast))
-	bw := simulator.Balanced(p, scenario.PaperDeployment(scenario.ProblemsFirst))
-	rs := simulator.RandomStaging(p, scenario.PaperDeployment(scenario.ProblemsUniform), 42)
-	fl := simulator.FrontLoading(p, scenario.PaperDeployment(scenario.ProblemsLast))
-	ad := simulator.Adaptive(p, scenario.PaperDeployment(scenario.ProblemsLast))
+	ns := simulator.NoStaging(p, simulator.PaperDeployment(simulator.ProblemsLast))
+	bb := simulator.Balanced(p, simulator.PaperDeployment(simulator.ProblemsLast))
+	bw := simulator.Balanced(p, simulator.PaperDeployment(simulator.ProblemsFirst))
+	rs := simulator.RandomStaging(p, simulator.PaperDeployment(simulator.ProblemsUniform), 42)
+	fl := simulator.FrontLoading(p, simulator.PaperDeployment(simulator.ProblemsLast))
+	ad := simulator.Adaptive(p, simulator.PaperDeployment(simulator.ProblemsLast))
 	bb.Protocol, bw.Protocol = "Balanced(best)", "Balanced(worst)"
 	results := []*simulator.Result{ns, bb, bw, rs, fl, ad}
 
 	fmt.Printf("scenario: %d machines, %d clusters, %d%% prevalent, sound clustering\n\n",
-		scenario.PaperMachines, scenario.PaperClusters, scenario.PaperPrevalentPct)
+		simulator.PaperMachines, simulator.PaperClusters, simulator.PaperPrevalentPct)
 	protocolTable(results...)
 	fmt.Println("\nper-cluster latency CDF (time: fraction of clusters upgraded)")
 	for _, r := range results {
@@ -253,16 +253,16 @@ func runFig10(c *checker) {
 func runFig11(c *checker) {
 	fmt.Println("== Figure 11: deployment latency CDF, imperfect clustering ==")
 	p := simulator.DefaultParams()
-	sound := simulator.Balanced(p, scenario.PaperDeployment(scenario.ProblemsLast))
-	first := simulator.Balanced(p, scenario.WithMisplaced(scenario.PaperDeployment(scenario.ProblemsLast), true))
-	last := simulator.Balanced(p, scenario.WithMisplaced(scenario.PaperDeployment(scenario.ProblemsLast), false))
-	nsS := simulator.NoStaging(p, scenario.PaperDeployment(scenario.ProblemsLast))
-	nsI := simulator.NoStaging(p, scenario.WithMisplaced(scenario.PaperDeployment(scenario.ProblemsLast), true))
+	sound := simulator.Balanced(p, simulator.PaperDeployment(simulator.ProblemsLast))
+	first := simulator.Balanced(p, simulator.WithMisplaced(simulator.PaperDeployment(simulator.ProblemsLast), true))
+	last := simulator.Balanced(p, simulator.WithMisplaced(simulator.PaperDeployment(simulator.ProblemsLast), false))
+	nsS := simulator.NoStaging(p, simulator.PaperDeployment(simulator.ProblemsLast))
+	nsI := simulator.NoStaging(p, simulator.WithMisplaced(simulator.PaperDeployment(simulator.ProblemsLast), true))
 	sound.Protocol, first.Protocol, last.Protocol = "Balanced(sound)", "Balanced(first)", "Balanced(last)"
 	nsS.Protocol, nsI.Protocol = "NoStaging(sound)", "NoStaging(first)"
 
 	fmt.Printf("scenario: %d machines, %d clusters, %d%% prevalent, one machine misplaced into the first or last clean cluster\n\n",
-		scenario.PaperMachines, scenario.PaperClusters, scenario.PaperPrevalentPct)
+		simulator.PaperMachines, simulator.PaperClusters, simulator.PaperPrevalentPct)
 	protocolTable(sound, first, last, nsS, nsI)
 	fmt.Println()
 

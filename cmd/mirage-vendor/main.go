@@ -48,11 +48,11 @@ import (
 	"repro/internal/deploy"
 	"repro/internal/logx"
 	"repro/internal/orchestrator"
+	"repro/internal/parser"
 	"repro/internal/pkgmgr"
 	"repro/internal/report"
 	"repro/internal/scenario"
 	"repro/internal/staging"
-	"repro/internal/transport"
 )
 
 const (
@@ -149,7 +149,7 @@ func run() (code int) {
 	}
 	clusters, err := v.Profile(ctx, core.App{
 		Name: "mysql", Refs: scenario.MySQLResourceRefs(),
-		Registry: transport.MirageRegistryConfig(), Reference: scenario.MySQLVendorReference(),
+		Registry: parser.MirageRegistryConfig(), Reference: scenario.MySQLVendorReference(),
 	}, cluster.Config{Diameter: *diameter})
 	if err != nil {
 		return infra("fleet clustering failed", "err", err)

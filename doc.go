@@ -10,9 +10,12 @@
 // unified staging engine (internal/staging) that computes one
 // wave-schedule Plan per deployment policy and drives it through two
 // executors — the event-driven simulator (internal/simulator) and the live
-// deployment controller over real networked machines (internal/deploy,
-// internal/transport). Upgrade bytes reach machines through the
-// content-addressed distribution layer (internal/distrib): chunk
+// deployment controller over real networked machines (internal/deploy;
+// the vendor's server in internal/transport, the user machine's agent in
+// internal/agent, the frame grammar between them in internal/link, and
+// the agent binary links none of the vendor's packages). Upgrade bytes
+// reach machines through the content-addressed distribution layer
+// (internal/distrib): chunk
 // manifests in place of inline payloads, persistent agent-side chunk
 // caches seeded from installed files, and batched fetches of only the
 // missing chunks — pushed as binary chunk frames (raw bytes behind a
@@ -32,7 +35,7 @@
 // barriers, Abort (context cancellation, journaled as abandoned so an
 // aborted rollout can never half-resume) and Wait; a context.Context
 // threads from the handle through the deployment controller, its retry
-// backoff and worker pool, and every transport RPC. The same package
+// backoff and worker pool, and every vendor RPC. The same package
 // exposes the lifecycle over HTTP (orchestrator.API, served by
 // mirage-vendor, driven by mirage-ctl through orchestrator.Client).
 // The control plane holds at 100k agents: the agent registry wakes each
@@ -43,7 +46,7 @@
 // member records between durable gate syncs, and the admin mux serves
 // /healthz, optional pprof and Prometheus /metrics — one
 // telemetry.Registry that transport and orchestrator both count on.
-// transport.SimFleet (mirage-agent -sim N) runs thousands of
+// agent.SimFleet (mirage-agent -sim N) runs thousands of
 // protocol-faithful simulated agents per process; bench/ drives its
 // 10k-member rollouts over them.
 // Fleets stay live after profiling (internal/fleetwatch): agents started

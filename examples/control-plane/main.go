@@ -32,6 +32,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/agent"
 	"repro/internal/core"
 	"repro/internal/deploy"
 	"repro/internal/machine"
@@ -39,7 +40,6 @@ import (
 	"repro/internal/rollout"
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
-	"repro/internal/transport"
 )
 
 func main() {
@@ -81,7 +81,7 @@ func main() {
 			name := fmt.Sprintf("c%d-%s", c, role)
 			names = append(names, name)
 			machines[name] = scenario.BuildMySQLMachine(scenario.MySQLMachineSpec{Name: name, Distro: "ubt"})
-			go transport.NewAgent(machines[name]).Run(srv.Addr())
+			go agent.NewAgent(machines[name]).Run(srv.Addr())
 		}
 	}
 	if got := srv.WaitForAgents(len(names), 5*time.Second); got != len(names) {
@@ -215,7 +215,7 @@ func main() {
 			rbNames = append(rbNames, name)
 			m := scenario.BuildMySQLMachine(scenario.MySQLMachineSpec{Name: name, Distro: "ubt", UserCnf: c == 1})
 			machines[name] = m
-			go transport.NewAgent(m).Run(srv.Addr())
+			go agent.NewAgent(m).Run(srv.Addr())
 		}
 	}
 	total := len(names) + len(rbNames)

@@ -16,6 +16,7 @@ import (
 	"log"
 	"time"
 
+	"repro/internal/agent"
 	"repro/internal/apps"
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -23,11 +24,11 @@ import (
 	"repro/internal/envid"
 	"repro/internal/machine"
 	"repro/internal/orchestrator"
+	"repro/internal/parser"
 	"repro/internal/pkgmgr"
 	"repro/internal/report"
 	"repro/internal/scenario"
 	"repro/internal/trace"
-	"repro/internal/transport"
 )
 
 func main() {
@@ -66,7 +67,7 @@ func main() {
 		if spec.PHP4 {
 			php = append(php, m.Name)
 		}
-		go transport.NewAgent(m).ServePipes(v.Server, stop)
+		go agent.NewAgent(m).ServePipes(v.Server, stop)
 	}
 	if got := v.Server.WaitForAgents(len(fleet), 5*time.Second); got != len(fleet) {
 		log.Fatalf("only %d/%d agents registered", got, len(fleet))
@@ -80,7 +81,7 @@ func main() {
 
 	// 3. Cluster by environment.
 	clusters, err := v.Profile(ctx, core.App{
-		Name: "mysql", Refs: refs, Registry: transport.MirageRegistryConfig(), Reference: reference,
+		Name: "mysql", Refs: refs, Registry: parser.MirageRegistryConfig(), Reference: reference,
 	}, cluster.Config{Diameter: 3})
 	if err != nil {
 		log.Fatal(err)

@@ -15,16 +15,17 @@ import (
 	"log"
 	"time"
 
+	"repro/internal/agent"
 	"repro/internal/apps"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/deploy"
 	"repro/internal/machine"
 	"repro/internal/orchestrator"
+	"repro/internal/parser"
 	"repro/internal/pkgmgr"
 	"repro/internal/report"
 	"repro/internal/scenario"
-	"repro/internal/transport"
 )
 
 func main() {
@@ -57,7 +58,7 @@ func main() {
 					php = append(php, name)
 				}
 				go func() {
-					if err := transport.NewAgent(m).Run(srv.Addr()); err != nil {
+					if err := agent.NewAgent(m).Run(srv.Addr()); err != nil {
 						log.Printf("agent %s: %v", m.Name, err)
 					}
 				}()
@@ -79,7 +80,7 @@ func main() {
 	}
 	clusters, err := v.Profile(ctx, core.App{
 		Name: "mysql", Refs: scenario.MySQLResourceRefs(),
-		Registry: transport.MirageRegistryConfig(), Reference: scenario.MySQLVendorReference(),
+		Registry: parser.MirageRegistryConfig(), Reference: scenario.MySQLVendorReference(),
 	}, cluster.Config{Diameter: 3})
 	if err != nil {
 		log.Fatal(err)

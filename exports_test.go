@@ -28,12 +28,13 @@ var exportAllowlist = map[string]string{
 	"envid.IncludeTypes":                  "the type-include rule form of the Firefox evaluation; only its test builds one",
 	"envid.Result.Why":                    "test-only: which mechanism classified a path; open ROADMAP item 16 work",
 	"fingerprint.Fingerprint":             "one-shot form of the windowed Rabin fingerprint the chunker tests check Roll against",
+	"link.FrameError.Unwrap":              "implements the Unwrap that errors.Is and errors.As call through an interface",
 	"pkgmgr.Repository.Latest":            "test-only repository lookup; open ROADMAP item 16 work",
 	"scenario.FleetBehavior":              "fleet-scale fixture only the scenario tests run; open ROADMAP item 16 work",
 	"scenario.LargeFleet":                 "fleet-scale fixture only the scenario tests run; open ROADMAP item 16 work",
-	"scenario.ProblemMachineCount":        "the paper's m, which the scenario tests check is 25000",
 	"scenario.VerifyFirefoxBehavior":      "kept on purpose like VerifyMySQLBehavior: the Table 3 upgrade check the scenario tests run",
 	"scenario.VerifyMySQLBehavior":        "kept on purpose: the Table 2 upgrade check the scenario tests run",
+	"simulator.ProblemMachineCount":       "the paper's m, which the scenario tests check is 25000",
 	"survey.Experience.MoreThanFiveYears": "the survey statistic (82 %) the survey test checks",
 	"trace.OpNetRecv":                     "a value of the Op enumeration; deleting it renumbers the ops after it",
 	"trace.OpSocket":                      "a value of the Op enumeration; deleting it renumbers the ops after it",
@@ -134,10 +135,6 @@ func Listen() (net.Listener, error) { return net.Listen("tcp", "127.0.0.1:0") }
 // direct one. Receivers, declaring names and struct field names are not
 // references.
 func unusedExports(root string) ([]string, error) {
-	mod, err := modulePath(root)
-	if err != nil {
-		return nil, err
-	}
 	type decl struct{ pkg, name string } // name is Name or Type.Method
 	type pkgRefs struct {
 		binary   bool            // a main package under cmd/, examples/ or bench/
@@ -147,38 +144,13 @@ func unusedExports(root string) ([]string, error) {
 	}
 	var decls []decl
 	pkgs := map[string]*pkgRefs{} // by package path
-	fset := token.NewFileSet()
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if n := d.Name(); path != root && (n == "testdata" || strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(root, filepath.Dir(path))
-		if err != nil {
-			return err
-		}
-		pkg := mod
-		if rel != "." {
-			pkg += "/" + filepath.ToSlash(rel)
-		}
+	_, err := parseModule(root, func(pkg, rel string, f *ast.File) {
 		pr := pkgs[pkg]
 		if pr == nil {
 			pr = &pkgRefs{imports: map[string]bool{}, refs: map[decl]bool{}, selected: map[string]bool{}}
 			pkgs[pkg] = pr
 		}
-		top, _, _ := strings.Cut(filepath.ToSlash(rel), "/")
+		top, _, _ := strings.Cut(rel, "/")
 		if f.Name.Name == "main" && (top == "cmd" || top == "examples" || top == "bench") {
 			pr.binary = true
 		}
@@ -193,7 +165,7 @@ func unusedExports(root string) ([]string, error) {
 			pr.imports[p] = true
 		}
 		declaring := map[*ast.Ident]bool{}
-		internal := strings.HasPrefix(pkg, mod+"/internal/")
+		internal := strings.HasPrefix(rel, "internal/")
 		for _, dl := range f.Decls {
 			switch dl := dl.(type) {
 			case *ast.FuncDecl:
@@ -252,7 +224,6 @@ func unusedExports(root string) ([]string, error) {
 			}
 			return true
 		})
-		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -286,6 +257,46 @@ func unusedExports(root string) ([]string, error) {
 	}
 	slices.Sort(unused)
 	return slices.Compact(unused), nil
+}
+
+// parseModule parses every non-test Go file under root, outside testdata
+// and dot or underscore directories, and calls fn with each file's package
+// path and its slash-separated path relative to root. It returns the
+// module path.
+func parseModule(root string, fn func(pkg, rel string, f *ast.File)) (string, error) {
+	mod, err := modulePath(root)
+	if err != nil {
+		return "", err
+	}
+	fset := token.NewFileSet()
+	return mod, filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if n := d.Name(); path != root && (n == "testdata" || strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		pkg, rel := mod, filepath.ToSlash(rel)
+		if dir := filepath.ToSlash(filepath.Dir(rel)); dir != "." {
+			pkg += "/" + dir
+		}
+		fn(pkg, rel, f)
+		return nil
+	})
 }
 
 // receiverType names a method receiver's type: T for T, *T, T[P] and *T[P].

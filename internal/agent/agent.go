@@ -1,4 +1,10 @@
-package transport
+// Package agent is the user-machine side of Mirage: it identifies,
+// fingerprints, tests and integrates what the vendor asks over one
+// persistent control channel, serves its chunk cache to peers, and
+// pushes profile deltas in watch mode. SimFleet runs thousands of
+// protocol-faithful stand-ins in one process. It speaks package link's
+// grammar and links none of the vendor's code.
+package agent
 
 import (
 	"bytes"
@@ -13,6 +19,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/distrib"
 	"repro/internal/envid"
+	"repro/internal/link"
 	"repro/internal/machine"
 	"repro/internal/parser"
 	"repro/internal/pkgmgr"
@@ -91,7 +98,7 @@ func NewAgent(m *machine.Machine) *Agent {
 func (a *Agent) Run(addr string) error {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
-		return fmt.Errorf("transport: dialing vendor: %w", err)
+		return fmt.Errorf("agent: dialing vendor: %w", err)
 	}
 	a.ServeConn(conn)
 	return nil
@@ -100,11 +107,10 @@ func (a *Agent) Run(addr string) error {
 // ServeConn is one control-channel session over an established
 // connection: register, answer vendor commands until the connection dies,
 // close it. Whether to come back is the caller's policy: Run gives up,
-// RunWithReconnect and ServePipes redial. Paired with Server.ServeConn it
-// attaches an agent to an in-process server over net.Pipe.
+// RunWithReconnect and ServePipes redial.
 func (a *Agent) ServeConn(conn net.Conn) {
 	// bufio's default sizes: a real agent is one connection per process.
-	serveSession(conn, 4096, 4096, RegisterReq{Machine: a.M.Name, Peer: a.PeerAddr}, a.handle)
+	serveSession(conn, 4096, 4096, link.RegisterReq{Machine: a.M.Name, Peer: a.PeerAddr}, a.handle)
 }
 
 // RunWithReconnect runs the agent like Run, but redials the vendor with
@@ -114,73 +120,74 @@ func (a *Agent) ServeConn(conn net.Conn) {
 // consecutive dials fail (vendor gone: the orderly end of a deployment)
 // or cfg.Stop is closed.
 func (a *Agent) RunWithReconnect(addr string, cfg ReconnectConfig) {
-	a.redial(func() (net.Conn, error) { return net.Dial("tcp", addr) }, cfg)
+	a.Redial(func() (net.Conn, error) { return net.Dial("tcp", addr) }, cfg)
+}
+
+// Server is the vendor end an in-process agent attaches to: it serves the
+// vendor side of an established connection, as transport.Server does.
+type Server interface {
+	ServeConn(conn net.Conn) error
+}
+
+// pipe attaches one session to srv over a net.Pipe and returns the agent's
+// end of it.
+func pipe(srv Server) (net.Conn, error) {
+	client, srvEnd := net.Pipe()
+	if err := srv.ServeConn(srvEnd); err != nil {
+		client.Close()
+		return nil, err
+	}
+	return client, nil
 }
 
 // ServePipes attaches the agent to an in-process server and keeps it
 // attached: the same redial loop as RunWithReconnect, each session a
-// net.Pipe injected into srv with Server.ServeConn. It returns once stop
-// is closed or srv is.
-func (a *Agent) ServePipes(srv *Server, stop <-chan struct{}) {
-	a.redial(func() (net.Conn, error) {
-		client, srvEnd := net.Pipe()
-		if err := srv.ServeConn(srvEnd); err != nil {
-			client.Close()
-			return nil, err
-		}
-		return client, nil
-	}, ReconnectConfig{MaxAttempts: 1, BaseDelay: 2 * time.Millisecond, Stop: stop})
+// net.Pipe served by srv. It returns once stop is closed or srv is.
+func (a *Agent) ServePipes(srv Server, stop <-chan struct{}) {
+	a.Redial(func() (net.Conn, error) { return pipe(srv) },
+		ReconnectConfig{MaxAttempts: 1, BaseDelay: 2 * time.Millisecond, Stop: stop})
 }
 
 // handle dispatches one vendor command.
-func (a *Agent) handle(fc *frameConn, req *Frame) Frame {
+func (a *Agent) handle(fc *link.Conn, req *link.Frame) link.Frame {
 	switch req.Op {
-	case OpPing:
-		return Frame{OK: true}
-	case OpIdentify:
+	case link.OpPing:
+		return link.Frame{OK: true}
+	case link.OpIdentify:
 		if req.Identify == nil {
-			return errFrame("identify payload missing")
+			return link.FailedReply("identify payload missing")
 		}
 		return a.handleIdentify(*req.Identify)
-	case OpRecord:
+	case link.OpRecord:
 		if req.Record == nil {
-			return errFrame("record payload missing")
+			return link.FailedReply("record payload missing")
 		}
 		return a.handleRecord(*req.Record)
-	case OpFingerprint:
+	case link.OpFingerprint:
 		if req.Fingerprint == nil {
-			return errFrame("fingerprint payload missing")
+			return link.FailedReply("fingerprint payload missing")
 		}
 		return a.handleFingerprint(req.Fingerprint)
-	case OpTest:
+	case link.OpTest:
 		return a.handleTest(req.Manifest)
-	case OpIntegrate:
+	case link.OpIntegrate:
 		return a.handleIntegrate(req.Manifest)
-	case OpPeerFetch:
+	case link.OpPeerFetch:
 		if req.PeerFetch == nil {
-			return errFrame("peer_fetch payload missing")
+			return link.FailedReply("peer_fetch payload missing")
 		}
 		return a.handlePeerFetch(*req.PeerFetch)
-	case OpFetchChunks:
-		return a.handleFetchChunks(fc, req.ChunkMeta)
+	case link.OpFetchChunks:
+		return fetchChunks(fc, req.ChunkMeta, a.Cache.Add)
 	default:
-		return errFrame("unknown op " + req.Op)
+		return link.FailedReply("unknown op " + req.Op)
 	}
 }
 
-// errFrame is a failed reply. msg is cut to the wire's string cap: an
-// error too long to send must not cost the channel.
-func errFrame(msg string) Frame {
-	if len(msg) > maxWireString {
-		msg = msg[:maxWireString]
-	}
-	return Frame{Err: msg}
-}
-
-func (a *Agent) handleIdentify(req IdentifyReq) Frame {
+func (a *Agent) handleIdentify(req link.IdentifyReq) link.Frame {
 	app := apps.Lookup(req.App)
 	if app == nil {
-		return errFrame("unknown application " + req.App)
+		return link.FailedReply("unknown application " + req.App)
 	}
 	traces := make([]*trace.Trace, 0, len(req.Workloads))
 	for _, w := range req.Workloads {
@@ -188,16 +195,16 @@ func (a *Agent) handleIdentify(req IdentifyReq) Frame {
 	}
 	res := a.Identifier.Identify(a.M, traces, req.App)
 	a.local[req.App] = res.Resources
-	return Frame{Resources: res.Resources, OK: true}
+	return link.Frame{Resources: res.Resources, OK: true}
 }
 
-func (a *Agent) handleRecord(req RecordReq) Frame {
+func (a *Agent) handleRecord(req link.RecordReq) link.Frame {
 	app := apps.Lookup(req.App)
 	if app == nil {
-		return errFrame("unknown application " + req.App)
+		return link.FailedReply("unknown application " + req.App)
 	}
 	rec := a.Store.Record(app, a.M, req.Inputs)
-	return Frame{OK: true, Status: rec.Trace.ExitStatus()}
+	return link.Frame{OK: true, Status: rec.Trace.ExitStatus()}
 }
 
 // resolveUpgrade produces the full upgrade from a test/integrate
@@ -218,34 +225,35 @@ func (a *Agent) resolveUpgrade(man *distrib.Manifest) (*pkgmgr.Upgrade, []uint64
 	return u, nil, err
 }
 
-// handleFetchChunks consumes a chunk push: the raw body announced by meta
-// is read straight into the slices the cache keeps, each chunk verified
-// against its content address by Cache.Add. The body is fully consumed
-// even when a chunk is rejected, keeping the control channel's framing
-// intact; the error travels back in the reply.
-func (a *Agent) handleFetchChunks(fc *frameConn, meta []distrib.ChunkRef) Frame {
+// fetchChunks consumes a chunk push, an Agent's or a SimFleet agent's:
+// the raw body announced by meta is read straight into the slices add (a
+// cache's Add) keeps, each chunk verified against its content address.
+// The body is fully consumed even when a chunk is rejected, keeping the
+// control channel's framing intact; the error travels back in the reply
+// (an I/O error fails the reply's write and ends the session anyway).
+func fetchChunks(fc *link.Conn, meta []distrib.ChunkRef, add func(addr uint64, data []byte) error) link.Frame {
 	if len(meta) == 0 {
-		return errFrame("fetch_chunks chunk_meta missing")
+		return link.FailedReply("fetch_chunks chunk_meta missing")
 	}
-	if err := fc.ReadChunkBody(meta, a.Cache.Add); err != nil {
-		return errFrame(err.Error())
+	if err := fc.ReadChunkBody(meta, add); err != nil {
+		return link.FailedReply(err.Error())
 	}
-	return Frame{OK: true}
+	return link.Frame{OK: true}
 }
 
-func (a *Agent) handleFingerprint(raw []byte) Frame {
-	req, err := decodeFingerprintReq(raw)
+func (a *Agent) handleFingerprint(raw []byte) link.Frame {
+	req, err := link.DecodeFingerprintReq(raw)
 	if err != nil {
-		return errFrame("fingerprint payload malformed: " + err.Error())
+		return link.FailedReply("fingerprint payload malformed: " + err.Error())
 	}
-	reg, err := BuildRegistry(req.Registry)
+	reg, err := parser.BuildRegistry(req.Registry)
 	if err != nil {
-		return errFrame(err.Error())
+		return link.FailedReply(err.Error())
 	}
 	a.vendorRefs[req.App] = req.Refs
 	refs := mergeRefs(req.Refs, a.local[req.App])
 	own := parser.NewFingerprinter(reg).Fingerprint(a.M, refs)
-	diff := own.Diff(ItemsFromWire(req.VendorItems))
+	diff := own.Diff(link.ItemsFromWire(req.VendorItems))
 	// Cache what watch mode needs to re-fingerprint offline. The reply
 	// below hands the vendor this very diff, so it is the acknowledged
 	// baseline future deltas are computed against.
@@ -258,23 +266,23 @@ func (a *Agent) handleFingerprint(raw []byte) Frame {
 		lastSig:     diff.Signature(),
 	}
 	a.watchMu.Unlock()
-	return Frame{Diff: ItemsToWire(diff.Items()), AppSet: a.M.AppSetKey(), OK: true}
+	return link.Frame{Diff: link.ItemsToWire(diff.Items()), AppSet: a.M.AppSetKey(), OK: true}
 }
 
-func (a *Agent) handleTest(man *distrib.Manifest) Frame {
+func (a *Agent) handleTest(man *distrib.Manifest) link.Frame {
 	a.tested, a.testedWire = nil, nil
 	up, need, err := a.resolveUpgrade(man)
 	if err != nil {
-		return errFrame(err.Error())
+		return link.FailedReply(err.Error())
 	}
 	if len(need) > 0 {
-		return Frame{OK: true, NeedChunks: need}
+		return link.Frame{OK: true, NeedChunks: need}
 	}
 	val := vmtest.NewValidator(a.M, pkgmgr.NewRepository(), a.Store)
 	val.ResourcesByApp = a.allResources()
 	rep, verr := val.Validate(up)
 	if verr != nil {
-		return errFrame(verr.Error())
+		return link.FailedReply(verr.Error())
 	}
 	out := &report.Report{UpgradeID: up.ID, Machine: a.M.Name, Success: rep.OK()}
 	for _, verdict := range rep.Verdicts {
@@ -287,39 +295,34 @@ func (a *Agent) handleTest(man *distrib.Manifest) Frame {
 		a.tested, a.testedWire = up, man.Wire()
 	} else {
 		out.Image = report.CaptureImage(rep.Sandbox)
-		// An image past its cap would cost the channel, and with it the
-		// report: send the report without it, saying why.
-		if n := imageWireLen(out.Image); n > maxImageBody {
-			out.Image = nil
-			out.Reasons = append(out.Reasons, fmt.Sprintf("report image of %d bytes exceeds the %d-byte cap; sent without it", n, maxImageBody))
-		}
+		link.FitImage(out)
 	}
-	return Frame{Report: out, OK: true}
+	return link.Frame{Report: out, OK: true}
 }
 
-func (a *Agent) handleIntegrate(man *distrib.Manifest) Frame {
+func (a *Agent) handleIntegrate(man *distrib.Manifest) link.Frame {
 	up, testedWire := a.tested, a.testedWire
 	a.tested, a.testedWire = nil, nil
 	if man != nil && bytes.Equal(a.applied, man.Wire()) {
-		return Frame{OK: true} // already applied: acknowledge the repeat
+		return link.Frame{OK: true} // already applied: acknowledge the repeat
 	}
 	if up == nil || man == nil || !bytes.Equal(testedWire, man.Wire()) {
 		var need []uint64
 		var err error
 		if up, need, err = a.resolveUpgrade(man); err != nil {
-			return errFrame(err.Error())
+			return link.FailedReply(err.Error())
 		}
 		if len(need) > 0 {
-			return Frame{OK: true, NeedChunks: need}
+			return link.Frame{OK: true, NeedChunks: need}
 		}
 	}
 	mgr := pkgmgr.NewManager(a.M, pkgmgr.NewRepository())
 	if _, err := mgr.Apply(up); err != nil {
-		return errFrame(err.Error())
+		return link.FailedReply(err.Error())
 	}
 	a.Cache.Installed(a.M.Name, man)
 	a.applied = man.Wire()
-	return Frame{OK: true}
+	return link.Frame{OK: true}
 }
 
 func (a *Agent) allResources() map[string][]string {

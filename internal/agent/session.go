@@ -1,40 +1,41 @@
-package transport
+package agent
 
 import (
 	"bufio"
 	"net"
 	"time"
+
+	"repro/internal/link"
 )
 
 // The agent side of the control channel has one serve loop and one redial
 // loop: serveSession is every session, a real Agent's and each SimFleet
-// agent's alike, and redial is every reconnect policy, RunWithReconnect's
+// agent's alike, and Redial is every reconnect policy, RunWithReconnect's
 // over TCP and ServePipes' over in-process pipes.
 
 // serveSession registers reg over conn, then answers vendor requests with
 // handle until the connection dies, and closes it. Reads and writes go
 // through bufio buffers of the given sizes; one reply is one flushed
-// burst. handle is given the frameConn because an OpFetchChunks frame is
+// burst. handle is given the link.Conn because an OpFetchChunks frame is
 // followed by its raw chunk body on this very stream, which must be
 // consumed, in frame order, before the next request can be read. A frame
 // the session cannot read — refused, or cut short — ends it: the stream
 // cannot be resynchronized.
-func serveSession(conn net.Conn, readBuf, writeBuf int, reg RegisterReq, handle func(fc *frameConn, req *Frame) Frame) {
+func serveSession(conn net.Conn, readBuf, writeBuf int, reg link.RegisterReq, handle func(fc *link.Conn, req *link.Frame) link.Frame) {
 	defer conn.Close()
-	bw := bufio.NewWriterSize(conn, writeBuf)
-	fc := newFrameConn(bufio.NewReaderSize(conn, readBuf), bw, conn)
-	if fc.WriteFrame(&Frame{Op: OpRegister, Register: &reg}) != nil || bw.Flush() != nil {
+	fc := &link.Conn{R: bufio.NewReaderSize(conn, readBuf), W: bufio.NewWriterSize(conn, writeBuf), Raw: conn}
+	if fc.WriteFrame(&link.Frame{Op: link.OpRegister, Register: &reg}) != nil || fc.W.Flush() != nil {
 		return
 	}
-	var req Frame
+	var req link.Frame
 	for {
-		req = Frame{} // let the last request's payload go while waiting for the next
+		req = link.Frame{} // let the last request's payload go while waiting for the next
 		if fc.ReadFrame(&req) != nil {
 			return // vendor closed the channel (or it broke)
 		}
 		resp := handle(fc, &req)
 		resp.ID = req.ID
-		if fc.WriteFrame(&resp) != nil || bw.Flush() != nil {
+		if fc.WriteFrame(&resp) != nil || fc.W.Flush() != nil {
 			return
 		}
 	}
@@ -57,12 +58,13 @@ type ReconnectConfig struct {
 	Stop <-chan struct{}
 }
 
-// redial keeps the agent attached: dial, serve the session until it dies,
-// dial again. The agent's identity (machine name) and its chunk cache live
+// Redial keeps the agent attached over any dialer: dial, serve the session
+// until it dies, dial again. Harnesses use it to attach an agent through a
+// connection they wrap before the server sees it. The agent's identity (machine name) and its chunk cache live
 // on the Agent value, not the connection, so a re-registered session
 // continues exactly where the dropped one left off. It returns once
 // cfg.MaxAttempts consecutive dials fail or cfg.Stop is closed.
-func (a *Agent) redial(dial func() (net.Conn, error), cfg ReconnectConfig) {
+func (a *Agent) Redial(dial func() (net.Conn, error), cfg ReconnectConfig) {
 	attempts := cfg.MaxAttempts
 	if attempts <= 0 {
 		attempts = 5

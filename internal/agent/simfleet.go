@@ -1,4 +1,4 @@
-package transport
+package agent
 
 import (
 	"fmt"
@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/distrib"
+	"repro/internal/link"
 	"repro/internal/report"
 )
 
@@ -27,8 +28,8 @@ import (
 //     honest end-to-end configuration ("over real TCP"), and what CI's 10k
 //     tier runs — but two sockets per agent makes a 100k fleet hostage to
 //     the file-descriptor limit.
-//   - Pipes (Server): each agent is one net.Pipe injected straight into
-//     the server via ServeConn — zero descriptors, identical protocol and
+//   - Pipes (Server): each agent is one net.Pipe served straight by the
+//     vendor's server — zero descriptors, identical protocol and
 //     server-side code paths, which is what lets a 100k-member rollout run
 //     on an ordinary box.
 type SimFleet struct {
@@ -50,8 +51,8 @@ type SimFleet struct {
 type SimOptions struct {
 	// Prefix names the agents "<Prefix>-000000" …; default "sim".
 	Prefix string
-	// Server injects agents as in-process pipes via Server.ServeConn.
-	Server *Server
+	// Server serves each agent's end of an in-process pipe.
+	Server Server
 	// Addr dials each agent over TCP.
 	Addr string
 }
@@ -65,11 +66,11 @@ const (
 )
 
 // StartSimFleet launches n simulated agents and returns once every
-// connection attempt has been made (use Server.WaitForAgents to wait for
+// connection attempt has been made (the vendor's WaitForAgents waits for
 // the registrations to land). Close tears the fleet down.
 func StartSimFleet(n int, opts SimOptions) (*SimFleet, error) {
 	if (opts.Server == nil) == (opts.Addr == "") {
-		return nil, fmt.Errorf("transport: SimOptions must set exactly one of Server and Addr")
+		return nil, fmt.Errorf("agent: SimOptions must set exactly one of Server and Addr")
 	}
 	prefix := opts.Prefix
 	if prefix == "" {
@@ -106,7 +107,7 @@ func StartSimFleet(n int, opts SimOptions) (*SimFleet, error) {
 	launch.Wait()
 	if firstErr != nil {
 		f.Close()
-		return nil, fmt.Errorf("transport: sim fleet launch: %w", firstErr)
+		return nil, fmt.Errorf("agent: sim fleet launch: %w", firstErr)
 	}
 	return f, nil
 }
@@ -115,19 +116,14 @@ func StartSimFleet(n int, opts SimOptions) (*SimFleet, error) {
 // records it so Close can tear it down.
 func (f *SimFleet) connect(name string) (net.Conn, error) {
 	var conn net.Conn
+	var err error
 	if f.opts.Server != nil {
-		client, srvEnd := net.Pipe()
-		if err := f.opts.Server.ServeConn(srvEnd); err != nil {
-			client.Close()
-			return nil, err
-		}
-		conn = client
+		conn, err = pipe(f.opts.Server)
 	} else {
-		c, err := net.DialTimeout("tcp", f.opts.Addr, simDialTimeout)
-		if err != nil {
-			return nil, err
-		}
-		conn = c
+		conn, err = net.DialTimeout("tcp", f.opts.Addr, simDialTimeout)
+	}
+	if err != nil {
+		return nil, err
 	}
 	f.mu.Lock()
 	if f.closed {
@@ -170,60 +166,49 @@ func (f *SimFleet) Close() {
 // 100k agents every per-connection kilobyte is 100MB.
 func (f *SimFleet) serve(name string, conn net.Conn) {
 	defer f.wg.Done()
-	serveSession(conn, 2048, 1024, RegisterReq{Machine: name}, func(fc *frameConn, req *Frame) Frame {
+	serveSession(conn, 2048, 1024, link.RegisterReq{Machine: name}, func(fc *link.Conn, req *link.Frame) link.Frame {
 		return f.handle(name, fc, req)
 	})
 }
 
 // handle answers one vendor RPC with the cheapest protocol-correct
 // response.
-func (f *SimFleet) handle(name string, fc *frameConn, req *Frame) Frame {
+func (f *SimFleet) handle(name string, fc *link.Conn, req *link.Frame) link.Frame {
 	switch req.Op {
-	case OpPing:
-		return Frame{OK: true}
-	case OpTest, OpIntegrate:
+	case link.OpPing:
+		return link.Frame{OK: true}
+	case link.OpTest, link.OpIntegrate:
 		if req.Manifest == nil {
-			return Frame{Err: "sim: " + req.Op + " without manifest"}
+			return link.Frame{Err: "sim: " + req.Op + " without manifest"}
 		}
 		if need := f.cache.Missing(req.Manifest); len(need) > 0 {
-			return Frame{OK: true, NeedChunks: need}
+			return link.Frame{OK: true, NeedChunks: need}
 		}
-		if req.Op == OpIntegrate {
+		if req.Op == link.OpIntegrate {
 			f.integrated.Add(1)
-			return Frame{OK: true}
+			return link.Frame{OK: true}
 		}
 		f.tested.Add(1)
-		return Frame{OK: true, Report: &report.Report{
+		return link.Frame{OK: true, Report: &report.Report{
 			UpgradeID: req.Manifest.ID, Machine: name, Success: true,
 		}}
-	case OpFetchChunks:
-		if len(req.ChunkMeta) == 0 {
-			return Frame{Err: "sim: fetch_chunks without chunk_meta"}
-		}
-		// The body's bytes follow the header on the stream and MUST be
-		// consumed even on a bad chunk. A digest rejection leaves the
-		// drained stream intact, so — like the real agent — it travels
-		// back in the reply rather than killing the session (if the error
-		// was I/O, the reply's write fails and the session ends anyway).
-		if err := fc.ReadChunkBody(req.ChunkMeta, f.cache.Add); err != nil {
-			return Frame{Err: err.Error()}
-		}
-		return Frame{OK: true}
-	case OpPeerFetch:
+	case link.OpFetchChunks:
+		return fetchChunks(fc, req.ChunkMeta, f.cache.Add)
+	case link.OpPeerFetch:
 		// Sim agents run no peer servers; decline everything and let the
 		// vendor fall back to its own push.
 		var need []uint64
 		if req.PeerFetch != nil {
 			need = req.PeerFetch.Addrs
 		}
-		return Frame{OK: true, NeedChunks: need}
-	case OpFingerprint:
-		return Frame{OK: true, AppSet: "sim"}
-	case OpIdentify:
-		return Frame{OK: true}
-	case OpRecord:
-		return Frame{OK: true, Status: "recorded"}
+		return link.Frame{OK: true, NeedChunks: need}
+	case link.OpFingerprint:
+		return link.Frame{OK: true, AppSet: "sim"}
+	case link.OpIdentify:
+		return link.Frame{OK: true}
+	case link.OpRecord:
+		return link.Frame{OK: true, Status: "recorded"}
 	default:
-		return Frame{Err: "sim: unsupported op " + req.Op}
+		return link.Frame{Err: "sim: unsupported op " + req.Op}
 	}
 }

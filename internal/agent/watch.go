@@ -1,11 +1,9 @@
-package transport
+package agent
 
 import (
-	"bufio"
-	"fmt"
-	"net"
 	"time"
 
+	"repro/internal/link"
 	"repro/internal/parser"
 	"repro/internal/resource"
 )
@@ -22,9 +20,9 @@ import (
 
 // watchState is the per-app offline re-fingerprinting state.
 type watchState struct {
-	registry    RegistryConfig
+	registry    parser.RegistryConfig
 	refs        []string
-	vendorItems []WireItem
+	vendorItems []link.WireItem
 	// lastDiff/lastSig are the last vendor-acknowledged diff — the base
 	// the next delta is computed against.
 	lastDiff *resource.Set
@@ -34,15 +32,12 @@ type watchState struct {
 // DefaultDeltaTimeout bounds one OpProfileDelta conversation.
 const DefaultDeltaTimeout = 10 * time.Second
 
-// Watch re-fingerprints every interval and pushes profile deltas to the
-// vendor at vendorAddr until stop is signalled. Push failures are
-// tolerated (the next tick retries); the vendor asking for a resync makes
-// the next push a full profile. Run it on its own goroutine, next to the
-// control-channel loop.
+// Watch re-fingerprints every interval, which must be positive, and
+// pushes profile deltas to the vendor at vendorAddr until stop is
+// signalled. Push failures are tolerated (the next tick retries); the
+// vendor asking for a resync makes the next push a full profile. Run it
+// on its own goroutine, next to the control-channel loop.
 func (a *Agent) Watch(vendorAddr string, interval time.Duration, stop <-chan struct{}) {
-	if interval <= 0 {
-		interval = time.Minute
-	}
 	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
@@ -69,7 +64,7 @@ func (a *Agent) CheckDrift(vendorAddr string) (pushed int, err error) {
 
 	var firstErr error
 	for app, st := range watched {
-		reg, rerr := BuildRegistry(st.registry)
+		reg, rerr := parser.BuildRegistry(st.registry)
 		if rerr != nil {
 			if firstErr == nil {
 				firstErr = rerr
@@ -78,7 +73,7 @@ func (a *Agent) CheckDrift(vendorAddr string) (pushed int, err error) {
 		}
 		refs := mergeRefs(st.refs, a.local[app])
 		own := parser.NewFingerprinter(reg).Fingerprint(a.M, refs)
-		diff := own.Diff(ItemsFromWire(st.vendorItems))
+		diff := own.Diff(link.ItemsFromWire(st.vendorItems))
 		sig := diff.Signature()
 		if sig == st.lastSig {
 			continue // unchanged machine: nothing on the wire
@@ -94,20 +89,20 @@ func (a *Agent) CheckDrift(vendorAddr string) (pushed int, err error) {
 				removed = append(removed, it)
 			}
 		}
-		req := &ProfileDeltaReq{
+		req := &link.ProfileDeltaReq{
 			Machine: a.M.Name,
 			App:     app,
 			AppSet:  a.M.AppSetKey(),
 			Sig:     sig,
-			Added:   ItemsToWire(added),
-			Removed: ItemsToWire(removed),
+			Added:   link.ItemsToWire(added),
+			Removed: link.ItemsToWire(removed),
 		}
 		resync, perr := a.pushDelta(vendorAddr, req)
 		if resync {
 			// Vendor lost our baseline: re-send the complete diff.
-			full := &ProfileDeltaReq{
+			full := &link.ProfileDeltaReq{
 				Machine: a.M.Name, App: app, AppSet: a.M.AppSetKey(),
-				Sig: sig, Added: ItemsToWire(diff.Items()), Full: true,
+				Sig: sig, Added: link.ItemsToWire(diff.Items()), Full: true,
 			}
 			_, perr = a.pushDelta(vendorAddr, full)
 		}
@@ -129,31 +124,8 @@ func (a *Agent) CheckDrift(vendorAddr string) (pushed int, err error) {
 }
 
 // pushDelta sends one OpProfileDelta frame on a short-lived connection to
-// the vendor (the OpPeerGet idiom: dial, one frame each way, close).
-func (a *Agent) pushDelta(vendorAddr string, req *ProfileDeltaReq) (resync bool, err error) {
-	conn, err := net.DialTimeout("tcp", vendorAddr, DefaultDeltaTimeout)
-	if err != nil {
-		return false, fmt.Errorf("transport: dialing vendor for delta: %w", err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(DefaultDeltaTimeout))
-	bw := bufio.NewWriter(conn)
-	fc := newFrameConn(bufio.NewReader(conn), bw, conn)
-	if err := fc.WriteFrame(&Frame{ID: 1, Op: OpProfileDelta, Delta: req}); err != nil {
-		return false, fmt.Errorf("transport: sending delta: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
-		return false, fmt.Errorf("transport: sending delta: %w", err)
-	}
-	var resp Frame
-	if err := fc.ReadFrame(&resp); err != nil {
-		return false, fmt.Errorf("transport: reading delta reply: %w", err)
-	}
-	if resp.Err != "" {
-		return false, fmt.Errorf("transport: vendor refused delta: %s", resp.Err)
-	}
-	if !resp.OK {
-		return false, fmt.Errorf("transport: unacknowledged delta reply")
-	}
-	return resp.Status == StatusResync, nil
+// the vendor.
+func (a *Agent) pushDelta(vendorAddr string, req *link.ProfileDeltaReq) (resync bool, err error) {
+	resp, err := exchange(vendorAddr, DefaultDeltaTimeout, &link.Frame{ID: 1, Op: link.OpProfileDelta, Delta: req}, nil)
+	return err == nil && resp.Status == link.StatusResync, err
 }

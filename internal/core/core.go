@@ -27,6 +27,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/deploy"
 	"repro/internal/fleetwatch"
+	"repro/internal/link"
 	"repro/internal/machine"
 	"repro/internal/orchestrator"
 	"repro/internal/parser"
@@ -54,14 +55,14 @@ type Options struct {
 type App struct {
 	Name      string
 	Refs      []string
-	Registry  transport.RegistryConfig
+	Registry  parser.RegistryConfig
 	Reference *machine.Machine
 }
 
 // referenceItems fingerprints the reference machine — the item list sent
 // to every agent for comparison.
 func (a App) referenceItems() (*resource.Set, error) {
-	reg, err := transport.BuildRegistry(a.Registry)
+	reg, err := parser.BuildRegistry(a.Registry)
 	if err != nil {
 		return nil, fmt.Errorf("core: building parser registry: %w", err)
 	}
@@ -187,15 +188,15 @@ func (v *Vendor) node(name string) deploy.Node { return v.Server.Node(name) }
 // into the monitor; a push the monitor cannot fold asks the agent for its
 // full profile; a fold that moved the machine reaches every running
 // rollout as a drift event.
-func (v *Vendor) onProfileDelta(req *transport.ProfileDeltaReq, wireBytes int) (resync bool, err error) {
+func (v *Vendor) onProfileDelta(req *link.ProfileDeltaReq, wireBytes int) (resync bool, err error) {
 	m := v.Monitor()
 	if m == nil {
 		return false, errNotProfiled
 	}
 	m.ObserveDeltaBytes(wireBytes, req.Full)
 	ev, err := m.ApplyDelta(req.Machine, req.AppSet,
-		transport.ItemsFromWire(req.Added).Items(),
-		transport.ItemsFromWire(req.Removed).Items(), req.Sig, req.Full)
+		link.ItemsFromWire(req.Added).Items(),
+		link.ItemsFromWire(req.Removed).Items(), req.Sig, req.Full)
 	if err != nil {
 		var rs *fleetwatch.ErrResync
 		if errors.As(err, &rs) {

@@ -9,16 +9,17 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/agent"
 	"repro/internal/apps"
 	"repro/internal/cluster"
 	"repro/internal/deploy"
 	"repro/internal/machine"
 	"repro/internal/orchestrator"
+	"repro/internal/parser"
 	"repro/internal/pkgmgr"
 	"repro/internal/report"
 	"repro/internal/rollout"
 	"repro/internal/scenario"
-	"repro/internal/transport"
 )
 
 // The assembly's own suite: every test drives a fleet of real agents (on
@@ -33,7 +34,7 @@ func startVendor(t *testing.T, machines ...*machine.Machine) *Vendor {
 }
 
 // startFleet is startVendor for tests that also drive the agents.
-func startFleet(t *testing.T, machines ...*machine.Machine) (*Vendor, map[string]*transport.Agent) {
+func startFleet(t *testing.T, machines ...*machine.Machine) (*Vendor, map[string]*agent.Agent) {
 	t.Helper()
 	v, err := New(Options{Listen: "127.0.0.1:0"})
 	if err != nil {
@@ -44,9 +45,9 @@ func startFleet(t *testing.T, machines ...*machine.Machine) (*Vendor, map[string
 		close(stop)
 		v.Close()
 	})
-	agents := make(map[string]*transport.Agent, len(machines))
+	agents := make(map[string]*agent.Agent, len(machines))
 	for _, m := range machines {
-		agents[m.Name] = transport.NewAgent(m)
+		agents[m.Name] = agent.NewAgent(m)
 		go agents[m.Name].ServePipes(v.Server, stop)
 	}
 	if got := v.Server.WaitForAgents(len(machines), 5*time.Second); got != len(machines) {
@@ -58,10 +59,10 @@ func startFleet(t *testing.T, machines ...*machine.Machine) (*Vendor, map[string
 // mysqlApp is the MySQL experiment with the vendor's my.cnf parsers (the
 // Figure 6 setup), so a legacy user configuration is a parsed difference.
 func mysqlApp() App {
-	reg := transport.MirageRegistryConfig()
+	reg := parser.MirageRegistryConfig()
 	reg.Rules = append(reg.Rules,
-		transport.RegistryRule{Match: "path", Pattern: "/etc/mysql/my.cnf", Parser: "config"},
-		transport.RegistryRule{Match: "path", Pattern: "/home/user/.my.cnf", Parser: "config"})
+		parser.RegistryRule{Match: "path", Pattern: "/etc/mysql/my.cnf", Parser: "config"},
+		parser.RegistryRule{Match: "path", Pattern: "/home/user/.my.cnf", Parser: "config"})
 	return App{Name: "mysql", Refs: scenario.MySQLResourceRefs(), Registry: reg,
 		Reference: scenario.MySQLVendorReference()}
 }
@@ -217,7 +218,7 @@ func TestClusterFleetUnknownApp(t *testing.T) {
 		t.Fatalf("enrolling an unknown application = %v", err)
 	}
 	bad := mysqlApp()
-	bad.Registry.Rules = append(bad.Registry.Rules, transport.RegistryRule{Match: "path", Pattern: "/x", Parser: "nope"})
+	bad.Registry.Rules = append(bad.Registry.Rules, parser.RegistryRule{Match: "path", Pattern: "/x", Parser: "nope"})
 	if _, err := v.Profile(context.Background(), bad, cluster.Config{Diameter: 3}); err == nil {
 		t.Fatal("no error for a registry naming an unknown parser")
 	}

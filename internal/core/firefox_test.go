@@ -8,11 +8,11 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/machine"
 	"repro/internal/orchestrator"
+	"repro/internal/parser"
 	"repro/internal/pkgmgr"
 	"repro/internal/report"
 	"repro/internal/scenario"
 	"repro/internal/staging"
-	"repro/internal/transport"
 )
 
 // Firefox end-to-end, the second application to cross the wire: the Table
@@ -24,9 +24,9 @@ import (
 // the vendor ships a fixed upgrade bundling a preference migration.
 
 func firefoxApp() App {
-	reg := transport.MirageRegistryConfig()
+	reg := parser.MirageRegistryConfig()
 	for _, path := range []string{apps.FirefoxPrefs, apps.FirefoxLocalstore, "/home/user/.mozilla/firefox/prefs-1.0.bak"} {
-		reg.Rules = append(reg.Rules, transport.RegistryRule{Match: "path", Pattern: path, Parser: "config",
+		reg.Rules = append(reg.Rules, parser.RegistryRule{Match: "path", Pattern: path, Parser: "config",
 			IgnoreKeys: []string{"last_window_x", "last_session_time"}})
 	}
 	return App{Name: "firefox", Refs: scenario.FirefoxResourceRefs(), Registry: reg,

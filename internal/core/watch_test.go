@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/agent"
 	"repro/internal/cluster"
 	"repro/internal/deploy"
 	"repro/internal/fleetwatch"
@@ -21,7 +22,6 @@ import (
 	"repro/internal/report"
 	"repro/internal/rollout"
 	"repro/internal/scenario"
-	"repro/internal/transport"
 )
 
 // Watch mode end to end: Agent.CheckDrift → OpProfileDelta (a short-lived
@@ -32,7 +32,7 @@ import (
 
 // watchFleet enrols a three-cluster fleet — plain Ubuntu, Fedora, and
 // Ubuntu with Apache, two machines each — and returns the agents by name.
-func watchFleet(t *testing.T) (*Vendor, map[string]*transport.Agent) {
+func watchFleet(t *testing.T) (*Vendor, map[string]*agent.Agent) {
 	t.Helper()
 	var machines []*machine.Machine
 	var names []string
@@ -68,7 +68,7 @@ func fingerprintMySQL(t *testing.T, v *Vendor) []cluster.MachineFingerprint {
 
 // upgradeLibc changes a parsed resource on the machine: a new libc version
 // is an environment its old cluster-mates do not share.
-func upgradeLibc(a *transport.Agent) {
+func upgradeLibc(a *agent.Agent) {
 	a.M.WriteFile(&machine.File{Path: "/lib/libc.so", Type: machine.TypeSharedLib,
 		Data: []byte("libc 2.5 local-build"), Version: "2.5"})
 }

@@ -1,4 +1,4 @@
-package transport
+package link
 
 import (
 	"bufio"
@@ -14,17 +14,17 @@ import (
 	"repro/internal/wire"
 )
 
-// maxWireChunk bounds a single chunk's declared wire length. The CDC
+// MaxWireChunk bounds a single chunk's declared wire length. The CDC
 // chunker never produces chunks anywhere near this (default max 16KB);
 // the cap exists so a corrupt or hostile header cannot make a reader
 // allocate or stream gigabytes.
-const maxWireChunk = 1 << 26 // 64MB
+const MaxWireChunk = 1 << 26 // 64MB
 
 // ErrFrameTooLarge reports a frame announcing more than maxFrame bytes, a
 // manifest body beyond maxFrame or an image body beyond maxImageBody. It
 // is refused before any of it is buffered. The stream cannot be
 // resynchronized after it; callers drop the connection.
-var ErrFrameTooLarge = errors.New("transport: frame too large")
+var ErrFrameTooLarge = errors.New("link: frame too large")
 
 // scratchPool recycles the buffers ReadFrame fills from the socket: a
 // frame too long for the reader's own buffer, and a manifest body, which
@@ -37,82 +37,40 @@ var scratchPool = sync.Pool{
 	},
 }
 
-// readerPool and writerPool hold the vendor's bufio pairs. The vendor
-// reads only what it asked for, so a channel needs a pair only while it
-// reads a registration frame or makes a call: it borrows one for that and
-// gives it back, and an idle agent holds none. The pending-handshake bound
-// caps how many handshakes hold a reader at once. The next call on any
-// channel reuses a returned buffer, so nothing decoded may alias it:
-// decodeFrame copies every string and slice out, and a body's reader
-// reads it into bytes of its own.
-var (
-	readerPool = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
-	writerPool = sync.Pool{New: func() any { return bufio.NewWriter(nil) }}
-)
-
-func borrowReader(r io.Reader) *bufio.Reader {
-	br := readerPool.Get().(*bufio.Reader)
-	br.Reset(r)
-	return br
-}
-
-func borrowWriter(w io.Writer) *bufio.Writer {
-	bw := writerPool.Get().(*bufio.Writer)
-	bw.Reset(w)
-	return bw
-}
-
-// giveBack returns fc's borrowed buffers to their pools, reset so they
-// pin neither the connection nor any unread byte.
-func giveBack(fc *frameConn) {
-	if fc.br != nil {
-		fc.br.Reset(nil)
-		readerPool.Put(fc.br)
-	}
-	if fc.bw != nil {
-		fc.bw.Reset(nil)
-		writerPool.Put(fc.bw)
-	}
-	fc.br, fc.bw = nil, nil
-}
-
 // maxBodySegment bounds the buffers ReadChunkBody allocates: consecutive
 // chunks share one segment of at most this many bytes, and a chunk larger
 // than it gets a segment of its own.
 const maxBodySegment = 1 << 20 // 1MB
 
-// frameConn frames one side of a transport connection: length-prefixed
-// binary frames (wire.go), each optionally followed by raw bodies the
-// frame announces — a manifest or a report image of the announced length,
-// or chunks whose layout (per-chunk address and length, in order)
-// Frame.ChunkMeta lists. Raw bodies keep payload off the codec: chunk
+// Conn frames one side of a connection: length-prefixed binary frames
+// (wire.go), each optionally followed by raw bodies the frame announces —
+// a manifest or a report image of the announced length, or chunks whose
+// layout (per-chunk address and length, in order) Frame.ChunkMeta lists. Raw bodies keep payload off the codec: chunk
 // bytes cross the wire byte-for-byte, and a manifest is encoded once per
 // upgrade rather than per member.
 //
-// A frameConn holds nothing but a bufio pair and the writer beneath: a
-// frame is encoded straight into the writer's buffer and decoded straight
-// out of the reader's. The agent side keeps its pair for the session; the
-// vendor borrows its pair from readerPool and writerPool for one call.
+// A Conn holds nothing but a bufio pair and the writer beneath: a frame
+// is encoded straight into the writer's buffer and decoded straight out
+// of the reader's. The agent side keeps its pair for the session; the
+// vendor borrows its pair from pools for one call.
 //
-// A frameConn is not safe for concurrent use; callers serialize access
-// (serveSession on the agent, the vendor's per-connection RPC mutex).
-type frameConn struct {
-	br *bufio.Reader
-	bw *bufio.Writer
-	// w is the writer beneath bw. Chunk bodies bypass bw and go to w in
-	// one vectored write; on the vendor it is the countingWriter, so body
-	// bytes are counted like every other byte.
-	w io.Writer
-	// read is the wire size of the last frame ReadFrame read: length
-	// prefix, frame and any manifest or image body behind it.
-	read int
+// A Conn is not safe for concurrent use; callers serialize access (the
+// agent's session loop, the vendor's per-connection RPC mutex).
+type Conn struct {
+	// R is what frames are read from, W what they are written through.
+	// Writes are not flushed: callers flush W once per message.
+	R *bufio.Reader
+	W *bufio.Writer
+	// Raw is the writer beneath W. Chunk bodies bypass W and go to Raw
+	// in one vectored write; on the vendor it is the countingWriter, so
+	// body bytes are counted like every other byte.
+	Raw  io.Writer
+	read int // see LastRead
 }
 
-// newFrameConn frames reads from br and writes through bw, a buffered
-// writer over w.
-func newFrameConn(br *bufio.Reader, bw *bufio.Writer, w io.Writer) *frameConn {
-	return &frameConn{br: br, bw: bw, w: w}
-}
+// LastRead is the wire size of the last frame ReadFrame read: length
+// prefix, frame and any manifest or image body behind it.
+func (c *Conn) LastRead() int { return c.read }
 
 // lenPrefix is the longest length prefix: maxFrame takes 3 uvarint bytes.
 const lenPrefix = 3
@@ -122,30 +80,30 @@ const lenPrefix = 3
 // maxFrame, and the version byte against frameVersion, before the rest
 // of the frame is waited for; a frame that fits the reader's buffer is
 // decoded from it in place, a longer one from a pooled buffer. A refused
-// frame returns a *frameError. A chunk body is left for ReadChunkBody.
-func (fc *frameConn) ReadFrame(f *Frame) error {
-	n, err := readFrameLen(fc.br)
+// frame returns a *FrameError. A chunk body is left for ReadChunkBody.
+func (fc *Conn) ReadFrame(f *Frame) error {
+	n, err := readFrameLen(fc.R)
 	if err != nil {
 		return err
 	}
 	if n >= 1 {
-		v, err := fc.br.Peek(1)
+		v, err := fc.R.Peek(1)
 		if err != nil {
 			return unexpected(err)
 		}
 		if v[0] != frameVersion {
-			return refuse(refusedVersion, nil, "version %d", v[0])
+			return refuse(RefusedVersion, nil, "version %d", v[0])
 		}
 	}
 	*f = Frame{}
 	var manifestLen, imageLen int
-	if n <= fc.br.Size() {
-		body, err := fc.br.Peek(n)
+	if n <= fc.R.Size() {
+		body, err := fc.R.Peek(n)
 		if err != nil {
 			return unexpected(err)
 		}
 		manifestLen, imageLen, err = decodeFrame(body, f)
-		fc.br.Discard(n)
+		fc.R.Discard(n)
 		if err != nil {
 			return err
 		}
@@ -153,7 +111,7 @@ func (fc *frameConn) ReadFrame(f *Frame) error {
 		bufp := scratchPool.Get().(*[]byte)
 		defer scratchPool.Put(bufp)
 		body := grow(bufp, n)
-		if _, err := io.ReadFull(fc.br, body); err != nil {
+		if _, err := io.ReadFull(fc.R, body); err != nil {
 			return unexpected(err)
 		}
 		if manifestLen, imageLen, err = decodeFrame(body, f); err != nil {
@@ -187,15 +145,15 @@ func readFrameLen(br *bufio.Reader) (int, error) {
 		n |= uint64(c&0x7f) << (7 * i)
 		if c < 0x80 {
 			if c == 0 && i > 0 {
-				return 0, refuse(refusedBadField, nil, "overlong frame length")
+				return 0, refuse(RefusedBadField, nil, "overlong frame length")
 			}
 			if n > maxFrame {
-				return 0, refuse(refusedTooLarge, nil, "%d-byte frame over the cap %d", n, maxFrame)
+				return 0, refuse(RefusedTooLarge, nil, "%d-byte frame over the cap %d", n, maxFrame)
 			}
 			return int(n), nil
 		}
 	}
-	return 0, refuse(refusedTooLarge, nil, "frame length over %d bytes", lenPrefix)
+	return 0, refuse(RefusedTooLarge, nil, "frame length over %d bytes", lenPrefix)
 }
 
 // unexpected turns an EOF inside a frame or body into io.ErrUnexpectedEOF.
@@ -216,16 +174,16 @@ func grow(bufp *[]byte, n int) []byte {
 
 // readManifest reads the n-byte manifest body through a pooled buffer
 // (DecodeManifest copies what it keeps) and decodes it into f.Manifest.
-func (fc *frameConn) readManifest(f *Frame, n int) error {
+func (fc *Conn) readManifest(f *Frame, n int) error {
 	bufp := scratchPool.Get().(*[]byte)
 	defer scratchPool.Put(bufp)
 	body := grow(bufp, n)
-	if _, err := io.ReadFull(fc.br, body); err != nil {
+	if _, err := io.ReadFull(fc.R, body); err != nil {
 		return unexpected(err)
 	}
 	m, err := distrib.DecodeManifest(body)
 	if err != nil {
-		return refuse(refusedBadField, err, "%s manifest", f.Op)
+		return refuse(RefusedBadField, err, "%s manifest", f.Op)
 	}
 	f.Manifest = m
 	return nil
@@ -234,8 +192,8 @@ func (fc *frameConn) readManifest(f *Frame, n int) error {
 // readImage reads the n-byte image body into rep.Image. The body is kept
 // — the image's file bytes share it — so it is read into a buffer of its
 // own that grows with the bytes that arrive, not with the announcement.
-func (fc *frameConn) readImage(rep *report.Report, n int) error {
-	body, err := io.ReadAll(io.LimitReader(fc.br, int64(n)))
+func (fc *Conn) readImage(rep *report.Report, n int) error {
+	body, err := io.ReadAll(io.LimitReader(fc.R, int64(n)))
 	if err != nil {
 		return err
 	}
@@ -262,7 +220,7 @@ const minFrameRoom = 256
 // memoized encoding) or, for a rare failure image, from one slice of its
 // exact length. The buffered writer is not flushed: callers batch the
 // frame with any chunk body and flush once per message.
-func (fc *frameConn) WriteFrame(f *Frame) error {
+func (fc *Conn) WriteFrame(f *Frame) error {
 	var manifest, image []byte
 	if f.Manifest != nil {
 		if manifest = f.Manifest.Wire(); len(manifest) > maxFrame {
@@ -276,12 +234,12 @@ func (fc *frameConn) WriteFrame(f *Frame) error {
 		}
 		image = appendImage(make([]byte, 0, n), f.Report.Image)
 	}
-	if fc.bw.Available() < minFrameRoom {
-		if err := fc.bw.Flush(); err != nil {
+	if fc.W.Available() < minFrameRoom {
+		if err := fc.W.Flush(); err != nil {
 			return err
 		}
 	}
-	b := append(fc.bw.AvailableBuffer(), make([]byte, lenPrefix)...)
+	b := append(fc.W.AvailableBuffer(), make([]byte, lenPrefix)...)
 	b, err := appendFrame(b, f, len(manifest), len(image))
 	if err != nil {
 		return err
@@ -292,13 +250,13 @@ func (fc *frameConn) WriteFrame(f *Frame) error {
 	}
 	k := wire.UvarintLen(uint64(n))
 	binary.PutUvarint(b[lenPrefix-k:], uint64(n))
-	if _, err := fc.bw.Write(b[lenPrefix-k:]); err != nil {
+	if _, err := fc.W.Write(b[lenPrefix-k:]); err != nil {
 		return err
 	}
-	if _, err := fc.bw.Write(manifest); err != nil {
+	if _, err := fc.W.Write(manifest); err != nil {
 		return err
 	}
-	_, err = fc.bw.Write(image)
+	_, err = fc.W.Write(image)
 	return err
 }
 
@@ -307,20 +265,20 @@ func (fc *frameConn) WriteFrame(f *Frame) error {
 // then hands the store's (or cache's) slices to the writer beneath as one
 // net.Buffers: a single writev on a bare TCP conn, one counted write per
 // chunk through the vendor's countingWriter, never a copy or an encoding.
-func (fc *frameConn) WriteChunkBody(chunks []distrib.Chunk) error {
-	if err := fc.bw.Flush(); err != nil {
+func (fc *Conn) WriteChunkBody(chunks []distrib.Chunk) error {
+	if err := fc.W.Flush(); err != nil {
 		return err
 	}
 	bufs := make(net.Buffers, len(chunks))
 	for i, ch := range chunks {
 		bufs[i] = ch.Data
 	}
-	_, err := bufs.WriteTo(fc.w)
+	_, err := bufs.WriteTo(fc.Raw)
 	return err
 }
 
-// chunkMeta builds the ChunkMeta header entries announcing chunks.
-func chunkMeta(chunks []distrib.Chunk) []distrib.ChunkRef {
+// ChunkMeta builds the ChunkMeta header entries announcing chunks.
+func ChunkMeta(chunks []distrib.Chunk) []distrib.ChunkRef {
 	meta := make([]distrib.ChunkRef, len(chunks))
 	for i, ch := range chunks {
 		meta[i] = distrib.ChunkRef{Hash: ch.Hash, Size: len(ch.Data)}
@@ -339,10 +297,10 @@ func chunkMeta(chunks []distrib.Chunk) []distrib.ChunkRef {
 // later frame. The first fn error is returned after the body is drained;
 // an I/O error returns once the chunks completed before it are delivered
 // (the stream is dead anyway).
-func (fc *frameConn) ReadChunkBody(meta []distrib.ChunkRef, fn func(addr uint64, data []byte) error) error {
+func (fc *Conn) ReadChunkBody(meta []distrib.ChunkRef, fn func(addr uint64, data []byte) error) error {
 	for _, ref := range meta {
-		if ref.Size < 0 || ref.Size > maxWireChunk {
-			return fmt.Errorf("transport: chunk body declares %d bytes", ref.Size)
+		if ref.Size < 0 || ref.Size > MaxWireChunk {
+			return fmt.Errorf("link: chunk body declares %d bytes", ref.Size)
 		}
 	}
 	var firstErr, rerr error
@@ -367,7 +325,7 @@ func (fc *frameConn) ReadChunkBody(meta []distrib.ChunkRef, fn func(addr uint64,
 					return rerr
 				}
 				var k int
-				k, rerr = fc.br.Read(seg[filled:])
+				k, rerr = fc.R.Read(seg[filled:])
 				filled += k
 			}
 			if firstErr == nil {

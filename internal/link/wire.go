@@ -1,12 +1,8 @@
-// Package transport makes Mirage distributed: a vendor-side TCP server, a
-// user-machine agent, and a binary wire protocol carrying fingerprint
-// exchanges, upgrade pushes, validation commands and problem reports.
-//
-// Agents dial the vendor and keep a persistent control channel open (the
-// usual arrangement for fleet management behind NAT); all subsequent RPCs
-// are vendor-initiated over that channel. Remote agents appear to the
-// deployment controller as deploy.Node values, so the staged protocols
-// need know nothing of the wire.
+// Package link is the grammar both ends of a Mirage connection speak: the
+// binary frames the vendor (package transport) and the user-machine agent
+// (package agent) exchange — fingerprint exchanges, upgrade pushes,
+// validation commands and problem reports — and the raw bodies that ride
+// behind them. It holds no policy of either end.
 //
 // Wire format: every message is one length-prefixed binary frame, a
 // grammar over package wire's primitives,
@@ -24,7 +20,7 @@
 // keys are sorted, so the encoding is canonical: the decoder refuses
 // fields its op does not admit and empty present fields besides what
 // wire.Reader refuses.
-package transport
+package link
 
 import (
 	"encoding/binary"
@@ -35,6 +31,7 @@ import (
 
 	"repro/internal/distrib"
 	"repro/internal/machine"
+	"repro/internal/parser"
 	"repro/internal/report"
 	"repro/internal/resource"
 	"repro/internal/wire"
@@ -48,7 +45,7 @@ type Frame struct {
 	// Err is set on failed responses.
 	Err string
 
-	// Request payloads. Fingerprint is kept encoded (encodeFingerprintReq)
+	// Request payloads. Fingerprint is kept encoded (EncodeFingerprintReq)
 	// because its body — the vendor item list and registry — is identical
 	// for every agent of a profiling fan-out: the server encodes it once
 	// per collection and reuses the bytes across the fleet.
@@ -135,6 +132,15 @@ const (
 	OpProfileDelta = "profile_delta"
 )
 
+// FailedReply is a reply carrying msg as its error, cut to the wire's
+// string cap: an error too long to send must not cost the channel.
+func FailedReply(msg string) Frame {
+	if len(msg) > maxWireString {
+		msg = msg[:maxWireString]
+	}
+	return Frame{Err: msg}
+}
+
 // StatusResync is the vendor's reply status asking a delta-pushing agent
 // to re-send its complete profile.
 const StatusResync = "resync"
@@ -168,7 +174,7 @@ type RecordReq struct {
 type FingerprintReq struct {
 	App         string
 	Refs        []string
-	Registry    RegistryConfig
+	Registry    parser.RegistryConfig
 	VendorItems []WireItem
 }
 
@@ -237,24 +243,6 @@ func ItemsFromWire(items []WireItem) *resource.Set {
 		s.Add(resource.Item{Key: w.Key, Hash: w.Hash, Kind: resource.Kind(w.Kind)})
 	}
 	return s
-}
-
-// RegistryRule is one serialized parser binding. Parsers are code shipped
-// in both binaries; the wire carries only the binding of paths/globs/types
-// to parser names plus parser options.
-type RegistryRule struct {
-	// Match is "path", "glob" or "type".
-	Match   string
-	Pattern string // for path/glob
-	Type    int    // for type matches
-	// Parser is "executable", "sharedlib", "text", "config" or "binary".
-	Parser     string
-	IgnoreKeys []string // config parser option
-}
-
-// RegistryConfig is the serialized parser registry.
-type RegistryConfig struct {
-	Rules []RegistryRule
 }
 
 // frameVersion is the first byte of every frame body. A peer speaking
@@ -374,44 +362,48 @@ const (
 	maxImageEntries = 1 << 12
 )
 
-// maxImageBody bounds a report image's body, as maxWireChunk bounds a
+// MaxPeerHints caps how many peers the vendor hints per fetch, and so the
+// peer lists of PeerFetch and Peer.Failed.
+const MaxPeerHints = 3
+
+// maxImageBody bounds a report image's body, as MaxWireChunk bounds a
 // chunk's: an image carries whole files, so the frame cap cannot bound
-// it. An agent whose image is larger sends its report without one. A
+// it. FitImage sends a report whose image is larger without it. A
 // variable only so tests can lower it.
 var maxImageBody = 1 << 26 // 64MB
 
 // Refusal reasons: the label values of mirage_frames_refused_total.
 const (
-	refusedVersion  = "version"
-	refusedTooLarge = "too_large"
-	refusedBadField = "bad_field"
-	refusedTrailing = "trailing"
+	RefusedVersion  = "version"
+	RefusedTooLarge = "too_large"
+	RefusedBadField = "bad_field"
+	RefusedTrailing = "trailing"
 )
 
-// frameError is a frame the reader refused. The stream cannot be
+// FrameError is a frame the reader refused. The stream cannot be
 // resynchronized after it; callers drop the connection.
-type frameError struct {
-	// reason is refusedVersion, refusedTooLarge, refusedBadField or
-	// refusedTrailing.
-	reason string
-	msg    string
-	err    error // ErrFrameTooLarge for too_large, a decoder's error for bad bodies
+type FrameError struct {
+	// Reason is RefusedVersion, RefusedTooLarge, RefusedBadField or
+	// RefusedTrailing.
+	Reason string
+	Msg    string
+	Err    error // ErrFrameTooLarge for too_large, a decoder's error for bad bodies
 }
 
-func (e *frameError) Error() string {
-	if e.err != nil {
-		return "transport: frame refused (" + e.reason + "): " + e.msg + ": " + e.err.Error()
+func (e *FrameError) Error() string {
+	if e.Err != nil {
+		return "link: frame refused (" + e.Reason + "): " + e.Msg + ": " + e.Err.Error()
 	}
-	return "transport: frame refused (" + e.reason + "): " + e.msg
+	return "link: frame refused (" + e.Reason + "): " + e.Msg
 }
 
-func (e *frameError) Unwrap() error { return e.err }
+func (e *FrameError) Unwrap() error { return e.Err }
 
-func refuse(reason string, err error, format string, args ...any) *frameError {
-	if reason == refusedTooLarge {
+func refuse(reason string, err error, format string, args ...any) *FrameError {
+	if reason == RefusedTooLarge {
 		err = ErrFrameTooLarge
 	}
-	return &frameError{reason: reason, msg: fmt.Sprintf(format, args...), err: err}
+	return &FrameError{Reason: reason, Msg: fmt.Sprintf(format, args...), Err: err}
 }
 
 // fields returns the mask of f's non-zero fields.
@@ -481,14 +473,14 @@ func (f *Frame) fields() uint64 {
 func appendFrame(b []byte, f *Frame, manifestLen, imageLen int) ([]byte, error) {
 	op, ok := opCode(f.Op)
 	if !ok {
-		return b, fmt.Errorf("transport: unknown op %q", f.Op)
+		return b, fmt.Errorf("link: unknown op %q", f.Op)
 	}
 	mask := f.fields()
 	if extra := mask &^ opFields[op]; extra != 0 {
-		return b, fmt.Errorf("transport: a %q frame cannot carry fields %#x", f.Op, extra)
+		return b, fmt.Errorf("link: a %q frame cannot carry fields %#x", f.Op, extra)
 	}
 	if f.ID < 0 {
-		return b, fmt.Errorf("transport: frame id %d", f.ID)
+		return b, fmt.Errorf("link: frame id %d", f.ID)
 	}
 	b = append(b, frameVersion, op)
 	b = binary.AppendUvarint(b, mask)
@@ -581,14 +573,14 @@ func appendItems(b []byte, items []WireItem) []byte {
 // and slices are copied out of b, which the caller may reuse.
 func decodeFrame(b []byte, f *Frame) (manifestLen, imageLen int, err error) {
 	if len(b) < 2 {
-		return 0, 0, refuse(refusedBadField, nil, "%d-byte frame", len(b))
+		return 0, 0, refuse(RefusedBadField, nil, "%d-byte frame", len(b))
 	}
 	if b[0] != frameVersion {
-		return 0, 0, refuse(refusedVersion, nil, "version %d", b[0])
+		return 0, 0, refuse(RefusedVersion, nil, "version %d", b[0])
 	}
 	op := b[1]
 	if op >= opCount {
-		return 0, 0, refuse(refusedBadField, nil, "op %d", op)
+		return 0, 0, refuse(RefusedBadField, nil, "op %d", op)
 	}
 	f.Op = opNames[op]
 	r := newFrameReader(b[2:])
@@ -640,7 +632,7 @@ func decodeFrame(b []byte, f *Frame) (manifestLen, imageLen int, err error) {
 	}
 	if mask&fChunkMeta != 0 {
 		f.ChunkMeta = wire.List(r.Count(9, maxChunkRefs), func() distrib.ChunkRef {
-			return distrib.ChunkRef{Hash: r.Addr(), Size: r.Uint(maxWireChunk)}
+			return distrib.ChunkRef{Hash: r.Addr(), Size: r.Uint(MaxWireChunk)}
 		})
 		r.nonEmpty(len(f.ChunkMeta))
 	}
@@ -705,7 +697,7 @@ func (r *frameReader) nonEmptyStr() string {
 func (r *frameReader) bodyLen(limit int, what string) int {
 	v := r.Uvarint()
 	if v > uint64(limit) {
-		r.Fail(refuse(refusedTooLarge, nil, "%s body of %d bytes over its cap %d", what, v, limit))
+		r.Fail(refuse(RefusedTooLarge, nil, "%s body of %d bytes over its cap %d", what, v, limit))
 		return 0
 	}
 	return int(v)
@@ -725,22 +717,22 @@ func (r *frameReader) refusal(what string) error {
 	if err == nil {
 		return nil
 	}
-	if fe, ok := err.(*frameError); ok {
+	if fe, ok := err.(*FrameError); ok {
 		return fe
 	}
 	if errors.Is(err, wire.ErrTrailing) {
-		return refuse(refusedTrailing, err, "%s", what)
+		return refuse(RefusedTrailing, err, "%s", what)
 	}
-	return refuse(refusedBadField, err, "%s", what)
+	return refuse(RefusedBadField, err, "%s", what)
 }
 
-// encodeFingerprintReq returns req's wire form, the Frame.Fingerprint of
+// EncodeFingerprintReq returns req's wire form, the Frame.Fingerprint of
 // an OpFingerprint request:
 //
 //	req  = str(App) count(str Refs) count(rule) count(item VendorItems)
 //	rule = str(Match) str(Pattern) varint(Type) str(Parser) count(str IgnoreKeys)
 //	item = str(Key) hash:8 varint(Kind)
-func encodeFingerprintReq(req *FingerprintReq) []byte {
+func EncodeFingerprintReq(req *FingerprintReq) []byte {
 	b := wire.AppendStrs(wire.AppendStr(nil, req.App), req.Refs)
 	b = binary.AppendUvarint(b, uint64(len(req.Registry.Rules)))
 	for _, rule := range req.Registry.Rules {
@@ -751,12 +743,12 @@ func encodeFingerprintReq(req *FingerprintReq) []byte {
 	return appendItems(b, req.VendorItems)
 }
 
-// decodeFingerprintReq parses encodeFingerprintReq's output.
-func decodeFingerprintReq(b []byte) (*FingerprintReq, error) {
+// DecodeFingerprintReq parses EncodeFingerprintReq's output.
+func DecodeFingerprintReq(b []byte) (*FingerprintReq, error) {
 	r := newFrameReader(b)
 	req := &FingerprintReq{App: r.Str(), Refs: r.Strs(maxResources)}
-	req.Registry.Rules = wire.List(r.Count(5, maxRules), func() RegistryRule {
-		return RegistryRule{Match: r.Str(), Pattern: r.Str(), Type: r.Varint(), Parser: r.Str(), IgnoreKeys: r.Strs(maxRules)}
+	req.Registry.Rules = wire.List(r.Count(5, maxRules), func() parser.RegistryRule {
+		return parser.RegistryRule{Match: r.Str(), Pattern: r.Str(), Type: r.Varint(), Parser: r.Str(), IgnoreKeys: r.Strs(maxRules)}
 	})
 	req.VendorItems = r.items(maxItems)
 	if err := r.refusal("fingerprint request"); err != nil {
@@ -772,6 +764,19 @@ func decodeFingerprintReq(b []byte) (*FingerprintReq, error) {
 //	file    = str(Path) varint(Type) str(Version) bytes(Data)
 //	env     = str(key) str(value)             keys ascending, distinct
 //	package = str(Name) str(Version) count(str Files)
+
+// FitImage drops rep's image when its wire form is over the image cap,
+// saying why in the report's reasons: an image past the cap would cost
+// the channel, and with it the report.
+func FitImage(rep *report.Report) {
+	if rep.Image == nil {
+		return
+	}
+	if n := imageWireLen(rep.Image); n > maxImageBody {
+		rep.Image = nil
+		rep.Reasons = append(rep.Reasons, fmt.Sprintf("report image of %d bytes exceeds the %d-byte cap; sent without it", n, maxImageBody))
+	}
+}
 
 // imageWireLen returns the length of img's wire form.
 func imageWireLen(img *report.Image) int {

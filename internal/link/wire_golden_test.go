@@ -1,4 +1,4 @@
-package transport
+package link
 
 import (
 	"bytes"
@@ -95,20 +95,20 @@ func TestWireGolden(t *testing.T) {
 				t.Fatalf("%s re-encodes as\n%x\nwant\n%x", e.name, again, e.b)
 			}
 			if len(f.Fingerprint) > 0 {
-				req, err := decodeFingerprintReq(f.Fingerprint)
+				req, err := DecodeFingerprintReq(f.Fingerprint)
 				if err != nil {
 					t.Fatalf("%s: %v", e.name, err)
 				}
-				if again := encodeFingerprintReq(req); !bytes.Equal(again, f.Fingerprint) {
+				if again := EncodeFingerprintReq(req); !bytes.Equal(again, f.Fingerprint) {
 					t.Fatalf("%s: fingerprint request re-encodes as %x, want %x", e.name, again, f.Fingerprint)
 				}
 			}
 		case strings.HasPrefix(e.name, "over-cap-"):
 			f, err := readWire(e.b)
 			if err == nil && len(f.Fingerprint) > 0 {
-				_, err = decodeFingerprintReq(f.Fingerprint)
+				_, err = DecodeFingerprintReq(f.Fingerprint)
 			}
-			if refusedFor(err) != refusedBadField {
+			if refusedFor(err) != RefusedBadField {
 				t.Fatalf("%s: %v, want a bad_field refusal", e.name, err)
 			}
 		case strings.HasPrefix(e.name, "image-"):

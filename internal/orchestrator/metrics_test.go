@@ -12,10 +12,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/agent"
 	"repro/internal/deploy"
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
-	"repro/internal/transport"
 )
 
 func TestHealthzAndMetrics(t *testing.T) {
@@ -277,7 +277,7 @@ func TestMetricsFamilies(t *testing.T) {
 	// agent registry grows.
 	<-hold.started
 	for i := 0; i < late; i++ {
-		go transport.NewAgent(tcpMachine(fmt.Sprintf("fam-late-%d", i))).Run(s.Addr()) //nolint:errcheck — ends with server close
+		go agent.NewAgent(tcpMachine(fmt.Sprintf("fam-late-%d", i))).Run(s.Addr()) //nolint:errcheck — ends with server close
 	}
 	select {
 	case <-overlapped:

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/agent"
 	"repro/internal/deploy"
 	"repro/internal/machine"
 	"repro/internal/pkgmgr"
@@ -36,7 +37,7 @@ func startTCPFleet(t *testing.T, names ...string) (*transport.Server, map[string
 	for _, name := range names {
 		m := tcpMachine(name)
 		machines[name] = m
-		go transport.NewAgent(m).Run(s.Addr()) //nolint:errcheck — ends with server close
+		go agent.NewAgent(m).Run(s.Addr()) //nolint:errcheck — ends with server close
 	}
 	if got := s.WaitForAgents(len(names), 5*time.Second); got != len(names) {
 		t.Fatalf("only %d/%d agents registered", got, len(names))

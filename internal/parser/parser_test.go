@@ -294,3 +294,22 @@ func TestFingerprintAll(t *testing.T) {
 		t.Fatalf("FingerprintAll = %d items, want 2", set.Len())
 	}
 }
+
+func TestBuildRegistry(t *testing.T) {
+	reg, err := BuildRegistry(MirageRegistryConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reg.Lookup(&machine.File{Path: "/bin/x", Type: machine.TypeExecutable}) == nil {
+		t.Fatal("executable parser missing")
+	}
+	if _, err := BuildRegistry(RegistryConfig{Rules: []RegistryRule{{Match: "warp", Parser: "config"}}}); err == nil {
+		t.Fatal("bad match kind accepted")
+	}
+	if _, err := BuildRegistry(RegistryConfig{Rules: []RegistryRule{{Match: "path", Pattern: "/x", Parser: "quantum"}}}); err == nil {
+		t.Fatal("bad parser name accepted")
+	}
+	if _, err := BuildRegistry(RegistryConfig{Rules: []RegistryRule{{Match: "glob", Pattern: "[", Parser: "config"}}}); err == nil {
+		t.Fatal("bad glob pattern accepted")
+	}
+}

@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"fmt"
 	"path"
 	"sort"
 
@@ -40,13 +41,84 @@ func NewRegistry() *Registry {
 // which needs vendor parsers (this is exactly the gap Figures 7 and 9
 // evaluate).
 func MirageRegistry() *Registry {
-	r := NewRegistry()
-	r.RegisterType(machine.TypeExecutable, ExecutableParser{})
-	r.RegisterType(machine.TypeSharedLib, SharedLibParser{})
-	// System-wide configuration lives directly under /etc; application
-	// config in /etc subdirectories or home directories is not covered.
-	r.RegisterGlob("/etc/*.conf", ConfigParser{})
+	r, err := BuildRegistry(MirageRegistryConfig())
+	if err != nil {
+		panic(err)
+	}
 	return r
+}
+
+// RegistryRule is one binding of a parser to resources. Parsers are code
+// shipped in both binaries; a registry crosses the wire as its rules: the
+// binding of paths/globs/types to parser names plus parser options.
+type RegistryRule struct {
+	// Match is "path", "glob" or "type".
+	Match   string
+	Pattern string // for path/glob
+	Type    int    // for type matches
+	// Parser is "executable", "sharedlib", "text", "config" or "binary".
+	Parser     string
+	IgnoreKeys []string // config parser option
+}
+
+// RegistryConfig is a registry as rules.
+type RegistryConfig struct {
+	Rules []RegistryRule
+}
+
+// MirageRegistryConfig is the rules of the Mirage-supplied registry.
+func MirageRegistryConfig() RegistryConfig {
+	return RegistryConfig{Rules: []RegistryRule{
+		{Match: "type", Type: int(machine.TypeExecutable), Parser: "executable"},
+		{Match: "type", Type: int(machine.TypeSharedLib), Parser: "sharedlib"},
+		// System-wide configuration lives directly under /etc; application
+		// config in /etc subdirectories or home directories is not covered.
+		{Match: "glob", Pattern: "/etc/*.conf", Parser: "config"},
+	}}
+}
+
+// BuildRegistry builds the registry cfg's rules describe.
+func BuildRegistry(cfg RegistryConfig) (*Registry, error) {
+	reg := NewRegistry()
+	for _, rule := range cfg.Rules {
+		p, err := parserByName(rule.Parser, rule.IgnoreKeys)
+		if err != nil {
+			return nil, err
+		}
+		switch rule.Match {
+		case "path":
+			reg.RegisterPath(rule.Pattern, p)
+		case "glob":
+			// Rules arrive over the wire: a bad pattern is an error, not
+			// RegisterGlob's panic.
+			if _, err := path.Match(rule.Pattern, "/"); err != nil {
+				return nil, fmt.Errorf("parser: bad glob pattern %q", rule.Pattern)
+			}
+			reg.RegisterGlob(rule.Pattern, p)
+		case "type":
+			reg.RegisterType(machine.FileType(rule.Type), p)
+		default:
+			return nil, fmt.Errorf("parser: unknown registry match kind %q", rule.Match)
+		}
+	}
+	return reg, nil
+}
+
+func parserByName(name string, ignoreKeys []string) (Parser, error) {
+	switch name {
+	case "executable":
+		return ExecutableParser{}, nil
+	case "sharedlib":
+		return SharedLibParser{}, nil
+	case "text":
+		return TextParser{}, nil
+	case "config":
+		return ConfigParser{IgnoreKeys: ignoreKeys}, nil
+	case "binary":
+		return NewBinaryParser(), nil
+	default:
+		return nil, fmt.Errorf("parser: unknown parser %q", name)
+	}
 }
 
 // RegisterType installs a parser for every file of the given type.

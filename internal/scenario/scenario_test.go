@@ -225,38 +225,38 @@ func TestTable1Rows(t *testing.T) {
 }
 
 func TestPaperDeploymentShape(t *testing.T) {
-	specs := PaperDeployment(ProblemsLast)
+	specs := simulator.PaperDeployment(simulator.ProblemsLast)
 	if len(specs) != 20 {
 		t.Fatalf("clusters = %d", len(specs))
 	}
 	total, prev := 0, 0
 	for _, c := range specs {
 		total += c.Size
-		if c.Problem == ProblemPrevalent {
+		if c.Problem == simulator.ProblemPrevalent {
 			prev += c.Size
 		}
 	}
-	if total != PaperMachines {
+	if total != simulator.PaperMachines {
 		t.Fatalf("machines = %d", total)
 	}
 	if prev != 15000 {
 		t.Fatalf("prevalent machines = %d, want 15000 (15%%)", prev)
 	}
-	if ProblemMachineCount(specs) != 25000 {
-		t.Fatalf("m = %d, want 25000", ProblemMachineCount(specs))
+	if simulator.ProblemMachineCount(specs) != 25000 {
+		t.Fatalf("m = %d, want 25000", simulator.ProblemMachineCount(specs))
 	}
 }
 
 func TestDeploymentPlacements(t *testing.T) {
-	first := Deployment(1000, 10, 20, ProblemsFirst)
+	first := simulator.Deployment(1000, 10, 20, simulator.ProblemsFirst)
 	if first[0].Problem == "" {
 		t.Fatal("ProblemsFirst left first cluster clean")
 	}
-	last := Deployment(1000, 10, 20, ProblemsLast)
+	last := simulator.Deployment(1000, 10, 20, simulator.ProblemsLast)
 	if last[len(last)-1].Problem == "" {
 		t.Fatal("ProblemsLast left last cluster clean")
 	}
-	uniform := Deployment(1000, 10, 20, ProblemsUniform)
+	uniform := simulator.Deployment(1000, 10, 20, simulator.ProblemsUniform)
 	probIdx := []int{}
 	for i, c := range uniform {
 		if c.Problem != "" {
@@ -275,16 +275,16 @@ func TestDeploymentRejectsFewerThanFiveClusters(t *testing.T) {
 			t.Fatal("Deployment(100, 3, 15, ProblemsLast) did not panic")
 		}
 	}()
-	Deployment(100, 3, 15, ProblemsLast)
+	simulator.Deployment(100, 3, 15, simulator.ProblemsLast)
 }
 
 func TestWithMisplaced(t *testing.T) {
-	specs := PaperDeployment(ProblemsLast)
-	first := WithMisplaced(specs, true)
+	specs := simulator.PaperDeployment(simulator.ProblemsLast)
+	first := simulator.WithMisplaced(specs, true)
 	if len(first[0].Misplaced) != 1 {
 		t.Fatalf("first-cluster misplacement: %+v", first[0])
 	}
-	last := WithMisplaced(specs, false)
+	last := simulator.WithMisplaced(specs, false)
 	idx := -1
 	for i, c := range last {
 		if len(c.Misplaced) > 0 {
@@ -306,11 +306,11 @@ func TestWithMisplaced(t *testing.T) {
 // the paper reports must hold at full scale.
 func TestFigure10PaperScale(t *testing.T) {
 	p := simulator.DefaultParams()
-	ns := simulator.NoStaging(p, PaperDeployment(ProblemsLast))
-	bbest := simulator.Balanced(p, PaperDeployment(ProblemsLast))
-	bworst := simulator.Balanced(p, PaperDeployment(ProblemsFirst))
-	rnd := simulator.RandomStaging(p, PaperDeployment(ProblemsUniform), 42)
-	fl := simulator.FrontLoading(p, PaperDeployment(ProblemsLast))
+	ns := simulator.NoStaging(p, simulator.PaperDeployment(simulator.ProblemsLast))
+	bbest := simulator.Balanced(p, simulator.PaperDeployment(simulator.ProblemsLast))
+	bworst := simulator.Balanced(p, simulator.PaperDeployment(simulator.ProblemsFirst))
+	rnd := simulator.RandomStaging(p, simulator.PaperDeployment(simulator.ProblemsUniform), 42)
+	fl := simulator.FrontLoading(p, simulator.PaperDeployment(simulator.ProblemsLast))
 
 	// Overhead: m for NoStaging, p for Balanced/Random, p+Cp for
 	// FrontLoading.

@@ -1,10 +1,6 @@
-package scenario
+package simulator
 
-import (
-	"fmt"
-
-	"repro/internal/simulator"
-)
+import "fmt"
 
 // Deployment scenario of §4.3.1: 100,000 machines in 20 equal clusters,
 // one representative per cluster; download/test/fix times of 5/10/500; one
@@ -40,7 +36,7 @@ const (
 )
 
 // PaperDeployment builds the §4.3 cluster specs.
-func PaperDeployment(placement Placement) []simulator.ClusterSpec {
+func PaperDeployment(placement Placement) []ClusterSpec {
 	return Deployment(PaperMachines, PaperClusters, PaperPrevalentPct, placement)
 }
 
@@ -48,9 +44,9 @@ func PaperDeployment(placement Placement) []simulator.ClusterSpec {
 // machines in nClusters equal clusters; the prevalent problem covers
 // prevalentPct percent of machines (rounded to whole clusters, at least
 // one); two non-prevalent problems affect one cluster each.
-func Deployment(machines, nClusters, prevalentPct int, placement Placement) []simulator.ClusterSpec {
+func Deployment(machines, nClusters, prevalentPct int, placement Placement) []ClusterSpec {
 	if nClusters < 5 {
-		panic("scenario: need at least 5 clusters for 3 problem groups")
+		panic("simulator: need at least 5 clusters for 3 problem groups")
 	}
 	size := machines / nClusters
 	prevClusters := (machines*prevalentPct + 99) / (100 * size)
@@ -61,9 +57,9 @@ func Deployment(machines, nClusters, prevalentPct int, placement Placement) []si
 		prevClusters = nClusters - 2
 	}
 
-	specs := make([]simulator.ClusterSpec, nClusters)
+	specs := make([]ClusterSpec, nClusters)
 	for i := range specs {
-		specs[i] = simulator.ClusterSpec{
+		specs[i] = ClusterSpec{
 			Name:     fmt.Sprintf("cluster-%02d", i),
 			Size:     size,
 			Reps:     1,
@@ -98,8 +94,8 @@ func Deployment(machines, nClusters, prevalentPct int, placement Placement) []si
 // WithMisplaced returns a copy of specs with one misplaced problematic
 // machine (a new, distinct problem) injected into the first or last clean
 // cluster of the Balanced order — the Figure 11 setup.
-func WithMisplaced(specs []simulator.ClusterSpec, inFirstCluster bool) []simulator.ClusterSpec {
-	out := make([]simulator.ClusterSpec, len(specs))
+func WithMisplaced(specs []ClusterSpec, inFirstCluster bool) []ClusterSpec {
+	out := make([]ClusterSpec, len(specs))
 	copy(out, specs)
 	idx := -1
 	if inFirstCluster {
@@ -118,14 +114,14 @@ func WithMisplaced(specs []simulator.ClusterSpec, inFirstCluster bool) []simulat
 		}
 	}
 	if idx < 0 {
-		panic("scenario: no clean cluster to misplace into")
+		panic("simulator: no clean cluster to misplace into")
 	}
 	out[idx].Misplaced = append(append([]string(nil), out[idx].Misplaced...), "misplaced-problem")
 	return out
 }
 
 // ProblemMachineCount returns m, the total number of problematic machines.
-func ProblemMachineCount(specs []simulator.ClusterSpec) int {
+func ProblemMachineCount(specs []ClusterSpec) int {
 	m := 0
 	for _, c := range specs {
 		if c.Problem != "" {

@@ -8,16 +8,17 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/agent"
 	"repro/internal/apps"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/deploy"
 	"repro/internal/machine"
 	"repro/internal/orchestrator"
+	"repro/internal/parser"
 	"repro/internal/rollout"
 	"repro/internal/scenario"
 	"repro/internal/staging"
-	"repro/internal/transport"
 )
 
 // chaosOptions configures one chaos run.
@@ -151,7 +152,7 @@ func runChaos(ctx context.Context, opts chaosOptions) (*chaosResult, error) {
 				return agentEnd, vendorEnd, err
 			}
 		}
-		a := transport.NewAgent(m)
+		a := agent.NewAgent(m)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -165,7 +166,7 @@ func runChaos(ctx context.Context, opts chaosOptions) (*chaosResult, error) {
 					return nil, err
 				}
 				return agentEnd, nil
-			}, transport.ReconnectConfig{MaxAttempts: 1, BaseDelay: 2 * time.Millisecond, Stop: stop})
+			}, agent.ReconnectConfig{MaxAttempts: 1, BaseDelay: 2 * time.Millisecond, Stop: stop})
 		}()
 	}
 	if got := srv.WaitForAgents(len(machines), 10*time.Second); got != len(machines) {
@@ -191,7 +192,7 @@ func runChaos(ctx context.Context, opts chaosOptions) (*chaosResult, error) {
 	}
 	clusters, err := v.Profile(ctx, core.App{
 		Name: "mysql", Refs: scenario.MySQLResourceRefs(),
-		Registry: transport.MirageRegistryConfig(), Reference: scenario.MySQLVendorReference(),
+		Registry: parser.MirageRegistryConfig(), Reference: scenario.MySQLVendorReference(),
 	}, cluster.Config{Diameter: 3})
 	if err != nil {
 		return nil, err

@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/agent"
 	"repro/internal/deploy"
+	"repro/internal/link"
 	"repro/internal/machine"
 	"repro/internal/pkgmgr"
 	"repro/internal/report"
@@ -20,11 +22,11 @@ import (
 
 // startReconnectingAgent runs the machine's agent with a fast redial loop
 // until the test ends.
-func startReconnectingAgent(t *testing.T, s *Server, a *Agent) {
+func startReconnectingAgent(t *testing.T, s *Server, a *agent.Agent) {
 	t.Helper()
 	stop := make(chan struct{})
 	t.Cleanup(func() { close(stop) })
-	go a.RunWithReconnect(s.Addr(), ReconnectConfig{
+	go a.RunWithReconnect(s.Addr(), agent.ReconnectConfig{
 		MaxAttempts: 500,
 		BaseDelay:   2 * time.Millisecond,
 		MaxDelay:    20 * time.Millisecond,
@@ -71,7 +73,7 @@ func TestReplacedConnectionSurfacesTypedError(t *testing.T) {
 	// deliberately closed. A call on the stale handle must say "replaced",
 	// not fail with a raw JSON decode error.
 	m2 := userMachine("twin", false)
-	go NewAgent(m2).Run(s.Addr())
+	go agent.NewAgent(m2).Run(s.Addr())
 	deadline := time.Now().Add(5 * time.Second)
 	for !old.replaced.Load() {
 		if time.Now().After(deadline) {
@@ -79,7 +81,7 @@ func TestReplacedConnectionSurfacesTypedError(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	_, err := old.call(context.Background(), Frame{Op: OpPing}, time.Second)
+	_, err := old.call(context.Background(), link.Frame{Op: link.OpPing}, nil)
 	if !errors.Is(err, ErrAgentReplaced) || !deploy.IsTransient(err) {
 		t.Fatalf("stale-handle error = %v, want ErrAgentReplaced", err)
 	}
@@ -96,14 +98,14 @@ func TestReplacedConnectionSurfacesTypedError(t *testing.T) {
 func TestAgentReconnectPreservesIdentityAndCache(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		run  func(a *Agent, s *Server, stop chan struct{})
+		run  func(a *agent.Agent, s *Server, stop chan struct{})
 	}{
-		{"tcp", func(a *Agent, s *Server, stop chan struct{}) {
-			a.RunWithReconnect(s.Addr(), ReconnectConfig{
+		{"tcp", func(a *agent.Agent, s *Server, stop chan struct{}) {
+			a.RunWithReconnect(s.Addr(), agent.ReconnectConfig{
 				MaxAttempts: 500, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond, Stop: stop,
 			})
 		}},
-		{"ServePipes", func(a *Agent, s *Server, stop chan struct{}) { a.ServePipes(s, stop) }},
+		{"ServePipes", func(a *agent.Agent, s *Server, stop chan struct{}) { a.ServePipes(s, stop) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := Listen("127.0.0.1:0")
@@ -111,7 +113,7 @@ func TestAgentReconnectPreservesIdentityAndCache(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { s.Close() })
-			agent := NewAgent(userMachine("phoenix", false))
+			agent := agent.NewAgent(userMachine("phoenix", false))
 			stop, done := make(chan struct{}), make(chan struct{})
 			go func() { defer close(done); tc.run(agent, s, stop) }()
 			if !s.WaitForAgent("phoenix", 5*time.Second) {
@@ -167,7 +169,10 @@ func TestServePipesEndsWithServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := make(chan struct{})
-	go func() { defer close(done); NewAgent(userMachine("piped", false)).ServePipes(s, make(chan struct{})) }()
+	go func() {
+		defer close(done)
+		agent.NewAgent(userMachine("piped", false)).ServePipes(s, make(chan struct{}))
+	}()
 	if !s.WaitForAgent("piped", 5*time.Second) {
 		t.Fatal("agent never registered")
 	}
@@ -176,27 +181,6 @@ func TestServePipesEndsWithServer(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("ServePipes still running after the server closed")
-	}
-}
-
-// TestReconnectBackoffBounded: the redial backoff stays within [base, max]
-// and never shrinks, however many dials in a row have failed. A plain
-// base<<(failures-1) wraps past failure 40 at the 20ms default base.
-func TestReconnectBackoffBounded(t *testing.T) {
-	base, max := 20*time.Millisecond, time.Second
-	prev := time.Duration(0)
-	for failures := 1; failures <= 200; failures++ {
-		d := reconnectDelay(base, max, failures)
-		if d < base || d > max {
-			t.Fatalf("failure %d: delay %v outside [%v, %v]", failures, d, base, max)
-		}
-		if d < prev {
-			t.Fatalf("failure %d: delay %v shorter than the %v before it", failures, d, prev)
-		}
-		prev = d
-	}
-	if prev != max {
-		t.Fatalf("delay settles at %v, want the %v ceiling", prev, max)
 	}
 }
 
@@ -226,7 +210,7 @@ func TestDeploymentSurvivesMidWaveChurn(t *testing.T) {
 	for _, name := range names {
 		m := userMachine(name, false)
 		machines[name] = m
-		startReconnectingAgent(t, s, NewAgent(m))
+		startReconnectingAgent(t, s, agent.NewAgent(m))
 	}
 
 	// churn-2 is killed at the instant its own wave reaches it.

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/deploy"
+	"repro/internal/link"
 	"repro/internal/machine"
 	"repro/internal/report"
 )
@@ -87,7 +88,7 @@ func TestRPCTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	s.Timeout = 50 * time.Millisecond
+	s.timeout = 50 * time.Millisecond
 
 	// A half-agent: registers, then never answers.
 	conn, err := net.Dial("tcp", s.Addr())
@@ -95,7 +96,7 @@ func TestRPCTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write(wireBytes(t, &Frame{Op: OpRegister, Register: &RegisterReq{Machine: "mute"}})); err != nil {
+	if _, err := conn.Write(wireBytes(t, &link.Frame{Op: link.OpRegister, Register: &link.RegisterReq{Machine: "mute"}})); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.WaitForAgents(1, time.Second); got != 1 {
@@ -119,7 +120,7 @@ func TestUnknownOpRejectedByAgent(t *testing.T) {
 	m := userMachine("strict", false)
 	s, _ := startFleet(t, m)
 	ac, _ := s.registry.Get("strict")
-	_, err := ac.call(context.Background(), Frame{Op: OpPeerGet}, time.Second)
+	_, err := ac.call(context.Background(), link.Frame{Op: link.OpPeerGet}, nil)
 	if err == nil || !strings.Contains(err.Error(), "unknown op") {
 		t.Fatalf("err = %v", err)
 	}
@@ -176,23 +177,5 @@ func TestLargeFailureImageArrives(t *testing.T) {
 	}
 	if f := rep.Image.Materialize().ReadFile("/var/lib/mysql/ibdata1"); f == nil || !bytes.Equal(f.Data, data) {
 		t.Fatal("the image's 800 KiB file did not arrive intact")
-	}
-}
-
-// TestOverCapImageSentWithoutIt: an image past its cap never costs the
-// channel; the failure report arrives without it, saying why.
-func TestOverCapImageSentWithoutIt(t *testing.T) {
-	defer func(n int) { maxImageBody = n }(maxImageBody)
-	maxImageBody = 64 * 1024
-	s, _ := phpFailure(t, "php4-huge", 100*1024)
-	rep, err := s.Node("php4-huge").TestUpgrade(context.Background(), mysql5Wire())
-	if err != nil {
-		t.Fatalf("failure report lost: %v", err)
-	}
-	if rep.Success || rep.Image != nil || !strings.Contains(strings.Join(rep.Reasons, ";"), "exceeds the 65536-byte cap") {
-		t.Fatalf("report = %+v, want a failure without its image, the reason given", rep)
-	}
-	if err := s.Ping(context.Background(), "php4-huge"); err != nil {
-		t.Fatalf("channel after the report: %v", err)
 	}
 }

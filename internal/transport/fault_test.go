@@ -1,7 +1,10 @@
 package transport_test
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"encoding/binary"
 	"hash/fnv"
 	"net"
 	"slices"
@@ -10,7 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/agent"
 	"repro/internal/deploy"
+	"repro/internal/link"
 	"repro/internal/scenario"
 	"repro/internal/transport"
 )
@@ -143,7 +148,7 @@ func (fi *faultInjector) next(agent, op string) FaultKind {
 	case p < pl.Drop+pl.Delay:
 		kind = FaultDelay
 	case p < pl.Drop+pl.Delay+pl.Corrupt:
-		if op == transport.OpFetchChunks {
+		if op == link.OpFetchChunks {
 			kind = FaultCorrupt
 		}
 	case p < pl.Drop+pl.Delay+pl.Corrupt+pl.Reset:
@@ -204,7 +209,7 @@ func (c *faultConn) Write(p []byte) (int, error) {
 	}
 	// The vendor flushes each request from an empty buffered writer, so
 	// its first write holds the whole frame head.
-	end, op, ok := transport.FrameHead(p)
+	end, op, ok := frameHead(p)
 	if !ok {
 		panic("fault injector: a request's first write lacks its frame head")
 	}
@@ -243,6 +248,33 @@ func (c *faultConn) Read(p []byte) (int, error) {
 	return c.Conn.Read(p)
 }
 
+// fetchChunksOp is the op byte of a fetch_chunks frame, read off the
+// encoder so the interposer keeps no copy of the grammar's op table.
+var fetchChunksOp = func() byte {
+	var buf bytes.Buffer
+	fc := &link.Conn{W: bufio.NewWriter(&buf), Raw: &buf}
+	if fc.WriteFrame(&link.Frame{Op: link.OpFetchChunks}) != nil || fc.W.Flush() != nil {
+		panic("fault injector: cannot encode a fetch_chunks frame")
+	}
+	_, k := binary.Uvarint(buf.Bytes())
+	return buf.Bytes()[k+1]
+}()
+
+// frameHead reads the head of the frame at the start of b: where the
+// frame ends (length prefix included), and op, which is OpFetchChunks for
+// a fetch_chunks request (the one op the injector tells apart) and empty
+// for any other. ok is false while b is too short to hold the op byte.
+func frameHead(b []byte) (end int, op string, ok bool) {
+	n, k := binary.Uvarint(b)
+	if k <= 0 || len(b) < k+2 {
+		return 0, "", false
+	}
+	if b[k+1] == fetchChunksOp {
+		op = link.OpFetchChunks
+	}
+	return k + int(n), op, true
+}
+
 // TestFaultInjectorDeterminism: the same plan over the same per-agent
 // request sequence injects the same faults, regardless of how requests
 // from different agents interleave.
@@ -253,7 +285,7 @@ func TestFaultInjectorDeterminism(t *testing.T) {
 		out := map[string][]FaultKind{}
 		for i := 0; i < 50; i++ {
 			for _, a := range agents {
-				out[a] = append(out[a], fi.next(a, transport.OpFetchChunks))
+				out[a] = append(out[a], fi.next(a, link.OpFetchChunks))
 			}
 		}
 		return out
@@ -281,7 +313,7 @@ func TestFaultInjectorCrashSchedule(t *testing.T) {
 	})
 	var kinds []FaultKind
 	for i := 0; i < 8; i++ {
-		kinds = append(kinds, fi.next("m", transport.OpTest))
+		kinds = append(kinds, fi.next("m", link.OpTest))
 	}
 	for i, k := range kinds {
 		want := FaultNone
@@ -292,7 +324,7 @@ func TestFaultInjectorCrashSchedule(t *testing.T) {
 			t.Fatalf("request %d = %v, want %v (all: %v)", i+1, k, want, kinds)
 		}
 	}
-	if fi.next("other", transport.OpTest) != FaultNone {
+	if fi.next("other", link.OpTest) != FaultNone {
 		t.Fatal("crash leaked onto another agent")
 	}
 	if got := fi.counts(); got.Total() != 2 || got[FaultCrash] != 2 {
@@ -306,7 +338,7 @@ func TestFaultInjectorBudget(t *testing.T) {
 	fi := newFaultInjector(FaultPlan{Seed: 7, Drop: 1.0, MaxFaults: 5})
 	fired := 0
 	for i := 0; i < 100; i++ {
-		if fi.next("m", transport.OpTest) != FaultNone {
+		if fi.next("m", link.OpTest) != FaultNone {
 			fired++
 		}
 	}
@@ -318,7 +350,7 @@ func TestFaultInjectorBudget(t *testing.T) {
 	}
 
 	fi = newFaultInjector(FaultPlan{Drop: 1.0, Agents: []string{"m"}})
-	if fi.next("other", transport.OpTest) != FaultNone || fi.next("m", transport.OpTest) != FaultDrop {
+	if fi.next("other", link.OpTest) != FaultNone || fi.next("m", link.OpTest) != FaultDrop {
 		t.Fatal("Agents did not confine the faults to the named link")
 	}
 }
@@ -341,7 +373,7 @@ func TestFaultInjectorCorruptOnlyChunks(t *testing.T) {
 	if err := srv.ServeConn(fi.wrap("m", srvEnd)); err != nil {
 		t.Fatal(err)
 	}
-	go transport.NewAgent(m).ServeConn(client)
+	go agent.NewAgent(m).ServeConn(client)
 	if srv.WaitForAgents(1, 5*time.Second) != 1 {
 		t.Fatal("agent never registered")
 	}

@@ -6,15 +6,16 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"io"
 	"net"
 	"testing"
 	"testing/iotest"
 	"time"
 
+	"repro/internal/agent"
 	"repro/internal/apps"
 	"repro/internal/distrib"
 	"repro/internal/fingerprint"
+	"repro/internal/link"
 	"repro/internal/machine"
 	"repro/internal/pkgmgr"
 )
@@ -76,29 +77,29 @@ func TestBinaryFramingZeroExpansion(t *testing.T) {
 // instead of buffering whatever arrives. net.Pipe is synchronous, so the
 // bytes the writer got rid of are exactly the bytes the endpoint read.
 func TestHeaderLineIsBounded(t *testing.T) {
-	announce := binary.AppendUvarint(nil, 2*maxFrame)
+	announce := binary.AppendUvarint(nil, 2*frameCap)
 	flood := func(t *testing.T, conn net.Conn) {
 		t.Helper()
 		defer conn.Close()
 		conn.SetDeadline(time.Now().Add(10 * time.Second))
 		written, err := conn.Write(announce)
 		junk := bytes.Repeat([]byte{'x'}, 1000)
-		for err == nil && written < 4*maxFrame {
+		for err == nil && written < 4*frameCap {
 			var n int
 			n, err = conn.Write(junk)
 			written += n
 		}
 		if written > 4096 {
 			t.Fatalf("endpoint read %d bytes of a frame announcing %d before hanging up, want at most one 4096-byte buffer",
-				written, 2*maxFrame)
+				written, 2*frameCap)
 		}
 	}
 
 	t.Run("frameConn", func(t *testing.T) {
-		src := bytes.NewReader(append(announce, make([]byte, 2*maxFrame)...))
-		fc := newFrameConn(bufio.NewReader(src), nil, nil)
-		var f Frame
-		if err := fc.ReadFrame(&f); !errors.Is(err, ErrFrameTooLarge) {
+		src := bytes.NewReader(append(announce, make([]byte, 2*frameCap)...))
+		fc := &link.Conn{R: bufio.NewReader(src)}
+		var f link.Frame
+		if err := fc.ReadFrame(&f); !errors.Is(err, link.ErrFrameTooLarge) {
 			t.Fatalf("ReadFrame = %v, want ErrFrameTooLarge", err)
 		}
 		if read := int(src.Size()) - src.Len(); read > 4096 {
@@ -116,15 +117,15 @@ func TestHeaderLineIsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 		flood(t, client)
-		if got := s.metrics().refused.With(refusedTooLarge).Value(); got != 1 {
+		if got := s.metrics().refused.With(link.RefusedTooLarge).Value(); got != 1 {
 			t.Fatalf("too_large refusals counted = %d, want 1", got)
 		}
 	})
 	t.Run("Agent.serve", func(t *testing.T) {
 		vendor, agentEnd := net.Pipe()
-		go NewAgent(userMachine("flooded", false)).ServeConn(agentEnd)
-		var reg Frame
-		if err := newFrameConn(bufio.NewReader(vendor), nil, nil).ReadFrame(&reg); err != nil {
+		go agent.NewAgent(userMachine("flooded", false)).ServeConn(agentEnd)
+		var reg link.Frame
+		if err := (&link.Conn{R: bufio.NewReader(vendor)}).ReadFrame(&reg); err != nil {
 			t.Fatal(err)
 		}
 		flood(t, vendor)
@@ -139,11 +140,11 @@ func chunkBody(seed byte, sizes ...int) ([]distrib.Chunk, []distrib.ChunkRef) {
 		data := bigData(seed+byte(i), n)
 		chunks[i] = distrib.Chunk{Hash: fingerprint.HashBytes(data), Data: data}
 	}
-	return chunks, chunkMeta(chunks)
+	return chunks, link.ChunkMeta(chunks)
 }
 
 // TestFramingChunkBodyKept reads bodies back to back through one
-// frameConn whose fn keeps every slice it is handed, as Cache.Add does.
+// link.Conn whose fn keeps every slice it is handed, as Cache.Add does.
 // Every kept chunk must still hold its own bytes after later bodies were
 // read — the reader never reuses memory it delivered — including a 2 MiB
 // chunk, larger than a segment, between small ones. Reads come in halves
@@ -152,13 +153,13 @@ func TestFramingChunkBodyKept(t *testing.T) {
 	first, firstMeta := chunkBody(1, 3000, 5000, 70_000)
 	second, secondMeta := chunkBody(9, 4000, 2<<20, 0, 6000)
 	var stream bytes.Buffer
-	w := newFrameConn(nil, bufio.NewWriter(&stream), &stream)
+	w := &link.Conn{W: bufio.NewWriter(&stream), Raw: &stream}
 	for _, body := range [][]distrib.Chunk{first, second} {
 		if err := w.WriteChunkBody(body); err != nil {
 			t.Fatal(err)
 		}
 	}
-	r := newFrameConn(bufio.NewReader(iotest.HalfReader(&stream)), nil, nil)
+	r := &link.Conn{R: bufio.NewReader(iotest.HalfReader(&stream))}
 	var kept []distrib.Chunk
 	keep := func(addr uint64, data []byte) error {
 		kept = append(kept, distrib.Chunk{Hash: addr, Data: data})
@@ -181,73 +182,4 @@ func TestFramingChunkBodyKept(t *testing.T) {
 			t.Fatalf("chunk %d has capacity %d past its %d bytes: an append would overwrite its neighbour", i, cap(ch.Data), len(ch.Data))
 		}
 	}
-}
-
-// FuzzReadChunkBody feeds ReadChunkBody arbitrary chunk sizes (two bytes
-// each, so at most 64 KiB) and stream bytes, with fn rejecting the chunk
-// at index reject when there is one. The reader must not panic; it must
-// hand fn exactly consecutive slices of the stream; a stream shorter than
-// the body must fail after delivering exactly the chunks it holds in
-// full; and a rejection must leave the stream at the byte after the body.
-func FuzzReadChunkBody(f *testing.F) {
-	f.Add([]byte{0x10, 0x00, 0x00, 0x20}, uint8(255), bytes.Repeat([]byte{7}, 0x30))
-	f.Add([]byte{0x10, 0x00, 0x00, 0x20}, uint8(0), bytes.Repeat([]byte{7}, 0x31))
-	f.Add([]byte{0xff, 0xff, 0x00, 0x00, 0x01, 0x00}, uint8(1), bytes.Repeat([]byte{1, 2, 3}, 30_000))
-	f.Add([]byte{0x05}, uint8(255), []byte("abc"))
-	f.Fuzz(func(t *testing.T, sizes []byte, reject uint8, stream []byte) {
-		var meta []distrib.ChunkRef
-		total := 0
-		for i := 0; i+1 < len(sizes) && len(meta) < 64; i += 2 {
-			n := int(sizes[i]) | int(sizes[i+1])<<8
-			meta = append(meta, distrib.ChunkRef{Hash: uint64(len(meta)), Size: n})
-			total += n
-		}
-		errReject := errors.New("rejected")
-		var got [][]byte
-		br := bufio.NewReader(iotest.HalfReader(bytes.NewReader(stream)))
-		err := newFrameConn(br, nil, nil).ReadChunkBody(meta, func(addr uint64, data []byte) error {
-			if addr != uint64(len(got)) {
-				t.Fatalf("chunk %d delivered as chunk %d", addr, len(got))
-			}
-			got = append(got, data)
-			if addr == uint64(reject) {
-				return errReject
-			}
-			return nil
-		})
-		off := 0
-		for i, data := range got {
-			if !bytes.Equal(data, stream[off:off+meta[i].Size]) {
-				t.Fatalf("chunk %d is not stream[%d:%d]", i, off, off+meta[i].Size)
-			}
-			off += meta[i].Size
-		}
-		// The chunks the stream holds in full, and the rejection among them.
-		whole, prefix := 0, 0
-		for whole < len(meta) && prefix+meta[whole].Size <= len(stream) {
-			prefix += meta[whole].Size
-			whole++
-		}
-		rejected := int(reject) < whole
-		switch {
-		case rejected:
-			if err != errReject || len(got) != int(reject)+1 {
-				t.Fatalf("err = %v after %d chunks, want the rejection of chunk %d", err, len(got), reject)
-			}
-		case len(stream) < total:
-			if err == nil || len(got) != whole {
-				t.Fatalf("short stream: err = %v after %d chunks, want an error after the %d it holds", err, len(got), whole)
-			}
-		default:
-			if err != nil || len(got) != len(meta) {
-				t.Fatalf("err = %v after %d of %d chunks", err, len(got), len(meta))
-			}
-		}
-		if len(stream) >= total && (rejected || err == nil) {
-			next, rerr := br.ReadByte()
-			if len(stream) == total && rerr != io.EOF || len(stream) > total && (rerr != nil || next != stream[total]) {
-				t.Fatalf("after the body read %q (err %v), want stream[%d]", next, rerr, total)
-			}
-		}
-	})
 }

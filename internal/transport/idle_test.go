@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/link"
 	"repro/internal/report"
 )
 
@@ -25,7 +26,7 @@ func handAgent(t testing.TB, s *Server, name string) net.Conn {
 	if err := s.ServeConn(srvEnd); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := agent.Write(wireBytes(t, &Frame{Op: OpRegister, Register: &RegisterReq{Machine: name}})); err != nil {
+	if _, err := agent.Write(wireBytes(t, &link.Frame{Op: link.OpRegister, Register: &link.RegisterReq{Machine: name}})); err != nil {
 		t.Fatal(err)
 	}
 	return agent
@@ -50,11 +51,11 @@ func TestStrayBytesAfterReplyDropChannel(t *testing.T) {
 	}
 	pinged := make(chan error, 1)
 	go func() { pinged <- s.Ping(context.Background(), "chatty") }()
-	var ping Frame
-	if err := newFrameConn(bufio.NewReader(agent), nil, nil).ReadFrame(&ping); err != nil {
+	var ping link.Frame
+	if err := (&link.Conn{R: bufio.NewReader(agent)}).ReadFrame(&ping); err != nil {
 		t.Fatal(err)
 	}
-	reply := wireBytes(t, &Frame{ID: ping.ID, OK: true})
+	reply := wireBytes(t, &link.Frame{ID: ping.ID, OK: true})
 	// The reply, then a second copy of it: well-formed, but unasked for.
 	if _, err := agent.Write(append(reply, reply...)); err != nil {
 		t.Fatal(err)
@@ -66,7 +67,7 @@ func TestStrayBytesAfterReplyDropChannel(t *testing.T) {
 	if got := s.Agents(); len(got) != 0 {
 		t.Fatalf("agents after the stray bytes = %v, want chatty dropped", got)
 	}
-	if got := s.metrics().refused.With(refusedTrailing).Value(); got != 1 {
+	if got := s.metrics().refused.With(link.RefusedTrailing).Value(); got != 1 {
 		t.Fatalf("trailing refusals counted = %d, want 1", got)
 	}
 }
@@ -137,10 +138,10 @@ func TestPooledBufferNotAliased(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reply := func(id int) *Frame {
-		return &Frame{ID: id, OK: true, Status: "status-text",
+	reply := func(id int) *link.Frame {
+		return &link.Frame{ID: id, OK: true, Status: "status-text",
 			Resources:  []string{"/etc/mysql/my.cnf", "/usr/sbin/mysqld"},
-			Diff:       []WireItem{{Key: "my.cnf:port", Hash: 0xfeedface, Kind: 1}},
+			Diff:       []link.WireItem{{Key: "my.cnf:port", Hash: 0xfeedface, Kind: 1}},
 			AppSet:     "mysql+php",
 			NeedChunks: []uint64{0x1111, 0x2222, 0x3333},
 			Report: &report.Report{UpgradeID: "mysql-5.0.22", Machine: "aliased", Success: false,
@@ -152,16 +153,16 @@ func TestPooledBufferNotAliased(t *testing.T) {
 	sent := wireBytes(t, reply(1)) // the channel's first call has ID 1
 	borrowed := make(chan *bufio.Reader, 1)
 	go func() {
-		var req Frame
-		if err := newFrameConn(bufio.NewReader(agent), nil, nil).ReadFrame(&req); err != nil {
+		var req link.Frame
+		if err := (&link.Conn{R: bufio.NewReader(agent)}).ReadFrame(&req); err != nil {
 			borrowed <- nil
 			return
 		}
 		// The vendor lent its channel a reader before it wrote the request.
-		borrowed <- ac.fc.br
+		borrowed <- ac.fc.R
 		agent.Write(sent)
 	}()
-	resp, err := ac.call(context.Background(), Frame{Op: OpPing}, 5*time.Second)
+	resp, err := ac.call(context.Background(), link.Frame{Op: link.OpPing}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestPooledBufferNotAliased(t *testing.T) {
 	if br == nil {
 		t.Fatal("the agent never read the request")
 	}
-	if ac.fc.br != nil || ac.fc.bw != nil {
+	if ac.fc.R != nil || ac.fc.W != nil {
 		t.Fatal("the channel kept its bufio pair after the call")
 	}
 	br.Reset(bytes.NewReader(bytes.Repeat([]byte{0xa5}, br.Size())))
@@ -201,10 +202,10 @@ func TestPooledBuffersConcurrentChannels(t *testing.T) {
 		defer agent.Close()
 		go func(name string) {
 			bw := bufio.NewWriter(agent)
-			fc := newFrameConn(bufio.NewReader(agent), bw, agent)
-			var req Frame
+			fc := &link.Conn{R: bufio.NewReader(agent), W: bw, Raw: agent}
+			var req link.Frame
 			for fc.ReadFrame(&req) == nil {
-				if fc.WriteFrame(&Frame{ID: req.ID, OK: true, Status: name}) != nil || bw.Flush() != nil {
+				if fc.WriteFrame(&link.Frame{ID: req.ID, OK: true, Status: name}) != nil || bw.Flush() != nil {
 					return
 				}
 			}
@@ -218,8 +219,8 @@ func TestPooledBuffersConcurrentChannels(t *testing.T) {
 		go func() {
 			ac, err := s.agent(name)
 			for i := 0; i < rounds && err == nil; i++ {
-				var resp Frame
-				if resp, err = ac.call(context.Background(), Frame{Op: OpPing}, 5*time.Second); err == nil && resp.Status != name {
+				var resp link.Frame
+				if resp, err = ac.call(context.Background(), link.Frame{Op: link.OpPing}, nil); err == nil && resp.Status != name {
 					err = fmt.Errorf("call %d on %s answered by %q", i, name, resp.Status)
 				}
 			}

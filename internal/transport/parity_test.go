@@ -57,7 +57,7 @@ func TestLocalAndRemoteFingerprintParity(t *testing.T) {
 
 	// Local: an identical copy of each machine, fingerprinted with the
 	// registry the wire configuration describes.
-	reg, err := BuildRegistry(regCfg)
+	reg, err := parser.BuildRegistry(regCfg)
 	if err != nil {
 		t.Fatal(err)
 	}

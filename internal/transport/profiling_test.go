@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/agent"
 	"repro/internal/apps"
+	"repro/internal/link"
 	"repro/internal/parser"
 	"repro/internal/resource"
 )
@@ -18,11 +20,11 @@ import (
 // Tests for the concurrent fleet-fingerprinting path: name order, the
 // in-flight bound, error attribution, and the wire acknowledgment fix.
 
-func mysqlVendorItems(t *testing.T) ([]string, RegistryConfig, *resource.Set) {
+func mysqlVendorItems(t *testing.T) ([]string, parser.RegistryConfig, *resource.Set) {
 	t.Helper()
 	refs := []string{"/lib/libc.so", apps.MySQLExec, apps.LibMySQLPath}
-	regCfg := MirageRegistryConfig()
-	reg, err := BuildRegistry(regCfg)
+	regCfg := parser.MirageRegistryConfig()
+	reg, err := parser.BuildRegistry(regCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +44,7 @@ func TestFingerprintAllDeterministicAcrossParallelism(t *testing.T) {
 	var names []string
 	for i := 9; i >= 0; i-- {
 		names = append([]string{fmt.Sprintf("fp-%02d", i)}, names...)
-		go NewAgent(userMachine(names[0], i%2 == 1)).Run(s.Addr())
+		go agent.NewAgent(userMachine(names[0], i%2 == 1)).Run(s.Addr())
 		if got := s.WaitForAgents(10-i, 5*time.Second); got != 10-i {
 			t.Fatalf("only %d/%d agents registered", got, 10-i)
 		}
@@ -72,20 +74,20 @@ func TestFingerprintAllDeterministicAcrossParallelism(t *testing.T) {
 
 // rawAgent registers name on a raw connection and answers each request
 // with the frame answer returns for its ID, one request at a time.
-func rawAgent(t *testing.T, addr, name string, answer func(id int) *Frame) {
+func rawAgent(t *testing.T, addr, name string, answer func(id int) *link.Frame) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
 	bw := bufio.NewWriter(conn)
-	fc := newFrameConn(bufio.NewReader(conn), bw, conn)
-	if fc.WriteFrame(&Frame{Op: OpRegister, Register: &RegisterReq{Machine: name}}) != nil || bw.Flush() != nil {
+	fc := &link.Conn{R: bufio.NewReader(conn), W: bw, Raw: conn}
+	if fc.WriteFrame(&link.Frame{Op: link.OpRegister, Register: &link.RegisterReq{Machine: name}}) != nil || bw.Flush() != nil {
 		t.Fatal("registering", name)
 	}
 	go func() {
 		for {
-			var req Frame
+			var req link.Frame
 			if fc.ReadFrame(&req) != nil {
 				return
 			}
@@ -100,7 +102,7 @@ func rawAgent(t *testing.T, addr, name string, answer func(id int) *Frame) {
 // closed, tracking in active and maxSeen how many requests the fleet
 // holds at once.
 func blockingAgent(t *testing.T, addr, name string, active, maxSeen *atomic.Int32, release <-chan struct{}) {
-	rawAgent(t, addr, name, func(id int) *Frame {
+	rawAgent(t, addr, name, func(id int) *link.Frame {
 		n := active.Add(1)
 		for {
 			max := maxSeen.Load()
@@ -110,7 +112,7 @@ func blockingAgent(t *testing.T, addr, name string, active, maxSeen *atomic.Int3
 		}
 		<-release
 		active.Add(-1)
-		return &Frame{ID: id, OK: true}
+		return &link.Frame{ID: id, OK: true}
 	})
 }
 
@@ -130,7 +132,7 @@ func TestFingerprintAllBoundsInFlight(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		fps, err := s.FingerprintAll(context.Background(), "mysql", nil, RegistryConfig{}, resource.NewSet(0))
+		fps, err := s.FingerprintAll(context.Background(), "mysql", nil, parser.RegistryConfig{}, resource.NewSet(0))
 		if err == nil && len(fps) != 20 {
 			err = fmt.Errorf("%d fingerprints, want 20", len(fps))
 		}
@@ -187,7 +189,7 @@ func TestFingerprintAllNameOrderWhateverReplyOrder(t *testing.T) {
 	}
 	done := make(chan []string, 1)
 	go func() {
-		fps, err := s.FingerprintAll(context.Background(), "mysql", nil, RegistryConfig{}, resource.NewSet(0))
+		fps, err := s.FingerprintAll(context.Background(), "mysql", nil, parser.RegistryConfig{}, resource.NewSet(0))
 		if err != nil {
 			t.Error(err)
 		}
@@ -226,19 +228,19 @@ func TestFingerprintAllNamesFirstFailingAgentInNameOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	answers := map[string]Frame{
+	answers := map[string]link.Frame{
 		"ok-1":      {OK: true},
 		"bad-late":  {Err: "also broken"},
 		"bad-early": {Err: "disk on fire"},
 	}
 	for name, answer := range answers {
-		rawAgent(t, s.Addr(), name, func(id int) *Frame { answer.ID = id; return &answer })
+		rawAgent(t, s.Addr(), name, func(id int) *link.Frame { answer.ID = id; return &answer })
 	}
 	if got := s.WaitForAgents(len(answers), 5*time.Second); got != len(answers) {
 		t.Fatalf("only %d/%d agents registered", got, len(answers))
 	}
 	for run := 0; run < 5; run++ {
-		_, err := s.FingerprintAll(context.Background(), "mysql", nil, RegistryConfig{}, resource.NewSet(0))
+		_, err := s.FingerprintAll(context.Background(), "mysql", nil, parser.RegistryConfig{}, resource.NewSet(0))
 		if err == nil || !strings.Contains(err.Error(), "bad-early") || !strings.Contains(err.Error(), "disk on fire") {
 			t.Fatalf("run %d: error does not name the first failing agent: %v", run, err)
 		}
@@ -284,13 +286,13 @@ func TestUnacknowledgedReplyRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write(wireBytes(t, &Frame{Op: OpRegister, Register: &RegisterReq{Machine: "shrug"}})); err != nil {
+	if _, err := conn.Write(wireBytes(t, &link.Frame{Op: link.OpRegister, Register: &link.RegisterReq{Machine: "shrug"}})); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.WaitForAgents(1, time.Second); got != 1 {
 		t.Fatalf("agents = %d", got)
 	}
-	bare := wireBytes(t, &Frame{ID: 1})
+	bare := wireBytes(t, &link.Frame{ID: 1})
 	go func() {
 		buf := make([]byte, 4096)
 		for {

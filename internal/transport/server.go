@@ -14,6 +14,8 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/deploy"
 	"repro/internal/distrib"
+	"repro/internal/link"
+	"repro/internal/parser"
 	"repro/internal/pkgmgr"
 	"repro/internal/report"
 	"repro/internal/resource"
@@ -45,7 +47,7 @@ var ErrAgentReplaced = fmt.Errorf("agent connection replaced: %w", deploy.ErrTra
 var ErrServerClosed = errors.New("transport: server closed")
 
 // countingWriter counts every byte written to one agent socket: into
-// the server-wide counter, and into n for callBody's per-RPC delta.
+// the server-wide counter, and into n for call's per-RPC delta.
 type countingWriter struct {
 	w   io.Writer
 	srv *Server
@@ -75,7 +77,7 @@ type agentConn struct {
 	// readerPool and writerPool for one call (exchange) and is nil between
 	// calls, so an idle agent holds no I/O buffer; its writer beneath is
 	// cw, which counts every byte.
-	fc frameConn
+	fc link.Conn
 	cw countingWriter
 
 	// replaced is set (before the socket is closed) when a new
@@ -112,34 +114,29 @@ func (ac *agentConn) fail(ctx context.Context, op string, err error) error {
 	return fmt.Errorf("transport: %s to %s: %w: %v", op, ac.name, ErrAgentGone, err)
 }
 
-// call performs one synchronous RPC on the agent channel. The deadline is
-// the tighter of the server timeout and the context's; cancelling ctx
-// mid-call yanks the connection deadline, so a blocked read returns
-// immediately and the call surfaces ctx.Err() — Server.Call-level
-// cancellation, the primitive every higher layer's abort rides on.
-func (ac *agentConn) call(ctx context.Context, req Frame, timeout time.Duration) (Frame, error) {
-	return ac.callBody(ctx, req, nil, timeout)
-}
-
-// callBody is call with an optional binary chunk body: when body is
+// call performs one synchronous RPC on the agent channel. When body is
 // non-nil, req.ChunkMeta must announce it and the raw bytes are written
-// immediately after the header, inside the same buffered burst. It is
+// immediately after the header, inside the same buffered burst. The
+// deadline is the tighter of the server timeout and the context's;
+// cancelling ctx mid-call yanks the connection deadline, so a blocked
+// read returns immediately and the call surfaces ctx.Err() — call-level
+// cancellation, the primitive every higher layer's abort rides on. It is
 // also the telemetry choke point: every vendor→agent RPC is one op here,
 // its latency sample and, on whatever rollout trace rides ctx, its "rpc"
 // span with the bytes it wrote; the bytes also go to a per-op histogram.
-func (ac *agentConn) callBody(ctx context.Context, req Frame, body []distrib.Chunk, timeout time.Duration) (Frame, error) {
+func (ac *agentConn) call(ctx context.Context, req link.Frame, body []distrib.Chunk) (link.Frame, error) {
 	if err := ctx.Err(); err != nil {
-		return Frame{}, fmt.Errorf("transport: %s to %s: %w", req.Op, ac.name, err)
+		return link.Frame{}, fmt.Errorf("transport: %s to %s: %w", req.Op, ac.name, err)
 	}
 	ac.mu.Lock()
 	defer ac.mu.Unlock()
 	if ac.replaced.Load() {
-		return Frame{}, fmt.Errorf("transport: %s to %s: %w", req.Op, ac.name, ErrAgentReplaced)
+		return link.Frame{}, fmt.Errorf("transport: %s to %s: %w", req.Op, ac.name, ErrAgentReplaced)
 	}
 	m := ac.srv.metrics()
 	op := telemetry.Start(ctx, m.rpcLatency.With(req.Op), "rpc", req.Op, ac.name)
 	bytes0 := ac.cw.n
-	resp, err := ac.exchange(ctx, req, body, timeout)
+	resp, err := ac.exchange(ctx, req, body)
 	// ac.mu serializes RPCs on this channel, so the connection byte
 	// count's delta across the exchange is exactly this call's writes
 	// (frame plus any manifest or chunk body).
@@ -201,32 +198,32 @@ func (s *Server) metrics() *serverMetrics {
 // refused one by its reason. An agent sends nothing the vendor did not
 // ask for, so bytes buffered behind the frame are refused as trailing:
 // no byte may outlive the borrowed buffer that read it.
-func (s *Server) readFrame(fc *frameConn, f *Frame) error {
+func (s *Server) readFrame(fc *link.Conn, f *link.Frame) error {
 	err := fc.ReadFrame(f)
-	if err == nil && fc.br.Buffered() > 0 {
-		err = refuse(refusedTrailing, nil, "%d stray bytes behind the frame", fc.br.Buffered())
+	if n := fc.R.Buffered(); err == nil && n > 0 {
+		err = &link.FrameError{Reason: link.RefusedTrailing, Msg: fmt.Sprintf("%d stray bytes behind the frame", n)}
 	}
 	if err != nil {
-		var fe *frameError
+		var fe *link.FrameError
 		if errors.As(err, &fe) {
-			s.metrics().refused.With(fe.reason).Inc()
+			s.metrics().refused.With(fe.Reason).Inc()
 		}
 	}
 	return err
 }
 
-// exchange performs the locked wire exchange behind callBody.
-func (ac *agentConn) exchange(ctx context.Context, req Frame, body []distrib.Chunk, timeout time.Duration) (Frame, error) {
-	ac.fc.br, ac.fc.bw = borrowReader(ac.conn), borrowWriter(&ac.cw)
+// exchange performs the locked wire exchange behind call.
+func (ac *agentConn) exchange(ctx context.Context, req link.Frame, body []distrib.Chunk) (link.Frame, error) {
+	ac.fc.R, ac.fc.W = borrowReader(ac.conn), borrowWriter(&ac.cw)
 	defer giveBack(&ac.fc)
 	ac.nextID++
 	req.ID = ac.nextID
-	deadline := time.Now().Add(timeout)
+	deadline := time.Now().Add(ac.srv.timeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}
 	if err := ac.conn.SetDeadline(deadline); err != nil {
-		return Frame{}, ac.fail(ctx, req.Op, err)
+		return link.Frame{}, ac.fail(ctx, req.Op, err)
 	}
 	// A cancelled context forces the in-flight I/O to fail now rather than
 	// at the deadline. The channel dies with it — acceptable: aborts are
@@ -245,29 +242,29 @@ func (ac *agentConn) exchange(ctx context.Context, req Frame, body []distrib.Chu
 		}
 	}()
 	if err := ac.fc.WriteFrame(&req); err != nil {
-		return Frame{}, ac.fail(ctx, "sending "+req.Op, err)
+		return link.Frame{}, ac.fail(ctx, "sending "+req.Op, err)
 	}
 	if body != nil {
 		if err := ac.fc.WriteChunkBody(body); err != nil {
-			return Frame{}, ac.fail(ctx, "sending "+req.Op+" body", err)
+			return link.Frame{}, ac.fail(ctx, "sending "+req.Op+" body", err)
 		}
 	}
-	if err := ac.fc.bw.Flush(); err != nil {
-		return Frame{}, ac.fail(ctx, "sending "+req.Op, err)
+	if err := ac.fc.W.Flush(); err != nil {
+		return link.Frame{}, ac.fail(ctx, "sending "+req.Op, err)
 	}
 	ac.srv.metrics().frames.Inc()
-	var resp Frame
+	var resp link.Frame
 	if err := ac.srv.readFrame(&ac.fc, &resp); err != nil {
-		return Frame{}, ac.fail(ctx, "reading "+req.Op+" reply", err)
+		return link.Frame{}, ac.fail(ctx, "reading "+req.Op+" reply", err)
 	}
 	if resp.ID != req.ID {
-		return Frame{}, ac.fail(ctx, req.Op, fmt.Errorf("reply id %d for request %d", resp.ID, req.ID))
+		return link.Frame{}, ac.fail(ctx, req.Op, fmt.Errorf("reply id %d for request %d", resp.ID, req.ID))
 	}
 	if resp.Err != "" {
-		return Frame{}, &agentError{name: ac.name, msg: resp.Err}
+		return link.Frame{}, &agentError{name: ac.name, msg: resp.Err}
 	}
 	if !resp.OK {
-		return Frame{}, fmt.Errorf("transport: agent %s sent unacknowledged %s reply", ac.name, req.Op)
+		return link.Frame{}, fmt.Errorf("transport: agent %s sent unacknowledged %s reply", ac.name, req.Op)
 	}
 	return resp, nil
 }
@@ -306,7 +303,7 @@ type Server struct {
 	// goroutine, so Close can wait for them instead of leaking.
 	serving sync.WaitGroup
 
-	Timeout time.Duration
+	timeout time.Duration // bounds each call; DefaultRPCTimeout
 
 	// OnProfileDelta, when set, receives watch-mode agents' OpProfileDelta
 	// pushes, each with the bytes its frame took on the wire. Returning
@@ -314,7 +311,7 @@ type Server struct {
 	// "resync"); an error refuses the push. Unset, the server refuses
 	// deltas — drift detection is opt-in vendor wiring (mirage-vendor
 	// bridges this to a fleetwatch.Monitor). Set it before serving starts.
-	OnProfileDelta func(req *ProfileDeltaReq, wireBytes int) (resync bool, err error)
+	OnProfileDelta func(req *link.ProfileDeltaReq, wireBytes int) (resync bool, err error)
 
 	// Telemetry is the registry the server counts on: per-op RPC latency
 	// and frame-byte histograms, the transfer counters behind
@@ -363,7 +360,7 @@ func ListenWith(addr string, _ ListenOpts) (*Server, error) {
 		pending:    make(map[net.Conn]bool),
 		pendingSem: make(chan struct{}, DefaultMaxPending),
 		done:       make(chan struct{}),
-		Timeout:    DefaultRPCTimeout,
+		timeout:    DefaultRPCTimeout,
 		dist:       distrib.NewStore(),
 		peers:      newPeerIndex(),
 	}
@@ -409,9 +406,9 @@ func (s *Server) MarkPeerEligible(names []string) {
 	s.peers.markEligible(names)
 }
 
-// peerHintsFor returns up to MaxPeerHints peer addresses likely to hold
-// some of need, best coverage first; nil when no eligible peer covers
-// anything.
+// peerHintsFor returns up to link.MaxPeerHints peer addresses likely to
+// hold some of need, best coverage first; nil when no eligible peer
+// covers anything.
 func (s *Server) peerHintsFor(requester string, need []uint64) []string {
 	s.peerMu.Lock()
 	defer s.peerMu.Unlock()
@@ -438,11 +435,11 @@ func (s *Server) markPeerHeld(name string, man *distrib.Manifest) {
 // word, so they are bounded by what the vendor asked for before they
 // reach a counter; an impossible report books nothing (the content
 // address, not this number, is what protects the payload).
-func (s *Server) creditPeerResult(ac *agentConn, asked int, res *PeerResult) {
+func (s *Server) creditPeerResult(ac *agentConn, asked int, res *link.PeerResult) {
 	if res == nil || res.Bytes == 0 {
 		return
 	}
-	if res.Chunks < 0 || res.Chunks > asked || res.Bytes < 0 || res.Bytes > int64(res.Chunks)*maxWireChunk {
+	if res.Chunks < 0 || res.Chunks > asked || res.Bytes < 0 || res.Bytes > int64(res.Chunks)*link.MaxWireChunk {
 		slog.Warn("ignoring impossible peer fetch report", "agent", ac.name,
 			"asked", asked, "chunks", res.Chunks, "bytes", res.Bytes)
 		return
@@ -501,33 +498,23 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return
 		}
-		if err := s.serveConn(conn); err != nil {
-			conn.Close()
+		if s.ServeConn(conn) != nil {
 			return
 		}
 	}
 }
 
-// ServeConn hands the server one side of an already-established connection
-// to run the normal registration handshake and agent protocol on — the
-// injection point for transports the listener never sees (net.Pipe fleets
-// in the scale harness, pre-dialed sockets). It obeys the same pending
-// handshake bound as accepted connections and refuses with ErrServerClosed
-// after Close.
+// ServeConn runs the registration handshake and agent protocol on conn:
+// an accepted connection, or one side of a connection the listener never
+// sees (net.Pipe fleets in the scale harness, pre-dialed sockets). It
+// admits conn under the pending-handshake bound and spawns its
+// registration goroutine; after Close it closes conn and refuses with
+// ErrServerClosed.
 func (s *Server) ServeConn(conn net.Conn) error {
-	if err := s.serveConn(conn); err != nil {
-		conn.Close()
-		return err
-	}
-	return nil
-}
-
-// serveConn admits conn under the pending-handshake bound and spawns its
-// registration goroutine; the caller owns conn on error.
-func (s *Server) serveConn(conn net.Conn) error {
 	select {
 	case s.pendingSem <- struct{}{}:
 	case <-s.done:
+		conn.Close()
 		return ErrServerClosed
 	}
 	// The closed check and serving.Add share s.mu with Close, so a
@@ -537,6 +524,7 @@ func (s *Server) serveConn(conn net.Conn) error {
 	if s.closed {
 		s.mu.Unlock()
 		<-s.pendingSem
+		conn.Close()
 		return ErrServerClosed
 	}
 	s.serving.Add(1)
@@ -566,43 +554,43 @@ func (s *Server) register(conn net.Conn) {
 		delete(s.pending, conn)
 		s.mu.Unlock()
 	}
-	fc := frameConn{br: borrowReader(conn)}
+	fc := link.Conn{R: borrowReader(conn)}
 	defer giveBack(&fc)
 	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
 		unpend()
 		conn.Close()
 		return
 	}
-	var hello Frame
+	var hello link.Frame
 	if err := s.readFrame(&fc, &hello); err != nil {
 		unpend()
 		conn.Close()
 		return
 	}
-	if hello.Op == OpProfileDelta && hello.Delta != nil {
+	if hello.Op == link.OpProfileDelta && hello.Delta != nil {
 		// A watch-mode agent's short-lived delta push: handle, answer one
 		// frame, and close — it never becomes a control channel.
-		resp := Frame{ID: hello.ID}
+		resp := link.Frame{ID: hello.ID}
 		if h := s.OnProfileDelta; h == nil {
 			resp.Err = "vendor accepts no profile deltas"
-		} else if resync, err := h(hello.Delta, fc.read); err != nil {
+		} else if resync, err := h(hello.Delta, fc.LastRead()); err != nil {
 			resp.Err = err.Error()
 		} else {
 			resp.OK = true
 			if resync {
-				resp.Status = StatusResync
+				resp.Status = link.StatusResync
 			}
 		}
-		fc.bw, fc.w = borrowWriter(conn), conn
+		fc.W, fc.Raw = borrowWriter(conn), conn
 		conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
 		if err := fc.WriteFrame(&resp); err == nil {
-			fc.bw.Flush()
+			fc.W.Flush()
 		}
 		unpend()
 		conn.Close()
 		return
 	}
-	if hello.Op != OpRegister || hello.Register == nil {
+	if hello.Op != link.OpRegister || hello.Register == nil {
 		unpend()
 		conn.Close()
 		return
@@ -612,7 +600,7 @@ func (s *Server) register(conn net.Conn) {
 		name: hello.Register.Machine, peer: hello.Register.Peer, conn: conn, srv: s,
 		cw: countingWriter{w: conn, srv: s},
 	}
-	ac.fc.w = &ac.cw
+	ac.fc.Raw = &ac.cw
 	s.mu.Lock()
 	delete(s.pending, conn)
 	if s.closed {
@@ -679,7 +667,7 @@ func (s *Server) Ping(ctx context.Context, name string) error {
 	if err != nil {
 		return err
 	}
-	_, err = ac.call(ctx, Frame{Op: OpPing}, s.Timeout)
+	_, err = ac.call(ctx, link.Frame{Op: link.OpPing}, nil)
 	return err
 }
 
@@ -689,7 +677,7 @@ func (s *Server) Identify(ctx context.Context, machineName, app string, workload
 	if err != nil {
 		return nil, err
 	}
-	resp, err := ac.call(ctx, Frame{Op: OpIdentify, Identify: &IdentifyReq{App: app, Workloads: workloads}}, s.Timeout)
+	resp, err := ac.call(ctx, link.Frame{Op: link.OpIdentify, Identify: &link.IdentifyReq{App: app, Workloads: workloads}}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -702,7 +690,7 @@ func (s *Server) Record(ctx context.Context, machineName, app string, inputs []s
 	if err != nil {
 		return "", err
 	}
-	resp, err := ac.call(ctx, Frame{Op: OpRecord, Record: &RecordReq{App: app, Inputs: inputs}}, s.Timeout)
+	resp, err := ac.call(ctx, link.Frame{Op: link.OpRecord, Record: &link.RecordReq{App: app, Inputs: inputs}}, nil)
 	if err != nil {
 		return "", err
 	}
@@ -722,9 +710,9 @@ const fingerprintParallelism = 8
 // is encoded once before the fan-out. A failure stops the collection: no
 // new RPC starts after one fails or ctx is done, and the error names the
 // first failing agent in name order.
-func (s *Server) FingerprintAll(ctx context.Context, app string, refs []string, reg RegistryConfig, vendorItems *resource.Set) ([]cluster.MachineFingerprint, error) {
-	body := encodeFingerprintReq(&FingerprintReq{
-		App: app, Refs: refs, Registry: reg, VendorItems: ItemsToWire(vendorItems.Items()),
+func (s *Server) FingerprintAll(ctx context.Context, app string, refs []string, reg parser.RegistryConfig, vendorItems *resource.Set) ([]cluster.MachineFingerprint, error) {
+	body := link.EncodeFingerprintReq(&link.FingerprintReq{
+		App: app, Refs: refs, Registry: reg, VendorItems: link.ItemsToWire(vendorItems.Items()),
 	})
 	names := s.Agents()
 	out := make([]cluster.MachineFingerprint, len(names))
@@ -764,11 +752,11 @@ func (s *Server) fingerprint(ctx context.Context, name string, body []byte) (clu
 	if err != nil {
 		return cluster.MachineFingerprint{}, err
 	}
-	resp, err := ac.call(ctx, Frame{Op: OpFingerprint, Fingerprint: body}, s.Timeout)
+	resp, err := ac.call(ctx, link.Frame{Op: link.OpFingerprint, Fingerprint: body}, nil)
 	if err != nil {
 		return cluster.MachineFingerprint{}, err
 	}
-	diff := ItemsFromWire(resp.Diff)
+	diff := link.ItemsFromWire(resp.Diff)
 	return cluster.MachineFingerprint{
 		Name:        name,
 		ParsedDiff:  diff.OfKind(resource.Parsed),
@@ -810,18 +798,18 @@ const pushAttempts = 3
 // damages every delivery to this agent — fails with deploy.ErrTransient:
 // the controller retries the member and then quarantines it, and the
 // rest of the rollout goes on.
-func (s *Server) pushUpgrade(ctx context.Context, name, op string, up *pkgmgr.Upgrade) (Frame, error) {
+func (s *Server) pushUpgrade(ctx context.Context, name, op string, up *pkgmgr.Upgrade) (link.Frame, error) {
 	ac, err := s.agent(name)
 	if err != nil {
-		return Frame{}, err
+		return link.Frame{}, err
 	}
 	man := s.dist.Manifest(up)
 	m := s.metrics()
 	first := true
 	for attempt := 0; attempt < pushAttempts; attempt++ {
-		resp, err := ac.call(ctx, Frame{Op: op, Manifest: man}, s.Timeout)
+		resp, err := ac.call(ctx, link.Frame{Op: op, Manifest: man}, nil)
 		if err != nil {
-			return Frame{}, err
+			return link.Frame{}, err
 		}
 		if first {
 			// The first response fixes the hit/miss split for this push;
@@ -858,10 +846,10 @@ func (s *Server) pushUpgrade(ctx context.Context, name, op string, up *pkgmgr.Up
 		need := resp.NeedChunks
 		hinted := false
 		if hints := s.peerHintsFor(name, need); len(hints) > 0 {
-			presp, err := ac.call(ctx, Frame{Op: OpPeerFetch,
-				PeerFetch: &PeerFetchReq{Addrs: need, Peers: hints}}, s.Timeout)
+			presp, err := ac.call(ctx, link.Frame{Op: link.OpPeerFetch,
+				PeerFetch: &link.PeerFetchReq{Addrs: need, Peers: hints}}, nil)
 			if err != nil {
-				return Frame{}, err
+				return link.Frame{}, err
 			}
 			s.creditPeerResult(ac, len(need), presp.Peer)
 			need = presp.NeedChunks
@@ -874,7 +862,7 @@ func (s *Server) pushUpgrade(ctx context.Context, name, op string, up *pkgmgr.Up
 		}
 		chunks, err := s.dist.Chunks(need)
 		if err != nil {
-			return Frame{}, fmt.Errorf("transport: agent %s requested %w", name, err)
+			return link.Frame{}, fmt.Errorf("transport: agent %s requested %w", name, err)
 		}
 		var n int64
 		for _, ch := range chunks {
@@ -886,7 +874,7 @@ func (s *Server) pushUpgrade(ctx context.Context, name, op string, up *pkgmgr.Up
 			// vendor fallback, the swarm's miss counter.
 			m.fallbacks.Add(int64(len(chunks)))
 		}
-		if _, perr := ac.callBody(ctx, Frame{Op: OpFetchChunks, ChunkMeta: chunkMeta(chunks)}, chunks, s.Timeout); perr != nil {
+		if _, perr := ac.call(ctx, link.Frame{Op: link.OpFetchChunks, ChunkMeta: link.ChunkMeta(chunks)}, chunks); perr != nil {
 			// An agent-reported rejection means corrupt bytes in flight
 			// (the content address caught them) on an intact channel: spend
 			// an attempt re-issuing the manifest, which re-pushes cleanly.
@@ -894,15 +882,15 @@ func (s *Server) pushUpgrade(ctx context.Context, name, op string, up *pkgmgr.Up
 			if errors.As(perr, &ae) {
 				continue
 			}
-			return Frame{}, perr
+			return link.Frame{}, perr
 		}
 	}
-	return Frame{}, fmt.Errorf("transport: agent %s still missing chunks after fetch: %w", name, deploy.ErrTransient)
+	return link.Frame{}, fmt.Errorf("transport: agent %s still missing chunks after fetch: %w", name, deploy.ErrTransient)
 }
 
 // TestUpgrade implements deploy.Node over the wire.
 func (r *RemoteNode) TestUpgrade(ctx context.Context, up *pkgmgr.Upgrade) (*report.Report, error) {
-	resp, err := r.s.pushUpgrade(ctx, r.name, OpTest, up)
+	resp, err := r.s.pushUpgrade(ctx, r.name, link.OpTest, up)
 	if err != nil {
 		return nil, err
 	}
@@ -914,6 +902,6 @@ func (r *RemoteNode) TestUpgrade(ctx context.Context, up *pkgmgr.Upgrade) (*repo
 
 // Integrate implements deploy.Node over the wire.
 func (r *RemoteNode) Integrate(ctx context.Context, up *pkgmgr.Upgrade) error {
-	_, err := r.s.pushUpgrade(ctx, r.name, OpIntegrate, up)
+	_, err := r.s.pushUpgrade(ctx, r.name, link.OpIntegrate, up)
 	return err
 }

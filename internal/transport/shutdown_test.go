@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/agent"
 	"repro/internal/deploy"
+	"repro/internal/link"
 )
 
 // silentAgent registers over raw TCP and then never answers a request —
@@ -20,7 +22,7 @@ func silentAgent(t *testing.T, s *Server, name string) net.Conn {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	if _, err := conn.Write(wireBytes(t, &Frame{Op: OpRegister, Register: &RegisterReq{Machine: name}})); err != nil {
+	if _, err := conn.Write(wireBytes(t, &link.Frame{Op: link.OpRegister, Register: &link.RegisterReq{Machine: name}})); err != nil {
 		t.Fatal(err)
 	}
 	if !s.WaitForAgent(name, 5*time.Second) {
@@ -103,8 +105,8 @@ func TestCloseLeaksNoGoroutines(t *testing.T) {
 	// A mix of load: two real agents, one silent agent, one connection
 	// stuck mid-handshake, one in-flight call that never completes.
 	mA, mB := userMachine("shut-a", false), userMachine("shut-b", false)
-	go NewAgent(mA).Run(s.Addr()) //nolint:errcheck
-	go NewAgent(mB).Run(s.Addr()) //nolint:errcheck
+	go agent.NewAgent(mA).Run(s.Addr()) //nolint:errcheck
+	go agent.NewAgent(mB).Run(s.Addr()) //nolint:errcheck
 	if got := s.WaitForAgents(2, 5*time.Second); got != 2 {
 		t.Fatalf("agents: %d", got)
 	}

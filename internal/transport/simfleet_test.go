@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/agent"
 	"repro/internal/deploy"
 	"repro/internal/machine"
 	"repro/internal/pkgmgr"
@@ -27,20 +28,20 @@ func simUpgrade() *pkgmgr.Upgrade {
 // fleet and asserts every member integrates. The sim agents answer the
 // real protocol — manifest negotiation, NeedChunks, chunk fetch — so this
 // exercises the same vendor code paths as a live fleet.
-func runSimRollout(t *testing.T, n int, pipe bool) *SimFleet {
+func runSimRollout(t *testing.T, n int, pipe bool) *agent.SimFleet {
 	t.Helper()
 	s, err := Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	opts := SimOptions{Prefix: "simflt"}
+	opts := agent.SimOptions{Prefix: "simflt"}
 	if pipe {
 		opts.Server = s
 	} else {
 		opts.Addr = s.Addr()
 	}
-	fleet, err := StartSimFleet(n, opts)
+	fleet, err := agent.StartSimFleet(n, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestSimFleetPipe(t *testing.T) {
 }
 
 func TestSimFleetRequiresOneTransport(t *testing.T) {
-	if _, err := StartSimFleet(1, SimOptions{}); err == nil {
+	if _, err := agent.StartSimFleet(1, agent.SimOptions{}); err == nil {
 		t.Fatal("StartSimFleet accepted options with no transport")
 	}
 	s, err := Listen("127.0.0.1:0")
@@ -106,7 +107,7 @@ func TestSimFleetRequiresOneTransport(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, err := StartSimFleet(1, SimOptions{Server: s, Addr: s.Addr()}); err == nil {
+	if _, err := agent.StartSimFleet(1, agent.SimOptions{Server: s, Addr: s.Addr()}); err == nil {
 		t.Fatal("StartSimFleet accepted both transports at once")
 	}
 }

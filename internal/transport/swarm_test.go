@@ -13,10 +13,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/agent"
 	"repro/internal/apps"
 	"repro/internal/deploy"
 	"repro/internal/distrib"
 	"repro/internal/fingerprint"
+	"repro/internal/link"
 	"repro/internal/machine"
 	"repro/internal/pkgmgr"
 	"repro/internal/report"
@@ -57,7 +59,7 @@ func startSwarmFleet(t *testing.T, n int) (*Server, []*machine.Machine, []*deplo
 	for i := 0; i < n; i++ {
 		name := "sw-" + string(rune('a'+i))
 		machines[i] = userMachine(name, false)
-		agent := NewAgent(machines[i])
+		agent := agent.NewAgent(machines[i])
 		if _, err := agent.ServePeers("127.0.0.1:0"); err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +131,7 @@ func TestSwarmServesLaterWaves(t *testing.T) {
 // fakePeer runs a TCP server speaking just enough of the peer protocol to
 // misbehave on demand: serve reads one peer_get frame and gets the
 // requested addresses plus the frame connection to answer on.
-func fakePeer(t *testing.T, serve func(fc *frameConn, bw *bufio.Writer, req Frame)) string {
+func fakePeer(t *testing.T, serve func(fc *link.Conn, bw *bufio.Writer, req link.Frame)) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -145,8 +147,8 @@ func fakePeer(t *testing.T, serve func(fc *frameConn, bw *bufio.Writer, req Fram
 			go func() {
 				defer conn.Close()
 				bw := bufio.NewWriter(conn)
-				fc := newFrameConn(bufio.NewReader(conn), bw, conn)
-				var req Frame
+				fc := &link.Conn{R: bufio.NewReader(conn), W: bw, Raw: conn}
+				var req link.Frame
 				if err := fc.ReadFrame(&req); err != nil {
 					return
 				}
@@ -155,6 +157,29 @@ func fakePeer(t *testing.T, serve func(fc *frameConn, bw *bufio.Writer, req Fram
 		}
 	}()
 	return ln.Addr().String()
+}
+
+// peerSource registers a channel for name on s that advertises a peer
+// server at addr, and books it as a gated agent holding addrs: the
+// vendor hints it like any agent whose wave gated. The channel stays
+// registered, answering nothing, until the test ends.
+func peerSource(t *testing.T, s *Server, name, addr string, addrs []uint64) {
+	t.Helper()
+	agentEnd, vendorEnd := net.Pipe()
+	t.Cleanup(func() { agentEnd.Close() })
+	if err := s.ServeConn(vendorEnd); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := agentEnd.Write(wireBytes(t, &link.Frame{Op: link.OpRegister, Register: &link.RegisterReq{Machine: name, Peer: addr}})); err != nil {
+		t.Fatal(err)
+	}
+	if !s.WaitForAgent(name, 5*time.Second) {
+		t.Fatalf("peer source %s never registered", name)
+	}
+	s.MarkPeerEligible([]string{name})
+	s.peerMu.Lock()
+	s.peers.markHeld(name, addrs)
+	s.peerMu.Unlock()
 }
 
 // upgradeAddrs resolves the distinct chunk addresses of up in the
@@ -173,7 +198,7 @@ func TestCorruptPeerFallsBackToVendor(t *testing.T) {
 	up := bigUpgrade(3, 64*1024)
 	addrs := upgradeAddrs(s, up)
 
-	evil := fakePeer(t, func(fc *frameConn, bw *bufio.Writer, req Frame) {
+	evil := fakePeer(t, func(fc *link.Conn, bw *bufio.Writer, req link.Frame) {
 		chunks, err := s.dist.Chunks(req.NeedChunks)
 		if err != nil {
 			return
@@ -184,11 +209,11 @@ func TestCorruptPeerFallsBackToVendor(t *testing.T) {
 			data[0] ^= 0xff
 			chunks[i].Data = data
 		}
-		fc.WriteFrame(&Frame{ID: req.ID, OK: true, ChunkMeta: chunkMeta(chunks)})
+		fc.WriteFrame(&link.Frame{ID: req.ID, OK: true, ChunkMeta: link.ChunkMeta(chunks)})
 		fc.WriteChunkBody(chunks)
 		bw.Flush()
 	})
-	s.AddPeerSource("evil", evil, addrs)
+	peerSource(t, s, "evil", evil, addrs)
 
 	rep, err := s.Node("corrupt-target").TestUpgrade(context.Background(), up)
 	if err != nil {
@@ -215,12 +240,12 @@ func TestPeerDiesMidFetch(t *testing.T) {
 	up := bigUpgrade(5, 64*1024)
 	addrs := upgradeAddrs(s, up)
 
-	dying := fakePeer(t, func(fc *frameConn, bw *bufio.Writer, req Frame) {
+	dying := fakePeer(t, func(fc *link.Conn, bw *bufio.Writer, req link.Frame) {
 		chunks, err := s.dist.Chunks(req.NeedChunks)
 		if err != nil {
 			return
 		}
-		fc.WriteFrame(&Frame{ID: req.ID, OK: true, ChunkMeta: chunkMeta(chunks)})
+		fc.WriteFrame(&link.Frame{ID: req.ID, OK: true, ChunkMeta: link.ChunkMeta(chunks)})
 		// First chunk only, then half of the second: the body dies mid-read.
 		bw.Write(chunks[0].Data)
 		if len(chunks) > 1 {
@@ -229,7 +254,7 @@ func TestPeerDiesMidFetch(t *testing.T) {
 		bw.Flush()
 		// Returning closes the connection (deferred in fakePeer).
 	})
-	s.AddPeerSource("dying", dying, addrs)
+	peerSource(t, s, "dying", dying, addrs)
 
 	rep, err := s.Node("dying-target").TestUpgrade(context.Background(), up)
 	if err != nil {
@@ -264,7 +289,7 @@ func TestUnreachablePeerFallsBack(t *testing.T) {
 	}
 	dead := ln.Addr().String()
 	ln.Close()
-	s.AddPeerSource("vanished", dead, addrs)
+	peerSource(t, s, "vanished", dead, addrs)
 
 	rep, err := s.Node("refused-target").TestUpgrade(context.Background(), up)
 	if err != nil {
@@ -289,9 +314,9 @@ func TestUnreachablePeerFallsBack(t *testing.T) {
 // Prometheus counter must never decrease — and the push must converge
 // through the vendor fallback as if the peer tier had served nothing.
 func TestImpossiblePeerReportBooksNothing(t *testing.T) {
-	lies := map[string]func(asked int) *PeerResult{
-		"negative bytes":         func(int) *PeerResult { return &PeerResult{Bytes: -1000000000000, Chunks: 1} },
-		"more chunks than asked": func(asked int) *PeerResult { return &PeerResult{Bytes: 4096, Chunks: asked + 1} },
+	lies := map[string]func(asked int) *link.PeerResult{
+		"negative bytes":         func(int) *link.PeerResult { return &link.PeerResult{Bytes: -1000000000000, Chunks: 1} },
+		"more chunks than asked": func(asked int) *link.PeerResult { return &link.PeerResult{Bytes: 4096, Chunks: asked + 1} },
 	}
 	for name, lie := range lies {
 		t.Run(name, func(t *testing.T) {
@@ -303,7 +328,7 @@ func TestImpossiblePeerReportBooksNothing(t *testing.T) {
 			s.Telemetry = telemetry.NewRegistry()
 			up := bigUpgrade(7, 64*1024)
 			// A hint must exist for the vendor to ask at all; nobody dials it.
-			s.AddPeerSource("hinted", "127.0.0.1:1", upgradeAddrs(s, up))
+			peerSource(t, s, "hinted", "127.0.0.1:1", upgradeAddrs(s, up))
 
 			vendorEnd, agentEnd := net.Pipe()
 			if err := s.ServeConn(vendorEnd); err != nil {
@@ -340,34 +365,34 @@ func TestImpossiblePeerReportBooksNothing(t *testing.T) {
 // it registers as "liar", claims to hold no chunk until one fetch_chunks
 // push arrived, and answers every peer_fetch with lie(asked) as its peer
 // result and the full request still missing.
-func playLyingAgent(conn net.Conn, lie func(asked int) *PeerResult) {
+func playLyingAgent(conn net.Conn, lie func(asked int) *link.PeerResult) {
 	defer conn.Close()
 	bw := bufio.NewWriter(conn)
-	fc := newFrameConn(bufio.NewReader(conn), bw, conn)
-	out := Frame{Op: OpRegister, Register: &RegisterReq{Machine: "liar"}}
+	fc := &link.Conn{R: bufio.NewReader(conn), W: bw, Raw: conn}
+	out := link.Frame{Op: link.OpRegister, Register: &link.RegisterReq{Machine: "liar"}}
 	pushed := false
 	for {
 		if fc.WriteFrame(&out) != nil || bw.Flush() != nil {
 			return
 		}
-		var req Frame
+		var req link.Frame
 		if fc.ReadFrame(&req) != nil {
 			return
 		}
-		out = Frame{ID: req.ID, OK: true}
+		out = link.Frame{ID: req.ID, OK: true}
 		switch req.Op {
-		case OpTest:
+		case link.OpTest:
 			if pushed {
 				out.Report = &report.Report{Machine: "liar", Success: true}
 			} else {
 				out.NeedChunks = req.Manifest.Addrs()
 			}
-		case OpPeerFetch:
+		case link.OpPeerFetch:
 			out.NeedChunks = req.PeerFetch.Addrs
 			// Through the codec, as a real reply arrives: the wire form
 			// admits these values, so the vendor must bound them itself.
 			out.Peer = lie(len(out.NeedChunks))
-		case OpFetchChunks:
+		case link.OpFetchChunks:
 			if fc.ReadChunkBody(req.ChunkMeta, func(uint64, []byte) error { return nil }) != nil {
 				return
 			}
@@ -381,9 +406,6 @@ func playLyingAgent(conn net.Conn, lie func(asked int) *PeerResult) {
 func TestPeerIndexHints(t *testing.T) {
 	pi := newPeerIndex()
 	pi.markEligible([]string{"a", "b", "c", "d", "e"})
-	// a and b are hand-registered sources; the rest resolve through their
-	// live channel.
-	pi.addrs["a"], pi.addrs["b"] = "a:1", "b:1"
 	live := func(name string) string { return name + ":1" }
 	pi.markHeld("a", []uint64{1, 2, 3})
 	pi.markHeld("b", []uint64{1, 2})
@@ -462,15 +484,15 @@ func TestPeerIndexHintsSkipsNonServing(t *testing.T) {
 // once the vendor has dropped it, requesters are no longer sent to dial
 // it; when it redials it serves again — held and eligible were kept —
 // and a redial that advertises no peer server is not hinted. A superseded
-// channel's late death leaves its successor's address alone, and
-// hand-registered sources (AddPeerSource) are untouched throughout.
+// channel's late death leaves its successor's address alone, and another
+// peer's channel is untouched throughout.
 func TestPeerIndexForgetsDeadAgent(t *testing.T) {
 	s, err := Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	agent := NewAgent(userMachine("pf-server", false))
+	agent := agent.NewAgent(userMachine("pf-server", false))
 	if _, err := agent.ServePeers("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +524,7 @@ func TestPeerIndexForgetsDeadAgent(t *testing.T) {
 		}
 	}
 
-	s.AddPeerSource("mirror", "mirror:1", need[:1])
+	peerSource(t, s, "mirror", "mirror:1", need[:1])
 	conn, first := session(nil)
 	s.MarkPeerEligible([]string{"pf-server"})
 	s.peerMu.Lock()
@@ -552,11 +574,9 @@ func exhaustiveHints(pi *peerIndex, requester string, need []uint64, live func(s
 		if name == requester || len(held) == 0 {
 			continue
 		}
-		addr := pi.addrs[name]
+		addr := live(name)
 		if addr == "" {
-			if addr = live(name); addr == "" {
-				continue
-			}
+			continue
 		}
 		cover := 0
 		for _, a := range need {
@@ -574,8 +594,8 @@ func exhaustiveHints(pi *peerIndex, requester string, need []uint64, live func(s
 		}
 		return cands[i].name < cands[j].name
 	})
-	if len(cands) > MaxPeerHints {
-		cands = cands[:MaxPeerHints]
+	if len(cands) > link.MaxPeerHints {
+		cands = cands[:link.MaxPeerHints]
 	}
 	out := make([]string, len(cands))
 	for i, c := range cands {
@@ -600,13 +620,7 @@ func TestPeerIndexHintsMatchesExhaustive(t *testing.T) {
 		marked := make(map[string]bool)
 		for i, n := 0, rng.Intn(12); i < n; i++ {
 			agent := name()
-			switch rng.Intn(4) {
-			case 0:
-				pi.addrs[agent] = agent + ":src"
-			case 1:
-				liveAddr[agent] = agent + ":live"
-			case 2:
-				pi.addrs[agent] = agent + ":src"
+			if rng.Intn(4) > 0 {
 				liveAddr[agent] = agent + ":live"
 			}
 			if rng.Intn(5) > 0 {
@@ -679,8 +693,8 @@ func TestPeerIndexHintsStopsAtFullCover(t *testing.T) {
 	if want := []string{"a00000:1", "a00002:1", "a00003:1"}; !slices.Equal(got, want) {
 		t.Fatalf("hints = %v, want %v", got, want)
 	}
-	if calls > MaxPeerHints+1 {
-		t.Fatalf("live consulted %d times for %d full holders, want at most %d", calls, agents, MaxPeerHints+1)
+	if calls > link.MaxPeerHints+1 {
+		t.Fatalf("live consulted %d times for %d full holders, want at most %d", calls, agents, link.MaxPeerHints+1)
 	}
 }
 
@@ -692,21 +706,40 @@ func TestPeerServesDuplicateChunk(t *testing.T) {
 	a := distrib.Chunk{Data: bigData(1, 3000)}
 	b := distrib.Chunk{Data: bigData(2, 3000)}
 	a.Hash, b.Hash = fingerprint.HashBytes(a.Data), fingerprint.HashBytes(b.Data)
-	peer := fakePeer(t, func(fc *frameConn, bw *bufio.Writer, req Frame) {
+	peer := fakePeer(t, func(fc *link.Conn, bw *bufio.Writer, req link.Frame) {
 		twice := []distrib.Chunk{a, a}
-		fc.WriteFrame(&Frame{ID: req.ID, OK: true, ChunkMeta: chunkMeta(twice)})
+		fc.WriteFrame(&link.Frame{ID: req.ID, OK: true, ChunkMeta: link.ChunkMeta(twice)})
 		fc.WriteChunkBody(twice)
 		bw.Flush()
 	})
-	agent := NewAgent(userMachine("dup-target", false))
-	resp := agent.handlePeerFetch(PeerFetchReq{Addrs: []uint64{a.Hash, b.Hash}, Peers: []string{peer}})
+	// Play the vendor by hand: read the registration, direct the fetch.
+	target := agent.NewAgent(userMachine("dup-target", false))
+	vendorEnd, agentEnd := net.Pipe()
+	defer vendorEnd.Close()
+	go target.ServeConn(agentEnd)
+	vendorEnd.SetDeadline(time.Now().Add(10 * time.Second))
+	fc := &link.Conn{R: bufio.NewReader(vendorEnd), W: bufio.NewWriter(vendorEnd), Raw: vendorEnd}
+	var resp link.Frame
+	if err := fc.ReadFrame(&resp); err != nil {
+		t.Fatal(err)
+	}
+	fetch := &link.Frame{ID: 1, Op: link.OpPeerFetch, PeerFetch: &link.PeerFetchReq{Addrs: []uint64{a.Hash, b.Hash}, Peers: []string{peer}}}
+	if err := fc.WriteFrame(fetch); err != nil {
+		t.Fatal(err)
+	}
+	if err := fc.W.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fc.ReadFrame(&resp); err != nil || resp.Peer == nil {
+		t.Fatalf("peer_fetch reply %+v: %v", resp, err)
+	}
 	if res := resp.Peer; res.Chunks != 1 || res.Bytes != int64(len(a.Data)) || !slices.Equal(res.Failed, []string{peer}) {
 		t.Fatalf("peer result = %+v, want a credited once and %s dropped", res, peer)
 	}
 	if !slices.Equal(resp.NeedChunks, []uint64{b.Hash}) {
 		t.Fatalf("left for the vendor: %v, want [b] = [%d]", resp.NeedChunks, b.Hash)
 	}
-	if got := agent.Cache.Chunks([]uint64{a.Hash}); len(got) != 1 {
+	if got := target.Cache.Chunks([]uint64{a.Hash}); len(got) != 1 {
 		t.Fatal("the verified chunk a was not kept")
 	}
 }

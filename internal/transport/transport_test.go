@@ -7,10 +7,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/agent"
 	"repro/internal/apps"
 	"repro/internal/cluster"
 	"repro/internal/deploy"
 	"repro/internal/fleetwatch"
+	"repro/internal/link"
 	"repro/internal/machine"
 	"repro/internal/parser"
 	"repro/internal/pkgmgr"
@@ -64,7 +66,7 @@ func startFleet(t *testing.T, machines ...*machine.Machine) (*Server, *sync.Wait
 	t.Cleanup(func() { s.Close() })
 	var wg sync.WaitGroup
 	for _, m := range machines {
-		agent := NewAgent(m)
+		agent := agent.NewAgent(m)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -83,25 +85,9 @@ func TestWireItemsRoundTrip(t *testing.T) {
 	set := resource.NewSet(0)
 	set.Add(resource.Item{Key: "a.b", Hash: 42, Kind: resource.Parsed})
 	set.Add(resource.Item{Key: "f", Hash: 7, Kind: resource.Content})
-	back := ItemsFromWire(ItemsToWire(set.Items()))
+	back := link.ItemsFromWire(link.ItemsToWire(set.Items()))
 	if !back.Equal(set) {
 		t.Fatal("item wire round-trip lost data")
-	}
-}
-
-func TestBuildRegistry(t *testing.T) {
-	reg, err := BuildRegistry(MirageRegistryConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reg.Lookup(&machine.File{Path: "/bin/x", Type: machine.TypeExecutable}) == nil {
-		t.Fatal("executable parser missing")
-	}
-	if _, err := BuildRegistry(RegistryConfig{Rules: []RegistryRule{{Match: "warp", Parser: "config"}}}); err == nil {
-		t.Fatal("bad match kind accepted")
-	}
-	if _, err := BuildRegistry(RegistryConfig{Rules: []RegistryRule{{Match: "path", Pattern: "/x", Parser: "quantum"}}}); err == nil {
-		t.Fatal("bad parser name accepted")
 	}
 }
 
@@ -219,8 +205,8 @@ func TestClusterFleetAndStagedDeployment(t *testing.T) {
 	// Vendor reference: same as plain machines.
 	ref := userMachine("vendor-ref", false)
 	refs := []string{"/lib/libc.so", apps.MySQLExec, apps.LibMySQLPath}
-	regCfg := MirageRegistryConfig()
-	reg, err := BuildRegistry(regCfg)
+	regCfg := parser.MirageRegistryConfig()
+	reg, err := parser.BuildRegistry(regCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +267,7 @@ func TestDuplicateRegistrationReplaces(t *testing.T) {
 	s, _ := startFleet(t, m1)
 	// Second agent with the same name replaces the first channel.
 	m2 := userMachine("dup", false)
-	go NewAgent(m2).Run(s.Addr())
+	go agent.NewAgent(m2).Run(s.Addr())
 	time.Sleep(50 * time.Millisecond)
 	if got := s.Agents(); len(got) != 1 {
 		t.Fatalf("agents = %v", got)

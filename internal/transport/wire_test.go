@@ -9,21 +9,24 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/agent"
 	"repro/internal/distrib"
+	"repro/internal/link"
 	"repro/internal/report"
 )
 
 // wireBytes returns f as it crosses the wire: length prefix, frame and
 // any body the frame announces.
-func wireBytes(t testing.TB, f *Frame) []byte {
+func wireBytes(t testing.TB, f *link.Frame) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
-	if err := newFrameConn(nil, bw, &buf).WriteFrame(f); err != nil {
+	if err := (&link.Conn{W: bw, Raw: &buf}).WriteFrame(f); err != nil {
 		t.Fatal(err)
 	}
 	if err := bw.Flush(); err != nil {
@@ -38,18 +41,29 @@ func rawFrame(body ...byte) []byte {
 	return append(binary.AppendUvarint(nil, uint64(len(body))), body...)
 }
 
+// frameBody returns the body of the frame f encodes to: what follows its
+// length prefix, up to any body the frame announces.
+func frameBody(t testing.TB, f *link.Frame) []byte {
+	b := wireBytes(t, f)
+	n, k := binary.Uvarint(b)
+	return b[k : k+int(n)]
+}
+
+// frameCap is link's cap on a frame and on a manifest body.
+const frameCap = 1 << 20
+
 // readWire reads one frame from b.
-func readWire(b []byte) (Frame, error) {
-	var f Frame
-	err := newFrameConn(bufio.NewReader(bytes.NewReader(b)), nil, nil).ReadFrame(&f)
+func readWire(b []byte) (link.Frame, error) {
+	var f link.Frame
+	err := (&link.Conn{R: bufio.NewReader(bytes.NewReader(b))}).ReadFrame(&f)
 	return f, err
 }
 
 // refusedFor returns the reason err refused a frame for, or "".
 func refusedFor(err error) string {
-	var fe *frameError
+	var fe *link.FrameError
 	if errors.As(err, &fe) {
-		return fe.reason
+		return fe.Reason
 	}
 	return ""
 }
@@ -68,8 +82,8 @@ func handPlayedVendor() map[string]func(t *testing.T) (*net.TCPConn, *bufio.Read
 		t.Cleanup(func() { conn.Close() })
 		conn.SetDeadline(time.Now().Add(10 * time.Second))
 		br := bufio.NewReader(conn)
-		var reg Frame
-		if err := newFrameConn(br, nil, nil).ReadFrame(&reg); err != nil || reg.Op != OpRegister {
+		var reg link.Frame
+		if err := (&link.Conn{R: br}).ReadFrame(&reg); err != nil || reg.Op != link.OpRegister {
 			t.Fatalf("registration frame %+v: %v", reg, err)
 		}
 		return conn.(*net.TCPConn), br
@@ -89,7 +103,7 @@ func handPlayedVendor() map[string]func(t *testing.T) (*net.TCPConn, *bufio.Read
 			done := make(chan struct{})
 			go func() {
 				defer close(done)
-				NewAgent(userMachine("legacy-node", false)).Run(ln.Addr().String())
+				agent.NewAgent(userMachine("legacy-node", false)).Run(ln.Addr().String())
 			}()
 			conn, br := accept(t, ln)
 			t.Cleanup(func() { conn.Close(); <-done })
@@ -97,7 +111,7 @@ func handPlayedVendor() map[string]func(t *testing.T) (*net.TCPConn, *bufio.Read
 		},
 		"SimFleet": func(t *testing.T) (*net.TCPConn, *bufio.Reader) {
 			ln := listen(t)
-			fleet, err := StartSimFleet(1, SimOptions{Addr: ln.Addr().String()})
+			fleet, err := agent.StartSimFleet(1, agent.SimOptions{Addr: ln.Addr().String()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,26 +134,26 @@ func handPlayedVendor() map[string]func(t *testing.T) (*net.TCPConn, *bufio.Read
 func TestRemovedFrameShapesRefused(t *testing.T) {
 	cases := []struct {
 		name    string
-		frame   *Frame
+		frame   *link.Frame
 		missing string
 	}{
-		{"inline test", &Frame{ID: 1, Op: OpTest}, "manifest"},
-		{"inline integrate", &Frame{ID: 1, Op: OpIntegrate}, "manifest"},
-		{"JSON manifest test", &Frame{ID: 1, Op: OpTest}, "manifest"},
-		{"JSON manifest integrate", &Frame{ID: 1, Op: OpIntegrate}, "manifest"},
-		{"base64 fetch_chunks", &Frame{ID: 1, Op: OpFetchChunks}, "chunk_meta"},
+		{"inline test", &link.Frame{ID: 1, Op: link.OpTest}, "manifest"},
+		{"inline integrate", &link.Frame{ID: 1, Op: link.OpIntegrate}, "manifest"},
+		{"JSON manifest test", &link.Frame{ID: 1, Op: link.OpTest}, "manifest"},
+		{"JSON manifest integrate", &link.Frame{ID: 1, Op: link.OpIntegrate}, "manifest"},
+		{"base64 fetch_chunks", &link.Frame{ID: 1, Op: link.OpFetchChunks}, "chunk_meta"},
 	}
 	for name, dial := range handPlayedVendor() {
 		for _, tc := range cases {
 			t.Run(name+"/"+tc.name, func(t *testing.T) {
 				conn, br := dial(t)
-				fc := newFrameConn(br, nil, nil)
-				call := func(f *Frame) Frame {
+				fc := &link.Conn{R: br}
+				call := func(f *link.Frame) link.Frame {
 					t.Helper()
 					if _, err := conn.Write(wireBytes(t, f)); err != nil {
 						t.Fatal(err)
 					}
-					var resp Frame
+					var resp link.Frame
 					if err := fc.ReadFrame(&resp); err != nil {
 						t.Fatalf("reading reply to %+v: %v", f, err)
 					}
@@ -148,14 +162,14 @@ func TestRemovedFrameShapesRefused(t *testing.T) {
 				if resp := call(tc.frame); resp.OK || resp.ID != 1 || !strings.Contains(resp.Err, tc.missing) {
 					t.Fatalf("reply = %+v, want an error naming the missing %s", resp, tc.missing)
 				}
-				if resp := call(&Frame{ID: 2, Op: OpPing}); !resp.OK || resp.ID != 2 {
+				if resp := call(&link.Frame{ID: 2, Op: link.OpPing}); !resp.OK || resp.ID != 2 {
 					t.Fatalf("ping after the refusal = %+v, want OK: the channel lost sync", resp)
 				}
 			})
 		}
 		t.Run(name+"/JSON header", func(t *testing.T) {
 			conn, br := dial(t)
-			if _, err := fmt.Fprintf(conn, `{"id":1,"op":%q}`+"\n", OpPing); err != nil {
+			if _, err := fmt.Fprintf(conn, `{"id":1,"op":%q}`+"\n", link.OpPing); err != nil {
 				t.Fatal(err)
 			}
 			expectHangUp(t, br)
@@ -173,10 +187,14 @@ func expectHangUp(t *testing.T, br *bufio.Reader) {
 }
 
 // manifestLenFrame is a test request announcing a manifest body of n
-// bytes, n taken as the uvarint a careless decoder would read as an int.
-func manifestLenFrame(n int) []byte {
-	b := binary.AppendUvarint([]byte{frameVersion, opTest}, fID|fManifest)
-	return rawFrame(binary.AppendUvarint(append(b, 1), uint64(n))...)
+// bytes, n taken as the uvarint a careless decoder would read as an int:
+// an encoded request, whose frame ends with its manifest's length, with n
+// in that length's place.
+func manifestLenFrame(t testing.TB, n int) []byte {
+	man := &distrib.Manifest{ID: "m"}
+	body := frameBody(t, &link.Frame{ID: 1, Op: link.OpTest, Manifest: man})
+	body = body[:len(body)-len(binary.AppendUvarint(nil, uint64(len(man.Wire()))))]
+	return rawFrame(binary.AppendUvarint(body, uint64(n))...)
 }
 
 // TestManifestBodyLenRefused: a manifest length that reads as negative or
@@ -186,10 +204,10 @@ func manifestLenFrame(n int) []byte {
 // a reply announcing a frame of that length: the vendor refuses it,
 // counts it and drops the agent.
 func TestManifestBodyLenRefused(t *testing.T) {
-	for _, n := range []int{-1, maxFrame + 1} {
-		frame := manifestLenFrame(n)
+	for _, n := range []int{-1, frameCap + 1} {
+		frame := manifestLenFrame(t, n)
 		t.Run(fmt.Sprintf("frameConn/%d", n), func(t *testing.T) {
-			if _, err := readWire(frame); !errors.Is(err, ErrFrameTooLarge) || refusedFor(err) != refusedTooLarge {
+			if _, err := readWire(frame); !errors.Is(err, link.ErrFrameTooLarge) || refusedFor(err) != link.RefusedTooLarge {
 				t.Fatalf("ReadFrame = %v, want ErrFrameTooLarge", err)
 			}
 		})
@@ -214,7 +232,7 @@ func TestManifestBodyLenRefused(t *testing.T) {
 				t.Fatal(err)
 			}
 			agent.SetDeadline(time.Now().Add(10 * time.Second))
-			if _, err := agent.Write(wireBytes(t, &Frame{Op: OpRegister, Register: &RegisterReq{Machine: "liar"}})); err != nil {
+			if _, err := agent.Write(wireBytes(t, &link.Frame{Op: link.OpRegister, Register: &link.RegisterReq{Machine: "liar"}})); err != nil {
 				t.Fatal(err)
 			}
 			if !s.WaitForAgent("liar", 5*time.Second) {
@@ -223,21 +241,21 @@ func TestManifestBodyLenRefused(t *testing.T) {
 			pinged := make(chan error, 1)
 			go func() { pinged <- s.Ping(context.Background(), "liar") }()
 			br := bufio.NewReader(agent)
-			var ping Frame
-			if err := newFrameConn(br, nil, nil).ReadFrame(&ping); err != nil {
+			var ping link.Frame
+			if err := (&link.Conn{R: br}).ReadFrame(&ping); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := agent.Write(binary.AppendUvarint(nil, uint64(n))); err != nil {
 				t.Fatal(err)
 			}
 			err = <-pinged
-			if !errors.Is(err, ErrAgentGone) || !strings.Contains(err.Error(), ErrFrameTooLarge.Error()) {
+			if !errors.Is(err, ErrAgentGone) || !strings.Contains(err.Error(), link.ErrFrameTooLarge.Error()) {
 				t.Fatalf("Ping = %v, want ErrAgentGone caused by ErrFrameTooLarge", err)
 			}
 			if got := s.Agents(); len(got) != 0 {
 				t.Fatalf("agents after the refusal = %v, want the liar dropped", got)
 			}
-			if got := s.metrics().refused.With(refusedTooLarge).Value(); got != 1 {
+			if got := s.metrics().refused.With(link.RefusedTooLarge).Value(); got != 1 {
 				t.Fatalf("too_large refusals counted = %d, want 1", got)
 			}
 			expectHangUp(t, br)
@@ -253,14 +271,14 @@ func TestManifestBodyTruncated(t *testing.T) {
 	enc := (&distrib.Manifest{ID: "mysql-5.0.22", Name: "mysql", Version: "5.0.22",
 		Files: []distrib.FileManifest{{Path: "/usr/sbin/mysqld", Chunks: []distrib.ChunkRef{{Hash: 1, Size: 6}}}}}).Wire()
 	cases := map[string]string{
-		"truncated":   string(manifestLenFrame(len(enc))) + string(enc[:len(enc)/2]),
-		"undecodable": string(manifestLenFrame(len(enc)+1)) + string(enc) + "\x00",
+		"truncated":   string(manifestLenFrame(t, len(enc))) + string(enc[:len(enc)/2]),
+		"undecodable": string(manifestLenFrame(t, len(enc)+1)) + string(enc) + "\x00",
 	}
 	for cname, frame := range cases {
 		t.Run("frameConn/"+cname, func(t *testing.T) {
 			_, err := readWire([]byte(frame))
 			if cname == "truncated" && !errors.Is(err, io.ErrUnexpectedEOF) ||
-				cname == "undecodable" && (!errors.Is(err, distrib.ErrBadManifest) || refusedFor(err) != refusedBadField) {
+				cname == "undecodable" && (!errors.Is(err, distrib.ErrBadManifest) || refusedFor(err) != link.RefusedBadField) {
 				t.Fatalf("ReadFrame = %v", err)
 			}
 		})
@@ -283,14 +301,16 @@ func TestManifestBodyTruncated(t *testing.T) {
 // refusal reason. Each drops the connection and increments its reason in
 // mirage_frames_refused_total, and no other.
 func TestFramesRefusedCounted(t *testing.T) {
-	register := wireBytes(t, &Frame{Op: OpRegister, Register: &RegisterReq{Machine: "x"}})
+	register := frameBody(t, &link.Frame{Op: link.OpRegister, Register: &link.RegisterReq{Machine: "x"}})
 	frames := map[string][]byte{
-		refusedVersion:  rawFrame(frameVersion+1, opRegister, 0),
-		refusedTooLarge: binary.AppendUvarint(nil, maxFrame+1),
-		refusedBadField: rawFrame(frameVersion, opRegister, fRegister|fOK, 1, 'x', 0),
-		refusedTrailing: rawFrame(append(append([]byte(nil), register[1:]...), 0)...),
+		// The version byte, one past the protocol's.
+		link.RefusedVersion:  rawFrame(append([]byte{register[0] + 1}, register[1:]...)...),
+		link.RefusedTooLarge: binary.AppendUvarint(nil, frameCap+1),
+		// The registration cut inside its last field.
+		link.RefusedBadField: rawFrame(register[:len(register)-1]...),
+		link.RefusedTrailing: rawFrame(append(slices.Clone(register), 0)...),
 	}
-	reasons := []string{refusedVersion, refusedTooLarge, refusedBadField, refusedTrailing}
+	reasons := []string{link.RefusedVersion, link.RefusedTooLarge, link.RefusedBadField, link.RefusedTrailing}
 	for _, reason := range reasons {
 		t.Run(reason, func(t *testing.T) {
 			s, err := Listen("127.0.0.1:0")
@@ -322,132 +342,14 @@ func TestFramesRefusedCounted(t *testing.T) {
 	}
 }
 
-// TestFrameFieldCaps: every count the decoder reads has a cap of its own,
-// below what the frame cap alone would admit. A frame — or fingerprint
-// request, or report image — with exactly the cap decodes; one more
-// element is refused as a bad field.
-func TestFrameFieldCaps(t *testing.T) {
-	frame := func(f func(n int) *Frame) func(t *testing.T, n int) error {
-		return func(t *testing.T, n int) error {
-			_, err := readWire(wireBytes(t, f(n)))
-			return err
-		}
-	}
-	fingerprint := func(f func(n int) *FingerprintReq) func(t *testing.T, n int) error {
-		return func(t *testing.T, n int) error {
-			_, err := decodeFingerprintReq(encodeFingerprintReq(f(n)))
-			return err
-		}
-	}
-	image := func(f func(n int) *report.Image) func(t *testing.T, n int) error {
-		return func(t *testing.T, n int) error {
-			_, err := decodeImage(appendImage(nil, f(n)))
-			return err
-		}
-	}
-	strs := func(n int) []string { return make([]string, n) }
-	items := func(n int) []WireItem { return make([]WireItem, n) }
-	addrs := func(n int) []uint64 { return make([]uint64, n) }
-	cases := []struct {
-		name  string
-		limit int
-		try   func(t *testing.T, n int) error
-	}{
-		{"string", maxWireString, frame(func(n int) *Frame { return &Frame{ID: 1, Err: strings.Repeat("x", n)} })},
-		{"ChunkMeta", maxChunkRefs, frame(func(n int) *Frame {
-			return &Frame{ID: 1, Op: OpFetchChunks, ChunkMeta: make([]distrib.ChunkRef, n)}
-		})},
-		{"NeedChunks", maxChunkRefs, frame(func(n int) *Frame { return &Frame{ID: 1, OK: true, NeedChunks: addrs(n)} })},
-		{"Diff", maxItems, frame(func(n int) *Frame { return &Frame{ID: 1, OK: true, Diff: items(n)} })},
-		{"Resources", maxResources, frame(func(n int) *Frame { return &Frame{ID: 1, OK: true, Resources: strs(n)} })},
-		{"PeerFetch.Addrs", maxChunkRefs, frame(func(n int) *Frame {
-			return &Frame{ID: 1, Op: OpPeerFetch, PeerFetch: &PeerFetchReq{Addrs: addrs(n)}}
-		})},
-		{"PeerFetch.Peers", MaxPeerHints, frame(func(n int) *Frame {
-			return &Frame{ID: 1, Op: OpPeerFetch, PeerFetch: &PeerFetchReq{Peers: strs(n)}}
-		})},
-		{"Peer.Failed", MaxPeerHints, frame(func(n int) *Frame {
-			return &Frame{ID: 1, OK: true, Peer: &PeerResult{Failed: strs(n)}}
-		})},
-		{"Delta.Added", maxItems, frame(func(n int) *Frame {
-			return &Frame{ID: 1, Op: OpProfileDelta, Delta: &ProfileDeltaReq{Added: items(n)}}
-		})},
-		{"Delta.Removed", maxItems, frame(func(n int) *Frame {
-			return &Frame{ID: 1, Op: OpProfileDelta, Delta: &ProfileDeltaReq{Removed: items(n)}}
-		})},
-		{"Identify.Workloads", maxArgs, frame(func(n int) *Frame {
-			return &Frame{ID: 1, Op: OpIdentify, Identify: &IdentifyReq{Workloads: make([][]string, n)}}
-		})},
-		{"Identify.Workloads[0]", maxArgs, frame(func(n int) *Frame {
-			return &Frame{ID: 1, Op: OpIdentify, Identify: &IdentifyReq{Workloads: [][]string{strs(n)}}}
-		})},
-		{"Record.Inputs", maxArgs, frame(func(n int) *Frame {
-			return &Frame{ID: 1, Op: OpRecord, Record: &RecordReq{Inputs: strs(n)}}
-		})},
-		{"Report.FailedApps", maxReportList, frame(func(n int) *Frame {
-			return &Frame{ID: 1, OK: true, Report: &report.Report{FailedApps: strs(n)}}
-		})},
-		{"Report.Reasons", maxReportList, frame(func(n int) *Frame {
-			return &Frame{ID: 1, OK: true, Report: &report.Report{Reasons: strs(n)}}
-		})},
-		{"FingerprintReq.Refs", maxResources, fingerprint(func(n int) *FingerprintReq { return &FingerprintReq{Refs: strs(n)} })},
-		{"FingerprintReq.Rules", maxRules, fingerprint(func(n int) *FingerprintReq {
-			return &FingerprintReq{Registry: RegistryConfig{Rules: make([]RegistryRule, n)}}
-		})},
-		{"FingerprintReq.IgnoreKeys", maxRules, fingerprint(func(n int) *FingerprintReq {
-			return &FingerprintReq{Registry: RegistryConfig{Rules: []RegistryRule{{IgnoreKeys: strs(n)}}}}
-		})},
-		{"FingerprintReq.VendorItems", maxItems, fingerprint(func(n int) *FingerprintReq { return &FingerprintReq{VendorItems: items(n)} })},
-		{"Image.Files", maxImageFiles, image(func(n int) *report.Image { return &report.Image{Files: make([]report.FileState, n)} })},
-		{"Image.Env", maxImageEntries, image(func(n int) *report.Image {
-			env := make(map[string]string, n)
-			for i := 0; i < n; i++ {
-				env[fmt.Sprintf("K%05d", i)] = ""
-			}
-			return &report.Image{Env: env}
-		})},
-		{"Image.Packages", maxImageEntries, image(func(n int) *report.Image {
-			return &report.Image{Packages: make([]report.PackageState, n)}
-		})},
-		{"Image.Packages[0].Files", maxImageFiles, image(func(n int) *report.Image {
-			return &report.Image{Packages: []report.PackageState{{Files: strs(n)}}}
-		})},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if err := tc.try(t, tc.limit); err != nil {
-				t.Fatalf("%d elements, the cap: %v", tc.limit, err)
-			}
-			if err := tc.try(t, tc.limit+1); refusedFor(err) != refusedBadField || !strings.Contains(err.Error(), "cap") {
-				t.Fatalf("%d elements, one over the cap: %v, want a bad_field refusal", tc.limit+1, err)
-			}
-		})
-	}
-	t.Run("chunk size", func(t *testing.T) {
-		f := &Frame{ID: 1, Op: OpFetchChunks, ChunkMeta: []distrib.ChunkRef{{Size: maxWireChunk + 1}}}
-		if _, err := readWire(wireBytes(t, f)); refusedFor(err) != refusedBadField {
-			t.Fatalf("chunk of %d bytes: %v, want a bad_field refusal", maxWireChunk+1, err)
-		}
-	})
-	t.Run("image body", func(t *testing.T) {
-		b := binary.AppendUvarint([]byte{frameVersion, opReply}, fID|fOK|fReport)
-		// ID 1, then a report of zero values up to its image length.
-		b = append(b, 1, 0, 0, 0, 0, 0)
-		b = rawFrame(binary.AppendUvarint(b, uint64(maxImageBody)+1)...)
-		if _, err := readWire(b); refusedFor(err) != refusedTooLarge {
-			t.Fatalf("image of %d bytes: %v, want a too_large refusal", maxImageBody+1, err)
-		}
-	})
-}
-
 // TestFrameCodecAllocs pins what a frame costs the heap: writing a test
 // request that carries a manifest allocates nothing, reading an OK-only
 // integrate reply allocates nothing, and reading a test-success reply
 // allocates only the report and its strings.
 func TestFrameCodecAllocs(t *testing.T) {
 	man := distrib.NewStore().Manifest(mysql5Wire())
-	w := newFrameConn(nil, bufio.NewWriter(io.Discard), io.Discard)
-	req := Frame{ID: 7, Op: OpTest, Manifest: man}
+	w := &link.Conn{W: bufio.NewWriter(io.Discard), Raw: io.Discard}
+	req := link.Frame{ID: 7, Op: link.OpTest, Manifest: man}
 	if n := testing.AllocsPerRun(100, func() {
 		if err := w.WriteFrame(&req); err != nil {
 			t.Fatal(err)
@@ -456,20 +358,20 @@ func TestFrameCodecAllocs(t *testing.T) {
 		t.Errorf("WriteFrame of a test request: %v allocations, want 0", n)
 	}
 
-	read := func(f *Frame) float64 {
+	read := func(f *link.Frame) float64 {
 		stream := bytes.Repeat(wireBytes(t, f), 102)
-		r := newFrameConn(bufio.NewReader(bytes.NewReader(stream)), nil, nil)
-		var got Frame
+		r := &link.Conn{R: bufio.NewReader(bytes.NewReader(stream))}
+		var got link.Frame
 		return testing.AllocsPerRun(100, func() {
 			if err := r.ReadFrame(&got); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	if n := read(&Frame{ID: 7, OK: true}); n != 0 {
+	if n := read(&link.Frame{ID: 7, OK: true}); n != 0 {
 		t.Errorf("ReadFrame of an integrate reply: %v allocations, want 0", n)
 	}
-	success := &Frame{ID: 7, OK: true, Report: &report.Report{UpgradeID: "mysql-5.0.22", Machine: "sim-000007", Success: true}}
+	success := &link.Frame{ID: 7, OK: true, Report: &report.Report{UpgradeID: "mysql-5.0.22", Machine: "sim-000007", Success: true}}
 	if n := read(success); n != 3 {
 		t.Errorf("ReadFrame of a test-success reply: %v allocations, want 3 (the report and its two strings)", n)
 	}
@@ -489,148 +391,5 @@ func TestManifestDecodeAllocs(t *testing.T) {
 	})
 	if n != 6 {
 		t.Errorf("DecodeManifest of the mysql 5 manifest: %v allocations, want 6", n)
-	}
-}
-
-// fuzzFrames is one frame per op, and per reply payload, for the fuzzer
-// to start from.
-func fuzzFrames() []*Frame {
-	man := distrib.NewStore().Manifest(mysql5Wire())
-	items := []WireItem{{Key: "/etc/my.cnf", Hash: 42, Kind: 1}, {Key: "k", Hash: 7, Kind: -1}}
-	return []*Frame{
-		{Op: OpRegister, Register: &RegisterReq{Machine: "m1", Peer: "127.0.0.1:9"}},
-		{ID: 1, Op: OpIdentify, Identify: &IdentifyReq{App: "mysql", Workloads: [][]string{{"SELECT 1"}, nil}}},
-		{ID: 2, Op: OpRecord, Record: &RecordReq{App: "php", Inputs: []string{"a", ""}}},
-		{ID: 3, Op: OpFingerprint, Fingerprint: encodeFingerprintReq(&FingerprintReq{App: "mysql",
-			Refs: []string{"/lib/libc.so"}, Registry: MirageRegistryConfig(), VendorItems: items})},
-		{ID: 4, Op: OpTest, Manifest: man},
-		{ID: 5, Op: OpIntegrate, Manifest: man},
-		{ID: 6, Op: OpPing},
-		{ID: 7, Op: OpFetchChunks, ChunkMeta: []distrib.ChunkRef{{Hash: 1, Size: 3}, {Hash: 2, Size: 300}}},
-		{ID: 8, Op: OpPeerFetch, PeerFetch: &PeerFetchReq{Addrs: []uint64{1, 2}, Peers: []string{"p1", "p2", "p3"}}},
-		{ID: 9, Op: OpPeerGet, NeedChunks: []uint64{5}},
-		{ID: 10, Op: OpProfileDelta, Delta: &ProfileDeltaReq{Machine: "m1", App: "mysql", AppSet: "s", Sig: 99,
-			Added: items, Removed: items[:1], Full: true}},
-		{ID: 11, Err: "disk on fire"},
-		{ID: 12, OK: true, Status: "recorded", Resources: []string{"/a", "/b"}},
-		{ID: 13, OK: true, Diff: items, AppSet: "mysql+php"},
-		{ID: 14, OK: true, NeedChunks: []uint64{3, 4}, Peer: &PeerResult{Chunks: 2, Bytes: -5, Failed: []string{"p1"}}},
-		{ID: 15, OK: true, Report: &report.Report{UpgradeID: "u", Machine: "m",
-			FailedApps: []string{"php"}, Reasons: []string{"crash"},
-			Image: report.CaptureImage(userMachine("img", true))}},
-		{ID: 16, OK: true, ChunkMeta: []distrib.ChunkRef{{Hash: 9, Size: 1}}},
-	}
-}
-
-// overCapFrames is one frame one element over each cap small enough to
-// seed the fuzzer with: a decoder missing that cap accepts it.
-func overCapFrames() []*Frame {
-	strs := func(n int) []string { return make([]string, n) }
-	return []*Frame{
-		{ID: 1, Op: OpPeerFetch, PeerFetch: &PeerFetchReq{Peers: strs(MaxPeerHints + 1)}},
-		{ID: 1, OK: true, Peer: &PeerResult{Failed: strs(MaxPeerHints + 1)}},
-		{ID: 1, Op: OpIdentify, Identify: &IdentifyReq{Workloads: make([][]string, maxArgs+1)}},
-		{ID: 1, Op: OpIdentify, Identify: &IdentifyReq{Workloads: [][]string{strs(maxArgs + 1)}}},
-		{ID: 1, Op: OpRecord, Record: &RecordReq{Inputs: strs(maxArgs + 1)}},
-		{ID: 1, OK: true, Report: &report.Report{FailedApps: strs(maxReportList + 1)}},
-		{ID: 1, OK: true, Report: &report.Report{Reasons: strs(maxReportList + 1)}},
-		{ID: 1, Op: OpFingerprint, Fingerprint: encodeFingerprintReq(&FingerprintReq{
-			Registry: RegistryConfig{Rules: make([]RegistryRule, maxRules+1)}})},
-		{ID: 1, Op: OpFingerprint, Fingerprint: encodeFingerprintReq(&FingerprintReq{
-			Registry: RegistryConfig{Rules: []RegistryRule{{IgnoreKeys: strs(maxRules + 1)}}}})},
-	}
-}
-
-// FuzzReadFrame feeds ReadFrame a frame body behind its true length
-// prefix, with arbitrary bytes after it. ReadFrame must not panic; a
-// frame it accepts must have every count within its cap, re-encode to
-// exactly the bytes it read — frame and bodies — and leave the stream
-// right behind them; a fingerprint request it carries must do the same
-// under its own decoder. The seeds are one frame per op and reply
-// payload, and one frame over each small cap.
-func FuzzReadFrame(f *testing.F) {
-	for _, fr := range append(fuzzFrames(), overCapFrames()...) {
-		b := wireBytes(f, fr)
-		n, k := binary.Uvarint(b)
-		f.Add(b[k:k+int(n)], b[k+int(n):])
-	}
-	f.Fuzz(func(t *testing.T, body, tail []byte) {
-		stream := append(binary.AppendUvarint(nil, uint64(len(body))), body...)
-		stream = append(stream, tail...)
-		src := bytes.NewReader(stream)
-		br := bufio.NewReaderSize(src, 64)
-		var fr Frame
-		if err := newFrameConn(br, nil, nil).ReadFrame(&fr); err != nil {
-			return
-		}
-		checkFrameCaps(t, &fr)
-		consumed := len(stream) - src.Len() - br.Buffered()
-		again := wireBytes(t, &fr)
-		if !bytes.Equal(again, stream[:consumed]) {
-			t.Fatalf("read %d bytes %x, re-encoded as %x", consumed, stream[:consumed], again)
-		}
-		if len(fr.Fingerprint) > 0 {
-			req, err := decodeFingerprintReq(fr.Fingerprint)
-			if err != nil {
-				return
-			}
-			if len(req.Registry.Rules) > maxRules {
-				t.Fatalf("%d registry rules decoded, over the cap %d", len(req.Registry.Rules), maxRules)
-			}
-			for _, rule := range req.Registry.Rules {
-				if len(rule.IgnoreKeys) > maxRules {
-					t.Fatalf("%d ignored keys decoded, over the cap %d", len(rule.IgnoreKeys), maxRules)
-				}
-			}
-			if again := encodeFingerprintReq(req); !bytes.Equal(again, fr.Fingerprint) {
-				t.Fatalf("fingerprint request %x re-encoded as %x", fr.Fingerprint, again)
-			}
-		}
-	})
-}
-
-// checkFrameCaps fails t if a decoded frame holds a list over its cap.
-func checkFrameCaps(t *testing.T, f *Frame) {
-	t.Helper()
-	check := func(what string, n, limit int) {
-		if n > limit {
-			t.Fatalf("%s: %d elements decoded, over the cap %d", what, n, limit)
-		}
-	}
-	check("ChunkMeta", len(f.ChunkMeta), maxChunkRefs)
-	check("NeedChunks", len(f.NeedChunks), maxChunkRefs)
-	check("Resources", len(f.Resources), maxResources)
-	check("Diff", len(f.Diff), maxItems)
-	if p := f.PeerFetch; p != nil {
-		check("PeerFetch.Addrs", len(p.Addrs), maxChunkRefs)
-		check("PeerFetch.Peers", len(p.Peers), MaxPeerHints)
-	}
-	if p := f.Peer; p != nil {
-		check("Peer.Failed", len(p.Failed), MaxPeerHints)
-	}
-	if d := f.Delta; d != nil {
-		check("Delta.Added", len(d.Added), maxItems)
-		check("Delta.Removed", len(d.Removed), maxItems)
-	}
-	if r := f.Identify; r != nil {
-		check("Identify.Workloads", len(r.Workloads), maxArgs)
-		for _, w := range r.Workloads {
-			check("Identify workload", len(w), maxArgs)
-		}
-	}
-	if r := f.Record; r != nil {
-		check("Record.Inputs", len(r.Inputs), maxArgs)
-	}
-	if r := f.Report; r != nil {
-		check("Report.FailedApps", len(r.FailedApps), maxReportList)
-		check("Report.Reasons", len(r.Reasons), maxReportList)
-		if img := r.Image; img != nil {
-			check("Image.Files", len(img.Files), maxImageFiles)
-			check("Image.Env", len(img.Env), maxImageEntries)
-			check("Image.Packages", len(img.Packages), maxImageEntries)
-			for _, p := range img.Packages {
-				check("Image package files", len(p.Files), maxImageFiles)
-			}
-		}
 	}
 }
