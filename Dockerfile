@@ -30,6 +30,7 @@ VOLUME /var/lib/mirage
 EXPOSE 7033 7080
 
 # SIGTERM (the default docker stop signal) triggers the vendor's graceful
-# drain: the admin API stops admitting rollouts, the admission queue is
-# unwound, and in-flight rollouts are aborted with their journals sealed.
+# drain: the admin API stops admitting rollouts, then every rollout is
+# suspended at its next member boundary with nothing journaled, so its
+# journal resumes after a restart.
 ENTRYPOINT ["mirage-vendor"]

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"go/ast"
+	"go/token"
 	"slices"
 	"strings"
 	"testing"
@@ -17,7 +18,7 @@ import (
 // 1(a) deletes.
 func TestBinaryClosures(t *testing.T) {
 	imports := map[string][]string{} // package path → import paths
-	mod, err := parseModule(".", func(pkg, rel string, f *ast.File) {
+	mod, err := parseModule(".", token.NewFileSet(), func(pkg, rel string, f *ast.File) {
 		if rel == "internal/transport/bench.go" {
 			return
 		}

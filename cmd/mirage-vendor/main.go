@@ -19,8 +19,9 @@
 // Exit codes: 0 — deployment succeeded; 1 — infrastructure error (listen
 // failure, agent loss, journal I/O); 2 — usage; 3 — the rollout itself
 // failed (the vendor abandoned the upgrade, the gate never converged, or
-// the rollout was aborted). The distinction is what lets a wrapping
-// script tell "the upgrade is bad" from "the tooling broke".
+// the rollout was aborted, or suspended by a signal). The distinction is
+// what lets a wrapping script tell "the upgrade is bad" from "the tooling
+// broke".
 //
 // Pair with mirage-agent:
 //
@@ -174,7 +175,9 @@ func run() (code int) {
 		Baseline:     scenario.MySQLBaseline(),
 		AutoRollback: *autoRollback,
 	}
-	api := v.API(ctx, func(req orchestrator.StartRequest) (orchestrator.Spec, error) { return req.Overlay(spec) })
+	// Rollouts do not inherit the signal context: a drain suspends each one
+	// explicitly, so its journal resumes after the restart.
+	api := v.API(context.Background(), func(req orchestrator.StartRequest) (orchestrator.Spec, error) { return req.Overlay(spec) })
 	api.EnablePprof = *pprofFlag
 	httpSrv := &http.Server{Addr: *admin, Handler: api.Handler()}
 	go func() {
@@ -189,8 +192,9 @@ func run() (code int) {
 		// Control-plane mode: rollouts arrive over HTTP; run until
 		// interrupted (SIGINT or SIGTERM), then drain gracefully: stop
 		// taking admissions first — in-flight HTTP requests finish, new
-		// ones are refused — then unwind the admission queue and abort
-		// whatever is still executing.
+		// ones are refused — then suspend every rollout at its next
+		// member boundary, queued ones included. A suspended rollout's
+		// journal holds no terminal record, so it resumes after a restart.
 		<-ctx.Done()
 		slog.Info("drain: signal received; refusing new admissions",
 			"active", v.Orch.Active(), "queued", v.Orch.Queued())
@@ -198,7 +202,7 @@ func run() (code int) {
 		httpSrv.Shutdown(shutCtx) //nolint:errcheck — drain is best-effort past the timeout
 		cancelShut()
 		for _, h := range v.Orch.List() {
-			h.Abort() // cancels (ctx already did, for most) and waits the rollout out
+			h.Suspend() // waits the rollout out; a finished one stays as it ended
 			st := h.Status()
 			slog.Info("rollout drained", "rollout", st.ID, "state", string(st.State),
 				"integrated", st.Integrated, "members", len(st.Members))
@@ -214,20 +218,27 @@ func run() (code int) {
 	if *showPlan {
 		fmt.Print(deploy.NewController(nil, nil).PlanFor(pol, clusters).Describe())
 	}
-	h, err := v.Orch.Start(ctx, v.Spec(spec))
+	h, err := v.Orch.Start(context.Background(), v.Spec(spec))
 	if err != nil {
 		return infra("starting rollout failed", "err", err)
 	}
 	// The rollout ID is the operator's handle: mirage-ctl status/pause/
 	// abort target it on the admin API while the rollout runs.
 	fmt.Printf("rollout %s started (policy=%s, admin http://%s)\n", h.ID(), spec.Policy, *admin)
+	select {
+	case <-h.Done():
+	case <-ctx.Done():
+		// A signal suspends the rollout: its journal resumes with -resume.
+		h.Suspend()
+	}
 	out, err := h.Wait(context.Background())
 	if err != nil {
-		// An aborted rollout is a verdict on the rollout (exit 3); any other
-		// error — journal I/O, a resume refusal, node infrastructure — is
-		// tooling trouble (exit 1). Abandonment returns err == nil, below.
+		// An aborted or suspended rollout is a verdict on the rollout
+		// (exit 3); any other error — journal I/O, a resume refusal, node
+		// infrastructure — is tooling trouble (exit 1). Abandonment
+		// returns err == nil, below.
 		slog.Error("rollout failed", "rollout", h.ID(), "err", err)
-		if h.Status().State == orchestrator.StateAborted {
+		if st := h.Status().State; st == orchestrator.StateAborted || st == orchestrator.StateSuspended {
 			return exitRollout
 		}
 		return exitInfra

@@ -24,7 +24,10 @@
 // peers that hold the missing addresses, and every peer-fetched chunk
 // self-verifies against its content digest before the vendor uplink is
 // asked for the remainder. The user-machine testing subsystem is
-// internal/vmtest. The Upgrade Report Repository (internal/report) is a
+// internal/vmtest: it applies the upgrade (internal/pkgmgr) in a
+// copy-on-write sandbox, replays recorded inputs and compares outputs. A
+// bad upgrade is undone by driving the fleet back to version N (the
+// journaled rollback), not per machine. The Upgrade Report Repository (internal/report) is a
 // view of the deployment journal: each verdict is one journaled record,
 // failure report images are stored content-addressed beside the
 // journals, and report.URR is their fold — rebuilt when a rollout
@@ -33,9 +36,10 @@
 // (internal/orchestrator): Start(ctx, Spec) returns a Handle with Status
 // snapshots, a replayable event stream, Pause/ResumeRun at stage
 // barriers, Abort (context cancellation, journaled as abandoned so an
-// aborted rollout can never half-resume) and Wait; a context.Context
-// threads from the handle through the deployment controller, its retry
-// backoff and worker pool, and every vendor RPC. The same package
+// aborted rollout can never half-resume), Suspend (a stop that journals
+// nothing, so the journal resumes; what a SIGTERM drain does) and Wait;
+// a context.Context threads from the handle through the deployment
+// controller, its retry backoff and worker pool, and every vendor RPC. The same package
 // exposes the lifecycle over HTTP (orchestrator.API, served by
 // mirage-vendor, driven by mirage-ctl through orchestrator.Client).
 // The control plane holds at 100k agents: the agent registry wakes each

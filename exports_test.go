@@ -1,12 +1,17 @@
 package repro
 
 import (
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
 	"maps"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -18,29 +23,16 @@ import (
 // package-relative: "pkg.Name" or "pkg.Type.Method". An entry the scan no
 // longer reports fails the test, so the list only ever shrinks by hand.
 var exportAllowlist = map[string]string{
-	"apps.Apache.ExecPath":                "implements apps.App, whose ExecPath only tests call",
-	"apps.Firefox.ExecPath":               "implements apps.App, whose ExecPath only tests call",
-	"apps.MySQL.ExecPath":                 "implements apps.App, whose ExecPath only tests call",
-	"apps.Names":                          "test-only listing of the registered app models; open ROADMAP item 16 work",
-	"apps.PHP.ExecPath":                   "implements apps.App, whose ExecPath only tests call",
-	"apps.SlimServer.ExecPath":            "implements apps.App, whose ExecPath only tests call",
-	"distrib.Manifest.PayloadBytes":       "test-only: a manifest's inline-push size; open ROADMAP item 16 work",
 	"envid.IncludeTypes":                  "the type-include rule form of the Firefox evaluation; only its test builds one",
-	"envid.Result.Why":                    "test-only: which mechanism classified a path; open ROADMAP item 16 work",
 	"fingerprint.Fingerprint":             "one-shot form of the windowed Rabin fingerprint the chunker tests check Roll against",
 	"link.FrameError.Unwrap":              "implements the Unwrap that errors.Is and errors.As call through an interface",
-	"pkgmgr.Repository.Latest":            "test-only repository lookup; open ROADMAP item 16 work",
-	"scenario.FleetBehavior":              "fleet-scale fixture only the scenario tests run; open ROADMAP item 16 work",
-	"scenario.LargeFleet":                 "fleet-scale fixture only the scenario tests run; open ROADMAP item 16 work",
 	"scenario.VerifyFirefoxBehavior":      "kept on purpose like VerifyMySQLBehavior: the Table 3 upgrade check the scenario tests run",
 	"scenario.VerifyMySQLBehavior":        "kept on purpose: the Table 2 upgrade check the scenario tests run",
 	"simulator.ProblemMachineCount":       "the paper's m, which the scenario tests check is 25000",
 	"survey.Experience.MoreThanFiveYears": "the survey statistic (82 %) the survey test checks",
 	"trace.OpNetRecv":                     "a value of the Op enumeration; deleting it renumbers the ops after it",
+	"trace.OpRead":                        "a value of the Op enumeration; deleting it renumbers the ops after it",
 	"trace.OpSocket":                      "a value of the Op enumeration; deleting it renumbers the ops after it",
-	"trace.Trace.FirstAccessOrder":        "test-only view of a trace's access order; open ROADMAP item 16 work",
-	"vmtest.CompareOutputsRelaxed":        "test-only relaxed output comparison; open ROADMAP item 16 work",
-	"vmtest.Store.Apps":                   "test-only listing of recorded apps; open ROADMAP item 16 work",
 }
 
 // TestEveryExportHasACaller fails on an exported identifier under
@@ -68,14 +60,19 @@ func TestEveryExportHasACaller(t *testing.T) {
 // only a test calls is reported, and so is one whose name appears only as
 // another package's selector (lib.Listen, beside net.Listen), and so are
 // the function and method only a package no binary imports calls
-// (lib.OnlyOrphan, lib.Thing.Stray); exports a binary, the package itself,
-// a method call or a package a binary imports through another reach are
-// not.
+// (lib.OnlyOrphan, lib.Thing.Stray), and so is a method only a test calls
+// while a binary calls another type's method of that name (lib.Other.Used);
+// exports a binary, the package itself, a method call, an interface call
+// (lib.Dog.Speak), a method of a generic type's instantiation
+// (lib.Box.Get), a method the standard library calls (lib.Dog.String) or a
+// package a binary imports through another reach are not.
 func TestUnusedExportScanFindsOne(t *testing.T) {
 	root := t.TempDir()
 	files := map[string]string{
 		"go.mod": "module example\n\ngo 1.24\n",
 		"internal/lib/lib.go": `package lib
+
+import "fmt"
 
 type Thing struct{}
 
@@ -92,6 +89,23 @@ const Limit = 3
 func (Thing) Stray() {}
 func OnlyOrphan() int { return 0 }
 func ViaMid() int     { return 1 }
+
+type Other struct{}
+
+func (Other) Used() {}
+
+type Speaker interface{ Speak() string }
+
+type Dog struct{}
+
+func (Dog) Speak() string  { return "woof" }
+func (Dog) String() string { return fmt.Sprint("dog") }
+
+func Pick() Speaker { return Dog{} }
+
+type Box[T any] struct{ v T }
+
+func (b *Box[T]) Get() T { return b.v }
 `,
 		"internal/lib/listen.go": `package lib
 
@@ -99,8 +113,8 @@ import "net"
 
 func Listen() (net.Listener, error) { return net.Listen("tcp", "127.0.0.1:0") }
 `,
-		"internal/lib/lib_test.go":  "package lib\n\nvar _ = Unused() + Limit\n\nfunc init() { New().Lonely() }\n",
-		"cmd/app/main.go":           "package main\n\nimport l \"example/internal/lib\"\n\nfunc main() { l.New().Used() }\n",
+		"internal/lib/lib_test.go":  "package lib\n\nvar _ = Unused() + Limit\n\nfunc init() { New().Lonely(); Other{}.Used() }\n",
+		"cmd/app/main.go":           "package main\n\nimport l \"example/internal/lib\"\n\nfunc main() { l.New().Used(); l.Pick().Speak(); var b l.Box[int]; b.Get() }\n",
 		"internal/orphan/orphan.go": "package orphan\n\nimport \"example/internal/lib\"\n\nfunc Use() int { lib.New().Stray(); return lib.OnlyOrphan() }\n",
 		"internal/mid/mid.go":       "package mid\n\nimport \"example/internal/lib\"\n\nfunc Mid() int { return lib.ViaMid() }\n",
 		"examples/demo/main.go":     "package main\n\nimport \"example/internal/mid\"\n\nfunc main() { mid.Mid() }\n",
@@ -118,157 +132,241 @@ func Listen() (net.Listener, error) { return net.Listen("tcp", "127.0.0.1:0") }
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"lib.Limit", "lib.Listen", "lib.OnlyOrphan", "lib.Thing.Lonely", "lib.Thing.Stray", "lib.Unused", "orphan.Use"}
+	want := []string{"lib.Limit", "lib.Listen", "lib.OnlyOrphan", "lib.Other", "lib.Other.Used", "lib.Thing.Lonely", "lib.Thing.Stray", "lib.Unused", "orphan.Use"}
 	if !slices.Equal(got, want) {
 		t.Fatalf("unused exports = %v, want %v", got, want)
 	}
 }
 
-// unusedExports parses every Go file under root and returns, sorted, the
-// exported top-level identifiers and methods declared in non-test files
-// under internal/ that no binary reaches. Only the non-test files of a
-// package some main package under cmd/, examples/ or bench/ imports,
-// directly or through other packages, count as callers. A function, type,
-// variable or constant is referenced by name from its own package or
-// through its package's import name; a method by any selector naming it,
-// since without type information an interface call cannot be told from a
-// direct one. Receivers, declaring names and struct field names are not
-// references.
+// unusedExports type-checks every non-test Go file under root and returns,
+// sorted, the exported top-level identifiers and the exported methods of
+// exported types declared in non-test files under internal/ that no binary
+// reaches. Only the non-test files of a package some main package under
+// cmd/, examples/ or bench/ imports, directly or through other packages,
+// count as callers, and a caller names the declaration itself, not another
+// one of the same name: a use of a generic method counts for its
+// declaration. A method also counts when its type implements an interface
+// whose method of that name a caller uses, and when its type implements an
+// interface of the standard library, whose callers the scan cannot see
+// (String, Error, Write, Less, ...).
 func unusedExports(root string) ([]string, error) {
-	type decl struct{ pkg, name string } // name is Name or Type.Method
-	type pkgRefs struct {
-		binary   bool            // a main package under cmd/, examples/ or bench/
-		imports  map[string]bool // import paths
-		refs     map[decl]bool   // package path + identifier
-		selected map[string]bool // every selector name, for methods
-	}
-	var decls []decl
-	pkgs := map[string]*pkgRefs{} // by package path
-	_, err := parseModule(root, func(pkg, rel string, f *ast.File) {
-		pr := pkgs[pkg]
-		if pr == nil {
-			pr = &pkgRefs{imports: map[string]bool{}, refs: map[decl]bool{}, selected: map[string]bool{}}
-			pkgs[pkg] = pr
+	fset := token.NewFileSet()
+	files := map[string][]*ast.File{}  // by package path
+	binary := map[string]bool{}        // main packages under cmd/, examples/ or bench/
+	receivers := map[*ast.Ident]bool{} // a method's receiver names no caller
+	mod, err := parseModule(root, fset, func(pkg, rel string, f *ast.File) {
+		files[pkg] = append(files[pkg], f)
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
+				ast.Inspect(fd.Recv, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						receivers[id] = true
+					}
+					return true
+				})
+			}
 		}
 		top, _, _ := strings.Cut(rel, "/")
 		if f.Name.Name == "main" && (top == "cmd" || top == "examples" || top == "bench") {
-			pr.binary = true
+			binary[pkg] = true
 		}
-		imports := map[string]string{}
-		for _, im := range f.Imports {
-			p := strings.Trim(im.Path.Value, `"`)
-			name := p[strings.LastIndex(p, "/")+1:]
-			if im.Name != nil {
-				name = im.Name.Name
-			}
-			imports[name] = p
-			pr.imports[p] = true
-		}
-		declaring := map[*ast.Ident]bool{}
-		internal := strings.HasPrefix(rel, "internal/")
-		for _, dl := range f.Decls {
-			switch dl := dl.(type) {
-			case *ast.FuncDecl:
-				declaring[dl.Name] = true
-				name := dl.Name.Name
-				if dl.Recv != nil {
-					ast.Inspect(dl.Recv, func(n ast.Node) bool {
-						if id, ok := n.(*ast.Ident); ok {
-							declaring[id] = true
-						}
-						return true
-					})
-					name = receiverType(dl.Recv.List[0].Type) + "." + name
-				}
-				// An exported method of an unexported type is reachable only
-				// through an interface, so only exported types' count.
-				if internal && dl.Name.IsExported() && ast.IsExported(name) {
-					decls = append(decls, decl{pkg, name})
-				}
-			case *ast.GenDecl:
-				for _, sp := range dl.Specs {
-					var names []*ast.Ident
-					switch sp := sp.(type) {
-					case *ast.TypeSpec:
-						names = []*ast.Ident{sp.Name}
-					case *ast.ValueSpec:
-						names = sp.Names
-					}
-					for _, id := range names {
-						declaring[id] = true
-						if internal && id.IsExported() {
-							decls = append(decls, decl{pkg, id.Name})
-						}
-					}
-				}
-			}
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.Field:
-				for _, id := range n.Names {
-					declaring[id] = true
-				}
-			case *ast.SelectorExpr:
-				// Sel names a member of X, never this package's own
-				// declaration: net.Listen is no reference to a Listen here.
-				declaring[n.Sel] = true
-				pr.selected[n.Sel.Name] = true
-				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
-					pr.refs[decl{imports[x.Name], n.Sel.Name}] = true
-				}
-			case *ast.Ident:
-				if !declaring[n] {
-					pr.refs[decl{pkg, n.Name}] = true
-				}
-			}
-			return true
-		})
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Walk the import graph from the binaries; only what they reach calls.
-	var reach []string
-	reached := map[string]bool{}
-	for path, pr := range pkgs {
-		if pr.binary {
-			reach, reached[path] = append(reach, path), true
+	// Type-check the module's packages in import order; the standard
+	// library comes from its export data.
+	checked := map[string]*types.Package{}
+	uses := map[string]map[*ast.Ident]types.Object{}
+	var std []*types.Package
+	stdImporter, err := stdImporter(root, fset, files)
+	if err != nil {
+		return nil, err
+	}
+	var check func(path string) (*types.Package, error)
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if files[path] != nil {
+			return check(path)
+		}
+		p, err := stdImporter.Import(path)
+		if err == nil {
+			std = append(std, p)
+		}
+		return p, err
+	})}
+	check = func(path string) (*types.Package, error) {
+		if p := checked[path]; p != nil {
+			return p, nil
+		}
+		info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+		p, err := conf.Check(path, fset, files[path], info)
+		if err != nil {
+			return nil, err
+		}
+		checked[path], uses[path] = p, info.Uses
+		return p, nil
+	}
+	for _, path := range slices.Sorted(maps.Keys(files)) {
+		if _, err := check(path); err != nil {
+			return nil, err
 		}
 	}
-	refs, selected := map[decl]bool{}, map[string]bool{}
+	// Walk the import graph from the binaries; only what they reach calls.
+	var reach []*types.Package
+	reachedPkg := map[*types.Package]bool{}
+	for path := range binary {
+		reach, reachedPkg[checked[path]] = append(reach, checked[path]), true
+	}
+	used := map[types.Object]bool{}
+	var viaIface []*types.Func // interface methods a caller uses
 	for len(reach) > 0 {
-		pr := pkgs[reach[len(reach)-1]]
+		p := reach[len(reach)-1]
 		reach = reach[:len(reach)-1]
-		maps.Copy(refs, pr.refs)
-		maps.Copy(selected, pr.selected)
-		for im := range pr.imports {
-			if pkgs[im] != nil && !reached[im] {
-				reach, reached[im] = append(reach, im), true
+		for id, obj := range uses[p.Path()] {
+			if receivers[id] {
+				continue
+			}
+			if fn, ok := obj.(*types.Func); ok {
+				obj = fn.Origin()
+				if recv := fn.Signature().Recv(); recv != nil && types.IsInterface(recv.Type()) {
+					viaIface = append(viaIface, fn)
+				}
+			}
+			used[obj] = true
+		}
+		for _, im := range p.Imports() {
+			if checked[im.Path()] == im && !reachedPkg[im] {
+				reach, reachedPkg[im] = append(reach, im), true
 			}
 		}
 	}
+	// The standard library's interfaces, by method name.
+	libIfaces := map[string][]*types.Interface{}
+	addIface := func(t types.Type) {
+		if it, ok := t.Underlying().(*types.Interface); ok && it.IsMethodSet() {
+			for i := range it.NumMethods() {
+				libIfaces[it.Method(i).Name()] = append(libIfaces[it.Method(i).Name()], it)
+			}
+		}
+	}
+	addIface(types.Universe.Lookup("error").Type())
+	seenStd := map[*types.Package]bool{}
+	for len(std) > 0 {
+		p := std[len(std)-1]
+		std = std[:len(std)-1]
+		if seenStd[p] {
+			continue
+		}
+		seenStd[p] = true
+		std = append(std, p.Imports()...)
+		for _, name := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok && tn.Exported() {
+				if n, ok := tn.Type().(*types.Named); !ok || n.TypeParams().Len() == 0 {
+					addIface(tn.Type())
+				}
+			}
+		}
+	}
+	implements := func(t *types.Named, it *types.Interface) bool {
+		return types.Implements(t, it) || types.Implements(types.NewPointer(t), it)
+	}
+	reachedMethod := func(t *types.Named, m *types.Func) bool {
+		if used[m] {
+			return true
+		}
+		if t.TypeParams().Len() > 0 {
+			return false // an uninstantiated type implements nothing
+		}
+		for _, it := range libIfaces[m.Name()] {
+			if implements(t, it) {
+				return true
+			}
+		}
+		for _, im := range viaIface {
+			if im.Name() == m.Name() && implements(t, im.Signature().Recv().Type().Underlying().(*types.Interface)) {
+				return true
+			}
+		}
+		return false
+	}
 	var unused []string
-	for _, d := range decls {
-		_, method, isMethod := strings.Cut(d.name, ".")
-		if isMethod && !selected[method] || !isMethod && !refs[d] {
-			unused = append(unused, d.pkg[strings.LastIndex(d.pkg, "/")+1:]+"."+d.name)
+	for path, p := range checked {
+		if !strings.HasPrefix(path, mod+"/internal/") {
+			continue
+		}
+		short := path[strings.LastIndex(path, "/")+1:]
+		for _, name := range p.Scope().Names() {
+			obj := p.Scope().Lookup(name)
+			if !obj.Exported() {
+				continue
+			}
+			if !used[obj] {
+				unused = append(unused, short+"."+name)
+			}
+			// An exported method of an unexported type is reachable only
+			// through an interface, so only exported types' count.
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			if t, ok := tn.Type().(*types.Named); ok {
+				for i := range t.NumMethods() {
+					if m := t.Method(i); m.Exported() && !reachedMethod(t, m) {
+						unused = append(unused, short+"."+name+"."+m.Name())
+					}
+				}
+			}
 		}
 	}
 	slices.Sort(unused)
-	return slices.Compact(unused), nil
+	return unused, nil
 }
 
-// parseModule parses every non-test Go file under root, outside testdata
-// and dot or underscore directories, and calls fn with each file's package
+// stdImporter returns an importer of the standard-library packages the
+// files import, reading the export data one go list call builds or finds
+// in the build cache (importer.Default runs go list once per package).
+func stdImporter(root string, fset *token.FileSet, files map[string][]*ast.File) (types.Importer, error) {
+	args := []string{"list", "-export", "-f", "{{.ImportPath}} {{.Export}}"}
+	seen := map[string]bool{}
+	for _, pkgFiles := range files {
+		for _, f := range pkgFiles {
+			for _, im := range f.Imports {
+				if p := strings.Trim(im.Path.Value, `"`); files[p] == nil && !seen[p] {
+					seen[p], args = true, append(args, p)
+				}
+			}
+		}
+	}
+	cmd := exec.Command("go", args...)
+	cmd.Dir = root
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list: %w", err)
+	}
+	export := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		path, file, _ := strings.Cut(line, " ")
+		export[path] = file
+	}
+	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(export[path])
+	}), nil
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// parseModule parses every non-test Go file under root into fset, outside
+// testdata and dot or underscore directories, and calls fn with each file's package
 // path and its slash-separated path relative to root. It returns the
 // module path.
-func parseModule(root string, fn func(pkg, rel string, f *ast.File)) (string, error) {
+func parseModule(root string, fset *token.FileSet, fn func(pkg, rel string, f *ast.File)) (string, error) {
 	mod, err := modulePath(root)
 	if err != nil {
 		return "", err
 	}
-	fset := token.NewFileSet()
 	return mod, filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -297,24 +395,6 @@ func parseModule(root string, fn func(pkg, rel string, f *ast.File)) (string, er
 		fn(pkg, rel, f)
 		return nil
 	})
-}
-
-// receiverType names a method receiver's type: T for T, *T, T[P] and *T[P].
-func receiverType(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
-		}
-	}
 }
 
 // modulePath reads the module path from root's go.mod.

@@ -278,7 +278,7 @@ func (a *Agent) handleTest(man *distrib.Manifest) link.Frame {
 	if len(need) > 0 {
 		return link.Frame{OK: true, NeedChunks: need}
 	}
-	val := vmtest.NewValidator(a.M, pkgmgr.NewRepository(), a.Store)
+	val := vmtest.NewValidator(a.M, a.Store)
 	val.ResourcesByApp = a.allResources()
 	rep, verr := val.Validate(up)
 	if verr != nil {
@@ -316,8 +316,7 @@ func (a *Agent) handleIntegrate(man *distrib.Manifest) link.Frame {
 			return link.Frame{OK: true, NeedChunks: need}
 		}
 	}
-	mgr := pkgmgr.NewManager(a.M, pkgmgr.NewRepository())
-	if _, err := mgr.Apply(up); err != nil {
+	if err := pkgmgr.NewManager(a.M).Apply(up); err != nil {
 		return link.FailedReply(err.Error())
 	}
 	a.Cache.Installed(a.M.Name, man)

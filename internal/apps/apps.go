@@ -23,7 +23,6 @@ package apps
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/machine"
@@ -34,8 +33,6 @@ import (
 type App interface {
 	// Name is the package name of the application.
 	Name() string
-	// ExecPath is the application's executable path on a machine.
-	ExecPath() string
 	// Run executes the application on m with the given workload inputs
 	// (queries, script paths, URLs — app-specific) and returns its trace.
 	Run(m *machine.Machine, inputs []string) *trace.Trace
@@ -50,16 +47,6 @@ func Register(a App) { registry[a.Name()] = a }
 
 // Lookup returns the model for name, or nil.
 func Lookup(name string) App { return registry[name] }
-
-// Names returns all registered app names, sorted.
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
 
 func init() {
 	Register(MySQL{})
@@ -125,8 +112,7 @@ type MySQL struct{}
 // MySQLExec is the path of the mysqld binary.
 const MySQLExec = "/usr/sbin/mysqld"
 
-func (MySQL) Name() string     { return "mysql" }
-func (MySQL) ExecPath() string { return MySQLExec }
+func (MySQL) Name() string { return "mysql" }
 
 // Run starts mysqld and serves the inputs as queries. Initialization loads
 // libc, the server binary, the system and user configuration files and the
@@ -171,8 +157,7 @@ const PHPExec = "/usr/bin/php"
 // MySQL support.
 const LibMySQLPath = "/usr/lib/libmysqlclient.so"
 
-func (PHP) Name() string     { return "php" }
-func (PHP) ExecPath() string { return PHPExec }
+func (PHP) Name() string { return "php" }
 
 // Run executes each input path as a PHP script. If php was compiled with
 // MySQL support (the client library is present), initialization binds to
@@ -219,8 +204,7 @@ const ApacheConf = "/etc/apache/httpd.conf"
 // DocRoot is the document root the request workload reads from.
 const DocRoot = "/srv/www/"
 
-func (Apache) Name() string     { return "apache" }
-func (Apache) ExecPath() string { return ApacheExec }
+func (Apache) Name() string { return "apache" }
 
 // Run starts httpd and serves the inputs. Initialization loads libc, the
 // binary, modules under /usr/lib/apache/, and the configuration; a
@@ -275,8 +259,7 @@ const (
 	FirefoxLocalstore = "/home/user/.mozilla/firefox/localstore.rdf"
 )
 
-func (Firefox) Name() string     { return "firefox" }
-func (Firefox) ExecPath() string { return FirefoxExec }
+func (Firefox) Name() string { return "firefox" }
 
 // Run starts the browser and renders the input URLs. Initialization loads
 // the libraries bundled under /usr/lib/firefox/ plus the profile
@@ -352,8 +335,7 @@ const SlimServerExec = "/usr/sbin/slimserver"
 // SlimServerDB is the version marker of the server's database.
 const SlimServerDB = "/var/lib/slimserver/db.version"
 
-func (SlimServer) Name() string     { return "slimserver" }
-func (SlimServer) ExecPath() string { return SlimServerExec }
+func (SlimServer) Name() string { return "slimserver" }
 
 // Run starts the server and streams the inputs as track requests.
 func (SlimServer) Run(m *machine.Machine, inputs []string) *trace.Trace {

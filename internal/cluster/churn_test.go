@@ -121,29 +121,11 @@ func TestSnapshotUpdateRandomChurn(t *testing.T) {
 			if name := pickAlive(rng, alive); name != "" {
 				s.Update(randomFingerprint(rng, name))
 			}
-		case op < 7: // new machine joins the fleet
+		default: // new machine joins the fleet
 			name := fmt.Sprintf("new%03d", ev)
 			s.Update(randomFingerprint(rng, name))
 			alive[name] = true
-		default: // machine decommissioned
-			if name := pickAlive(rng, alive); name != "" {
-				s.Remove(name)
-				delete(alive, name)
-			}
 		}
 		checkSnapshotInvariants(t, s, alive)
-	}
-
-	// Drain the fleet entirely: every removal must reassign IDs and the
-	// final state must be zero clusters with zero fingerprints.
-	for len(alive) > 0 {
-		name := pickAlive(rng, alive)
-		s.Remove(name)
-		delete(alive, name)
-		checkSnapshotInvariants(t, s, alive)
-	}
-	if len(s.Clusters) != 0 || len(s.Fingerprints) != 0 {
-		t.Fatalf("drained snapshot not empty: %d clusters, %d fingerprints",
-			len(s.Clusters), len(s.Fingerprints))
 	}
 }

@@ -60,9 +60,6 @@ func (c *Cluster) String() string {
 	return fmt.Sprintf("cluster%d{%s}", c.ID, strings.Join(c.Machines, ","))
 }
 
-// Size returns the number of member machines.
-func (c *Cluster) Size() int { return len(c.Machines) }
-
 // Config controls the clustering run.
 type Config struct {
 	// Diameter is the QT diameter bound d for phase 2: the maximum

@@ -183,8 +183,8 @@ func TestClusterLabelUnionAndDistance(t *testing.T) {
 	if c.Distance != 2 {
 		t.Fatalf("distance = %d, want 2", c.Distance)
 	}
-	if c.Size() != 2 {
-		t.Fatalf("size = %d", c.Size())
+	if len(c.Machines) != 2 {
+		t.Fatalf("size = %d", len(c.Machines))
 	}
 	if !strings.Contains(c.String(), "m1") {
 		t.Fatalf("String() = %q", c.String())

@@ -30,8 +30,8 @@ import (
 // the usual trade-off of incremental maintenance.
 
 // Snapshot is a reclusterable clustering: the clusters plus the
-// fingerprints that produced them. Mutate it only through Update and
-// Remove; editing Clusters or Fingerprints directly desynchronizes the
+// fingerprints that produced them. Mutate it only through Update;
+// editing Clusters or Fingerprints directly desynchronizes the
 // incremental index.
 type Snapshot struct {
 	Config       Config
@@ -186,14 +186,6 @@ func (s *Snapshot) Update(m MachineFingerprint) *Cluster {
 	return target
 }
 
-// Remove drops a machine from the clustering entirely (decommissioned).
-func (s *Snapshot) Remove(name string) {
-	s.ensureIndex()
-	s.remove(name)
-	delete(s.Fingerprints, name)
-	s.refresh()
-}
-
 func (s *Snapshot) remove(name string) {
 	c := s.memberOf[name]
 	if c == nil {
@@ -299,7 +291,7 @@ func (s *Snapshot) clusterOf(name string) *Cluster {
 
 // ClusterOf returns the cluster currently containing the named machine, or
 // nil if the machine is not clustered. The returned pointer is stable
-// across Update and Remove calls until the cluster empties, so callers can
+// across Update calls until the cluster empties, so callers can
 // use pointer identity to detect a machine changing clusters.
 func (s *Snapshot) ClusterOf(name string) *Cluster {
 	return s.clusterOf(name)

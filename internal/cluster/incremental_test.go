@@ -71,20 +71,6 @@ func TestUpdateRespectsAppSet(t *testing.T) {
 	}
 }
 
-func TestRemoveMachine(t *testing.T) {
-	s := snapshotFixture(t)
-	s.Remove("m3")
-	if len(s.Clusters) != 1 {
-		t.Fatalf("clusters after remove = %d", len(s.Clusters))
-	}
-	if s.clusterOf("m3") != nil {
-		t.Fatal("removed machine still clustered")
-	}
-	if _, ok := s.Fingerprints["m3"]; ok {
-		t.Fatal("fingerprint not forgotten")
-	}
-}
-
 func TestUpdateIdempotentForUnchangedMachine(t *testing.T) {
 	s := snapshotFixture(t)
 	before := len(s.Clusters)

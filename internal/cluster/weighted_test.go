@@ -223,7 +223,7 @@ func TestWeightedQTDegenerateFleets(t *testing.T) {
 		uniform[i].Name = fmt.Sprintf("u%04d", i)
 	}
 	qtEqualsNaive(t, 99, uniform, 3)
-	if got := Run(Config{Diameter: 3}, uniform); len(got) != 1 || got[0].Size() != len(uniform) {
+	if got := Run(Config{Diameter: 3}, uniform); len(got) != 1 || len(got[0].Machines) != len(uniform) {
 		t.Fatalf("uniform fleet clustered into %v", got)
 	}
 

@@ -15,7 +15,6 @@ import (
 	"repro/internal/agent"
 	"repro/internal/cluster"
 	"repro/internal/deploy"
-	"repro/internal/fleetwatch"
 	"repro/internal/machine"
 	"repro/internal/orchestrator"
 	"repro/internal/pkgmgr"
@@ -122,8 +121,8 @@ func TestWatchModeDriftHoldsRollout(t *testing.T) {
 	if pushed, err := agents[drifter].CheckDrift(addr); pushed != 1 || err != nil {
 		t.Fatalf("changed machine pushed %d deltas (err %v), want 1", pushed, err)
 	}
-	if evs := v.Monitor().Drifted(); len(evs) != 1 || evs[0].Machine != drifter || evs[0].Class != fleetwatch.ClassDrifted {
-		t.Fatalf("monitor drift flags = %+v, want %s drifted", evs, drifter)
+	if d := v.Monitor().View().Drifted; len(d) != 1 || d[0] != drifter {
+		t.Fatalf("monitor drift flags = %v, want %s drifted", d, drifter)
 	}
 	// The bridge is synchronous: by the time the push is acknowledged the
 	// rollout has folded the event and its policy has fired.
@@ -264,8 +263,8 @@ func TestWatchModeRestageClearsDriftFlags(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if evs := v.Monitor().Drifted(); len(evs) != 0 {
-		t.Fatalf("drift flags after the restage = %+v, want none", evs)
+	if d := v.Monitor().View().Drifted; len(d) != 0 {
+		t.Fatalf("drift flags after the restage = %v, want none", d)
 	}
 	next, _ := v.Orch.Get(h.Status().RestagedAs)
 	if out, err := next.Wait(context.Background()); err != nil || out.Integrated() != 6 {

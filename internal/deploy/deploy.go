@@ -40,6 +40,12 @@ import (
 // malformed upgrade — remain terminal for the plan.
 var ErrTransient = errors.New("transient node error")
 
+// ErrSuspended is the cancellation cause that suspends a rollout instead
+// of aborting it: the plan stops at the next member boundary and journals
+// nothing, so the journal resumes where it stopped (a vendor draining for
+// a restart). Any other cancellation is an abort.
+var ErrSuspended = errors.New("rollout suspended")
+
 // IsTransient reports whether err is a transient node error (wraps
 // ErrTransient anywhere in its chain).
 func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }
@@ -165,19 +171,22 @@ func (t TransferStats) Add(o TransferStats) TransferStats {
 	}
 }
 
-// NodeStatus records the final state of one node.
-type NodeStatus struct {
-	Node      string
-	Cluster   string
-	UpgradeID string // the upgrade version the node integrated ("" if none)
-	Tests     int    // validation runs performed on this node
-	Failures  int    // validation runs that failed
+// MemberStatus is one member's row in a rollout's fold (Cursor.Member):
+// an Outcome's per-node state and a status snapshot's per-member view.
+type MemberStatus struct {
+	Cluster   string `json:"cluster"`
+	Tests     int    `json:"tests,omitempty"`    // validation runs performed on this member
+	Failures  int    `json:"failures,omitempty"` // validation runs that failed
+	UpgradeID string `json:"upgrade,omitempty"`  // version integrated, "" if none
 	// Quarantined marks a member that stayed unreachable through the
 	// controller's transient-retry budget. Quarantine is sticky for the
 	// rollout: the member is excluded from later waves and from final
 	// notification, and its cluster counts as unclean for gate purposes
 	// (a quarantined representative is a failure, not a pass).
-	Quarantined bool
+	Quarantined bool `json:"quarantined,omitempty"`
+	// Drifted marks a member whose live profile invalidated its cluster's
+	// representative guarantee mid-rollout (fleetwatch classification).
+	Drifted bool `json:"drifted,omitempty"`
 }
 
 // Outcome summarises a deployment: the rollout's fold (Controller.Cursor)
@@ -188,7 +197,7 @@ type Outcome struct {
 	FinalID   string // ID of the upgrade version that ultimately deployed
 	Rounds    int    // vendor debugging rounds
 	Overhead  int    // nodes that tested a faulty upgrade (paper's metric)
-	Nodes     map[string]*NodeStatus
+	Nodes     map[string]*MemberStatus
 	Abandoned bool // vendor gave up fixing
 	// Quarantined lists (sorted) the members that stayed unreachable and
 	// were left behind so their waves could converge without them.
@@ -471,7 +480,8 @@ func EffectivePolicy(policy Policy, up *pkgmgr.Upgrade) Policy {
 // sleeps are cut short, and the abort is journaled as an abandoned record
 // (an aborted rollout is not resumable — resuming it would be an operator
 // mistake worth naming). Deploy then returns the partial outcome plus an
-// error wrapping ctx.Err().
+// error wrapping ctx.Err(). Cancelling with cause ErrSuspended stops it the
+// same way but journals nothing, and the error wraps ErrSuspended.
 func (ctl *Controller) Deploy(ctx context.Context, policy Policy, up *pkgmgr.Upgrade, clusters []*Cluster) (*Outcome, error) {
 	policy = EffectivePolicy(policy, up)
 	var before TransferStats
@@ -591,13 +601,19 @@ func (r *waveRunner) members(waves []staging.Wave) []member {
 // to one wrapping ctx.Err() (so callers can tell an operator abort from a
 // node failure) and journals an abandoned record whose Reason names the
 // abort — an aborted rollout must refuse to resume, exactly like a
-// vendor-abandoned one. It reports whether the plan is aborted.
+// vendor-abandoned one. A suspension (cause ErrSuspended) sets an error
+// wrapping ErrSuspended and journals nothing. It reports whether the plan
+// is stopped.
 func (r *waveRunner) checkAbort(stage int) bool {
 	cerr := r.ctx.Err()
 	if cerr == nil {
 		return false
 	}
 	if r.err == nil {
+		if cause := context.Cause(r.ctx); errors.Is(cause, ErrSuspended) {
+			r.err = fmt.Errorf("deploy: %w", cause)
+			return true
+		}
 		r.err = fmt.Errorf("deploy: rollout aborted: %w", cerr)
 		r.emit(Event{Type: RecAbandoned, Stage: stage, UpgradeID: r.up.ID,
 			Round: int32(r.cur.Rounds), Reason: "rollout aborted: " + cerr.Error()})

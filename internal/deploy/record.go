@@ -271,16 +271,23 @@ func (c *Cursor) final() string {
 	return c.from
 }
 
+// Member reads the fold's row for member name of cluster. Callers hold
+// the fold (Read), or own it.
+func (c *Cursor) Member(name, cluster string) MemberStatus {
+	_, drifted := c.DriftCluster[name]
+	return MemberStatus{Cluster: cluster, Tests: c.NodeTests[name], Failures: c.NodeFailures[name],
+		UpgradeID: c.Integrated[name], Quarantined: c.Quarantined[name], Drifted: drifted}
+}
+
 // outcome reads the fold as the Outcome of a run over clusters. It is the
 // one place a fold becomes an Outcome, for Deploy and for Rollback.
 func (c *Cursor) outcome(policy Policy, clusters []*Cluster) *Outcome {
 	out := &Outcome{Policy: policy, FinalID: c.final(), Rounds: c.Rounds, Overhead: c.Overhead,
-		Nodes: make(map[string]*NodeStatus)}
+		Nodes: make(map[string]*MemberStatus)}
 	for _, cl := range clusters {
 		for n := range cl.Nodes() {
-			name := n.Name()
-			out.Nodes[name] = &NodeStatus{Node: name, Cluster: cl.ID, UpgradeID: c.Integrated[name],
-				Tests: c.NodeTests[name], Failures: c.NodeFailures[name], Quarantined: c.Quarantined[name]}
+			st := c.Member(n.Name(), cl.ID)
+			out.Nodes[n.Name()] = &st
 		}
 	}
 	for name, st := range out.Nodes {

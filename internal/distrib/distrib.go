@@ -110,16 +110,6 @@ func distinctAddrs(files []FileManifest) []uint64 {
 	return out
 }
 
-// PayloadBytes returns the total file bytes the manifest describes — what
-// an inline push would have to carry.
-func (m *Manifest) PayloadBytes() int64 {
-	var n int64
-	for i := range m.Files {
-		n += int64(m.Files[i].Size())
-	}
-	return n
-}
-
 // Size returns the length of the file the chunk list assembles to.
 func (f *FileManifest) Size() int {
 	n := 0
@@ -141,7 +131,6 @@ type Store struct {
 	mu        sync.Mutex
 	chunker   *fingerprint.Chunker
 	chunks    map[uint64][]byte
-	bytes     int64
 	manifests map[uint64]*Manifest // by upgrade content signature
 
 	// memo answers a repeat Manifest call for the same upgrade value
@@ -271,7 +260,6 @@ func (s *Store) put(addr uint64, data []byte) {
 		return
 	}
 	s.chunks[addr] = append([]byte(nil), data...)
-	s.bytes += int64(len(data))
 }
 
 // Manifest cuts the upgrade's files into addressed chunks, stores every
@@ -347,20 +335,6 @@ func (s *Store) Chunks(addrs []uint64) ([]Chunk, error) {
 		out = append(out, Chunk{Hash: a, Data: data})
 	}
 	return out, nil
-}
-
-// Len returns the number of distinct chunks stored.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.chunks)
-}
-
-// Bytes returns the total distinct chunk bytes stored.
-func (s *Store) Bytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bytes
 }
 
 // CacheStats summarises one cache's history.

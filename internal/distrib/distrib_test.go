@@ -46,8 +46,12 @@ func TestStoreRoundTrip(t *testing.T) {
 	if man.ID != up.ID || man.Name != "app" || man.Replaces != "1.0" {
 		t.Fatalf("manifest metadata = %+v", man)
 	}
-	if got := man.PayloadBytes(); got != 130_000 {
-		t.Fatalf("payload bytes = %d, want 130000", got)
+	payload := 0
+	for i := range man.Files {
+		payload += man.Files[i].Size()
+	}
+	if payload != 130_000 {
+		t.Fatalf("payload bytes = %d, want 130000", payload)
 	}
 	if store.Manifest(up) != man {
 		t.Fatal("manifest not cached per upgrade ID")

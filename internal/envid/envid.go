@@ -112,36 +112,22 @@ type Result struct {
 	Resources []string
 	// FilesSeen is every distinct file accessed in the traces, sorted.
 	FilesSeen []string
-	// byPart records which heuristic part(s) first claimed each path,
-	// for diagnostics.
-	byPart map[string]string
 }
-
-// Why reports which mechanism classified path as environmental
-// ("init-prefix", "read-only", "type", "package", "rule"), or "" if it was
-// not classified.
-func (r *Result) Why(path string) string { return r.byPart[path] }
 
 // Identify classifies the environmental resources of the application
 // pkgName on machine m, given one or more execution traces.
 func (id *Identifier) Identify(m *machine.Machine, traces []*trace.Trace, pkgName string) *Result {
-	res := &Result{byPart: make(map[string]string)}
+	res := &Result{}
 	if len(traces) == 0 {
 		return res
 	}
 
-	claim := func(path, why string) {
-		if _, ok := res.byPart[path]; !ok {
-			res.byPart[path] = why
-		}
-	}
 	env := make(map[string]bool)
 
 	// Part 1: initialization phase = longest common prefix of access
 	// sequences across all traces.
 	for _, p := range trace.CommonPrefix(traces) {
 		env[p] = true
-		claim(p, "init-prefix")
 	}
 
 	// Part 2: files opened read-only in all traces, and opened in every
@@ -165,7 +151,6 @@ func (id *Identifier) Identify(m *machine.Machine, traces []*trace.Trace, pkgNam
 	for p := range roInAll {
 		if openedInAll[p] {
 			env[p] = true
-			claim(p, "read-only")
 		}
 	}
 
@@ -193,7 +178,6 @@ func (id *Identifier) Identify(m *machine.Machine, traces []*trace.Trace, pkgNam
 			seen[p] = true
 			if isEnvType(p) {
 				env[p] = true
-				claim(p, "type")
 			}
 		}
 	}
@@ -201,7 +185,6 @@ func (id *Identifier) Identify(m *machine.Machine, traces []*trace.Trace, pkgNam
 	// Part 4: files named in the application's package.
 	for _, p := range m.PackageFiles(pkgName) {
 		env[p] = true
-		claim(p, "package")
 	}
 
 	// Default excludes.
@@ -209,7 +192,6 @@ func (id *Identifier) Identify(m *machine.Machine, traces []*trace.Trace, pkgNam
 		for _, re := range DefaultExcludes {
 			if re.MatchString(p) {
 				delete(env, p)
-				delete(res.byPart, p)
 				break
 			}
 		}
@@ -235,10 +217,8 @@ func (id *Identifier) Identify(m *machine.Machine, traces []*trace.Trace, pkgNam
 			}
 			if rule.Action == Include {
 				env[p] = true
-				res.byPart[p] = "rule"
 			} else {
 				delete(env, p)
-				delete(res.byPart, p)
 			}
 		}
 	}

@@ -36,7 +36,7 @@
 // clusters than a fresh Run (greedy QT does not find the fewest), never
 // one that breaks Run's invariants.
 //
-// ApplyDelta and Remove return the event; the vendor bridges every
+// ApplyDelta returns the event; the vendor bridges every
 // non-stable one to the orchestrator, which applies a DriftPolicy:
 // journal-and-continue, hold the rollout at its next stage barrier, or
 // re-stage the remaining plan from the current FleetView.
@@ -110,8 +110,8 @@ type Monitor struct {
 	snap    *cluster.Snapshot
 	version uint64
 	gated   map[*cluster.Cluster]bool
-	reps    map[string]bool  // representatives of the last plan DeployClusters assembled
-	drifted map[string]Event // machines currently flagged drifted
+	reps    map[string]bool // representatives of the last plan DeployClusters assembled
+	drifted map[string]bool // machines currently flagged drifted
 
 	reclusterSec *telemetry.Family
 	deltaBytes   *telemetry.Family
@@ -124,7 +124,7 @@ func NewMonitor(snap *cluster.Snapshot, reg *telemetry.Registry) *Monitor {
 		snap:    snap,
 		version: 1,
 		gated:   make(map[*cluster.Cluster]bool),
-		drifted: make(map[string]Event),
+		drifted: make(map[string]bool),
 	}
 	m.reclusterSec = reg.Histogram("mirage_recluster_seconds",
 		"Latency of folding one profile delta into the clustering.", "op", 1e-9)
@@ -218,7 +218,7 @@ func (m *Monitor) ApplyDelta(machine, appSet string, added, removed []resource.I
 	m.version++
 	ev.Version = m.version
 	if ev.Class == ClassDrifted {
-		m.drifted[machine] = ev
+		m.drifted[machine] = true
 	} else {
 		delete(m.drifted, machine)
 	}
@@ -250,32 +250,6 @@ func (m *Monitor) classifyLocked(machine, fromName string, before, after *cluste
 	return ev
 }
 
-// Remove drops a decommissioned machine from the fleet.
-func (m *Monitor) Remove(machine string) Event {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	before := m.snap.ClusterOf(machine)
-	fromName := nameOf(before)
-	t0 := time.Now()
-	m.snap.Remove(machine)
-	m.reclusterSec.With("remove").ObserveSince(t0)
-	ev := Event{Machine: machine, From: fromName, Class: ClassMigrated, Version: m.version}
-	if before != nil && (m.gated[before] || (m.reps[machine] && len(before.Machines) > 0)) {
-		ev.Class = ClassDrifted
-	}
-	if before != nil && len(before.Machines) == 0 {
-		delete(m.gated, before)
-	}
-	m.version++
-	ev.Version = m.version
-	delete(m.drifted, machine)
-	if ev.Class == ClassDrifted {
-		m.drifted[machine] = ev
-	}
-	m.driftTotal.With(string(ev.Class)).Inc()
-	return ev
-}
-
 // Refresh replaces the clustering wholesale from a fresh full
 // re-fingerprint of the fleet (POST /fleet/refresh). Drift flags and gate
 // marks are cleared — the new view is ground truth — and the version jumps.
@@ -286,7 +260,7 @@ func (m *Monitor) Refresh(machines []cluster.MachineFingerprint) FleetView {
 	m.snap = cluster.BuildSnapshot(cfg, machines)
 	m.reclusterSec.With("refresh").ObserveSince(t0)
 	m.gated = make(map[*cluster.Cluster]bool)
-	m.drifted = make(map[string]Event)
+	m.drifted = make(map[string]bool)
 	m.version++
 	v := m.viewLocked()
 	m.mu.Unlock()
@@ -297,27 +271,8 @@ func (m *Monitor) Refresh(machines []cluster.MachineFingerprint) FleetView {
 // the plan from the live view, which makes the flags moot).
 func (m *Monitor) ClearDrift() {
 	m.mu.Lock()
-	m.drifted = make(map[string]Event)
+	m.drifted = make(map[string]bool)
 	m.mu.Unlock()
-}
-
-// Version returns the current fleet view version.
-func (m *Monitor) Version() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.version
-}
-
-// Drifted returns the machines currently flagged drift, sorted.
-func (m *Monitor) Drifted() []Event {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]Event, 0, len(m.drifted))
-	for _, ev := range m.drifted {
-		out = append(out, ev)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Machine < out[j].Machine })
-	return out
 }
 
 // View returns a consistent copy of the current clustering.

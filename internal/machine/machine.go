@@ -248,12 +248,6 @@ func (m *Machine) InstallPackage(ref PackageRef, files []string) {
 	m.pkgFiles[ref.Name] = append([]string(nil), files...)
 }
 
-// RemovePackage forgets an installed package. Its files are not touched.
-func (m *Machine) RemovePackage(name string) {
-	delete(m.packages, name)
-	delete(m.pkgFiles, name)
-}
-
 // Package returns the installed ref for name, if any.
 func (m *Machine) Package(name string) (PackageRef, bool) {
 	ref, ok := m.packages[name]

@@ -178,10 +178,6 @@ func TestPackages(t *testing.T) {
 	if m.AppSetKey() != "apache,mysql" {
 		t.Fatalf("AppSetKey = %q", m.AppSetKey())
 	}
-	m.RemovePackage("apache")
-	if _, ok := m.Package("apache"); ok {
-		t.Fatal("package survives removal")
-	}
 }
 
 func TestPackageFilesCopy(t *testing.T) {

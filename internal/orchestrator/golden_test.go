@@ -186,8 +186,9 @@ func checkFoldParity(t *testing.T, h *Handle, out *deploy.Outcome) {
 				f.Overhead, f.Rounds, final, out.Overhead, out.Rounds, out.FinalID)
 		}
 		for name, n := range out.Nodes {
-			got := deploy.NodeStatus{Node: name, Cluster: n.Cluster, UpgradeID: f.Integrated[name],
-				Tests: f.NodeTests[name], Failures: f.NodeFailures[name], Quarantined: f.Quarantined[name]}
+			_, drifted := f.DriftCluster[name]
+			got := deploy.MemberStatus{Cluster: n.Cluster, UpgradeID: f.Integrated[name],
+				Tests: f.NodeTests[name], Failures: f.NodeFailures[name], Quarantined: f.Quarantined[name], Drifted: drifted}
 			if got != *n {
 				t.Fatalf("fold says %+v, outcome %+v", got, *n)
 			}

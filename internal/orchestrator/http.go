@@ -139,8 +139,6 @@ type API struct {
 	// (default context.Background(): a rollout must outlive the HTTP
 	// request that started it).
 	Base context.Context
-	// MaxWait caps the ?wait=/?timeout= long-poll windows (default 60s).
-	MaxWait time.Duration
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ — off by
 	// default because the admin mux may be reachable beyond localhost.
 	EnablePprof bool
@@ -201,18 +199,17 @@ func (a *API) handle(w http.ResponseWriter, r *http.Request) (*Handle, bool) {
 	return h, true
 }
 
-// window resolves a client-requested wait duration against MaxWait.
-func (a *API) window(raw string) time.Duration {
-	max := a.MaxWait
-	if max <= 0 {
-		max = time.Minute
-	}
+// maxWait caps the ?wait=/?timeout= long-poll windows.
+const maxWait = time.Minute
+
+// window resolves a client-requested wait duration against maxWait.
+func window(raw string) time.Duration {
 	if raw == "" {
-		return max
+		return maxWait
 	}
 	d, err := time.ParseDuration(raw)
-	if err != nil || d <= 0 || d > max {
-		return max
+	if err != nil || d <= 0 || d > maxWait {
+		return maxWait
 	}
 	return d
 }
@@ -308,7 +305,7 @@ func (a *API) events(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	since, _ := strconv.Atoi(r.URL.Query().Get("since"))
-	ctx, cancel := context.WithTimeout(r.Context(), a.window(r.URL.Query().Get("wait")))
+	ctx, cancel := context.WithTimeout(r.Context(), window(r.URL.Query().Get("wait")))
 	defer cancel()
 	recs, next, done, err := h.page(ctx, since, nil)
 	if err != nil {
@@ -413,7 +410,7 @@ func (a *API) wait(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), a.window(r.URL.Query().Get("timeout")))
+	ctx, cancel := context.WithTimeout(r.Context(), window(r.URL.Query().Get("timeout")))
 	defer cancel()
 	select {
 	case <-h.Done():

@@ -39,7 +39,6 @@ func TestHTTPRoundTrip(t *testing.T) {
 				Resume:   req.Resume,
 			}, nil
 		},
-		MaxWait: 5 * time.Second,
 	}
 	ts := httptest.NewServer(api.Handler())
 	t.Cleanup(ts.Close)

@@ -6,7 +6,8 @@
 // lifecycle verbs — Status snapshots and an event stream that is the
 // journal, record for record, Pause/ResumeRun (a barrier between plan stages),
 // Abort (context cancellation, journaled as abandoned so the rollout can
-// never half-resume), and Wait.
+// never half-resume), Suspend (a stop that journals nothing, so the
+// journal resumes), and Wait.
 //
 // The HTTP admin surface over this API lives in this package too
 // (API/Handler, long-poll events), together with the Go client that
@@ -115,6 +116,11 @@ const (
 	// StateAborted: the rollout was cancelled (Abort or ctx); the journal
 	// records it as abandoned, so it can never resume.
 	StateAborted State = "aborted"
+	// StateSuspended: the rollout was stopped by Suspend at a member
+	// boundary with nothing journaled — terminal for this process, and
+	// its journal resumes (Spec.Resume) where it stopped. A rollout
+	// suspended while queued never opened its journal.
+	StateSuspended State = "suspended"
 	// StateFailed: an infrastructure error halted the plan — unlike
 	// abandonment this is not a verdict on the upgrade.
 	StateFailed State = "failed"
@@ -130,22 +136,10 @@ const (
 // Terminal reports whether the state is final.
 func (s State) Terminal() bool {
 	switch s {
-	case StateSucceeded, StateAbandoned, StateAborted, StateFailed, StateRolledBack:
+	case StateSucceeded, StateAbandoned, StateAborted, StateSuspended, StateFailed, StateRolledBack:
 		return true
 	}
 	return false
-}
-
-// MemberStatus is one member's view in a status snapshot.
-type MemberStatus struct {
-	Cluster     string `json:"cluster"`
-	Tests       int    `json:"tests,omitempty"`
-	Failures    int    `json:"failures,omitempty"`
-	UpgradeID   string `json:"upgrade,omitempty"` // version integrated, "" if none
-	Quarantined bool   `json:"quarantined,omitempty"`
-	// Drifted marks a member whose live profile invalidated its cluster's
-	// representative guarantee mid-rollout (fleetwatch classification).
-	Drifted bool `json:"drifted,omitempty"`
 }
 
 // Status is a point-in-time snapshot of a rollout, read off the fold of
@@ -176,10 +170,10 @@ type Status struct {
 	// cluster's representative mid-rollout; DriftHold explains a pause
 	// the drift policy forced (cleared by ResumeRun — the operator ack);
 	// RestagedAs names the rollout a DriftRestage relaunched this one as.
-	Drifted    int                      `json:"drifted,omitempty"`
-	DriftHold  string                   `json:"drift_hold,omitempty"`
-	RestagedAs string                   `json:"restaged_as,omitempty"`
-	Members    map[string]*MemberStatus `json:"members,omitempty"`
+	Drifted    int                             `json:"drifted,omitempty"`
+	DriftHold  string                          `json:"drift_hold,omitempty"`
+	RestagedAs string                          `json:"restaged_as,omitempty"`
+	Members    map[string]*deploy.MemberStatus `json:"members,omitempty"`
 	// Transfer is the wire-traffic delta the rollout caused (set on
 	// terminal snapshots when the controller has a Transfer source): total
 	// vendor bytes, chunk hit/miss split, and the peer tier's share.
@@ -340,7 +334,7 @@ func (o *Orchestrator) Start(ctx context.Context, spec Spec) (*Handle, error) {
 	// The stage count describes the plan that will actually execute.
 	plan := ctl.PlanFor(deploy.EffectivePolicy(spec.Policy, spec.Upgrade), spec.Clusters)
 
-	rctx, cancel := context.WithCancel(ctx)
+	rctx, cancel := context.WithCancelCause(ctx)
 	h := &Handle{
 		id:      id,
 		orch:    o,
@@ -371,7 +365,7 @@ func (o *Orchestrator) Start(ctx context.Context, spec Spec) (*Handle, error) {
 	o.mu.Lock()
 	if owner := o.journals[key]; owner != nil && (!spec.Resume || !owner.idle()) {
 		o.mu.Unlock()
-		cancel()
+		cancel(nil)
 		if spec.Resume {
 			return nil, fmt.Errorf("%w: rollout %s is still writing %s", ErrJournalInUse, owner.id, journal)
 		}
@@ -387,7 +381,7 @@ func (o *Orchestrator) Start(ctx context.Context, spec Spec) (*Handle, error) {
 			o.queue = append(o.queue, h)
 		default:
 			o.mu.Unlock()
-			cancel()
+			cancel(nil)
 			return nil, ErrSaturated
 		}
 	}
@@ -469,7 +463,7 @@ func (o *Orchestrator) Statuses() []Status {
 type Handle struct {
 	id     string
 	orch   *Orchestrator
-	cancel context.CancelFunc
+	cancel context.CancelCauseFunc
 	done   chan struct{}
 	// admit is non-nil when the rollout was queued at Start: it is closed
 	// by the orchestrator when an execution slot is granted.
@@ -554,6 +548,8 @@ func (h *Handle) run(ctx context.Context) {
 		h.status.State = StateRolledBack
 	case err == nil:
 		h.status.State = StateAbandoned
+	case errors.Is(context.Cause(ctx), deploy.ErrSuspended):
+		h.status.State = StateSuspended
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		h.status.State = StateAborted
 	default:
@@ -697,7 +693,17 @@ func (h *Handle) ResumeRun() {
 // be, and the journal ends with the abandoned record (unless the rollout
 // had already finished). Abort of a finished rollout is a no-op.
 func (h *Handle) Abort() {
-	h.cancel()
+	h.cancel(nil)
+	<-h.done
+}
+
+// Suspend stops the rollout at the next member boundary and blocks until
+// its goroutine has fully stopped, like Abort, but journals nothing: the
+// rollout ends StateSuspended, and its journal resumes (Spec.Resume) where
+// it stopped. A vendor draining for a restart suspends; an operator who
+// wants the rollout gone aborts. Suspend of a finished rollout is a no-op.
+func (h *Handle) Suspend() {
+	h.cancel(deploy.ErrSuspended)
 	<-h.done
 }
 
@@ -732,19 +738,15 @@ func (h *Handle) Status() Status {
 	defer h.mu.Unlock()
 	st := h.status
 	st.Events = h.count
-	st.Members = make(map[string]*MemberStatus, len(h.members))
-	ms := make([]MemberStatus, 0, len(h.members)) // one allocation, not one per member
+	st.Members = make(map[string]*deploy.MemberStatus, len(h.members))
+	ms := make([]deploy.MemberStatus, 0, len(h.members)) // one allocation, not one per member
 	h.cur.Read(func(f *deploy.Cursor) {
 		st.UpgradeID, st.FinalID, st.Baseline = f.UpgradeID, f.FinalID, f.Baseline
 		st.Stage, st.GatesPassed, st.Rounds = f.Stage, f.DoneStages, f.Rounds
 		st.Tested, st.Failures, st.Integrated = f.Tested, f.Overhead, len(f.Integrated)
 		st.Quarantined, st.RolledBack, st.Drifted = len(f.Quarantined), len(f.Reverted), len(f.Drifted)
 		for name, cluster := range h.members {
-			_, drifted := f.DriftCluster[name]
-			ms = append(ms, MemberStatus{
-				Cluster: cluster, Tests: f.NodeTests[name], Failures: f.NodeFailures[name],
-				UpgradeID: f.Integrated[name], Quarantined: f.Quarantined[name], Drifted: drifted,
-			})
+			ms = append(ms, f.Member(name, cluster))
 			st.Members[name] = &ms[len(ms)-1]
 		}
 	})

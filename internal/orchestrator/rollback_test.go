@@ -109,7 +109,6 @@ func TestHTTPRollback(t *testing.T) {
 				AutoRollback: req.AutoRollback,
 			}, nil
 		},
-		MaxWait: 5 * time.Second,
 	}
 	ts := httptest.NewServer(api.Handler())
 	t.Cleanup(ts.Close)

@@ -39,7 +39,7 @@ func checkStatusIsFold(t *testing.T, st Status, records []rollout.Record) *deplo
 	}
 	for name, m := range st.Members {
 		_, drifted := f.DriftCluster[name]
-		want := MemberStatus{Cluster: m.Cluster, Tests: f.NodeTests[name], Failures: f.NodeFailures[name],
+		want := deploy.MemberStatus{Cluster: m.Cluster, Tests: f.NodeTests[name], Failures: f.NodeFailures[name],
 			UpgradeID: f.Integrated[name], Quarantined: f.Quarantined[name], Drifted: drifted}
 		if *m != want {
 			t.Fatalf("status member %s = %+v, journal fold %+v", name, *m, want)

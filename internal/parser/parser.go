@@ -33,8 +33,6 @@ const EnvPrefix = "env:"
 
 // Parser converts one file into fingerprint items.
 type Parser interface {
-	// Name identifies the parser in diagnostics.
-	Name() string
 	// Parse returns the items representing f. Parsers are responsible for
 	// choosing item granularity and for discarding irrelevant information
 	// (comments, user-specific data).
@@ -45,8 +43,6 @@ type Parser interface {
 // hash: fine granularity is useless for executables.
 type ExecutableParser struct{}
 
-func (ExecutableParser) Name() string { return "executable" }
-
 func (ExecutableParser) Parse(f *machine.File) []resource.Item {
 	return []resource.Item{resource.NewParsed(fingerprint.HashBytes(f.Data), f.Path)}
 }
@@ -55,8 +51,6 @@ func (ExecutableParser) Parse(f *machine.File) []resource.Item {
 // so the vendor can discard the hash suffix and keep only the version when
 // it deems build differences irrelevant (the libc example in §3.2.3).
 type SharedLibParser struct{}
-
-func (SharedLibParser) Name() string { return "sharedlib" }
 
 func (SharedLibParser) Parse(f *machine.File) []resource.Item {
 	version := f.Version
@@ -68,8 +62,6 @@ func (SharedLibParser) Parse(f *machine.File) []resource.Item {
 
 // TextParser fingerprints a text file line by line: Filename.Line#.LINE_HASH.
 type TextParser struct{}
-
-func (TextParser) Name() string { return "text" }
 
 func (TextParser) Parse(f *machine.File) []resource.Item {
 	lines := strings.Split(string(f.Data), "\n")
@@ -95,8 +87,6 @@ type ConfigParser struct {
 	// influence clustering. Keys are matched case-insensitively.
 	IgnoreKeys []string
 }
-
-func (ConfigParser) Name() string { return "config" }
 
 func (p ConfigParser) ignored(key string) bool {
 	for _, k := range p.IgnoreKeys {
@@ -144,8 +134,6 @@ type BinaryParser struct {
 func NewBinaryParser() *BinaryParser {
 	return &BinaryParser{chunker: fingerprint.NewChunker(0, 0, 0)}
 }
-
-func (*BinaryParser) Name() string { return "binary" }
 
 func (p *BinaryParser) Parse(f *machine.File) []resource.Item {
 	hashes := p.chunker.HashChunks(f.Data)

@@ -184,16 +184,16 @@ func TestRegistryPrecedence(t *testing.T) {
 	r.RegisterPath("/etc/mysql/my.cnf", ExecutableParser{})
 
 	f := mkfile("/etc/mysql/my.cnf", machine.TypeConfig, "x")
-	if got := r.Lookup(f).Name(); got != "executable" {
-		t.Fatalf("exact path lookup = %q, want executable", got)
+	if got, ok := r.Lookup(f).(ExecutableParser); !ok {
+		t.Fatalf("exact path lookup = %T, want ExecutableParser", got)
 	}
 	f2 := mkfile("/etc/mysql/other.cnf", machine.TypeConfig, "x")
-	if got := r.Lookup(f2).Name(); got != "config" {
-		t.Fatalf("glob lookup = %q, want config", got)
+	if got, ok := r.Lookup(f2).(ConfigParser); !ok {
+		t.Fatalf("glob lookup = %T, want ConfigParser", got)
 	}
 	f3 := mkfile("/home/u/.conf", machine.TypeConfig, "x")
-	if got := r.Lookup(f3).Name(); got != "text" {
-		t.Fatalf("type lookup = %q, want text", got)
+	if got, ok := r.Lookup(f3).(TextParser); !ok {
+		t.Fatalf("type lookup = %T, want TextParser", got)
 	}
 	f4 := mkfile("/blob", machine.TypeData, "x")
 	if r.Lookup(f4) != nil {
@@ -282,16 +282,6 @@ func TestFingerprintDiffDetectsUpgradeRelevantChange(t *testing.T) {
 	d := fp.Fingerprint(user, refs).Diff(fp.Fingerprint(vendorMachine, refs))
 	if d.Len() != 2 {
 		t.Fatalf("diff = %d items, want 2 (user's and vendor's versions)", d.Len())
-	}
-}
-
-func TestFingerprintAll(t *testing.T) {
-	m := machine.New("m")
-	m.WriteFile(mkfile("/bin/a", machine.TypeExecutable, "a"))
-	m.SetEnv("X", "1")
-	set := NewFingerprinter(MirageRegistry()).FingerprintAll(m)
-	if set.Len() != 2 {
-		t.Fatalf("FingerprintAll = %d items, want 2", set.Len())
 	}
 }
 

@@ -3,7 +3,6 @@ package parser
 import (
 	"fmt"
 	"path"
-	"sort"
 
 	"repro/internal/fingerprint"
 	"repro/internal/machine"
@@ -214,22 +213,6 @@ func (fp *Fingerprinter) Fingerprint(m *machine.Machine, refs []string) *resourc
 		}
 	}
 	return set
-}
-
-// FingerprintAll fingerprints every file on the machine plus all its
-// environment variables. Used when no resource identification has been run.
-func (fp *Fingerprinter) FingerprintAll(m *machine.Machine) *resource.Set {
-	refs := m.Paths()
-	env := m.AllEnv()
-	names := make([]string, 0, len(env))
-	for k := range env {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		refs = append(refs, EnvPrefix+k)
-	}
-	return fp.Fingerprint(m, refs)
 }
 
 func cutPrefix(s, prefix string) (string, bool) {

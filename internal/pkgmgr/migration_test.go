@@ -8,36 +8,29 @@ import (
 
 func migFixture(t *testing.T) (*machine.Machine, *Manager, *Package) {
 	t.Helper()
-	repo := NewRepository()
 	p := mkpkg("mysql", "5.0.22", nil, "/usr/sbin/mysqld")
-	repo.Add(p)
 	m := machine.New("m")
 	m.WriteFile(&machine.File{Path: "/home/user/.my.cnf", Type: machine.TypeConfig, Data: []byte("[client]\nlegacy=1\n")})
-	return m, NewManager(m, repo), p
+	return m, NewManager(m), p
 }
 
 func TestMigrationAppend(t *testing.T) {
 	m, mgr, p := migFixture(t)
-	tx, err := mgr.Apply(&Upgrade{ID: "up", Pkg: p, Migrations: []FileEdit{
+	if err := mgr.Apply(&Upgrade{ID: "up", Pkg: p, Migrations: []FileEdit{
 		{Path: "/home/user/.my.cnf", Append: []byte("# migrated-for-5\n")},
-	}})
-	if err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	got := string(m.ReadFile("/home/user/.my.cnf").Data)
 	if got != "[client]\nlegacy=1\n# migrated-for-5\n" {
 		t.Fatalf("appended content = %q", got)
 	}
-	tx.Rollback()
-	if got := string(m.ReadFile("/home/user/.my.cnf").Data); got != "[client]\nlegacy=1\n" {
-		t.Fatalf("rollback content = %q", got)
-	}
 }
 
 func TestMigrationAppendMissingFileNoop(t *testing.T) {
 	m, mgr, p := migFixture(t)
 	m.RemoveFile("/home/user/.my.cnf")
-	if _, err := mgr.Apply(&Upgrade{ID: "up", Pkg: p, Migrations: []FileEdit{
+	if err := mgr.Apply(&Upgrade{ID: "up", Pkg: p, Migrations: []FileEdit{
 		{Path: "/home/user/.my.cnf", Append: []byte("x")},
 	}}); err != nil {
 		t.Fatal(err)
@@ -47,26 +40,21 @@ func TestMigrationAppendMissingFileNoop(t *testing.T) {
 	}
 }
 
-func TestMigrationSetDataCreatesAndRollsBack(t *testing.T) {
+func TestMigrationSetDataCreates(t *testing.T) {
 	m, mgr, p := migFixture(t)
-	tx, err := mgr.Apply(&Upgrade{ID: "up", Pkg: p, Migrations: []FileEdit{
+	if err := mgr.Apply(&Upgrade{ID: "up", Pkg: p, Migrations: []FileEdit{
 		{Path: "/etc/mysql/compat.cnf", SetData: []byte("compat=1")},
-	}})
-	if err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	if f := m.ReadFile("/etc/mysql/compat.cnf"); f == nil || string(f.Data) != "compat=1" {
 		t.Fatalf("created file = %+v", f)
 	}
-	tx.Rollback()
-	if m.ReadFile("/etc/mysql/compat.cnf") != nil {
-		t.Fatal("rollback kept migration-created file")
-	}
 }
 
 func TestMigrationSetDataPreservesMetadata(t *testing.T) {
 	m, mgr, p := migFixture(t)
-	if _, err := mgr.Apply(&Upgrade{ID: "up", Pkg: p, Migrations: []FileEdit{
+	if err := mgr.Apply(&Upgrade{ID: "up", Pkg: p, Migrations: []FileEdit{
 		{Path: "/home/user/.my.cnf", SetData: []byte("new")},
 	}}); err != nil {
 		t.Fatal(err)
@@ -76,19 +64,14 @@ func TestMigrationSetDataPreservesMetadata(t *testing.T) {
 	}
 }
 
-func TestMigrationRemoveAndRollback(t *testing.T) {
+func TestMigrationRemove(t *testing.T) {
 	m, mgr, p := migFixture(t)
-	tx, err := mgr.Apply(&Upgrade{ID: "up", Pkg: p, Migrations: []FileEdit{
+	if err := mgr.Apply(&Upgrade{ID: "up", Pkg: p, Migrations: []FileEdit{
 		{Path: "/home/user/.my.cnf", Remove: true},
-	}})
-	if err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	if m.ReadFile("/home/user/.my.cnf") != nil {
 		t.Fatal("file survives Remove migration")
-	}
-	tx.Rollback()
-	if m.ReadFile("/home/user/.my.cnf") == nil {
-		t.Fatal("rollback did not restore removed file")
 	}
 }

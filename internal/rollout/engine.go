@@ -64,9 +64,11 @@ type Engine struct {
 // with a completion record. Cancelling ctx aborts the rollout: the
 // controller journals an abandoned record (so the journal refuses to
 // resume — an abort is terminal, not a pause) and Deploy returns the
-// partial outcome with an error wrapping ctx.Err(). Resuming a journal
-// whose forward pass ended resumes its rollback: one already begun, or —
-// with AutoRollback armed — the one an abandoned journal owes.
+// partial outcome with an error wrapping ctx.Err(); cancelled with cause
+// deploy.ErrSuspended, it journals nothing and the journal resumes.
+// Resuming a journal whose forward pass ended resumes its rollback: one
+// already begun, or — with AutoRollback armed — the one an abandoned
+// journal owes.
 func (e *Engine) Deploy(ctx context.Context, policy deploy.Policy, up *pkgmgr.Upgrade, clusters []*deploy.Cluster) (*deploy.Outcome, error) {
 	ctl := e.Controller
 	// The journaled plan is the plan that actually executes, urgent bypass

@@ -30,8 +30,8 @@ func TestLargeFleetClusterStructure(t *testing.T) {
 	}
 	// Every cluster has 10x the Table 2 membership: equal-sized copies.
 	for _, c := range clusters {
-		if c.Size()%10 != 0 {
-			t.Fatalf("cluster %v size %d not a multiple of 10", c.Machines[:3], c.Size())
+		if len(c.Machines)%10 != 0 {
+			t.Fatalf("cluster %v size %d not a multiple of 10", c.Machines[:3], len(c.Machines))
 		}
 	}
 

@@ -150,15 +150,6 @@ func stagedStages(order []ClusterRef, othersGate Gate) []Stage {
 	return stages
 }
 
-// Waves returns the plan's waves flattened in schedule order.
-func (p *Plan) Waves() []Wave {
-	var out []Wave
-	for _, st := range p.Stages {
-		out = append(out, st.Waves...)
-	}
-	return out
-}
-
 // Describe renders the plan in a canonical text form, one stage per
 // line. Two plans describe identically if and only if they schedule the
 // same waves in the same order with the same barriers — the property the

@@ -192,14 +192,6 @@ type failExecutor struct{ t *testing.T }
 
 func (f failExecutor) RunStage(Stage, func()) { f.t.Fatal("stage run on empty plan") }
 
-func TestPlanWavesFlatten(t *testing.T) {
-	p := BuildPlan(PolicyBalanced, refs3(), 0)
-	waves := p.Waves()
-	if len(waves) != 8 || waves[0] != (Wave{Cluster: "near", Group: GroupReps}) {
-		t.Fatalf("waves = %v", waves)
-	}
-}
-
 func TestDescribeCanonical(t *testing.T) {
 	d := BuildPlan(PolicyFrontLoading, refs3(), 0).Describe()
 	if !strings.HasPrefix(d, "policy=FrontLoading stages=5\n") {

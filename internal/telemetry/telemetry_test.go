@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -197,29 +198,30 @@ func TestRenderLabelEscaping(t *testing.T) {
 }
 
 func TestTraceRing(t *testing.T) {
-	tr := &Tracer{MaxSpans: 4, MaxTraces: 2}
+	tr := &Tracer{}
 	root := tr.Start("r1")
 	trace := root.t
 	ctx := root.Context(t.Context())
-	for i := 0; i < 10; i++ {
+	for i := 0; i < maxSpans+6; i++ {
 		Start(ctx, nil, "rpc", "op", "node-a").End(nil)
 	}
 	root.End(nil)
 	snap := trace.Snapshot()
-	if len(snap.Spans) != 4 {
-		t.Fatalf("ring retained %d spans, want 4", len(snap.Spans))
+	if len(snap.Spans) != maxSpans {
+		t.Fatalf("ring retained %d spans, want %d", len(snap.Spans), maxSpans)
 	}
 	if snap.Dropped != 7 {
 		t.Fatalf("dropped = %d, want 7", snap.Dropped)
 	}
-	// Eviction: a third trace evicts the first.
-	tr.Start("r2")
-	tr.Start("r3")
+	// Eviction: one trace past maxTraces evicts the first.
+	for i := 2; i <= maxTraces+1; i++ {
+		tr.Start(fmt.Sprintf("r%d", i))
+	}
 	if tr.Get("r1") != nil {
 		t.Fatal("r1 not evicted")
 	}
-	if tr.Get("r3") == nil {
-		t.Fatal("r3 missing")
+	if tr.Get("r2") == nil || tr.Get(fmt.Sprintf("r%d", maxTraces+1)) == nil {
+		t.Fatal("a trace within maxTraces is missing")
 	}
 }
 

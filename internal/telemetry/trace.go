@@ -20,6 +20,10 @@ const (
 
 	// spanPage is how many completed spans one page of the ring holds.
 	spanPage = 1024
+	// maxSpans is how many completed spans a trace keeps (a whole number
+	// of pages); maxTraces how many rollout traces a Tracer keeps.
+	maxSpans  = 16 * spanPage
+	maxTraces = 8
 )
 
 // Span is one timed operation in a rollout's span tree. Kinds in use:
@@ -44,9 +48,9 @@ type Span struct {
 // Trace records one rollout's spans, as values: no span is a heap object
 // of its own. An open span lives in a slot of a table that grows to the
 // most spans ever open at once and is reused through a free list. Ending
-// a span copies it into a bounded ring of max completed spans,
+// a span copies it into a bounded ring of maxSpans completed spans,
 // kept in pages of spanPage made the first time the ring reaches them
-// and never copied: once max spans have completed, each new completion
+// and never copied: once maxSpans spans have completed, each new completion
 // overwrites the oldest, so a 100k-member rollout keeps its most recent
 // window instead of growing without bound (Dropped counts the
 // overwritten). All methods are nil-safe; spans are opened and closed
@@ -54,14 +58,13 @@ type Span struct {
 type Trace struct {
 	id    string
 	start time.Time
-	max   int
 
 	mu    sync.Mutex
-	seq   uint64   // spans begun
-	open  []Span   // open-span slots; a free slot has ID 0
-	free  []uint32 // free slots of open
-	pages [][]Span // the completed ring, page by page
-	done  int64    // spans completed
+	seq   uint64                      // spans begun
+	open  []Span                      // open-span slots; a free slot has ID 0
+	free  []uint32                    // free slots of open
+	pages [maxSpans / spanPage][]Span // the completed ring, page by page
+	done  int64                       // spans completed
 }
 
 // begin opens a span under parent (0 for a root), started at at, and
@@ -106,10 +109,10 @@ func (t *Trace) end(id SpanID, dur, bytes int64, err error) {
 	}
 	s := &t.open[slot]
 	s.DurNS, s.Bytes, s.Err = dur, bytes, msg
-	pos := int(t.done % int64(t.max))
+	pos := int(t.done % maxSpans)
 	page := t.pages[pos/spanPage]
 	if page == nil {
-		page = make([]Span, min(spanPage, t.max-pos/spanPage*spanPage))
+		page = make([]Span, spanPage)
 		t.pages[pos/spanPage] = page
 	}
 	page[pos%spanPage] = *s
@@ -134,7 +137,7 @@ func (t *Trace) Snapshot() TraceSnapshot {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	kept := int(min(t.done, int64(t.max)))
+	kept := int(min(t.done, maxSpans))
 	spans := make([]Span, 0, kept+len(t.open)-len(t.free))
 	for _, page := range t.pages {
 		n := min(len(page), kept-len(spans))
@@ -151,24 +154,21 @@ func (t *Trace) Snapshot() TraceSnapshot {
 	slices.SortFunc(spans, func(a, b Span) int {
 		return cmp.Or(cmp.Compare(a.StartNS, b.StartNS), cmp.Compare(a.ID, b.ID))
 	})
-	return TraceSnapshot{RolloutID: t.id, Start: t.start, Dropped: max(0, t.done-int64(t.max)), Spans: spans}
+	return TraceSnapshot{RolloutID: t.id, Start: t.start, Dropped: max(0, t.done-maxSpans), Spans: spans}
 }
 
 // Tracer owns the per-rollout traces a control plane retains: at most
-// MaxTraces rollouts (oldest evicted) of at most MaxSpans completed
-// spans each. The zero value is ready to use with the defaults; a nil
-// *Tracer disables tracing entirely.
+// maxTraces rollouts (oldest evicted) of at most maxSpans completed
+// spans each. The zero value is ready to use; a nil *Tracer disables
+// tracing entirely.
 type Tracer struct {
-	MaxSpans  int // completed-span ring per trace (default 16384)
-	MaxTraces int // retained rollout traces (default 8)
-
 	mu     sync.Mutex
 	traces map[string]*Trace
 	order  []string
 }
 
 // Start creates (or restarts) the trace for one rollout ID, evicting the
-// oldest trace beyond MaxTraces, and returns its root op, the "rollout"
+// oldest trace beyond maxTraces, and returns its root op, the "rollout"
 // span: every other op of the rollout hangs below it through its Context.
 func (tr *Tracer) Start(id string) Op {
 	if tr == nil {
@@ -179,11 +179,10 @@ func (tr *Tracer) Start(id string) Op {
 	if tr.traces == nil {
 		tr.traces = map[string]*Trace{}
 	}
-	maxSpans, maxTraces := cmp.Or(max(tr.MaxSpans, 0), 16384), cmp.Or(max(tr.MaxTraces, 0), 8)
 	if _, ok := tr.traces[id]; !ok {
 		tr.order = append(tr.order, id)
 	}
-	t := &Trace{id: id, start: time.Now(), max: maxSpans, pages: make([][]Span, (maxSpans+spanPage-1)/spanPage)}
+	t := &Trace{id: id, start: time.Now()}
 	tr.traces[id] = t
 	for len(tr.order) > maxTraces {
 		delete(tr.traces, tr.order[0])

@@ -15,10 +15,10 @@ import (
 // span together.
 const spanAllocBudget, memberOpAllocBudget = 0, 1
 
-// traced returns a trace of MaxSpans spanPage with its root span open,
-// and a context carrying it.
+// traced returns a trace with its root span open, and a context carrying
+// it.
 func traced(t *testing.T) (*Trace, context.Context) {
-	root := (&Tracer{MaxSpans: spanPage}).Start("r1")
+	root := (&Tracer{}).Start("r1")
 	return root.t, root.Context(t.Context())
 }
 
@@ -30,16 +30,18 @@ func TestTraceAllocsPerSpan(t *testing.T) {
 	h := new(Histogram)
 	member := Start(ctx, nil, "test", "node-a", "node-a")
 	ctx = member.Context(ctx)
-	Start(ctx, h, "rpc", "test", "node-a").EndBytes(64, nil) // makes the page
+	for range maxSpans { // makes every page
+		Start(ctx, h, "rpc", "test", "node-a").EndBytes(64, nil)
+	}
 	allocs := testing.AllocsPerRun(2*spanPage, func() {
 		Start(ctx, h, "rpc", "test", "node-a").EndBytes(64, nil)
 	})
 	if allocs > spanAllocBudget {
 		t.Fatalf("an RPC op allocates %.0f times, budget %d", allocs, spanAllocBudget)
 	}
-	// The warm-up span, then AllocsPerRun's runs plus its own warm-up.
-	if snap, spans := trace.Snapshot(), 1+2*spanPage+1; snap.Dropped != int64(spans-spanPage) {
-		t.Fatalf("dropped = %d, want %d", snap.Dropped, spans-spanPage)
+	// The warm-up spans, then AllocsPerRun's runs plus its own warm-up.
+	if snap, spans := trace.Snapshot(), maxSpans+2*spanPage+1; snap.Dropped != int64(spans-maxSpans) {
+		t.Fatalf("dropped = %d, want %d", snap.Dropped, spans-maxSpans)
 	}
 }
 
@@ -69,13 +71,12 @@ func TestMemberOpAllocs(t *testing.T) {
 }
 
 // TestSpanOpenAcrossRingWrap: the rollout and stage spans stay open while
-// more than MaxSpans member spans complete, over a ring of several pages
-// whose last page is short. They are reported open while the ring
-// wraps under them and complete normally afterwards.
+// more than maxSpans member spans complete, over the ring's pages. They
+// are reported open while the ring wraps under them and complete
+// normally afterwards.
 func TestSpanOpenAcrossRingWrap(t *testing.T) {
-	const maxSpans = 2*spanPage + 10
 	const members = 3 * maxSpans
-	rootOp := (&Tracer{MaxSpans: maxSpans}).Start("r1")
+	rootOp := (&Tracer{}).Start("r1")
 	trace := rootOp.t
 	ctx := rootOp.Context(t.Context())
 	stageOp := Start(ctx, nil, "stage", "stage 0", "")
@@ -160,8 +161,8 @@ func TestSpanStaleEnd(t *testing.T) {
 // completion is lost or counted twice, and at the end every completed
 // span is either kept or dropped. Run it under -race.
 func TestSpanConcurrentSnapshot(t *testing.T) {
-	const workers, perWorker, maxSpans = 8, 1000, 700
-	root := (&Tracer{MaxSpans: maxSpans}).Start("r1")
+	const workers, perWorker = 8, maxSpans / 8 // twice the ring in completions
+	root := (&Tracer{}).Start("r1")
 	trace, ctx := root.t, root.Context(t.Context())
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

@@ -93,9 +93,6 @@ func (t *Trace) Open(path string, mode Mode) {
 	t.Append(Event{Op: OpOpen, Path: path, Mode: mode})
 }
 
-// Read records a file read.
-func (t *Trace) Read(path string) { t.Append(Event{Op: OpRead, Path: path}) }
-
 // Write records a file write with its payload.
 func (t *Trace) Write(path string, data []byte) {
 	t.Append(Event{Op: OpWrite, Path: path, Data: append([]byte(nil), data...)})
@@ -127,19 +124,6 @@ func (t *Trace) AccessSequence() []string {
 		}
 	}
 	return seq
-}
-
-// FirstAccessOrder returns each accessed path once, in order of first open.
-func (t *Trace) FirstAccessOrder() []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, e := range t.Events {
-		if e.Op == OpOpen && !seen[e.Path] {
-			seen[e.Path] = true
-			out = append(out, e.Path)
-		}
-	}
-	return out
 }
 
 // ReadOnlyPaths returns the paths that were opened in this trace and never

@@ -26,17 +26,6 @@ func TestAccessSequenceIncludesRepeats(t *testing.T) {
 	}
 }
 
-func TestFirstAccessOrder(t *testing.T) {
-	tr := New("app")
-	tr.Open("/b", ModeRead)
-	tr.Open("/a", ModeRead)
-	tr.Open("/b", ModeWrite)
-	want := []string{"/b", "/a"}
-	if got := tr.FirstAccessOrder(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("FirstAccessOrder = %v", got)
-	}
-}
-
 func TestReadOnlyPaths(t *testing.T) {
 	tr := New("app")
 	tr.Open("/lib/libc.so", ModeRead)
@@ -79,7 +68,7 @@ func TestOutputsAndExitStatus(t *testing.T) {
 	tr.Open("/out", ModeWrite)
 	tr.Write("/out", []byte("result"))
 	tr.NetSend([]byte("GET /"))
-	tr.Read("/in")
+	tr.Append(Event{Op: OpRead, Path: "/in"})
 	tr.Exit("ok")
 
 	outs := tr.Outputs()

@@ -262,7 +262,7 @@ func terminalOf(path string) (string, error) {
 func stranded(machines []*machine.Machine, out *deploy.Outcome, baselineID string) []string {
 	var bad []string
 	for _, m := range machines {
-		var st *deploy.NodeStatus
+		var st *deploy.MemberStatus
 		if out != nil {
 			st = out.Nodes[m.Name]
 		}

@@ -58,16 +58,6 @@ func (s *Store) Recordings(app string) []Recording {
 	return s.recordings[app]
 }
 
-// Apps returns the applications with at least one recording, sorted.
-func (s *Store) Apps() []string {
-	out := make([]string, 0, len(s.recordings))
-	for a := range s.recordings {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // AffectedApps implements the dependence subsystem: given the environmental
 // resources of each installed application (from the envid identification,
 // shared with the clustering pipeline) and the file set an upgrade touches,
@@ -100,8 +90,6 @@ type Verdict struct {
 	App    string
 	OK     bool
 	Reason string
-	// Diffs lists human-readable output mismatches (bounded).
-	Diffs []string
 }
 
 func (v Verdict) String() string {
@@ -133,42 +121,27 @@ func (r *Report) OK() bool {
 	return true
 }
 
-// FailedApps lists the applications that failed validation.
-func (r *Report) FailedApps() []string {
-	var out []string
-	for _, v := range r.Verdicts {
-		if !v.OK {
-			out = append(out, v.App)
-		}
-	}
-	return out
-}
-
 // Validator validates upgrades on one machine.
 type Validator struct {
 	M     *machine.Machine
-	Repo  *pkgmgr.Repository
 	Store *Store
 	// ResourcesByApp is the dependence information: environmental
 	// resources per installed application.
 	ResourcesByApp map[string][]string
-	// MaxDiffs bounds the recorded output mismatches per app (default 5).
-	MaxDiffs int
 }
 
 // NewValidator returns a validator for machine m.
-func NewValidator(m *machine.Machine, repo *pkgmgr.Repository, store *Store) *Validator {
-	return &Validator{M: m, Repo: repo, Store: store, ResourcesByApp: make(map[string][]string), MaxDiffs: 5}
+func NewValidator(m *machine.Machine, store *Store) *Validator {
+	return &Validator{M: m, Store: store, ResourcesByApp: make(map[string][]string)}
 }
 
 // Validate applies the upgrade in an isolated snapshot of the machine and
 // tests every affected application by replaying its recorded inputs and
 // comparing outputs. The production machine is never modified; the caller
-// integrates the sandbox (or the upgrade transaction) only on success.
+// applies the upgrade to it only on success.
 func (v *Validator) Validate(up *pkgmgr.Upgrade) (*Report, error) {
 	sandbox := v.M.Snapshot("validate:" + up.ID)
-	mgr := pkgmgr.NewManager(sandbox, v.Repo)
-	if _, err := mgr.Apply(up); err != nil {
+	if err := pkgmgr.NewManager(sandbox).Apply(up); err != nil {
 		return &Report{
 			UpgradeID: up.ID,
 			Machine:   v.M.Name,
@@ -206,17 +179,11 @@ func (v *Validator) Validate(up *pkgmgr.Upgrade) (*Report, error) {
 		verdict := Verdict{App: appName, OK: true, Reason: fmt.Sprintf("replayed %d trace(s), outputs identical", len(recs))}
 		for _, rec := range recs {
 			replayed := model.Run(sandbox, rec.Inputs)
-			if diffs := CompareOutputs(rec.Trace, replayed); len(diffs) > 0 {
+			if len(CompareOutputs(rec.Trace, replayed)) > 0 {
 				verdict.OK = false
 				verdict.Reason = "output divergence during replay"
 				if replayed.ExitStatus() != "ok" {
 					verdict.Reason = crashDetail(replayed)
-				}
-				for _, d := range diffs {
-					if len(verdict.Diffs) >= v.MaxDiffs {
-						break
-					}
-					verdict.Diffs = append(verdict.Diffs, d)
 				}
 			}
 		}
