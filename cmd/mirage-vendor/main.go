@@ -101,7 +101,7 @@ func run() (code int) {
 	resume := flag.Bool("resume", false, "resume the rollout recorded in -journal (skip stages and members it records as done) instead of starting fresh")
 	serve := flag.Bool("serve", env("MIRAGE_SERVE", false, strconv.ParseBool), "control-plane mode: expose the HTTP admin API on -admin and start rollouts on demand (mirage-ctl) instead of running one and exiting (env MIRAGE_SERVE)")
 	admin := flag.String("admin", env("MIRAGE_ADMIN_ADDR", "127.0.0.1:7080", str), "address for the HTTP control plane (one-shot mode serves it too, so a running rollout can be paused or aborted) (env MIRAGE_ADMIN_ADDR)")
-	flag.StringVar(&opts.JournalDir, "journal-dir", env("MIRAGE_JOURNAL_DIR", "", str), "directory for per-rollout journals <id>.journal, for every rollout that names no journal file of its own (empty = a private temporary directory, removed at exit) (env MIRAGE_JOURNAL_DIR)")
+	flag.StringVar(&opts.JournalDir, "journal-dir", env("MIRAGE_JOURNAL_DIR", "", str), "directory for per-rollout journals <id>.journal, for every rollout that names no journal file of its own (empty = a private temporary directory, removed at exit unless a rollout was suspended) (env MIRAGE_JOURNAL_DIR)")
 	flag.IntVar(&opts.WorkerBudget, "worker-budget", env("MIRAGE_WORKER_BUDGET", 0, strconv.Atoi), "vendor-wide cap on concurrently in-flight member RPCs shared by ALL rollouts (0 = unlimited); individual rollouts still honor -parallel within it (env MIRAGE_WORKER_BUDGET)")
 	flag.IntVar(&opts.MaxActive, "max-rollouts", env("MIRAGE_MAX_ROLLOUTS", 0, strconv.Atoi), "admission control: rollouts allowed to execute concurrently (0 = unbounded); POST /rollouts beyond this and -max-queued returns 429 (env MIRAGE_MAX_ROLLOUTS)")
 	flag.IntVar(&opts.MaxQueued, "max-queued", env("MIRAGE_MAX_QUEUED", 0, strconv.Atoi), "rollouts allowed to queue for an execution slot when -max-rollouts are active (0 = reject immediately) (env MIRAGE_MAX_QUEUED)")
@@ -238,7 +238,12 @@ func run() (code int) {
 		// infrastructure — is tooling trouble (exit 1). Abandonment
 		// returns err == nil, below.
 		slog.Error("rollout failed", "rollout", h.ID(), "err", err)
-		if st := h.Status().State; st == orchestrator.StateAborted || st == orchestrator.StateSuspended {
+		st := h.Status()
+		if st.State == orchestrator.StateSuspended {
+			slog.Warn("rollout suspended; its journal resumes it",
+				"journal", st.Journal, "resume", "mirage-vendor -journal "+st.Journal+" -resume")
+		}
+		if st.State == orchestrator.StateAborted || st.State == orchestrator.StateSuspended {
 			return exitRollout
 		}
 		return exitInfra

@@ -19,12 +19,12 @@ import (
 )
 
 // exportAllowlist names the exported identifiers under internal/ that may
-// have no caller outside tests, each with the reason it stays. Keys are
+// have no caller outside tests, each with the reason it stays (unexported
+// functions get no entry: one no non-test file uses is deleted). Keys are
 // package-relative: "pkg.Name" or "pkg.Type.Method". An entry the scan no
 // longer reports fails the test, so the list only ever shrinks by hand.
 var exportAllowlist = map[string]string{
 	"envid.IncludeTypes":                  "the type-include rule form of the Firefox evaluation; only its test builds one",
-	"fingerprint.Fingerprint":             "one-shot form of the windowed Rabin fingerprint the chunker tests check Roll against",
 	"link.FrameError.Unwrap":              "implements the Unwrap that errors.Is and errors.As call through an interface",
 	"scenario.VerifyFirefoxBehavior":      "kept on purpose like VerifyMySQLBehavior: the Table 3 upgrade check the scenario tests run",
 	"scenario.VerifyMySQLBehavior":        "kept on purpose: the Table 2 upgrade check the scenario tests run",
@@ -38,14 +38,17 @@ var exportAllowlist = map[string]string{
 // TestEveryExportHasACaller fails on an exported identifier under
 // internal/ that no binary reaches — no non-test file of a package some
 // main package under cmd/, examples/ or bench/ imports references it —
-// unless the allowlist names it with a reason.
+// unless the allowlist names it with a reason, and on an unexported
+// package-level function under internal/ that no non-test file uses.
 func TestEveryExportHasACaller(t *testing.T) {
 	unused, err := unusedExports(".")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range unused {
-		if _, ok := exportAllowlist[name]; !ok {
+		if !token.IsExported(name[strings.LastIndex(name, ".")+1:]) {
+			t.Errorf("%s is an unexported function no non-test file uses: delete it, or move it into a test file", name)
+		} else if _, ok := exportAllowlist[name]; !ok {
 			t.Errorf("%s is exported but only tests use it: unexport it, move it into an export_test.go, or allowlist it with a reason", name)
 		}
 	}
@@ -65,7 +68,9 @@ func TestEveryExportHasACaller(t *testing.T) {
 // exports a binary, the package itself, a method call, an interface call
 // (lib.Dog.Speak), a method of a generic type's instantiation
 // (lib.Box.Get), a method the standard library calls (lib.Dog.String) or a
-// package a binary imports through another reach are not.
+// package a binary imports through another reach are not. An unexported
+// function only a test calls is reported (lib.onlyTested); one a non-test
+// file calls (lib.helper) is not.
 func TestUnusedExportScanFindsOne(t *testing.T) {
 	root := t.TempDir()
 	files := map[string]string{
@@ -81,6 +86,7 @@ func (Thing) Lonely() {}
 
 func New() Thing { return helper() }
 func helper() Thing { return Thing{} }
+func onlyTested() int { return 2 }
 func Internal() int { return 1 }
 func Unused() int { return Internal() }
 
@@ -113,7 +119,7 @@ import "net"
 
 func Listen() (net.Listener, error) { return net.Listen("tcp", "127.0.0.1:0") }
 `,
-		"internal/lib/lib_test.go":  "package lib\n\nvar _ = Unused() + Limit\n\nfunc init() { New().Lonely(); Other{}.Used() }\n",
+		"internal/lib/lib_test.go":  "package lib\n\nvar _ = Unused() + Limit + onlyTested()\n\nfunc init() { New().Lonely(); Other{}.Used() }\n",
 		"cmd/app/main.go":           "package main\n\nimport l \"example/internal/lib\"\n\nfunc main() { l.New().Used(); l.Pick().Speak(); var b l.Box[int]; b.Get() }\n",
 		"internal/orphan/orphan.go": "package orphan\n\nimport \"example/internal/lib\"\n\nfunc Use() int { lib.New().Stray(); return lib.OnlyOrphan() }\n",
 		"internal/mid/mid.go":       "package mid\n\nimport \"example/internal/lib\"\n\nfunc Mid() int { return lib.ViaMid() }\n",
@@ -132,7 +138,7 @@ func Listen() (net.Listener, error) { return net.Listen("tcp", "127.0.0.1:0") }
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"lib.Limit", "lib.Listen", "lib.OnlyOrphan", "lib.Other", "lib.Other.Used", "lib.Thing.Lonely", "lib.Thing.Stray", "lib.Unused", "orphan.Use"}
+	want := []string{"lib.Limit", "lib.Listen", "lib.OnlyOrphan", "lib.Other", "lib.Other.Used", "lib.Thing.Lonely", "lib.Thing.Stray", "lib.Unused", "lib.onlyTested", "orphan.Use"}
 	if !slices.Equal(got, want) {
 		t.Fatalf("unused exports = %v, want %v", got, want)
 	}
@@ -141,7 +147,8 @@ func Listen() (net.Listener, error) { return net.Listen("tcp", "127.0.0.1:0") }
 // unusedExports type-checks every non-test Go file under root and returns,
 // sorted, the exported top-level identifiers and the exported methods of
 // exported types declared in non-test files under internal/ that no binary
-// reaches. Only the non-test files of a package some main package under
+// reaches, and the unexported package-level functions there that no
+// non-test file uses. Only the non-test files of a package some main package under
 // cmd/, examples/ or bench/ imports, directly or through other packages,
 // count as callers, and a caller names the declaration itself, not another
 // one of the same name: a use of a generic method counts for its
@@ -289,6 +296,16 @@ func unusedExports(root string) ([]string, error) {
 		}
 		return false
 	}
+	// Only its own package can call an unexported function, so any use
+	// in a non-test file counts.
+	called := map[types.Object]bool{}
+	for _, u := range uses {
+		for _, obj := range u {
+			if fn, ok := obj.(*types.Func); ok {
+				called[fn.Origin()] = true
+			}
+		}
+	}
 	var unused []string
 	for path, p := range checked {
 		if !strings.HasPrefix(path, mod+"/internal/") {
@@ -298,6 +315,9 @@ func unusedExports(root string) ([]string, error) {
 		for _, name := range p.Scope().Names() {
 			obj := p.Scope().Lookup(name)
 			if !obj.Exported() {
+				if _, ok := obj.(*types.Func); ok && !called[obj] {
+					unused = append(unused, short+"."+name)
+				}
 				continue
 			}
 			if !used[obj] {

@@ -234,10 +234,6 @@ func (s *Snapshot) findHome(m MachineFingerprint) *Cluster {
 	return nil
 }
 
-func contentDistance(a, b MachineFingerprint) int {
-	return resource.ManhattanDistance(a.ContentDiff, b.ContentDiff)
-}
-
 // refresh drops empty clusters, recomputes distances from the cached
 // per-cluster totals and reassigns IDs in the same deterministic order Run
 // uses.

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
+	"path/filepath"
 	"sync/atomic"
 
 	"repro/internal/apps"
@@ -42,7 +43,7 @@ import (
 // mirage-vendor flag.
 type Options struct {
 	Listen       string // -listen: address agents register at
-	JournalDir   string // -journal-dir: per-rollout journals ("" = a private directory New makes and Close removes)
+	JournalDir   string // -journal-dir: per-rollout journals ("" = a private directory New makes and Close removes unless a rollout suspended there)
 	WorkerBudget int    // -worker-budget: in-flight member RPCs across all rollouts (0 = unlimited)
 	MaxActive    int    // -max-rollouts: concurrently executing rollouts (0 = unbounded)
 	MaxQueued    int    // -max-queued: rollouts waiting for an execution slot
@@ -79,7 +80,7 @@ type Vendor struct {
 	// hooks and the admin API read it from other goroutines.
 	fleet atomic.Pointer[profiledFleet]
 	// privateJournals is the journal directory New made because Options
-	// named none; Close removes it.
+	// named none; Close removes it unless a rollout suspended there.
 	privateJournals string
 }
 
@@ -123,12 +124,28 @@ func New(opts Options) (*Vendor, error) {
 }
 
 // Close shuts the transport server down — every agent session ends with
-// it — and removes the private journal directory New made, if any.
+// it — and removes the private journal directory New made, if any. A
+// rollout suspended with its journal there resumes from that journal, so
+// then Close keeps the directory and logs its path.
 func (v *Vendor) Close() error {
 	err := v.Server.Close()
-	if v.privateJournals != "" {
-		os.RemoveAll(v.privateJournals) //nolint:errcheck — best-effort cleanup of scratch journals
+	dir := v.privateJournals
+	if dir == "" {
+		return err
 	}
+	v.privateJournals = ""
+	for _, h := range v.Orch.List() {
+		st := h.Status()
+		if st.State != orchestrator.StateSuspended || filepath.Dir(st.Journal) != dir {
+			continue
+		}
+		if _, serr := os.Stat(st.Journal); serr == nil { // one suspended while queued wrote none
+			slog.Warn("kept the private journal directory: a suspended rollout resumes from it",
+				"dir", dir, "rollout", st.ID, "journal", st.Journal)
+			return err
+		}
+	}
+	os.RemoveAll(dir) //nolint:errcheck — best-effort cleanup of scratch journals
 	return err
 }
 

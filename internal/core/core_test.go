@@ -429,6 +429,82 @@ func TestPrivateJournalDirectory(t *testing.T) {
 	}
 }
 
+// slowNode takes its time over each member call, unless the rollout is
+// stopped first; it signals each test it starts.
+type slowNode struct {
+	name    string
+	started chan string
+}
+
+func (n *slowNode) Name() string { return n.name }
+func (n *slowNode) TestUpgrade(ctx context.Context, up *pkgmgr.Upgrade) (*report.Report, error) {
+	if n.started != nil {
+		n.started <- n.name
+	}
+	select {
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	case <-time.After(20 * time.Millisecond):
+	}
+	return &report.Report{UpgradeID: up.ID, Machine: n.name, Success: true}, nil
+}
+func (n *slowNode) Integrate(context.Context, *pkgmgr.Upgrade) error { return nil }
+
+// slowClusters is three one-member clusters of slow nodes.
+func slowClusters(started chan string) []*deploy.Cluster {
+	var cs []*deploy.Cluster
+	for i := range 3 {
+		cs = append(cs, &deploy.Cluster{ID: fmt.Sprintf("c%d", i), Distance: 1,
+			Representatives: []deploy.Node{&slowNode{name: fmt.Sprintf("slow-%d", i), started: started}}})
+	}
+	return cs
+}
+
+// TestPrivateJournalKeptForSuspendedRollout: a rollout suspended in the
+// private journal directory keeps its journal past Close, and a second
+// vendor resumes it from there to the end.
+func TestPrivateJournalKeptForSuspendedRollout(t *testing.T) {
+	t.Setenv("TMPDIR", t.TempDir()) // the private directory lands in the test's own
+	v, err := New(Options{Listen: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	started := make(chan string, 3)
+	h, err := v.Orch.Start(context.Background(), orchestrator.Spec{Upgrade: scenario.MySQLUpgrade(),
+		Clusters: slowClusters(started)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	h.Suspend()
+	st := h.Status()
+	if st.State != orchestrator.StateSuspended {
+		t.Fatalf("state after Suspend = %s", st.State)
+	}
+	v.Close()
+	if _, err := os.Stat(st.Journal); err != nil {
+		t.Fatalf("suspended rollout's journal after Close: %v", err)
+	}
+
+	again, err := New(Options{Listen: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	h2, err := again.Orch.Start(context.Background(), orchestrator.Spec{Upgrade: scenario.MySQLUpgrade(),
+		Clusters: slowClusters(nil), Journal: st.Journal, Resume: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := h2.Wait(context.Background()); err != nil || out.Integrated() != 3 {
+		t.Fatalf("resumed rollout: %v, outcome %+v", err, out)
+	}
+	if recs, err := rollout.Load(st.Journal); err != nil || recs[len(recs)-1].Type != rollout.RecComplete {
+		t.Fatalf("resumed journal: %d records, %v", len(recs), err)
+	}
+}
+
 // faultyReports has every given machine validate the faulty upgrade in
 // one unstaged rollout the vendor gives up on, booking their verdicts.
 func faultyReports(t *testing.T, v *Vendor, machines []*machine.Machine) {

@@ -3,12 +3,13 @@
 // same content twice.
 //
 // The vendor side is a Store. It cuts each upgrade file into
-// content-defined chunks (the same LBFS-style chunker the fingerprinting
-// subsystem uses) and keeps them under their content address — the strong
-// HashBytes digest of the chunk contents. What travels in an upgrade push
-// is then only a Manifest: the upgrade metadata plus, per file, the
-// ordered chunk address list. Manifests are a few hundred bytes where the
-// inline payload was the whole package.
+// content-defined chunks with fingerprint.Split (the one LBFS-style split
+// the fingerprinting subsystem uses too) and keeps them under their
+// content address — the chunk's Hash, the strong HashBytes digest of its
+// contents. What travels in an upgrade push is then only a Manifest: the
+// upgrade metadata plus, per file, the ordered chunk address list.
+// Manifests are a few hundred bytes where the inline payload was the whole
+// package.
 //
 // The agent side is a Cache, keyed by the same addresses. Before
 // resolving a manifest the agent seeds the cache by chunking its
@@ -129,7 +130,6 @@ type Chunk struct {
 // chunks come out.
 type Store struct {
 	mu        sync.Mutex
-	chunker   *fingerprint.Chunker
 	chunks    map[uint64][]byte
 	manifests map[uint64]*Manifest // by upgrade content signature
 
@@ -209,11 +209,9 @@ func (s *Store) remember(up *pkgmgr.Upgrade, m *Manifest) {
 	s.memoNext = (s.memoNext + 1) % memoSlots
 }
 
-// NewStore returns an empty store using the default LBFS chunking
-// parameters.
+// NewStore returns an empty store.
 func NewStore() *Store {
 	return &Store{
-		chunker:   fingerprint.NewChunker(0, 0, 0),
 		chunks:    make(map[uint64][]byte),
 		manifests: make(map[uint64]*Manifest),
 	}
@@ -308,9 +306,9 @@ func (s *Store) chunk(up *pkgmgr.Upgrade) *Manifest {
 	}
 	for _, f := range up.Pkg.Files {
 		fm := FileManifest{Path: f.Path, Type: int(f.Type), Version: f.Version}
-		for _, ch := range s.chunker.SplitAddressed(f.Data) {
-			s.put(ch.Address, f.Data[ch.Offset:ch.Offset+ch.Length])
-			fm.Chunks = append(fm.Chunks, ChunkRef{Hash: ch.Address, Size: ch.Length})
+		for _, ch := range fingerprint.Split(f.Data) {
+			s.put(ch.Hash, f.Data[ch.Offset:ch.Offset+ch.Length])
+			fm.Chunks = append(fm.Chunks, ChunkRef{Hash: ch.Hash, Size: ch.Length})
 		}
 		m.Files = append(m.Files, fm)
 	}
@@ -351,10 +349,9 @@ type CacheStats struct {
 // and staged-wave pushes free: the chunks fetched for the first operation
 // satisfy every later one.
 type Cache struct {
-	mu      sync.Mutex
-	chunker *fingerprint.Chunker
-	chunks  map[uint64][]byte
-	bytes   int64
+	mu     sync.Mutex
+	chunks map[uint64][]byte
+	bytes  int64
 	// seededFiles remembers whole-file digests already chunked into the
 	// cache, so two machines sharing a cache seed identical files once.
 	seededFiles map[uint64]bool
@@ -374,11 +371,9 @@ type seedKey struct {
 	size                   int
 }
 
-// NewCache returns an empty cache using the default chunking parameters
-// (they must match the store's for seeded chunks to share addresses).
+// NewCache returns an empty cache.
 func NewCache() *Cache {
 	return &Cache{
-		chunker:     fingerprint.NewChunker(0, 0, 0),
 		chunks:      make(map[uint64][]byte),
 		seededFiles: make(map[uint64]bool),
 		seededPaths: make(map[seedKey]bool),
@@ -399,7 +394,7 @@ func (c *Cache) SeedFile(data []byte) {
 	if done {
 		return
 	}
-	chunks := c.chunker.SplitAddressed(data)
+	chunks := fingerprint.Split(data)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.seeded += int64(len(data))
@@ -407,8 +402,8 @@ func (c *Cache) SeedFile(data []byte) {
 		return // a concurrent seeder of the same content got here first
 	}
 	for _, ch := range chunks {
-		if _, ok := c.chunks[ch.Address]; !ok {
-			c.add(ch.Address, bytes.Clone(data[ch.Offset:ch.Offset+ch.Length]))
+		if _, ok := c.chunks[ch.Hash]; !ok {
+			c.add(ch.Hash, bytes.Clone(data[ch.Offset:ch.Offset+ch.Length]))
 		}
 	}
 	c.seededFiles[key] = true

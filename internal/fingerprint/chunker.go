@@ -3,20 +3,21 @@ package fingerprint
 // Chunking parameters. The paper uses the LBFS defaults: 4 KB average
 // chunks, with minimum and maximum bounds to avoid degenerate chunkings on
 // pathological inputs (long runs of identical bytes, or inputs where the
-// boundary pattern never appears).
+// boundary pattern never appears). Every store, cache and fingerprinter
+// must cut the same boundaries for chunks to be shared, so they are
+// constants.
 const (
-	// DefaultAvgSize is the expected chunk size: a boundary is declared
-	// when the low log2(DefaultAvgSize) bits of the rolling fingerprint
-	// equal the magic value, which happens once every AvgSize bytes on
-	// random input.
-	DefaultAvgSize = 4096
-	// DefaultMinSize suppresses boundaries that would create tiny chunks.
-	DefaultMinSize = 512
-	// DefaultMaxSize forces a boundary so no chunk exceeds this size.
-	DefaultMaxSize = 16384
-
+	// avgSize is the expected chunk size: a boundary is declared when the
+	// low log2(avgSize) bits of the rolling fingerprint equal
+	// boundaryMagic, which happens once every avgSize bytes on random
+	// input.
+	avgSize = 4096
+	// minSize suppresses boundaries that would create tiny chunks.
+	minSize = 512
+	// maxSize forces a boundary so no chunk exceeds this size.
+	maxSize = 16384
 	// boundaryMagic is the value the masked fingerprint must equal at a
-	// chunk boundary. Any fixed value works; LBFS uses mask-1.
+	// chunk boundary. Any fixed value below avgSize works.
 	boundaryMagic = 0x78
 )
 
@@ -24,103 +25,40 @@ const (
 type Chunk struct {
 	Offset int // byte offset of the chunk within the input
 	Length int // chunk length in bytes
-	// Hash is the windowed Rabin fingerprint at the chunk's cut: it covers
-	// only the chunk's last WindowSize bytes, not the whole chunk (a known
-	// gap in the CHUNK_HASH items built from it; ROADMAP item 3).
+	// Hash is the HashBytes digest of the chunk's contents: the
+	// CHUNK_HASH item a fingerprint reports and the address the
+	// distribution layer stores the chunk under.
 	Hash uint64
-}
-
-// Chunker splits byte streams into content-defined chunks. It is safe for
-// concurrent use: Split rolls a private copy of the chunker's Rabin.
-type Chunker struct {
-	avg, min, max int
-	mask          uint64
-	rabin         *Rabin
-}
-
-// NewChunker returns a Chunker with the given average, minimum and maximum
-// chunk sizes. avg must be a power of two; zero values select the defaults.
-func NewChunker(avg, min, max int) *Chunker {
-	if avg == 0 {
-		avg = DefaultAvgSize
-	}
-	if min == 0 {
-		min = DefaultMinSize
-	}
-	if max == 0 {
-		max = DefaultMaxSize
-	}
-	if avg&(avg-1) != 0 {
-		panic("fingerprint: average chunk size must be a power of two")
-	}
-	if min > avg || max < avg {
-		panic("fingerprint: chunk size bounds must satisfy min <= avg <= max")
-	}
-	return &Chunker{
-		avg:   avg,
-		min:   min,
-		max:   max,
-		mask:  uint64(avg - 1),
-		rabin: NewRabin(0),
-	}
 }
 
 // Split divides data into content-defined chunks. Every byte of data
 // belongs to exactly one chunk, in order. Split is deterministic: the same
-// data always produces the same chunks.
-func (c *Chunker) Split(data []byte) []Chunk {
+// data always produces the same chunks, on every machine.
+func Split(data []byte) []Chunk {
 	var chunks []Chunk
-	r := *c.rabin
-	start := 0
-	for i, b := range data {
-		fp := r.Roll(b)
-		size := i - start + 1
-		atBoundary := size >= c.min && fp&c.mask == boundaryMagic&c.mask
-		if atBoundary || size >= c.max {
-			// r was reset at start and has rolled exactly this chunk's
-			// bytes, so fp is the chunk's Hash.
-			chunks = append(chunks, Chunk{Offset: start, Length: size, Hash: fp})
-			start = i + 1
-			r.Reset()
-		}
-	}
-	if start < len(data) {
-		chunks = append(chunks, Chunk{Offset: start, Length: len(data) - start, Hash: r.Sum()})
+	for start := 0; start < len(data); {
+		end := start + cut(data[start:])
+		chunks = append(chunks, Chunk{Offset: start, Length: end - start, Hash: HashBytes(data[start:end])})
+		start = end
 	}
 	return chunks
 }
 
-// AddressedChunk is a content-defined chunk plus its content address: the
-// strong HashBytes digest of the chunk contents. The rolling Rabin hash is
-// what *finds* boundaries (and what clustering compares); the address is
-// what the distribution layer stores and transfers chunks under, where a
-// weak-hash collision would silently corrupt a reassembled file.
-type AddressedChunk struct {
-	Chunk
-	Address uint64
-}
-
-// SplitAddressed divides data into content-defined chunks and computes
-// each chunk's content address. Identical content always produces the same
-// (boundary, address) sequence, which is what makes addresses shareable
-// across machines and across versions of a file.
-func (c *Chunker) SplitAddressed(data []byte) []AddressedChunk {
-	chunks := c.Split(data)
-	out := make([]AddressedChunk, len(chunks))
-	for i, ch := range chunks {
-		out[i] = AddressedChunk{Chunk: ch, Address: HashBytes(data[ch.Offset : ch.Offset+ch.Length])}
+// cut returns the length of data's first chunk: up to the first byte, at
+// least minSize in, where the rolling fingerprint matches boundaryMagic,
+// else maxSize bytes, else all of data. The fingerprint at a byte depends
+// only on the windowSize bytes ending there, so rolling starts that many
+// bytes before the first byte that may end a chunk.
+func cut(data []byte) int {
+	if len(data) <= minSize {
+		return len(data)
 	}
-	return out
-}
-
-// HashChunks returns only the chunk hashes of data, in order. This is the
-// form Mirage stores as the content-based fingerprint of a resource:
-// Filename.CHUNK_HASH items, one per chunk.
-func (c *Chunker) HashChunks(data []byte) []uint64 {
-	chunks := c.Split(data)
-	hashes := make([]uint64, len(chunks))
-	for i, ch := range chunks {
-		hashes[i] = ch.Hash
+	n := min(len(data), maxSize)
+	var r rabin
+	for i := minSize - windowSize; i < n; i++ {
+		if fp := r.roll(data[i]); i >= minSize-1 && fp&(avgSize-1) == boundaryMagic {
+			return i + 1
+		}
 	}
-	return hashes
+	return n
 }

@@ -7,21 +7,31 @@ import (
 	"testing/quick"
 )
 
+// rollAll is the fingerprint a fresh window holds after rolling data.
+func rollAll(data []byte) uint64 {
+	var r rabin
+	var v uint64
+	for _, b := range data {
+		v = r.roll(b)
+	}
+	return v
+}
+
 func TestRabinDeterministic(t *testing.T) {
 	data := []byte("the quick brown fox jumps over the lazy dog, repeatedly and deterministically")
-	a := Fingerprint(data)
-	b := Fingerprint(data)
+	a := rollAll(data)
+	b := rollAll(data)
 	if a != b {
-		t.Fatalf("Fingerprint not deterministic: %x vs %x", a, b)
+		t.Fatalf("fingerprint not deterministic: %x vs %x", a, b)
 	}
 	if a == 0 {
-		t.Fatal("Fingerprint of non-empty data is zero")
+		t.Fatal("fingerprint of non-empty data is zero")
 	}
 }
 
 func TestRabinDistinguishes(t *testing.T) {
-	a := Fingerprint([]byte("configuration value = 1"))
-	b := Fingerprint([]byte("configuration value = 2"))
+	a := rollAll([]byte("configuration value = 1"))
+	b := rollAll([]byte("configuration value = 2"))
 	if a == b {
 		t.Fatal("single-byte change did not alter fingerprint")
 	}
@@ -29,50 +39,70 @@ func TestRabinDistinguishes(t *testing.T) {
 
 func TestRabinWindowed(t *testing.T) {
 	// Once the window has fully slid past a prefix, the fingerprint must
-	// depend only on the last WindowSize bytes.
-	suffix := make([]byte, WindowSize)
+	// depend only on the last windowSize bytes.
+	suffix := make([]byte, windowSize)
 	for i := range suffix {
 		suffix[i] = byte(i * 7)
 	}
-	r1 := NewRabin(0)
-	for _, b := range append([]byte("prefix-one-that-is-long-enough-to-matter"), suffix...) {
-		r1.Roll(b)
-	}
-	r2 := NewRabin(0)
-	for _, b := range append([]byte("a totally different and longer prefix, twice as long as the other"), suffix...) {
-		r2.Roll(b)
-	}
-	if r1.Sum() != r2.Sum() {
-		t.Fatalf("windowed fingerprint depends on bytes outside the window: %x vs %x", r1.Sum(), r2.Sum())
+	a := rollAll(append([]byte("prefix-one-that-is-long-enough-to-matter"), suffix...))
+	b := rollAll(append([]byte("a totally different and longer prefix, twice as long as the other"), suffix...))
+	if a != b {
+		t.Fatalf("windowed fingerprint depends on bytes outside the window: %x vs %x", a, b)
 	}
 }
 
+// TestRabinReset: the zero value is an empty window, so assigning it
+// forgets everything rolled before — each chunk's search starts from it.
 func TestRabinReset(t *testing.T) {
-	r := NewRabin(0)
+	var r rabin
 	for _, b := range []byte("some data") {
-		r.Roll(b)
+		r.roll(b)
 	}
-	r.Reset()
-	if r.Sum() != 0 {
-		t.Fatalf("Sum after Reset = %x, want 0", r.Sum())
+	r = rabin{}
+	if r.value != 0 {
+		t.Fatalf("value after reset = %x, want 0", r.value)
 	}
+	var v uint64
+	for _, b := range []byte("next") {
+		v = r.roll(b)
+	}
+	if want := windowedHorner([]byte("next")); v != want {
+		t.Fatalf("after reset: %x, want %x", v, want)
+	}
+}
+
+// degree returns the degree of the polynomial represented by p, counting
+// the implicit leading term.
+func degree(p uint64) uint {
+	d := uint(0)
+	for i := uint(0); i < 64; i++ {
+		if p&(1<<i) != 0 {
+			d = i
+		}
+	}
+	return d
 }
 
 func TestDegree(t *testing.T) {
-	if d := degree(DefaultPoly); d != 53 {
-		t.Fatalf("degree(DefaultPoly) = %d, want 53", d)
+	if d := degree(poly); d != polyDegree {
+		t.Fatalf("degree(poly) = %d, want polyDegree %d", d, polyDegree)
 	}
 	if d := degree(0x11B); d != 8 {
 		t.Fatalf("degree(0x11B) = %d, want 8", d)
 	}
 }
 
+// TestChunkerCoversInput: the chunks tile the input in order, within the
+// size bounds, and each is known by the HashBytes digest of its bytes —
+// the content address the distribution layer stores it under.
 func TestChunkerCoversInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	data := make([]byte, 100_000)
 	rng.Read(data)
-	c := NewChunker(0, 0, 0)
-	chunks := c.Split(data)
+	chunks := Split(data)
+	if len(chunks) < 2 {
+		t.Fatalf("chunks = %d, want several", len(chunks))
+	}
 	off := 0
 	for i, ch := range chunks {
 		if ch.Offset != off {
@@ -81,8 +111,11 @@ func TestChunkerCoversInput(t *testing.T) {
 		if ch.Length <= 0 {
 			t.Fatalf("chunk %d has non-positive length %d", i, ch.Length)
 		}
-		if ch.Length > DefaultMaxSize {
-			t.Fatalf("chunk %d length %d exceeds max %d", i, ch.Length, DefaultMaxSize)
+		if ch.Length > maxSize {
+			t.Fatalf("chunk %d length %d exceeds max %d", i, ch.Length, maxSize)
+		}
+		if want := HashBytes(data[off : off+ch.Length]); ch.Hash != want {
+			t.Fatalf("chunk %d hash = %x, want HashBytes %x", i, ch.Hash, want)
 		}
 		off += ch.Length
 	}
@@ -95,12 +128,11 @@ func TestChunkerAverageSize(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	data := make([]byte, 1_000_000)
 	rng.Read(data)
-	c := NewChunker(0, 0, 0)
-	chunks := c.Split(data)
+	chunks := Split(data)
 	avg := len(data) / len(chunks)
 	// With min/max clamping the realised average sits near the target.
-	if avg < DefaultAvgSize/2 || avg > DefaultAvgSize*2 {
-		t.Fatalf("average chunk size %d too far from target %d", avg, DefaultAvgSize)
+	if avg < avgSize/2 || avg > avgSize*2 {
+		t.Fatalf("average chunk size %d too far from target %d", avg, avgSize)
 	}
 }
 
@@ -114,14 +146,13 @@ func TestChunkerLocality(t *testing.T) {
 	rng.Read(data)
 	edited := append([]byte{0xAB}, data...)
 
-	c := NewChunker(0, 0, 0)
-	before := c.HashChunks(data)
-	after := c.HashChunks(edited)
+	before := Split(data)
+	after := Split(edited)
 
-	count := func(hs []uint64) map[uint64]int {
-		m := make(map[uint64]int, len(hs))
-		for _, h := range hs {
-			m[h]++
+	count := func(chunks []Chunk) map[uint64]int {
+		m := make(map[uint64]int, len(chunks))
+		for _, ch := range chunks {
+			m[ch.Hash]++
 		}
 		return m
 	}
@@ -142,30 +173,12 @@ func TestChunkerLocality(t *testing.T) {
 }
 
 func TestChunkerSmallInput(t *testing.T) {
-	c := NewChunker(0, 0, 0)
-	if got := c.Split(nil); len(got) != 0 {
+	if got := Split(nil); len(got) != 0 {
 		t.Fatalf("Split(nil) = %d chunks, want 0", len(got))
 	}
-	one := c.Split([]byte{1})
+	one := Split([]byte{1})
 	if len(one) != 1 || one[0].Length != 1 {
 		t.Fatalf("Split of 1 byte = %+v, want single 1-byte chunk", one)
-	}
-}
-
-func TestChunkerPanicsOnBadParams(t *testing.T) {
-	for _, tc := range []struct{ avg, min, max int }{
-		{avg: 3000, min: 0, max: 0}, // not a power of two
-		{avg: 4096, min: 8192, max: 16384},
-		{avg: 4096, min: 512, max: 2048},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewChunker(%d,%d,%d) did not panic", tc.avg, tc.min, tc.max)
-				}
-			}()
-			NewChunker(tc.avg, tc.min, tc.max)
-		}()
 	}
 }
 
@@ -200,12 +213,12 @@ func TestCombineHashesOrderSensitive(t *testing.T) {
 }
 
 // Property: chunking any input covers it exactly, and re-chunking yields
-// identical results.
+// identical results — on random input and on repetitive text, whose
+// identical content must give identical chunks.
 func TestChunkerProperties(t *testing.T) {
-	c := NewChunker(0, 0, 0)
 	f := func(data []byte) bool {
-		a := c.Split(data)
-		b := c.Split(data)
+		a := Split(data)
+		b := Split(data)
 		if len(a) != len(b) {
 			return false
 		}
@@ -221,72 +234,100 @@ func TestChunkerProperties(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+	if text := bytes.Repeat([]byte("mirage "), 4000); !f(text) || len(Split(text)) < 2 {
+		t.Fatalf("repetitive text: %d chunks, unstable or not covering", len(Split(text)))
+	}
 }
 
-// Property: the rolling fingerprint of data equals the one-shot fingerprint.
-func TestRollingMatchesOneShot(t *testing.T) {
-	f := func(data []byte) bool {
-		r := NewRabin(0)
-		var last uint64
-		for _, b := range data {
-			last = r.Roll(b)
+// Property: equal Chunk.Hash implies equal bytes. Inputs share a long
+// random tail behind different prefixes, so chunks that end alike but
+// begin differently are common, and so are identical chunks.
+func TestEqualChunkHashEqualBytes(t *testing.T) {
+	tail := make([]byte, 3*maxSize)
+	rand.New(rand.NewSource(5)).Read(tail)
+	seen := map[uint64][]byte{}
+	f := func(prefix []byte) bool {
+		data := append(prefix, tail...)
+		for _, ch := range Split(data) {
+			b := data[ch.Offset : ch.Offset+ch.Length]
+			if prev, ok := seen[ch.Hash]; ok && !bytes.Equal(prev, b) {
+				return false
+			}
+			seen[ch.Hash] = b
 		}
-		return last == Fingerprint(data) || len(data) == 0
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// windowedHorner is the fingerprint Roll should hold after rolling data
-// from a reset state, evaluated directly: the last WindowSize bytes as a
-// polynomial over GF(2), by Horner's rule, modulo DefaultPoly.
-func windowedHorner(data []byte) uint64 {
-	if len(data) > WindowSize {
-		data = data[len(data)-WindowSize:]
+// Property: the rolling fingerprint of data equals the one-shot
+// evaluation of its last windowSize bytes.
+func TestRollingMatchesOneShot(t *testing.T) {
+	f := func(data []byte) bool { return rollAll(data) == windowedHorner(data) }
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
 	}
-	deg := degree(DefaultPoly)
+}
+
+// windowedHorner is the fingerprint roll should hold after rolling data
+// from an empty window, evaluated directly: the last windowSize bytes as a
+// polynomial over GF(2), by Horner's rule, modulo poly.
+func windowedHorner(data []byte) uint64 {
+	if len(data) > windowSize {
+		data = data[len(data)-windowSize:]
+	}
 	var v uint64
 	for _, b := range data {
-		v = polyMulMod(v, 1<<8, DefaultPoly, deg) ^ uint64(b)
+		v = polyMulMod(v, 1<<8) ^ uint64(b)
 	}
 	return v
 }
 
-// splitTwoPass is the reference chunking: one Rabin pass finds the cuts,
-// then a second, independent evaluation hashes each chunk's bytes.
-func splitTwoPass(data []byte) []Chunk {
+// splitTwoPass is the reference chunking: one Rabin pass finds the cuts —
+// checking at each that the rolling value is the directly evaluated
+// windowed fingerprint — then HashBytes digests each chunk's bytes.
+func splitTwoPass(t *testing.T, data []byte) []Chunk {
+	t.Helper()
 	var out []Chunk
-	r := NewRabin(0)
+	var r rabin
 	start := 0
 	cut := func(end int) {
-		out = append(out, Chunk{Offset: start, Length: end - start, Hash: windowedHorner(data[start:end])})
+		out = append(out, Chunk{Offset: start, Length: end - start})
 		start = end
-		r.Reset()
+		r = rabin{}
 	}
-	const mask = DefaultAvgSize - 1
+	const mask = avgSize - 1
 	for i, b := range data {
-		fp := r.Roll(b)
+		fp := r.roll(b)
 		size := i - start + 1
-		if size >= DefaultMinSize && fp&mask == boundaryMagic&mask || size >= DefaultMaxSize {
+		if size >= minSize && fp&mask == boundaryMagic&mask || size >= maxSize {
+			if want := windowedHorner(data[start : i+1]); fp != want {
+				t.Fatalf("rolling fingerprint at the cut after byte %d = %x, direct evaluation %x", i, fp, want)
+			}
 			cut(i + 1)
 		}
 	}
 	if start < len(data) {
 		cut(len(data))
 	}
+	for i := range out {
+		out[i].Hash = HashBytes(data[out[i].Offset : out[i].Offset+out[i].Length])
+	}
 	return out
 }
 
-// TestSplitMatchesTwoPassReference: Split takes each chunk's Hash from its
-// boundary pass; that must equal hashing the chunk in a second pass, on
+// TestSplitMatchesTwoPassReference: Split rolls only the bytes that can
+// decide a cut and hashes as it cuts; it must agree with a reference that
+// rolls every byte, cuts, then hashes each chunk, on a cut exactly minSize
+// in (the first whose window Split fills just in time), on
 // random lengths up to three maximum chunks, on tails shorter than the
 // Rabin window, and on zero runs that only max-size cuts can end.
 func TestSplitMatchesTwoPassReference(t *testing.T) {
-	c := NewChunker(0, 0, 0)
 	check := func(what string, data []byte) []Chunk {
 		t.Helper()
-		got, want := c.Split(data), splitTwoPass(data)
+		got, want := Split(data), splitTwoPass(t, data)
 		if len(got) != len(want) {
 			t.Fatalf("%s (%d bytes): %d chunks, reference %d", what, len(data), len(got), len(want))
 		}
@@ -300,86 +341,44 @@ func TestSplitMatchesTwoPassReference(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(31))
 	for n := 0; n < 200; n++ {
-		data := make([]byte, rng.Intn(3*DefaultMaxSize+1))
+		data := make([]byte, rng.Intn(3*maxSize+1))
 		rng.Read(data)
 		check("random", data)
 	}
 
-	base := make([]byte, 4*DefaultMaxSize)
+	for {
+		data := make([]byte, 2*minSize)
+		rng.Read(data)
+		if windowedHorner(data[:minSize])&(avgSize-1) == boundaryMagic {
+			if chunks := check("cut at minSize", data); chunks[0].Length != minSize {
+				t.Fatalf("first chunk is %d bytes, want %d", chunks[0].Length, minSize)
+			}
+			break
+		}
+	}
+
+	base := make([]byte, 4*maxSize)
 	rng.Read(base)
-	first := c.Split(base)[0]
+	first := Split(base)[0]
 	end := first.Offset + first.Length
-	for tail := 1; tail < WindowSize; tail++ {
+	for tail := 1; tail < windowSize; tail++ {
 		chunks := check("short tail", base[:end+tail])
 		if last := chunks[len(chunks)-1]; last.Length != tail {
 			t.Fatalf("tail chunk is %d bytes, want %d", last.Length, tail)
 		}
 	}
 
-	zeros := make([]byte, 3*DefaultMaxSize+100)
+	zeros := make([]byte, 3*maxSize+100)
 	mixed := append(append(append([]byte(nil), base[:5000]...), zeros...), base[5000:9000]...)
 	for what, data := range map[string][]byte{"zero run": zeros, "zero run inside random": mixed} {
 		maxCuts := 0
 		for _, ch := range check(what, data) {
-			if ch.Length == DefaultMaxSize {
+			if ch.Length == maxSize {
 				maxCuts++
 			}
 		}
 		if maxCuts < 2 {
 			t.Fatalf("%s: %d max-size cuts, want the zero run to force several", what, maxCuts)
-		}
-	}
-}
-
-func TestIdenticalContentSameChunks(t *testing.T) {
-	data := bytes.Repeat([]byte("mirage "), 4000)
-	c1 := NewChunker(0, 0, 0)
-	c2 := NewChunker(0, 0, 0)
-	a, b := c1.HashChunks(data), c2.HashChunks(data)
-	if len(a) != len(b) {
-		t.Fatalf("chunk counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("chunk %d hash differs", i)
-		}
-	}
-}
-
-func TestSplitAddressedCoversDataWithStrongAddresses(t *testing.T) {
-	data := make([]byte, 100_000)
-	x := uint32(7)
-	for i := range data {
-		x = x*1664525 + 1013904223
-		data[i] = byte(x >> 16)
-	}
-	c := NewChunker(0, 0, 0)
-	chunks := c.SplitAddressed(data)
-	if len(chunks) < 2 {
-		t.Fatalf("chunks = %d, want several", len(chunks))
-	}
-	offset := 0
-	for i, ch := range chunks {
-		if ch.Offset != offset {
-			t.Fatalf("chunk %d offset = %d, want %d", i, ch.Offset, offset)
-		}
-		if want := HashBytes(data[ch.Offset : ch.Offset+ch.Length]); ch.Address != want {
-			t.Fatalf("chunk %d address = %x, want HashBytes %x", i, ch.Address, want)
-		}
-		offset += ch.Length
-	}
-	if offset != len(data) {
-		t.Fatalf("chunks cover %d of %d bytes", offset, len(data))
-	}
-	// Boundaries and addresses are identical to a plain Split of the same
-	// data: the address is an annotation, not a different chunking.
-	plain := NewChunker(0, 0, 0).Split(data)
-	if len(plain) != len(chunks) {
-		t.Fatalf("addressed split has %d chunks, plain %d", len(chunks), len(plain))
-	}
-	for i := range plain {
-		if plain[i] != chunks[i].Chunk {
-			t.Fatalf("chunk %d differs between Split and SplitAddressed", i)
 		}
 	}
 }

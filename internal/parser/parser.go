@@ -126,34 +126,27 @@ func (p ConfigParser) Parse(f *machine.File) []resource.Item {
 // BinaryParser fingerprints opaque binary resources with content-defined
 // chunks, but as Parsed items: the vendor has declared the file a known
 // resource type, so its chunks participate in exact phase-1 grouping.
-type BinaryParser struct {
-	chunker *fingerprint.Chunker
-}
+type BinaryParser struct{}
 
-// NewBinaryParser returns a BinaryParser with the default 4 KB chunking.
-func NewBinaryParser() *BinaryParser {
-	return &BinaryParser{chunker: fingerprint.NewChunker(0, 0, 0)}
-}
-
-func (p *BinaryParser) Parse(f *machine.File) []resource.Item {
-	hashes := p.chunker.HashChunks(f.Data)
-	items := make([]resource.Item, len(hashes))
-	for i, h := range hashes {
-		items[i] = resource.NewParsed(h, f.Path, fmt.Sprintf("chunk%d", i))
+func (BinaryParser) Parse(f *machine.File) []resource.Item {
+	chunks := fingerprint.Split(f.Data)
+	items := make([]resource.Item, len(chunks))
+	for i, ch := range chunks {
+		items[i] = resource.NewParsed(ch.Hash, f.Path, fmt.Sprintf("chunk%d", i))
 	}
 	return items
 }
 
 // ContentFingerprint produces the parser-less fallback representation of a
-// file: one Content item per Rabin chunk (Filename.CHUNK_HASH). The chunk
-// index is deliberately absent from the key — the paper's content items
-// identify chunks by hash alone, so reordering or shifting produces the
-// minimal item difference.
-func ContentFingerprint(c *fingerprint.Chunker, f *machine.File) []resource.Item {
-	hashes := c.HashChunks(f.Data)
-	items := make([]resource.Item, len(hashes))
-	for i, h := range hashes {
-		items[i] = resource.NewContent(f.Path, h)
+// file: one Content item per content-defined chunk (Filename.CHUNK_HASH),
+// hashed over the whole chunk. The chunk index is deliberately absent from
+// the key — the paper's content items identify chunks by hash alone, so
+// reordering or shifting produces the minimal item difference.
+func ContentFingerprint(f *machine.File) []resource.Item {
+	chunks := fingerprint.Split(f.Data)
+	items := make([]resource.Item, len(chunks))
+	for i, ch := range chunks {
+		items[i] = resource.NewContent(f.Path, ch.Hash)
 	}
 	return items
 }

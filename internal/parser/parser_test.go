@@ -1,9 +1,13 @@
 package parser
 
 import (
+	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
+	"repro/internal/fingerprint"
 	"repro/internal/machine"
 	"repro/internal/resource"
 )
@@ -149,7 +153,7 @@ func TestConfigParserColonSeparator(t *testing.T) {
 
 func TestBinaryParserParsedChunks(t *testing.T) {
 	data := strings.Repeat("font glyph data ", 1000)
-	items := NewBinaryParser().Parse(mkfile("/fonts/a.ttf", machine.TypeBinary, data))
+	items := BinaryParser{}.Parse(mkfile("/fonts/a.ttf", machine.TypeBinary, data))
 	if len(items) == 0 {
 		t.Fatal("no items")
 	}
@@ -161,9 +165,8 @@ func TestBinaryParserParsedChunks(t *testing.T) {
 }
 
 func TestContentFingerprintKind(t *testing.T) {
-	fp := NewFingerprinter(NewRegistry())
 	data := strings.Repeat("opaque ", 2000)
-	items := ContentFingerprint(fp.chunker, mkfile("/blob", machine.TypeData, data))
+	items := ContentFingerprint(mkfile("/blob", machine.TypeData, data))
 	if len(items) == 0 {
 		t.Fatal("no items")
 	}
@@ -174,6 +177,59 @@ func TestContentFingerprintKind(t *testing.T) {
 		if it.Key != "/blob" {
 			t.Fatalf("content key = %q", it.Key)
 		}
+	}
+}
+
+// TestContentItemsCoverWholeChunks: flipping the midpoint byte of any
+// chunk of a multi-chunk file changes that chunk's CHUNK_HASH item and no
+// other — the item digests the whole chunk, not the window at its cut.
+func TestContentItemsCoverWholeChunks(t *testing.T) {
+	data := make([]byte, 64<<10)
+	rand.New(rand.NewSource(11)).Read(data)
+	items := ContentFingerprint(&machine.File{Path: "/blob", Type: machine.TypeData, Data: data})
+	chunks := fingerprint.Split(data)
+	if len(chunks) < 4 {
+		t.Fatalf("%d chunks, want a multi-chunk file", len(chunks))
+	}
+	for i, ch := range chunks {
+		edited := bytes.Clone(data)
+		edited[ch.Offset+ch.Length/2] ^= 0xFF
+		got := ContentFingerprint(&machine.File{Path: "/blob", Type: machine.TypeData, Data: edited})
+		if len(got) != len(items) {
+			t.Fatalf("flip in chunk %d: %d items, want %d", i, len(got), len(items))
+		}
+		for j := range items {
+			if changed := got[j] != items[j]; changed != (j == i) {
+				t.Fatalf("flip in chunk %d: item %d changed = %v", i, j, changed)
+			}
+		}
+	}
+}
+
+// TestMidChunkEditSplitsClusters: two machines whose unparsed resource
+// differs only in the middle of one chunk fall into different clusters at
+// diameter 0.
+func TestMidChunkEditSplitsClusters(t *testing.T) {
+	const path = "/opt/app/blob"
+	data := make([]byte, 64<<10)
+	rand.New(rand.NewSource(12)).Read(data)
+	ch := fingerprint.Split(data)[1]
+	edited := bytes.Clone(data)
+	edited[ch.Offset+ch.Length/2] ^= 0x01
+
+	fp := NewFingerprinter(NewRegistry())
+	refs := []string{path}
+	vendor := machine.New("vendor")
+	vendor.WriteFile(&machine.File{Path: path, Type: machine.TypeData, Data: data})
+	vendorItems := fp.Fingerprint(vendor, refs)
+	var fps []cluster.MachineFingerprint
+	for name, content := range map[string][]byte{"same": data, "edited": edited} {
+		m := machine.New(name)
+		m.WriteFile(&machine.File{Path: path, Type: machine.TypeData, Data: content})
+		fps = append(fps, cluster.NewMachineFingerprint(name, fp.Fingerprint(m, refs), vendorItems, "app"))
+	}
+	if got := cluster.Run(cluster.Config{Diameter: 0}, fps); len(got) != 2 {
+		t.Fatalf("%d clusters, want the edited machine apart", len(got))
 	}
 }
 

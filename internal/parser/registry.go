@@ -114,7 +114,7 @@ func parserByName(name string, ignoreKeys []string) (Parser, error) {
 	case "config":
 		return ConfigParser{IgnoreKeys: ignoreKeys}, nil
 	case "binary":
-		return NewBinaryParser(), nil
+		return BinaryParser{}, nil
 	default:
 		return nil, fmt.Errorf("parser: unknown parser %q", name)
 	}
@@ -175,13 +175,11 @@ func (r *Registry) Clone() *Registry {
 // using a registry and the content fallback.
 type Fingerprinter struct {
 	Registry *Registry
-	chunker  *fingerprint.Chunker
 }
 
-// NewFingerprinter returns a Fingerprinter over the given registry with
-// default chunking parameters.
+// NewFingerprinter returns a Fingerprinter over the given registry.
 func NewFingerprinter(reg *Registry) *Fingerprinter {
-	return &Fingerprinter{Registry: reg, chunker: fingerprint.NewChunker(0, 0, 0)}
+	return &Fingerprinter{Registry: reg}
 }
 
 // Fingerprint produces the item set for the given environmental resource
@@ -208,7 +206,7 @@ func (fp *Fingerprinter) Fingerprint(m *machine.Machine, refs []string) *resourc
 			}
 			continue
 		}
-		for _, it := range ContentFingerprint(fp.chunker, f) {
+		for _, it := range ContentFingerprint(f) {
 			set.Add(it)
 		}
 	}
