@@ -17,7 +17,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/link"
@@ -137,7 +137,7 @@ func (a *Agent) handlePeerFetch(req link.PeerFetchReq) link.Frame {
 		for addr := range remaining {
 			want = append(want, addr)
 		}
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		slices.Sort(want)
 		got, n, err := a.fetchFromPeer(peer, want)
 		for _, addr := range got {
 			delete(remaining, addr)
@@ -154,7 +154,7 @@ func (a *Agent) handlePeerFetch(req link.PeerFetchReq) link.Frame {
 	for addr := range remaining {
 		need = append(need, addr)
 	}
-	sort.Slice(need, func(i, j int) bool { return need[i] < need[j] })
+	slices.Sort(need)
 	return link.Frame{OK: true, NeedChunks: need, Peer: res}
 }
 

@@ -15,22 +15,23 @@
 // resolving a manifest the agent seeds the cache by chunking its
 // currently installed files, so the chunks an upgrade shares with the
 // previous version — usually almost all of them — are already present
-// and a version N→N+1 push degenerates to a true CDC delta. Seeding
-// covers only files the cache did not install itself: a file an
-// integration wrote is the cache's own Assemble output, every chunk of
-// it already held. Only the addresses the cache misses are fetched, as
-// raw chunk bytes, and the original files are reassembled locally before
-// being handed to the ordinary package-manager path.
+// and a version N→N+1 push degenerates to a true CDC delta. Seeding is
+// one Split over each file's bytes, at the agent's first contact: after
+// that it covers only files that changed, and never a file an
+// integration wrote, which is the cache's own Assemble output, every
+// chunk of it already held. Only the addresses the cache misses are
+// fetched, as raw chunk bytes, and the original files are reassembled
+// locally before being handed to the ordinary package-manager path.
 //
 // Both ends are safe for concurrent use: one store serves every agent
-// connection of a vendor, and one cache may be shared by several agents
-// (machines on one LAN segment, in the paper's deployment picture).
+// connection of a vendor, and one cache serves its agent's pushes and its
+// peer server at once (agents may share a cache, though no binary does).
 package distrib
 
 import (
 	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -352,12 +353,9 @@ type Cache struct {
 	mu     sync.Mutex
 	chunks map[uint64][]byte
 	bytes  int64
-	// seededFiles remembers whole-file digests already chunked into the
-	// cache, so two machines sharing a cache seed identical files once.
-	seededFiles map[uint64]bool
 	// seededPaths remembers per-machine file identities already seeded or
-	// installed from this cache, so re-seeding before every RPC skips even
-	// the whole-file hash pass for files that look unchanged.
+	// installed from this cache, so re-seeding before every RPC reads no
+	// byte of a file that looks unchanged.
 	seededPaths        map[seedKey]bool
 	hits, miss, seeded int64
 }
@@ -375,38 +373,28 @@ type seedKey struct {
 func NewCache() *Cache {
 	return &Cache{
 		chunks:      make(map[uint64][]byte),
-		seededFiles: make(map[uint64]bool),
 		seededPaths: make(map[seedKey]bool),
 	}
 }
 
-// SeedFile chunks one file's current contents into the cache. Seeding is
-// what turns a version upgrade into a delta: every chunk the new version
-// shares with the installed one is a hit before any byte moves.
+// SeedFile chunks one file's current contents into the cache, in one
+// pass over its bytes. Seeding is what turns a version upgrade into a
+// delta: every chunk the new version shares with the installed one is a
+// hit before any byte moves.
 //
-// The hash and split run without the cache's lock, so the peer server's
-// Chunks and every other agent sharing the cache carry on meanwhile.
+// The split runs without the cache's lock, so the peer server's Chunks
+// carries on meanwhile. A chunk the cache lacks is stored as a copy:
+// keeping a slice of data would pin the whole installed file for it.
 func (c *Cache) SeedFile(data []byte) {
-	key := fingerprint.HashBytes(data)
-	c.mu.Lock()
-	done := c.seededFiles[key]
-	c.mu.Unlock()
-	if done {
-		return
-	}
 	chunks := fingerprint.Split(data)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.seeded += int64(len(data))
-	if c.seededFiles[key] {
-		return // a concurrent seeder of the same content got here first
-	}
 	for _, ch := range chunks {
 		if _, ok := c.chunks[ch.Hash]; !ok {
 			c.add(ch.Hash, bytes.Clone(data[ch.Offset:ch.Offset+ch.Length]))
 		}
 	}
-	c.seededFiles[key] = true
 }
 
 // Installed records that machine name now holds m's files exactly as
@@ -430,10 +418,10 @@ func (c *Cache) Installed(name string, m *Manifest) {
 }
 
 // SeedMachine seeds the cache from every file on the machine. It is
-// called before each manifest resolution, so it memoizes aggressively:
-// a file whose (path, version, size) was seeded or Installed before is
-// skipped without touching its data, and a changed file whose
-// whole-content digest is already known skips re-chunking.
+// called before each manifest resolution, so it memoizes: a file whose
+// (path, version, size) was seeded or Installed before is skipped
+// without touching its data. What is left is the machine's files at the
+// agent's first contact, and later only files that changed.
 func (c *Cache) SeedMachine(m *machine.Machine) {
 	for _, f := range m.Files() {
 		k := seedKey{machine: m.Name, path: f.Path, version: f.Version, size: len(f.Data)}
@@ -495,7 +483,7 @@ func (c *Cache) Missing(m *Manifest) []uint64 {
 	for a := range need {
 		out = append(out, a)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

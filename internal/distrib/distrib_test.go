@@ -187,6 +187,28 @@ func TestStoreRejectsUnknownAddress(t *testing.T) {
 	}
 }
 
+// TestMissingAllocs: every agent asks Missing before each test and
+// integrate, and once the cache holds the manifest's chunks the answer
+// costs no allocation.
+func TestMissingAllocs(t *testing.T) {
+	store := NewStore()
+	man := store.Manifest(upgrade("app-2.0",
+		&machine.File{Path: "/bin/app", Type: machine.TypeExecutable, Data: payload(6, 64*1024)}))
+	chunks, err := store.Chunks(man.Addrs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := NewCache()
+	for _, ch := range chunks {
+		if err := cache.Add(ch.Hash, ch.Data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { cache.Missing(man) }); allocs != 0 {
+		t.Fatalf("Missing of a cached manifest allocates %v times, want 0", allocs)
+	}
+}
+
 // TestSeededCacheMakesVersionDelta is the CDC property the distribution
 // layer exists for: seed the cache with version N, and a manifest for
 // version N+1 (a small edit of N) misses only the chunks the edit touched.

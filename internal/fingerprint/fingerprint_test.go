@@ -7,6 +7,27 @@ import (
 	"testing/quick"
 )
 
+// rabin is the reference rolling fingerprint: a sliding window of the
+// last windowSize bytes rolled, kept in a ring buffer, the form LBFS
+// rolls. Its zero value is an empty window.
+type rabin struct {
+	window [windowSize]byte
+	pos    int
+	value  uint64
+}
+
+// roll slides the window forward by one byte and returns the updated
+// fingerprint.
+func (r *rabin) roll(b byte) uint64 {
+	out := r.window[r.pos]
+	r.window[r.pos] = b
+	if r.pos++; r.pos == windowSize {
+		r.pos = 0
+	}
+	r.value = roll(r.value, out, b)
+	return r.value >> align
+}
+
 // rollAll is the fingerprint a fresh window holds after rolling data.
 func rollAll(data []byte) uint64 {
 	var r rabin
@@ -418,4 +439,75 @@ func TestSplitMatchesTwoPassReference(t *testing.T) {
 			t.Fatalf("%s: %d max-size cuts, want the zero run to force several", what, maxCuts)
 		}
 	}
+}
+
+// splitMatchesReference fails t unless Split(data) equals the two-pass
+// reference chunking, and returns the chunks.
+func splitMatchesReference(t *testing.T, what string, data []byte) []Chunk {
+	t.Helper()
+	got, want := Split(data), splitTwoPass(t, data)
+	if len(got) != len(want) {
+		t.Fatalf("%s (%d bytes): %d chunks, reference %d", what, len(data), len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s (%d bytes): chunk %d = %+v, reference %+v", what, len(data), i, got[i], want[i])
+		}
+	}
+	return got
+}
+
+// denseCandidates returns n bytes of one two-byte pattern repeated, whose
+// window matches boundaryMagic at every other byte at least: the most
+// candidates an input can give the scan. It searches all 65,536 patterns.
+func denseCandidates(tb testing.TB, n int) []byte {
+	tb.Helper()
+	for p := range 1 << 16 {
+		pair := []byte{byte(p >> 8), byte(p)}
+		if windowedHorner(bytes.Repeat(pair, windowSize/2))&(avgSize-1) == boundaryMagic {
+			return bytes.Repeat(pair, n/2+1)[:n]
+		}
+	}
+	tb.Fatal("no two-byte pattern repeats into a window that matches boundaryMagic")
+	return nil
+}
+
+// TestSplitDenseCandidates: where every other window matches, each chunk
+// ends as soon as minSize allows, and Split still agrees with the
+// reference across full scan blocks and the short one after them.
+func TestSplitDenseCandidates(t *testing.T) {
+	chunks := splitMatchesReference(t, "dense candidates", denseCandidates(t, 3*blockSize+1000))
+	for i, ch := range chunks[:len(chunks)-1] {
+		if ch.Length > minSize+1 {
+			t.Fatalf("chunk %d is %d bytes, want at most %d", i, ch.Length, minSize+1)
+		}
+	}
+}
+
+// TestSplitAllocs pins Split's one allocation, the chunk list sized for
+// the most chunks the input can hold: dense candidates allocate no more
+// than random bytes of the same length.
+func TestSplitAllocs(t *testing.T) {
+	random := make([]byte, 3*blockSize+1000)
+	rand.New(rand.NewSource(9)).Read(random)
+	dense := denseCandidates(t, len(random))
+	r := testing.AllocsPerRun(20, func() { Split(random) })
+	d := testing.AllocsPerRun(20, func() { Split(dense) })
+	if d > r {
+		t.Fatalf("Split allocates %v times on dense candidates, %v on random input", d, r)
+	}
+	if r != 1 {
+		t.Fatalf("Split allocates %v times, want 1", r)
+	}
+}
+
+// FuzzSplit: Split agrees with the two-pass reference on any bytes.
+func FuzzSplit(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("shorter than minSize"))
+	f.Add(make([]byte, 2*maxSize+100))
+	f.Add(denseCandidates(f, blockSize+minSize+100))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		splitMatchesReference(t, "fuzzed", data)
+	})
 }

@@ -17,6 +17,16 @@
 // HashBytes digest of its whole contents, which is both the CHUNK_HASH
 // item the fingerprint reports and the address the distribution layer
 // stores and moves the chunk under.
+//
+// The fingerprint at a byte is a window function: it depends on the
+// windowSize bytes ending there and on nothing before them, and no
+// boundary is checked closer than minSize to a chunk's start, so the
+// window is always full where one is. Split therefore finds every byte
+// whose window matches over the whole input first, without knowing where
+// chunks begin, then cuts among those bytes. That first pass rolls four
+// runs of a block in one loop, each lane taking the byte leaving its
+// window from the input itself, so the lanes' table lookups overlap
+// instead of waiting on one another.
 package fingerprint
 
 // poly is an irreducible polynomial of degree 53 over GF(2), the same
@@ -31,20 +41,19 @@ const (
 // computed. 48 bytes matches the LBFS window.
 const windowSize = 48
 
-// modTable[b] is (b << polyDegree) mod poly for every byte b, used to fold
-// the high byte of the running value. outTable[b] is the contribution of
-// byte b after it has been shifted through the whole window, used to
-// remove the oldest byte as the window slides. Both are built once, when
-// the package initialises.
-var modTable, outTable = buildTables()
+// align is how far the rolling value sits left of the fingerprint it
+// holds: the polyDegree coefficients fill the top of a uint64 and the low
+// align bits stay zero. Shifting the value left by a byte then drops
+// exactly the byte modTable folds back in, and that byte, v>>56, indexes
+// the table with no mask and no bounds check.
+const align = 64 - polyDegree
 
-// rabin is a Rabin fingerprint over a sliding window of the last
-// windowSize bytes rolled. Its zero value is an empty window.
-type rabin struct {
-	window [windowSize]byte
-	pos    int
-	value  uint64
-}
+// modTable[b] is (b << polyDegree) mod poly for every byte b, used to fold
+// the high byte of the running value. outTable[b] is the contribution a
+// byte b that entered windowSize steps ago would carry now, used to remove
+// the oldest byte as the window slides. Both hold aligned values and are
+// built once, when the package initialises.
+var modTable, outTable = buildTables()
 
 // polyMod reduces value modulo poly (carry-less arithmetic).
 func polyMod(value uint64) uint64 {
@@ -74,34 +83,25 @@ func polyMulMod(a, b uint64) uint64 {
 
 func buildTables() (mod, out [256]uint64) {
 	for b := range 256 {
-		mod[b] = polyMod(uint64(b) << polyDegree)
+		mod[b] = polyMod(uint64(b)<<polyDegree) << align
 	}
-	// out[b] = b * x^(8*(windowSize-1)) mod poly — the weight the oldest
-	// window byte carries at the moment it is evicted, before the value
-	// is shifted to admit the incoming byte.
+	// out[b] = b * x^(8*windowSize) mod poly — the weight the oldest
+	// window byte would carry after the shift that admits the incoming
+	// byte, so evicting it is one XOR off the value's dependency chain.
 	shiftN := uint64(1)
-	for range 8 * (windowSize - 1) {
+	for range 8 * windowSize {
 		shiftN = polyMulMod(shiftN, 2)
 	}
 	for b := range 256 {
-		out[b] = polyMulMod(uint64(b), shiftN)
+		out[b] = polyMulMod(uint64(b), shiftN) << align
 	}
 	return mod, out
 }
 
-// roll slides the window forward by one byte and returns the updated
-// fingerprint.
-func (r *rabin) roll(b byte) uint64 {
-	out := r.window[r.pos]
-	r.window[r.pos] = b
-	if r.pos++; r.pos == windowSize {
-		r.pos = 0
-	}
-	// Remove the outgoing byte's contribution, then append the new byte:
-	// value = ((value ^ out*x^(8W)) * x^8 + b) mod poly.
-	r.value ^= outTable[out]
-	top := byte(r.value >> (polyDegree - 8))
-	r.value = (r.value<<8 | uint64(b)) & (1<<polyDegree - 1)
-	r.value ^= modTable[top]
-	return r.value
+// roll slides a window whose aligned fingerprint is v forward by one byte:
+// out, the byte windowSize positions back, leaves it and in enters it. A
+// byte entering a window that is not yet full pushes out a zero.
+func roll(v uint64, out, in byte) uint64 {
+	// value = (v*x^8 + in - out*x^(8W)) mod poly; subtraction is XOR.
+	return v<<8 ^ uint64(in)<<align ^ outTable[out] ^ modTable[v>>56]
 }
