@@ -7,7 +7,6 @@
 package agent
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -60,20 +59,21 @@ type Agent struct {
 	watchMu sync.Mutex
 	watch   map[string]*watchState
 
-	// applied is the wire form of the manifest of the last successful
-	// integration. A vendor that lost the reply (reset channel, crash
-	// between RPC and journal) repeats the integrate; answering the repeat
-	// from here keeps it from applying non-idempotent migrations
-	// (FileEdit.Append) a second time.
-	applied []byte
-	// tested is the upgrade the last passing test assembled, and testedWire
-	// the wire form of the manifest it was assembled from. An integrate of
-	// that same manifest installs it without seeding or assembling again:
-	// assembled bytes are a function of the manifest alone, every chunk
-	// having been content-verified on Cache.Add. The next test or integrate
-	// drops it, so an agent holds at most one extra upgrade.
-	tested     *pkgmgr.Upgrade
-	testedWire []byte
+	// applied is the digest (distrib.Manifest.Digest) of the manifest of
+	// the last successful integration. A vendor that lost the reply (reset
+	// channel, crash between RPC and journal) repeats the integrate;
+	// answering the repeat from here keeps it from applying non-idempotent
+	// migrations (FileEdit.Append) a second time.
+	applied uint64
+	// tested is the upgrade the last passing test assembled, and
+	// testedDigest the digest of the manifest it was assembled from. An
+	// integrate of that same manifest installs it without seeding or
+	// assembling again: assembled bytes are a function of the manifest
+	// alone, every chunk having been content-verified on Cache.Add. The
+	// next test or integrate drops it, so an agent holds at most one extra
+	// upgrade.
+	tested       *pkgmgr.Upgrade
+	testedDigest uint64
 
 	peerLn                          net.Listener
 	peerReqs, peerChunks, peerBytes atomic.Int64
@@ -270,7 +270,7 @@ func (a *Agent) handleFingerprint(raw []byte) link.Frame {
 }
 
 func (a *Agent) handleTest(man *distrib.Manifest) link.Frame {
-	a.tested, a.testedWire = nil, nil
+	a.tested, a.testedDigest = nil, 0
 	up, need, err := a.resolveUpgrade(man)
 	if err != nil {
 		return link.FailedReply(err.Error())
@@ -292,7 +292,7 @@ func (a *Agent) handleTest(man *distrib.Manifest) link.Frame {
 		}
 	}
 	if out.Success {
-		a.tested, a.testedWire = up, man.Wire()
+		a.tested, a.testedDigest = up, man.Digest()
 	} else {
 		out.Image = report.CaptureImage(rep.Sandbox)
 		link.FitImage(out)
@@ -301,12 +301,16 @@ func (a *Agent) handleTest(man *distrib.Manifest) link.Frame {
 }
 
 func (a *Agent) handleIntegrate(man *distrib.Manifest) link.Frame {
-	up, testedWire := a.tested, a.testedWire
-	a.tested, a.testedWire = nil, nil
-	if man != nil && bytes.Equal(a.applied, man.Wire()) {
+	up, testedDigest := a.tested, a.testedDigest
+	a.tested, a.testedDigest = nil, 0
+	if man == nil {
+		return link.FailedReply("manifest missing")
+	}
+	digest := man.Digest()
+	if digest == a.applied {
 		return link.Frame{OK: true} // already applied: acknowledge the repeat
 	}
-	if up == nil || man == nil || !bytes.Equal(testedWire, man.Wire()) {
+	if up == nil || digest != testedDigest {
 		var need []uint64
 		var err error
 		if up, need, err = a.resolveUpgrade(man); err != nil {
@@ -320,7 +324,7 @@ func (a *Agent) handleIntegrate(man *distrib.Manifest) link.Frame {
 		return link.FailedReply(err.Error())
 	}
 	a.Cache.Installed(a.M.Name, man)
-	a.applied = man.Wire()
+	a.applied = digest
 	return link.Frame{OK: true}
 }
 

@@ -5,6 +5,7 @@ import (
 	"net"
 	"time"
 
+	"repro/internal/distrib"
 	"repro/internal/link"
 )
 
@@ -21,6 +22,9 @@ import (
 // consumed, in frame order, before the next request can be read. A frame
 // the session cannot read — refused, or cut short — ends it: the stream
 // cannot be resynchronized.
+//
+// The session also resolves manifest references, so handle always sees a
+// test or integrate request with its Manifest (see held).
 func serveSession(conn net.Conn, readBuf, writeBuf int, reg link.RegisterReq, handle func(fc *link.Conn, req *link.Frame) link.Frame) {
 	defer conn.Close()
 	fc := &link.Conn{R: bufio.NewReaderSize(conn, readBuf), W: bufio.NewWriterSize(conn, writeBuf), Raw: conn}
@@ -28,17 +32,43 @@ func serveSession(conn net.Conn, readBuf, writeBuf int, reg link.RegisterReq, ha
 		return
 	}
 	var req link.Frame
+	var last *distrib.Manifest
 	for {
 		req = link.Frame{} // let the last request's payload go while waiting for the next
 		if fc.ReadFrame(&req) != nil {
 			return // vendor closed the channel (or it broke)
 		}
-		resp := handle(fc, &req)
+		if req.ManifestRef != 0 && last != nil && last.Digest() == req.ManifestRef {
+			req.Manifest = last
+		}
+		var resp link.Frame
+		if req.ManifestRef != 0 && req.Manifest == nil {
+			resp = link.Frame{OK: true, NeedManifest: true} // unresolved: nothing runs
+		} else {
+			resp = handle(fc, &req)
+			last = held(&req, &resp, last)
+		}
 		resp.ID = req.ID
 		if fc.WriteFrame(&resp) != nil || fc.W.Flush() != nil {
 			return
 		}
 	}
+}
+
+// held returns the manifest a session keeps once it has answered req with
+// resp: the one a test or integrate request carried, while the vendor may
+// name it next by reference — the re-issue behind a NeedChunks reply, or
+// the integrate behind a passing test. Any other test or integrate answer
+// drops it, so an idle agent holds no manifest; other requests (the chunk
+// fetches between a request and its re-issue) leave it as it was.
+func held(req, resp *link.Frame, last *distrib.Manifest) *distrib.Manifest {
+	if req.Op != link.OpTest && req.Op != link.OpIntegrate {
+		return last
+	}
+	if len(resp.NeedChunks) > 0 || (resp.Report != nil && resp.Report.Success) {
+		return req.Manifest
+	}
+	return nil
 }
 
 // ReconnectConfig tunes RunWithReconnect. The zero value gives sensible

@@ -72,10 +72,25 @@ type Manifest struct {
 	// manifest needs and Store.Manifest derives once; a manifest decoded
 	// off the wire derives it on demand.
 	addrs []uint64
-	// wire is the manifest's encoding, set once by whoever builds the
-	// manifest (Store.Manifest, DecodeManifest) and never written after:
-	// the vendor encodes an upgrade once, not once per push.
+	// wire is the manifest's encoding, set once by Store.Manifest and
+	// never written after: the vendor encodes an upgrade once, not once
+	// per push. A decoded manifest keeps none.
 	wire []byte
+	// digest is Digest's value, set once by whoever builds the manifest
+	// (Store.Manifest, DecodeManifest); 0 means not computed.
+	digest uint64
+}
+
+// Digest returns the HashBytes digest of the manifest's wire form: the
+// reference by which a test or integrate request names a manifest the
+// agent already holds. A store-built or decoded manifest returns the
+// digest it was built with; any other manifest is encoded and hashed
+// afresh.
+func (m *Manifest) Digest() uint64 {
+	if m.digest != 0 {
+		return m.digest
+	}
+	return fingerprint.HashBytes(m.Wire())
 }
 
 // ChunkCount returns the number of chunk references across all files
@@ -315,6 +330,7 @@ func (s *Store) chunk(up *pkgmgr.Upgrade) *Manifest {
 	}
 	m.addrs = distinctAddrs(m.Files)
 	m.wire = m.encode()
+	m.digest = fingerprint.HashBytes(m.wire)
 	return m
 }
 
@@ -464,27 +480,28 @@ func (c *Cache) Add(addr uint64, data []byte) error {
 
 // Missing returns the manifest's chunk addresses not present in the
 // cache, deduplicated, in ascending order, and updates the hit/miss
-// counters. An empty result means Assemble will succeed without a fetch.
+// counters, one per chunk reference. An empty result means Assemble will
+// succeed without a fetch. The answer costs no allocation for a manifest
+// the cache holds entirely, and one for any other.
 func (c *Cache) Missing(m *Manifest) []uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	need := make(map[uint64]bool)
+	var out []uint64
 	for _, f := range m.Files {
 		for _, ref := range f.Chunks {
 			if _, ok := c.chunks[ref.Hash]; ok {
 				c.hits++
-			} else {
-				c.miss++
-				need[ref.Hash] = true
+				continue
 			}
+			c.miss++
+			if out == nil {
+				out = make([]uint64, 0, m.ChunkCount())
+			}
+			out = append(out, ref.Hash)
 		}
 	}
-	out := make([]uint64, 0, len(need))
-	for a := range need {
-		out = append(out, a)
-	}
 	slices.Sort(out)
-	return out
+	return slices.Compact(out)
 }
 
 // Chunks returns the cached chunks among addrs, in request order,

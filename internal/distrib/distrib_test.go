@@ -3,6 +3,7 @@ package distrib
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -189,16 +190,33 @@ func TestStoreRejectsUnknownAddress(t *testing.T) {
 
 // TestMissingAllocs: every agent asks Missing before each test and
 // integrate, and once the cache holds the manifest's chunks the answer
-// costs no allocation.
+// costs no allocation. Before that, the answer is one slice: a manifest
+// whose chunks all miss, one file listing a chunk twice, costs one
+// allocation, and its answer holds each address once, ascending.
 func TestMissingAllocs(t *testing.T) {
 	store := NewStore()
+	data := payload(6, 64*1024)
 	man := store.Manifest(upgrade("app-2.0",
-		&machine.File{Path: "/bin/app", Type: machine.TypeExecutable, Data: payload(6, 64*1024)}))
+		&machine.File{Path: "/bin/app", Type: machine.TypeExecutable, Data: data},
+		&machine.File{Path: "/bin/app-copy", Type: machine.TypeExecutable, Data: data}))
+	cache := NewCache()
+	if allocs := testing.AllocsPerRun(20, func() { cache.Missing(man) }); allocs != 1 {
+		t.Fatalf("Missing of an uncached manifest allocates %v times, want 1", allocs)
+	}
+	before := cache.Stats()
+	need := cache.Missing(man)
+	if !slices.IsSorted(need) || len(slices.Compact(slices.Clone(need))) != len(need) || len(need) != len(man.Addrs()) {
+		t.Fatalf("Missing = %d addresses (sorted %v), want the manifest's %d distinct addresses ascending",
+			len(need), slices.IsSorted(need), len(man.Addrs()))
+	}
+	if st := cache.Stats(); st.Misses-before.Misses != int64(man.ChunkCount()) || st.Hits != before.Hits {
+		t.Fatalf("Missing counted %d misses, %d hits; want %d misses, one per chunk reference",
+			st.Misses-before.Misses, st.Hits-before.Hits, man.ChunkCount())
+	}
 	chunks, err := store.Chunks(man.Addrs())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewCache()
 	for _, ch := range chunks {
 		if err := cache.Add(ch.Hash, ch.Data); err != nil {
 			t.Fatal(err)

@@ -1,17 +1,19 @@
 package distrib
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 
+	"repro/internal/fingerprint"
 	"repro/internal/pkgmgr"
 	"repro/internal/wire"
 )
 
-// A manifest crosses the control channel with every test and integrate
-// request, so it has one compact binary wire form instead of JSON, a
+// A manifest crosses the control channel behind test and integrate
+// requests, so it has one compact binary wire form instead of JSON, a
 // grammar over package wire's primitives:
 //
 //	manifest  = str(ID) str(Name) str(Version) str(Replaces) bool(Urgent)
@@ -44,9 +46,9 @@ const (
 // ErrBadManifest reports bytes that are not a manifest's wire form.
 var ErrBadManifest = errors.New("distrib: malformed manifest encoding")
 
-// Wire returns the manifest's binary wire form. A store-built or decoded
-// manifest returns the bytes it holds, which are shared and must not be
-// modified; any other manifest is encoded afresh.
+// Wire returns the manifest's binary wire form. A store-built manifest
+// returns the bytes it holds, which are shared and must not be modified;
+// any other manifest is encoded afresh.
 func (m *Manifest) Wire() []byte {
 	if m.wire != nil {
 		return m.wire
@@ -101,16 +103,15 @@ func (m *Manifest) encode() []byte {
 	return b
 }
 
-// DecodeManifest parses a manifest's wire form. It does not retain b: the
-// manifest keeps a private copy as its Wire bytes, and every decoded
-// string is a slice of one string of that copy. A count has no cap beyond
-// the bytes that remain, and is checked against them before anything is
-// allocated for it, so the decoder never allocates more than its input
-// implies.
+// DecodeManifest parses a manifest's wire form and digests it (Digest).
+// It does not retain b: every decoded string is a slice of one string
+// copied from b, and a migration's bytes are copies of their own. A count
+// has no cap beyond the bytes that remain, and is checked against them
+// before anything is allocated for it, so the decoder never allocates
+// more than its input implies.
 func DecodeManifest(b []byte) (*Manifest, error) {
-	enc := append([]byte(nil), b...)
-	r := wire.NewReader(enc, string(enc), math.MaxInt)
-	m := &Manifest{ID: r.Str(), Name: r.Str(), Version: r.Str(), Replaces: r.Str(), Urgent: r.Bool(), wire: enc}
+	r := wire.NewReader(b, string(b), math.MaxInt)
+	m := &Manifest{ID: r.Str(), Name: r.Str(), Version: r.Str(), Replaces: r.Str(), Urgent: r.Bool()}
 	m.Files = wire.List(r.Count(minFileBytes, math.MaxInt), func() FileManifest {
 		return FileManifest{Path: r.Str(), Type: r.Varint(), Version: r.Str(),
 			Chunks: wire.List(r.Count(minChunkBytes, math.MaxInt), func() ChunkRef {
@@ -127,10 +128,10 @@ func DecodeManifest(b []byte) (*Manifest, error) {
 			r.Failf("migration flags %#x", flags)
 		}
 		if flags&wireSetData != 0 {
-			ed.SetData = r.Bytes(math.MaxInt)
+			ed.SetData = bytes.Clone(r.Bytes(math.MaxInt))
 		}
 		if flags&wireAppend != 0 {
-			ed.Append = r.Bytes(math.MaxInt)
+			ed.Append = bytes.Clone(r.Bytes(math.MaxInt))
 		}
 		ed.Remove = flags&wireRemove != 0
 		return ed
@@ -138,5 +139,6 @@ func DecodeManifest(b []byte) (*Manifest, error) {
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadManifest, err)
 	}
+	m.digest = fingerprint.HashBytes(b)
 	return m, nil
 }

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/fingerprint"
 	"repro/internal/machine"
 	"repro/internal/pkgmgr"
 )
@@ -56,7 +57,7 @@ func randomManifest(rng *rand.Rand) *Manifest {
 // sameManifest compares every exported field, nil-versus-empty included.
 func sameManifest(a, b *Manifest) bool {
 	x, y := *a, *b
-	x.addrs, x.wire, y.addrs, y.wire = nil, nil, nil, nil
+	x.addrs, x.wire, x.digest, y.addrs, y.wire, y.digest = nil, nil, 0, nil, nil, 0
 	return reflect.DeepEqual(x, y)
 }
 
@@ -73,9 +74,17 @@ func TestManifestWireRoundTrip(t *testing.T) {
 	)))
 	for i, m := range mans {
 		enc := m.Wire()
-		got, err := DecodeManifest(enc)
+		// Decode from a buffer that is then overwritten, as the link's
+		// pooled read buffer is: the manifest must keep none of it.
+		buf := bytes.Clone(enc)
+		got, err := DecodeManifest(buf)
 		if err != nil {
 			t.Fatalf("manifest %d: %v", i, err)
+		}
+		clear(buf)
+		if got.Digest() != fingerprint.HashBytes(enc) || got.Digest() != m.Digest() {
+			t.Fatalf("manifest %d: decoded digest %x, built %x, want HashBytes of its wire form %x",
+				i, got.Digest(), m.Digest(), fingerprint.HashBytes(enc))
 		}
 		if !sameManifest(got, m) {
 			t.Fatalf("manifest %d decoded to\n%+v\nwant\n%+v", i, got, m)

@@ -13,7 +13,8 @@
 // where fields is a bitmask naming the Frame fields present, which follow
 // in bit order, and an op admits only its own fields (opFields). A frame
 // may announce raw bodies that follow it on the stream: an upgrade
-// manifest in distrib's binary encoding (the manifest field), a failure
+// manifest in distrib's binary encoding (the manifest field; a test or
+// integrate may name one the agent holds by its digest instead), a failure
 // report's machine image (the report's image length), or chunk bytes
 // (chunk_meta). Every count has a typed per-field cap besides the bytes
 // left. A field is present exactly when it is not its zero value and map
@@ -62,6 +63,11 @@ type Frame struct {
 	// and decodes exactly that many bytes. Chunks the agent lacks follow
 	// in an OpFetchChunks push.
 	Manifest *distrib.Manifest
+	// ManifestRef names the request's manifest by its Digest instead: the
+	// manifest the vendor last sent in full on this channel, which the
+	// agent keeps while a re-test or the integrate may follow. A frame
+	// carries Manifest or ManifestRef, never both.
+	ManifestRef uint64
 
 	// ChunkMeta announces a binary chunk body: immediately after this
 	// frame follow the raw bytes of each listed chunk, in order, ref.Size
@@ -76,10 +82,11 @@ type Frame struct {
 	// Report's machine image, when it has one, rides as a raw body behind
 	// the frame, bounded by maxImageBody rather than by the frame cap.
 	Report *report.Report
-	// NeedChunks is the agent's reply to a manifest-bearing test or
-	// integrate request whose chunks are not all cached yet: the missing
-	// content addresses. The vendor answers with an OpFetchChunks push and
-	// then re-issues the original request, which by then resolves locally.
+	// NeedChunks is the agent's reply to a test or integrate request whose
+	// chunks are not all cached yet: the missing content addresses. The
+	// vendor answers with an OpFetchChunks push and then re-issues the
+	// request, naming the manifest by its ManifestRef, which by then
+	// resolves locally.
 	NeedChunks []uint64
 	// Peer is the agent's report of an OpPeerFetch round: how much the
 	// peer tier served (and which peers were dropped), so the vendor's
@@ -88,8 +95,12 @@ type Frame struct {
 	// OK acknowledges a successful response. A handler that forgot to
 	// acknowledge must be distinguishable from a successful empty reply,
 	// so the vendor rejects replies with neither Err nor OK set.
-	OK     bool
-	Status string
+	OK bool
+	// NeedManifest is the agent's reply to a request whose ManifestRef it
+	// cannot resolve: it installed nothing, and the vendor re-issues the
+	// request with the manifest in full.
+	NeedManifest bool
+	Status       string
 }
 
 // Operation names.
@@ -307,18 +318,20 @@ const (
 	fReport
 	fNeedChunks
 	fPeer
+	fManifestRef
+	fNeedManifest
 )
 
 // opFields is the set of fields each op admits.
 var opFields = [opCount]uint64{
 	opReply: fID | fErr | fOK | fStatus | fResources | fDiff | fAppSet | fReport |
-		fNeedChunks | fPeer | fChunkMeta,
+		fNeedChunks | fPeer | fChunkMeta | fNeedManifest,
 	opRegister:     fID | fRegister,
 	opIdentify:     fID | fIdentify,
 	opRecord:       fID | fRecord,
 	opFingerprint:  fID | fFingerprint,
-	opTest:         fID | fManifest,
-	opIntegrate:    fID | fManifest,
+	opTest:         fID | fManifest | fManifestRef,
+	opIntegrate:    fID | fManifest | fManifestRef,
 	opPing:         fID,
 	opFetchChunks:  fID | fChunkMeta,
 	opPeerFetch:    fID | fPeerFetch,
@@ -330,13 +343,14 @@ var opFields = [opCount]uint64{
 // decoder reads has a cap of its own besides the bytes left.
 const (
 	// maxFrame is the frame cap. Payload rides behind frames as raw
-	// bodies, so frames are small: a test or integrate request is under
-	// 10 bytes; the longest frame the tier-1 suite writes is 1.0 KB (a
-	// fingerprint request) and the longest of the five bench workloads
-	// 1.5 KB (swarm-cold's chunk_meta for its 528 KiB upgrade). The
-	// longest manifest bodies are 4.8 KB and 1.6 KB. The cap is what
-	// keeps a peer announcing a huge frame or manifest from growing the
-	// reader's buffers without limit.
+	// bodies, so frames are small: a test or integrate request is at most
+	// 10 bytes, prefix included, with its manifest behind it, and 15–17
+	// naming it by reference; the longest frame the tier-1 suite writes is
+	// 1.0 KB (a fingerprint request) and the longest of the five bench
+	// workloads 1.5 KB (swarm-cold's chunk_meta for its 528 KiB upgrade).
+	// The longest manifest bodies are 4.8 KB and 1.6 KB; a rollout-*
+	// manifest is about 190 B. The cap keeps a peer announcing a huge
+	// frame or manifest from growing the reader's buffers without limit.
 	maxFrame = 1 << 20 // 1MB
 	// maxWireString bounds every string: names, paths, errors, reasons.
 	maxWireString = 1 << 16
@@ -463,6 +477,12 @@ func (f *Frame) fields() uint64 {
 	if f.Peer != nil {
 		m |= fPeer
 	}
+	if f.ManifestRef != 0 {
+		m |= fManifestRef
+	}
+	if f.NeedManifest {
+		m |= fNeedManifest
+	}
 	return m
 }
 
@@ -481,6 +501,9 @@ func appendFrame(b []byte, f *Frame, manifestLen, imageLen int) ([]byte, error) 
 	}
 	if f.ID < 0 {
 		return b, fmt.Errorf("link: frame id %d", f.ID)
+	}
+	if mask&(fManifest|fManifestRef) == fManifest|fManifestRef {
+		return b, fmt.Errorf("link: a %q frame carries a manifest and a reference to one", f.Op)
 	}
 	b = append(b, frameVersion, op)
 	b = binary.AppendUvarint(b, mask)
@@ -546,6 +569,9 @@ func appendFrame(b []byte, f *Frame, manifestLen, imageLen int) ([]byte, error) 
 		b = binary.AppendVarint(binary.AppendVarint(b, int64(p.Chunks)), p.Bytes)
 		b = wire.AppendStrs(b, p.Failed)
 	}
+	if mask&fManifestRef != 0 {
+		b = binary.LittleEndian.AppendUint64(b, f.ManifestRef)
+	}
 	return b, nil
 }
 
@@ -587,6 +613,9 @@ func decodeFrame(b []byte, f *Frame) (manifestLen, imageLen int, err error) {
 	mask := r.Uvarint()
 	if extra := mask &^ opFields[op]; extra != 0 {
 		r.Failf("a %q frame cannot carry fields %#x", f.Op, extra)
+	}
+	if mask&(fManifest|fManifestRef) == fManifest|fManifestRef {
+		r.Failf("a manifest and a reference to one")
 	}
 	if mask&fID != 0 {
 		if f.ID = r.Uint(math.MaxInt); f.ID == 0 {
@@ -660,6 +689,12 @@ func decodeFrame(b []byte, f *Frame) (manifestLen, imageLen int, err error) {
 	if mask&fPeer != 0 {
 		f.Peer = &PeerResult{Chunks: r.Varint(), Bytes: r.Varint64(), Failed: r.Strs(MaxPeerHints)}
 	}
+	if mask&fManifestRef != 0 {
+		if f.ManifestRef = r.Addr(); f.ManifestRef == 0 {
+			r.Failf("manifest reference 0")
+		}
+	}
+	f.NeedManifest = mask&fNeedManifest != 0
 	if err := r.refusal("frame"); err != nil {
 		return 0, 0, err
 	}

@@ -57,9 +57,9 @@ func checkGolden(t *testing.T, path string, got []goldenEntry) {
 }
 
 // TestWireGolden is the byte-level oracle for the frame codec: every frame
-// of fuzzFrames and overCapFrames, as it crosses the wire, and the image
-// its report frame carries, encode to the bytes in testdata/wire.golden
-// (rewrite them with -update). Each frame and image that decodes
+// of fuzzFrames and overCapFrames, as it crosses the wire, the image its
+// report frame carries, and the frames of byRefFrames, appended last,
+// encode to the bytes in testdata/wire.golden (rewrite them with -update). Each frame and image that decodes
 // re-encodes to those bytes unchanged, a fingerprint request inside a
 // frame too; each over-cap frame is refused as a bad field.
 func TestWireGolden(t *testing.T) {
@@ -81,6 +81,9 @@ func TestWireGolden(t *testing.T) {
 	}
 	if images == 0 {
 		t.Fatal("the corpus holds no image-carrying report frame")
+	}
+	for i, f := range byRefFrames() {
+		corpus = append(corpus, goldenEntry{fmt.Sprintf("frame-%02d", len(frames)+i), wireBytes(t, f)})
 	}
 	checkGolden(t, "testdata/wire.golden", corpus)
 

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -202,6 +203,18 @@ func fuzzFrames() []*Frame {
 	}
 }
 
+// byRefFrames is the manifest-reference shapes: a test and an integrate
+// naming their manifest by its digest, and the agent's reply asking for
+// the manifest in full. They are numbered on from fuzzFrames.
+func byRefFrames() []*Frame {
+	digest := distrib.NewStore().Manifest(mysql5Wire()).Digest()
+	return []*Frame{
+		{ID: 17, Op: OpTest, ManifestRef: digest},
+		{ID: 18, Op: OpIntegrate, ManifestRef: digest},
+		{ID: 19, OK: true, NeedManifest: true},
+	}
+}
+
 // overCapFrames is one frame one element over each cap small enough to
 // seed the fuzzer with: a decoder missing that cap accepts it.
 func overCapFrames() []*Frame {
@@ -227,9 +240,11 @@ func overCapFrames() []*Frame {
 // exactly the bytes it read — frame and bodies — and leave the stream
 // right behind them; a fingerprint request it carries must do the same
 // under its own decoder. The seeds are one frame per op and reply
-// payload, and one frame over each small cap.
+// payload, the manifest-reference shapes, and one frame over each small
+// cap.
 func FuzzReadFrame(f *testing.F) {
-	for _, fr := range append(fuzzFrames(), overCapFrames()...) {
+	seeds := append(fuzzFrames(), byRefFrames()...)
+	for _, fr := range append(seeds, overCapFrames()...) {
 		b := wireBytes(f, fr)
 		n, k := binary.Uvarint(b)
 		f.Add(b[k:k+int(n)], b[k+int(n):])
@@ -311,6 +326,41 @@ func checkFrameCaps(t *testing.T, f *Frame) {
 			for _, p := range img.Packages {
 				check("Image package files", len(p.Files), maxImageFiles)
 			}
+		}
+	}
+}
+
+// TestManifestRefFrame: a test or integrate request names its manifest by
+// body or by reference, never both. The encoder refuses a frame with both;
+// the decoder refuses one built by hand, a present reference of 0, and a
+// reference or a NeedManifest bit on an op that does not admit it.
+func TestManifestRefFrame(t *testing.T) {
+	man := distrib.NewStore().Manifest(mysql5Wire())
+	both := &Frame{ID: 1, Op: OpTest, Manifest: man, ManifestRef: man.Digest()}
+	if err := (&Conn{W: bufio.NewWriter(io.Discard), Raw: io.Discard}).WriteFrame(both); err == nil {
+		t.Fatal("a frame with a manifest and a reference encoded")
+	}
+	ref := binary.LittleEndian.AppendUint64(nil, man.Digest())
+	mask := func(m uint64) []byte { return binary.AppendUvarint(nil, m) }
+	frame := func(parts ...[]byte) []byte { return rawFrame(bytes.Join(parts, nil)...) }
+	for _, tc := range []struct {
+		what string
+		b    []byte
+	}{
+		{"manifest and reference", append(frame([]byte{frameVersion, opTest}, mask(fID|fManifest|fManifestRef),
+			[]byte{1, 1}, ref), 0)},
+		{"reference 0", frame([]byte{frameVersion, opIntegrate}, mask(fID|fManifestRef), []byte{1}, make([]byte, 8))},
+		{"reference on a ping", frame([]byte{frameVersion, opPing}, mask(fID|fManifestRef), []byte{1}, ref)},
+		{"NeedManifest on a request", frame([]byte{frameVersion, opTest}, mask(fID|fNeedManifest), []byte{1})},
+	} {
+		if _, err := readWire(tc.b); refusedFor(err) != RefusedBadField {
+			t.Errorf("%s: %v, want a bad_field refusal", tc.what, err)
+		}
+	}
+	for _, f := range byRefFrames() {
+		got, err := readWire(wireBytes(t, f))
+		if err != nil || got.ManifestRef != f.ManifestRef || got.NeedManifest != f.NeedManifest || got.Manifest != nil {
+			t.Fatalf("%+v read back as %+v, %v", f, got, err)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"log/slog"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -88,6 +89,11 @@ type agentConn struct {
 
 	mu     sync.Mutex // serializes RPCs on the channel
 	nextID int
+	// delivered is the digest of the manifest the last successful call
+	// on this channel sent in full (0: none). The agent keeps that
+	// manifest while a re-test or the integrate may follow, so call names
+	// it by reference instead of sending it again. Guarded by mu.
+	delivered uint64
 }
 
 // fail classifies an I/O failure on the channel: the channel is dead
@@ -116,14 +122,19 @@ func (ac *agentConn) fail(ctx context.Context, op string, err error) error {
 
 // call performs one synchronous RPC on the agent channel. When body is
 // non-nil, req.ChunkMeta must announce it and the raw bytes are written
-// immediately after the header, inside the same buffered burst. The
-// deadline is the tighter of the server timeout and the context's;
-// cancelling ctx mid-call yanks the connection deadline, so a blocked
-// read returns immediately and the call surfaces ctx.Err() — call-level
-// cancellation, the primitive every higher layer's abort rides on. It is
-// also the telemetry choke point: every vendor→agent RPC is one op here,
-// its latency sample and, on whatever rollout trace rides ctx, its "rpc"
-// span with the bytes it wrote; the bytes also go to a per-op histogram.
+// immediately after the header, inside the same buffered burst. A
+// req.Manifest the channel last delivered in full goes as its
+// ManifestRef. An agent that cannot resolve the reference installs
+// nothing and answers NeedManifest, and the request goes once more, in
+// the same call, with the manifest in full; a failed call forgets what
+// was delivered. The deadline is the tighter of the server timeout and
+// the context's; cancelling ctx mid-call yanks the connection deadline,
+// so a blocked read returns immediately and the call surfaces ctx.Err()
+// — call-level cancellation, the primitive every higher layer's abort
+// rides on. It is also the telemetry choke point: every vendor→agent RPC
+// is one op here, its latency sample and, on whatever rollout trace rides
+// ctx, its "rpc" span with the bytes it wrote; the bytes also go to a
+// per-op histogram.
 func (ac *agentConn) call(ctx context.Context, req link.Frame, body []distrib.Chunk) (link.Frame, error) {
 	if err := ctx.Err(); err != nil {
 		return link.Frame{}, fmt.Errorf("transport: %s to %s: %w", req.Op, ac.name, err)
@@ -133,13 +144,30 @@ func (ac *agentConn) call(ctx context.Context, req link.Frame, body []distrib.Ch
 	if ac.replaced.Load() {
 		return link.Frame{}, fmt.Errorf("transport: %s to %s: %w", req.Op, ac.name, ErrAgentReplaced)
 	}
+	man := req.Manifest
+	if man != nil && ac.delivered != 0 && man.Digest() == ac.delivered {
+		req.Manifest, req.ManifestRef = nil, ac.delivered
+	}
 	m := ac.srv.metrics()
 	op := telemetry.Start(ctx, m.rpcLatency.With(req.Op), "rpc", req.Op, ac.name)
 	bytes0 := ac.cw.n
 	resp, err := ac.exchange(ctx, req, body)
+	if err == nil && resp.NeedManifest && req.ManifestRef != 0 {
+		req.Manifest, req.ManifestRef = man, 0
+		resp, err = ac.exchange(ctx, req, body)
+	}
+	if err == nil && resp.NeedManifest {
+		err = fmt.Errorf("transport: agent %s asked for the %s manifest it was sent: %w", ac.name, req.Op, deploy.ErrTransient)
+	}
+	switch {
+	case err != nil:
+		ac.delivered = 0
+	case man != nil:
+		ac.delivered = man.Digest()
+	}
 	// ac.mu serializes RPCs on this channel, so the connection byte
-	// count's delta across the exchange is exactly this call's writes
-	// (frame plus any manifest or chunk body).
+	// count's delta across the exchanges is exactly this call's writes
+	// (frames plus any manifest or chunk body).
 	sent := ac.cw.n - bytes0
 	op.EndBytes(sent, err)
 	m.rpcBytes.With(req.Op).Observe(sent)
@@ -786,13 +814,16 @@ func (r *RemoteNode) Name() string { return r.name }
 const pushAttempts = 3
 
 // pushUpgrade performs one test or integrate RPC on the agent. The frame
-// carries only the manifest; if the agent reports missing chunks, the
-// peer tier is tried first (a directed OpPeerFetch against hinted gated
-// peers), the remainder is pushed with OpFetchChunks as a binary chunk
-// frame, and the request is re-issued; the manifest is small, so the
-// retry costs a few hundred bytes, never a payload re-send. A manifest
-// that resolves completely marks its addresses held by the agent in the
-// chunk-location index, feeding future peer hints.
+// carries only the manifest, or its reference when the channel delivered
+// it last (call); if the agent reports missing chunks, the peer tier is
+// tried first (a directed OpPeerFetch against hinted gated peers), the
+// remainder is pushed with OpFetchChunks as a binary chunk frame, and the
+// request is re-issued by reference, never a payload re-send. So the
+// manifest crosses once per member: the re-test and the integrate after a
+// passing test name it by its digest, and the agent's reply is bound to
+// that digest. A manifest that resolves completely marks its addresses
+// held by the agent in the chunk-location index, feeding future peer
+// hints.
 //
 // A push still missing chunks after pushAttempts requests — a link that
 // damages every delivery to this agent — fails with deploy.ErrTransient:
@@ -820,13 +851,10 @@ func (s *Server) pushUpgrade(ctx context.Context, name, op string, up *pkgmgr.Up
 			// one phantom hit.
 			var miss int64
 			if len(resp.NeedChunks) > 0 {
-				needed := make(map[uint64]bool, len(resp.NeedChunks))
-				for _, a := range resp.NeedChunks {
-					needed[a] = true
-				}
+				slices.Sort(resp.NeedChunks)
 				for _, f := range man.Files {
 					for _, ref := range f.Chunks {
-						if needed[ref.Hash] {
+						if _, ok := slices.BinarySearch(resp.NeedChunks, ref.Hash); ok {
 							miss++
 						}
 					}

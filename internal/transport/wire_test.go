@@ -343,7 +343,8 @@ func TestFramesRefusedCounted(t *testing.T) {
 }
 
 // TestFrameCodecAllocs pins what a frame costs the heap: writing a test
-// request that carries a manifest allocates nothing, reading an OK-only
+// request that carries a manifest, or names it by reference, allocates
+// nothing, reading an OK-only
 // integrate reply allocates nothing, and reading a test-success reply
 // allocates only the report and its strings.
 func TestFrameCodecAllocs(t *testing.T) {
@@ -356,6 +357,14 @@ func TestFrameCodecAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("WriteFrame of a test request: %v allocations, want 0", n)
+	}
+	byRef := link.Frame{ID: 7, Op: link.OpTest, ManifestRef: man.Digest()}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := w.WriteFrame(&byRef); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("WriteFrame of a test request by reference: %v allocations, want 0", n)
 	}
 
 	read := func(f *link.Frame) float64 {
@@ -378,10 +387,11 @@ func TestFrameCodecAllocs(t *testing.T) {
 }
 
 // TestManifestDecodeAllocs pins what decoding an upgrade's manifest costs
-// the heap: the kept copy of its bytes, the one string every decoded
-// string shares, the manifest, its file list and each of its two files'
-// chunk lists. A sim agent decodes one on every test and integrate call,
-// so the count is part of the sim fleet's per-member allocation.
+// the heap: the one string every decoded string shares, the manifest, its
+// file list and each of its two files' chunk lists. A decoded manifest
+// keeps its digest, not a copy of its bytes. A sim agent decodes one per
+// member, from the request that carries it in full, so the count is part
+// of the sim fleet's per-member allocation.
 func TestManifestDecodeAllocs(t *testing.T) {
 	enc := distrib.NewStore().Manifest(mysql5Wire()).Wire()
 	n := testing.AllocsPerRun(100, func() {
@@ -389,7 +399,7 @@ func TestManifestDecodeAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if n != 6 {
-		t.Errorf("DecodeManifest of the mysql 5 manifest: %v allocations, want 6", n)
+	if n != 5 {
+		t.Errorf("DecodeManifest of the mysql 5 manifest: %v allocations, want 5", n)
 	}
 }
