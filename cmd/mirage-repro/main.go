@@ -57,8 +57,8 @@ func experimentNames() string {
 	return strings.Join(names, ", ") + " or all"
 }
 
-// run runs the experiment called exp, or every one for "all", and
-// returns how many checks failed.
+// run runs the experiment called exp, or every one for "all", ends its
+// output with a verdict line and returns how many checks failed.
 func run(exp string) (failures int, err error) {
 	var c checker
 	found := false
@@ -70,6 +70,11 @@ func run(exp string) (failures int, err error) {
 	}
 	if !found {
 		return 0, fmt.Errorf("unknown experiment %q", exp)
+	}
+	if c > 0 {
+		fmt.Printf("\n%d experiment check(s) FAILED\n", c)
+	} else {
+		fmt.Println("\nall experiment checks passed")
 	}
 	return int(c), nil
 }
@@ -95,10 +100,8 @@ func main() {
 		usage(err.Error())
 	}
 	if failures > 0 {
-		fmt.Printf("\n%d experiment check(s) FAILED\n", failures)
 		os.Exit(1)
 	}
-	fmt.Println("\nall experiment checks passed")
 }
 
 func runSurvey(c *checker) {

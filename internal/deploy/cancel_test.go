@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -138,5 +139,28 @@ func TestStageGateErrorHaltsPlan(t *testing.T) {
 		if ev.Type == RecStageStart && ev.Stage == 1 {
 			t.Fatal("stage 1 started despite its gate erroring")
 		}
+	}
+}
+
+// TestDeepPlanKeepsItsStackFlat: a 1000-stage plan (500 clusters of 20)
+// runs as a loop, so the plan goroutine is as deep at the last stage's
+// barrier as at the second's — no stage runs inside its predecessor's
+// frame.
+func TestDeepPlanKeepsItsStackFlat(t *testing.T) {
+	depth := map[int]int{}
+	pcs := make([]uintptr, 4096)
+	ctl := NewController(report.New(), nil)
+	ctl.StageGate = func(_ context.Context, stage int) error {
+		if stage == 1 || stage == 999 {
+			depth[stage] = runtime.Callers(0, pcs)
+		}
+		return nil
+	}
+	out, err := ctl.Deploy(context.Background(), PolicyBalanced, up("v1"), bigFleet(500, 20, nil))
+	if err != nil || out.Integrated() != 10000 {
+		t.Fatalf("deploy: %v, %d integrated", err, out.Integrated())
+	}
+	if depth[1] == 0 || depth[999] > depth[1]+10 {
+		t.Fatalf("stack depth %d frames at stage 999, %d at stage 1", depth[999], depth[1])
 	}
 }

@@ -190,7 +190,7 @@ type MemberStatus struct {
 }
 
 // Outcome summarises a deployment: the rollout's fold (Controller.Cursor)
-// read once, when Deploy or Rollback returns, plus what only the run
+// read once, when Run or Rollback returns, plus what only the run
 // knows — whether the vendor gave up, and the traffic it caused.
 type Outcome struct {
 	Policy    Policy
@@ -277,7 +277,7 @@ type Controller struct {
 	// run, and outcomes are booked in member order.
 	Budget *Budget
 	// Transfer, when set, reports the transport's cumulative transfer
-	// counters (e.g. transport.Server.TransferSnapshot). Deploy snapshots
+	// counters (e.g. transport.Server.TransferSnapshot). Run snapshots
 	// it around the rollout and records the delta in Outcome.Transfer.
 	Transfer func() TransferStats
 	// GatedMembers, when set, receives the sorted names of a stage's
@@ -325,12 +325,12 @@ type Controller struct {
 	// observer error halts the plan: from then on transitions are still
 	// folded but no longer offered.
 	Observer Observer
-	// Cursor is the rollout's fold: Deploy resumes from it and books into
+	// Cursor is the rollout's fold: Run resumes from it and books into
 	// it. Its leading DoneStages release immediately and members it
 	// records as integrated or quarantined are skipped; every transition
 	// the run makes is applied to it before the Observer hears of it, and
 	// every decision — skips, promotion, rounds — is read off it. Rollback
-	// reads the same fold and requires one. A nil Cursor makes Deploy fold
+	// reads the same fold and requires one. A nil Cursor makes Run fold
 	// into a private one, starting fresh.
 	Cursor *Cursor
 	// StageGate, when set, is consulted before each stage begins executing
@@ -454,10 +454,10 @@ func Refs(clusters []*Cluster) []staging.ClusterRef {
 	return refs
 }
 
-// PlanFor returns the wave schedule Deploy would execute for policy over
-// the clusters — the very plan internal/simulator runs on its event
-// engine, which is what makes simulated and live rollouts of the same
-// fleet follow the same schedule.
+// PlanFor returns the wave schedule of policy, as given, over the
+// clusters (Deploy applies the urgent bypass first) — the very plan
+// internal/simulator runs on its event engine, which is what makes
+// simulated and live rollouts of the same fleet follow the same schedule.
 func (ctl *Controller) PlanFor(policy Policy, clusters []*Cluster) *staging.Plan {
 	return staging.BuildPlan(policy, Refs(clusters), ctl.Seed)
 }
@@ -472,18 +472,23 @@ func EffectivePolicy(policy Policy, up *pkgmgr.Upgrade) Policy {
 	return policy
 }
 
-// Deploy runs the upgrade across the clusters under EffectivePolicy(policy,
-// up) and returns the outcome.
+// Deploy runs the upgrade across the clusters: it is Run of the plan
+// PlanFor builds for EffectivePolicy(policy, up).
+func (ctl *Controller) Deploy(ctx context.Context, policy Policy, up *pkgmgr.Upgrade, clusters []*Cluster) (*Outcome, error) {
+	return ctl.Run(ctx, ctl.PlanFor(EffectivePolicy(policy, up), clusters), up, clusters)
+}
+
+// Run executes plan — exactly that schedule, whatever up's urgency — to
+// deploy the upgrade across the clusters, and returns the outcome.
 //
 // Cancelling ctx aborts the rollout promptly — mid-wave, mid-backoff or at
 // a stage barrier: no new member test starts after cancellation, retry
 // sleeps are cut short, and the abort is journaled as an abandoned record
 // (an aborted rollout is not resumable — resuming it would be an operator
-// mistake worth naming). Deploy then returns the partial outcome plus an
+// mistake worth naming). Run then returns the partial outcome plus an
 // error wrapping ctx.Err(). Cancelling with cause ErrSuspended stops it the
 // same way but journals nothing, and the error wraps ErrSuspended.
-func (ctl *Controller) Deploy(ctx context.Context, policy Policy, up *pkgmgr.Upgrade, clusters []*Cluster) (*Outcome, error) {
-	policy = EffectivePolicy(policy, up)
+func (ctl *Controller) Run(ctx context.Context, plan *staging.Plan, up *pkgmgr.Upgrade, clusters []*Cluster) (*Outcome, error) {
 	var before TransferStats
 	if ctl.Transfer != nil {
 		before = ctl.Transfer()
@@ -500,9 +505,10 @@ func (ctl *Controller) Deploy(ctx context.Context, policy Policy, up *pkgmgr.Upg
 	}
 	cur.begin(up.ID, size)
 
-	r := &waveRunner{ctx: ctx, ctl: ctl, cur: cur, up: up, clusters: byID,
-		clean: make(map[string]bool), skipStages: cur.DoneStages}
-	staging.Execute(ctl.PlanFor(policy, clusters), r)
+	r := &waveRunner{ctx: ctx, ctl: ctl, cur: cur, up: up, clusters: byID, clean: make(map[string]bool)}
+	// Stages below done were gated by a previous run (journal resume).
+	done := cur.DoneStages
+	staging.Execute(plan, func(i int, st staging.Stage) bool { return r.runStage(i, st, i < done) })
 	if r.err == nil && !r.abandoned {
 		r.flushPromoted()
 	}
@@ -513,7 +519,7 @@ func (ctl *Controller) Deploy(ctx context.Context, policy Policy, up *pkgmgr.Upg
 		// the final version on them now.
 		r.notifyFinal(clusters)
 	}
-	out := cur.outcome(policy, clusters)
+	out := cur.outcome(plan.Policy, clusters)
 	out.Abandoned = r.abandoned
 	if ctl.Transfer != nil {
 		out.Transfer = ctl.Transfer().Sub(before)
@@ -539,10 +545,6 @@ type waveRunner struct {
 	// promoted holds elastic waves released past their barrier; they run
 	// as one merged parallel wave at the end of the plan.
 	promoted []staging.Wave
-	// stage counts RunStage invocations (the plan stage index); stages
-	// below skipStages were completed by a previous run (journal resume)
-	// and release their gate without re-running.
-	stage, skipStages int
 	// abandoned is set when the vendor gave up (Outcome.Abandoned). The
 	// fold cannot say so: an operator abort writes the same record.
 	abandoned bool
@@ -657,17 +659,13 @@ func (r *waveRunner) emit(ev Event) {
 	}
 }
 
-// RunStage implements staging.Executor. A stage that fails terminally —
-// vendor abandonment or a node error — does not release its gate, which
-// halts the plan. Stages a resume cursor records as gated release
-// immediately, without re-running or re-journaling their waves.
-func (r *waveRunner) RunStage(st staging.Stage, done func()) {
-	idx := r.stage
-	r.stage++
-	if r.err != nil || r.abandoned {
-		return
-	}
-	if idx < r.skipStages {
+// runStage runs stage idx of the plan and reports whether its gate
+// released. A stage that fails terminally — vendor abandonment or a node
+// error — does not release its gate, which halts the plan. A stage done
+// by a previous run releases at once, without re-running or
+// re-journaling its waves.
+func (r *waveRunner) runStage(idx int, st staging.Stage, done bool) bool {
+	if done {
 		// A gated stage may still owe work: an elastic stage's gate
 		// releases while its promoted waves wait for the end of the plan,
 		// so a crash after the gate but before the promoted flush must
@@ -682,11 +680,10 @@ func (r *waveRunner) RunStage(st staging.Stage, done func()) {
 		// Members this stage integrated on the previous run are gated
 		// again: peer eligibility must survive a journal resume.
 		r.notifyGated(st)
-		done()
-		return
+		return true
 	}
 	if r.gate(idx) {
-		return
+		return false
 	}
 	span := telemetry.Start(r.ctx, nil, "stage", fmt.Sprintf("stage %d", idx), "")
 	defer func() { span.End(r.err) }()
@@ -703,16 +700,16 @@ func (r *waveRunner) RunStage(st staging.Stage, done func()) {
 	}
 	r.converge(span.Context(r.ctx), idx, waves, st.RetryAll)
 	if r.err != nil || r.abandoned {
-		return
+		return false
 	}
 	r.emit(Event{Type: RecGate, Stage: idx, UpgradeID: r.up.ID})
 	if r.err != nil {
 		// The gate record could not be journaled; releasing the gate
 		// anyway would let the plan outrun its journal.
-		return
+		return false
 	}
 	r.notifyGated(st)
-	done()
+	return true
 }
 
 // notifyGated reports a gated stage's integrated, non-quarantined members

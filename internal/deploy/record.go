@@ -116,13 +116,13 @@ type Cursor struct {
 	// Stage is the last plan stage that started (-1 before the first).
 	Stage int
 	// DoneStages is the count of leading plan stages whose gate passed;
-	// Deploy releases them immediately without re-running their waves.
+	// Run releases them immediately without re-running their waves.
 	DoneStages int
 	// Rounds restores the vendor debugging round counter.
 	Rounds int
 	// UpgradeID is the upgrade version that was current when the journal
 	// ended (advanced past the original by recorded fix releases). The
-	// caller is responsible for passing Deploy the matching upgrade.
+	// caller is responsible for passing Run the matching upgrade.
 	UpgradeID string
 	// FinalID restores the last upgrade version the journal records as
 	// actually integrated on a node, so a resumed outcome that performs
@@ -167,7 +167,7 @@ type Cursor struct {
 	Drifted      []string
 	DriftCluster map[string]string
 
-	// from is the upgrade the last Deploy over this fold started from: the
+	// from is the upgrade the last Run over this fold started from: the
 	// version an Outcome names as final until a member integrates one.
 	from string
 }
@@ -263,7 +263,7 @@ func (c *Cursor) begin(from string, n int) {
 }
 
 // final is the version an Outcome names as deployed: the last one a
-// member integrated or, before any did, the one Deploy started from.
+// member integrated or, before any did, the one Run started from.
 func (c *Cursor) final() string {
 	if c.FinalID != "" {
 		return c.FinalID
@@ -280,7 +280,7 @@ func (c *Cursor) Member(name, cluster string) MemberStatus {
 }
 
 // outcome reads the fold as the Outcome of a run over clusters. It is the
-// one place a fold becomes an Outcome, for Deploy and for Rollback.
+// one place a fold becomes an Outcome, for Run and for Rollback.
 func (c *Cursor) outcome(policy Policy, clusters []*Cluster) *Outcome {
 	out := &Outcome{Policy: policy, FinalID: c.final(), Rounds: c.Rounds, Overhead: c.Overhead,
 		Nodes: make(map[string]*MemberStatus)}

@@ -170,6 +170,41 @@ func TestTraceEndpoint(t *testing.T) {
 	}
 }
 
+// TestStageSpansEndWithTheirStage: in a traced 4-cluster Balanced rollout
+// each of the eight stage spans ends before the next one starts, so a
+// stage span's duration is its own stage's and not the time to the end of
+// the plan.
+func TestStageSpansEndWithTheirStage(t *testing.T) {
+	orch := New(t.TempDir())
+	orch.Tracer = &telemetry.Tracer{}
+	h, err := orch.Start(context.Background(), Spec{
+		Policy: deploy.PolicyBalanced, Upgrade: upgrade("v1"), Clusters: fleet("ss", 4, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var stages []telemetry.Span
+	for _, sp := range orch.Tracer.Get(h.ID()).Snapshot().Spans {
+		if sp.Kind == "stage" {
+			stages = append(stages, sp)
+		}
+	}
+	if len(stages) != 8 {
+		t.Fatalf("%d stage spans, want 8", len(stages))
+	}
+	for i, sp := range stages {
+		if sp.Name != fmt.Sprintf("stage %d", i) || sp.Open {
+			t.Fatalf("stage span %d is %+v", i, sp)
+		}
+		if i > 0 && stages[i-1].StartNS+stages[i-1].DurNS > sp.StartNS {
+			t.Fatalf("%s ends at %dns, after %s starts at %dns", stages[i-1].Name,
+				stages[i-1].StartNS+stages[i-1].DurNS, sp.Name, sp.StartNS)
+		}
+	}
+}
+
 // TestSpanIsItsSample: each timed operation of a traced rollout over real
 // TCP — member test and integrate, agent RPC, stage barrier and admission
 // wait — is measured once. Its spans and its histogram's samples agree

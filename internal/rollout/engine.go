@@ -60,25 +60,23 @@ type Engine struct {
 }
 
 // Deploy runs (or resumes) the upgrade across the clusters under policy,
-// journaling every state transition. On success the journal is sealed
-// with a completion record. Cancelling ctx aborts the rollout: the
-// controller journals an abandoned record (so the journal refuses to
-// resume — an abort is terminal, not a pause) and Deploy returns the
-// partial outcome with an error wrapping ctx.Err(); cancelled with cause
+// journaling every state transition. It builds the plan Controller.Deploy
+// would, heads the journal with it (or checks a resumed journal against
+// it) and has Controller.Run execute that very plan — so the journaled
+// plan is the executed plan, even when a resume continues from a rebuilt
+// fix of another urgency. On success the journal is sealed with a
+// completion record. Cancelling ctx aborts the rollout: the controller
+// journals an abandoned record (so the journal refuses to resume — an
+// abort is terminal, not a pause) and Deploy returns the partial outcome
+// with an error wrapping ctx.Err(); cancelled with cause
 // deploy.ErrSuspended, it journals nothing and the journal resumes.
 // Resuming a journal whose forward pass ended resumes its rollback: one
 // already begun, or — with AutoRollback armed — the one an abandoned
 // journal owes.
 func (e *Engine) Deploy(ctx context.Context, policy deploy.Policy, up *pkgmgr.Upgrade, clusters []*deploy.Cluster) (*deploy.Outcome, error) {
 	ctl := e.Controller
-	// The journaled plan is the plan that actually executes, urgent bypass
-	// included. It is built here for its hash and rebuilt inside
-	// Controller.Deploy; both calls read the same policy, clusters and
-	// ctl.Seed, so the controller must not be mutated while Deploy runs or
-	// the journaled identity would describe a schedule that never executed.
-	policy = deploy.EffectivePolicy(policy, up)
 	refs := deploy.Refs(clusters)
-	plan := ctl.PlanFor(policy, clusters)
+	plan := ctl.PlanFor(deploy.EffectivePolicy(policy, up), clusters)
 
 	var j *Journal
 	var prior []Record
@@ -123,7 +121,7 @@ func (e *Engine) Deploy(ctx context.Context, policy deploy.Policy, up *pkgmgr.Up
 		return e.rollback(ctx, cur, clusters)
 	}
 
-	out, err := ctl.Deploy(ctx, policy, up, clusters)
+	out, err := ctl.Run(ctx, plan, up, clusters)
 	if err != nil || out == nil {
 		return out, err
 	}

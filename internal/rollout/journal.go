@@ -17,7 +17,7 @@
 //   - Resume folds a journal (deploy.Cursor.Apply) after checking it
 //     against a freshly built plan — refusing to resume if the plan hash
 //     no longer matches — and returns the deploy.Cursor that lets
-//     staging.Execute skip completed stages and already-integrated
+//     deploy.Controller.Run skip completed stages and already-integrated
 //     members.
 //   - Engine wires the three around a deploy.Controller: create-or-resume
 //     the journal, install recorder and cursor, run the deployment, seal

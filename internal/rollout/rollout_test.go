@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -332,6 +333,51 @@ func TestResumeRebuildsFixedVersion(t *testing.T) {
 	}
 	if out.FinalID != "v2" || out.Rounds != 1 || node.ints["v2"] != 1 || node.ints["v1"] != 0 {
 		t.Fatalf("outcome = %+v, node = %+v", out, node.ints)
+	}
+}
+
+// TestResumeRunsTheJournaledPlan: a journal headed by a four-stage
+// Balanced plan that ended on fix v2 resumes through a Rebuild hook
+// returning an urgent v2. The resumed run executes the journaled plan,
+// stage by stage, not the one-stage NoStaging plan v2's urgency would
+// have chosen for a fresh rollout.
+func TestResumeRunsTheJournaledPlan(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "rollout.journal")
+	clusters, nodes := twoClusterFleet()
+	ctl := deploy.NewController(report.New(), nil)
+	plan := ctl.PlanFor(deploy.PolicyBalanced, clusters)
+	j, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prior := []Record{PlanRecord(plan, deploy.Refs(clusters), "v1"),
+		{Type: RecStageStart, Stage: 0, UpgradeID: "v1"},
+		{Type: deploy.RecFix, Stage: 0, UpgradeID: "v2", PrevID: "v1", Round: 1}}
+	for _, r := range prior {
+		if err := j.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+
+	eng := &Engine{Controller: ctl, Path: path, Resume: true,
+		Rebuild: func(id string) (*pkgmgr.Upgrade, bool) {
+			u := testUpgrade(id)
+			u.Urgent = true
+			return u, id == "v2"
+		}}
+	out, err := eng.Deploy(context.Background(), deploy.PolicyBalanced, testUpgrade("v1"), clusters)
+	if err != nil || out.Integrated() != len(nodes) || out.FinalID != "v2" {
+		t.Fatalf("resume: %v, outcome %+v", err, out)
+	}
+	var started []int
+	for _, r := range mustLoad(t, path)[len(prior):] {
+		if r.Type == RecStageStart {
+			started = append(started, r.Stage)
+		}
+	}
+	if len(plan.Stages) != 4 || !slices.Equal(started, []int{0, 1, 2, 3}) {
+		t.Fatalf("resumed run started stages %v of the journaled %d-stage plan", started, len(plan.Stages))
 	}
 }
 

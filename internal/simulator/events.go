@@ -5,14 +5,16 @@
 // upgrade problems (prevalent and non-prevalent), and misplaced machines.
 package simulator
 
-import "container/heap"
+import (
+	"container/heap"
+	"fmt"
+)
 
 // event is one scheduled callback.
 type event struct {
-	at   float64
-	seq  int // tie-break: schedule order, for determinism
-	name string
-	fn   func()
+	at  float64
+	seq int // tie-break: schedule order, for determinism
+	fn  func()
 }
 
 // eventHeap is a min-heap ordered by time then schedule order.
@@ -57,26 +59,37 @@ func (e *Engine) Now() float64 { return e.now }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it would silently reorder causality.
-func (e *Engine) At(t float64, name string, fn func()) {
+func (e *Engine) At(t float64, fn func()) {
 	if t < e.now {
-		panic("simulator: scheduling event in the past: " + name)
+		panic(fmt.Sprintf("simulator: scheduling event at %g, before now (%g)", t, e.now))
 	}
 	e.seq++
-	heap.Push(&e.queue, &event{at: t, seq: e.seq, name: name, fn: fn})
+	heap.Push(&e.queue, &event{at: t, seq: e.seq, fn: fn})
 }
 
 // After schedules fn to run d time units from now.
-func (e *Engine) After(d float64, name string, fn func()) {
-	e.At(e.now+d, name, fn)
+func (e *Engine) After(d float64, fn func()) {
+	e.At(e.now+d, fn)
 }
 
 // Run executes events until the queue drains and returns the final time.
 func (e *Engine) Run() float64 {
-	for e.queue.Len() > 0 {
+	e.RunUntil(func() bool { return false })
+	return e.now
+}
+
+// RunUntil executes events in order until done reports true, consulting
+// it before each event, and reports whether it did; false means the queue
+// drained first.
+func (e *Engine) RunUntil(done func() bool) bool {
+	for !done() {
+		if e.queue.Len() == 0 {
+			return false
+		}
 		ev := heap.Pop(&e.queue).(*event)
 		e.now = ev.at
 		e.Events++
 		ev.fn()
 	}
-	return e.now
+	return true
 }

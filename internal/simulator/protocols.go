@@ -39,7 +39,7 @@ func Run(p Params, policy staging.Policy, clusters []ClusterSpec, seed uint64) *
 	for i := range clusters {
 		ex.specs[clusters[i].Name] = &clusters[i]
 	}
-	staging.Execute(PlanFor(policy, clusters, seed), ex)
+	staging.Execute(PlanFor(policy, clusters, seed), ex.runStage)
 	return s.Finish()
 }
 
@@ -89,7 +89,7 @@ func Adaptive(p Params, clusters []ClusterSpec) *Result {
 	return Run(p, staging.PolicyAdaptive, clusters, 0)
 }
 
-// simExecutor implements staging.Executor on the discrete-event engine.
+// simExecutor runs plan stages on the discrete-event engine.
 type simExecutor struct {
 	s     *Sim
 	specs map[string]*ClusterSpec
@@ -98,22 +98,15 @@ type simExecutor struct {
 	clean map[string]bool
 }
 
-func (e *simExecutor) RunStage(st staging.Stage, done func()) {
-	if st.RetryAll {
-		e.runJointRepsStage(st, done)
-		return
-	}
+// runStage schedules the stage's waves, runs the engine until every wave
+// has converged — the stage's gate — and reports whether it did.
+func (e *simExecutor) runStage(_ int, st staging.Stage) bool {
 	remaining := len(st.Waves)
-	if remaining == 0 {
-		done()
-		return
+	if st.RetryAll {
+		e.runJointRepsStage(st, func() { remaining = 0 })
+		return e.s.RunUntil(func() bool { return remaining == 0 })
 	}
-	converged := func() {
-		remaining--
-		if remaining == 0 {
-			done()
-		}
-	}
+	converged := func() { remaining-- }
 	for _, w := range st.Waves {
 		c := e.specs[w.Cluster]
 		switch w.Group {
@@ -133,6 +126,7 @@ func (e *simExecutor) RunStage(st staging.Stage, done func()) {
 			}
 		}
 	}
+	return e.s.RunUntil(func() bool { return remaining == 0 })
 }
 
 // runAllWave deploys to the whole cluster at once (NoStaging): the online
@@ -150,9 +144,9 @@ func (e *simExecutor) runAllWave(c *ClusterSpec, done func()) {
 			done()
 			return
 		}
-		s.At(out.FixReady+s.P.RoundTrip(), "all-retry:"+c.Name, attempt)
+		s.At(out.FixReady+s.P.RoundTrip(), attempt)
 	}
-	s.After(s.P.RoundTrip(), "all-test:"+c.Name, attempt)
+	s.After(s.P.RoundTrip(), attempt)
 }
 
 // runRepsWave tests the cluster's representatives, retrying after fixes
@@ -165,12 +159,12 @@ func (e *simExecutor) runRepsWave(c *ClusterSpec, done func()) {
 		out := s.TestGroup(c, c.Reps, true)
 		if out.Failed > 0 {
 			e.clean[c.Name] = false
-			s.At(out.FixReady+s.P.RoundTrip(), "rep-retry:"+c.Name, attempt)
+			s.At(out.FixReady+s.P.RoundTrip(), attempt)
 			return
 		}
 		done()
 	}
-	s.After(s.P.RoundTrip(), "rep-test:"+c.Name, attempt)
+	s.After(s.P.RoundTrip(), attempt)
 }
 
 // runOthersWave deploys to the cluster's non-representatives. Only the
@@ -205,13 +199,13 @@ func (e *simExecutor) runOthersWave(c *ClusterSpec, done func()) {
 			s.Res.LateTests += c.Offline
 			out := s.TestGroup(c, c.Offline, false)
 			if out.Failed > 0 {
-				s.At(out.FixReady+s.P.RoundTrip(), "late-gate-retry:"+c.Name, lateGate)
+				s.At(out.FixReady+s.P.RoundTrip(), lateGate)
 				return
 			}
 			s.MarkDone(c)
 			done()
 		}
-		s.At(ret+s.P.RoundTrip(), "late-gate:"+c.Name, lateGate)
+		s.At(ret+s.P.RoundTrip(), lateGate)
 	}
 
 	var retry func()
@@ -225,7 +219,7 @@ func (e *simExecutor) runOthersWave(c *ClusterSpec, done func()) {
 		// be notified of a corrected version); the failing machines —
 		// misplaced ones, or the whole group when clustering let an
 		// unfixed problem through — retry after the fix.
-		s.At(out.FixReady+s.P.RoundTrip(), "nonrep-retry:"+c.Name, retry)
+		s.At(out.FixReady+s.P.RoundTrip(), retry)
 	}
 	retry = func() {
 		// Only the previously failing machines re-test: passing n=0
@@ -235,9 +229,9 @@ func (e *simExecutor) runOthersWave(c *ClusterSpec, done func()) {
 			complete()
 			return
 		}
-		s.At(out.FixReady+s.P.RoundTrip(), "nonrep-retry:"+c.Name, retry)
+		s.At(out.FixReady+s.P.RoundTrip(), retry)
 	}
-	s.After(s.P.RoundTrip(), "nonrep-test:"+c.Name, first)
+	s.After(s.P.RoundTrip(), first)
 }
 
 // runJointRepsStage executes a RetryAll stage (FrontLoading phase 1):
@@ -262,12 +256,12 @@ func (e *simExecutor) runJointRepsStage(st staging.Stage, done func()) {
 			}
 		}
 		if anyFailed {
-			s.At(latestFix+s.P.RoundTrip(), "phase1-round", round)
+			s.At(latestFix+s.P.RoundTrip(), round)
 			return
 		}
 		done()
 	}
-	s.After(s.P.RoundTrip(), "phase1-round", round)
+	s.After(s.P.RoundTrip(), round)
 }
 
 // scheduleLateArrivals handles the machines that were offline when their
@@ -289,8 +283,8 @@ func scheduleLateArrivals(s *Sim, c *ClusterSpec) {
 		s.Res.LateTests += c.Offline
 		out := s.TestGroup(c, c.Offline, false)
 		if out.Failed > 0 {
-			s.At(out.FixReady+s.P.RoundTrip(), "late-retry:"+c.Name, attempt)
+			s.At(out.FixReady+s.P.RoundTrip(), attempt)
 		}
 	}
-	s.At(ret+s.P.RoundTrip(), "late-arrival:"+c.Name, attempt)
+	s.At(ret+s.P.RoundTrip(), attempt)
 }

@@ -2,6 +2,7 @@ package simulator
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -55,9 +56,9 @@ func totalProblemMachines(specs []ClusterSpec) int {
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine()
 	var got []string
-	e.At(5, "b", func() { got = append(got, "b") })
-	e.At(3, "a", func() { got = append(got, "a") })
-	e.At(5, "c", func() { got = append(got, "c") })
+	e.At(5, func() { got = append(got, "b") })
+	e.At(3, func() { got = append(got, "a") })
+	e.At(5, func() { got = append(got, "c") })
 	end := e.Run()
 	if end != 5 {
 		t.Fatalf("end time = %v", end)
@@ -69,13 +70,14 @@ func TestEngineOrdering(t *testing.T) {
 
 func TestEnginePastPanics(t *testing.T) {
 	e := NewEngine()
-	e.At(10, "x", func() {
+	e.At(10, func() {
 		defer func() {
-			if recover() == nil {
-				t.Error("scheduling in the past did not panic")
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "at 5, before now (10)") {
+				t.Errorf("scheduling in the past panicked with %q, want both times named", msg)
 			}
 		}()
-		e.At(5, "past", func() {})
+		e.At(5, func() {})
 	})
 	e.Run()
 }
@@ -87,10 +89,13 @@ func TestEngineNestedScheduling(t *testing.T) {
 	tick = func() {
 		ticks++
 		if ticks < 5 {
-			e.After(10, "tick", tick)
+			e.After(10, tick)
 		}
 	}
-	e.After(10, "tick", tick)
+	e.After(10, tick)
+	if !e.RunUntil(func() bool { return ticks == 3 }) || e.Now() != 30 {
+		t.Fatalf("RunUntil stopped at %v after %d ticks, want 30 after 3", e.Now(), ticks)
+	}
 	if end := e.Run(); end != 50 || ticks != 5 {
 		t.Fatalf("end=%v ticks=%d", end, ticks)
 	}
@@ -99,7 +104,7 @@ func TestEngineNestedScheduling(t *testing.T) {
 func TestVendorSerialDebugging(t *testing.T) {
 	s := NewSim(DefaultParams(), "test")
 	var f1, f2, f1again float64
-	s.At(15, "r", func() {
+	s.At(15, func() {
 		f1 = s.Report("p1", 1)
 		f2 = s.Report("p2", 1)
 		f1again = s.Report("p1", 3)
@@ -121,13 +126,13 @@ func TestVendorSerialDebugging(t *testing.T) {
 
 func TestFixedVisibilityOverTime(t *testing.T) {
 	s := NewSim(DefaultParams(), "test")
-	s.At(0, "report", func() { s.Report("p", 1) })
-	s.At(100, "check-early", func() {
+	s.At(0, func() { s.Report("p", 1) })
+	s.At(100, func() {
 		if s.Fixed("p") {
 			t.Error("problem fixed before fix time elapsed")
 		}
 	})
-	s.At(600, "check-late", func() {
+	s.At(600, func() {
 		if !s.Fixed("p") {
 			t.Error("problem not fixed after fix time")
 		}

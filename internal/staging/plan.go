@@ -172,33 +172,14 @@ func (p *Plan) Describe() string {
 	return b.String()
 }
 
-// Executor runs the waves of one stage. Implementations launch every
-// wave of the stage (concurrently where the mechanism supports it),
-// converge on failures per the stage's retry mode, and invoke done
-// exactly once when the stage's gate releases. An executor that stops
-// early — a vendor abandoning the upgrade, a node error — simply does
-// not invoke done, and the plan halts.
-type Executor interface {
-	RunStage(st Stage, done func())
-}
-
-// Execute drives the plan's stages through the executor in order. It
-// supports both synchronous executors (done called before RunStage
-// returns) and event-driven ones (done called from a scheduled event).
-func Execute(p *Plan, ex Executor) {
-	var step func(i int)
-	step = func(i int) {
-		if i >= len(p.Stages) {
+// Execute runs the plan's stages in order. run executes stage i and
+// returns once it is over, reporting whether the stage's gate released;
+// the plan halts at the first stage whose gate does not — a vendor
+// abandoning the upgrade, a node error.
+func Execute(p *Plan, run func(i int, st Stage) bool) {
+	for i, st := range p.Stages {
+		if !run(i, st) {
 			return
 		}
-		released := false
-		ex.RunStage(p.Stages[i], func() {
-			if released {
-				panic("staging: stage " + fmt.Sprint(i) + " released its gate twice")
-			}
-			released = true
-			step(i + 1)
-		})
 	}
-	step(0)
 }

@@ -1,8 +1,8 @@
 // Package staging owns the semantics of Mirage's staged deployment
 // protocols (paper §4.3) in exactly one place. A Policy plus the cluster
 // topology yields a Plan — an ordered sequence of stages, each a set of
-// waves over {cluster, representatives-vs-others} groups — and an
-// Executor runs the plan's stages in order.
+// waves over {cluster, representatives-vs-others} groups — and Execute
+// runs the plan's stages in order, one stage to its gate before the next.
 //
 // Two executors exist: the event-driven simulator (internal/simulator)
 // schedules waves on its discrete-event engine to predict latency and

@@ -184,13 +184,12 @@ func TestBuildPlanEmptyFleet(t *testing.T) {
 			t.Fatalf("%s: empty fleet produced %d stages", pol, len(p.Stages))
 		}
 		// An empty plan executes as a no-op.
-		Execute(p, failExecutor{t})
+		Execute(p, func(int, Stage) bool {
+			t.Fatal("stage run on empty plan")
+			return false
+		})
 	}
 }
-
-type failExecutor struct{ t *testing.T }
-
-func (f failExecutor) RunStage(Stage, func()) { f.t.Fatal("stage run on empty plan") }
 
 func TestDescribeCanonical(t *testing.T) {
 	d := BuildPlan(PolicyFrontLoading, refs3(), 0).Describe()
@@ -202,54 +201,35 @@ func TestDescribeCanonical(t *testing.T) {
 	}
 }
 
-// scriptedExecutor records stage execution order and releases gates
-// synchronously until told to stall.
-type scriptedExecutor struct {
-	ran     []string
-	stallAt int // stage index that never releases its gate (-1: none)
-}
-
-func (e *scriptedExecutor) RunStage(st Stage, done func()) {
-	e.ran = append(e.ran, st.Waves[0].String())
-	if len(e.ran)-1 == e.stallAt {
-		return
+// scripted returns a stage runner that records stage execution order and
+// releases gates until stage stallAt (-1: none), whose gate it holds.
+func scripted(t *testing.T, ran *[]string, stallAt int) func(int, Stage) bool {
+	return func(i int, st Stage) bool {
+		if i != len(*ran) {
+			t.Fatalf("stage %d run after %d stages", i, len(*ran))
+		}
+		*ran = append(*ran, st.Waves[0].String())
+		return i != stallAt
 	}
-	done()
 }
 
 func TestExecuteRunsStagesInOrder(t *testing.T) {
 	p := BuildPlan(PolicyBalanced, refs3(), 0)
-	ex := &scriptedExecutor{stallAt: -1}
-	Execute(p, ex)
-	if len(ex.ran) != len(p.Stages) {
-		t.Fatalf("ran %d of %d stages", len(ex.ran), len(p.Stages))
+	var ran []string
+	Execute(p, scripted(t, &ran, -1))
+	if len(ran) != len(p.Stages) {
+		t.Fatalf("ran %d of %d stages", len(ran), len(p.Stages))
 	}
-	if ex.ran[0] != "near/reps" || ex.ran[len(ex.ran)-1] != "far/others" {
-		t.Fatalf("order = %v", ex.ran)
+	if ran[0] != "near/reps" || ran[len(ran)-1] != "far/others" {
+		t.Fatalf("order = %v", ran)
 	}
 }
 
 func TestExecuteHaltsOnUnreleasedGate(t *testing.T) {
 	p := BuildPlan(PolicyBalanced, refs3(), 0)
-	ex := &scriptedExecutor{stallAt: 2}
-	Execute(p, ex)
-	if len(ex.ran) != 3 {
-		t.Fatalf("ran %d stages after stall, want 3", len(ex.ran))
+	var ran []string
+	Execute(p, scripted(t, &ran, 2))
+	if len(ran) != 3 {
+		t.Fatalf("ran %d stages after stall, want 3", len(ran))
 	}
-}
-
-type doubleDoneExecutor struct{}
-
-func (doubleDoneExecutor) RunStage(st Stage, done func()) {
-	done()
-	done()
-}
-
-func TestExecutePanicsOnDoubleRelease(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double gate release did not panic")
-		}
-	}()
-	Execute(BuildPlan(PolicyNoStaging, refs3(), 0), doubleDoneExecutor{})
 }
