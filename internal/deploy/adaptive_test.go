@@ -1,9 +1,12 @@
 package deploy
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/pkgmgr"
@@ -274,5 +277,54 @@ func TestWorkerPoolLargerThanWave(t *testing.T) {
 	}
 	if out.Integrated() != 12 {
 		t.Fatalf("integrated = %d", out.Integrated())
+	}
+}
+
+// goroutineNode records the goroutine each of its Node calls runs on.
+type goroutineNode struct {
+	*fakeNode
+	ids *sync.Map
+}
+
+func (n goroutineNode) note() {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)] // "goroutine 18 [running]:..."
+	n.ids.Store(string(bytes.Fields(buf)[1]), true)
+}
+
+func (n goroutineNode) TestUpgrade(ctx context.Context, up *pkgmgr.Upgrade) (*report.Report, error) {
+	n.note()
+	return n.fakeNode.TestUpgrade(ctx, up)
+}
+
+func (n goroutineNode) Integrate(ctx context.Context, up *pkgmgr.Upgrade) error {
+	n.note()
+	return n.fakeNode.Integrate(ctx, up)
+}
+
+// TestWorkerPoolLivesForTheRollout: every test and integrate pass of a
+// 50-stage plan runs on one pool of Parallelism workers, started once for
+// the rollout rather than once per pass.
+func TestWorkerPoolLivesForTheRollout(t *testing.T) {
+	var ids sync.Map
+	clusters := bigFleet(25, 4, nil)
+	for _, c := range clusters {
+		for _, ns := range [][]Node{c.Representatives, c.Others} {
+			for i, n := range ns {
+				ns[i] = goroutineNode{n.(*fakeNode), &ids}
+			}
+		}
+	}
+	ctl := NewController(report.New(), nil)
+	ctl.Parallelism = 2
+	plan := ctl.PlanFor(PolicyBalanced, clusters)
+	out, err := ctl.Run(context.Background(), plan, up("v1"), clusters)
+	if err != nil || out.Integrated() != 100 || len(plan.Stages) != 50 {
+		t.Fatalf("run: %v, %d integrated over %d stages", err, out.Integrated(), len(plan.Stages))
+	}
+	n := 0
+	ids.Range(func(any, any) bool { n++; return true })
+	if n > ctl.Parallelism {
+		t.Fatalf("Node calls ran on %d goroutines, want at most Parallelism = %d", n, ctl.Parallelism)
 	}
 }

@@ -479,7 +479,10 @@ func (ctl *Controller) Deploy(ctx context.Context, policy Policy, up *pkgmgr.Upg
 }
 
 // Run executes plan — exactly that schedule, whatever up's urgency — to
-// deploy the upgrade across the clusters, and returns the outcome.
+// deploy the upgrade across the clusters, and returns the outcome. Every
+// wave's member RPCs run on one worker pool that lives for the rollout:
+// at most Parallelism goroutines, started as the first waves need them and
+// stopped when Run returns, so a stage starts no goroutine of its own.
 //
 // Cancelling ctx aborts the rollout promptly — mid-wave, mid-backoff or at
 // a stage barrier: no new member test starts after cancellation, retry
@@ -505,7 +508,11 @@ func (ctl *Controller) Run(ctx context.Context, plan *staging.Plan, up *pkgmgr.U
 	}
 	cur.begin(up.ID, size)
 
-	r := &waveRunner{ctx: ctx, ctl: ctl, cur: cur, up: up, clusters: byID, clean: make(map[string]bool)}
+	r := &waveRunner{ctx: ctx, ctl: ctl, cur: cur, up: up, clusters: byID, clean: make(map[string]bool),
+		// One result slot per worker: it parks a result and takes its next
+		// job while the dispatcher is still booking an earlier one.
+		jobs: make(chan poolJob), results: make(chan int, max(ctl.Parallelism, 1))}
+	defer r.stopPool()
 	// Stages below done were gated by a previous run (journal resume).
 	done := cur.DoneStages
 	staging.Execute(plan, func(i int, st staging.Stage) bool { return r.runStage(i, st, i < done) })
@@ -555,6 +562,20 @@ type waveRunner struct {
 	// pool finish and are folded into the outcome only.
 	halted bool
 	err    error
+
+	// jobs feeds the rollout's worker pool (runPool), whose workers each
+	// hand back the index of a finished job on results; stopPool waits for
+	// them on workerWG.
+	jobs     chan poolJob
+	results  chan int
+	workers  int
+	workerWG sync.WaitGroup
+}
+
+// poolJob is one work(i) call handed to the worker pool.
+type poolJob struct {
+	work func(i int)
+	i    int
 }
 
 // member pairs a node with the cluster it deploys under, so merged waves
@@ -894,54 +915,59 @@ func (r *waveRunner) quarantine(stage int, m member, reason string) {
 		Cluster: m.cluster, UpgradeID: r.up.ID, Reason: reason})
 }
 
-// runPool runs work(i) for every i in [0,n) on a pool of Parallelism
-// goroutines (one when Parallelism is below 2, never more than n) and
-// calls done(i) on the calling goroutine, in index order, as soon as i and
+// runPool runs work(i) for every i in [0,n) on the rollout's worker pool
+// (Parallelism goroutines, one when Parallelism is below 2) and calls
+// done(i) on the calling goroutine, in index order, as soon as i and
 // everything before it has finished. The calling goroutine is the
 // dispatcher: it hands out indices in order, keeps at most window of them
 // started but not yet passed to done, and asks proceed before each one —
 // once that says no, nothing further starts, while what already started
 // still finishes and is still passed to done. done and proceed therefore
-// share state without synchronisation.
+// share state without synchronisation. It returns only once every job it
+// started has finished, so the pool is idle between calls; the workers
+// themselves start on first need, no more than any call has asked for,
+// and stay for the next call until stopPool.
 func (r *waveRunner) runPool(n, window int, work func(i int), done func(i int), proceed func() bool) {
-	workers := min(max(r.ctl.Parallelism, 1), n)
-	feed := make(chan int)
-	// One slot per worker: it parks a result and takes its next index
-	// while the dispatcher is still booking an earlier one.
-	results := make(chan int, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range feed {
-				work(i)
-				results <- i
-			}
-		}()
+	for ; r.workers < min(cap(r.results), n); r.workers++ {
+		r.workerWG.Add(1)
+		go r.worker()
 	}
 	finished := make([]bool, n)
 	next, passed := 0, 0 // [passed, next) are started and not yet passed to done
 	for {
-		var to chan<- int
+		var to chan<- poolJob
 		if next < n && next-passed < window && proceed() {
-			to = feed
+			to = r.jobs
 		}
 		if to == nil && passed == next {
 			break // nothing in flight, nothing more to start
 		}
 		select {
-		case to <- next:
+		case to <- poolJob{work, next}:
 			next++
-		case i := <-results:
+		case i := <-r.results:
 			finished[i] = true
 			for ; passed < next && finished[passed]; passed++ {
 				done(passed)
 			}
 		}
 	}
-	close(feed)
-	wg.Wait()
+}
+
+// worker runs pool jobs until stopPool.
+func (r *waveRunner) worker() {
+	defer r.workerWG.Done()
+	for j := range r.jobs {
+		j.work(j.i)
+		r.results <- j.i
+	}
+}
+
+// stopPool stops the rollout's workers, idle once runPool has returned,
+// and waits for them to exit.
+func (r *waveRunner) stopPool() {
+	close(r.jobs)
+	r.workerWG.Wait()
 }
 
 // testMembers validates the current upgrade on every member. Node tests

@@ -36,9 +36,9 @@ func TestGroupCommitGateDurabilityOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if p := j.Pending(); p != 4 {
-		// Stage start synced; the four member records should be batched.
-		t.Fatalf("pending before gate = %d, want 4", p)
+	if p := j.Pending(); p != 5 {
+		// The stage start and the four member records ride the gate's sync.
+		t.Fatalf("pending before gate = %d, want 5", p)
 	}
 	if err := rec.OnEvent(deploy.Event{Type: RecGate, Stage: 0, UpgradeID: "u1"}); err != nil {
 		t.Fatal(err)
@@ -57,10 +57,54 @@ func TestGroupCommitGateDurabilityOrder(t *testing.T) {
 	if last := recs[len(recs)-1]; last.Type != RecGate {
 		t.Fatalf("last record = %q, want gate", last.Type)
 	}
-	// The whole point: far fewer fsyncs than records. Stage start + gate
-	// is 2; Create-era syncs are 0.
-	if got := j.Syncs(); got != 2 {
-		t.Fatalf("syncs = %d, want 2 (stage start + gate)", got)
+	// The whole point: far fewer fsyncs than records. The gate's is the
+	// stage's one; Create-era syncs are 0.
+	if got := j.Syncs(); got != 1 {
+		t.Fatalf("syncs = %d, want 1 (the gate)", got)
+	}
+}
+
+// TestSyncDisarmsGroupWindow: a sync disarms the group window it made
+// redundant, so the next buffered record opens a window of its own — one
+// armed in one stage never fsyncs part of a later one — and a window whose
+// timer fires after the sync that disarmed it cannot flush or clear the
+// window armed after it.
+func TestSyncDisarmsGroupWindow(t *testing.T) {
+	j, err := Create(filepath.Join(t.TempDir(), "window.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	j.GroupWindow = time.Hour
+	window := func() *time.Timer {
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		return j.timer
+	}
+	if err := j.AppendBuffered(Record{Type: RecTested, Stage: 0, Node: "m1"}); err != nil {
+		t.Fatal(err)
+	}
+	stale := window()
+	if stale == nil {
+		t.Fatal("a buffered record armed no group window")
+	}
+	if err := j.Append(Record{Type: RecGate, Stage: 0}); err != nil {
+		t.Fatal(err)
+	}
+	if window() != nil {
+		t.Fatal("the gate's sync left the group window armed")
+	}
+	if err := j.AppendBuffered(Record{Type: RecStageStart, Stage: 1}); err != nil {
+		t.Fatal(err)
+	}
+	fresh := window()
+	if fresh == nil || fresh == stale {
+		t.Fatal("the next buffered record opened no window of its own")
+	}
+	j.flushWindow(&stale) // the disarmed window's timer, firing late
+	if window() != fresh || j.Pending() != 1 || j.Syncs() != 1 {
+		t.Fatalf("a stale window acted: armed %v, pending %d, syncs %d; want the fresh window, 1, 1",
+			window() == fresh, j.Pending(), j.Syncs())
 	}
 }
 

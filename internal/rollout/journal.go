@@ -7,13 +7,18 @@
 //     identity record (policy, seed, upgrade ID, cluster refs, plan hash)
 //     followed by every state transition the controller performs (stage
 //     started, member tested/integrated/quarantined, fix released, gate
-//     passed, abandoned, complete). Appends are crash-safe: each record
-//     is one fsynced line, and Load tolerates a torn final line.
+//     passed, abandoned, complete). Each record is one complete JSON
+//     line; records whose loss would change what a resume does (the
+//     plan, a gate, an abandonment, completion, every rollback record)
+//     are fsynced before the caller goes on, the rest are group-committed
+//     with the next of those or within a few milliseconds, and Load
+//     tolerates a torn final line.
 //   - Recorder is the deploy.Observer a journaled controller runs with:
 //     the controller's events are journal records already, so it only
-//     appends them, syncing boundary records. A record that cannot be
-//     persisted halts the plan (write-ahead discipline), which is exactly
-//     what makes the journal trustworthy on resume.
+//     appends them, syncing the gate, abandoned and rollback records. A
+//     record that cannot be persisted halts the plan (write-ahead
+//     discipline), which is exactly what makes the journal trustworthy on
+//     resume.
 //   - Resume folds a journal (deploy.Cursor.Apply) after checking it
 //     against a freshly built plan — refusing to resume if the plan hash
 //     no longer matches — and returns the deploy.Cursor that lets
@@ -68,11 +73,12 @@ const DefaultGroupWindow = 5 * time.Millisecond
 // AppendBuffered is the group-commit variant: the line is written to the
 // file immediately but the fsync is deferred — to the next durable Append
 // (whose fsync commits everything before it in one disk flush), or to a
-// background flush after GroupWindow. A 100k-member rollout writes two
-// records per member; paying one fsync per record is minutes of pure disk
-// latency, while one fsync per gate plus a few-millisecond window is the
-// same durability where it matters (a gate record is still synced before
-// the gate releases, and everything before it rides that sync).
+// background flush once the record has waited GroupWindow. A 100k-member
+// rollout writes two records per member; paying one fsync per record is
+// minutes of pure disk latency, while one fsync per gate plus a
+// few-millisecond window is the same durability where it matters (a gate
+// record is still synced before the gate releases, and everything before
+// it rides that sync). A staged rollout thus pays one fsync per stage.
 type Journal struct {
 	mu   sync.Mutex
 	f    *os.File
@@ -98,7 +104,7 @@ type Journal struct {
 
 	pending int         // records written but not yet fsynced
 	err     error       // sticky: a failed write or sync poisons the journal
-	timer   *time.Timer // armed while pending > 0
+	timer   *time.Timer // the open group window: armed by the first buffered record after a sync
 	syncs   atomic.Int64
 
 	// fsyncDur and batchSize receive fsync latency and group-commit batch
@@ -178,7 +184,9 @@ func (j *Journal) AppendBuffered(rec Record) error {
 		if w <= 0 {
 			w = DefaultGroupWindow
 		}
-		j.timer = time.AfterFunc(w, j.flushWindow)
+		var t *time.Timer
+		t = time.AfterFunc(w, func() { j.flushWindow(&t) })
+		j.timer = t
 	}
 	return nil
 }
@@ -224,10 +232,17 @@ func (j *Journal) writeLocked(rec Record, durable bool) error {
 	return nil
 }
 
-// syncLocked fsyncs the file and settles the pending count; callers hold
-// j.mu. A failed sync poisons the journal: what the disk holds of the
-// pending records is unknown.
+// syncLocked fsyncs the file, settles the pending count and disarms the
+// group window, which has nothing left to flush: the next buffered record
+// opens a fresh one, so none waits longer than GroupWindow and no window
+// armed in one stage fsyncs part of a later one. Callers hold j.mu. A
+// failed sync poisons the journal: what the disk holds of the pending
+// records is unknown.
 func (j *Journal) syncLocked() error {
+	if j.timer != nil {
+		j.timer.Stop()
+		j.timer = nil
+	}
 	batch := j.pending
 	t0 := time.Now()
 	if err := j.f.Sync(); err != nil {
@@ -241,12 +256,17 @@ func (j *Journal) syncLocked() error {
 	return nil
 }
 
-// flushWindow is the group-commit timer callback: it syncs whatever is
-// pending; a failure is sticky (the rollout must halt at the next record,
-// not discover the loss at resume time).
-func (j *Journal) flushWindow() {
+// flushWindow is the group-commit timer callback of the window whose
+// timer is *t: it syncs whatever is pending; a failure is sticky (the
+// rollout must halt at the next record, not discover the loss at resume
+// time). A window that a sync or Close disarmed after its timer fired is
+// no longer j.timer, and does nothing: it cannot clear a newer window.
+func (j *Journal) flushWindow(t **time.Timer) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.timer != *t {
+		return
+	}
 	j.timer = nil
 	if j.f == nil || j.pending == 0 || j.err != nil {
 		return

@@ -45,17 +45,21 @@ func PlanRecord(plan *staging.Plan, refs []staging.ClusterRef, upgradeID string)
 // propagates back into the controller, which halts the plan — progress
 // the journal cannot record must not happen.
 //
-// Appends are group-committed: member-level records (tested, integrated,
-// quarantined, fix) are written immediately but fsynced in batches — by
-// the journal's group window, or by the next boundary record. Boundary
-// records (stage start, gate, abandoned, every rollback record) always
-// sync, and a file sync commits everything written before it, so the
-// write-ahead guarantee that matters is untouched: a gate never releases
-// before every record preceding it is durable, and a member never
-// reverts before the record of the previous revert is durable. What
-// group commit trades away is only the crash freshness of an unsynced
-// within-stage suffix, and losing those records merely makes resume redo
-// that work — the same window a crash between RPC and fsync always had.
+// Appends are group-committed: a stage's start and its member-level
+// records (tested, integrated, quarantined, fix) are written immediately
+// but fsynced in batches — by the journal's group window, or by the next
+// boundary record. Boundary records (gate, abandoned, every rollback
+// record) always sync, and a file sync commits everything written before
+// it, so the write-ahead guarantee that matters is untouched: a gate
+// never releases before every record preceding it is durable, and a
+// member never reverts before the record of the previous revert is
+// durable. What group commit trades away is only the crash freshness of
+// an unsynced within-stage suffix, and losing those records merely makes
+// resume redo that work — the same window a crash between RPC and fsync
+// always had. A stage start needs no sync of its own: the fold reads it
+// only as status (the stage a rollout is in), resume skips stages by
+// their gates, and a test changes nothing on the machine, so a journal
+// that lost one resumes exactly as one cut at the previous gate does.
 type Recorder struct {
 	J *Journal
 }
@@ -63,7 +67,7 @@ type Recorder struct {
 // OnEvent implements deploy.Observer.
 func (rec *Recorder) OnEvent(ev deploy.Event) error {
 	switch ev.Type {
-	case RecStageStart, RecGate, deploy.RecAbandoned,
+	case RecGate, deploy.RecAbandoned,
 		deploy.RecRollbackStart, deploy.RecRolledBack, deploy.RecRollbackSkip, deploy.RecRollbackDone:
 		return rec.J.Append(ev)
 	default:

@@ -81,7 +81,7 @@ func TestReplacedConnectionSurfacesTypedError(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	_, err := old.call(context.Background(), link.Frame{Op: link.OpPing}, nil)
+	err := old.call(context.Background(), &link.Frame{Op: link.OpPing}, nil, &link.Frame{})
 	if !errors.Is(err, ErrAgentReplaced) || !deploy.IsTransient(err) {
 		t.Fatalf("stale-handle error = %v, want ErrAgentReplaced", err)
 	}

@@ -120,7 +120,7 @@ func TestUnknownOpRejectedByAgent(t *testing.T) {
 	m := userMachine("strict", false)
 	s, _ := startFleet(t, m)
 	ac, _ := s.registry.Get("strict")
-	_, err := ac.call(context.Background(), link.Frame{Op: link.OpPeerGet}, nil)
+	err := ac.call(context.Background(), &link.Frame{Op: link.OpPeerGet}, nil, &link.Frame{})
 	if err == nil || !strings.Contains(err.Error(), "unknown op") {
 		t.Fatalf("err = %v", err)
 	}

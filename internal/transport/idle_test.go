@@ -162,8 +162,8 @@ func TestPooledBufferNotAliased(t *testing.T) {
 		borrowed <- ac.fc.R
 		agent.Write(sent)
 	}()
-	resp, err := ac.call(context.Background(), link.Frame{Op: link.OpPing}, nil)
-	if err != nil {
+	var resp link.Frame
+	if err := ac.call(context.Background(), &link.Frame{Op: link.OpPing}, nil, &resp); err != nil {
 		t.Fatal(err)
 	}
 	br := <-borrowed
@@ -220,7 +220,7 @@ func TestPooledBuffersConcurrentChannels(t *testing.T) {
 			ac, err := s.agent(name)
 			for i := 0; i < rounds && err == nil; i++ {
 				var resp link.Frame
-				if resp, err = ac.call(context.Background(), link.Frame{Op: link.OpPing}, nil); err == nil && resp.Status != name {
+				if err = ac.call(context.Background(), &link.Frame{Op: link.OpPing}, nil, &resp); err == nil && resp.Status != name {
 					err = fmt.Errorf("call %d on %s answered by %q", i, name, resp.Status)
 				}
 			}

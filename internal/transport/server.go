@@ -135,14 +135,20 @@ func (ac *agentConn) fail(ctx context.Context, op string, err error) error {
 // is one op here, its latency sample and, on whatever rollout trace rides
 // ctx, its "rpc" span with the bytes it wrote; the bytes also go to a
 // per-op histogram.
-func (ac *agentConn) call(ctx context.Context, req link.Frame, body []distrib.Chunk) (link.Frame, error) {
+//
+// Both frames are the caller's and cross by pointer, as the member path's
+// frames are far too large to copy per call: call numbers req and may
+// swap its manifest for the reference, so a request sent again is built
+// afresh, and it reads the reply into *resp, which holds the agent's
+// answer only when call returns nil.
+func (ac *agentConn) call(ctx context.Context, req *link.Frame, body []distrib.Chunk, resp *link.Frame) error {
 	if err := ctx.Err(); err != nil {
-		return link.Frame{}, fmt.Errorf("transport: %s to %s: %w", req.Op, ac.name, err)
+		return fmt.Errorf("transport: %s to %s: %w", req.Op, ac.name, err)
 	}
 	ac.mu.Lock()
 	defer ac.mu.Unlock()
 	if ac.replaced.Load() {
-		return link.Frame{}, fmt.Errorf("transport: %s to %s: %w", req.Op, ac.name, ErrAgentReplaced)
+		return fmt.Errorf("transport: %s to %s: %w", req.Op, ac.name, ErrAgentReplaced)
 	}
 	man := req.Manifest
 	if man != nil && ac.delivered != 0 && man.Digest() == ac.delivered {
@@ -151,10 +157,10 @@ func (ac *agentConn) call(ctx context.Context, req link.Frame, body []distrib.Ch
 	m := ac.srv.metrics()
 	op := telemetry.Start(ctx, m.rpcLatency.With(req.Op), "rpc", req.Op, ac.name)
 	bytes0 := ac.cw.n
-	resp, err := ac.exchange(ctx, req, body)
+	err := ac.exchange(ctx, req, body, resp)
 	if err == nil && resp.NeedManifest && req.ManifestRef != 0 {
 		req.Manifest, req.ManifestRef = man, 0
-		resp, err = ac.exchange(ctx, req, body)
+		err = ac.exchange(ctx, req, body, resp)
 	}
 	if err == nil && resp.NeedManifest {
 		err = fmt.Errorf("transport: agent %s asked for the %s manifest it was sent: %w", ac.name, req.Op, deploy.ErrTransient)
@@ -171,7 +177,7 @@ func (ac *agentConn) call(ctx context.Context, req link.Frame, body []distrib.Ch
 	sent := ac.cw.n - bytes0
 	op.EndBytes(sent, err)
 	m.rpcBytes.With(req.Op).Observe(sent)
-	return resp, err
+	return err
 }
 
 // serverMetrics are the server's handles on its telemetry registry: the
@@ -240,8 +246,9 @@ func (s *Server) readFrame(fc *link.Conn, f *link.Frame) error {
 	return err
 }
 
-// exchange performs the locked wire exchange behind call.
-func (ac *agentConn) exchange(ctx context.Context, req link.Frame, body []distrib.Chunk) (link.Frame, error) {
+// exchange performs the locked wire exchange behind call: it numbers and
+// sends req, and reads the reply into resp.
+func (ac *agentConn) exchange(ctx context.Context, req *link.Frame, body []distrib.Chunk, resp *link.Frame) error {
 	ac.fc.R, ac.fc.W = borrowReader(ac.conn), borrowWriter(&ac.cw)
 	defer giveBack(&ac.fc)
 	ac.nextID++
@@ -251,7 +258,7 @@ func (ac *agentConn) exchange(ctx context.Context, req link.Frame, body []distri
 		deadline = d
 	}
 	if err := ac.conn.SetDeadline(deadline); err != nil {
-		return link.Frame{}, ac.fail(ctx, req.Op, err)
+		return ac.fail(ctx, req.Op, err)
 	}
 	// A cancelled context forces the in-flight I/O to fail now rather than
 	// at the deadline. The channel dies with it — acceptable: aborts are
@@ -269,32 +276,31 @@ func (ac *agentConn) exchange(ctx context.Context, req link.Frame, body []distri
 			<-yanked
 		}
 	}()
-	if err := ac.fc.WriteFrame(&req); err != nil {
-		return link.Frame{}, ac.fail(ctx, "sending "+req.Op, err)
+	if err := ac.fc.WriteFrame(req); err != nil {
+		return ac.fail(ctx, "sending "+req.Op, err)
 	}
 	if body != nil {
 		if err := ac.fc.WriteChunkBody(body); err != nil {
-			return link.Frame{}, ac.fail(ctx, "sending "+req.Op+" body", err)
+			return ac.fail(ctx, "sending "+req.Op+" body", err)
 		}
 	}
 	if err := ac.fc.W.Flush(); err != nil {
-		return link.Frame{}, ac.fail(ctx, "sending "+req.Op, err)
+		return ac.fail(ctx, "sending "+req.Op, err)
 	}
 	ac.srv.metrics().frames.Inc()
-	var resp link.Frame
-	if err := ac.srv.readFrame(&ac.fc, &resp); err != nil {
-		return link.Frame{}, ac.fail(ctx, "reading "+req.Op+" reply", err)
+	if err := ac.srv.readFrame(&ac.fc, resp); err != nil {
+		return ac.fail(ctx, "reading "+req.Op+" reply", err)
 	}
 	if resp.ID != req.ID {
-		return link.Frame{}, ac.fail(ctx, req.Op, fmt.Errorf("reply id %d for request %d", resp.ID, req.ID))
+		return ac.fail(ctx, req.Op, fmt.Errorf("reply id %d for request %d", resp.ID, req.ID))
 	}
 	if resp.Err != "" {
-		return link.Frame{}, &agentError{name: ac.name, msg: resp.Err}
+		return &agentError{name: ac.name, msg: resp.Err}
 	}
 	if !resp.OK {
-		return link.Frame{}, fmt.Errorf("transport: agent %s sent unacknowledged %s reply", ac.name, req.Op)
+		return fmt.Errorf("transport: agent %s sent unacknowledged %s reply", ac.name, req.Op)
 	}
-	return resp, nil
+	return nil
 }
 
 // agentError is an error the agent itself reported in a reply frame. The
@@ -695,8 +701,8 @@ func (s *Server) Ping(ctx context.Context, name string) error {
 	if err != nil {
 		return err
 	}
-	_, err = ac.call(ctx, link.Frame{Op: link.OpPing}, nil)
-	return err
+	var resp link.Frame
+	return ac.call(ctx, &link.Frame{Op: link.OpPing}, nil, &resp)
 }
 
 // Identify asks the named agent to run local resource identification.
@@ -705,8 +711,8 @@ func (s *Server) Identify(ctx context.Context, machineName, app string, workload
 	if err != nil {
 		return nil, err
 	}
-	resp, err := ac.call(ctx, link.Frame{Op: link.OpIdentify, Identify: &link.IdentifyReq{App: app, Workloads: workloads}}, nil)
-	if err != nil {
+	var resp link.Frame
+	if err := ac.call(ctx, &link.Frame{Op: link.OpIdentify, Identify: &link.IdentifyReq{App: app, Workloads: workloads}}, nil, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Resources, nil
@@ -718,8 +724,8 @@ func (s *Server) Record(ctx context.Context, machineName, app string, inputs []s
 	if err != nil {
 		return "", err
 	}
-	resp, err := ac.call(ctx, link.Frame{Op: link.OpRecord, Record: &link.RecordReq{App: app, Inputs: inputs}}, nil)
-	if err != nil {
+	var resp link.Frame
+	if err := ac.call(ctx, &link.Frame{Op: link.OpRecord, Record: &link.RecordReq{App: app, Inputs: inputs}}, nil, &resp); err != nil {
 		return "", err
 	}
 	return resp.Status, nil
@@ -780,8 +786,8 @@ func (s *Server) fingerprint(ctx context.Context, name string, body []byte) (clu
 	if err != nil {
 		return cluster.MachineFingerprint{}, err
 	}
-	resp, err := ac.call(ctx, link.Frame{Op: link.OpFingerprint, Fingerprint: body}, nil)
-	if err != nil {
+	var resp link.Frame
+	if err := ac.call(ctx, &link.Frame{Op: link.OpFingerprint, Fingerprint: body}, nil, &resp); err != nil {
 		return cluster.MachineFingerprint{}, err
 	}
 	diff := link.ItemsFromWire(resp.Diff)
@@ -828,19 +834,21 @@ const pushAttempts = 3
 // A push still missing chunks after pushAttempts requests — a link that
 // damages every delivery to this agent — fails with deploy.ErrTransient:
 // the controller retries the member and then quarantines it, and the
-// rest of the rollout goes on.
-func (s *Server) pushUpgrade(ctx context.Context, name, op string, up *pkgmgr.Upgrade) (link.Frame, error) {
+// rest of the rollout goes on. The agent's final reply is read into
+// *resp, the caller's frame.
+func (s *Server) pushUpgrade(ctx context.Context, name, op string, up *pkgmgr.Upgrade, resp *link.Frame) error {
 	ac, err := s.agent(name)
 	if err != nil {
-		return link.Frame{}, err
+		return err
 	}
 	man := s.dist.Manifest(up)
 	m := s.metrics()
 	first := true
+	var req link.Frame
 	for attempt := 0; attempt < pushAttempts; attempt++ {
-		resp, err := ac.call(ctx, link.Frame{Op: op, Manifest: man}, nil)
-		if err != nil {
-			return link.Frame{}, err
+		req = link.Frame{Op: op, Manifest: man}
+		if err := ac.call(ctx, &req, nil, resp); err != nil {
+			return err
 		}
 		if first {
 			// The first response fixes the hit/miss split for this push;
@@ -869,18 +877,17 @@ func (s *Server) pushUpgrade(ctx context.Context, name, op string, up *pkgmgr.Up
 			if s.rollbackMode.Load() {
 				m.rolledBack.Add(int64(man.ChunkCount()))
 			}
-			return resp, nil
+			return nil
 		}
 		need := resp.NeedChunks
 		hinted := false
 		if hints := s.peerHintsFor(name, need); len(hints) > 0 {
-			presp, err := ac.call(ctx, link.Frame{Op: link.OpPeerFetch,
-				PeerFetch: &link.PeerFetchReq{Addrs: need, Peers: hints}}, nil)
-			if err != nil {
-				return link.Frame{}, err
+			req = link.Frame{Op: link.OpPeerFetch, PeerFetch: &link.PeerFetchReq{Addrs: need, Peers: hints}}
+			if err := ac.call(ctx, &req, nil, resp); err != nil {
+				return err
 			}
-			s.creditPeerResult(ac, len(need), presp.Peer)
-			need = presp.NeedChunks
+			s.creditPeerResult(ac, len(need), resp.Peer)
+			need = resp.NeedChunks
 			hinted = true
 		}
 		if len(need) == 0 {
@@ -890,7 +897,7 @@ func (s *Server) pushUpgrade(ctx context.Context, name, op string, up *pkgmgr.Up
 		}
 		chunks, err := s.dist.Chunks(need)
 		if err != nil {
-			return link.Frame{}, fmt.Errorf("transport: agent %s requested %w", name, err)
+			return fmt.Errorf("transport: agent %s requested %w", name, err)
 		}
 		var n int64
 		for _, ch := range chunks {
@@ -902,7 +909,8 @@ func (s *Server) pushUpgrade(ctx context.Context, name, op string, up *pkgmgr.Up
 			// vendor fallback, the swarm's miss counter.
 			m.fallbacks.Add(int64(len(chunks)))
 		}
-		if _, perr := ac.call(ctx, link.Frame{Op: link.OpFetchChunks, ChunkMeta: link.ChunkMeta(chunks)}, chunks); perr != nil {
+		req = link.Frame{Op: link.OpFetchChunks, ChunkMeta: link.ChunkMeta(chunks)}
+		if perr := ac.call(ctx, &req, chunks, resp); perr != nil {
 			// An agent-reported rejection means corrupt bytes in flight
 			// (the content address caught them) on an intact channel: spend
 			// an attempt re-issuing the manifest, which re-pushes cleanly.
@@ -910,16 +918,16 @@ func (s *Server) pushUpgrade(ctx context.Context, name, op string, up *pkgmgr.Up
 			if errors.As(perr, &ae) {
 				continue
 			}
-			return link.Frame{}, perr
+			return perr
 		}
 	}
-	return link.Frame{}, fmt.Errorf("transport: agent %s still missing chunks after fetch: %w", name, deploy.ErrTransient)
+	return fmt.Errorf("transport: agent %s still missing chunks after fetch: %w", name, deploy.ErrTransient)
 }
 
 // TestUpgrade implements deploy.Node over the wire.
 func (r *RemoteNode) TestUpgrade(ctx context.Context, up *pkgmgr.Upgrade) (*report.Report, error) {
-	resp, err := r.s.pushUpgrade(ctx, r.name, link.OpTest, up)
-	if err != nil {
+	var resp link.Frame
+	if err := r.s.pushUpgrade(ctx, r.name, link.OpTest, up, &resp); err != nil {
 		return nil, err
 	}
 	if resp.Report == nil {
@@ -930,6 +938,6 @@ func (r *RemoteNode) TestUpgrade(ctx context.Context, up *pkgmgr.Upgrade) (*repo
 
 // Integrate implements deploy.Node over the wire.
 func (r *RemoteNode) Integrate(ctx context.Context, up *pkgmgr.Upgrade) error {
-	_, err := r.s.pushUpgrade(ctx, r.name, link.OpIntegrate, up)
-	return err
+	var resp link.Frame
+	return r.s.pushUpgrade(ctx, r.name, link.OpIntegrate, up, &resp)
 }
